@@ -13,9 +13,10 @@
 //! * `ERAPID_THREADS=<n>` — worker threads for the run-level executor
 //!   (default: all available cores; results are byte-identical for any
 //!   value).
-//! * `ERAPID_POINT_THREADS=<n>` — board-shard workers *inside* each
-//!   point's cycle engine (DESIGN.md §12; default 1 = sequential engine,
-//!   0 = all available cores; byte-identical for any value).
+//! * `ERAPID_POINT_THREADS=<n>` — workers sharing each cycle's per-board
+//!   compute phase *inside* each point (DESIGN.md §12; default 1 = the
+//!   jobs run inline, 0 = all available cores; byte-identical for any
+//!   value).
 //! * `ERAPID_TRACE=<path>` — where the `tracereport` binary writes its
 //!   JSONL event trace (a Chrome/Perfetto trace lands next to it).
 //!

@@ -311,23 +311,6 @@ pub fn sweep_loads_with(
     crate::runner::run_points(threads, points)
 }
 
-/// Sweeps the load axis for one (mode, pattern) pair, using every
-/// available core (see [`sweep_loads_with`] to control the thread count).
-pub fn sweep_loads(
-    mode: NetworkMode,
-    pattern: &TrafficPattern,
-    loads: &[f64],
-    make_cfg: impl FnMut(NetworkMode) -> SystemConfig,
-) -> Vec<RunResult> {
-    sweep_loads_with(
-        crate::runner::available_threads(),
-        mode,
-        pattern,
-        loads,
-        make_cfg,
-    )
-}
-
 /// The paper's load axis: 0.1 – 0.9 in steps of 0.1.
 pub fn paper_loads() -> Vec<f64> {
     (1..=9).map(|i| i as f64 / 10.0).collect()
@@ -393,7 +376,8 @@ mod tests {
 
     #[test]
     fn sweep_is_monotone_in_load_below_saturation() {
-        let results = sweep_loads(
+        let results = sweep_loads_with(
+            crate::runner::available_threads(),
             NetworkMode::NpNb,
             &TrafficPattern::Uniform,
             &[0.2, 0.4],

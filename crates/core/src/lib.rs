@@ -89,15 +89,14 @@ pub use error::ErapidError;
 pub use experiment::{
     run_once, run_once_recorded, run_once_replayed, run_once_replayed_sharded,
     run_once_replayed_traced, run_once_replayed_traced_sharded, run_once_sharded, run_once_traced,
-    run_once_traced_sharded, sweep_loads, sweep_loads_with, trace_meta, RunResult, RunTrace,
-    TraceSource,
+    run_once_traced_sharded, sweep_loads_with, trace_meta, RunResult, RunTrace, TraceSource,
 };
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::PacketDelivery;
 pub use runner::{
-    nested_budget, parallel_map, parallel_map_prioritized, point_threads_from_env, run_points,
-    run_points_sharded, run_points_timed, run_points_timed_sharded, run_points_traced,
-    run_points_traced_sharded, RunPoint,
+    parallel_map, parallel_map_prioritized, point_threads_from_env, run_points, run_points_sharded,
+    run_points_timed, run_points_timed_sharded, run_points_traced, run_points_traced_sharded,
+    RunPoint,
 };
 pub use stream::{StreamCursor, StreamPaths, StreamSink};
 pub use system::{PhaseTimers, System, WindowFlush};

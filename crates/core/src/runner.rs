@@ -6,10 +6,11 @@
 //! state and a run's result is byte-identical no matter which thread
 //! executes it. That makes run-level fan-out safe by construction — only
 //! the *scheduling* is concurrent. A second, nested level of parallelism
-//! shards the cycle engine *inside* one point across boards
-//! (`ERAPID_POINT_THREADS`, [`crate::System::run_sharded`], DESIGN.md
-//! §12); it is deterministic by a two-phase compute/commit barrier rather
-//! than by independence.
+//! shares each cycle's per-board compute phase *inside* one point across
+//! workers (`ERAPID_POINT_THREADS`, [`crate::System::run_sharded`],
+//! DESIGN.md §12); every cycle is the same compute → in-order commit
+//! whatever the worker count, so it is deterministic by construction
+//! rather than by independence.
 //!
 //! No external crates: the pool is a self-scheduling worker loop over
 //! [`std::thread::scope`] — workers pull the next unclaimed index from a
@@ -46,10 +47,11 @@ pub fn threads_from_env() -> NonZeroUsize {
 }
 
 /// Parses the `ERAPID_POINT_THREADS` env knob — workers *inside* one
-/// simulation point for the board-sharded engine
-/// (`crate::System::run_sharded`). Unset or unparsable mean `1` (the
-/// plain sequential engine: intra-point sharding is opt-in because the
-/// run-level executor usually saturates the machine already); `0` means
+/// simulation point sharing each cycle's per-board compute phase
+/// (`crate::System::run_sharded`). Unset or unparsable mean `1` (the jobs
+/// run inline: intra-point workers are opt-in because the run-level
+/// executor usually saturates the machine already, and the per-cycle
+/// barrier does not pay at B ≤ 32 — DESIGN.md §12 "Measured"); `0` means
 /// "use [`available_threads`]". Results are byte-identical for any value.
 pub fn point_threads_from_env() -> NonZeroUsize {
     match std::env::var("ERAPID_POINT_THREADS") {
@@ -60,17 +62,6 @@ pub fn point_threads_from_env() -> NonZeroUsize {
         },
         Err(_) => NonZeroUsize::MIN,
     }
-}
-
-/// Splits a total worker budget across the two nesting levels: run-level
-/// workers (independent points) first — they parallelize perfectly — then
-/// whatever is left over as intra-point board-shard workers. Returns
-/// `(run_threads, point_threads)` with `run × point ≤ total` (and
-/// `run ≤ points` when there are fewer points than budget).
-pub fn nested_budget(total: NonZeroUsize, points: usize) -> (NonZeroUsize, NonZeroUsize) {
-    let run = NonZeroUsize::new(total.get().min(points.max(1))).unwrap_or(NonZeroUsize::MIN);
-    let point = NonZeroUsize::new(total.get() / run.get()).unwrap_or(NonZeroUsize::MIN);
-    (run, point)
 }
 
 /// Maps `f` over `items` on up to `threads` worker threads, returning the
@@ -241,10 +232,12 @@ pub fn run_points(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<RunResult
     parallel_map_prioritized(threads, points, RunPoint::estimated_cost, RunPoint::run)
 }
 
-/// As [`run_points`], with each point's cycle engine additionally sharded
-/// across boards onto `point_threads` workers — the nested point×board
-/// budget (see [`nested_budget`]). Byte-identical to [`run_points`] for
-/// any `(threads, point_threads)` combination.
+/// As [`run_points`], with each point's per-board compute phase
+/// additionally shared across `point_threads` workers. The two budgets
+/// multiply (up to `threads × point_threads` busy threads); nothing
+/// splits one total between them — the bins pass both env knobs straight
+/// through. Byte-identical to [`run_points`] for any
+/// `(threads, point_threads)` combination.
 pub fn run_points_sharded(
     threads: NonZeroUsize,
     point_threads: NonZeroUsize,

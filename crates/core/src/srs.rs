@@ -232,21 +232,6 @@ impl Srs {
         s as usize * self.boards as usize + d as usize
     }
 
-    /// Closes the open busy span on channel `i` at `at` (clamped to the
-    /// serialization end), folding its cycles into the running window.
-    /// A span closed at its own start cycle contributes nothing — exactly
-    /// the eager sampler, which never saw the channel busy.
-    fn close_busy(&mut self, i: usize, at: Cycle) {
-        if !self.busy_open[i] {
-            return;
-        }
-        let end = self.busy_cap[i].min(at);
-        if end > self.busy_start[i] {
-            self.win_busy[i] += end - self.busy_start[i];
-        }
-        self.busy_open[i] = false;
-    }
-
     /// The single mutation point for the ownership map: updates `owner`,
     /// the per-flow sorted `owned` mirror, closes the de-owned channel's
     /// busy span at `now` (the eager per-cycle sampler stopped counting a
@@ -263,7 +248,7 @@ impl Srs {
                 self.owned[f].remove(p);
             }
             let i = self.idx(s, d, w);
-            self.close_busy(i, now);
+            self.spans().close_busy(i, now);
         }
         if let Some(s) = new {
             let f = self.flow(s, d);
@@ -534,103 +519,104 @@ impl Srs {
         self.relocks_applied
     }
 
-    /// Tries to transmit `packet` from board `s` to board `d` on any free
-    /// owned channel. On success returns the wavelength used; the arrival
-    /// is scheduled internally.
-    pub fn try_transmit(&mut self, now: Cycle, s: u16, d: u16, packet: ReadyPacket) -> Option<u16> {
-        if self.is_tx_failed(s, d) {
-            return None;
+    /// The whole-bank view of the busy-span tables (dense channel indices).
+    fn spans(&mut self) -> Spans<'_> {
+        Spans {
+            open: &mut self.busy_open,
+            start: &mut self.busy_start,
+            cap: &mut self.busy_cap,
+            win_busy: &mut self.win_busy,
         }
-        // Scan only owned wavelengths; ascending order matches the legacy
-        // full `0..W` scan over the ownership map.
-        let flow = self.flow(s, d);
-        let mut chosen = None;
-        for k in 0..self.owned[flow].len() {
-            let w = self.owned[flow][k];
-            let i = self.idx(s, d, w);
-            // A channel with a pending retune must not start a packet:
-            // the retune would never get a free window under load.
-            if self.channels[i].can_send(now) && self.pending_retune[i].is_none() {
-                chosen = Some(w);
-                break;
-            }
-        }
-        let w = chosen?;
-        let i = self.idx(s, d, w);
-        // Back-to-back reuse exactly at the previous packet's end: its
-        // wake entry has not fired yet, so close its span here first.
-        if self.busy_open[i] {
-            debug_assert!(self.busy_cap[i] <= now, "span open past serialization");
-            let cap = self.busy_cap[i];
-            self.close_busy(i, cap);
-        }
-        let arrive_at = self.channels[i].begin_packet(now, packet.flits as u32);
-        let Some(until) = self.channels[i].sending_until() else {
-            unreachable!("begin_packet leaves the channel Sending")
-        };
-        self.wake.insert(until, i);
-        self.busy_open[i] = true;
-        self.busy_start[i] = now;
-        self.busy_cap[i] = until;
-        self.power_dirty = true;
-        self.arrivals.insert(
-            arrive_at,
-            Arrival {
-                dst_board: d,
-                wavelength: w,
-                src_board: s,
-                packet,
-            },
-        );
-        Some(w)
     }
 
-    /// Captures the raw base pointers the sharded engine slices per-lane
-    /// views from. The channel bank and its busy-span companions are dense
+    /// Splits the optical stage into its `B` source lanes, ascending. The
+    /// channel bank and its per-channel side tables are dense
     /// `(s·B + d)·W + w` arrays, so source board `s` owns the contiguous
-    /// block `[s·B·W, (s+1)·B·W)` of every one of them — a worker holding
-    /// lane `s` never aliases lane `s'`. All the backing vectors are
-    /// fixed-capacity after construction within one cycle's compute phase
-    /// (`owned`'s *inner* vectors and `failed_tx` mutate only in the
-    /// sequential phases), so pointers captured at the top of a cycle stay
-    /// valid through it.
-    ///
-    /// Safety contract (upheld by `system::step_sharded`): between
-    /// capturing parts and the commit barrier, nothing touches the SRS
-    /// through `&mut self`, and each lane index is materialized by at most
-    /// one worker.
-    pub(crate) fn shard_parts(&mut self) -> SrsShardParts {
-        SrsShardParts {
-            channels: self.channels.as_mut_ptr(),
-            win_busy: self.win_busy.as_mut_ptr(),
-            busy_open: self.busy_open.as_mut_ptr(),
-            busy_start: self.busy_start.as_mut_ptr(),
-            busy_cap: self.busy_cap.as_mut_ptr(),
-            pending_retune: self.pending_retune.as_ptr(),
-            owned: self.owned.as_ptr(),
-            failed_tx: self.failed_tx.as_ptr(),
-            failed_tx_len: self.failed_tx.len(),
-            boards: self.boards,
+    /// block `[s·B·W, (s+1)·B·W)` of each — `chunks_mut` hands every lane
+    /// its own block, and the lanes can be driven concurrently.
+    pub(crate) fn lanes(&mut self) -> impl Iterator<Item = SrsLane<'_>> {
+        let b = self.boards as usize;
+        let wavelengths = self.wavelengths;
+        let bw = b * wavelengths as usize;
+        let failed_tx = self.failed_tx.as_slice();
+        let spans = (self.busy_open.chunks_mut(bw))
+            .zip(self.busy_start.chunks_mut(bw))
+            .zip(self.busy_cap.chunks_mut(bw))
+            .zip(self.win_busy.chunks_mut(bw))
+            .map(|(((open, start), cap), win_busy)| Spans {
+                open,
+                start,
+                cap,
+                win_busy,
+            });
+        (self.channels.chunks_mut(bw))
+            .zip(spans)
+            .zip(self.pending_retune.chunks(bw))
+            .zip(self.owned.chunks(b))
+            .enumerate()
+            .map(
+                move |(s, (((channels, spans), pending_retune), owned))| SrsLane {
+                    s: s as u16,
+                    wavelengths,
+                    base: s * bw,
+                    channels,
+                    spans,
+                    pending_retune,
+                    owned,
+                    failed_tx,
+                },
+            )
+    }
+
+    /// Source lane `s` alone — what [`Srs::lanes`] yields at position `s`,
+    /// sliced directly (the inline engine only asks for lanes that have a
+    /// packet to send).
+    pub(crate) fn lane(&mut self, s: u16) -> SrsLane<'_> {
+        let b = self.boards as usize;
+        let bw = b * self.wavelengths as usize;
+        let base = s as usize * bw;
+        let block = base..base + bw;
+        SrsLane {
+            s,
             wavelengths: self.wavelengths,
+            base,
+            channels: &mut self.channels[block.clone()],
+            spans: Spans {
+                open: &mut self.busy_open[block.clone()],
+                start: &mut self.busy_start[block.clone()],
+                cap: &mut self.busy_cap[block.clone()],
+                win_busy: &mut self.win_busy[block.clone()],
+            },
+            pending_retune: &self.pending_retune[block],
+            owned: &self.owned[s as usize * b..(s as usize + 1) * b],
+            failed_tx: &self.failed_tx,
         }
     }
 
-    /// Applies one board's buffered publish-remote effects in arrival
-    /// order: wake-queue entries and fiber arrivals re-insert in exactly
-    /// the sequence the sequential `transmit` would have produced (each
-    /// [`BinaryHeapQueue`] breaks time ties by insertion sequence, so an
-    /// identical insertion order is an identical pop order), and the power
-    /// cache is invalidated iff the lane lit a laser.
-    pub(crate) fn commit_lane_effects(&mut self, fx: &LaneEffects) {
-        for &(until, i) in &fx.wakes {
+    /// One lane transmit committed on the spot — the unit tests' handle on
+    /// [`SrsLane::try_transmit`] (the engine buffers and commits per board).
+    #[cfg(test)]
+    fn try_transmit(&mut self, now: Cycle, s: u16, d: u16, packet: ReadyPacket) -> Option<u16> {
+        let mut fx = LaneEffects::default();
+        let w = self.lane(s).try_transmit(now, d, packet, &mut fx);
+        self.commit_lane_effects(&mut fx);
+        w
+    }
+
+    /// Drains one board's buffered publish-remote effects in arrival
+    /// order: wake-queue entries and fiber arrivals insert in the sequence
+    /// the lane produced them (each [`BinaryHeapQueue`] breaks time ties by
+    /// insertion sequence, so an identical insertion order is an identical
+    /// pop order), and the power cache is invalidated iff the lane lit a
+    /// laser. Leaves `fx` empty for the next cycle.
+    pub(crate) fn commit_lane_effects(&mut self, fx: &mut LaneEffects) {
+        for (until, i) in fx.wakes.drain(..) {
             self.wake.insert(until, i);
         }
-        for &(arrive_at, arr) in &fx.arrivals {
+        for (arrive_at, arr) in fx.arrivals.drain(..) {
             self.arrivals.insert(arrive_at, arr);
         }
-        if fx.power_dirty {
-            self.power_dirty = true;
-        }
+        self.power_dirty |= std::mem::take(&mut fx.power_dirty);
     }
 
     /// Packets still in flight in the optical domain (serializing or on
@@ -746,9 +732,9 @@ impl Srs {
                 break;
             };
             self.channels[i].settle(now);
-            if self.busy_open[i] && self.busy_cap[i] <= now {
+            if self.busy_cap[i] <= now {
                 let cap = self.busy_cap[i];
-                self.close_busy(i, cap);
+                self.spans().close_busy(i, cap);
             }
             self.power_dirty = true;
         }
@@ -1124,51 +1110,10 @@ impl Srs {
     }
 }
 
-/// Raw base pointers over the SRS's source-sharded dense arrays plus the
-/// read-only shared state the transmit path consults. Captured once per
-/// cycle by [`Srs::shard_parts`]; each worker derives its disjoint
-/// [`SrsLane`] from these. Plain data — `Send`-ness is asserted by the
-/// shard context that carries it (`system::shard`).
-#[derive(Clone, Copy)]
-pub(crate) struct SrsShardParts {
-    channels: *mut OpticalChannel,
-    win_busy: *mut Cycle,
-    busy_open: *mut bool,
-    busy_start: *mut Cycle,
-    busy_cap: *mut Cycle,
-    pending_retune: *const Option<(RateLevel, Cycle)>,
-    owned: *const Vec<u16>,
-    failed_tx: *const (u16, u16),
-    failed_tx_len: usize,
-    boards: u16,
-    wavelengths: u16,
-}
-
-#[cfg(test)]
-impl SrsShardParts {
-    /// A zero-board parts bundle for gate-protocol tests that never
-    /// materialize a lane.
-    pub(crate) fn dangling() -> Self {
-        Self {
-            channels: std::ptr::NonNull::dangling().as_ptr(),
-            win_busy: std::ptr::NonNull::dangling().as_ptr(),
-            busy_open: std::ptr::NonNull::dangling().as_ptr(),
-            busy_start: std::ptr::NonNull::dangling().as_ptr(),
-            busy_cap: std::ptr::NonNull::dangling().as_ptr(),
-            pending_retune: std::ptr::NonNull::dangling().as_ptr(),
-            owned: std::ptr::NonNull::dangling().as_ptr(),
-            failed_tx: std::ptr::NonNull::dangling().as_ptr(),
-            failed_tx_len: 0,
-            boards: 0,
-            wavelengths: 0,
-        }
-    }
-}
-
-/// The publish-remote half of a lane's transmit work: everything
-/// [`Srs::try_transmit`] would have pushed into *shared* SRS state, buffered
-/// per source board during the compute phase and applied in canonical board
-/// order by [`Srs::commit_lane_effects`]. The mutate-local half (channel
+/// The publish-remote half of a lane's transmit work: everything a
+/// departure pushes into *shared* SRS state, buffered per source board
+/// while the lanes run and applied in canonical board order by
+/// [`Srs::commit_lane_effects`]. The mutate-local half (channel
 /// `begin_packet`, busy spans, window integrals) needs no buffering — it
 /// lives entirely inside the lane's array block.
 #[derive(Debug, Default)]
@@ -1181,29 +1126,44 @@ pub(crate) struct LaneEffects {
     pub(crate) power_dirty: bool,
 }
 
-impl LaneEffects {
-    pub(crate) fn clear(&mut self) {
-        self.wakes.clear();
-        self.arrivals.clear();
-        self.power_dirty = false;
+/// A mutable view over a block of the busy-span tables: the whole bank
+/// ([`Srs::spans`], dense channel indices) or one lane's `B·W` block
+/// (lane-local indices).
+struct Spans<'a> {
+    open: &'a mut [bool],
+    start: &'a mut [Cycle],
+    cap: &'a mut [Cycle],
+    win_busy: &'a mut [Cycle],
+}
+
+impl Spans<'_> {
+    /// Closes the open busy span on channel `i` at `at` (clamped to the
+    /// serialization end), folding its cycles into the running window.
+    /// A span closed at its own start cycle contributes nothing — exactly
+    /// the eager sampler, which never saw the channel busy.
+    fn close_busy(&mut self, i: usize, at: Cycle) {
+        if !self.open[i] {
+            return;
+        }
+        let end = self.cap[i].min(at);
+        if end > self.start[i] {
+            self.win_busy[i] += end - self.start[i];
+        }
+        self.open[i] = false;
     }
 }
 
 /// One source board's mutable window into the SRS: the `B·W` contiguous
 /// block of channel/busy-span state that board `s` alone serializes onto,
 /// plus shared read-only views (ownership mirror, failed transmitters,
-/// pending retunes). [`SrsLane::try_transmit`] is [`Srs::try_transmit`]
-/// with the shared-queue pushes routed into a [`LaneEffects`] buffer.
+/// pending retunes). Produced by [`Srs::lanes`].
 pub(crate) struct SrsLane<'a> {
     s: u16,
     wavelengths: u16,
     /// Dense index of the lane's first channel (`s·B·W`).
     base: usize,
     channels: &'a mut [OpticalChannel],
-    win_busy: &'a mut [Cycle],
-    busy_open: &'a mut [bool],
-    busy_start: &'a mut [Cycle],
-    busy_cap: &'a mut [Cycle],
+    spans: Spans<'a>,
     /// Lane slice of the pending-retune table (transmit only reads it).
     pending_retune: &'a [Option<(RateLevel, Cycle)>],
     /// The lane's `B` per-destination sorted owned-wavelength lists.
@@ -1211,102 +1171,51 @@ pub(crate) struct SrsLane<'a> {
     failed_tx: &'a [(u16, u16)],
 }
 
-impl<'a> SrsLane<'a> {
-    /// Materializes lane `s` from captured base pointers.
-    ///
-    /// # Safety
-    /// `parts` must come from a live [`Srs`] whose backing storage has not
-    /// been touched through `&mut Srs` since capture, and no other lane
-    /// view for the same `s` may exist for `'a`. Disjointness across
-    /// different `s` is guaranteed by the dense layout.
-    pub(crate) unsafe fn from_parts(parts: &SrsShardParts, s: u16) -> Self {
-        let b = parts.boards as usize;
-        let bw = b * parts.wavelengths as usize;
-        let base = s as usize * bw;
-        // SAFETY: each lane addresses its own `[base, base + bw)` block of
-        // the `B²·W`-sized arrays and the `[s·B, (s+1)·B)` block of the
-        // `B²`-sized flow table; the caller guarantees exclusivity.
-        unsafe {
-            Self {
-                s,
-                wavelengths: parts.wavelengths,
-                base,
-                channels: std::slice::from_raw_parts_mut(parts.channels.add(base), bw),
-                win_busy: std::slice::from_raw_parts_mut(parts.win_busy.add(base), bw),
-                busy_open: std::slice::from_raw_parts_mut(parts.busy_open.add(base), bw),
-                busy_start: std::slice::from_raw_parts_mut(parts.busy_start.add(base), bw),
-                busy_cap: std::slice::from_raw_parts_mut(parts.busy_cap.add(base), bw),
-                pending_retune: std::slice::from_raw_parts(parts.pending_retune.add(base), bw),
-                owned: std::slice::from_raw_parts(parts.owned.add(s as usize * b), b),
-                failed_tx: std::slice::from_raw_parts(parts.failed_tx, parts.failed_tx_len),
-            }
-        }
-    }
-
+impl SrsLane<'_> {
     /// Lane-local dense index of `(d, w)` — [`Srs::idx`] minus `base`.
     fn li(&self, d: u16, w: u16) -> usize {
         d as usize * self.wavelengths as usize + w as usize
     }
 
-    /// Lane-local mirror of [`Srs::close_busy`].
-    fn close_busy(&mut self, li: usize, at: Cycle) {
-        if !self.busy_open[li] {
-            return;
-        }
-        let end = self.busy_cap[li].min(at);
-        if end > self.busy_start[li] {
-            self.win_busy[li] += end - self.busy_start[li];
-        }
-        self.busy_open[li] = false;
-    }
-
-    /// [`Srs::try_transmit`] over the lane view: identical scan order,
-    /// identical channel mutations, with the wake/arrival inserts and the
-    /// power-cache invalidation deferred into `fx`. Returns whether the
-    /// packet departed.
+    /// Tries to transmit `packet` from this lane's board to board `d` on
+    /// any free owned channel. On success returns the wavelength used; the
+    /// channel and its busy span mutate in place, while the wake/arrival
+    /// inserts and the power-cache invalidation are deferred into `fx`.
     pub(crate) fn try_transmit(
         &mut self,
         now: Cycle,
         d: u16,
         packet: ReadyPacket,
         fx: &mut LaneEffects,
-    ) -> bool {
+    ) -> Option<u16> {
         if self.failed_tx.contains(&(self.s, d)) {
-            return false;
+            return None;
         }
         // Scan only owned wavelengths; ascending order matches the legacy
         // full `0..W` scan over the ownership map.
-        let flow = d as usize;
-        let mut chosen = None;
-        for k in 0..self.owned[flow].len() {
-            let w = self.owned[flow][k];
+        let w = self.owned[d as usize].iter().copied().find(|&w| {
             let li = self.li(d, w);
             // A channel with a pending retune must not start a packet:
             // the retune would never get a free window under load.
-            if self.channels[li].can_send(now) && self.pending_retune[li].is_none() {
-                chosen = Some(w);
-                break;
-            }
-        }
-        let Some(w) = chosen else {
-            return false;
-        };
+            self.channels[li].can_send(now) && self.pending_retune[li].is_none()
+        })?;
         let li = self.li(d, w);
         // Back-to-back reuse exactly at the previous packet's end: its
         // wake entry has not fired yet, so close its span here first.
-        if self.busy_open[li] {
-            debug_assert!(self.busy_cap[li] <= now, "span open past serialization");
-            let cap = self.busy_cap[li];
-            self.close_busy(li, cap);
-        }
+        debug_assert!(
+            !self.spans.open[li] || self.spans.cap[li] <= now,
+            "span open past serialization"
+        );
+        let cap = self.spans.cap[li];
+        self.spans.close_busy(li, cap);
         let arrive_at = self.channels[li].begin_packet(now, packet.flits as u32);
         let Some(until) = self.channels[li].sending_until() else {
             unreachable!("begin_packet leaves the channel Sending")
         };
         fx.wakes.push((until, self.base + li));
-        self.busy_open[li] = true;
-        self.busy_start[li] = now;
-        self.busy_cap[li] = until;
+        self.spans.open[li] = true;
+        self.spans.start[li] = now;
+        self.spans.cap[li] = until;
         fx.power_dirty = true;
         fx.arrivals.push((
             arrive_at,
@@ -1317,7 +1226,7 @@ impl<'a> SrsLane<'a> {
                 packet,
             },
         ));
-        true
+        Some(w)
     }
 }
 
@@ -1364,6 +1273,31 @@ mod tests {
         assert_eq!(s.owned_wavelengths(1, 0), vec![1]);
         assert_eq!(s.boards(), 4);
         assert_eq!(s.wavelengths(), 4);
+    }
+
+    #[test]
+    fn lanes_and_lane_yield_the_same_views() {
+        // Two constructors, one view: the `chunks_mut` split the workers
+        // get and the direct slice the inline engine takes must agree on
+        // every block boundary.
+        let mut s = srs();
+        let at = |l: &SrsLane<'_>| {
+            (
+                (l.s, l.wavelengths, l.base),
+                (l.channels.as_ptr(), l.channels.len()),
+                (l.spans.open.as_ptr(), l.spans.open.len()),
+                (l.spans.start.as_ptr(), l.spans.cap.as_ptr()),
+                (l.spans.win_busy.as_ptr(), l.spans.win_busy.len()),
+                (l.pending_retune.as_ptr(), l.pending_retune.len()),
+                (l.owned.as_ptr(), l.owned.len()),
+                (l.failed_tx.as_ptr(), l.failed_tx.len()),
+            )
+        };
+        let split: Vec<_> = s.lanes().map(|l| at(&l)).collect();
+        assert_eq!(split.len(), 4);
+        for (b, expected) in split.iter().enumerate() {
+            assert_eq!(at(&s.lane(b as u16)), *expected, "lane {b}");
+        }
     }
 
     #[test]

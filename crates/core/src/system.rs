@@ -17,6 +17,7 @@ use crate::board::Board;
 use crate::config::{ControlPlane, NetworkMode, SystemConfig};
 use crate::faults::FaultKind;
 use crate::metrics::{PacketDelivery, RunMetrics};
+use crate::shard::{self, BoardOut, Gate, Job};
 use crate::srs::Srs;
 use desim::phase::{Phase, PhasePlan};
 use desim::Cycle;
@@ -66,9 +67,10 @@ pub struct System {
     pending_dbr: Vec<(Cycle, Vec<WavelengthGrant>)>,
     /// In-flight message-level DBR round (message-level control plane).
     active_round: Option<DbrRound>,
-    /// Reusable per-cycle delivery buffer — cleared per board per cycle,
-    /// never reallocated in steady state.
-    delivered_scratch: Vec<crate::board::Delivered>,
+    /// Per-board cross-board effect buffers: filled by the compute phase,
+    /// drained by the in-order commit within the same cycle (so empty at
+    /// every cycle boundary and never snapshotted); allocated once.
+    outs: Vec<BoardOut>,
     /// Next unapplied event in `cfg.faults` (the plan is time-sorted).
     fault_cursor: usize,
     /// Token faults waiting for the next DBR round (message-level plane).
@@ -97,14 +99,10 @@ pub struct System {
     /// previous value bit-for-bit and `ThresholdWatch::observe` of an
     /// equal value is a state-free no-op, so skipping it is identical.
     watch_pending: Vec<bool>,
-    /// Reusable snapshot of a board's ready destinations (the board's
-    /// active set mutates as packets depart, so `transmit` iterates a
-    /// copy).
-    ready_scratch: Vec<u16>,
     /// Online threshold auto-tuner (None unless `cfg.tune` is set in a
     /// power-aware mode). Stepped at Power-kind `R_w` boundaries inside
-    /// the *sequential prologue*, so the board-sharded engine stays
-    /// byte-identical (DESIGN.md §15).
+    /// the cycle's *sequential prologue*, so the run is byte-identical for
+    /// any worker count (DESIGN.md §15).
     controller: Option<ThresholdController>,
 }
 
@@ -149,6 +147,14 @@ impl PhaseProbe for NullProbe {
 struct TimerProbe<'a> {
     timers: &'a mut PhaseTimers,
     mark: std::time::Instant,
+}
+impl<'a> TimerProbe<'a> {
+    fn new(timers: &'a mut PhaseTimers) -> Self {
+        Self {
+            timers,
+            mark: std::time::Instant::now(),
+        }
+    }
 }
 impl PhaseProbe for TimerProbe<'_> {
     fn start(&mut self) {
@@ -228,6 +234,7 @@ impl System {
             ),
         };
         let boards = (0..cfg.boards).map(|b| Board::new(&cfg, b)).collect();
+        let outs = (0..cfg.boards).map(|_| BoardOut::default()).collect();
         let srs = Srs::new(
             cfg.boards,
             cfg.ladder.clone(),
@@ -282,7 +289,7 @@ impl System {
             metrics,
             pending_dbr: Vec::new(),
             active_round: None,
-            delivered_scratch: Vec::new(),
+            outs,
             fault_cursor: 0,
             armed_token: Vec::new(),
             armed_analytic_delay: 0,
@@ -294,7 +301,6 @@ impl System {
             dbr_rounds: 0,
             watch_pending,
             buffer_watch,
-            ready_scratch: Vec::new(),
             controller,
         }
     }
@@ -336,26 +342,33 @@ impl System {
 
     /// Advances one cycle.
     pub fn step(&mut self) {
-        self.step_inner(true, &mut NullProbe);
+        self.step_inner(true, None, &mut NullProbe);
     }
 
     /// Advances one cycle with the traffic sources silenced — used to
     /// drain the network completely (conservation checks, clean shutdown).
     pub fn step_without_injection(&mut self) {
-        self.step_inner(false, &mut NullProbe);
+        self.step_inner(false, None, &mut NullProbe);
     }
 
     /// Advances one cycle, attributing wall time per engine phase into
     /// `timers`. Simulation state evolves exactly as [`System::step`].
     pub fn step_profiled(&mut self, timers: &mut PhaseTimers) {
-        let mut probe = TimerProbe {
-            timers,
-            mark: std::time::Instant::now(),
-        };
-        self.step_inner(true, &mut probe);
+        self.step_inner(true, None, &mut TimerProbe::new(timers));
     }
 
-    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, probe: &mut P) {
+    /// The cycle — the only implementation of one (DESIGN.md §12): a
+    /// sequential prologue (faults/windows/DBR/LS/injection), the per-board
+    /// compute phase (`Board::step_into` + [`shard::transmit_lane`] into
+    /// that board's [`BoardOut`]), the in-order commit, and a sequential
+    /// epilogue (receive, SRS tick, power record). Without a `gate` the
+    /// compute phase runs inline, every board step before every lane
+    /// transmit so the probe can tell the two apart; with one, the same two
+    /// functions run fused per board on the gate's workers. Either order
+    /// touches the same disjoint per-board state, and the commit replays
+    /// the shared side effects in ascending board order, so the run is
+    /// byte-identical for any worker count.
+    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, gate: Option<&Gate>, probe: &mut P) {
         let now = self.now;
         probe.start();
         self.apply_due_faults(now);
@@ -367,9 +380,34 @@ impl System {
             self.inject(now);
         }
         probe.lap(|t| &mut t.inject);
-        self.step_boards(now);
-        probe.lap(|t| &mut t.route);
-        self.transmit(now);
+        if let Some(gate) = gate {
+            let mut jobs: Vec<Job<'_>> = (self.boards.iter_mut())
+                .zip(self.srs.lanes())
+                .zip(&mut self.outs)
+                .map(|((board, lane), out)| Job {
+                    now,
+                    board,
+                    lane,
+                    out,
+                })
+                .collect();
+            gate.run_epoch(&mut jobs);
+            drop(jobs);
+            self.commit_deliveries(now);
+            probe.lap(|t| &mut t.route);
+        } else {
+            for (board, out) in self.boards.iter_mut().zip(&mut self.outs) {
+                board.step_into(now, &mut out.delivered);
+            }
+            self.commit_deliveries(now);
+            probe.lap(|t| &mut t.route);
+            for (s, (board, out)) in (0..).zip(self.boards.iter_mut().zip(&mut self.outs)) {
+                if !board.ready_dests().is_empty() {
+                    shard::transmit_lane(now, board, &mut self.srs.lane(s), out);
+                }
+            }
+        }
+        self.commit_lanes();
         self.receive(now);
         self.srs.tick_traced(now, &mut self.tracer);
         probe.lap(|t| &mut t.optical);
@@ -381,102 +419,67 @@ impl System {
         self.now += 1;
     }
 
-    /// Runs until every labelled packet drains (or the plan's hard cap).
-    /// Returns the final cycle.
-    pub fn run(&mut self) -> Cycle {
-        let plan = self.metrics.plan;
-        while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-            self.step();
-        }
-        self.now
-    }
-
-    /// As [`System::run`], attributing wall time per engine phase into
-    /// `timers`. The simulation trajectory is identical — the probe only
-    /// reads clocks.
-    pub fn run_profiled(&mut self, timers: &mut PhaseTimers) -> Cycle {
-        let plan = self.metrics.plan;
-        while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-            self.step_profiled(timers);
-        }
-        self.now
-    }
-
-    /// As [`System::run`], but with the per-cycle hot path (router steps +
-    /// lane transmits) sharded across boards onto up to `point_threads`
-    /// worker threads (clamped to the board count; `1` falls back to the
-    /// plain sequential loop). The run is **byte-identical** to
-    /// [`System::run`] for any worker count: the compute phase only
-    /// touches disjoint per-board/per-lane state, and the commit phase
-    /// replays every shared side effect in the sequential engine's exact
-    /// order (see `crate::shard` and DESIGN.md §12).
-    pub fn run_sharded(&mut self, point_threads: std::num::NonZeroUsize) -> Cycle {
+    /// The run loop behind every `run*` entry point: cycles until every
+    /// labelled packet drains (or the plan's hard cap), calling `hook`
+    /// before each. Up to `point_threads` workers (clamped to the board
+    /// count, the calling thread included) share each cycle's compute
+    /// phase; with one, no thread is spawned and the phase runs inline.
+    fn drive<P: PhaseProbe>(
+        &mut self,
+        point_threads: std::num::NonZeroUsize,
+        probe: &mut P,
+        hook: &mut impl FnMut(&mut System),
+    ) -> Cycle {
         let workers = point_threads.get().min(self.cfg.boards as usize);
-        if workers <= 1 {
-            return self.run();
-        }
         let plan = self.metrics.plan;
-        let mut outs: Vec<crate::shard::BoardOut> = (0..self.cfg.boards as usize)
-            .map(|_| crate::shard::BoardOut::default())
-            .collect();
-        let gate = crate::shard::Gate::new();
+        let gate = Gate::new();
         std::thread::scope(|scope| {
             // The calling thread participates, so spawn `workers - 1`.
             for _ in 1..workers {
-                let gate = &gate;
-                scope.spawn(move || crate::shard::worker(gate));
+                scope.spawn(|| shard::worker(&gate));
             }
+            let lend = (workers > 1).then_some(&gate);
             while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-                self.step_sharded(&gate, &mut outs);
+                hook(self);
+                self.step_inner(true, lend, probe);
             }
             gate.halt();
         });
         self.now
     }
 
-    /// One cycle of the sharded engine: the sequential prologue
-    /// (faults/windows/DBR/LS/injection) and epilogue (receive, SRS tick,
-    /// power record) are exactly [`System::step_inner`]'s; in between, the
-    /// board loop runs as a parallel compute phase into per-board
-    /// out-buffers, followed by an in-order commit.
-    fn step_sharded(&mut self, gate: &crate::shard::Gate, outs: &mut [crate::shard::BoardOut]) {
-        let now = self.now;
-        self.apply_due_faults(now);
-        self.window_boundary(now);
-        self.apply_due_dbr(now);
-        self.tick_active_round(now);
-        self.inject(now);
-        // Compute phase: fresh disjoint views over the boards and SRS
-        // lanes, published to the workers for this cycle only. `self` is
-        // untouched until `run_epoch` returns (the commit barrier).
-        let ctx = crate::shard::ShardCtx {
-            now,
-            boards: self.boards.as_mut_ptr(),
-            outs: outs.as_mut_ptr(),
-            nboards: outs.len(),
-            srs: self.srs.shard_parts(),
-        };
-        gate.run_epoch(ctx);
-        self.commit_sharded(now, outs);
-        self.receive(now);
-        self.srs.tick_traced(now, &mut self.tracer);
-        let mw = self.srs.record_cycle();
-        if self.metrics.measuring(now) {
-            self.metrics.power.record(mw);
-        }
-        self.now += 1;
+    /// Runs until every labelled packet drains (or the plan's hard cap).
+    /// Returns the final cycle.
+    pub fn run(&mut self) -> Cycle {
+        self.run_sharded(std::num::NonZeroUsize::MIN)
     }
 
-    /// Applies the out-buffers in canonical (ascending) board order, in
-    /// two passes replaying the sequential engine's side-effect sequence
-    /// exactly: pass A is `step_boards`' per-delivery metric/telemetry
-    /// updates for board 0, 1, …; pass B is `transmit`'s wake/arrival
-    /// heap inserts, power-cache invalidation and labelled TX stats, again
-    /// board-ascending. Identical push order on every f64 accumulator and
-    /// identical heap insertion sequence ⇒ bit-identical results.
-    fn commit_sharded(&mut self, now: Cycle, outs: &mut [crate::shard::BoardOut]) {
-        for out in outs.iter() {
-            for d in &out.delivered {
+    /// As [`System::run`], attributing wall time per engine phase into
+    /// `timers`. The simulation trajectory is identical — the probe only
+    /// reads clocks.
+    pub fn run_profiled(&mut self, timers: &mut PhaseTimers) -> Cycle {
+        let one = std::num::NonZeroUsize::MIN;
+        self.drive(one, &mut TimerProbe::new(timers), &mut |_| {})
+    }
+
+    /// As [`System::run`], but with each cycle's per-board compute phase
+    /// (router steps + lane transmits) shared across up to `point_threads`
+    /// worker threads (clamped to the board count; `1` runs the jobs
+    /// inline). The run is **byte-identical** to [`System::run`] for any
+    /// worker count: the compute phase only touches disjoint
+    /// per-board/per-lane state, and the commit phase replays every shared
+    /// side effect in ascending board order (see `crate::shard` and
+    /// DESIGN.md §12).
+    pub fn run_sharded(&mut self, point_threads: std::num::NonZeroUsize) -> Cycle {
+        self.run_with(point_threads, &mut |_| {})
+    }
+
+    /// Pass A of the commit, in ascending board order: the per-delivery
+    /// metric/telemetry updates of every board's step. Identical push
+    /// order on every f64 accumulator ⇒ bit-identical results.
+    fn commit_deliveries(&mut self, now: Cycle) {
+        for out in &mut self.outs {
+            for d in out.delivered.drain(..) {
                 self.metrics.delivered_total += 1;
                 if self.metrics.measuring(now) {
                     self.metrics
@@ -501,9 +504,22 @@ impl System {
                 }
             }
         }
-        for out in outs.iter() {
-            self.srs.commit_lane_effects(&out.fx);
-            for &(src_path, tx_wait) in &out.tx_labelled {
+    }
+
+    /// Pass B of the commit, again board-ascending: every lane's
+    /// wake/arrival heap inserts and power-cache invalidation, then its
+    /// labelled TX stats. Identical heap insertion sequence ⇒ identical
+    /// pop order.
+    fn commit_lanes(&mut self) {
+        for out in &mut self.outs {
+            // Every departure buffers an arrival: none means an idle lane.
+            if out.fx.arrivals.is_empty() {
+                debug_assert!(out.fx.wakes.is_empty() && !out.fx.power_dirty);
+                debug_assert!(out.tx_labelled.is_empty());
+                continue;
+            }
+            self.srs.commit_lane_effects(&mut out.fx);
+            for (src_path, tx_wait) in out.tx_labelled.drain(..) {
                 self.metrics.src_path.push(src_path);
                 self.metrics.tx_wait.push(tx_wait);
                 if let Some((reg, ids)) = &mut self.registry {
@@ -1001,76 +1017,6 @@ impl System {
         self.boards[b as usize].enqueue_node_packet(l, packet);
     }
 
-    fn step_boards(&mut self, now: Cycle) {
-        // Reuse one delivery buffer across all boards and cycles.
-        let mut delivered = std::mem::take(&mut self.delivered_scratch);
-        for b in &mut self.boards {
-            delivered.clear();
-            b.step_into(now, &mut delivered);
-            for d in &delivered {
-                self.metrics.delivered_total += 1;
-                if self.metrics.measuring(now) {
-                    self.metrics
-                        .throughput
-                        .deliver(now, self.cfg.packet_flits as u32);
-                }
-                if d.labelled {
-                    self.metrics.tracker.deliver_labelled();
-                    self.metrics.latency.record(d.injected_at, now);
-                    if let Some((reg, ids)) = &mut self.registry {
-                        reg.observe(ids.latency_hist, (now - d.injected_at) as f64);
-                    }
-                }
-                if let Some(log) = &mut self.packet_log {
-                    log.push(PacketDelivery {
-                        id: d.id.0,
-                        dst: d.dst,
-                        injected_at: d.injected_at,
-                        delivered_at: now,
-                        labelled: d.labelled,
-                    });
-                }
-            }
-        }
-        self.delivered_scratch = delivered;
-    }
-
-    /// Moves ready TX-queue packets onto free owned optical channels.
-    /// Only destinations with a completed packet are visited (the board's
-    /// ready-destination active set); a queue with nothing ready behaved
-    /// as a no-op under the old full `d` scan, so skipping it is
-    /// identical. The snapshot keeps the legacy ascending-`d` order.
-    fn transmit(&mut self, now: Cycle) {
-        let boards = self.cfg.boards;
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        for s in 0..boards {
-            ready.clear();
-            ready.extend_from_slice(self.boards[s as usize].ready_dests());
-            for &d in &ready {
-                while let Some(pkt) = self.boards[s as usize].tx_queue(d).peek().copied() {
-                    if self.srs.try_transmit(now, s, d, pkt).is_some() {
-                        let Some(departed) = self.boards[s as usize].tx_depart(now, d) else {
-                            break; // unreachable: the queue head was just peeked
-                        };
-                        debug_assert_eq!(departed.id, pkt.id);
-                        if pkt.labelled {
-                            self.metrics
-                                .src_path
-                                .push((pkt.completed_at - pkt.injected_at) as f64);
-                            self.metrics.tx_wait.push((now - pkt.completed_at) as f64);
-                            if let Some((reg, ids)) = &mut self.registry {
-                                reg.observe(ids.tx_wait_hist, (now - pkt.completed_at) as f64);
-                            }
-                        }
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        self.ready_scratch = ready;
-    }
-
     /// Delivers optical arrivals into the destination boards' receivers
     /// (popping one at a time — no per-cycle arrival list is built).
     fn receive(&mut self, now: Cycle) {
@@ -1504,43 +1450,19 @@ impl System {
         Ok(())
     }
 
-    /// As [`Self::run`]/[`Self::run_sharded`], invoking `hook` at the top
-    /// of every cycle *before* the cycle executes. The hook observes the
-    /// system exactly as the cycle will (same `now`, pre-boundary state),
-    /// which is what checkpointing and streaming export need: a hook at
-    /// cycle `t = k·R_w` captures the state an uninterrupted run has when
+    /// As [`Self::run_sharded`], invoking `hook` at the top of every cycle
+    /// *before* the cycle executes. The hook observes the system exactly
+    /// as the cycle will (same `now`, pre-boundary state), which is what
+    /// checkpointing and streaming export need: a hook at cycle
+    /// `t = k·R_w` captures the state an uninterrupted run has when
     /// entering that boundary cycle. The trajectory is byte-identical to
-    /// the unhooked engines for any worker count.
+    /// the unhooked run for any worker count.
     pub fn run_with<F: FnMut(&mut System)>(
         &mut self,
         point_threads: std::num::NonZeroUsize,
         hook: &mut F,
     ) -> Cycle {
-        let workers = point_threads.get().min(self.cfg.boards as usize);
-        let plan = self.metrics.plan;
-        if workers <= 1 {
-            while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-                hook(self);
-                self.step();
-            }
-            return self.now;
-        }
-        let mut outs: Vec<crate::shard::BoardOut> = (0..self.cfg.boards as usize)
-            .map(|_| crate::shard::BoardOut::default())
-            .collect();
-        let gate = crate::shard::Gate::new();
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                let gate = &gate;
-                scope.spawn(move || crate::shard::worker(gate));
-            }
-            while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-                hook(self);
-                self.step_sharded(&gate, &mut outs);
-            }
-            gate.halt();
-        });
-        self.now
+        self.drive(point_threads, &mut NullProbe, hook)
     }
 
     /// Drains one window's worth of streamable output: recorded trace
@@ -1581,44 +1503,6 @@ pub struct WindowFlush {
     pub windows: Vec<WindowSnapshot>,
     /// Packet deliveries logged since the previous drain.
     pub packets: Vec<PacketDelivery>,
-}
-
-/// Adapter running a [`System`] as a [`desim::clocked::Clocked`] component,
-/// so it can be composed with other clocked models under one
-/// [`desim::clocked::ClockedEngine`].
-pub struct ClockedSystem {
-    system: System,
-}
-
-impl ClockedSystem {
-    /// Wraps a system.
-    pub fn new(system: System) -> Self {
-        Self { system }
-    }
-
-    /// The wrapped system.
-    pub fn system(&self) -> &System {
-        &self.system
-    }
-
-    /// Unwraps.
-    pub fn into_inner(self) -> System {
-        self.system
-    }
-}
-
-impl desim::clocked::Clocked for ClockedSystem {
-    /// Shared state mirrors the packet counters: `(injected, delivered)`.
-    type Shared = (u64, u64);
-
-    fn tick(&mut self, now: Cycle, shared: &mut (u64, u64)) {
-        debug_assert_eq!(now, self.system.now(), "engine and system clocks in step");
-        self.system.step();
-        *shared = (
-            self.system.metrics().injected_total,
-            self.system.metrics().delivered_total,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1821,34 +1705,6 @@ mod tests {
         sys.run();
         assert_eq!(sys.control_stats(), (0, 0));
         assert_eq!(sys.metrics().tracker.outstanding(), 0);
-    }
-
-    #[test]
-    fn clocked_adapter_matches_direct_stepping() {
-        let mk = || {
-            System::new(
-                SystemConfig::small(NetworkMode::PB),
-                TrafficPattern::Uniform,
-                0.4,
-                plan(),
-            )
-        };
-        let mut direct = mk();
-        for _ in 0..3000 {
-            direct.step();
-        }
-        let mut engine = desim::clocked::ClockedEngine::new((0u64, 0u64));
-        engine.add(Box::new(super::ClockedSystem::new(mk())));
-        engine.run_to(3000);
-        // Identical counters after the same number of cycles — the
-        // adapter introduces no drift.
-        assert_eq!(
-            *engine.shared(),
-            (
-                direct.metrics().injected_total,
-                direct.metrics().delivered_total
-            )
-        );
     }
 
     #[test]

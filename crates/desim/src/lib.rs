@@ -6,9 +6,6 @@
 //! * a deterministic event-driven kernel ([`sim::Simulator`]) with two
 //!   interchangeable pending-event set implementations (binary heap and
 //!   calendar queue, [`queue`]),
-//! * a *clocked* harness ([`clocked`]) for cycle-accurate models that advance
-//!   every component once per clock edge — this is what the network model in
-//!   `erapid-core` runs on,
 //! * deterministic, splittable random-number streams and the distributions a
 //!   network simulator needs ([`rng`]): Bernoulli injection processes,
 //!   uniform destinations, geometric/exponential inter-arrivals, Zipf
@@ -42,7 +39,6 @@
 //! assert_eq!(order, vec![(2, 2), (5, 1)]);
 //! ```
 
-pub mod clocked;
 pub mod phase;
 pub mod process;
 pub mod queue;

@@ -26,12 +26,12 @@ echo "== arbiter equivalence smoke (word-parallel vs slice oracles, release) =="
 # the property suite drives both through randomized grant histories.
 cargo test -q --release -p router --test arbiter_props
 
-echo "== determinism suite under board sharding (2 and 8 point workers) =="
-# The sharded cycle engine (DESIGN.md §12) must stay byte-identical to the
-# sequential one at any worker count — rerun the determinism suite (and,
-# at 2 workers, the golden engine pins, exercising the bitset router's
-# grant/stall/traversal order under sharding) with the env knob forcing
-# every sharded code path through 2 and then 8 workers.
+echo "== determinism suite with the per-board jobs on workers (2 and 8 point workers) =="
+# The cycle engine (DESIGN.md §12) must stay byte-identical whether its
+# per-board jobs run inline or on workers — rerun the determinism suite
+# (and, at 2 workers, the golden engine pins, exercising the bitset
+# router's grant/stall/traversal order on worker threads) with the env
+# knob forcing every `run_sharded` caller through 2 and then 8 workers.
 ERAPID_POINT_THREADS=2 cargo test -q --release --test determinism --test golden_engine
 ERAPID_POINT_THREADS=8 cargo test -q --release --test determinism
 

@@ -359,6 +359,118 @@ fn sharded_run_identical_at_env_point_workers() {
 }
 
 #[test]
+fn every_run_loop_is_the_same_engine() {
+    // `run`, `run_profiled`, `run_with`, `run_sharded` and a hand loop over
+    // `step` are thin callers of one cycle implementation: on a faulted,
+    // traced P-B point they must agree on every observable, the hook must
+    // fire once per cycle, and the profiler must still tell the electrical
+    // half of the cycle from the optical one.
+    use erapid_suite::desim::Cycle;
+    use erapid_suite::erapid_core::faults::FaultPlan;
+    use erapid_suite::erapid_core::system::PhaseTimers;
+    use erapid_suite::erapid_core::PacketDelivery;
+    use erapid_suite::erapid_telemetry::{TraceConfig, TraceRecord};
+    use std::num::NonZeroUsize;
+    let mk = || {
+        let mut cfg = SystemConfig::small(NetworkMode::PB);
+        cfg.seed = 31;
+        cfg.packet_log = true;
+        cfg.trace = TraceConfig::on();
+        cfg.faults = FaultPlan::relock_storm(9, cfg.boards, 2500, 5500, 6, 300)
+            .receiver_outage(3, 1, 3000, 6000);
+        System::new(cfg, TrafficPattern::Complement, 0.5, plan())
+    };
+    // Final cycle, everything `RunResult` reads (f64s by bit pattern), the
+    // reconfiguration counters, the event trace and the packet log.
+    type Observed = (
+        Cycle,
+        Vec<u64>,
+        (u64, u64),
+        Vec<TraceRecord>,
+        Vec<PacketDelivery>,
+    );
+    fn observe(mut sys: System, end: Cycle) -> Observed {
+        let m = sys.metrics();
+        let (ls_retries, ls_aborts) = sys.control_stats();
+        let scalars = vec![
+            m.throughput_ppc().to_bits(),
+            m.mean_latency().to_bits(),
+            m.latency.p95().unwrap_or(0.0).to_bits(),
+            m.average_power_mw().to_bits(),
+            m.src_path.mean().to_bits(),
+            m.tx_wait.mean().to_bits(),
+            m.tracker.outstanding(),
+            m.injected_total,
+            m.delivered_total,
+            ls_retries,
+            ls_aborts,
+        ];
+        assert_eq!(end, sys.now());
+        let counts = sys.srs().reconfig_counts();
+        (
+            end,
+            scalars,
+            counts,
+            sys.take_trace_records(),
+            sys.take_packet_log(),
+        )
+    }
+    let one = NonZeroUsize::MIN;
+
+    let mut sys = mk();
+    let end = sys.run();
+    let reference = observe(sys, end);
+    assert!(reference.2 .0 > 0, "the point must exercise DBR grants");
+    assert!(!reference.3.is_empty() && !reference.4.is_empty());
+
+    let mut sys = mk();
+    let mut timers = PhaseTimers::default();
+    let end = sys.run_profiled(&mut timers);
+    assert_eq!(observe(sys, end), reference, "run_profiled diverged");
+    for (name, bucket) in [
+        ("reconfig", timers.reconfig),
+        ("inject", timers.inject),
+        ("route", timers.route),
+        ("optical", timers.optical),
+        ("stats", timers.stats),
+    ] {
+        assert!(!bucket.is_zero(), "phase bucket {name} is empty");
+    }
+    assert!(
+        timers.route + timers.optical >= timers.total() / 2,
+        "route {:?} + optical {:?} fell below half of {:?}",
+        timers.route,
+        timers.optical,
+        timers.total()
+    );
+
+    let mut sys = mk();
+    let mut hooked = 0;
+    let end = sys.run_with(one, &mut |s| {
+        assert_eq!(s.now(), hooked, "hook runs before each cycle, in order");
+        hooked += 1;
+    });
+    assert_eq!(hooked, end, "hook must run exactly once per cycle");
+    assert_eq!(observe(sys, end), reference, "run_with diverged");
+
+    let mut sys = mk();
+    let end = sys.run_sharded(one.saturating_add(1));
+    assert_eq!(observe(sys, end), reference, "run_sharded(2) diverged");
+
+    let mut sys = mk();
+    let p = plan();
+    while sys.now() < p.max_cycles && !sys.metrics().tracker.complete(&p, sys.now()) {
+        sys.step();
+    }
+    let end = sys.now();
+    assert_eq!(
+        observe(sys, end),
+        reference,
+        "hand loop over step() diverged"
+    );
+}
+
+#[test]
 fn run_end_is_monotone_in_load() {
     // Saturated runs take longer to drain; the run loop must still
     // terminate thanks to the max_cycles cap.
