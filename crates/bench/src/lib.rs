@@ -26,7 +26,7 @@
 //! overriding the env knobs — for debugging and for timing baselines.
 
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, paper_loads, run_once, RunResult, TraceSource};
+use erapid_core::experiment::{default_plan, paper_loads, RunResult, TraceSource};
 use erapid_core::runner::{self, RunPoint};
 use netstats::csv::Csv;
 use netstats::table::Table;
@@ -34,12 +34,10 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use traffic::pattern::TrafficPattern;
 
-pub mod timing;
-
 /// Short commit hash, read straight from `.git` (works offline, no git
 /// binary needed). "unknown" outside a checkout. Shared by the binaries
-/// that stamp their JSON reports (`BENCH_<sha>.json`,
-/// `RESILIENCE_<sha>.json`) so the names agree for one commit.
+/// that stamp their JSON reports (`RESILIENCE_<sha>.json`,
+/// `MARATHON_<sha>.json`, …) so the names agree for one commit.
 pub fn git_sha() -> String {
     let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
     let head = head.trim();
@@ -77,7 +75,7 @@ pub struct BenchConfig {
     /// Board-shard workers inside each point's cycle engine (1 = the
     /// sequential engine; DESIGN.md §12).
     pub point_threads: NonZeroUsize,
-    /// Directory CSVs (and the perf report) are written to.
+    /// Directory CSVs and JSON reports are written to.
     pub results: PathBuf,
     /// Event-trace output path (`tracereport` only; `None` = default).
     pub trace: Option<PathBuf>,
@@ -165,12 +163,6 @@ impl BenchConfig {
         }
     }
 
-    /// Runs one (mode, pattern, load) point on the paper's 64-node system,
-    /// board-sharded onto `point_threads` workers (1 = sequential engine).
-    pub fn run_point(&self, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunResult {
-        self.point(mode, pattern, load).run_with(self.point_threads)
-    }
-
     /// Runs the full panel for one pattern (the 4 curves of one figure
     /// column), fanning all mode × load points over the worker pool.
     /// Results are byte-identical to the sequential order for any thread
@@ -228,28 +220,6 @@ pub struct Panel {
     pub results: Vec<(NetworkMode, Vec<RunResult>)>,
     /// The load axis used.
     pub loads: Vec<f64>,
-}
-
-/// Sequential reference for [`BenchConfig::run_panel`] — used by tests and
-/// the perf report to prove the parallel path byte-identical.
-pub fn run_panel_sequential(cfg: &BenchConfig, name: &str, pattern: &TrafficPattern) -> Panel {
-    let loads = cfg.load_axis();
-    let mut results = Vec::new();
-    for mode in NetworkMode::all() {
-        let series: Vec<RunResult> = loads
-            .iter()
-            .map(|&l| {
-                let p = cfg.point(mode, pattern, l);
-                run_once(p.cfg, p.pattern, p.load, p.plan)
-            })
-            .collect();
-        results.push((mode, series));
-    }
-    Panel {
-        pattern: name.to_string(),
-        results,
-        loads,
-    }
 }
 
 /// Prints the three sub-panels (throughput, latency, power) the paper's
@@ -374,11 +344,34 @@ pub fn print_ratios(panel: &Panel) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erapid_core::experiment::run_once;
 
     fn quick_cfg() -> BenchConfig {
         BenchConfig {
             quick: true,
             ..BenchConfig::default()
+        }
+    }
+
+    /// Sequential reference for [`BenchConfig::run_panel`]: the plain
+    /// mode × load loop on the calling thread.
+    fn run_panel_sequential(cfg: &BenchConfig, name: &str, pattern: &TrafficPattern) -> Panel {
+        let loads = cfg.load_axis();
+        let mut results = Vec::new();
+        for mode in NetworkMode::all() {
+            let series: Vec<RunResult> = loads
+                .iter()
+                .map(|&l| {
+                    let p = cfg.point(mode, pattern, l);
+                    run_once(p.cfg, p.pattern, p.load, p.plan)
+                })
+                .collect();
+            results.push((mode, series));
+        }
+        Panel {
+            pattern: name.to_string(),
+            results,
+            loads,
         }
     }
 
@@ -415,7 +408,9 @@ mod tests {
 
     #[test]
     fn run_point_smoke() {
-        let r = quick_cfg().run_point(NetworkMode::NpNb, &TrafficPattern::Uniform, 0.2);
+        let r = quick_cfg()
+            .point(NetworkMode::NpNb, &TrafficPattern::Uniform, 0.2)
+            .run();
         assert!(r.throughput > 0.0);
     }
 

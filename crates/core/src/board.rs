@@ -22,11 +22,11 @@
 //! ports set those bitset widths.
 
 use crate::config::SystemConfig;
-use crate::inject::FlitInjector;
 use crate::txqueue::{ReadyPacket, TransmitQueue};
 use desim::Cycle;
 use netstats::occupancy::OccupancyIntegral;
 use router::flit::NodeId;
+use router::inject::FlitInjector;
 use router::packet::Packet;
 use router::routing::{PortId, TableRoute};
 use router::{Router, RouterConfig};

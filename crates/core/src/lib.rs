@@ -22,8 +22,6 @@
 //!
 //! * [`config`] — system parameters and the four network configurations
 //!   NP-NB / P-NB / NP-B / P-B,
-//! * [`inject`] — flit injectors feeding the IBI router from node NIs and
-//!   optical receivers,
 //! * [`txqueue`] — per-destination-board transmitter queues (packets are
 //!   the interleaving unit in the optical domain, §2.1),
 //! * [`srs`] — the Scalable Remote Optical Super-Highway: ownership map +
@@ -74,7 +72,6 @@ pub mod config;
 pub mod error;
 pub mod experiment;
 pub mod faults;
-pub mod inject;
 pub mod metrics;
 pub mod runner;
 pub(crate) mod shard;
@@ -95,8 +92,7 @@ pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::PacketDelivery;
 pub use runner::{
     parallel_map, parallel_map_prioritized, point_threads_from_env, run_points, run_points_sharded,
-    run_points_timed, run_points_timed_sharded, run_points_traced, run_points_traced_sharded,
-    RunPoint,
+    run_points_timed_sharded, run_points_traced, run_points_traced_sharded, RunPoint,
 };
 pub use stream::{StreamCursor, StreamPaths, StreamSink};
 pub use system::{PhaseTimers, System, WindowFlush};

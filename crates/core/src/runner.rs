@@ -168,8 +168,9 @@ pub struct RunPoint {
 impl RunPoint {
     /// Estimated simulation cost, for longest-first dispatch: every cycle
     /// walks O(boards²) flow state, so `max_cycles × boards²` ranks a
-    /// heterogeneous grid well enough to keep workers busy. Wall-time
-    /// feedback from [`run_points_timed`] is the check on this estimate.
+    /// heterogeneous grid well enough to keep workers busy. The per-point
+    /// wall times of [`run_points_timed_sharded`] are the check on this
+    /// estimate.
     pub fn estimated_cost(&self) -> u128 {
         self.plan.max_cycles as u128 * (self.cfg.boards as u128).pow(2)
     }
@@ -248,7 +249,9 @@ pub fn run_points_sharded(
     })
 }
 
-/// Sharded variant of [`run_points_timed`].
+/// As [`run_points_sharded`], additionally reporting each point's wall
+/// time — the feedback loop on [`RunPoint::estimated_cost`] (`benchmark/`
+/// reads it as `core.runner.dispatch_idle_frac`).
 pub fn run_points_timed_sharded(
     threads: NonZeroUsize,
     point_threads: NonZeroUsize,
@@ -269,21 +272,6 @@ pub fn run_points_traced_sharded(
 ) -> Vec<(RunResult, RunTrace)> {
     parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
         p.run_traced_with(point_threads)
-    })
-}
-
-/// As [`run_points`], additionally reporting each point's wall time — the
-/// feedback loop on [`RunPoint::estimated_cost`]: binaries log the pairs
-/// so a drifting estimator is visible in the perf artifacts rather than
-/// silently degrading the schedule.
-pub fn run_points_timed(
-    threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<(RunResult, std::time::Duration)> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        let start = std::time::Instant::now();
-        let r = p.run();
-        (r, start.elapsed())
     })
 }
 

@@ -8,7 +8,7 @@
 //! granted channel only lights after the donor's laser is dark.
 
 use crate::txqueue::ReadyPacket;
-use desim::queue::{BinaryHeapQueue, EventQueue};
+use desim::queue::BinaryHeapQueue;
 use desim::Cycle;
 use erapid_telemetry::{NullSink, TraceEvent, TraceSink};
 use photonics::bitrate::{RateLadder, RateLevel};

@@ -107,7 +107,8 @@ pub struct System {
 }
 
 /// Wall-time spent per engine phase over a profiled run — the breakdown
-/// `perfreport` emits so the next bottleneck is measured, not guessed.
+/// `benchmark/` reports (`core.system.*_s`) so the next bottleneck is
+/// measured, not guessed.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseTimers {
     /// Faults + window boundary + DBR apply + active LS round.
@@ -532,7 +533,8 @@ impl System {
     /// Coarse heap-footprint estimate in bytes of the live simulation
     /// state: boards (routers, TX queues) plus the optical stage's channel
     /// bank. Analytic capacity × element-size sums — comparable across
-    /// board counts, which is what the scaling artifact tracks.
+    /// board counts (`benchmark/` reports it as
+    /// `core.system.approx_memory_bytes`).
     pub fn approx_memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self

@@ -1,52 +1,48 @@
-//! # desim — a discrete-event simulation engine
+//! # desim — simulation support library
 //!
-//! This crate is the substrate the original E-RAPID paper obtained from
-//! YACSIM/NETSIM (Rice University, C, long unavailable). It provides:
+//! The original E-RAPID paper ran on YACSIM/NETSIM (Rice University, C,
+//! long unavailable). This reproduction's engine is a plain cycle loop in
+//! `erapid_core::system` (`System::step_inner` + `System::drive`); this
+//! crate is what that loop and the model crates share:
 //!
-//! * a deterministic event-driven kernel ([`sim::Simulator`]) with two
-//!   interchangeable pending-event set implementations (binary heap and
-//!   calendar queue, [`queue`]),
-//! * deterministic, splittable random-number streams and the distributions a
-//!   network simulator needs ([`rng`]): Bernoulli injection processes,
-//!   uniform destinations, geometric/exponential inter-arrivals, Zipf
-//!   hotspots,
-//! * simulation phase management ([`phase`]): warm-up, measurement and drain
-//!   windows exactly as described in §4 of the paper ("the simulator was
-//!   warmed up under load without taking measurements until steady state was
-//!   reached ... a sample of injected packets were labelled during a
-//!   measurement interval"),
-//! * a bounded event trace for debugging ([`trace`]),
-//! * a checksummed binary snapshot substrate for checkpoint/restore of
-//!   long-horizon runs ([`snap`]).
+//! * [`rng`] — deterministic, splittable PCG32 random-number streams and
+//!   the distributions a network simulator needs: Bernoulli injection
+//!   processes, uniform destinations, geometric/exponential
+//!   inter-arrivals, Zipf hotspots,
+//! * [`phase`] — simulation phase management: warm-up, measurement and
+//!   drain windows exactly as described in §4 of the paper ("the simulator
+//!   was warmed up under load without taking measurements until steady
+//!   state was reached ... a sample of injected packets were labelled
+//!   during a measurement interval"),
+//! * [`snap`] — a checksummed binary snapshot substrate for
+//!   checkpoint/restore of long-horizon runs,
+//! * [`queue`] — the binary-heap timestamp queue behind the optical
+//!   layer's channel wake-ups and in-flight packet arrivals.
 //!
-//! The whole engine is single-threaded on purpose: cycle-accurate network
-//! simulation at the paper's scale (64 nodes) is dominated by event ordering
-//! dependencies, and determinism — every run reproducible from one `u64`
-//! seed — is worth far more than parallel speedup here.
+//! Every run is reproducible from one `u64` seed.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use desim::sim::Simulator;
+//! use desim::queue::BinaryHeapQueue;
 //!
-//! let mut sim: Simulator<u32> = Simulator::new();
-//! sim.schedule(5, 1);
-//! sim.schedule(2, 2);
+//! let mut q = BinaryHeapQueue::new();
+//! q.insert(5, 'a');
+//! q.insert(2, 'b');
+//! q.insert(5, 'c');
 //! let mut order = Vec::new();
-//! while let Some((t, ev)) = sim.next_event() {
+//! while let Some((t, ev)) = q.pop() {
 //!     order.push((t, ev));
 //! }
-//! assert_eq!(order, vec![(2, 2), (5, 1)]);
+//! // Time-ascending, FIFO among equal timestamps.
+//! assert_eq!(order, vec![(2, 'b'), (5, 'a'), (5, 'c')]);
 //! ```
 
 pub mod phase;
-pub mod process;
 pub mod queue;
 pub mod rng;
-pub mod sim;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod snap;
-pub mod trace;
 
 /// Simulation time, measured in router clock cycles.
 ///

@@ -1,38 +1,14 @@
-//! Pending-event set implementations.
+//! The binary-heap timestamp queue.
 //!
-//! A discrete-event simulator spends most of its kernel time inserting and
-//! extracting timestamped events. This module provides two classic
-//! structures behind one trait:
-//!
-//! * [`BinaryHeapQueue`] — `O(log n)` insert/extract, great general default.
-//! * [`CalendarQueue`] — Brown's calendar queue (CACM 1988), amortised `O(1)`
-//!   when event times are roughly uniformly spread, which is exactly the case
-//!   for a clocked network simulation where most events land within a few
-//!   cycles of *now*.
-//!
-//! Both are deterministic: events with equal timestamps dequeue in insertion
-//! order (FIFO tie-break), which the simulator relies on for reproducibility.
+//! [`BinaryHeapQueue`] is a priority queue of `(time, sequence, event)`
+//! keyed by time then by insertion sequence: `O(log n)` insert/extract, and
+//! events with equal timestamps dequeue in insertion order (FIFO
+//! tie-break), which the optical layer's wake/arrival processing relies on
+//! for reproducibility.
 
 use crate::Cycle;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// A pending-event set: a priority queue of `(time, sequence, event)` keyed
-/// by time then by insertion sequence.
-pub trait EventQueue<E> {
-    /// Inserts `event` at absolute time `time`.
-    fn insert(&mut self, time: Cycle, event: E);
-    /// Removes and returns the earliest event, FIFO among ties.
-    fn pop(&mut self) -> Option<(Cycle, E)>;
-    /// Timestamp of the earliest pending event, if any.
-    fn peek_time(&self) -> Option<Cycle>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 struct HeapEntry<E> {
     time: Cycle,
@@ -90,6 +66,33 @@ impl<E> BinaryHeapQueue<E> {
             next_seq: 0,
         }
     }
+
+    /// Inserts `event` at absolute time `time`.
+    pub fn insert(&mut self, time: Cycle, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(HeapEntry { time, seq, event });
+    }
+
+    /// Removes and returns the earliest event, FIFO among ties.
+    pub fn pop(&mut self) -> Option<(Cycle, E)> {
+        self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    /// Timestamp of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<Cycle> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 impl<E: crate::snap::Snap> BinaryHeapQueue<E> {
@@ -129,231 +132,13 @@ impl<E: crate::snap::Snap> BinaryHeapQueue<E> {
     }
 }
 
-impl<E> EventQueue<E> for BinaryHeapQueue<E> {
-    fn insert(&mut self, time: Cycle, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(HeapEntry { time, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// Brown's calendar queue: an array of time-bucketed FIFO "days" scanned in
-/// time order (fixed geometry — callers pick `days`/`day_width` for their
-/// workload; the classic dynamic resizing is not needed for the clocked
-/// network model and is intentionally omitted).
-///
-/// Events far in the future (beyond one "year") sit in an overflow heap and
-/// migrate into the calendar as the year wraps.
-pub struct CalendarQueue<E> {
-    /// One bucket per "day"; each bucket sorted lazily on pop.
-    buckets: Vec<Vec<(Cycle, u64, E)>>,
-    /// Width of each day in cycles.
-    day_width: Cycle,
-    /// Index of the day currently being scanned.
-    current_day: usize,
-    /// Start time of the current year (time of bucket 0).
-    year_start: Cycle,
-    len: usize,
-    next_seq: u64,
-    /// Events beyond the current year, keyed by (time, original seq) so FIFO
-    /// tie-break order survives the round-trip through overflow.
-    overflow: BinaryHeap<OverflowEntry<E>>,
-}
-
-struct OverflowEntry<E> {
-    time: Cycle,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for OverflowEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for OverflowEntry<E> {}
-impl<E> PartialOrd for OverflowEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for OverflowEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (time, seq).
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> CalendarQueue<E> {
-    /// Creates a calendar with `days` buckets of `day_width` cycles each.
-    ///
-    /// `days` is rounded up to a power of two. A good starting point for a
-    /// clocked network model is `days = 64`, `day_width = 1`.
-    pub fn new(days: usize, day_width: Cycle) -> Self {
-        let days = days.next_power_of_two().max(2);
-        Self {
-            buckets: (0..days).map(|_| Vec::new()).collect(),
-            day_width: day_width.max(1),
-            current_day: 0,
-            year_start: 0,
-            len: 0,
-            next_seq: 0,
-            overflow: BinaryHeap::new(),
-        }
-    }
-
-    fn year_len(&self) -> Cycle {
-        self.day_width * self.buckets.len() as Cycle
-    }
-
-    /// Absolute day-to-bucket mapping: bucket = (t / width) mod days.
-    /// Consistent across year jumps, which keeps ordering correct.
-    fn bucket_index(&self, time: Cycle) -> Option<usize> {
-        if time < self.year_start {
-            // Late event (scheduled at/before the scan point); park it in the
-            // current day so it is found immediately.
-            return Some(self.current_day);
-        }
-        if time - self.year_start >= self.year_len() {
-            None
-        } else {
-            Some(((time / self.day_width) as usize) % self.buckets.len())
-        }
-    }
-
-    /// Migrates overflow events that now fall within the (new) year,
-    /// preserving their original insertion sequence numbers.
-    fn refill_from_overflow(&mut self) {
-        while let Some(entry) = self.overflow.peek() {
-            if entry.time < self.year_start + self.year_len() {
-                let entry = self.overflow.pop().expect("peeked");
-                let idx = self
-                    .bucket_index(entry.time)
-                    .expect("within year by construction");
-                self.buckets[idx].push((entry.time, entry.seq, entry.event));
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-impl<E> EventQueue<E> for CalendarQueue<E> {
-    fn insert(&mut self, time: Cycle, event: E) {
-        self.len += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match self.bucket_index(time) {
-            Some(idx) => {
-                self.buckets[idx].push((time, seq, event));
-            }
-            None => {
-                self.overflow.push(OverflowEntry { time, seq, event });
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Scan at most one full year of days; if nothing is found the
-        // remaining events live in overflow — advance the year.
-        loop {
-            for _ in 0..self.buckets.len() {
-                let day_end = self.year_start + self.day_width;
-                let bucket = &mut self.buckets[self.current_day];
-                if !bucket.is_empty() {
-                    // Find the earliest (time, seq) event in this day that
-                    // falls before the day boundary.
-                    let mut best: Option<usize> = None;
-                    for (i, (t, s, _)) in bucket.iter().enumerate() {
-                        if *t < day_end {
-                            match best {
-                                None => best = Some(i),
-                                Some(b) => {
-                                    let (bt, bs, _) = &bucket[b];
-                                    if (*t, *s) < (*bt, *bs) {
-                                        best = Some(i);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if let Some(i) = best {
-                        let (t, _, e) = bucket.swap_remove(i);
-                        self.len -= 1;
-                        return Some((t, e));
-                    }
-                }
-                // Nothing due this day: advance to the next day.
-                self.current_day = (self.current_day + 1) % self.buckets.len();
-                self.year_start += self.day_width;
-                if self.current_day == 0 {
-                    self.refill_from_overflow();
-                }
-            }
-            // A full year scanned with nothing due. All remaining events are
-            // in overflow or in future days; fast-forward the year to the
-            // earliest pending event.
-            let earliest_cal = self
-                .buckets
-                .iter()
-                .flat_map(|b| b.iter().map(|(t, _, _)| *t))
-                .min();
-            let earliest = match (earliest_cal, self.overflow.peek().map(|e| e.time)) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return None,
-            };
-            // Jump the year so `earliest` falls in the current day, keeping
-            // the absolute bucket mapping and the scan position in sync.
-            self.year_start = earliest - (earliest % self.day_width);
-            self.current_day = ((self.year_start / self.day_width) as usize) % self.buckets.len();
-            self.refill_from_overflow();
-        }
-    }
-
-    fn peek_time(&self) -> Option<Cycle> {
-        let cal = self
-            .buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|(t, _, _)| *t))
-            .min();
-        match (cal, self.overflow.peek().map(|e| e.time)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exercise<Q: EventQueue<u32>>(mut q: Q) {
+    #[test]
+    fn heap_basic_order() {
+        let mut q = BinaryHeapQueue::new();
         q.insert(10, 1);
         q.insert(5, 2);
         q.insert(10, 3);
@@ -370,108 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_basic_order() {
-        exercise(BinaryHeapQueue::new());
-    }
-
-    #[test]
-    fn calendar_basic_order() {
-        exercise(CalendarQueue::new(8, 4));
-    }
-
-    #[test]
-    fn calendar_far_future_overflow() {
-        let mut q = CalendarQueue::new(4, 2); // year = 8 cycles
-        q.insert(1000, 1);
-        q.insert(3, 2);
-        q.insert(2000, 3);
-        assert_eq!(q.pop(), Some((3, 2)));
-        assert_eq!(q.pop(), Some((1000, 1)));
-        assert_eq!(q.pop(), Some((2000, 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn calendar_interleaved_insert_pop() {
-        let mut q = CalendarQueue::new(8, 1);
-        q.insert(2, 0);
-        assert_eq!(q.pop(), Some((2, 0)));
-        q.insert(3, 1);
-        q.insert(3, 2);
-        q.insert(100, 3);
-        assert_eq!(q.pop(), Some((3, 1)));
-        q.insert(4, 4);
-        assert_eq!(q.pop(), Some((3, 2)));
-        assert_eq!(q.pop(), Some((4, 4)));
-        assert_eq!(q.pop(), Some((100, 3)));
-    }
-
-    #[test]
     fn heap_with_capacity() {
         let mut q: BinaryHeapQueue<u8> = BinaryHeapQueue::with_capacity(16);
         q.insert(1, 7);
         assert_eq!(q.pop(), Some((1, 7)));
-    }
-
-    /// Both queues must agree with a reference model on random workloads.
-    #[test]
-    fn queues_agree_with_reference() {
-        let mut heap = BinaryHeapQueue::new();
-        let mut cal = CalendarQueue::new(16, 2);
-        let mut reference: Vec<(Cycle, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        // Simple LCG so the test is deterministic without rand.
-        let mut state = 0x12345678u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let mut now = 0;
-        for round in 0..2000u32 {
-            let r = next();
-            if r % 3 != 0 {
-                let t = now + (r % 50) as Cycle;
-                heap.insert(t, round);
-                cal.insert(t, round);
-                reference.push((t, seq, round));
-                seq += 1;
-            } else {
-                let expect = {
-                    reference
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (t, s, _))| (*t, *s))
-                        .map(|(i, _)| i)
-                };
-                match expect {
-                    Some(i) => {
-                        let (t, _, v) = reference.remove(i);
-                        now = now.max(t);
-                        assert_eq!(heap.pop(), Some((t, v)), "heap mismatch");
-                        assert_eq!(cal.pop(), Some((t, v)), "calendar mismatch");
-                    }
-                    None => {
-                        assert_eq!(heap.pop(), None);
-                        assert_eq!(cal.pop(), None);
-                    }
-                }
-            }
-        }
-        // Drain the rest.
-        while !reference.is_empty() {
-            let i = reference
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (t, s, _))| (*t, *s))
-                .map(|(i, _)| i)
-                .unwrap();
-            let (t, _, v) = reference.remove(i);
-            assert_eq!(heap.pop(), Some((t, v)));
-            assert_eq!(cal.pop(), Some((t, v)));
-        }
-        assert!(heap.is_empty());
-        assert!(cal.is_empty());
     }
 }

@@ -12,14 +12,11 @@
 //!   photodetector) with the paper's constants, reproducing Table 1,
 //! * [`transmitter`] — a transmitter as an array of same-wavelength lasers
 //!   with one output port per destination board (Fig. 2b),
-//! * [`receiver`] — a receiver with CDR re-lock behaviour on bit-rate
-//!   changes,
-//! * [`coupler`] — passive couplers that merge same-numbered ports from
-//!   different transmitters, with wavelength-collision detection,
 //! * [`fiber`] — propagation delay model,
 //! * [`serdes`] — flit serialization cycle counts per bit rate,
 //! * [`channel`] — an end-to-end optical channel (source board, destination
-//!   board, wavelength) assembled from the above.
+//!   board, wavelength) assembled from the above, including the CDR
+//!   re-lock dark time on bit-rate changes.
 
 //!
 //! ## Example: the static wavelength assignment and link power
@@ -42,11 +39,8 @@
 
 pub mod bitrate;
 pub mod channel;
-pub mod coupler;
-pub mod devices;
 pub mod fiber;
 pub mod power;
-pub mod receiver;
 pub mod rwa;
 pub mod serdes;
 pub mod transmitter;

@@ -12,8 +12,6 @@
 //!   penalty is the CDR re-lock (12 cycles) but the paper "conservatively
 //!   disables the link for 65 cycles" (the slow voltage-transition bound),
 //!   which is the default here.
-//! * [`energy`] — per-link power integration using the photonics power
-//!   model (active vs idle vs off cycles).
 //! * [`dls`] — Dynamic Link Shutdown: a link idle for consecutive windows
 //!   is turned off entirely (the DLS technique of Kim et al. the paper
 //!   cites; in E-RAPID idle lasers are turned off by the DBR stage, and this
@@ -43,7 +41,6 @@
 //! ```
 
 pub mod dls;
-pub mod energy;
 pub mod policy;
 pub mod regulator;
 pub mod transition;

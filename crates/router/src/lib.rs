@@ -17,7 +17,6 @@
 //! * [`arbiter`] — round-robin and matrix arbiters,
 //! * [`vc`] — per-input virtual-channel state machines,
 //! * [`routing`] — output-port lookup functions,
-//! * [`crossbar`] — the switch fabric (conflict checking),
 //! * [`words`] — packed `u64` bitset words for the arbitration hot path,
 //! * [`router`] — the assembled router with its per-cycle `step`.
 
@@ -45,7 +44,6 @@
 pub mod arbiter;
 pub mod buffer;
 pub mod credit;
-pub mod crossbar;
 pub mod flit;
 pub mod inject;
 pub mod packet;

@@ -13,13 +13,11 @@
 //! * [`windowed`] — windowed utilization counters; these are the "hardware
 //!   counters located at each LC" from §3 of the paper, measuring
 //!   `Link_util` and `Buffer_util` over each reconfiguration window `R_w`.
-//! * [`timeseries`] — decimated time series for figure regeneration.
-//! * [`batch`] — batch-means confidence intervals for steady-state outputs.
 //! * [`meter`] — composite throughput/latency/power meters.
 //! * [`table`] — plain-text table rendering for the bench binaries.
+//! * [`chart`] — ASCII line charts for the figure binaries.
 //! * [`csv`] — tiny CSV writer (no external dependency).
 
-pub mod batch;
 pub mod chart;
 pub mod csv;
 pub mod histogram;
@@ -27,7 +25,6 @@ pub mod meter;
 pub mod occupancy;
 pub mod running;
 pub mod table;
-pub mod timeseries;
 pub mod windowed;
 
 pub use histogram::Histogram;
