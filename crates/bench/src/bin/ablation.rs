@@ -21,13 +21,12 @@
 
 use erapid_bench::BenchConfig;
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, TraceSource};
-use erapid_core::runner::{run_points, RunPoint};
+use erapid_core::experiment::default_plan;
+use erapid_core::runner::RunPoint;
 use netstats::table::Table;
 use photonics::bitrate::RateLadder;
 use photonics::power::LinkPowerModel;
 use powermgmt::transition::TransitionModel;
-use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 fn fmt_run(r: &erapid_core::experiment::RunResult) -> Vec<String> {
@@ -43,7 +42,7 @@ fn fmt_run(r: &erapid_core::experiment::RunResult) -> Vec<String> {
 /// Runs one ablation table: labelled configurations, all at one (pattern,
 /// load), executed in parallel, printed in input order.
 fn table(
-    threads: NonZeroUsize,
+    bench: &BenchConfig,
     mut t: Table,
     rows: Vec<(String, SystemConfig)>,
     pattern: TrafficPattern,
@@ -54,19 +53,12 @@ fn table(
         .into_iter()
         .map(|(_, cfg)| {
             let plan = default_plan(cfg.schedule.window);
-            RunPoint {
-                cfg,
-                pattern: pattern.clone(),
-                load,
-                plan,
-                source: TraceSource::Generate,
-            }
+            RunPoint::generate(cfg, pattern.clone(), load, plan)
         })
         .collect();
-    let results = run_points(threads, points);
-    for (label, r) in labels.into_iter().zip(&results) {
+    for (label, out) in labels.into_iter().zip(bench.run(points)) {
         let mut row = vec![label];
-        row.extend(fmt_run(r));
+        row.extend(fmt_run(&out.result));
         t.row(row);
     }
     println!("{}", t.render());
@@ -74,12 +66,11 @@ fn table(
 
 fn main() {
     let bench = BenchConfig::from_env();
-    let threads = bench.threads;
     let load = 0.5;
 
     // 1. R_w sensitivity (P-B, complement: both control planes exercised).
     table(
-        threads,
+        &bench,
         Table::new(vec!["R_w", "thr", "lat", "power", "retunes", "grants"]).with_title(format!(
             "Ablation 1: reconfiguration window (P-B, complement, load {load})"
         )),
@@ -97,7 +88,7 @@ fn main() {
 
     // 2. Power-level count (P-NB, uniform at a mid load where DPM matters).
     table(
-        threads,
+        &bench,
         Table::new(vec!["levels", "thr", "lat", "power", "retunes", "grants"]).with_title(format!(
             "Ablation 2: number of power levels (P-NB, uniform, load {load})"
         )),
@@ -117,7 +108,7 @@ fn main() {
 
     // 3. Limited reconfigurability (NP-B, complement).
     table(
-        threads,
+        &bench,
         Table::new(vec![
             "max grants/window",
             "thr",
@@ -151,7 +142,7 @@ fn main() {
     //    traffic changes" (§3). Bursty on/off sources with ~4000-cycle
     //    dwell; a window much larger than the burst misses it entirely.
     table(
-        threads,
+        &bench,
         Table::new(vec!["R_w", "thr", "lat", "power", "retunes", "grants"]).with_title(format!(
             "Ablation 5: R_w under bursty complement traffic (P-B, load {load}, burstiness 4x, dwell 4000)"
         )),
@@ -173,7 +164,7 @@ fn main() {
 
     // 4. Transition-penalty model (P-B, uniform).
     table(
-        threads,
+        &bench,
         Table::new(vec!["model", "thr", "lat", "power", "retunes", "grants"]).with_title(format!(
             "Ablation 4: transition penalty (P-B, uniform, load {load})"
         )),
@@ -197,7 +188,7 @@ fn main() {
     //    (§3.2) — sweep it on a pattern with *partial* concentration
     //    (butterfly) where the classification boundary actually matters.
     table(
-        threads,
+        &bench,
         Table::new(vec!["B_max", "thr", "lat", "power", "retunes", "grants"]).with_title(format!(
             "Ablation 7: DBR over-utilization threshold (NP-B, butterfly, load {load})"
         )),
@@ -231,17 +222,11 @@ fn main() {
                     cfg.power_model =
                         photonics::power::LinkPowerModel::paper_table().with_idle_fraction(frac);
                     let plan = default_plan(cfg.schedule.window);
-                    RunPoint {
-                        cfg,
-                        pattern: TrafficPattern::Complement,
-                        load,
-                        plan,
-                        source: TraceSource::Generate,
-                    }
+                    RunPoint::generate(cfg, TrafficPattern::Complement, load, plan)
                 })
         })
         .collect();
-    let results = run_points(threads, points);
+    let results = bench.run(points);
     let mut t = Table::new(vec![
         "idle fraction",
         "NP-NB power (complement)",
@@ -252,8 +237,8 @@ fn main() {
         "Ablation 6: idle-laser power fraction (complement, load {load})"
     ));
     for (i, &frac) in fracs.iter().enumerate() {
-        let base = results[2 * i].power_mw;
-        let pnb = results[2 * i + 1].power_mw;
+        let base = results[2 * i].result.power_mw;
+        let pnb = results[2 * i + 1].result.power_mw;
         t.row(vec![
             format!("{frac:.2}"),
             format!("{base:.1}"),

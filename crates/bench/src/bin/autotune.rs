@@ -13,7 +13,7 @@
 //! controller live, so the report shows what the adaptive policy does on
 //! top of the best static point.
 //!
-//! Results land in `TUNE_<git-sha>.json`: per workload the paper-constant
+//! Results land in `<results>/TUNE_<git-sha>.json`: per workload the paper-constant
 //! baseline, the full Pareto front, the chosen point, whether it improved
 //! the objective, and the controller-enabled outcome.
 //!
@@ -34,12 +34,10 @@
 //!   beats the paper-constant baseline objective on ≥1 scenario, exits
 //!   nonzero otherwise.
 
-use erapid_bench::{git_sha, BenchConfig};
+use erapid_bench::{git_sha, scenario_suite, BenchConfig, Json};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{
-    run_once_traced, run_once_traced_sharded, RunResult, RunTrace, TraceSource,
-};
-use erapid_core::runner::{run_points_traced_sharded, RunPoint};
+use erapid_core::experiment::RunOutput;
+use erapid_core::runner::RunPoint;
 use erapid_telemetry::TraceConfig;
 use erapid_tune::{
     choose, improves, pareto_front, ControllerSpec, OperatingPoint, SweepOutcome, TuneGrid,
@@ -51,20 +49,6 @@ use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 const LOAD: f64 = 0.6;
-
-/// The scenario suite, honouring the `ERAPID_TUNE` filter.
-fn suite() -> Vec<ScenarioSpec> {
-    match std::env::var("ERAPID_TUNE") {
-        Ok(name) if !name.trim().is_empty() => match ScenarioSpec::from_name(&name) {
-            Some(spec) => vec![spec],
-            None => {
-                eprintln!("unknown ERAPID_TUNE {name:?} (want hotspot/diurnal/incast/collective)");
-                std::process::exit(2);
-            }
-        },
-        _ => ScenarioSpec::paper_suite(),
-    }
-}
 
 /// The sweep grid, honouring `ERAPID_TUNE_GRID` (default `coarse`).
 fn grid() -> (String, TuneGrid) {
@@ -112,14 +96,8 @@ fn point(
     cfg.alloc.b_max = op.b_max_milli as f64 / 1000.0;
     cfg.schedule = LockStepSchedule::new(op.r_w);
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        // Inert under a scenario (the engine preempts the generators).
-        pattern: TrafficPattern::Uniform,
-        load: LOAD,
-        plan,
-        source: TraceSource::Generate,
-    }
+    // Inert under a scenario (the engine preempts the generators).
+    RunPoint::generate(cfg, TrafficPattern::Uniform, LOAD, plan)
 }
 
 /// As [`point`], with the online threshold controller live, seeded at `op`.
@@ -151,7 +129,8 @@ fn candidates(mode: NetworkMode, grid_points: &[OperatingPoint]) -> Vec<Operatin
 
 /// Joins one traced run into a [`SweepOutcome`], reporting (not
 /// panicking on) degenerate runs.
-fn join(op: OperatingPoint, r: &RunResult, trace: &RunTrace) -> Option<SweepOutcome> {
+fn join(op: OperatingPoint, run: &RunOutput) -> Option<SweepOutcome> {
+    let (r, trace) = (&run.result, &run.trace);
     match SweepOutcome::join(
         op,
         r.injected,
@@ -170,34 +149,22 @@ fn join(op: OperatingPoint, r: &RunResult, trace: &RunTrace) -> Option<SweepOutc
     }
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn outcome_json(o: &SweepOutcome) -> String {
-    format!(
-        "{{\"point\": \"{}\", \"l_min_milli\": {}, \"l_max_milli\": {}, \"b_max_milli\": {}, \
-         \"r_w\": {}, \"delivered_fraction\": {}, \"power_mw\": {}, \"latency_mean\": {}, \
-         \"latency_p95\": {}, \"objective\": {}, \"retunes\": {}, \"grants\": {}, \
-         \"buffer_crossings\": {}}}",
-        o.point.label(),
-        o.point.l_min_milli,
-        o.point.l_max_milli,
-        o.point.b_max_milli,
-        o.point.r_w,
-        json_num(o.delivered_fraction()),
-        json_num(o.power_mw),
-        json_num(o.latency_mean),
-        json_num(o.latency_p95),
-        json_num(o.objective()),
-        o.retunes,
-        o.grants,
-        o.buffer_crossings,
-    )
+fn outcome_obj(o: &SweepOutcome) -> Json {
+    Json::Obj(vec![
+        ("point", Json::Str(o.point.label())),
+        ("l_min_milli", Json::U64(o.point.l_min_milli.into())),
+        ("l_max_milli", Json::U64(o.point.l_max_milli.into())),
+        ("b_max_milli", Json::U64(o.point.b_max_milli.into())),
+        ("r_w", Json::U64(o.point.r_w)),
+        ("delivered_fraction", Json::F64(o.delivered_fraction())),
+        ("power_mw", Json::F64(o.power_mw)),
+        ("latency_mean", Json::F64(o.latency_mean)),
+        ("latency_p95", Json::F64(o.latency_p95)),
+        ("objective", Json::F64(o.objective())),
+        ("retunes", Json::U64(o.retunes)),
+        ("grants", Json::U64(o.grants)),
+        ("buffer_crossings", Json::U64(o.buffer_crossings)),
+    ])
 }
 
 /// `--smoke`: the CI gate. The 2×2 smoke grid (plus the baseline) on two
@@ -226,15 +193,14 @@ fn smoke(bench: &BenchConfig) -> ! {
         let mut outcomes = Vec::new();
         for op in candidates(mode, &grid_points) {
             let p = point(bench, spec, mode, op, true);
-            let (seq_r, seq_t) = run_once_traced(p.cfg.clone(), p.pattern.clone(), p.load, p.plan);
-            let (shard_r, _) = run_once_traced_sharded(p.cfg, p.pattern, p.load, p.plan, two);
-            if seq_r != shard_r {
+            let seq = p.clone().run();
+            if seq.result != p.run_with(two).result {
                 fail(format!(
                     "{}: sequential != board-sharded result",
                     op.label()
                 ));
             }
-            if let Some(o) = join(op, &seq_r, &seq_t) {
+            if let Some(o) = join(op, &seq) {
                 println!(
                     "  [{}] {}: delivered {:.1}%, power {:.1} mW, p95 {:.0}, objective {:.0}",
                     spec.name(),
@@ -249,9 +215,8 @@ fn smoke(bench: &BenchConfig) -> ! {
         }
         // Online-controller leg: the adaptive config must shard identically.
         let cp = controller_point(bench, spec, mode, baseline(mode), true);
-        let (cs_r, _) = run_once_traced(cp.cfg.clone(), cp.pattern.clone(), cp.load, cp.plan);
-        let (ch_r, _) = run_once_traced_sharded(cp.cfg, cp.pattern, cp.load, cp.plan, two);
-        if cs_r != ch_r {
+        let cs_r = cp.clone().run().result;
+        if cs_r != cp.run_with(two).result {
             fail("controller-enabled: sequential != board-sharded result".into());
         }
         if cs_r.delivered == 0 {
@@ -297,7 +262,7 @@ fn main() {
         smoke(&bench);
     }
     let sha = git_sha();
-    let specs = suite();
+    let specs = scenario_suite("ERAPID_TUNE");
     let modes = [NetworkMode::PNb, NetworkMode::PB];
     let (grid_name, g) = grid();
     let grid_points = match g.points() {
@@ -331,7 +296,7 @@ fn main() {
         })
         .map(|(m, s, op)| point(&bench, s, m, op, false))
         .collect();
-    let sweep_runs = run_points_traced_sharded(bench.threads, bench.point_threads, sweep_points);
+    let sweep_runs = bench.run(sweep_points);
 
     // Join + choose per workload.
     struct Tuned<'a> {
@@ -351,7 +316,7 @@ fn main() {
         let outcomes: Vec<SweepOutcome> = cands
             .iter()
             .zip(runs)
-            .filter_map(|(&op, (r, t))| join(op, r, t))
+            .filter_map(|(&op, run)| join(op, run))
             .collect();
         let chosen = choose(&outcomes).ok().cloned();
         if chosen.is_none() {
@@ -382,11 +347,11 @@ fn main() {
             controller_point(&bench, t.spec, t.mode, seed, false)
         })
         .collect();
-    let ctl_runs = run_points_traced_sharded(bench.threads, bench.point_threads, ctl_points);
+    let ctl_runs = bench.run(ctl_points);
 
     let mut improved_workloads = 0;
-    let mut workload_json: Vec<String> = Vec::new();
-    for (t, (ctl_r, ctl_t)) in tuned.iter().zip(&ctl_runs) {
+    let mut workload_json: Vec<Json> = Vec::new();
+    for (t, ctl_run) in tuned.iter().zip(&ctl_runs) {
         let name = format!("{} {}", t.mode.name(), t.spec.name());
         let base = t.outcomes.first();
         let front = pareto_front(&t.outcomes);
@@ -426,7 +391,7 @@ fn main() {
             .as_ref()
             .map(|c| c.point)
             .unwrap_or(baseline(t.mode));
-        let ctl_outcome = join(ctl_seed, ctl_r, ctl_t);
+        let ctl_outcome = join(ctl_seed, ctl_run);
         let improved = match (base, &t.chosen) {
             (Some(b), Some(c)) => improves(c, b),
             _ => false,
@@ -445,39 +410,29 @@ fn main() {
                     .unwrap_or_else(|| "degenerate run".into()),
             );
         }
-        let front_json: Vec<String> = front.iter().map(outcome_json).collect();
-        workload_json.push(format!(
-            "    {{\"mode\": \"{}\", \"scenario\": \"{}\", \"improved\": {improved},\n      \
-             \"baseline\": {},\n      \"chosen\": {},\n      \"controller\": {},\n      \
-             \"front\": [{}]}}",
-            t.mode.name(),
-            t.spec.name(),
-            base.map(outcome_json).unwrap_or_else(|| "null".into()),
-            t.chosen
-                .as_ref()
-                .map(outcome_json)
-                .unwrap_or_else(|| "null".into()),
-            ctl_outcome
-                .as_ref()
-                .map(outcome_json)
-                .unwrap_or_else(|| "null".into()),
-            front_json.join(", "),
-        ));
+        let outcome_or_null = |o: Option<&SweepOutcome>| o.map_or(Json::Null, outcome_obj);
+        workload_json.push(Json::Obj(vec![
+            ("mode", Json::str(t.mode.name())),
+            ("scenario", Json::str(t.spec.name())),
+            ("improved", Json::Bool(improved)),
+            ("baseline", outcome_or_null(base)),
+            ("chosen", outcome_or_null(t.chosen.as_ref())),
+            ("controller", outcome_or_null(ctl_outcome.as_ref())),
+            ("front", Json::Arr(front.iter().map(outcome_obj).collect())),
+        ]));
     }
 
     println!(
         "chosen point improves power x p95 objective on {improved_workloads}/{} workloads",
         tuned.len()
     );
-    let json = format!(
-        "{{\n  \"git_sha\": \"{sha}\",\n  \"grid\": \"{grid_name}\",\n  \"workload\": {{\"system\": \"paper64\", \"load\": {LOAD}, \"quick\": {quick}}},\n  \"improved_workloads\": {improved_workloads},\n  \"total_workloads\": {total},\n  \"workloads\": [\n{body}\n  ]\n}}\n",
-        quick = bench.quick,
-        total = tuned.len(),
-        body = workload_json.join(",\n"),
-    );
-    let path = format!("TUNE_{sha}.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let workload = vec![("system", Json::str("paper64")), ("load", Json::F64(LOAD))];
+    let report = vec![
+        ("grid", Json::Str(grid_name)),
+        ("workload", Json::Obj(workload)),
+        ("improved_workloads", Json::U64(improved_workloads as u64)),
+        ("total_workloads", Json::U64(tuned.len() as u64)),
+        ("workloads", Json::Arr(workload_json)),
+    ];
+    bench.write_report("TUNE", &sha, report);
 }

@@ -19,7 +19,7 @@
 //! **resume divergence**, which must be zero — and asserts the full run's
 //! peak RSS under a ceiling: the horizon is 12.5× the default `paper64`
 //! plan, yet memory stays flat because every buffer drains per window.
-//! Results land in `MARATHON_<git-sha>.json`.
+//! Results land in `<results>/MARATHON_<git-sha>.json`.
 //!
 //! ```text
 //! cargo run --release -p erapid-bench --bin marathon
@@ -28,13 +28,12 @@
 //! ```
 
 use desim::phase::PhasePlan;
-use erapid_bench::{git_sha, BenchConfig};
+use erapid_bench::{git_sha, BenchConfig, Json};
 use erapid_core::checkpoint::{resume_latest, Checkpointer};
 use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::stream::{run_streaming, StreamPaths, StreamSink};
 use erapid_core::System;
 use erapid_telemetry::TraceConfig;
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use traffic::pattern::TrafficPattern;
@@ -58,13 +57,13 @@ fn peak_rss_kb() -> u64 {
 }
 
 struct Marathon {
+    bench: BenchConfig,
     cfg: SystemConfig,
     plan: PhasePlan,
     total_cycles: u64,
     kill_at: u64,
     every_windows: u64,
     dir: PathBuf,
-    point_threads: NonZeroUsize,
 }
 
 impl Marathon {
@@ -93,7 +92,7 @@ impl Marathon {
             kill_at: total_cycles * 6 / 10 + window / 3,
             dir: bench.results_dir().join("marathon"),
             every_windows,
-            point_threads: bench.point_threads,
+            bench,
         }
     }
 
@@ -142,8 +141,8 @@ fn stats_line(sys: &System, end: u64) -> String {
 fn child_full(m: &Marathon) {
     let mut sys = m.system();
     let mut sink = StreamSink::create(&m.paths("full")).expect("create stream files");
-    let end =
-        run_streaming(&mut sys, m.point_threads, &mut sink, None).expect("streaming run failed");
+    let end = run_streaming(&mut sys, m.bench.point_threads, &mut sink, None)
+        .expect("streaming run failed");
     sink.finalize().expect("finalize stream");
     println!("{}", stats_line(&sys, end));
 }
@@ -156,7 +155,7 @@ fn child_kill(m: &Marathon) {
     let counters = sys.metric_counter_names();
     let gauges = sys.metric_gauge_names();
     let kill_at = m.kill_at;
-    sys.run_with(m.point_threads, &mut |s| {
+    sys.run_with(m.bench.point_threads, &mut |s| {
         let now = s.now();
         if now >= kill_at {
             // The crash: SIGABRT, no destructors, nothing flushed beyond
@@ -186,7 +185,7 @@ fn child_resume(m: &Marathon) {
     );
     let mut sink = StreamSink::resume(&m.paths("resumed"), cursor).expect("reopen stream files");
     let mut ckpt = m.checkpointer();
-    let end = run_streaming(&mut sys, m.point_threads, &mut sink, Some(&mut ckpt))
+    let end = run_streaming(&mut sys, m.bench.point_threads, &mut sink, Some(&mut ckpt))
         .expect("resumed streaming run failed");
     sink.finalize().expect("finalize stream");
     println!("{}", stats_line(&sys, end));
@@ -290,24 +289,35 @@ fn orchestrate(m: &Marathon) {
     let trace_bytes = file_bytes(&m.paths("full").trace.expect("path")).len();
     let deliveries = json_field(&full, "delivered");
 
-    let sha = git_sha();
-    let report = format!(
-        "{{\n  \"git_sha\": \"{sha}\",\n  \"workload\": {{\"system\": \"{}\", \"mode\": \"P-B\", \"pattern\": \"uniform\", \"load\": {LOAD}}},\n  \"cycles\": {},\n  \"windows\": {},\n  \"horizon_vs_default\": {:.1},\n  \"checkpoint_every_windows\": {},\n  \"kill_at_cycle\": {},\n  \"resume_divergence\": {divergence},\n  \"trace_bytes\": {trace_bytes},\n  \"deliveries\": {deliveries},\n  \"peak_rss_kb\": {rss},\n  \"rss_ceiling_kb\": {ceiling}\n}}\n",
-        if m.cfg.boards == 8 { "paper64" } else { "small16" },
-        m.total_cycles,
-        m.total_cycles / m.cfg.schedule.window,
-        m.total_cycles as f64 / (40 * m.cfg.schedule.window) as f64,
-        m.every_windows,
-        m.kill_at,
-    );
-    let out = m
-        .dir
-        .parent()
-        .unwrap_or(&m.dir)
-        .join(format!("MARATHON_{sha}.json"));
-    std::fs::write(&out, &report).expect("write marathon report");
-    println!("\n{report}");
-    println!("wrote {}", out.display());
+    let system = if m.cfg.boards == 8 {
+        "paper64"
+    } else {
+        "small16"
+    };
+    let workload = vec![
+        ("system", Json::str(system)),
+        ("mode", Json::str("P-B")),
+        ("pattern", Json::str("uniform")),
+        ("load", Json::F64(LOAD)),
+    ];
+    let window = m.cfg.schedule.window;
+    let report = vec![
+        ("workload", Json::Obj(workload)),
+        ("cycles", Json::U64(m.total_cycles)),
+        ("windows", Json::U64(m.total_cycles / window)),
+        (
+            "horizon_vs_default",
+            Json::F64(m.total_cycles as f64 / (40 * window) as f64),
+        ),
+        ("checkpoint_every_windows", Json::U64(m.every_windows)),
+        ("kill_at_cycle", Json::U64(m.kill_at)),
+        ("resume_divergence", Json::U64(divergence.into())),
+        ("trace_bytes", Json::U64(trace_bytes as u64)),
+        ("deliveries", Json::U64(deliveries)),
+        ("peak_rss_kb", Json::U64(rss)),
+        ("rss_ceiling_kb", Json::U64(ceiling)),
+    ];
+    m.bench.write_report("MARATHON", &git_sha(), report);
 
     assert_eq!(
         divergence, 0,

@@ -28,17 +28,13 @@
 //! `workload_<sha>.ertr`, `workload_<sha>.trace.jsonl` and
 //! `REPLAY_<sha>.json`.
 
-use erapid_bench::{git_sha, BenchConfig};
+use erapid_bench::{git_sha, BenchConfig, Json};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{
-    run_once_recorded, run_once_replayed, RunResult, RunTrace, TraceSource,
-};
+use erapid_core::experiment::{RunOutput, RunResult, RunTrace, TraceSource};
 use erapid_core::metrics::PacketDelivery;
-use erapid_core::runner::{run_points_traced, RunPoint};
+use erapid_core::runner::RunPoint;
 use erapid_telemetry::TraceConfig;
 use netstats::table::Table;
-use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 use traffic::pattern::TrafficPattern;
 use traffic::trace::InjectionTrace;
@@ -50,24 +46,24 @@ const PATTERN: TrafficPattern = TrafficPattern::Uniform;
 /// Largest per-packet deltas listed in the report.
 const TOP_DELTAS: usize = 10;
 
-fn recording_config() -> SystemConfig {
-    SystemConfig::paper64(NetworkMode::NpNb)
+/// A paper64 point in `mode` under the bench plan, injections generated
+/// or replayed (the recording configuration is NP-NB).
+fn point(bench: &BenchConfig, mode: NetworkMode, source: TraceSource) -> RunPoint {
+    let cfg = SystemConfig::paper64(mode);
+    let plan = bench.plan(cfg.schedule.window);
+    RunPoint {
+        source,
+        ..RunPoint::generate(cfg, PATTERN, LOAD, plan)
+    }
 }
 
 /// A replay point for `mode`: same geometry and seed as the recording,
 /// packet logging and telemetry on.
 fn replay_point(bench: &BenchConfig, trace: &Arc<InjectionTrace>, mode: NetworkMode) -> RunPoint {
-    let mut cfg = SystemConfig::paper64(mode);
-    cfg.packet_log = true;
-    cfg.trace = TraceConfig::on();
-    let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        pattern: PATTERN,
-        load: LOAD,
-        plan,
-        source: TraceSource::Replay(Arc::clone(trace)),
-    }
+    let mut p = point(bench, mode, TraceSource::Replay(Arc::clone(trace)));
+    p.cfg.packet_log = true;
+    p.cfg.trace = TraceConfig::on();
+    p
 }
 
 /// Per-packet latency of every delivered packet, indexed by packet id.
@@ -190,76 +186,91 @@ fn diff_mode(
     }
 }
 
-fn result_json(r: &RunResult) -> String {
-    format!(
-        "{{\"load\":{},\"throughput\":{},\"latency\":{},\"latency_p95\":{},\"power_mw\":{},\"undrained\":{},\"grants\":{},\"retunes\":{},\"cycles\":{}}}",
-        r.load,
-        r.throughput,
-        r.latency,
-        r.latency_p95,
-        r.power_mw,
-        r.undrained,
-        r.grants,
-        r.retunes,
-        r.cycles
-    )
-}
-
-/// Renders the full report (also the byte-string compared between the
-/// parallel and sequential replays).
-fn report_json(sha: &str, quick: bool, trace: &InjectionTrace, diffs: &[ModeDiff]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"git_sha\": \"{sha}\",\n  \"quick\": {quick},\n  \"workload\": {{\"pattern\": \"{}\", \"load\": {}, \"seed\": {}, \"boards\": {}, \"nodes_per_board\": {}, \"entries\": {}, \"checksum\": \"{:016x}\"}},\n  \"baseline_mode\": \"NP-NB\",\n  \"modes\": [",
-        trace.meta.pattern,
-        trace.meta.load,
-        trace.meta.seed,
-        trace.meta.boards,
-        trace.meta.nodes_per_board,
-        trace.entries.len(),
-        trace.checksum(),
-    );
-    for (i, d) in diffs.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"mode\": \"{}\", \"result\": {}, \"diff\": {{\"matched\": {}, \"missing_vs_baseline\": {}, \"extra_vs_baseline\": {}, \"mean_latency_delta\": {}, \"max_abs_delta\": {}, \"p95_abs_delta\": {}, \"top_deltas\": [",
-            d.mode.name(),
-            result_json(&d.result),
-            d.matched,
-            d.missing,
-            d.extra,
-            d.mean_delta,
-            d.max_abs_delta,
-            d.p95_abs_delta,
-        );
-        for (j, &(id, inj, bl, ol)) in d.top.iter().enumerate() {
-            let sep = if j == 0 { "" } else { ", " };
+/// The report body (also what is compared between the parallel and
+/// sequential replays).
+fn report_fields(trace: &InjectionTrace, diffs: &[ModeDiff]) -> Vec<(&'static str, Json)> {
+    let workload = vec![
+        ("pattern", Json::str(&*trace.meta.pattern)),
+        ("load", Json::F64(trace.meta.load)),
+        ("seed", Json::U64(trace.meta.seed)),
+        ("boards", Json::U64(trace.meta.boards.into())),
+        (
+            "nodes_per_board",
+            Json::U64(trace.meta.nodes_per_board.into()),
+        ),
+        ("entries", Json::U64(trace.entries.len() as u64)),
+        ("checksum", Json::Str(format!("{:016x}", trace.checksum()))),
+    ];
+    let mode = |d: &ModeDiff| {
+        let r = &d.result;
+        let result = vec![
+            ("load", Json::F64(r.load)),
+            ("throughput", Json::F64(r.throughput)),
+            ("latency", Json::F64(r.latency)),
+            ("latency_p95", Json::F64(r.latency_p95)),
+            ("power_mw", Json::F64(r.power_mw)),
+            ("undrained", Json::U64(r.undrained)),
+            ("grants", Json::U64(r.grants)),
+            ("retunes", Json::U64(r.retunes)),
+            ("cycles", Json::U64(r.cycles)),
+        ];
+        let top = d.top.iter().map(|&(id, inj, bl, ol)| {
             // Packet ids are injection-order, so id k is entry k of the
             // trace: recover the packet's src/dst from its provenance.
             let (src, dst) = trace
                 .entries
                 .get(id as usize)
                 .map_or((0, 0), |e| (e.src, e.dst));
-            let _ = write!(
-                out,
-                "{sep}{{\"id\": {id}, \"src\": {src}, \"dst\": {dst}, \"injected_at\": {inj}, \"baseline_latency\": {bl}, \"latency\": {ol}, \"delta\": {}}}",
-                ol as i64 - bl as i64
-            );
-        }
-        out.push_str("], \"windows\": [");
-        for (j, &(w, n, mean, retunes, grants)) in d.windows.iter().enumerate() {
-            let sep = if j == 0 { "" } else { ", " };
-            let _ = write!(
-                out,
-                "{sep}{{\"window\": {w}, \"packets\": {n}, \"mean_latency_delta\": {mean}, \"dpm_retunes\": {retunes}, \"dbr_grants\": {grants}}}"
-            );
-        }
-        out.push_str("]}}");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+            Json::Obj(vec![
+                ("id", Json::U64(id)),
+                ("src", Json::U64(src.into())),
+                ("dst", Json::U64(dst.into())),
+                ("injected_at", Json::U64(inj)),
+                ("baseline_latency", Json::U64(bl)),
+                ("latency", Json::U64(ol)),
+                ("delta", Json::F64(ol as f64 - bl as f64)),
+            ])
+        });
+        let windows = d.windows.iter().map(|&(w, n, mean, retunes, grants)| {
+            Json::Obj(vec![
+                ("window", Json::U64(w)),
+                ("packets", Json::U64(n)),
+                ("mean_latency_delta", Json::F64(mean)),
+                ("dpm_retunes", Json::U64(retunes)),
+                ("dbr_grants", Json::U64(grants)),
+            ])
+        });
+        let diff = vec![
+            ("matched", Json::U64(d.matched)),
+            ("missing_vs_baseline", Json::U64(d.missing)),
+            ("extra_vs_baseline", Json::U64(d.extra)),
+            ("mean_latency_delta", Json::F64(d.mean_delta)),
+            ("max_abs_delta", Json::U64(d.max_abs_delta.unsigned_abs())),
+            ("p95_abs_delta", Json::U64(d.p95_abs_delta.unsigned_abs())),
+            ("top_deltas", Json::Arr(top.collect())),
+            ("windows", Json::Arr(windows.collect())),
+        ];
+        Json::Obj(vec![
+            ("mode", Json::str(d.mode.name())),
+            ("result", Json::Obj(result)),
+            ("diff", Json::Obj(diff)),
+        ])
+    };
+    vec![
+        ("workload", Json::Obj(workload)),
+        ("baseline_mode", Json::str("NP-NB")),
+        ("modes", Json::Arr(diffs.iter().map(mode).collect())),
+    ]
+}
+
+/// Diffs every mode's replay against the first (NP-NB) one.
+fn diff_all(replayed: &[RunOutput], window: u64) -> Vec<ModeDiff> {
+    let base = latency_by_id(&replayed[0].trace.packets);
+    NetworkMode::all()
+        .iter()
+        .zip(replayed)
+        .map(|(&m, o)| diff_mode(m, o.result, &base, &o.trace, window))
+        .collect()
 }
 
 fn main() {
@@ -271,9 +282,12 @@ fn main() {
     );
 
     // 1. Record the workload.
-    let cfg = recording_config();
-    let plan = bench.plan(cfg.schedule.window);
-    let (recorded_result, mut trace) = run_once_recorded(cfg, PATTERN, LOAD, plan);
+    let mut recording = point(&bench, NetworkMode::NpNb, TraceSource::Generate);
+    recording.cfg.record_injections = true;
+    let window = recording.cfg.schedule.window;
+    let recorded = recording.run();
+    let recorded_result = recorded.result;
+    let mut trace = recorded.injections.expect("record_injections was on");
     trace.meta.git_sha = sha.clone();
     println!(
         "recorded {} injections over {} cycles (checksum {:016x})",
@@ -304,13 +318,14 @@ fn main() {
 
     // 3. Conformance: self-replay reproduces the recording byte-identically.
     let trace = Arc::new(reloaded);
-    let self_replay = run_once_replayed(
-        recording_config(),
-        &trace,
-        bench.plan(recording_config().schedule.window),
-    );
+    let self_replay = point(
+        &bench,
+        NetworkMode::NpNb,
+        TraceSource::Replay(Arc::clone(&trace)),
+    )
+    .run();
     assert_eq!(
-        self_replay, recorded_result,
+        self_replay.result, recorded_result,
         "replay against the recording configuration must reproduce the RunResult byte-identically"
     );
     println!("self-replay conformance: RunResult byte-identical to the recording\n");
@@ -320,29 +335,11 @@ fn main() {
         .iter()
         .map(|&m| replay_point(&bench, &trace, m))
         .collect();
-    let seq_points = points.clone();
-    let window = recording_config().schedule.window;
-    let replayed = run_points_traced(bench.threads, points);
-    let diffs = {
-        let base = latency_by_id(&replayed[0].1.packets);
-        NetworkMode::all()
-            .iter()
-            .zip(&replayed)
-            .map(|(&m, (r, t))| diff_mode(m, *r, &base, t, window))
-            .collect::<Vec<_>>()
-    };
-    let report = report_json(&sha, bench.quick, &trace, &diffs);
-
-    let seq_replayed = run_points_traced(NonZeroUsize::MIN, seq_points);
-    let seq_diffs = {
-        let base = latency_by_id(&seq_replayed[0].1.packets);
-        NetworkMode::all()
-            .iter()
-            .zip(&seq_replayed)
-            .map(|(&m, (r, t))| diff_mode(m, *r, &base, t, window))
-            .collect::<Vec<_>>()
-    };
-    let seq_report = report_json(&sha, bench.quick, &trace, &seq_diffs);
+    let seq_replayed: Vec<RunOutput> = points.iter().cloned().map(RunPoint::run).collect();
+    let diffs = diff_all(&bench.run(points), window);
+    let body = report_fields(&trace, &diffs);
+    let report = Json::Obj(body.clone()).render();
+    let seq_report = Json::Obj(report_fields(&trace, &diff_all(&seq_replayed, window))).render();
     assert_eq!(
         report, seq_report,
         "replay report must be byte-identical across thread counts"
@@ -392,9 +389,5 @@ fn main() {
     );
     println!("baseline self-diff: empty (0 missing, 0 extra, max |Δ| = 0)");
 
-    let report_path = dir.join(format!("REPLAY_{sha}.json"));
-    match std::fs::write(&report_path, &report) {
-        Ok(()) => println!("\nwrote {}", report_path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", report_path.display()),
-    }
+    bench.write_report("REPLAY", &sha, body);
 }

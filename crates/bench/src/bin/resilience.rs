@@ -18,14 +18,14 @@
 //!   must detect each loss and relaunch (message-level control plane).
 //!
 //! Every scenario is a plain [`FaultPlan`] riding inside the
-//! [`SystemConfig`], so all runs fan out over
-//! [`erapid_core::runner::run_points`] and are byte-identical for any
-//! thread count. Results land in `RESILIENCE_<git-sha>.json` next to the
-//! console tables.
+//! [`SystemConfig`], so all runs fan out over [`BenchConfig::run`] and are
+//! byte-identical for any thread count. Results land in
+//! `<results>/RESILIENCE_<git-sha>.json` next to the console tables.
 //!
 //! A second matrix layers the same fault plans onto *hostile traffic*: the
 //! two worst-offender workload scenarios (lowest P-B delivered fraction)
-//! reported by the `scenarios` bin's newest `SCENARIO_<sha>.json`, run in
+//! reported by the newest `SCENARIO_<sha>.json` the `scenarios` bin left in
+//! the results directory, run in
 //! P-B mode against a fault-free baseline under the same workload. Without
 //! that artifact the matrix falls back to the incast + collective
 //! scenarios.
@@ -35,11 +35,11 @@
 //! ERAPID_QUICK=1 cargo run --release -p erapid-bench --bin resilience
 //! ```
 
-use erapid_bench::{git_sha, BenchConfig};
+use erapid_bench::{git_sha, BenchConfig, Json};
 use erapid_core::config::{ControlPlane, NetworkMode, SystemConfig};
-use erapid_core::experiment::{RunResult, TraceSource};
+use erapid_core::experiment::RunResult;
 use erapid_core::faults::{FaultKind, FaultPlan};
-use erapid_core::runner::{run_points, RunPoint};
+use erapid_core::runner::RunPoint;
 use erapid_workloads::ScenarioSpec;
 use netstats::table::Table;
 use traffic::pattern::TrafficPattern;
@@ -133,13 +133,7 @@ fn point(
     cfg.control_plane = control;
     cfg.faults = faults;
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        pattern: TrafficPattern::Complement,
-        load: LOAD,
-        plan,
-        source: TraceSource::Generate,
-    }
+    RunPoint::generate(cfg, TrafficPattern::Complement, LOAD, plan)
 }
 
 /// As [`point`], but injecting a hostile workload scenario instead of the
@@ -157,66 +151,39 @@ fn hostile_point(
 }
 
 /// The two worst-offender workloads from the newest `SCENARIO_<sha>.json`
-/// the `scenarios` bin wrote in the working directory, falling back to
-/// incast + collective when no artifact (or no recognisable name) exists.
-fn worst_offenders() -> Vec<ScenarioSpec> {
-    let fallback = || vec![ScenarioSpec::incast(), ScenarioSpec::collective()];
-    let mut newest: Option<(std::time::SystemTime, std::path::PathBuf)> = None;
-    let Ok(dir) = std::fs::read_dir(".") else {
-        return fallback();
+/// the `scenarios` bin wrote into `dir` (the results directory), falling
+/// back to incast + collective when no artifact (or no recognisable name)
+/// exists.
+fn worst_offenders(dir: &std::path::Path) -> Vec<ScenarioSpec> {
+    let newest = || {
+        let is_report = |name: &str| name.starts_with("SCENARIO_") && name.ends_with(".json");
+        let (_, path) = std::fs::read_dir(dir)
+            .ok()?
+            .flatten()
+            .filter(|e| is_report(&e.file_name().to_string_lossy()))
+            .filter_map(|e| Some((e.metadata().ok()?.modified().ok()?, e.path())))
+            .max_by_key(|(mtime, _)| *mtime)?;
+        // Minimal extraction of `"worst_offenders": ["a", "b"]` — the
+        // artifact is machine-written JSON, not arbitrary input.
+        let text = std::fs::read_to_string(&path).ok()?;
+        let list = text.split_once("\"worst_offenders\"")?.1;
+        let names = list.split_once('[')?.1.split_once(']')?.0;
+        let specs: Vec<ScenarioSpec> = names
+            .split(',')
+            .filter_map(|s| ScenarioSpec::from_name(s.trim().trim_matches('"')))
+            .collect();
+        (!specs.is_empty()).then_some((path, specs))
     };
-    for entry in dir.flatten() {
-        let name = entry.file_name().to_string_lossy().to_string();
-        if !(name.starts_with("SCENARIO_") && name.ends_with(".json")) {
-            continue;
-        }
-        let Ok(mtime) = entry.metadata().and_then(|m| m.modified()) else {
-            continue;
-        };
-        let newer = match &newest {
-            Some((t, _)) => mtime > *t,
-            None => true,
-        };
-        if newer {
-            newest = Some((mtime, entry.path()));
-        }
-    }
-    let Some((_, path)) = newest else {
-        return fallback();
+    let Some((path, specs)) = newest() else {
+        return vec![ScenarioSpec::incast(), ScenarioSpec::collective()];
     };
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return fallback();
-    };
-    // Minimal extraction of `"worst_offenders": ["a", "b"]` — the artifact
-    // is machine-written single-level JSON, not arbitrary input.
-    let Some(start) = text.find("\"worst_offenders\"") else {
-        return fallback();
-    };
-    let Some(open) = text[start..].find('[') else {
-        return fallback();
-    };
-    let Some(close) = text[start + open..].find(']') else {
-        return fallback();
-    };
-    let inner = &text[start + open + 1..start + open + close];
-    let specs: Vec<ScenarioSpec> = inner
-        .split(',')
-        .filter_map(|s| ScenarioSpec::from_name(s.trim().trim_matches('"')))
-        .collect();
-    if specs.is_empty() {
-        fallback()
-    } else {
-        eprintln!(
-            "hostile workloads from {}: {}",
-            path.display(),
-            specs
-                .iter()
-                .map(|s| s.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        specs
-    }
+    let names: Vec<&str> = specs.iter().map(|s| s.name()).collect();
+    eprintln!(
+        "hostile workloads from {}: {}",
+        path.display(),
+        names.join(", ")
+    );
+    specs
 }
 
 fn main() {
@@ -247,17 +214,17 @@ fn main() {
             points.push(point(&bench, mode, s.control, s.faults.clone()));
         }
     }
-    let results = run_points(bench.threads, points);
+    let results = bench.run(points);
     let (baselines, faulted) = results.split_at(planes.len() * modes.len());
     let baseline_for = |control: ControlPlane, mode_idx: usize| -> &RunResult {
         let plane_idx = match control {
             ControlPlane::AnalyticLatency => 0,
             ControlPlane::MessageLevel => 1,
         };
-        &baselines[plane_idx * modes.len() + mode_idx]
+        &baselines[plane_idx * modes.len() + mode_idx].result
     };
 
-    let mut scenario_json: Vec<String> = Vec::new();
+    let mut scenario_json: Vec<Json> = Vec::new();
     for (si, s) in scenarios.iter().enumerate() {
         let rows = &faulted[si * modes.len()..(si + 1) * modes.len()];
         let mut t = Table::new(vec![
@@ -278,8 +245,8 @@ fn main() {
             s.what,
             s.faults.len()
         ));
-        let mut mode_json: Vec<String> = Vec::new();
-        for (mi, r) in rows.iter().enumerate() {
+        let mut mode_json: Vec<Json> = Vec::new();
+        for (mi, r) in rows.iter().map(|o| &o.result).enumerate() {
             let base = baseline_for(s.control, mi);
             let recovery = r.throughput / base.throughput.max(1e-12);
             t.row(vec![
@@ -294,39 +261,36 @@ fn main() {
                 format!("{}", r.ls_retries),
                 format!("{}", r.ls_aborts),
             ]);
-            mode_json.push(format!(
-                "        {{\"mode\": \"{}\", \"throughput\": {:.6}, \"baseline_throughput\": {:.6}, \
-                 \"recovery\": {:.4}, \"latency\": {:.2}, \"undrained\": {}, \"grants\": {}, \
-                 \"retunes\": {}, \"ls_retries\": {}, \"ls_aborts\": {}}}",
-                modes[mi].name(),
-                r.throughput,
-                base.throughput,
-                recovery,
-                r.latency,
-                r.undrained,
-                r.grants,
-                r.retunes,
-                r.ls_retries,
-                r.ls_aborts,
-            ));
+            mode_json.push(Json::Obj(vec![
+                ("mode", Json::str(modes[mi].name())),
+                ("throughput", Json::F64(r.throughput)),
+                ("baseline_throughput", Json::F64(base.throughput)),
+                ("recovery", Json::F64(recovery)),
+                ("latency", Json::F64(r.latency)),
+                ("undrained", Json::U64(r.undrained)),
+                ("grants", Json::U64(r.grants)),
+                ("retunes", Json::U64(r.retunes)),
+                ("ls_retries", Json::U64(r.ls_retries)),
+                ("ls_aborts", Json::U64(r.ls_aborts)),
+            ]));
         }
         println!("{}", t.render());
-        scenario_json.push(format!(
-            "    {{\"name\": \"{}\", \"control_plane\": \"{}\", \"fault_events\": {},\n      \"modes\": [\n{}\n      ]}}",
-            s.name,
-            match s.control {
-                ControlPlane::AnalyticLatency => "analytic",
-                ControlPlane::MessageLevel => "message",
-            },
-            s.faults.len(),
-            mode_json.join(",\n"),
-        ));
+        let plane = match s.control {
+            ControlPlane::AnalyticLatency => "analytic",
+            ControlPlane::MessageLevel => "message",
+        };
+        scenario_json.push(Json::Obj(vec![
+            ("name", Json::str(s.name)),
+            ("control_plane", Json::str(plane)),
+            ("fault_events", Json::U64(s.faults.len() as u64)),
+            ("modes", Json::Arr(mode_json)),
+        ]));
     }
 
     // --- hostile-workload matrix: the same fault plans layered onto the
     // worst-offender scenarios, P-B mode, vs a fault-free baseline under
     // the identical workload. ---
-    let hostile = worst_offenders();
+    let hostile = worst_offenders(&bench.results_dir());
     let mut hpoints: Vec<RunPoint> = Vec::new();
     for w in &hostile {
         for &plane in &planes {
@@ -338,14 +302,14 @@ fn main() {
             hpoints.push(hostile_point(&bench, w, s.control, s.faults.clone()));
         }
     }
-    let hresults = run_points(bench.threads, hpoints);
+    let hresults = bench.run(hpoints);
     let (hbase, hfaulted) = hresults.split_at(hostile.len() * planes.len());
     let hbaseline = |wi: usize, control: ControlPlane| -> &RunResult {
         let plane_idx = match control {
             ControlPlane::AnalyticLatency => 0,
             ControlPlane::MessageLevel => 1,
         };
-        &hbase[wi * planes.len() + plane_idx]
+        &hbase[wi * planes.len() + plane_idx].result
     };
     let mut headers = vec!["fault".to_string()];
     for w in &hostile {
@@ -355,31 +319,27 @@ fn main() {
     }
     let mut ht = Table::new(headers)
         .with_title("[hostile] faults x worst-offender workloads (P-B mode)".to_string());
-    let mut hostile_json: Vec<String> = Vec::new();
+    let mut hostile_json: Vec<Json> = Vec::new();
     for (si, s) in scenarios.iter().enumerate() {
         let mut row = vec![s.name.to_string()];
         for (wi, w) in hostile.iter().enumerate() {
-            let r = &hfaulted[si * hostile.len() + wi];
+            let r = &hfaulted[si * hostile.len() + wi].result;
             let base = hbaseline(wi, s.control);
             let recovery = r.throughput / base.throughput.max(1e-12);
             row.push(format!("{:.4}", r.throughput));
             row.push(format!("{:.1}%", 100.0 * recovery));
             row.push(format!("{:.1}%", 100.0 * r.delivered_fraction()));
-            hostile_json.push(format!(
-                "    {{\"fault\": \"{}\", \"workload\": \"{}\", \"throughput\": {:.6}, \
-                 \"baseline_throughput\": {:.6}, \"recovery\": {:.4}, \
-                 \"delivered_fraction\": {:.6}, \"undrained\": {}, \"grants\": {}, \
-                 \"ls_retries\": {}}}",
-                s.name,
-                w.name(),
-                r.throughput,
-                base.throughput,
-                recovery,
-                r.delivered_fraction(),
-                r.undrained,
-                r.grants,
-                r.ls_retries,
-            ));
+            hostile_json.push(Json::Obj(vec![
+                ("fault", Json::str(s.name)),
+                ("workload", Json::str(w.name())),
+                ("throughput", Json::F64(r.throughput)),
+                ("baseline_throughput", Json::F64(base.throughput)),
+                ("recovery", Json::F64(recovery)),
+                ("delivered_fraction", Json::F64(r.delivered_fraction())),
+                ("undrained", Json::U64(r.undrained)),
+                ("grants", Json::U64(r.grants)),
+                ("ls_retries", Json::U64(r.ls_retries)),
+            ]));
         }
         ht.row(row);
     }
@@ -392,16 +352,15 @@ fn main() {
     println!("transient capacity loss every mode rides out; token loss is");
     println!("recovered by the round watchdog (see ls_retries) with no aborts.");
 
-    let json = format!(
-        "{{\n  \"git_sha\": \"{sha}\",\n  \"workload\": {{\"system\": \"paper64\", \"pattern\": \"complement\", \"load\": {LOAD}, \"quick\": {quick}}},\n  \"threads\": {threads},\n  \"scenarios\": [\n{scenarios}\n  ],\n  \"hostile\": [\n{hostile}\n  ]\n}}\n",
-        quick = bench.quick,
-        threads = bench.threads,
-        scenarios = scenario_json.join(",\n"),
-        hostile = hostile_json.join(",\n"),
-    );
-    let path = format!("RESILIENCE_{sha}.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
+    let workload = vec![
+        ("system", Json::str("paper64")),
+        ("pattern", Json::str("complement")),
+        ("load", Json::F64(LOAD)),
+    ];
+    let report = vec![
+        ("workload", Json::Obj(workload)),
+        ("scenarios", Json::Arr(scenario_json)),
+        ("hostile", Json::Arr(hostile_json)),
+    ];
+    bench.write_report("RESILIENCE", &sha, report);
 }

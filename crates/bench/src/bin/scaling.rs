@@ -15,8 +15,8 @@
 
 use erapid_bench::{git_sha, BenchConfig};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, TraceSource};
-use erapid_core::runner::{run_points_sharded, RunPoint};
+use erapid_core::experiment::default_plan;
+use erapid_core::runner::RunPoint;
 use netstats::table::Table;
 use reconfig::stages::ProtocolTiming;
 use traffic::pattern::TrafficPattern;
@@ -39,13 +39,7 @@ fn config(boards: u16, mode: NetworkMode) -> SystemConfig {
 fn point(boards: u16, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunPoint {
     let cfg = config(boards, mode);
     let plan = default_plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        pattern: pattern.clone(),
-        load,
-        plan,
-        source: TraceSource::Generate,
-    }
+    RunPoint::generate(cfg, pattern.clone(), load, plan)
 }
 
 fn main() {
@@ -71,7 +65,7 @@ fn main() {
                 .map(|mode| point(*boards, mode, pattern, LOAD))
         })
         .collect();
-    let results = run_points_sharded(bench.threads, bench.point_threads, points);
+    let results = bench.run(points);
 
     let mut t = Table::new(vec![
         "boards",
@@ -88,8 +82,8 @@ fn main() {
     ])
     .with_title("complement gains grow with the wavelengths available to borrow");
     for (i, (boards, pattern)) in grid.iter().enumerate() {
-        let base = &results[2 * i];
-        let pb = &results[2 * i + 1];
+        let base = &results[2 * i].result;
+        let pb = &results[2 * i + 1].result;
         let timing = config(*boards, NetworkMode::PB).timing;
         t.row(vec![
             format!("{boards}"),

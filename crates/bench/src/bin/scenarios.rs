@@ -9,7 +9,7 @@
 //! Reported per (scenario, mode): whole-run delivered fraction, mean and
 //! p95 latency, power, and the per-window reconfiguration activity
 //! (`dpm_retunes`, `dbr_grants`, `buffer_crossings`) joined from the
-//! telemetry export. Results land in `SCENARIO_<git-sha>.json`, including
+//! telemetry export. Results land in `<results>/SCENARIO_<git-sha>.json`, including
 //! the two worst-offender scenarios by P-B delivered fraction — the
 //! `resilience` bin layers its fault matrix onto those.
 //!
@@ -29,10 +29,9 @@
 //!   nonzero delivery and sequential == board-sharded == fanned-out
 //!   results, exits nonzero on any mismatch.
 
-use erapid_bench::{git_sha, rank_worst_offenders, BenchConfig};
+use erapid_bench::{git_sha, rank_worst_offenders, scenario_suite, BenchConfig, Json};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{run_once_traced, run_once_traced_sharded, TraceSource};
-use erapid_core::runner::{run_points_traced, run_points_traced_sharded, RunPoint};
+use erapid_core::runner::RunPoint;
 use erapid_telemetry::{counter_column, TraceConfig};
 use erapid_workloads::ScenarioSpec;
 use netstats::table::Table;
@@ -40,22 +39,6 @@ use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 const LOAD: f64 = 0.6;
-
-/// The scenario suite, honouring the `ERAPID_SCENARIO` filter.
-fn suite() -> Vec<ScenarioSpec> {
-    match std::env::var("ERAPID_SCENARIO") {
-        Ok(name) if !name.trim().is_empty() => match ScenarioSpec::from_name(&name) {
-            Some(spec) => vec![spec],
-            None => {
-                eprintln!(
-                    "unknown ERAPID_SCENARIO {name:?} (want hotspot/diurnal/incast/collective)"
-                );
-                std::process::exit(2);
-            }
-        },
-        _ => ScenarioSpec::paper_suite(),
-    }
-}
 
 fn seed_override() -> Option<u64> {
     std::env::var("ERAPID_SCENARIO_SEED")
@@ -75,33 +58,31 @@ fn point(bench: &BenchConfig, spec: &ScenarioSpec, mode: NetworkMode, small: boo
         cfg.seed = seed;
     }
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        // The pattern is inert under a scenario (the engine preempts the
-        // generators); Uniform keeps construction cheap.
-        pattern: TrafficPattern::Uniform,
-        load: LOAD,
-        plan,
-        source: TraceSource::Generate,
-    }
+    // The pattern is inert under a scenario (the engine preempts the
+    // generators); Uniform keeps construction cheap.
+    RunPoint::generate(cfg, TrafficPattern::Uniform, LOAD, plan)
 }
 
 /// `--smoke`: the CI gate. One small P-B point per scenario, three ways:
 /// sequential, board-sharded (2 workers), and fanned out across the point
 /// pool — delivery must be nonzero and all three byte-identical.
 fn smoke(bench: &BenchConfig) -> ! {
-    let specs = suite();
+    let specs = scenario_suite("ERAPID_SCENARIO");
     let two = NonZeroUsize::new(2).unwrap();
     let points: Vec<RunPoint> = specs
         .iter()
         .map(|s| point(bench, s, NetworkMode::PB, true))
         .collect();
-    let fanned = run_points_traced(two, points.clone());
+    let fan_out = BenchConfig {
+        threads: two,
+        point_threads: NonZeroUsize::MIN,
+        ..bench.clone()
+    };
+    let fanned = fan_out.run(points.clone());
     let mut failures = 0;
-    for (spec, (p, (fan_r, _))) in specs.iter().zip(points.into_iter().zip(fanned)) {
-        let (seq_r, _) = run_once_traced(p.cfg.clone(), p.pattern.clone(), p.load, p.plan);
-        let (shard_r, _) =
-            run_once_traced_sharded(p.cfg.clone(), p.pattern.clone(), p.load, p.plan, two);
+    for (spec, (p, fan)) in specs.iter().zip(points.into_iter().zip(fanned)) {
+        let (seq_r, fan_r) = (p.clone().run().result, fan.result);
+        let shard_r = p.run_with(two).result;
         let mut fail = |msg: &str| {
             eprintln!("FAIL [{}]: {msg}", spec.name());
             failures += 1;
@@ -144,28 +125,13 @@ fn window_digest(
     (col, total, peak)
 }
 
-fn json_u64s(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// JSON has no Infinity/NaN literal; a saturated percentile (histogram
-/// overflow) serializes as `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let bench = BenchConfig::from_env();
     if std::env::args().skip(1).any(|a| a == "--smoke") {
         smoke(&bench);
     }
     let sha = git_sha();
-    let specs = suite();
+    let specs = scenario_suite("ERAPID_SCENARIO");
     let modes = NetworkMode::all();
     println!(
         "=== scenario matrix @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes on {} threads x {} point workers ===\n",
@@ -180,9 +146,9 @@ fn main() {
         .flat_map(|s| modes.iter().map(move |&m| (s, m)))
         .map(|(s, m)| point(&bench, s, m, false))
         .collect();
-    let results = run_points_traced_sharded(bench.threads, bench.point_threads, points);
+    let results = bench.run(points);
 
-    let mut scenario_json: Vec<String> = Vec::new();
+    let mut scenario_json: Vec<Json> = Vec::new();
     let mut pb_survival: Vec<(f64, &'static str)> = Vec::new();
     for (si, spec) in specs.iter().enumerate() {
         let rows = &results[si * modes.len()..(si + 1) * modes.len()];
@@ -198,8 +164,9 @@ fn main() {
             "peak bufx/win",
         ])
         .with_title(format!("[{}] {:?}", spec.name(), spec.kind));
-        let mut mode_json: Vec<String> = Vec::new();
-        for (mi, (r, trace)) in rows.iter().enumerate() {
+        let mut mode_json: Vec<Json> = Vec::new();
+        for (mi, run) in rows.iter().enumerate() {
+            let (r, trace) = (&run.result, &run.trace);
             let mode = modes[mi];
             let (retunes_w, _, _) =
                 window_digest(&trace.counter_names, &trace.windows, "dpm_retunes");
@@ -221,34 +188,32 @@ fn main() {
                 format!("{}", r.retunes),
                 format!("{bufx_peak}"),
             ]);
-            mode_json.push(format!(
-                "        {{\"mode\": \"{}\", \"delivered_fraction\": {}, \"injected\": {}, \
-                 \"delivered\": {}, \"throughput\": {}, \"latency\": {}, \
-                 \"latency_p95\": {}, \"power_mw\": {}, \"grants\": {}, \"retunes\": {}, \
-                 \"buffer_crossings_total\": {bufx_total},\n         \"windows\": {{\
-                 \"dpm_retunes\": {}, \"dbr_grants\": {}, \"buffer_crossings\": {}}}}}",
-                mode.name(),
-                json_num(r.delivered_fraction()),
-                r.injected,
-                r.delivered,
-                json_num(r.throughput),
-                json_num(r.latency),
-                json_num(r.latency_p95),
-                json_num(r.power_mw),
-                r.grants,
-                r.retunes,
-                json_u64s(&retunes_w),
-                json_u64s(&grants_w),
-                json_u64s(&bufx_w),
-            ));
+            let windows = vec![
+                ("dpm_retunes", Json::u64s(&retunes_w)),
+                ("dbr_grants", Json::u64s(&grants_w)),
+                ("buffer_crossings", Json::u64s(&bufx_w)),
+            ];
+            mode_json.push(Json::Obj(vec![
+                ("mode", Json::str(mode.name())),
+                ("delivered_fraction", Json::F64(r.delivered_fraction())),
+                ("injected", Json::U64(r.injected)),
+                ("delivered", Json::U64(r.delivered)),
+                ("throughput", Json::F64(r.throughput)),
+                ("latency", Json::F64(r.latency)),
+                ("latency_p95", Json::F64(r.latency_p95)),
+                ("power_mw", Json::F64(r.power_mw)),
+                ("grants", Json::U64(r.grants)),
+                ("retunes", Json::U64(r.retunes)),
+                ("buffer_crossings_total", Json::U64(bufx_total)),
+                ("windows", Json::Obj(windows)),
+            ]));
         }
         println!("{}", t.render());
-        scenario_json.push(format!(
-            "    {{\"name\": \"{}\", \"spec\": \"{:?}\",\n      \"modes\": [\n{}\n      ]}}",
-            spec.name(),
-            spec.kind,
-            mode_json.join(",\n"),
-        ));
+        scenario_json.push(Json::Obj(vec![
+            ("name", Json::str(spec.name())),
+            ("spec", Json::Str(format!("{:?}", spec.kind))),
+            ("modes", Json::Arr(mode_json)),
+        ]));
     }
 
     // The two scenarios P-B survives worst seed the resilience matrix's
@@ -262,17 +227,18 @@ fn main() {
     }
 
     let seed = seed_override().unwrap_or_else(|| SystemConfig::paper64(NetworkMode::PB).seed);
-    let worst_json: Vec<String> = worst.iter().map(|n| format!("\"{n}\"")).collect();
-    let json = format!(
-        "{{\n  \"git_sha\": \"{sha}\",\n  \"workload\": {{\"system\": \"paper64\", \"load\": {LOAD}, \"seed\": {seed}, \"quick\": {quick}}},\n  \"threads\": {threads},\n  \"worst_offenders\": [{worst}],\n  \"scenarios\": [\n{scenarios}\n  ]\n}}\n",
-        quick = bench.quick,
-        threads = bench.threads,
-        worst = worst_json.join(", "),
-        scenarios = scenario_json.join(",\n"),
-    );
-    let path = format!("SCENARIO_{sha}.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
+    let workload = vec![
+        ("system", Json::str("paper64")),
+        ("load", Json::F64(LOAD)),
+        ("seed", Json::U64(seed)),
+    ];
+    let report = vec![
+        ("workload", Json::Obj(workload)),
+        (
+            "worst_offenders",
+            Json::Arr(worst.into_iter().map(Json::str).collect()),
+        ),
+        ("scenarios", Json::Arr(scenario_json)),
+    ];
+    bench.write_report("SCENARIO", &sha, report);
 }

@@ -8,8 +8,8 @@
 
 use erapid_bench::BenchConfig;
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, TraceSource};
-use erapid_core::runner::{run_points, RunPoint};
+use erapid_core::experiment::default_plan;
+use erapid_core::runner::RunPoint;
 use netstats::table::Table;
 use reconfig::stages::ProtocolTiming;
 use traffic::pattern::TrafficPattern;
@@ -110,22 +110,14 @@ fn main() {
             (
                 mode,
                 load,
-                RunPoint {
-                    cfg,
-                    pattern: pattern.clone(),
-                    load,
-                    plan,
-                    source: TraceSource::Generate,
-                },
+                RunPoint::generate(cfg, pattern.clone(), load, plan),
             )
         })
         .collect();
     let labels: Vec<(NetworkMode, f64)> = points.iter().map(|(m, l, _)| (*m, *l)).collect();
-    let results = run_points(
-        bench.threads,
-        points.into_iter().map(|(_, _, p)| p).collect(),
-    );
-    for ((mode, load), r) in labels.into_iter().zip(results) {
+    let results = bench.run(points.into_iter().map(|(_, _, p)| p).collect());
+    for ((mode, load), out) in labels.into_iter().zip(results) {
+        let r = out.result;
         t.row(vec![
             mode.name().to_string(),
             format!("{load:.2}"),

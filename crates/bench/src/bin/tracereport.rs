@@ -25,12 +25,11 @@
 
 use erapid_bench::BenchConfig;
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{RunTrace, TraceSource};
+use erapid_core::experiment::RunTrace;
 use erapid_core::faults::{FaultKind, FaultPlan};
-use erapid_core::runner::{run_points_traced, RunPoint};
+use erapid_core::runner::RunPoint;
 use erapid_telemetry::{jsonl, TraceConfig, TraceEvent};
 use netstats::table::Table;
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use traffic::pattern::TrafficPattern;
 
@@ -70,13 +69,7 @@ fn point(bench: &BenchConfig, load: f64) -> RunPoint {
     cfg.trace = TraceConfig::on();
     cfg.faults = fault_plan(cfg.schedule.window, bench.quick);
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        pattern: TrafficPattern::Complement,
-        load,
-        plan,
-        source: TraceSource::Generate,
-    }
+    RunPoint::generate(cfg, TrafficPattern::Complement, load, plan)
 }
 
 /// Serializes a batch of per-point traces as one JSONL document: a header
@@ -116,15 +109,14 @@ fn main() {
 
     let points: Vec<RunPoint> = loads.iter().map(|&l| point(&bench, l)).collect();
     let seq_points = points.clone();
-    let traced = run_points_traced(bench.threads, points);
-    let results: Vec<_> = traced.iter().map(|(r, _)| *r).collect();
-    let traces: Vec<_> = traced.into_iter().map(|(_, t)| t).collect();
+    let traced = bench.run(points);
+    let results: Vec<_> = traced.iter().map(|o| o.result).collect();
+    let traces: Vec<_> = traced.into_iter().map(|o| o.trace).collect();
     let par_doc = batch_jsonl(&loads, &traces);
 
     // Determinism check: the same points on one worker must serialize to
     // the same bytes.
-    let seq_traced = run_points_traced(NonZeroUsize::MIN, seq_points);
-    let seq_traces: Vec<_> = seq_traced.into_iter().map(|(_, t)| t).collect();
+    let seq_traces: Vec<_> = seq_points.into_iter().map(|p| p.run().trace).collect();
     let seq_doc = batch_jsonl(&loads, &seq_traces);
     assert_eq!(
         par_doc, seq_doc,

@@ -1,7 +1,9 @@
 //! Shared harness for the figure/table regeneration binaries.
 //!
 //! Every binary prints the same rows/series the paper reports and drops a
-//! CSV next to the console output (under `results/`, created on demand).
+//! CSV next to the console output (under `results/`, created on demand);
+//! the matrix bins write their `<KIND>_<sha>.json` report there too
+//! ([`BenchConfig::write_report`], built from the one [`Json`] value).
 //!
 //! Environment knobs — parsed **once** in each binary's `main` by
 //! [`BenchConfig::from_env`] and passed down as plain values (library code
@@ -9,7 +11,8 @@
 //! without process-wide races):
 //! * `ERAPID_QUICK=1` — quarter-length runs and a 3-point load axis, for
 //!   smoke-testing the binaries.
-//! * `ERAPID_RESULTS=<dir>` — where CSVs are written (default `results`).
+//! * `ERAPID_RESULTS=<dir>` — where every CSV, recorded workload and JSON
+//!   report is written (default `results`); no binary writes into the cwd.
 //! * `ERAPID_THREADS=<n>` — worker threads for the run-level executor
 //!   (default: all available cores; results are byte-identical for any
 //!   value).
@@ -25,19 +28,39 @@
 //! run-level executor and the per-point cycle engine to a single thread,
 //! overriding the env knobs — for debugging and for timing baselines.
 
+pub mod json;
+
+pub use json::Json;
+
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, paper_loads, RunResult, TraceSource};
+use erapid_core::experiment::{default_plan, paper_loads, RunOutput, RunResult};
 use erapid_core::runner::{self, RunPoint};
+use erapid_workloads::ScenarioSpec;
 use netstats::csv::Csv;
 use netstats::table::Table;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use traffic::pattern::TrafficPattern;
 
+/// The four-scenario suite, or the single scenario the env knob
+/// `env_name` names (`ERAPID_SCENARIO` for `scenarios`, `ERAPID_TUNE` for
+/// `autotune`); an unknown name exits 2 with the valid list.
+pub fn scenario_suite(env_name: &str) -> Vec<ScenarioSpec> {
+    match std::env::var(env_name) {
+        Ok(name) if !name.trim().is_empty() => match ScenarioSpec::from_name(&name) {
+            Some(spec) => vec![spec],
+            None => {
+                eprintln!("unknown {env_name} {name:?} (want hotspot/diurnal/incast/collective)");
+                std::process::exit(2);
+            }
+        },
+        _ => ScenarioSpec::paper_suite(),
+    }
+}
+
 /// Short commit hash, read straight from `.git` (works offline, no git
-/// binary needed). "unknown" outside a checkout. Shared by the binaries
-/// that stamp their JSON reports (`RESILIENCE_<sha>.json`,
-/// `MARATHON_<sha>.json`, …) so the names agree for one commit.
+/// binary needed). "unknown" outside a checkout. Names the JSON reports
+/// ([`BenchConfig::write_report`]) so they agree for one commit.
 pub fn git_sha() -> String {
     let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
     let head = head.trim();
@@ -140,6 +163,31 @@ impl BenchConfig {
         self.results.clone()
     }
 
+    /// Writes `<results>/<KIND>_<sha>.json`: the header every report
+    /// carries (`git_sha`, `quick`, `threads`) followed by `body`'s fields,
+    /// and says where it went (or why it could not).
+    pub fn write_report(&self, kind: &str, sha: &str, body: Vec<(&'static str, Json)>) {
+        let mut fields = vec![
+            ("git_sha", Json::str(sha)),
+            ("quick", Json::Bool(self.quick)),
+            ("threads", Json::U64(self.threads.get() as u64)),
+        ];
+        fields.extend(body);
+        let path = self.results_dir().join(format!("{kind}_{sha}.json"));
+        match std::fs::write(&path, Json::Obj(fields).render() + "\n") {
+            Ok(()) => println!("\nwrote {}", path.display()),
+            Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
+        }
+    }
+
+    /// Runs `points` through the one fan-out
+    /// ([`runner::run_points`]) on this configuration's two thread
+    /// budgets; outputs come back in input order, byte-identical for any
+    /// budget.
+    pub fn run(&self, points: Vec<RunPoint>) -> Vec<RunOutput> {
+        runner::run_points(self.threads, self.point_threads, points)
+    }
+
     /// The phase plan for a system with reconfiguration window `window`.
     pub fn plan(&self, window: desim::Cycle) -> desim::phase::PhasePlan {
         if self.quick {
@@ -154,13 +202,7 @@ impl BenchConfig {
     pub fn point(&self, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunPoint {
         let cfg = SystemConfig::paper64(mode);
         let plan = self.plan(cfg.schedule.window);
-        RunPoint {
-            cfg,
-            pattern: pattern.clone(),
-            load,
-            plan,
-            source: TraceSource::Generate,
-        }
+        RunPoint::generate(cfg, pattern.clone(), load, plan)
     }
 
     /// Runs the full panel for one pattern (the 4 curves of one figure
@@ -183,13 +225,12 @@ impl BenchConfig {
             .flat_map(|&mode| loads.iter().map(move |&l| (mode, l)))
             .map(|(mode, l)| self.point(mode, pattern, l))
             .collect();
-        let mut flat = runner::run_points_sharded(self.threads, self.point_threads, points);
-        let mut results = Vec::new();
-        for &mode in modes.iter().rev() {
-            let series: Vec<RunResult> = flat.split_off(flat.len() - loads.len());
-            results.push((mode, series));
-        }
-        results.reverse();
+        let flat: Vec<RunResult> = self.run(points).iter().map(|o| o.result).collect();
+        let results = modes
+            .iter()
+            .zip(flat.chunks(loads.len()))
+            .map(|(&mode, series)| (mode, series.to_vec()))
+            .collect();
         Panel {
             pattern: name.to_string(),
             results,
@@ -344,7 +385,6 @@ pub fn print_ratios(panel: &Panel) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erapid_core::experiment::run_once;
 
     fn quick_cfg() -> BenchConfig {
         BenchConfig {
@@ -361,10 +401,7 @@ mod tests {
         for mode in NetworkMode::all() {
             let series: Vec<RunResult> = loads
                 .iter()
-                .map(|&l| {
-                    let p = cfg.point(mode, pattern, l);
-                    run_once(p.cfg, p.pattern, p.load, p.plan)
-                })
+                .map(|&l| cfg.point(mode, pattern, l).run().result)
                 .collect();
             results.push((mode, series));
         }
@@ -400,6 +437,21 @@ mod tests {
     }
 
     #[test]
+    fn write_report_lands_under_results_not_the_cwd() {
+        let dir = std::env::temp_dir().join(format!("erapid_report_{}", std::process::id()));
+        let cfg = BenchConfig {
+            results: dir.clone(),
+            ..quick_cfg()
+        };
+        cfg.write_report("UNITTEST", "abc123", vec![("n", Json::U64(7))]);
+        let text = std::fs::read_to_string(dir.join("UNITTEST_abc123.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(text.starts_with(r#"{"git_sha": "abc123", "quick": true, "threads": "#));
+        assert!(text.ends_with("\"n\": 7}\n"), "{text}");
+        assert!(!std::path::Path::new("UNITTEST_abc123.json").exists());
+    }
+
+    #[test]
     fn load_axis_default_is_paper() {
         // No env mutation: configurations are plain values now.
         assert_eq!(BenchConfig::default().load_axis().len(), 9);
@@ -410,7 +462,8 @@ mod tests {
     fn run_point_smoke() {
         let r = quick_cfg()
             .point(NetworkMode::NpNb, &TrafficPattern::Uniform, 0.2)
-            .run();
+            .run()
+            .result;
         assert!(r.throughput > 0.0);
     }
 

@@ -1,11 +1,15 @@
-//! Experiment runner: single runs and load sweeps.
+//! The experiment vocabulary: what a run reports ([`RunResult`],
+//! [`RunTrace`], [`RunOutput`]), where its injections come from
+//! ([`TraceSource`]) and the standard plans and load axis. The procedure
+//! itself has one implementation, [`crate::runner::RunPoint::run_with`];
+//! [`run_once`] is its four-argument shorthand.
 //!
 //! §4's methodology: warm up, label packets injected during a measurement
 //! interval, run until the labelled packets drain, report throughput
 //! (packets/node/cycle), mean latency (cycles) and power (mW). The load
 //! axis is normalised to the uniform-traffic capacity `N_c`, swept 0.1–0.9.
 
-use crate::config::{NetworkMode, SystemConfig};
+use crate::config::SystemConfig;
 use crate::metrics::PacketDelivery;
 use crate::system::System;
 use desim::phase::PhasePlan;
@@ -117,60 +121,48 @@ pub struct RunTrace {
     pub packets: Vec<PacketDelivery>,
 }
 
-/// Runs one configuration at one load point.
+/// What one run hands back ([`crate::runner::RunPoint::run`]): the
+/// headline numbers plus whatever the point's observers recorded. Which
+/// observers were on is the point's own [`SystemConfig`] — `trace`,
+/// `packet_log`, `record_injections` — and none of them perturbs `result`.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// The headline numbers.
+    pub result: RunResult,
+    /// Event stream, window snapshots and delivery rows; empty but
+    /// well-formed when [`SystemConfig::trace`] was off.
+    pub trace: RunTrace,
+    /// The recorded workload, stamped with [`trace_meta`] (`Some` iff
+    /// [`SystemConfig::record_injections`] was on).
+    pub injections: Option<InjectionTrace>,
+}
+
+/// Runs one configuration at one load point on the calling thread — the
+/// four-argument shorthand for a generated [`crate::runner::RunPoint`]
+/// when only the headline numbers are wanted.
 pub fn run_once(
     cfg: SystemConfig,
     pattern: TrafficPattern,
     load: f64,
     plan: PhasePlan,
 ) -> RunResult {
-    run_once_traced(cfg, pattern, load, plan).0
+    crate::runner::RunPoint::generate(cfg, pattern, load, plan)
+        .run()
+        .result
 }
 
-/// Runs one configuration at one load point, returning the trace the
-/// system recorded alongside the headline numbers. Tracing observes the
-/// run without perturbing it: the [`RunResult`] is byte-identical whether
-/// `cfg.trace` is on or off.
-pub fn run_once_traced(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
+/// Drains a finished system into its [`RunOutput`] — the tail of every
+/// run, generated or replayed. `meta` stamps the injection recording (the
+/// caller builds it only when the config asked for one).
+pub(crate) fn collect(
+    mut sys: System,
     load: f64,
-    plan: PhasePlan,
-) -> (RunResult, RunTrace) {
-    run_once_traced_sharded(cfg, pattern, load, plan, std::num::NonZeroUsize::MIN)
-}
-
-/// As [`run_once`], with the cycle engine sharded across boards onto
-/// `point_threads` workers (see [`System::run_sharded`]). Byte-identical
-/// to the sequential run for any worker count.
-pub fn run_once_sharded(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> RunResult {
-    run_once_traced_sharded(cfg, pattern, load, plan, point_threads).0
-}
-
-/// Sharded variant of [`run_once_traced`] — one worker degenerates to the
-/// plain sequential engine.
-pub fn run_once_traced_sharded(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> (RunResult, RunTrace) {
-    let capacity = cfg.capacity().uniform_capacity();
-    let mut sys = System::new(cfg, pattern, load, plan);
-    let cycles = sys.run_sharded(point_threads);
-    collect(sys, load, capacity, cycles)
-}
-
-/// Drains a finished system into its `(RunResult, RunTrace)` pair — the
-/// common tail of the generated, recorded and replayed run flavours.
-fn collect(mut sys: System, load: f64, capacity: f64, cycles: Cycle) -> (RunResult, RunTrace) {
+    meta: Option<TraceMeta>,
+    capacity: f64,
+    cycles: Cycle,
+) -> RunOutput {
+    let log = sys.take_injection_log();
+    let injections = log.zip(meta).map(|(rec, meta)| rec.into_trace(meta));
     let trace = RunTrace {
         counter_names: sys.metric_counter_names(),
         gauge_names: sys.metric_gauge_names(),
@@ -201,7 +193,11 @@ fn collect(mut sys: System, load: f64, capacity: f64, cycles: Cycle) -> (RunResu
         delivered: m.delivered_total,
         cycles,
     };
-    (result, trace)
+    RunOutput {
+        result,
+        trace,
+        injections,
+    }
 }
 
 /// The provenance header a recording run stamps on its trace. The
@@ -218,99 +214,6 @@ pub fn trace_meta(cfg: &SystemConfig, pattern: &TrafficPattern, load: f64) -> Tr
     }
 }
 
-/// Runs one generated point with injection recording on, returning the
-/// headline numbers plus the recorded workload (with provenance attached).
-/// The recording observes the run without perturbing it: the [`RunResult`]
-/// matches [`run_once`] on the same inputs byte-identically.
-pub fn run_once_recorded(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-) -> (RunResult, InjectionTrace) {
-    let mut cfg = cfg;
-    cfg.record_injections = true;
-    let capacity = cfg.capacity().uniform_capacity();
-    let meta = trace_meta(&cfg, &pattern, load);
-    let mut sys = System::new(cfg, pattern, load, plan);
-    let cycles = sys.run();
-    let rec = sys.take_injection_log().unwrap_or_default();
-    let (result, _) = collect(sys, load, capacity, cycles);
-    (result, rec.into_trace(meta))
-}
-
-/// Replays a recorded trace against `cfg` (which may differ from the
-/// recording configuration in mode, thresholds, faults — anything but the
-/// B×D geometry the node ids assume). The reported load is the trace's
-/// recorded load.
-pub fn run_once_replayed(cfg: SystemConfig, trace: &InjectionTrace, plan: PhasePlan) -> RunResult {
-    run_once_replayed_traced(cfg, trace, plan).0
-}
-
-/// Traced variant of [`run_once_replayed`].
-pub fn run_once_replayed_traced(
-    cfg: SystemConfig,
-    trace: &InjectionTrace,
-    plan: PhasePlan,
-) -> (RunResult, RunTrace) {
-    run_once_replayed_traced_sharded(cfg, trace, plan, std::num::NonZeroUsize::MIN)
-}
-
-/// As [`run_once_replayed`], on the board-sharded engine. Replay and
-/// sharding compose: injection stays a sequential phase, so the replayed
-/// packet stream is identical for any worker count.
-pub fn run_once_replayed_sharded(
-    cfg: SystemConfig,
-    trace: &InjectionTrace,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> RunResult {
-    run_once_replayed_traced_sharded(cfg, trace, plan, point_threads).0
-}
-
-/// Sharded variant of [`run_once_replayed_traced`].
-pub fn run_once_replayed_traced_sharded(
-    cfg: SystemConfig,
-    trace: &InjectionTrace,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> (RunResult, RunTrace) {
-    let capacity = cfg.capacity().uniform_capacity();
-    let load = trace.meta.load;
-    let mut sys = System::with_trace(cfg, trace.replayer(), plan);
-    let cycles = sys.run_sharded(point_threads);
-    collect(sys, load, capacity, cycles)
-}
-
-/// Sweeps the load axis for one (mode, pattern) pair on `threads` workers.
-///
-/// The points are built sequentially (so `make_cfg` may be stateful) and
-/// executed by [`crate::runner::run_points`]; results come back in load
-/// order, byte-identical to a sequential sweep for any thread count.
-pub fn sweep_loads_with(
-    threads: std::num::NonZeroUsize,
-    mode: NetworkMode,
-    pattern: &TrafficPattern,
-    loads: &[f64],
-    mut make_cfg: impl FnMut(NetworkMode) -> SystemConfig,
-) -> Vec<RunResult> {
-    let points: Vec<crate::runner::RunPoint> = loads
-        .iter()
-        .map(|&load| {
-            let cfg = make_cfg(mode);
-            let plan = default_plan(cfg.schedule.window);
-            crate::runner::RunPoint {
-                cfg,
-                pattern: pattern.clone(),
-                load,
-                plan,
-                source: TraceSource::Generate,
-            }
-        })
-        .collect();
-    crate::runner::run_points(threads, points)
-}
-
 /// The paper's load axis: 0.1 – 0.9 in steps of 0.1.
 pub fn paper_loads() -> Vec<f64> {
     (1..=9).map(|i| i as f64 / 10.0).collect()
@@ -319,6 +222,7 @@ pub fn paper_loads() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NetworkMode;
 
     #[test]
     fn delivered_fraction_guards_zero_injection() {
@@ -376,14 +280,17 @@ mod tests {
 
     #[test]
     fn sweep_is_monotone_in_load_below_saturation() {
-        let results = sweep_loads_with(
+        let points = [0.2, 0.4].into_iter().map(|load| {
+            let cfg = SystemConfig::small(NetworkMode::NpNb);
+            let plan = default_plan(cfg.schedule.window);
+            crate::runner::RunPoint::generate(cfg, TrafficPattern::Uniform, load, plan)
+        });
+        let results = crate::runner::run_points(
             crate::runner::available_threads(),
-            NetworkMode::NpNb,
-            &TrafficPattern::Uniform,
-            &[0.2, 0.4],
-            SystemConfig::small,
+            std::num::NonZeroUsize::MIN,
+            points.collect(),
         );
         assert_eq!(results.len(), 2);
-        assert!(results[1].throughput > results[0].throughput);
+        assert!(results[1].result.throughput > results[0].result.throughput);
     }
 }

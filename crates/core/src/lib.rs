@@ -31,9 +31,11 @@
 //!   odd–even reconfiguration triggers,
 //! * [`metrics`] — run metrics (throughput, latency, power, reconfig
 //!   counters),
-//! * [`experiment`] — load sweeps and the figure-series runner,
-//! * [`runner`] — the parallel run-level executor fanning independent
-//!   experiment points over a worker pool (`ERAPID_THREADS`),
+//! * [`experiment`] — what a run reports (`RunResult`, `RunTrace`,
+//!   `RunOutput`), the standard plans and the `run_once` shorthand,
+//! * [`runner`] — `RunPoint::run`, the one implementation of §4's
+//!   procedure, and the parallel run-level executor fanning independent
+//!   points over a worker pool (`ERAPID_THREADS`),
 //! * [`faults`] — deterministic, seed-reproducible fault-event scheduling
 //!   (receiver/transmitter outages, stuck LCs, CDR relocks, LS token
 //!   faults),
@@ -47,7 +49,7 @@
 //! snapshots into a preallocated, point-local ring buffer. Tracing never
 //! perturbs the simulation, and per-point traces are byte-identical
 //! across sequential and parallel sweeps (see
-//! [`runner::run_points_traced`]).
+//! [`runner::run_points`]).
 
 //!
 //! ## Example: one experiment point
@@ -64,6 +66,24 @@
 //! assert!(r.throughput > 0.0);
 //! assert!(r.power_mw > 0.0);
 //! assert_eq!(r.undrained, 0);
+//! ```
+//!
+//! ## Running a point
+//!
+//! `run_once` is shorthand for [`RunPoint::run`], which also hands back
+//! whatever the point's config switched on (`trace`, `packet_log`,
+//! `record_injections`) — observers are config fields, not run variants:
+//!
+//! ```
+//! # use erapid_core::{config::*, experiment::*, runner::RunPoint};
+//! # use traffic::pattern::TrafficPattern::Uniform;
+//! # let plan = desim::phase::PhasePlan::new(2000, 4000).with_max_cycles(40_000);
+//! let mut cfg = SystemConfig::small(NetworkMode::PB);
+//! cfg.record_injections = true;
+//! let (pattern, load, source) = (Uniform, 0.3, TraceSource::Generate);
+//! let out = RunPoint { cfg, pattern, load, plan, source }.run();
+//! assert_eq!(out.result.undrained, 0);
+//! assert!(out.injections.is_some() && out.trace.records.is_empty());
 //! ```
 
 pub mod board;
@@ -83,16 +103,12 @@ pub mod txqueue;
 pub use checkpoint::{latest_valid, restore_system, Checkpointer};
 pub use config::{NetworkMode, SystemConfig};
 pub use error::ErapidError;
-pub use experiment::{
-    run_once, run_once_recorded, run_once_replayed, run_once_replayed_sharded,
-    run_once_replayed_traced, run_once_replayed_traced_sharded, run_once_sharded, run_once_traced,
-    run_once_traced_sharded, sweep_loads_with, trace_meta, RunResult, RunTrace, TraceSource,
-};
+pub use experiment::{run_once, trace_meta, RunOutput, RunResult, RunTrace, TraceSource};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::PacketDelivery;
 pub use runner::{
-    parallel_map, parallel_map_prioritized, point_threads_from_env, run_points, run_points_sharded,
-    run_points_timed_sharded, run_points_traced, run_points_traced_sharded, RunPoint,
+    parallel_map, parallel_map_prioritized, point_threads_from_env, run_points,
+    run_points_timed_sharded, RunPoint,
 };
 pub use stream::{StreamCursor, StreamPaths, StreamSink};
 pub use system::{PhaseTimers, System, WindowFlush};

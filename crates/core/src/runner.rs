@@ -1,4 +1,10 @@
-//! Parallel run-level executor.
+//! The one way to run a point, and the parallel run-level executor.
+//!
+//! [`RunPoint::run_with`] is the only implementation of §4's procedure
+//! (warm up, label, drain, report); which observers ride along — event
+//! trace, packet log, injection recording — is the point's own
+//! [`SystemConfig`], and everything they saw comes back in one
+//! [`RunOutput`]. [`run_points`] is the only fan-out.
 //!
 //! The paper's evaluation is a grid of *independent, deterministic*
 //! simulations (mode × pattern × load × seed). Each [`crate::System`] owns
@@ -23,12 +29,14 @@
 //! machine's available parallelism.
 
 use crate::config::SystemConfig;
-use crate::experiment::{RunResult, RunTrace, TraceSource};
+use crate::experiment::{collect, trace_meta, RunOutput, RunResult, TraceSource};
+use crate::system::System;
 use desim::phase::PhasePlan;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use traffic::pattern::TrafficPattern;
+use traffic::trace::InjectionTrace;
 
 /// The machine's available parallelism (1 if it cannot be queried).
 pub fn available_threads() -> NonZeroUsize {
@@ -166,6 +174,33 @@ pub struct RunPoint {
 }
 
 impl RunPoint {
+    /// A point driven by the config's live traffic generators.
+    pub fn generate(
+        cfg: SystemConfig,
+        pattern: TrafficPattern,
+        load: f64,
+        plan: PhasePlan,
+    ) -> Self {
+        let source = TraceSource::Generate;
+        Self {
+            cfg,
+            pattern,
+            load,
+            plan,
+            source,
+        }
+    }
+
+    /// A point replaying a recorded workload against `cfg` (which may
+    /// differ from the recording configuration in mode, thresholds, faults
+    /// — anything but the B×D geometry the node ids assume).
+    pub fn replay(cfg: SystemConfig, trace: Arc<InjectionTrace>, plan: PhasePlan) -> Self {
+        Self {
+            source: TraceSource::Replay(trace),
+            ..Self::generate(cfg, TrafficPattern::Uniform, 0.0, plan)
+        }
+    }
+
     /// Estimated simulation cost, for longest-first dispatch: every cycle
     /// walks O(boards²) flow state, so `max_cycles × boards²` ranks a
     /// heterogeneous grid well enough to keep workers busy. The per-point
@@ -176,82 +211,57 @@ impl RunPoint {
     }
 
     /// Executes this point on the calling thread.
-    pub fn run(self) -> RunResult {
+    pub fn run(self) -> RunOutput {
         self.run_with(NonZeroUsize::MIN)
     }
 
-    /// Executes this point with its cycle engine sharded across boards
-    /// onto `point_threads` workers ([`crate::System::run_sharded`]);
-    /// byte-identical to [`RunPoint::run`] for any worker count.
-    pub fn run_with(self, point_threads: NonZeroUsize) -> RunResult {
-        match self.source {
-            TraceSource::Generate => crate::experiment::run_once_sharded(
-                self.cfg,
-                self.pattern,
+    /// The one implementation of §4's procedure: build the system
+    /// (generated or replayed injections), run it to the end of its plan
+    /// with the per-board jobs on `point_threads` workers
+    /// ([`System::run_sharded`]; byte-identical for any worker count, one
+    /// worker runs them inline) and drain it into a [`RunOutput`]. A
+    /// replayed point reports the trace's recorded load and provenance.
+    pub fn run_with(self, point_threads: NonZeroUsize) -> RunOutput {
+        let capacity = self.cfg.capacity().uniform_capacity();
+        let recording = self.cfg.record_injections;
+        let (load, meta, mut sys) = match self.source {
+            TraceSource::Generate => (
                 self.load,
-                self.plan,
-                point_threads,
+                recording.then(|| trace_meta(&self.cfg, &self.pattern, self.load)),
+                System::new(self.cfg, self.pattern, self.load, self.plan),
             ),
-            TraceSource::Replay(trace) => crate::experiment::run_once_replayed_sharded(
-                self.cfg,
-                &trace,
-                self.plan,
-                point_threads,
+            TraceSource::Replay(trace) => (
+                trace.meta.load,
+                recording.then(|| trace.meta.clone()),
+                System::with_trace(self.cfg, trace.replayer(), self.plan),
             ),
-        }
-    }
-
-    /// Executes this point on the calling thread, keeping its trace.
-    pub fn run_traced(self) -> (RunResult, RunTrace) {
-        self.run_traced_with(NonZeroUsize::MIN)
-    }
-
-    /// Sharded variant of [`RunPoint::run_traced`].
-    pub fn run_traced_with(self, point_threads: NonZeroUsize) -> (RunResult, RunTrace) {
-        match self.source {
-            TraceSource::Generate => crate::experiment::run_once_traced_sharded(
-                self.cfg,
-                self.pattern,
-                self.load,
-                self.plan,
-                point_threads,
-            ),
-            TraceSource::Replay(trace) => crate::experiment::run_once_replayed_traced_sharded(
-                self.cfg,
-                &trace,
-                self.plan,
-                point_threads,
-            ),
-        }
+        };
+        let cycles = sys.run_sharded(point_threads);
+        collect(sys, load, meta, capacity, cycles)
     }
 }
 
-/// Fans a batch of experiment points out over `threads` workers; results
-/// come back in input order and are byte-identical to running each point
-/// sequentially.
-pub fn run_points(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<RunResult> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, RunPoint::run)
-}
-
-/// As [`run_points`], with each point's per-board compute phase
-/// additionally shared across `point_threads` workers. The two budgets
-/// multiply (up to `threads × point_threads` busy threads); nothing
-/// splits one total between them — the bins pass both env knobs straight
-/// through. Byte-identical to [`run_points`] for any
-/// `(threads, point_threads)` combination.
-pub fn run_points_sharded(
+/// Fans a batch of experiment points out over `threads` workers, each
+/// point's per-board jobs on `point_threads` workers of its own. The two
+/// budgets multiply (up to `threads × point_threads` busy threads);
+/// nothing splits one total between them. Each worker records into its
+/// own point-local [`System`], and outputs land in input order, so
+/// results and traces are byte-identical to running each point
+/// sequentially for any `(threads, point_threads)`.
+pub fn run_points(
     threads: NonZeroUsize,
     point_threads: NonZeroUsize,
     points: Vec<RunPoint>,
-) -> Vec<RunResult> {
+) -> Vec<RunOutput> {
     parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
         p.run_with(point_threads)
     })
 }
 
-/// As [`run_points_sharded`], additionally reporting each point's wall
-/// time — the feedback loop on [`RunPoint::estimated_cost`] (`benchmark/`
-/// reads it as `core.runner.dispatch_idle_frac`).
+/// As [`run_points`], keeping only each point's [`RunResult`] and its
+/// wall time — the feedback loop on [`RunPoint::estimated_cost`]
+/// (`benchmark/` reads it as `core.runner.dispatch_idle_frac`; the shim
+/// goes when that adapter moves to [`RunPoint::run_with`]).
 pub fn run_points_timed_sharded(
     threads: NonZeroUsize,
     point_threads: NonZeroUsize,
@@ -259,36 +269,9 @@ pub fn run_points_timed_sharded(
 ) -> Vec<(RunResult, std::time::Duration)> {
     parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
         let start = std::time::Instant::now();
-        let r = p.run_with(point_threads);
+        let r = p.run_with(point_threads).result;
         (r, start.elapsed())
     })
-}
-
-/// Sharded variant of [`run_points_traced`].
-pub fn run_points_traced_sharded(
-    threads: NonZeroUsize,
-    point_threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<(RunResult, RunTrace)> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        p.run_traced_with(point_threads)
-    })
-}
-
-/// Traced variant of [`run_points`]. Each worker records into its own
-/// point-local recorder (a [`crate::System`] field — never shared), and
-/// the (result, trace) pairs land in input order, so concatenating the
-/// per-point traces yields the same bytes for any thread count.
-pub fn run_points_traced(
-    threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<(RunResult, RunTrace)> {
-    parallel_map_prioritized(
-        threads,
-        points,
-        RunPoint::estimated_cost,
-        RunPoint::run_traced,
-    )
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use crate::txqueue::ReadyPacket;
 use desim::queue::BinaryHeapQueue;
 use desim::Cycle;
-use erapid_telemetry::{NullSink, TraceEvent, TraceSink};
+use erapid_telemetry::{TraceEvent, TraceSink};
 use photonics::bitrate::{RateLadder, RateLevel};
 use photonics::channel::{ChannelState, OpticalChannel};
 use photonics::power::LinkPowerModel;
@@ -312,13 +312,10 @@ impl Srs {
     /// Any packet already serializing or on the fiber still arrives (the
     /// photons left before the failure); packets that would *start* after
     /// `now` cannot.
-    pub fn fail_receiver(&mut self, now: Cycle, d: u16, w: u16) {
-        self.fail_receiver_traced(now, d, w, &mut NullSink);
-    }
-
-    /// As [`Srs::fail_receiver`], emitting a [`TraceEvent::Revoke`] for the
-    /// withdrawn wavelength when one was in service.
-    pub fn fail_receiver_traced(&mut self, now: Cycle, d: u16, w: u16, sink: &mut dyn TraceSink) {
+    ///
+    /// Emits a [`TraceEvent::Revoke`] for the withdrawn wavelength when
+    /// one was in service.
+    pub fn fail_receiver(&mut self, now: Cycle, d: u16, w: u16, sink: &mut dyn TraceSink) {
         if self.is_failed(d, w) {
             return;
         }
@@ -407,19 +404,9 @@ impl Srs {
     /// Fault injection: board `s`'s transmitters toward `d` die. Owned
     /// lasers darken once idle; in-flight packets still land. Ownership is
     /// retained so [`Srs::repair_transmitter`] restores service.
-    pub fn fail_transmitter(&mut self, now: Cycle, s: u16, d: u16) {
-        self.fail_transmitter_traced(now, s, d, &mut NullSink);
-    }
-
-    /// As [`Srs::fail_transmitter`], emitting a [`TraceEvent::Revoke`] per
-    /// owned wavelength taken out of service.
-    pub fn fail_transmitter_traced(
-        &mut self,
-        now: Cycle,
-        s: u16,
-        d: u16,
-        sink: &mut dyn TraceSink,
-    ) {
+    /// Emits a [`TraceEvent::Revoke`] per owned wavelength taken out of
+    /// service.
+    pub fn fail_transmitter(&mut self, now: Cycle, s: u16, d: u16, sink: &mut dyn TraceSink) {
         if self.is_tx_failed(s, d) {
             return;
         }
@@ -660,14 +647,9 @@ impl Srs {
 
     /// Schedules DBR ownership transfers (already delayed by the protocol
     /// latency — the caller passes decisions at their apply time).
-    pub fn schedule_grants(&mut self, grants: &[WavelengthGrant]) {
-        self.schedule_grants_traced(0, grants, &mut NullSink);
-    }
-
-    /// As [`Srs::schedule_grants`], emitting a [`TraceEvent::Grant`] per
-    /// accepted ownership flip, stamped `now` (grants dropped by the
-    /// failure race produce no event).
-    pub fn schedule_grants_traced(
+    /// Emits a [`TraceEvent::Grant`] per accepted ownership flip, stamped
+    /// `now` (grants dropped by the failure race produce no event).
+    pub fn schedule_grants(
         &mut self,
         now: Cycle,
         grants: &[WavelengthGrant],
@@ -711,15 +693,12 @@ impl Srs {
 
     /// Per-cycle housekeeping: settle channels, complete retunes and
     /// ownership transfers.
-    pub fn tick(&mut self, now: Cycle) {
-        self.tick_traced(now, &mut NullSink);
-    }
-
-    /// As [`Srs::tick`], emitting [`TraceEvent::RelockStart`]/
+    ///
+    /// Emits [`TraceEvent::RelockStart`]/
     /// [`TraceEvent::RelockEnd`] when a CDR relock engages (the end event
     /// is stamped `now + penalty` — the blackout span is deterministic) and
     /// [`TraceEvent::DpmApplied`] when a pending retune takes effect.
-    pub fn tick_traced(&mut self, now: Cycle, sink: &mut dyn TraceSink) {
+    pub fn tick(&mut self, now: Cycle, sink: &mut dyn TraceSink) {
         // Settle channels whose serialization has ended (event-driven
         // replacement for the legacy settle-every-channel scan). Channels
         // left in a stale `Transitioning{until ≤ now}` state are
@@ -1233,6 +1212,7 @@ impl SrsLane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erapid_telemetry::NullSink;
     use router::flit::PacketId;
 
     fn srs() -> Srs {
@@ -1319,7 +1299,7 @@ mod tests {
         let mut s = srs();
         assert!(s.try_transmit(0, 1, 0, pkt(1)).is_some());
         assert!(s.try_transmit(1, 1, 0, pkt(2)).is_none());
-        s.tick(48); // serialization (48) done
+        s.tick(48, &mut NullSink); // serialization (48) done
         assert!(s.try_transmit(48, 1, 0, pkt(2)).is_some());
     }
 
@@ -1332,9 +1312,9 @@ mod tests {
             from: BoardId(2),
             to: BoardId(1),
         };
-        s.schedule_grants(&[g]);
+        s.schedule_grants(0, &[g], &mut NullSink);
         assert_eq!(s.owner(0, 2), Some(1));
-        s.tick(10);
+        s.tick(10, &mut NullSink);
         // Donor dark, recipient locking (dark for 65 cycles).
         assert!(!s.channel(2, 0, 2).is_on());
         assert!(s.channel(1, 0, 2).is_on());
@@ -1342,7 +1322,7 @@ mod tests {
         // board 1 can still use its static λ1 toward 0 — and only that one.
         assert_eq!(s.try_transmit(11, 1, 0, pkt(9)), Some(1));
         assert_eq!(s.try_transmit(11, 1, 0, pkt(10)), None);
-        s.tick(80);
+        s.tick(80, &mut NullSink);
         // Now both of board 1's channels are usable.
         assert!(s.try_transmit(80, 1, 0, pkt(1)).is_some());
         assert!(s.try_transmit(80, 1, 0, pkt(2)).is_some());
@@ -1361,13 +1341,13 @@ mod tests {
             from: BoardId(2),
             to: BoardId(1),
         };
-        s.schedule_grants(&[g]);
-        s.tick(10);
+        s.schedule_grants(0, &[g], &mut NullSink);
+        s.tick(10, &mut NullSink);
         // Donor still sending: recipient must not be lit yet.
         assert!(s.channel(2, 0, 2).is_on());
         assert!(!s.channel(1, 0, 2).is_on());
         // After serialization ends (48 cycles) the transfer completes.
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert!(!s.channel(2, 0, 2).is_on());
         assert!(s.channel(1, 0, 2).is_on());
         // The in-flight packet still arrives.
@@ -1379,12 +1359,12 @@ mod tests {
         let mut s = srs();
         s.schedule_retune(1, 0, 1, RateLevel(0), 65);
         // Channel is idle: retune applies on the next tick.
-        s.tick(5);
+        s.tick(5, &mut NullSink);
         assert_eq!(s.channel(1, 0, 1).level(), RateLevel(0));
         assert_eq!(s.reconfig_counts().1, 1);
         // Dark during transition.
         assert!(s.try_transmit(6, 1, 0, pkt(1)).is_none());
-        s.tick(70);
+        s.tick(70, &mut NullSink);
         assert!(s.try_transmit(70, 1, 0, pkt(1)).is_some());
     }
 
@@ -1392,7 +1372,7 @@ mod tests {
     fn retune_to_same_level_is_ignored() {
         let mut s = srs();
         s.schedule_retune(1, 0, 1, RateLevel(2), 65);
-        s.tick(1);
+        s.tick(1, &mut NullSink);
         assert_eq!(s.reconfig_counts().1, 0);
         assert!(s.try_transmit(1, 1, 0, pkt(1)).is_some());
     }
@@ -1413,7 +1393,7 @@ mod tests {
         let mut s = srs();
         s.try_transmit(0, 1, 0, pkt(1)).unwrap();
         for now in 0..100u64 {
-            s.tick(now);
+            s.tick(now, &mut NullSink);
             s.record_cycle();
         }
         s.roll_windows(100);
@@ -1425,14 +1405,18 @@ mod tests {
     #[test]
     fn transmit_spreads_over_multiple_owned_channels() {
         let mut s = srs();
-        s.schedule_grants(&[WavelengthGrant {
-            destination: BoardId(0),
-            wavelength: Wavelength(2),
-            from: BoardId(2),
-            to: BoardId(1),
-        }]);
-        s.tick(0);
-        s.tick(66); // lock-in done
+        s.schedule_grants(
+            0,
+            &[WavelengthGrant {
+                destination: BoardId(0),
+                wavelength: Wavelength(2),
+                from: BoardId(2),
+                to: BoardId(1),
+            }],
+            &mut NullSink,
+        );
+        s.tick(0, &mut NullSink);
+        s.tick(66, &mut NullSink); // lock-in done
         let w1 = s.try_transmit(66, 1, 0, pkt(1)).unwrap();
         let w2 = s.try_transmit(66, 1, 0, pkt(2)).unwrap();
         assert_ne!(w1, w2, "two packets in flight on two wavelengths");
@@ -1443,6 +1427,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use erapid_telemetry::NullSink;
     use photonics::bitrate::RateLadder;
     use photonics::serdes::Serdes;
     use router::flit::PacketId;
@@ -1476,7 +1461,7 @@ mod fault_tests {
     fn failing_an_idle_receiver_darkens_the_owner() {
         let mut s = srs();
         assert_eq!(s.owner(0, 1), Some(1));
-        s.fail_receiver(0, 0, 1);
+        s.fail_receiver(0, 0, 1, &mut NullSink);
         assert!(s.is_failed(0, 1));
         assert_eq!(s.owner(0, 1), None);
         assert!(!s.channel(1, 0, 1).is_on());
@@ -1489,15 +1474,15 @@ mod fault_tests {
     fn failing_mid_packet_lets_the_photons_land_then_darkens() {
         let mut s = srs();
         assert!(s.try_transmit(0, 1, 0, pkt(7)).is_some());
-        s.fail_receiver(5, 0, 1);
+        s.fail_receiver(5, 0, 1, &mut NullSink);
         // Still lit mid-packet.
         assert!(s.channel(1, 0, 1).is_on());
-        s.tick(20);
+        s.tick(20, &mut NullSink);
         assert!(s.channel(1, 0, 1).is_on(), "packet still serializing");
         // The in-flight packet arrives (left before the failure)...
         assert_eq!(s.arrivals_due(52).len(), 1);
         // ...and once the wavelength clears, the laser goes dark for good.
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert!(!s.channel(1, 0, 1).is_on());
         assert_eq!(s.owner(0, 1), None);
     }
@@ -1505,16 +1490,16 @@ mod fault_tests {
     #[test]
     fn grants_on_failed_wavelengths_are_dropped() {
         let mut s = srs();
-        s.fail_receiver(0, 0, 2);
+        s.fail_receiver(0, 0, 2, &mut NullSink);
         let g = WavelengthGrant {
             destination: BoardId(0),
             wavelength: Wavelength(2),
             from: BoardId(2),
             to: BoardId(1),
         };
-        s.schedule_grants(&[g]);
-        s.tick(1);
-        s.tick(100);
+        s.schedule_grants(0, &[g], &mut NullSink);
+        s.tick(1, &mut NullSink);
+        s.tick(100, &mut NullSink);
         assert_eq!(s.owner(0, 2), None);
         assert!(!s.channel(1, 0, 2).is_on());
         assert_eq!(s.reconfig_counts().0, 0);
@@ -1525,18 +1510,22 @@ mod fault_tests {
         let mut s = srs();
         // Donor busy so the transfer stays pending.
         assert!(s.try_transmit(0, 2, 0, pkt(1)).is_some());
-        s.schedule_grants(&[WavelengthGrant {
-            destination: BoardId(0),
-            wavelength: Wavelength(2),
-            from: BoardId(2),
-            to: BoardId(1),
-        }]);
-        s.tick(5);
+        s.schedule_grants(
+            0,
+            &[WavelengthGrant {
+                destination: BoardId(0),
+                wavelength: Wavelength(2),
+                from: BoardId(2),
+                to: BoardId(1),
+            }],
+            &mut NullSink,
+        );
+        s.tick(5, &mut NullSink);
         assert!(s.channel(2, 0, 2).is_on(), "donor mid-packet");
         // The receiver dies while the transfer is in flight.
-        s.fail_receiver(6, 0, 2);
-        s.tick(48);
-        s.tick(120);
+        s.fail_receiver(6, 0, 2, &mut NullSink);
+        s.tick(48, &mut NullSink);
+        s.tick(120, &mut NullSink);
         // Donor dark, recipient never lit.
         assert!(!s.channel(2, 0, 2).is_on());
         assert!(!s.channel(1, 0, 2).is_on());
@@ -1546,8 +1535,8 @@ mod fault_tests {
     #[test]
     fn double_failure_is_idempotent() {
         let mut s = srs();
-        s.fail_receiver(0, 0, 1);
-        s.fail_receiver(1, 0, 1);
+        s.fail_receiver(0, 0, 1, &mut NullSink);
+        s.fail_receiver(1, 0, 1, &mut NullSink);
         assert!(s.is_failed(0, 1));
         assert_eq!(s.lasers_on(), 11);
     }
@@ -1555,7 +1544,7 @@ mod fault_tests {
     #[test]
     fn repair_restores_static_ownership_and_capacity() {
         let mut s = srs();
-        s.fail_receiver(0, 0, 1);
+        s.fail_receiver(0, 0, 1, &mut NullSink);
         assert_eq!(s.lasers_on(), 11);
         assert_eq!(s.owner(0, 1), None);
         s.repair_receiver(100, 0, 1);
@@ -1565,7 +1554,7 @@ mod fault_tests {
         assert_eq!(s.lasers_on(), 12);
         // Fresh receiver lock-in: dark for 65 cycles, then usable.
         assert!(s.try_transmit(120, 1, 0, pkt(1)).is_none());
-        s.tick(170);
+        s.tick(170, &mut NullSink);
         assert!(s.try_transmit(170, 1, 0, pkt(1)).is_some());
     }
 
@@ -1573,15 +1562,15 @@ mod fault_tests {
     fn repair_before_the_failure_drain_completes_relights() {
         let mut s = srs();
         assert!(s.try_transmit(0, 1, 0, pkt(7)).is_some());
-        s.fail_receiver(5, 0, 1); // mid-packet: shutdown is pending
+        s.fail_receiver(5, 0, 1, &mut NullSink); // mid-packet: shutdown is pending
         s.repair_receiver(10, 0, 1); // repaired before the laser idles
         assert_eq!(s.owner(0, 1), Some(1));
         assert_eq!(s.arrivals_due(52).len(), 1, "in-flight photons land");
         // Once the wavelength clears, the laser cycles through a lock-in
         // window instead of dying.
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert!(s.channel(1, 0, 1).is_on());
-        s.tick(120);
+        s.tick(120, &mut NullSink);
         assert!(s.try_transmit(120, 1, 0, pkt(8)).is_some());
     }
 
@@ -1596,7 +1585,7 @@ mod fault_tests {
     #[test]
     fn transmitter_outage_darkens_and_repair_restores() {
         let mut s = srs();
-        s.fail_transmitter(0, 1, 0);
+        s.fail_transmitter(0, 1, 0, &mut NullSink);
         assert!(s.is_tx_failed(1, 0));
         assert!(!s.channel(1, 0, 1).is_on());
         assert_eq!(s.lasers_on(), 11);
@@ -1606,20 +1595,24 @@ mod fault_tests {
         s.repair_transmitter(50, 1, 0);
         assert!(!s.is_tx_failed(1, 0));
         assert!(s.channel(1, 0, 1).is_on());
-        s.tick(120);
+        s.tick(120, &mut NullSink);
         assert!(s.try_transmit(120, 1, 0, pkt(2)).is_some());
     }
 
     #[test]
     fn grants_to_failed_transmitters_are_dropped() {
         let mut s = srs();
-        s.fail_transmitter(0, 1, 0);
-        s.schedule_grants(&[WavelengthGrant {
-            destination: BoardId(0),
-            wavelength: Wavelength(2),
-            from: BoardId(2),
-            to: BoardId(1),
-        }]);
+        s.fail_transmitter(0, 1, 0, &mut NullSink);
+        s.schedule_grants(
+            0,
+            &[WavelengthGrant {
+                destination: BoardId(0),
+                wavelength: Wavelength(2),
+                from: BoardId(2),
+                to: BoardId(1),
+            }],
+            &mut NullSink,
+        );
         assert_eq!(s.owner(0, 2), Some(2), "grant to a dead TX is dropped");
         assert_eq!(s.reconfig_counts().0, 0);
     }
@@ -1630,12 +1623,12 @@ mod fault_tests {
         s.stick_lc(1, 0, 1);
         assert!(s.is_lc_stuck(1, 0, 1));
         s.schedule_retune(1, 0, 1, RateLevel(0), 65);
-        s.tick(5);
+        s.tick(5, &mut NullSink);
         assert_eq!(s.channel(1, 0, 1).level(), RateLevel(2));
         assert_eq!(s.reconfig_counts().1, 0);
         s.unstick_lc(1, 0, 1);
         s.schedule_retune(1, 0, 1, RateLevel(0), 65);
-        s.tick(6);
+        s.tick(6, &mut NullSink);
         assert_eq!(s.channel(1, 0, 1).level(), RateLevel(0));
         assert_eq!(s.reconfig_counts().1, 1);
     }
@@ -1645,14 +1638,14 @@ mod fault_tests {
         let mut s = srs();
         assert!(s.try_transmit(0, 1, 0, pkt(1)).is_some());
         s.schedule_relock(1, 0, 1, 200);
-        s.tick(10);
+        s.tick(10, &mut NullSink);
         assert_eq!(s.relocks_applied(), 0, "mid-packet: relock waits");
         assert_eq!(s.arrivals_due(52).len(), 1, "photons land");
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert_eq!(s.relocks_applied(), 1);
         assert!(s.channel(1, 0, 1).is_on(), "laser stays up while relocking");
         assert!(s.try_transmit(100, 1, 0, pkt(2)).is_none(), "link dark");
-        s.tick(250);
+        s.tick(250, &mut NullSink);
         assert!(s.try_transmit(250, 1, 0, pkt(2)).is_some());
     }
 
@@ -1660,7 +1653,7 @@ mod fault_tests {
     fn cdr_relock_on_a_dark_channel_is_inert() {
         let mut s = srs();
         s.schedule_relock(2, 0, 1, 200); // unowned, dark channel
-        s.tick(5);
+        s.tick(5, &mut NullSink);
         assert_eq!(s.relocks_applied(), 0);
     }
 }

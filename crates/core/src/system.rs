@@ -410,7 +410,7 @@ impl System {
         }
         self.commit_lanes();
         self.receive(now);
-        self.srs.tick_traced(now, &mut self.tracer);
+        self.srs.tick(now, &mut self.tracer);
         probe.lap(|t| &mut t.optical);
         let mw = self.srs.record_cycle();
         if self.metrics.measuring(now) {
@@ -933,7 +933,7 @@ impl System {
                 reg.inc(ids.grants, outcome.grants.len() as u64);
             }
             self.srs
-                .schedule_grants_traced(now, &outcome.grants, &mut self.tracer);
+                .schedule_grants(now, &outcome.grants, &mut self.tracer);
             // Faults that armed too late to strike this round carry over
             // to the next one.
             let leftovers = round.take_armed();
@@ -947,8 +947,7 @@ impl System {
         while i < self.pending_dbr.len() {
             if self.pending_dbr[i].0 <= now {
                 let (_, grants) = self.pending_dbr.swap_remove(i);
-                self.srs
-                    .schedule_grants_traced(now, &grants, &mut self.tracer);
+                self.srs.schedule_grants(now, &grants, &mut self.tracer);
             } else {
                 i += 1;
             }
@@ -1092,14 +1091,14 @@ impl System {
         match kind {
             FaultKind::ReceiverDown { board, wavelength } => {
                 self.srs
-                    .fail_receiver_traced(now, board, wavelength, &mut self.tracer)
+                    .fail_receiver(now, board, wavelength, &mut self.tracer)
             }
             FaultKind::ReceiverRepair { board, wavelength } => {
                 self.srs.repair_receiver(now, board, wavelength)
             }
             FaultKind::TransmitterDown { board, dest } => {
                 self.srs
-                    .fail_transmitter_traced(now, board, dest, &mut self.tracer)
+                    .fail_transmitter(now, board, dest, &mut self.tracer)
             }
             FaultKind::TransmitterRepair { board, dest } => {
                 self.srs.repair_transmitter(now, board, dest)
@@ -1166,7 +1165,7 @@ impl System {
     /// starves — the resilience story reconfigurability buys.
     pub fn fail_receiver(&mut self, d: u16, w: u16) {
         let now = self.now;
-        self.srs.fail_receiver(now, d, w);
+        self.srs.fail_receiver(now, d, w, &mut self.tracer);
     }
 
     /// Fault repair: restores the receiver for wavelength `w` at board `d`

@@ -65,31 +65,10 @@ impl DlsPolicy {
     /// Feeds one window's statistics; returns the decision.
     ///
     /// `buffer_util > 0` while off signals queued demand and wakes the link.
-    pub fn observe(&mut self, link_util: f64, buffer_util: f64) -> DlsDecision {
-        if self.is_off {
-            if buffer_util > 0.0 {
-                self.is_off = false;
-                self.idle_windows = 0;
-                return DlsDecision::Wake;
-            }
-            return DlsDecision::Keep;
-        }
-        if link_util < self.idle_threshold && buffer_util <= 0.0 {
-            self.idle_windows += 1;
-            if self.idle_windows >= self.off_after {
-                self.is_off = true;
-                return DlsDecision::Shutdown;
-            }
-        } else {
-            self.idle_windows = 0;
-        }
-        DlsDecision::Keep
-    }
-
-    /// As [`DlsPolicy::observe`], emitting a [`TraceEvent::DlsPower`] at
-    /// cycle `at` for link `(src → dest, wavelength)` whenever the supply
-    /// state actually changes (Shutdown/Wake; Keep is silent).
-    pub fn observe_traced(
+    /// Emits a [`TraceEvent::DlsPower`] at cycle `at` for link
+    /// `(src → dest, wavelength)` whenever the supply state actually
+    /// changes (Shutdown/Wake; Keep is silent).
+    pub fn observe(
         &mut self,
         link_util: f64,
         buffer_util: f64,
@@ -97,13 +76,32 @@ impl DlsPolicy {
         link: (u16, u16, u16),
         sink: &mut dyn TraceSink,
     ) -> DlsDecision {
-        let decision = self.observe(link_util, buffer_util);
+        let decision = if self.is_off {
+            if buffer_util > 0.0 {
+                self.is_off = false;
+                self.idle_windows = 0;
+                DlsDecision::Wake
+            } else {
+                DlsDecision::Keep
+            }
+        } else if link_util < self.idle_threshold && buffer_util <= 0.0 {
+            self.idle_windows += 1;
+            self.is_off = self.idle_windows >= self.off_after;
+            if self.is_off {
+                DlsDecision::Shutdown
+            } else {
+                DlsDecision::Keep
+            }
+        } else {
+            self.idle_windows = 0;
+            DlsDecision::Keep
+        };
+        let off = match decision {
+            DlsDecision::Shutdown => true,
+            DlsDecision::Wake => false,
+            DlsDecision::Keep => return decision,
+        };
         if sink.enabled() {
-            let off = match decision {
-                DlsDecision::Shutdown => true,
-                DlsDecision::Wake => false,
-                DlsDecision::Keep => return decision,
-            };
             let (src, dest, wavelength) = link;
             sink.emit(
                 at,
@@ -122,34 +120,40 @@ impl DlsPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erapid_telemetry::NullSink;
+
+    /// One untraced window on an anonymous link.
+    fn obs(d: &mut DlsPolicy, link_util: f64, buffer_util: f64) -> DlsDecision {
+        d.observe(link_util, buffer_util, 0, (0, 0, 0), &mut NullSink)
+    }
 
     #[test]
     fn shuts_down_after_consecutive_idle_windows() {
         let mut d = DlsPolicy::standard();
-        assert_eq!(d.observe(0.0, 0.0), DlsDecision::Keep);
+        assert_eq!(obs(&mut d, 0.0, 0.0), DlsDecision::Keep);
         assert_eq!(d.idle_windows(), 1);
-        assert_eq!(d.observe(0.0, 0.0), DlsDecision::Shutdown);
+        assert_eq!(obs(&mut d, 0.0, 0.0), DlsDecision::Shutdown);
         assert!(d.is_off());
     }
 
     #[test]
     fn activity_resets_the_counter() {
         let mut d = DlsPolicy::standard();
-        d.observe(0.0, 0.0);
-        assert_eq!(d.observe(0.5, 0.0), DlsDecision::Keep);
+        obs(&mut d, 0.0, 0.0);
+        assert_eq!(obs(&mut d, 0.5, 0.0), DlsDecision::Keep);
         assert_eq!(d.idle_windows(), 0);
-        d.observe(0.0, 0.0);
-        assert_eq!(d.observe(0.0, 0.0), DlsDecision::Shutdown);
+        obs(&mut d, 0.0, 0.0);
+        assert_eq!(obs(&mut d, 0.0, 0.0), DlsDecision::Shutdown);
     }
 
     #[test]
     fn wakes_on_demand() {
         let mut d = DlsPolicy::standard();
-        d.observe(0.0, 0.0);
-        d.observe(0.0, 0.0);
+        obs(&mut d, 0.0, 0.0);
+        obs(&mut d, 0.0, 0.0);
         assert!(d.is_off());
-        assert_eq!(d.observe(0.0, 0.0), DlsDecision::Keep);
-        assert_eq!(d.observe(0.0, 0.2), DlsDecision::Wake);
+        assert_eq!(obs(&mut d, 0.0, 0.0), DlsDecision::Keep);
+        assert_eq!(obs(&mut d, 0.0, 0.2), DlsDecision::Wake);
         assert!(!d.is_off());
     }
 
@@ -157,14 +161,14 @@ mod tests {
     fn queued_demand_prevents_shutdown() {
         let mut d = DlsPolicy::standard();
         // Link idle but buffers non-empty (e.g. blocked upstream): keep.
-        assert_eq!(d.observe(0.0, 0.4), DlsDecision::Keep);
+        assert_eq!(obs(&mut d, 0.0, 0.4), DlsDecision::Keep);
         assert_eq!(d.idle_windows(), 0);
     }
 
     #[test]
     fn custom_threshold() {
         let mut d = DlsPolicy::new(0.1, 1);
-        assert_eq!(d.observe(0.05, 0.0), DlsDecision::Shutdown);
+        assert_eq!(obs(&mut d, 0.05, 0.0), DlsDecision::Shutdown);
     }
 
     #[test]
@@ -174,10 +178,10 @@ mod tests {
         let mut d = DlsPolicy::standard();
         let mut rec = RingRecorder::new(16);
         let link = (0, 1, 2);
-        d.observe_traced(0.0, 0.0, 2000, link, &mut rec); // keep
-        d.observe_traced(0.0, 0.0, 4000, link, &mut rec); // shutdown
-        d.observe_traced(0.0, 0.0, 6000, link, &mut rec); // keep (off)
-        d.observe_traced(0.0, 0.3, 8000, link, &mut rec); // wake
+        d.observe(0.0, 0.0, 2000, link, &mut rec); // keep
+        d.observe(0.0, 0.0, 4000, link, &mut rec); // shutdown
+        d.observe(0.0, 0.0, 6000, link, &mut rec); // keep (off)
+        d.observe(0.0, 0.3, 8000, link, &mut rec); // wake
         let recs = rec.take_records();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].at, 4000);

@@ -12,7 +12,8 @@
 //!   from the per-window counter columns), compute the power/latency Pareto
 //!   front per workload and choose the point minimising the
 //!   power × p95-latency objective. The `autotune` bench bin drives this
-//!   through `run_points_traced_sharded` and emits `TUNE_<sha>.json`.
+//!   through `runner::run_points` (points with `cfg.trace` on) and emits
+//!   `TUNE_<sha>.json` under the results directory.
 //! * **Online** ([`controller`]): a deterministic windowed controller that
 //!   nudges the live DPM thresholds at `R_w` boundaries from the just-closed
 //!   window's link/buffer counters. All state is integer milli-units, so its

@@ -58,12 +58,15 @@ else
 fi
 
 echo "== resilience smoke (quick fault-scenario matrix) =="
-ERAPID_QUICK=1 cargo run --release -q -p erapid-bench --bin resilience > /dev/null
-rm -f RESILIENCE_*.json
+resilience_dir="$(mktemp -d)"
+trap 'rm -rf "$resilience_dir"' EXIT
+ERAPID_QUICK=1 ERAPID_RESULTS="$resilience_dir" \
+    cargo run --release -q -p erapid-bench --bin resilience > /dev/null
+test -s "$resilience_dir"/RESILIENCE_*.json || { echo "resilience smoke: missing RESILIENCE_<sha>.json"; exit 1; }
 
 echo "== tracereport smoke (quick traced run, JSONL + Perfetto outputs) =="
 trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
+trap 'rm -rf "$resilience_dir" "$trace_dir"' EXIT
 ERAPID_QUICK=1 ERAPID_TRACE="$trace_dir/trace.jsonl" \
     cargo run --release -q -p erapid-bench --bin tracereport > /dev/null
 test -s "$trace_dir/trace.jsonl" || { echo "tracereport smoke: empty trace"; exit 1; }
@@ -97,7 +100,7 @@ fi
 
 echo "== replay smoke (record -> persist -> replay conformance) =="
 replay_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$replay_dir"' EXIT
+trap 'rm -rf "$resilience_dir" "$trace_dir" "$replay_dir"' EXIT
 ERAPID_QUICK=1 ERAPID_RESULTS="$replay_dir" \
     cargo run --release -q -p erapid-bench --bin replay > /dev/null
 report=$(ls "$replay_dir"/REPLAY_*.json 2> /dev/null | head -1)
@@ -109,7 +112,7 @@ echo "replay smoke: $(basename "$report") written"
 
 echo "== marathon smoke (streamed run, forced mid-run kill, checkpoint resume) =="
 marathon_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$replay_dir" "$marathon_dir"' EXIT
+trap 'rm -rf "$resilience_dir" "$trace_dir" "$replay_dir" "$marathon_dir"' EXIT
 # The bin aborts itself mid-run (SIGABRT), resumes from the newest
 # checkpoint, and asserts zero byte divergence from the uninterrupted run
 # plus a peak-RSS ceiling — a nonzero exit here means the crash-safety

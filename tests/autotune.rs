@@ -13,7 +13,7 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::run_once_traced;
+use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::erapid_telemetry::TraceConfig;
 use erapid_suite::erapid_tune::{choose, pareto_front, OperatingPoint, SweepOutcome, TuneGrid};
 use erapid_suite::erapid_workloads::ScenarioSpec;
@@ -36,7 +36,8 @@ fn sweep_once(op: OperatingPoint) -> SweepOutcome {
     cfg.dpm_override = Some(op.dpm_policy());
     cfg.alloc.b_max = op.b_max_milli as f64 / 1000.0;
     cfg.schedule = LockStepSchedule::new(op.r_w);
-    let (r, trace) = run_once_traced(cfg, TrafficPattern::Uniform, 0.6, sweep_plan());
+    let out = RunPoint::generate(cfg, TrafficPattern::Uniform, 0.6, sweep_plan()).run();
+    let (r, trace) = (out.result, out.trace);
     SweepOutcome::join(
         op,
         r.injected,

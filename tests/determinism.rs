@@ -4,12 +4,30 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
+use erapid_suite::erapid_core::experiment::RunResult;
+use erapid_suite::erapid_core::runner::{run_points, RunPoint};
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::traffic::pattern::TrafficPattern;
 use erapid_suite::traffic::trace::TraceRecorder;
 
 fn plan() -> PhasePlan {
     PhasePlan::new(2000, 4000).with_max_cycles(30_000)
+}
+
+/// A generated point under [`plan`].
+fn point(cfg: SystemConfig, pattern: TrafficPattern, load: f64) -> RunPoint {
+    RunPoint::generate(cfg, pattern, load, plan())
+}
+
+/// The points' results on `threads` run-level workers.
+fn results_on(threads: usize, points: Vec<RunPoint>) -> Vec<RunResult> {
+    use std::num::NonZeroUsize;
+    let outs = run_points(
+        NonZeroUsize::new(threads).unwrap(),
+        NonZeroUsize::MIN,
+        points,
+    );
+    outs.iter().map(|o| o.result).collect()
 }
 
 fn run_with_seed(seed: u64, mode: NetworkMode) -> (u64, u64, f64, f64, u64) {
@@ -102,29 +120,21 @@ fn parallel_sweep_identical_to_sequential() {
     // The run-level executor must be invisible in the results: the same
     // sweep on 1 thread and on 4 threads returns the same RunResults —
     // every field, in the same order.
-    use erapid_suite::erapid_core::experiment::sweep_loads_with;
-    use std::num::NonZeroUsize;
-    let loads = [0.2, 0.5, 0.8];
+    use erapid_suite::erapid_core::experiment::default_plan;
     for mode in [NetworkMode::NpNb, NetworkMode::PB] {
-        let make_cfg = |m| {
-            let mut cfg = SystemConfig::small(m);
-            cfg.seed = 11;
-            cfg
+        let points = || -> Vec<RunPoint> {
+            [0.2, 0.5, 0.8]
+                .iter()
+                .map(|&load| {
+                    let mut cfg = SystemConfig::small(mode);
+                    cfg.seed = 11;
+                    let mut p = point(cfg, TrafficPattern::Complement, load);
+                    p.plan = default_plan(p.cfg.schedule.window);
+                    p
+                })
+                .collect()
         };
-        let seq = sweep_loads_with(
-            NonZeroUsize::new(1).unwrap(),
-            mode,
-            &TrafficPattern::Complement,
-            &loads,
-            make_cfg,
-        );
-        let par = sweep_loads_with(
-            NonZeroUsize::new(4).unwrap(),
-            mode,
-            &TrafficPattern::Complement,
-            &loads,
-            make_cfg,
-        );
+        let (seq, par) = (results_on(1, points()), results_on(4, points()));
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(&par) {
             // Full-struct equality: every field of every RunResult.
@@ -170,11 +180,8 @@ fn parallel_sweep_identical_to_sequential_under_faults() {
     // The run-level executor must stay invisible when the points carry an
     // active fault schedule: 1-thread and 4-thread sweeps of faulted
     // configs return identical RunResults in identical order.
-    use erapid_suite::erapid_core::experiment::TraceSource;
     use erapid_suite::erapid_core::faults::FaultPlan;
-    use erapid_suite::erapid_core::runner::{run_points, RunPoint};
-    use std::num::NonZeroUsize;
-    let points = |_| -> Vec<RunPoint> {
+    let points = || -> Vec<RunPoint> {
         [0.2, 0.5, 0.8]
             .iter()
             .map(|&load| {
@@ -182,18 +189,11 @@ fn parallel_sweep_identical_to_sequential_under_faults() {
                 cfg.seed = 11;
                 cfg.faults = FaultPlan::relock_storm(9, cfg.boards, 2500, 5500, 6, 300)
                     .receiver_outage(3, 1, 3000, 6000);
-                RunPoint {
-                    cfg,
-                    pattern: TrafficPattern::Complement,
-                    load,
-                    plan: plan(),
-                    source: TraceSource::Generate,
-                }
+                point(cfg, TrafficPattern::Complement, load)
             })
             .collect()
     };
-    let seq = run_points(NonZeroUsize::new(1).unwrap(), points(()));
-    let par = run_points(NonZeroUsize::new(4).unwrap(), points(()));
+    let (seq, par) = (results_on(1, points()), results_on(4, points()));
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(
@@ -267,7 +267,6 @@ fn sharded_run_identical_to_sequential_across_worker_counts() {
     // event stream, the per-window metric snapshots and the per-packet
     // delivery log, for any worker count (including more workers than
     // boards and more workers than cores).
-    use erapid_suite::erapid_core::experiment::{run_once_traced, run_once_traced_sharded};
     use erapid_suite::erapid_telemetry::TraceConfig;
     use std::num::NonZeroUsize;
     for mode in NetworkMode::all() {
@@ -278,15 +277,12 @@ fn sharded_run_identical_to_sequential_across_worker_counts() {
             cfg.trace = TraceConfig::with_capacity(1 << 18);
             cfg
         };
-        let (seq, seq_trace) = run_once_traced(mk(), TrafficPattern::Complement, 0.6, plan());
+        let seq_out = point(mk(), TrafficPattern::Complement, 0.6).run();
+        let (seq, seq_trace) = (seq_out.result, seq_out.trace);
         for workers in [2usize, 4, 8] {
-            let (shard, shard_trace) = run_once_traced_sharded(
-                mk(),
-                TrafficPattern::Complement,
-                0.6,
-                plan(),
-                NonZeroUsize::new(workers).unwrap(),
-            );
+            let shard_out = point(mk(), TrafficPattern::Complement, 0.6)
+                .run_with(NonZeroUsize::new(workers).unwrap());
+            let (shard, shard_trace) = (shard_out.result, shard_out.trace);
             assert_eq!(
                 seq, shard,
                 "mode {mode:?}: RunResult diverged at {workers} workers"
@@ -311,7 +307,7 @@ fn sharded_run_identical_to_sequential_across_worker_counts() {
 fn sharded_run_identical_under_faults() {
     // Fault application stays a sequential phase, so a scheduled outage /
     // relock storm must not open any worker-count dependence.
-    use erapid_suite::erapid_core::experiment::{run_once, run_once_sharded};
+    use erapid_suite::erapid_core::experiment::run_once;
     use erapid_suite::erapid_core::faults::FaultPlan;
     use std::num::NonZeroUsize;
     for mode in [NetworkMode::NpB, NetworkMode::PB] {
@@ -324,13 +320,9 @@ fn sharded_run_identical_under_faults() {
         };
         let seq = run_once(mk(), TrafficPattern::Complement, 0.5, plan());
         for workers in [2usize, 8] {
-            let shard = run_once_sharded(
-                mk(),
-                TrafficPattern::Complement,
-                0.5,
-                plan(),
-                NonZeroUsize::new(workers).unwrap(),
-            );
+            let shard = point(mk(), TrafficPattern::Complement, 0.5)
+                .run_with(NonZeroUsize::new(workers).unwrap())
+                .result;
             assert_eq!(
                 seq, shard,
                 "mode {mode:?}: faulted run diverged at {workers} workers"
@@ -345,7 +337,7 @@ fn sharded_run_identical_at_env_point_workers() {
     // this test picks the knob up so the whole determinism file exercises
     // the sharded engine at the CI-chosen worker counts. Without the env
     // var it degenerates to the (still asserted) 1-worker fallback path.
-    use erapid_suite::erapid_core::experiment::{run_once, run_once_sharded};
+    use erapid_suite::erapid_core::experiment::run_once;
     use erapid_suite::erapid_core::runner::point_threads_from_env;
     let workers = point_threads_from_env();
     let mk = || {
@@ -354,8 +346,86 @@ fn sharded_run_identical_at_env_point_workers() {
         cfg
     };
     let seq = run_once(mk(), TrafficPattern::Uniform, 0.4, plan());
-    let shard = run_once_sharded(mk(), TrafficPattern::Uniform, 0.4, plan(), workers);
+    let shard = point(mk(), TrafficPattern::Uniform, 0.4)
+        .run_with(workers)
+        .result;
     assert_eq!(seq, shard, "sharded run diverged at {workers} workers");
+}
+
+#[test]
+fn observers_never_perturb_and_compose() {
+    // The three observers are config fields, not run variants: one faulted
+    // P-B complement point run under all eight on/off combinations gives
+    // the same RunResult bit for bit, each output is present exactly when
+    // its switch is on, and the all-on run's recording replays, traced, to
+    // the same RunResult.
+    use erapid_suite::erapid_core::experiment::TraceSource;
+    use erapid_suite::erapid_core::faults::FaultPlan;
+    use erapid_suite::erapid_telemetry::TraceConfig;
+    use std::sync::Arc;
+    fn bits(r: &RunResult) -> ([u64; 8], [u64; 8]) {
+        let floats = [
+            r.load,
+            r.throughput,
+            r.throughput_norm,
+            r.latency,
+            r.latency_p95,
+            r.power_mw,
+            r.src_path,
+            r.tx_wait,
+        ];
+        let counts = [
+            r.undrained,
+            r.grants,
+            r.retunes,
+            r.ls_retries,
+            r.ls_aborts,
+            r.injected,
+            r.delivered,
+            r.cycles,
+        ];
+        (floats.map(f64::to_bits), counts)
+    }
+    let mk = |trace_on: bool, record: bool, packet_log: bool| {
+        let mut cfg = SystemConfig::small(NetworkMode::PB);
+        cfg.seed = 37;
+        cfg.faults = FaultPlan::relock_storm(9, cfg.boards, 2500, 5500, 6, 300)
+            .receiver_outage(3, 1, 3000, 6000);
+        cfg.trace = if trace_on {
+            TraceConfig::on()
+        } else {
+            TraceConfig::off()
+        };
+        cfg.record_injections = record;
+        cfg.packet_log = packet_log;
+        point(cfg, TrafficPattern::Complement, 0.5)
+    };
+    let all_on = mk(true, true, true).run();
+    assert!(all_on.result.grants > 0, "the point must exercise DBR");
+    for mask in 0..8u8 {
+        let (trace_on, record, packet_log) = (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
+        let out = mk(trace_on, record, packet_log).run();
+        assert_eq!(
+            bits(&out.result),
+            bits(&all_on.result),
+            "trace {trace_on}, record {record}, packet_log {packet_log} perturbed the run"
+        );
+        assert_eq!(out.injections.is_some(), record);
+        assert_eq!(out.trace.records.is_empty(), !trace_on);
+        assert_eq!(out.trace.windows.is_empty(), !trace_on);
+        assert_eq!(out.trace.packets.is_empty(), !packet_log);
+    }
+    let recording = Arc::new(all_on.injections.expect("recording was on"));
+    assert_eq!(recording.entries.len() as u64, all_on.result.injected);
+    let mut replay = mk(true, false, false);
+    replay.source = TraceSource::Replay(recording);
+    let replayed = replay.run();
+    assert_eq!(bits(&replayed.result), bits(&all_on.result));
+    // Measured, then pinned: the same packets under the same config emit
+    // the same event stream whether generated or replayed.
+    assert!(!replayed.trace.records.is_empty());
+    assert_eq!(replayed.trace.records, all_on.trace.records);
+    assert_eq!(replayed.trace.windows, all_on.trace.windows);
 }
 
 #[test]

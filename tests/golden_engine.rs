@@ -323,7 +323,7 @@ fn run_replay(mode: NetworkMode, fixture: &str) -> Fingerprint {
 /// (at, tag)). Pins event *order*, not just aggregate counts — the
 /// active-set rework must emit retunes/relocks/watch crossings in the
 /// exact sequence the full scans did.
-fn run_traced() -> (Fingerprint, u64, u64) {
+fn traced_fingerprint() -> (Fingerprint, u64, u64) {
     let mut cfg = SystemConfig::small(NetworkMode::PB);
     cfg.trace = TraceConfig::with_capacity(1 << 20);
     let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
@@ -348,11 +348,13 @@ fn run_traced() -> (Fingerprint, u64, u64) {
 #[test]
 #[ignore = "fixture regeneration: run manually with --ignored --nocapture"]
 fn regen_collective_fixture() {
-    use erapid_suite::erapid_core::experiment::run_once_recorded;
+    use erapid_suite::erapid_core::runner::RunPoint;
     use erapid_suite::erapid_workloads::ScenarioSpec;
     let mut cfg = SystemConfig::small(NetworkMode::NpNb);
     cfg.scenario = Some(ScenarioSpec::collective());
-    let (result, mut trace) = run_once_recorded(cfg, TrafficPattern::Uniform, 0.6, golden_plan());
+    cfg.record_injections = true;
+    let out = RunPoint::generate(cfg, TrafficPattern::Uniform, 0.6, golden_plan()).run();
+    let (result, mut trace) = (out.result, out.injections.expect("recording was on"));
     trace.meta.pattern = "collective".to_string();
     trace.meta.git_sha = "fixture".to_string();
     trace
@@ -384,7 +386,7 @@ fn regen_golden() {
         let fp = run_controller(cfg);
         println!("    (\"{name}\", {fp:?}),");
     }
-    let (fp, count, hash) = run_traced();
+    let (fp, count, hash) = traced_fingerprint();
     println!("    traced: {fp:?}");
     println!("    traced events: count {count}, hash 0x{hash:016x}");
 }
@@ -970,7 +972,7 @@ fn sharded_controller_runs_match_pinned_fingerprints() {
 
 #[test]
 fn traced_event_stream_matches_pin() {
-    let (fp, count, hash) = run_traced();
+    let (fp, count, hash) = traced_fingerprint();
     assert_eq!(fp, TRACED_PIN.0, "traced run fingerprint diverged");
     assert_eq!(count, TRACED_PIN.1, "trace event count diverged");
     assert_eq!(hash, TRACED_PIN.2, "trace event stream order diverged");

@@ -18,10 +18,8 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::{
-    run_once, run_once_recorded, run_once_replayed, trace_meta, RunResult, TraceSource,
-};
-use erapid_suite::erapid_core::runner::{run_points_traced, RunPoint};
+use erapid_suite::erapid_core::experiment::{run_once, trace_meta, RunResult};
+use erapid_suite::erapid_core::runner::{run_points, RunPoint};
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::traffic::pattern::TrafficPattern;
 use erapid_suite::traffic::trace::InjectionTrace;
@@ -61,8 +59,9 @@ fn final_lc_levels(sys: &System) -> Vec<u8> {
 /// deterministic replay: one through the public result path, one kept
 /// alive to inspect the SRS state.
 fn replay_fixture(name: &str, mode: NetworkMode) -> (RunResult, Vec<u8>, u64) {
-    let trace = InjectionTrace::load(&fixture_path(name)).expect("fixture loads");
-    let result = run_once_replayed(SystemConfig::small(mode), &trace, short_plan());
+    let trace = Arc::new(InjectionTrace::load(&fixture_path(name)).expect("fixture loads"));
+    let replay = RunPoint::replay(SystemConfig::small(mode), Arc::clone(&trace), short_plan());
+    let result = replay.run().result;
     let mut sys = System::with_trace(SystemConfig::small(mode), trace.replayer(), short_plan());
     sys.run();
     let delivered = sys.metrics().delivered_total;
@@ -79,8 +78,10 @@ fn regen_fixtures() {
         ("uniform_b4d4.ertr", TrafficPattern::Uniform, 0.4),
         ("complement_b4d4.ertr", TrafficPattern::Complement, 0.6),
     ] {
-        let cfg = SystemConfig::small(NetworkMode::NpNb);
-        let (result, mut trace) = run_once_recorded(cfg, pattern, load, short_plan());
+        let mut cfg = SystemConfig::small(NetworkMode::NpNb);
+        cfg.record_injections = true;
+        let out = RunPoint::generate(cfg, pattern, load, short_plan()).run();
+        let (result, mut trace) = (out.result, out.injections.unwrap());
         trace.meta.git_sha = "fixture".to_string();
         trace.save(&fixture_path(name)).unwrap();
         println!(
@@ -243,10 +244,14 @@ fn golden_complement_npb() {
 fn record_replay_reproduces_runresult_byte_identically() {
     let cfg = SystemConfig::small(NetworkMode::PB);
     let plain = run_once(cfg.clone(), TrafficPattern::Uniform, 0.4, short_plan());
-    let (recorded, trace) =
-        run_once_recorded(cfg.clone(), TrafficPattern::Uniform, 0.4, short_plan());
+    let recording = SystemConfig {
+        record_injections: true,
+        ..cfg.clone()
+    };
+    let out = RunPoint::generate(recording, TrafficPattern::Uniform, 0.4, short_plan()).run();
+    let (recorded, trace) = (out.result, Arc::new(out.injections.unwrap()));
     assert_eq!(plain, recorded, "recording must not perturb the run");
-    let replayed = run_once_replayed(cfg, &trace, short_plan());
+    let replayed = RunPoint::replay(cfg, trace, short_plan()).run().result;
     assert_eq!(replayed, recorded, "replay must reproduce the recording");
 }
 
@@ -262,24 +267,18 @@ fn fixture_replay_parallel_matches_sequential() {
             .map(|&mode| {
                 let mut cfg = SystemConfig::small(mode);
                 cfg.packet_log = true;
-                RunPoint {
-                    cfg,
-                    pattern: TrafficPattern::Uniform,
-                    load: 0.0,
-                    plan: short_plan(),
-                    source: TraceSource::Replay(Arc::clone(&trace)),
-                }
+                RunPoint::replay(cfg, Arc::clone(&trace), short_plan())
             })
             .collect()
     };
-    let par = run_points_traced(NonZeroUsize::new(4).unwrap(), points());
-    let seq = run_points_traced(NonZeroUsize::MIN, points());
+    let par = run_points(NonZeroUsize::new(4).unwrap(), NonZeroUsize::MIN, points());
+    let seq = run_points(NonZeroUsize::MIN, NonZeroUsize::MIN, points());
     assert_eq!(par.len(), seq.len());
-    for (mode, ((pr, pt), (sr, st))) in NetworkMode::all().iter().zip(par.iter().zip(&seq)) {
-        assert_eq!(pr, sr, "{}: RunResult diverged", mode.name());
+    for (mode, (p, s)) in NetworkMode::all().iter().zip(par.iter().zip(&seq)) {
+        assert_eq!(p.result, s.result, "{}: RunResult diverged", mode.name());
         assert_eq!(
-            pt.packets,
-            st.packets,
+            p.trace.packets,
+            s.trace.packets,
             "{}: packet log diverged",
             mode.name()
         );

@@ -5,9 +5,8 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{ControlPlane, NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::{run_once, run_once_traced, TraceSource};
 use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
-use erapid_suite::erapid_core::runner::{run_points_traced, RunPoint};
+use erapid_suite::erapid_core::runner::{run_points, RunPoint};
 use erapid_suite::erapid_telemetry::{chrome_trace, jsonl, TraceConfig};
 use erapid_suite::traffic::pattern::TrafficPattern;
 use std::num::NonZeroUsize;
@@ -37,13 +36,7 @@ fn traced_point(mode: NetworkMode, control: ControlPlane, load: f64) -> RunPoint
             },
         )
         .at(4010, FaultKind::TokenLoss { victim: 2 });
-    RunPoint {
-        cfg,
-        pattern: TrafficPattern::Complement,
-        load,
-        plan: plan(),
-        source: TraceSource::Generate,
-    }
+    RunPoint::generate(cfg, TrafficPattern::Complement, load, plan())
 }
 
 fn batch() -> Vec<RunPoint> {
@@ -62,11 +55,12 @@ fn batch() -> Vec<RunPoint> {
 
 #[test]
 fn traces_are_byte_identical_sequential_vs_parallel() {
-    let seq = run_points_traced(NonZeroUsize::MIN, batch());
-    let par = run_points_traced(NonZeroUsize::new(4).unwrap(), batch());
+    let seq = run_points(NonZeroUsize::MIN, NonZeroUsize::MIN, batch());
+    let par = run_points(NonZeroUsize::new(4).unwrap(), NonZeroUsize::MIN, batch());
     assert_eq!(seq.len(), par.len());
-    for (i, ((rs, ts), (rp, tp))) in seq.iter().zip(&par).enumerate() {
-        assert_eq!(rs, rp, "point {i}: results diverged");
+    for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
+        let (ts, tp) = (&s.trace, &p.trace);
+        assert_eq!(s.result, p.result, "point {i}: results diverged");
         assert!(!ts.records.is_empty(), "point {i}: empty trace");
         assert_eq!(
             jsonl(&ts.records),
@@ -88,9 +82,12 @@ fn tracing_does_not_perturb_results() {
     let traced = traced_point(NetworkMode::PB, ControlPlane::MessageLevel, 0.5);
     let mut plain = traced.clone();
     plain.cfg.trace = TraceConfig::off();
-    let (r_traced, trace) = run_once_traced(traced.cfg, traced.pattern, traced.load, traced.plan);
-    let r_plain = run_once(plain.cfg, plain.pattern, plain.load, plain.plan);
-    assert_eq!(r_traced, r_plain, "tracing must observe, never perturb");
+    let (traced, plain) = (traced.run(), plain.run());
+    let trace = traced.trace;
+    assert_eq!(
+        traced.result, plain.result,
+        "tracing must observe, never perturb"
+    );
     assert!(!trace.records.is_empty());
     assert!(!trace.windows.is_empty());
 }
@@ -99,9 +96,7 @@ fn tracing_does_not_perturb_results() {
 fn trace_off_returns_empty_trace_and_same_result() {
     let mut point = traced_point(NetworkMode::PB, ControlPlane::AnalyticLatency, 0.4);
     point.cfg.trace = TraceConfig::off();
-    let (r, trace) = run_once_traced(point.cfg.clone(), point.pattern.clone(), 0.4, point.plan);
-    let r2 = run_once(point.cfg, point.pattern, 0.4, point.plan);
-    assert_eq!(r, r2);
+    let trace = point.run().trace;
     assert!(trace.records.is_empty());
     assert!(trace.windows.is_empty());
     assert_eq!(trace.dropped, 0);
@@ -112,7 +107,8 @@ fn trace_off_returns_empty_trace_and_same_result() {
 #[test]
 fn latency_and_tx_wait_histograms_are_registered_and_populated() {
     let p = traced_point(NetworkMode::PB, ControlPlane::AnalyticLatency, 0.5);
-    let (r, trace) = run_once_traced(p.cfg, p.pattern, p.load, p.plan);
+    let out = p.run();
+    let (r, trace) = (out.result, out.trace);
     let names: Vec<&str> = trace
         .hist_summaries
         .iter()
@@ -141,7 +137,7 @@ fn latency_and_tx_wait_histograms_are_registered_and_populated() {
 #[test]
 fn faulted_trace_contains_every_event_family() {
     let p = traced_point(NetworkMode::PB, ControlPlane::MessageLevel, 0.5);
-    let (_, trace) = run_once_traced(p.cfg, p.pattern, p.load, p.plan);
+    let trace = p.run().trace;
     let tags: std::collections::BTreeSet<&str> =
         trace.records.iter().map(|r| r.event.tag()).collect();
     for family in [
