@@ -3,7 +3,7 @@
 //!
 //! Four scenarios on the paper's 64-node system (complement traffic,
 //! load 0.5), each run in all four network modes and compared against a
-//! fault-free baseline of the same mode and control plane:
+//! fault-free baseline of the same mode:
 //!
 //! * `rx_outage` — the hot flow's receiver (board 7, λ1) dies mid-run and
 //!   is repaired two windows later. Static ownership must be restored and
@@ -15,7 +15,7 @@
 //!   relock penalty).
 //! * `ls_token_loss` — board 3's LS control token vanishes from the RC
 //!   ring just after consecutive bandwidth boundaries; the round watchdog
-//!   must detect each loss and relaunch (message-level control plane).
+//!   must detect each loss and relaunch.
 //!
 //! Every scenario is a plain [`FaultPlan`] riding inside the
 //! [`SystemConfig`], so all runs fan out over [`BenchConfig::run`] and are
@@ -36,8 +36,7 @@
 //! ```
 
 use erapid_bench::{git_sha, BenchConfig, Json};
-use erapid_core::config::{ControlPlane, NetworkMode, SystemConfig};
-use erapid_core::experiment::RunResult;
+use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::faults::{FaultKind, FaultPlan};
 use erapid_core::runner::RunPoint;
 use erapid_workloads::ScenarioSpec;
@@ -51,7 +50,6 @@ const RELOCK_PENALTY: u64 = 500;
 struct Scenario {
     name: &'static str,
     what: &'static str,
-    control: ControlPlane,
     faults: FaultPlan,
 }
 
@@ -99,38 +97,28 @@ fn scenarios(window: u64, quick: bool) -> Vec<Scenario> {
         Scenario {
             name: "rx_outage",
             what: "receiver (board 7, λ1) down then repaired",
-            control: ControlPlane::AnalyticLatency,
             faults: rx,
         },
         Scenario {
             name: "lc_stuck",
             what: "LC (0→7, λ1) wedged; DPM retunes dropped",
-            control: ControlPlane::AnalyticLatency,
             faults: lc,
         },
         Scenario {
             name: "cdr_relock_storm",
             what: "seeded burst of extended CDR relocks",
-            control: ControlPlane::AnalyticLatency,
             faults: storm,
         },
         Scenario {
             name: "ls_token_loss",
             what: "LS token lost after bandwidth boundaries",
-            control: ControlPlane::MessageLevel,
             faults: token,
         },
     ]
 }
 
-fn point(
-    bench: &BenchConfig,
-    mode: NetworkMode,
-    control: ControlPlane,
-    faults: FaultPlan,
-) -> RunPoint {
+fn point(bench: &BenchConfig, mode: NetworkMode, faults: FaultPlan) -> RunPoint {
     let mut cfg = SystemConfig::paper64(mode);
-    cfg.control_plane = control;
     cfg.faults = faults;
     let plan = bench.plan(cfg.schedule.window);
     RunPoint::generate(cfg, TrafficPattern::Complement, LOAD, plan)
@@ -138,13 +126,8 @@ fn point(
 
 /// As [`point`], but injecting a hostile workload scenario instead of the
 /// complement pattern (the pattern is inert under a scenario).
-fn hostile_point(
-    bench: &BenchConfig,
-    spec: &ScenarioSpec,
-    control: ControlPlane,
-    faults: FaultPlan,
-) -> RunPoint {
-    let mut p = point(bench, NetworkMode::PB, control, faults);
+fn hostile_point(bench: &BenchConfig, spec: &ScenarioSpec, faults: FaultPlan) -> RunPoint {
+    let mut p = point(bench, NetworkMode::PB, faults);
     p.cfg.scenario = Some(spec.clone());
     p.pattern = TrafficPattern::Uniform;
     p
@@ -192,7 +175,6 @@ fn main() {
     let window = SystemConfig::paper64(NetworkMode::NpNb).schedule.window;
     let scenarios = scenarios(window, bench.quick);
     let modes = NetworkMode::all();
-    let planes = [ControlPlane::AnalyticLatency, ControlPlane::MessageLevel];
 
     println!(
         "=== resilience matrix @ {sha}: paper64, complement, load {LOAD}, {} scenarios x {} modes on {} threads ===\n",
@@ -201,28 +183,19 @@ fn main() {
         bench.threads
     );
 
-    // One flat batch: fault-free baselines (per control plane x mode) first,
-    // then every scenario x mode — maximum fan-out, deterministic order.
+    // One flat batch: fault-free baselines (per mode) first, then every
+    // scenario x mode — maximum fan-out, deterministic order.
     let mut points: Vec<RunPoint> = Vec::new();
-    for &plane in &planes {
-        for &mode in &modes {
-            points.push(point(&bench, mode, plane, FaultPlan::new()));
-        }
+    for &mode in &modes {
+        points.push(point(&bench, mode, FaultPlan::new()));
     }
     for s in &scenarios {
         for &mode in &modes {
-            points.push(point(&bench, mode, s.control, s.faults.clone()));
+            points.push(point(&bench, mode, s.faults.clone()));
         }
     }
     let results = bench.run(points);
-    let (baselines, faulted) = results.split_at(planes.len() * modes.len());
-    let baseline_for = |control: ControlPlane, mode_idx: usize| -> &RunResult {
-        let plane_idx = match control {
-            ControlPlane::AnalyticLatency => 0,
-            ControlPlane::MessageLevel => 1,
-        };
-        &baselines[plane_idx * modes.len() + mode_idx].result
-    };
+    let (baselines, faulted) = results.split_at(modes.len());
 
     let mut scenario_json: Vec<Json> = Vec::new();
     for (si, s) in scenarios.iter().enumerate() {
@@ -247,7 +220,7 @@ fn main() {
         ));
         let mut mode_json: Vec<Json> = Vec::new();
         for (mi, r) in rows.iter().map(|o| &o.result).enumerate() {
-            let base = baseline_for(s.control, mi);
+            let base = &baselines[mi].result;
             let recovery = r.throughput / base.throughput.max(1e-12);
             t.row(vec![
                 modes[mi].name().to_string(),
@@ -275,13 +248,8 @@ fn main() {
             ]));
         }
         println!("{}", t.render());
-        let plane = match s.control {
-            ControlPlane::AnalyticLatency => "analytic",
-            ControlPlane::MessageLevel => "message",
-        };
         scenario_json.push(Json::Obj(vec![
             ("name", Json::str(s.name)),
-            ("control_plane", Json::str(plane)),
             ("fault_events", Json::U64(s.faults.len() as u64)),
             ("modes", Json::Arr(mode_json)),
         ]));
@@ -293,24 +261,15 @@ fn main() {
     let hostile = worst_offenders(&bench.results_dir());
     let mut hpoints: Vec<RunPoint> = Vec::new();
     for w in &hostile {
-        for &plane in &planes {
-            hpoints.push(hostile_point(&bench, w, plane, FaultPlan::new()));
-        }
+        hpoints.push(hostile_point(&bench, w, FaultPlan::new()));
     }
     for s in &scenarios {
         for w in &hostile {
-            hpoints.push(hostile_point(&bench, w, s.control, s.faults.clone()));
+            hpoints.push(hostile_point(&bench, w, s.faults.clone()));
         }
     }
     let hresults = bench.run(hpoints);
-    let (hbase, hfaulted) = hresults.split_at(hostile.len() * planes.len());
-    let hbaseline = |wi: usize, control: ControlPlane| -> &RunResult {
-        let plane_idx = match control {
-            ControlPlane::AnalyticLatency => 0,
-            ControlPlane::MessageLevel => 1,
-        };
-        &hbase[wi * planes.len() + plane_idx].result
-    };
+    let (hbase, hfaulted) = hresults.split_at(hostile.len());
     let mut headers = vec!["fault".to_string()];
     for w in &hostile {
         headers.push(format!("{} thr", w.name()));
@@ -324,7 +283,7 @@ fn main() {
         let mut row = vec![s.name.to_string()];
         for (wi, w) in hostile.iter().enumerate() {
             let r = &hfaulted[si * hostile.len() + wi].result;
-            let base = hbaseline(wi, s.control);
+            let base = &hbase[wi].result;
             let recovery = r.throughput / base.throughput.max(1e-12);
             row.push(format!("{:.4}", r.throughput));
             row.push(format!("{:.1}%", 100.0 * recovery));

@@ -72,16 +72,13 @@ impl NetworkMode {
     }
 }
 
-/// How DBR decisions travel from statistics to laser commands.
+/// How DBR decisions travel from statistics to laser commands. There is
+/// one way; the type survives only for [`SystemConfig::control_plane`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControlPlane {
-    /// Decisions computed at the window boundary and applied after the
-    /// analytic five-stage latency (fast; the default).
-    #[default]
-    AnalyticLatency,
     /// The five stages executed as real control packets on the RC ring,
-    /// cycle by cycle ([`reconfig::protocol::DbrRound`]). Produces the
-    /// same decisions at the same cycle; used to validate the shortcut.
+    /// cycle by cycle ([`reconfig::protocol::DbrRound`]).
+    #[default]
     MessageLevel,
 }
 
@@ -141,7 +138,9 @@ pub struct SystemConfig {
     /// from [`SystemConfig::seed`], rate-normalised like the synthetic
     /// patterns) instead of the per-node pattern generators.
     pub scenario: Option<ScenarioSpec>,
-    /// DBR control-plane execution model.
+    /// Selects nothing: every DBR round runs message-level. Kept only
+    /// because `benchmark/src/adapter.rs` assigns it; the next
+    /// `benchmark`-archetype PR removes the field and [`ControlPlane`].
     pub control_plane: ControlPlane,
     /// Control-plane latency model.
     pub timing: ProtocolTiming,
@@ -293,6 +292,9 @@ impl SystemConfig {
             spec.try_validate()
                 .map_err(|e| ErapidError::Config(e.to_string()))?;
         }
+        if self.mode.bandwidth_reconfig() && self.schedule.window <= self.timing.dbr_latency() {
+            return fail("R_w must exceed the DBR round latency, or no round ever completes");
+        }
         self.faults.validate(self.boards)?;
         Ok(())
     }
@@ -403,6 +405,20 @@ mod tests {
         bad.l_min_milli = 950; // inverted band
         c.tune = Some(bad);
         assert!(matches!(c.try_validate(), Err(ErapidError::Config(_))));
+    }
+
+    #[test]
+    fn window_shorter_than_a_dbr_round_is_rejected() {
+        let mut c = SystemConfig::paper64(NetworkMode::PB);
+        let latency = c.timing.dbr_latency();
+        c.schedule = LockStepSchedule::new(latency);
+        assert!(matches!(c.try_validate(), Err(ErapidError::Config(_))));
+        c.schedule = LockStepSchedule::new(latency + 1);
+        assert!(c.try_validate().is_ok());
+        // Without DBR no round runs, so any window is fine.
+        c.schedule = LockStepSchedule::new(latency);
+        c.mode = NetworkMode::PNb;
+        assert!(c.try_validate().is_ok());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! 1. at `R_w` boundaries, roll all hardware-counter windows and trigger
 //!    the LS odd–even cycle — DPM decisions apply locally, DBR decisions
-//!    apply after the five-stage protocol latency,
+//!    apply when the five-stage Lock-Step round they launch completes,
 //! 2. node traffic generators inject packets into their NIs,
 //! 3. every board steps its IBI router (deliveries eject, remote flits
 //!    reassemble in TX queues),
@@ -14,7 +14,7 @@
 //!    instantaneous link power.
 
 use crate::board::Board;
-use crate::config::{ControlPlane, NetworkMode, SystemConfig};
+use crate::config::{NetworkMode, SystemConfig};
 use crate::faults::FaultKind;
 use crate::metrics::{PacketDelivery, RunMetrics};
 use crate::shard::{self, BoardOut, Gate, Job};
@@ -28,10 +28,10 @@ use erapid_telemetry::{
 use erapid_tune::{ThresholdController, WindowObservation};
 use erapid_workloads::ScenarioEngine;
 use photonics::wavelength::{BoardId, Wavelength};
-use reconfig::alloc::{FlowDemand, IncomingLink};
+use reconfig::alloc::FlowDemand;
 use reconfig::lc::ThresholdWatch;
 use reconfig::lockstep::WindowKind;
-use reconfig::msg::{LinkReading, WavelengthGrant};
+use reconfig::msg::LinkReading;
 use reconfig::protocol::{DbrRound, TokenFault};
 use reconfig::stages::Stage;
 use router::flit::{NodeId, PacketId};
@@ -62,10 +62,7 @@ pub struct System {
     next_packet_id: u64,
     now: Cycle,
     metrics: RunMetrics,
-    /// DBR grant batches awaiting their protocol-latency apply time
-    /// (analytic control plane).
-    pending_dbr: Vec<(Cycle, Vec<WavelengthGrant>)>,
-    /// In-flight message-level DBR round (message-level control plane).
+    /// The in-flight Lock-Step DBR round, if any.
     active_round: Option<DbrRound>,
     /// Per-board cross-board effect buffers: filled by the compute phase,
     /// drained by the in-order commit within the same cycle (so empty at
@@ -73,11 +70,8 @@ pub struct System {
     outs: Vec<BoardOut>,
     /// Next unapplied event in `cfg.faults` (the plan is time-sorted).
     fault_cursor: usize,
-    /// Token faults waiting for the next DBR round (message-level plane).
+    /// Token faults waiting for the next DBR round.
     armed_token: Vec<TokenFault>,
-    /// Recovery latency the next DBR round must absorb (analytic plane's
-    /// mirror of armed token faults).
-    armed_analytic_delay: Cycle,
     /// LS token resends performed (loss relaunches + corruption resends).
     ls_retries: u64,
     /// DBR rounds aborted fail-safe after exhausting the retry budget.
@@ -111,7 +105,7 @@ pub struct System {
 /// measured, not guessed.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseTimers {
-    /// Faults + window boundary + DBR apply + active LS round.
+    /// Faults + window boundary + active LS round.
     pub reconfig: std::time::Duration,
     /// Traffic generation / trace replay.
     pub inject: std::time::Duration,
@@ -288,12 +282,10 @@ impl System {
             next_packet_id: 0,
             now: 0,
             metrics,
-            pending_dbr: Vec::new(),
             active_round: None,
             outs,
             fault_cursor: 0,
             armed_token: Vec::new(),
-            armed_analytic_delay: 0,
             ls_retries: 0,
             ls_aborted: 0,
             tracer,
@@ -374,7 +366,6 @@ impl System {
         probe.start();
         self.apply_due_faults(now);
         self.window_boundary(now);
-        self.apply_due_dbr(now);
         self.tick_active_round(now);
         probe.lap(|t| &mut t.reconfig);
         if inject {
@@ -746,114 +737,27 @@ impl System {
         }
     }
 
-    /// DBR trigger: either compute decisions now and delay their effect by
-    /// the analytic five-stage latency, or launch a message-level round on
-    /// the control ring that arrives at the same answer the slow way.
+    /// DBR trigger: launch a Lock-Step round on the control ring from the
+    /// just-closed window's statistics; its grants apply on the cycle its
+    /// Link Response stage completes ([`Self::tick_active_round`]).
     fn bandwidth_cycle(&mut self, now: Cycle) {
         self.dbr_rounds += 1;
         if let Some((reg, ids)) = &mut self.registry {
             reg.inc(ids.rounds, 1);
         }
-        match self.cfg.control_plane {
-            ControlPlane::AnalyticLatency => {
-                let all_grants = self.compute_grants();
-                // Token faults armed before this round delay its apply time
-                // (the mirror of the message-level round recovering them).
-                let delay = std::mem::take(&mut self.armed_analytic_delay);
-                if self.tracer.enabled() {
-                    // The analytic plane never walks the five stages, but
-                    // their spans are fully determined by the timing model;
-                    // synthesize them so both planes produce comparable
-                    // per-round traces (future-stamped events are fine —
-                    // exporters keep emission order, viewers sort by time).
-                    let round = self.dbr_rounds;
-                    let mut start = now;
-                    for &stage in Stage::all().iter() {
-                        let end = start + self.cfg.timing.stage_cycles(stage);
-                        self.tracer.emit(
-                            start,
-                            TraceEvent::LsStage {
-                                round,
-                                stage: stage_label(stage),
-                                end,
-                            },
-                        );
-                        start = end;
-                    }
-                    self.tracer.emit(
-                        now + self.cfg.timing.dbr_latency() + delay,
-                        TraceEvent::DbrOutcome {
-                            round,
-                            grants: all_grants.len() as u32,
-                            retries: 0,
-                            aborted: false,
-                        },
-                    );
-                }
-                if let Some((reg, ids)) = &mut self.registry {
-                    reg.inc(ids.grants, all_grants.len() as u64);
-                }
-                if !all_grants.is_empty() {
-                    self.pending_dbr
-                        .push((now + self.cfg.timing.dbr_latency() + delay, all_grants));
-                }
-            }
-            ControlPlane::MessageLevel => {
-                if self.active_round.is_some() {
-                    // The previous round is somehow still running (only
-                    // possible with an R_w shorter than the protocol);
-                    // drop the stale round in favour of fresh statistics.
-                    self.active_round = None;
-                }
-                let (outgoing, demands) = self.round_inputs();
-                let mut round =
-                    DbrRound::new(self.cfg.timing, self.cfg.alloc, now, outgoing, demands)
-                        .with_retry(self.cfg.retry);
-                for f in self.armed_token.drain(..) {
-                    round.inject_fault(f);
-                }
-                self.active_round = Some(round);
-            }
+        let (outgoing, demands) = self.round_inputs();
+        let mut round = DbrRound::new(self.cfg.timing, self.cfg.alloc, now, outgoing, demands)
+            .with_retry(self.cfg.retry);
+        for f in self.armed_token.drain(..) {
+            round.inject_fault(f);
         }
+        // A round still running here lost two windows to token retries
+        // (`try_validate` rules out an `R_w` shorter than a clean round):
+        // it is dropped in favour of fresh statistics.
+        self.active_round = Some(round);
     }
 
-    /// Direct evaluation of the Reconfigure stage for every destination.
-    /// The per-destination channel/demand lists are hoisted out of the loop
-    /// and reused, so one window boundary performs O(1) allocations instead
-    /// of O(boards).
-    fn compute_grants(&self) -> Vec<WavelengthGrant> {
-        let boards = self.cfg.boards;
-        let wavelengths = self.cfg.wavelengths();
-        let mut all_grants = Vec::new();
-        let mut channels: Vec<IncomingLink> = Vec::with_capacity(wavelengths as usize);
-        let mut demands: Vec<FlowDemand> = Vec::with_capacity(boards as usize);
-        for d in 0..boards {
-            channels.clear();
-            for w in 1..wavelengths {
-                if let Some(s) = self.srs.owner(d, w) {
-                    channels.push(IncomingLink {
-                        wavelength: Wavelength(w),
-                        owner: BoardId(s),
-                        buffer_util: self.boards[s as usize].buffer_util(d),
-                    });
-                }
-            }
-            demands.clear();
-            demands.extend((0..boards).filter(|&s| s != d).map(|s| FlowDemand {
-                source: BoardId(s),
-                buffer_util: self.boards[s as usize].buffer_util(d),
-            }));
-            let grants = self
-                .cfg
-                .alloc
-                .reconfigure_with_demands(BoardId(d), &channels, &demands);
-            all_grants.extend(grants);
-        }
-        all_grants
-    }
-
-    /// Builds the Link-Request readings and flow demands a message-level
-    /// round starts from (the LC hardware-counter state of the previous
+    /// Builds the Link-Request readings and flow demands a round starts from (the LC hardware-counter state of the previous
     /// window).
     fn round_inputs(&self) -> (Vec<Vec<LinkReading>>, Vec<Vec<FlowDemand>>) {
         let boards = self.cfg.boards;
@@ -887,8 +791,8 @@ impl System {
         (outgoing, demands)
     }
 
-    /// Advances an in-flight message-level round; applies its outcome on
-    /// the cycle the Link Response stage completes.
+    /// Advances the in-flight round; applies its outcome on the cycle the
+    /// Link Response stage completes.
     fn tick_active_round(&mut self, now: Cycle) {
         let Some(round) = &mut self.active_round else {
             return;
@@ -906,18 +810,17 @@ impl System {
                 let id = self.dbr_rounds;
                 let log = round.take_stage_log();
                 for pair in log.windows(2) {
-                    let (start, label) = pair[0];
-                    let (end, _) = pair[1];
-                    if let Some(stage) = LsStageLabel::from_name(label) {
-                        self.tracer.emit(
-                            start,
-                            TraceEvent::LsStage {
-                                round: id,
-                                stage,
-                                end,
-                            },
-                        );
-                    }
+                    let ((start, Some(stage)), (end, _)) = (pair[0], pair[1]) else {
+                        continue;
+                    };
+                    self.tracer.emit(
+                        start,
+                        TraceEvent::LsStage {
+                            round: id,
+                            stage: stage_label(stage),
+                            end,
+                        },
+                    );
                 }
                 self.tracer.emit(
                     now,
@@ -939,18 +842,6 @@ impl System {
             let leftovers = round.take_armed();
             self.armed_token.extend(leftovers);
             self.active_round = None;
-        }
-    }
-
-    fn apply_due_dbr(&mut self, now: Cycle) {
-        let mut i = 0;
-        while i < self.pending_dbr.len() {
-            if self.pending_dbr[i].0 <= now {
-                let (_, grants) = self.pending_dbr.swap_remove(i);
-                self.srs.schedule_grants(now, &grants, &mut self.tracer);
-            } else {
-                i += 1;
-            }
         }
     }
 
@@ -1119,17 +1010,16 @@ impl System {
                 wavelength,
                 penalty,
             } => self.srs.schedule_relock(board, dest, wavelength, penalty),
-            FaultKind::TokenLoss { victim } => self.token_fault(now, victim, false),
-            FaultKind::TokenCorrupt { victim } => self.token_fault(now, victim, true),
+            FaultKind::TokenLoss { victim } => self.token_fault(victim, false),
+            FaultKind::TokenCorrupt { victim } => self.token_fault(victim, true),
         }
     }
 
-    /// Routes an LS token fault into whichever control plane is running.
-    /// Both planes recover with the same deterministic extra latency for a
-    /// single token fault per round (see [`reconfig::protocol::RetryPolicy`]);
-    /// only the message-level plane models the fail-safe abort of a
-    /// persistently jammed ring.
-    fn token_fault(&mut self, now: Cycle, victim: u16, corrupt: bool) {
+    /// Routes an LS token fault into the running DBR round, or arms it for
+    /// the next one. A single fault per round is recovered by the round's
+    /// watchdog (see [`reconfig::protocol::RetryPolicy`]); a persistently
+    /// jammed ring aborts the round fail-safe.
+    fn token_fault(&mut self, victim: u16, corrupt: bool) {
         if !self.cfg.mode.bandwidth_reconfig() {
             return; // no DBR rounds: nothing on the ring to hit
         }
@@ -1137,25 +1027,9 @@ impl System {
             victim: BoardId(victim),
             corrupt,
         };
-        match self.cfg.control_plane {
-            ControlPlane::MessageLevel => {
-                if let Some(round) = &mut self.active_round {
-                    round.inject_fault(fault);
-                } else {
-                    self.armed_token.push(fault);
-                }
-            }
-            ControlPlane::AnalyticLatency => {
-                self.ls_retries += 1;
-                let delay = self.cfg.retry.recovery_delay(&self.cfg.timing, corrupt);
-                let link_resp = self.cfg.timing.stage_cycles(Stage::LinkResponse);
-                // A fault lands in the round whose Board Response has not
-                // yet completed; later faults arm for the next round.
-                match self.pending_dbr.iter_mut().min_by_key(|(due, _)| *due) {
-                    Some(batch) if now + link_resp <= batch.0 => batch.0 += delay,
-                    _ => self.armed_analytic_delay += delay,
-                }
-            }
+        match &mut self.active_round {
+            Some(round) => round.inject_fault(fault),
+            None => self.armed_token.push(fault),
         }
     }
 
@@ -1272,7 +1146,7 @@ impl System {
     }
 
     /// True when the system is at a state a checkpoint can capture: no
-    /// message-level DBR round in flight. Rounds launch at `R_w`
+    /// DBR round in flight. Rounds launch at `R_w`
     /// boundaries and complete well within a window, so boundary-cadence
     /// checkpointing observes this as always-true in practice; a
     /// conservative caller ([`crate::checkpoint::Checkpointer`]) skips the
@@ -1284,7 +1158,7 @@ impl System {
     /// Serializes the full mutable simulation state (boards, SRS,
     /// generators, logs, metrics, control plane, telemetry). Config-derived
     /// geometry is *not* written — restore overlays a freshly-constructed
-    /// identical system. Fails if a message-level DBR round is in flight
+    /// identical system. Fails if a DBR round is in flight
     /// (see [`Self::can_checkpoint`]); in-flight rounds borrow stage state
     /// that is not worth freezing when the next boundary is at most one
     /// window away.
@@ -1305,7 +1179,8 @@ impl System {
         w.u64(self.dbr_rounds);
         w.u64(self.ls_retries);
         w.u64(self.ls_aborted);
-        w.u64(self.armed_analytic_delay);
+        // Frozen `.ersp` body: the retired analytic plane's delay word ...
+        w.u64(0);
         w.usize(self.fault_cursor);
         w.usize(self.boards.len());
         for b in &self.boards {
@@ -1329,7 +1204,8 @@ impl System {
             log.save(w);
         }
         self.metrics.save_state(w);
-        self.pending_dbr.save(w);
+        // ... and its `pending_dbr` delayed-grant list, always empty.
+        w.usize(0);
         self.armed_token.save(w);
         self.tracer.save_state(w);
         w.bool(self.registry.is_some());
@@ -1372,6 +1248,11 @@ impl System {
             }
             Ok(())
         }
+        fn analytic_plane_state() -> SnapError {
+            SnapError::Mismatch(
+                "snapshot carries delayed DBR grants of the retired analytic control plane".into(),
+            )
+        }
         r.tag(b"SYSS")?;
         let now = r.u64()?;
         let next_packet_id = r.u64()?;
@@ -1379,7 +1260,10 @@ impl System {
         let dbr_rounds = r.u64()?;
         let ls_retries = r.u64()?;
         let ls_aborted = r.u64()?;
-        let armed_analytic_delay = r.u64()?;
+        // Frozen `.ersp` body: the retired analytic plane's delay word ...
+        if r.u64()? != 0 {
+            return Err(analytic_plane_state());
+        }
         let fault_cursor = r.usize()?;
         if fault_cursor > self.cfg.faults.len() {
             return Err(SnapError::Format(
@@ -1408,7 +1292,10 @@ impl System {
             self.packet_log = Some(Snap::load(r)?);
         }
         self.metrics.load_state(r)?;
-        self.pending_dbr = Snap::load(r)?;
+        // ... and its `pending_dbr` delayed-grant list.
+        if r.usize()? != 0 {
+            return Err(analytic_plane_state());
+        }
         self.armed_token = Snap::load(r)?;
         self.tracer.load_state(r)?;
         presence(r.bool()?, self.registry.is_some(), "a metric registry")?;
@@ -1444,7 +1331,6 @@ impl System {
         self.dbr_rounds = dbr_rounds;
         self.ls_retries = ls_retries;
         self.ls_aborted = ls_aborted;
-        self.armed_analytic_delay = armed_analytic_delay;
         self.fault_cursor = fault_cursor;
         self.watch_pending = watch_pending;
         self.active_round = None;
@@ -1622,79 +1508,6 @@ mod tests {
         let m = sys.metrics();
         assert!(m.injected_total > 0);
         assert_eq!(m.tracker.outstanding(), 0, "bursty low load must drain");
-    }
-
-    #[test]
-    fn message_level_control_plane_matches_analytic_shortcut() {
-        // The same run under both control planes must make identical
-        // decisions at identical times — identical metrics throughout.
-        let run_with = |plane: crate::config::ControlPlane| {
-            let mut cfg = SystemConfig::small(NetworkMode::PB);
-            cfg.control_plane = plane;
-            let mut sys = System::new(cfg, TrafficPattern::Complement, 0.6, plan());
-            sys.run();
-            (
-                sys.metrics().injected_total,
-                sys.metrics().delivered_total,
-                sys.metrics().throughput_ppc(),
-                sys.metrics().mean_latency(),
-                sys.srs().reconfig_counts(),
-                sys.now(),
-            )
-        };
-        let analytic = run_with(crate::config::ControlPlane::AnalyticLatency);
-        let message = run_with(crate::config::ControlPlane::MessageLevel);
-        assert_eq!(analytic, message);
-        // And reconfiguration genuinely happened in both.
-        assert!(analytic.4 .0 > 0, "grants expected under complement");
-    }
-
-    /// The metrics compared between control planes: injected, delivered,
-    /// throughput, latency, (grants, retunes), (ls_retries, ls_aborts),
-    /// final cycle.
-    type PlaneFingerprint = (u64, u64, f64, f64, (u64, u64), (u64, u64), Cycle);
-
-    /// Both control planes must recover from a single LS token fault with
-    /// the same deterministic extra latency — identical metrics throughout.
-    fn run_plane_with_fault(
-        plane: crate::config::ControlPlane,
-        kind: crate::faults::FaultKind,
-    ) -> PlaneFingerprint {
-        let mut cfg = SystemConfig::small(NetworkMode::PB);
-        cfg.control_plane = plane;
-        // The first Bandwidth window boundary is t=4000; the Board Request
-        // tokens are on the ring from 4005.
-        cfg.faults = crate::faults::FaultPlan::new().at(4006, kind);
-        let mut sys = System::new(cfg, TrafficPattern::Complement, 0.6, plan());
-        sys.run();
-        (
-            sys.metrics().injected_total,
-            sys.metrics().delivered_total,
-            sys.metrics().throughput_ppc(),
-            sys.metrics().mean_latency(),
-            sys.srs().reconfig_counts(),
-            sys.control_stats(),
-            sys.now(),
-        )
-    }
-
-    #[test]
-    fn token_loss_parity_between_control_planes() {
-        let kind = crate::faults::FaultKind::TokenLoss { victim: 1 };
-        let analytic = run_plane_with_fault(crate::config::ControlPlane::AnalyticLatency, kind);
-        let message = run_plane_with_fault(crate::config::ControlPlane::MessageLevel, kind);
-        assert_eq!(analytic, message);
-        assert_eq!(analytic.5, (1, 0), "one resend, no abort");
-        assert!(analytic.4 .0 > 0, "the delayed round still granted");
-    }
-
-    #[test]
-    fn token_corruption_parity_between_control_planes() {
-        let kind = crate::faults::FaultKind::TokenCorrupt { victim: 2 };
-        let analytic = run_plane_with_fault(crate::config::ControlPlane::AnalyticLatency, kind);
-        let message = run_plane_with_fault(crate::config::ControlPlane::MessageLevel, kind);
-        assert_eq!(analytic, message);
-        assert_eq!(analytic.5, (1, 0));
     }
 
     #[test]

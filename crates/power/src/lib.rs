@@ -16,35 +16,23 @@
 //!   is turned off entirely (the DLS technique of Kim et al. the paper
 //!   cites; in E-RAPID idle lasers are turned off by the DBR stage, and this
 //!   module provides the standalone policy plus hysteresis).
-//! * [`regulator`] — a per-LC regulator composing policy + transition into
-//!   the action the link controller applies each power-awareness window.
-
 //!
 //! ## Example: the threshold regulator
 //!
 //! ```
-//! use powermgmt::policy::DpmPolicy;
-//! use powermgmt::regulator::{LinkRegulator, RegulatorAction};
-//! use powermgmt::transition::TransitionModel;
-//! use photonics::bitrate::{RateLadder, RateLevel};
+//! use powermgmt::policy::{DpmPolicy, ScaleDecision};
 //!
-//! let mut reg = LinkRegulator::new(
-//!     DpmPolicy::power_bandwidth(),
-//!     RateLadder::paper(),
-//!     TransitionModel::paper(),
-//! );
-//! // An idle window scales the link down one level, 65 dark cycles.
-//! assert_eq!(
-//!     reg.observe(0.1, 0.0),
-//!     RegulatorAction::Retune { level: RateLevel(1), penalty: 65 }
-//! );
+//! let policy = DpmPolicy::power_bandwidth();
+//! // An idle window scales the link down one level ...
+//! assert_eq!(policy.decide(0.1, 0.0), ScaleDecision::Down);
+//! // ... and a saturated link scales up only once its buffer fills too.
+//! assert_eq!(policy.decide(0.95, 0.1), ScaleDecision::Hold);
+//! assert_eq!(policy.decide(0.95, 0.5), ScaleDecision::Up);
 //! ```
 
 pub mod dls;
 pub mod policy;
-pub mod regulator;
 pub mod transition;
 
 pub use policy::{DpmPolicy, ScaleDecision};
-pub use regulator::{LinkRegulator, RegulatorAction};
 pub use transition::TransitionModel;

@@ -51,22 +51,6 @@ pub struct FlowDemand {
     pub buffer_util: f64,
 }
 
-/// Derives per-flow demands from channel readings alone (each owner's
-/// hottest channel), for callers without independent queue telemetry.
-pub fn demands_from_channels(channels: &[IncomingLink]) -> Vec<FlowDemand> {
-    let mut demands: Vec<FlowDemand> = Vec::new();
-    for c in channels {
-        match demands.iter_mut().find(|d| d.source == c.owner) {
-            Some(d) => d.buffer_util = d.buffer_util.max(c.buffer_util),
-            None => demands.push(FlowDemand {
-                source: c.owner,
-                buffer_util: c.buffer_util,
-            }),
-        }
-    }
-    demands
-}
-
 /// Allocation thresholds and limits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocPolicy {
@@ -107,18 +91,7 @@ impl AllocPolicy {
         }
     }
 
-    /// Runs the Reconfigure stage for destination `destination` from
-    /// channel readings alone (demands derived from the channels' owners).
-    pub fn reconfigure(
-        &self,
-        destination: BoardId,
-        incoming: &[IncomingLink],
-    ) -> Vec<Reassignment> {
-        let demands = demands_from_channels(incoming);
-        self.reconfigure_with_demands(destination, incoming, &demands)
-    }
-
-    /// Runs the Reconfigure stage with explicit flow demands.
+    /// Runs the Reconfigure stage for destination `destination`.
     ///
     /// Every under-utilized incoming wavelength is re-assigned to the
     /// source board of an over-utilized flow, most congested flows first,
@@ -196,6 +169,33 @@ mod tests {
             wavelength: Wavelength(w),
             owner: BoardId(owner),
             buffer_util: util,
+        }
+    }
+
+    /// Per-flow demands from channel readings alone: each owner's hottest
+    /// channel.
+    fn demands_from_channels(channels: &[IncomingLink]) -> Vec<FlowDemand> {
+        let mut demands: Vec<FlowDemand> = Vec::new();
+        for c in channels {
+            match demands.iter_mut().find(|d| d.source == c.owner) {
+                Some(d) => d.buffer_util = d.buffer_util.max(c.buffer_util),
+                None => demands.push(FlowDemand {
+                    source: c.owner,
+                    buffer_util: c.buffer_util,
+                }),
+            }
+        }
+        demands
+    }
+
+    impl AllocPolicy {
+        /// The Reconfigure stage from channel readings alone.
+        fn reconfigure(
+            &self,
+            destination: BoardId,
+            incoming: &[IncomingLink],
+        ) -> Vec<Reassignment> {
+            self.reconfigure_with_demands(destination, incoming, &demands_from_channels(incoming))
         }
     }
 

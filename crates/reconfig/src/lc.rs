@@ -3,124 +3,9 @@
 //! "Historical statistics are collected with the hardware counters located
 //! at each LC. Each LC is associated with an optical transmitter to measure
 //! link statistics, and with an optical receiver to turn on/off the
-//! receiver" (§3). The LC also runs the *local* half of DPM: "the bit rate
-//! scaling is locally controlled by the LC."
-
-use crate::msg::{LaserCommand, LinkReading};
-use desim::Cycle;
-use netstats::windowed::WindowedUtilization;
-use photonics::bitrate::RateLevel;
-use photonics::wavelength::{BoardId, Wavelength};
-use powermgmt::regulator::{LinkRegulator, RegulatorAction};
-
-/// One link controller: counters + DPM regulator for a single transmitter.
-#[derive(Debug, Clone)]
-pub struct LinkController {
-    wavelength: Wavelength,
-    /// Destination board of the currently-on laser (None = all lasers off).
-    destination: Option<BoardId>,
-    link_util: WindowedUtilization,
-    buffer_util: WindowedUtilization,
-    regulator: LinkRegulator,
-    /// Laser commands applied (lifetime counter).
-    commands_applied: u64,
-}
-
-impl LinkController {
-    /// Creates the LC for the transmitter of `wavelength`, sampling over
-    /// windows of `window` cycles (the paper's `R_w` = 2000).
-    pub fn new(wavelength: Wavelength, window: Cycle, regulator: LinkRegulator) -> Self {
-        Self {
-            wavelength,
-            destination: None,
-            link_util: WindowedUtilization::new(window),
-            buffer_util: WindowedUtilization::new(window),
-            regulator,
-            commands_applied: 0,
-        }
-    }
-
-    /// The transmitter's wavelength.
-    pub fn wavelength(&self) -> Wavelength {
-        self.wavelength
-    }
-
-    /// Destination board of the active laser, if any.
-    pub fn destination(&self) -> Option<BoardId> {
-        self.destination
-    }
-
-    /// Sets the active destination (used when the static RWA is applied).
-    pub fn set_destination(&mut self, d: Option<BoardId>) {
-        self.destination = d;
-    }
-
-    /// Current rate level.
-    pub fn level(&self) -> RateLevel {
-        self.regulator.level()
-    }
-
-    /// Forces the level (receiver handoff on re-allocation).
-    pub fn force_level(&mut self, level: RateLevel) {
-        self.regulator.force_level(level);
-    }
-
-    /// Laser commands applied so far.
-    pub fn commands_applied(&self) -> u64 {
-        self.commands_applied
-    }
-
-    /// Records one cycle of hardware-counter activity:
-    /// `busy` = a flit occupied the wavelength, `occupancy` = transmitter
-    /// queue occupancy fraction.
-    pub fn record_cycle(&mut self, busy: bool, occupancy: f64) {
-        self.link_util.record(if busy { 1.0 } else { 0.0 });
-        self.buffer_util.record(occupancy.clamp(0.0, 1.0));
-    }
-
-    /// Closes the current window (called by the RC when `R_w` elapses).
-    pub fn roll_window(&mut self) {
-        self.link_util.roll();
-        self.buffer_util.roll();
-    }
-
-    /// The previous window's reading — what the control packets carry.
-    pub fn reading(&self) -> LinkReading {
-        LinkReading {
-            wavelength: self.wavelength,
-            destination: self.destination,
-            link_util: self.link_util.previous(),
-            buffer_util: self.buffer_util.previous(),
-            level: self.regulator.level(),
-        }
-    }
-
-    /// Runs the local DPM decision on the previous window's statistics.
-    /// Only meaningful for LCs whose laser is on; dark transmitters hold.
-    pub fn power_cycle(&mut self) -> RegulatorAction {
-        if self.destination.is_none() {
-            return RegulatorAction::Hold;
-        }
-        let r = self.reading();
-        self.regulator.observe(r.link_util, r.buffer_util)
-    }
-
-    /// Applies a laser command addressed to this transmitter; returns the
-    /// new destination state.
-    ///
-    /// # Panics
-    /// If the command's wavelength does not match.
-    pub fn apply(&mut self, cmd: LaserCommand) -> Option<BoardId> {
-        assert_eq!(cmd.wavelength, self.wavelength, "command misrouted");
-        self.commands_applied += 1;
-        if cmd.on {
-            self.destination = Some(cmd.destination);
-        } else if self.destination == Some(cmd.destination) {
-            self.destination = None;
-        }
-        self.destination
-    }
-}
+//! receiver" (§3). The counters themselves live with the channels they
+//! measure (`erapid-core`'s SRS and TX queues); what is modelled here is
+//! the LC's threshold comparator.
 
 /// Edge detector for the DBR trigger threshold `B_max`.
 ///
@@ -203,109 +88,6 @@ impl ThresholdWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use photonics::bitrate::RateLadder;
-    use powermgmt::policy::DpmPolicy;
-    use powermgmt::transition::TransitionModel;
-
-    fn lc() -> LinkController {
-        LinkController::new(
-            Wavelength(1),
-            10,
-            LinkRegulator::new(
-                DpmPolicy::power_bandwidth(),
-                RateLadder::paper(),
-                TransitionModel::paper(),
-            ),
-        )
-    }
-
-    #[test]
-    fn counters_roll_into_readings() {
-        let mut lc = lc();
-        lc.set_destination(Some(BoardId(2)));
-        for i in 0..10 {
-            lc.record_cycle(i < 8, 0.5);
-        }
-        lc.roll_window();
-        let r = lc.reading();
-        assert!((r.link_util - 0.8).abs() < 1e-12);
-        assert!((r.buffer_util - 0.5).abs() < 1e-12);
-        assert_eq!(r.wavelength, Wavelength(1));
-        assert_eq!(r.destination, Some(BoardId(2)));
-        assert_eq!(r.level, RateLevel(2));
-    }
-
-    #[test]
-    fn power_cycle_scales_idle_link_down() {
-        let mut lc = lc();
-        lc.set_destination(Some(BoardId(0)));
-        for _ in 0..10 {
-            lc.record_cycle(false, 0.0);
-        }
-        lc.roll_window();
-        match lc.power_cycle() {
-            RegulatorAction::Retune { level, penalty } => {
-                assert_eq!(level, RateLevel(1));
-                assert_eq!(penalty, 65);
-            }
-            a => panic!("expected retune, got {a:?}"),
-        }
-        assert_eq!(lc.level(), RateLevel(1));
-    }
-
-    #[test]
-    fn dark_transmitter_holds() {
-        let mut lc = lc();
-        for _ in 0..10 {
-            lc.record_cycle(false, 0.0);
-        }
-        lc.roll_window();
-        assert_eq!(lc.power_cycle(), RegulatorAction::Hold);
-        assert_eq!(lc.level(), RateLevel(2));
-    }
-
-    #[test]
-    fn laser_commands_toggle_destination() {
-        let mut lc = lc();
-        let on = LaserCommand {
-            wavelength: Wavelength(1),
-            destination: BoardId(3),
-            on: true,
-        };
-        assert_eq!(lc.apply(on), Some(BoardId(3)));
-        // Turning off a *different* destination leaves the laser alone.
-        let off_other = LaserCommand {
-            wavelength: Wavelength(1),
-            destination: BoardId(0),
-            on: false,
-        };
-        assert_eq!(lc.apply(off_other), Some(BoardId(3)));
-        let off = LaserCommand {
-            wavelength: Wavelength(1),
-            destination: BoardId(3),
-            on: false,
-        };
-        assert_eq!(lc.apply(off), None);
-        assert_eq!(lc.commands_applied(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "misrouted")]
-    fn misrouted_command_panics() {
-        let mut lc = lc();
-        lc.apply(LaserCommand {
-            wavelength: Wavelength(0),
-            destination: BoardId(1),
-            on: true,
-        });
-    }
-
-    #[test]
-    fn force_level_for_handoff() {
-        let mut lc = lc();
-        lc.force_level(RateLevel(0));
-        assert_eq!(lc.level(), RateLevel(0));
-    }
 
     #[test]
     fn threshold_watch_fires_only_on_crossings() {

@@ -9,17 +9,17 @@
 //!
 //! * [`msg`] — the control packets (`Power_Request`, `Link_Request`,
 //!   `Link_Response`, `Board_Request`, `Board_Response`),
-//! * [`lc`] — Link Controllers: per-transmitter hardware counters
-//!   (`Link_util`, `Buffer_util` over `R_w`) plus the local DPM regulator,
+//! * [`lc`] — Link Controllers: the `B_max` threshold comparator
+//!   ([`ThresholdWatch`]),
 //! * [`rc`] — board Reconfiguration Controllers with their outgoing /
 //!   incoming link statistic tables,
 //! * [`alloc`] — the Reconfigure stage: classify incoming links as under- /
 //!   normal- / over-utilized by `B_min`/`B_max` and re-assign wavelengths,
 //! * [`ring`] — the unidirectional electrical control ring connecting RCs,
-//!   including a message-level simulation validating the lock-step
-//!   synchronisation property,
 //! * [`stages`] — protocol stage timing (how many cycles each of the five
 //!   stages costs on the ring),
+//! * [`protocol`] — one DBR round run as control packets over the above,
+//!   cycle by cycle, with the token-loss watchdog,
 //! * [`lockstep`] — the odd–even window scheduler (odd windows run the
 //!   power cycle, even windows the bandwidth cycle).
 
@@ -57,7 +57,7 @@ pub mod ring;
 pub mod stages;
 
 pub use alloc::{AllocPolicy, Classification, FlowDemand, Reassignment};
-pub use lc::{LinkController, ThresholdWatch};
+pub use lc::ThresholdWatch;
 pub use lockstep::{LockStepSchedule, WindowKind};
 pub use protocol::{ProtocolError, RetryPolicy, TokenFault};
 pub use rc::ReconfigController;

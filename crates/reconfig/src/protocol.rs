@@ -1,9 +1,7 @@
 //! Clocked, message-level execution of one full DBR round.
 //!
-//! The system model in `erapid-core` applies DBR decisions after the
-//! analytic five-stage latency of [`crate::stages::ProtocolTiming`]. This
-//! module is the ground truth that shortcut is validated against: it runs
-//! the round as actual control packets — Link Request through the LC
+//! This is the DBR control plane of the system model in `erapid-core`: it
+//! runs the round as actual control packets — Link Request through the LC
 //! chain, Board Request circulating the [`crate::ring::ControlRing`],
 //! Reconfigure at each RC, Board Response around the ring again, Link
 //! Response back through the LCs — one cycle at a time, and reports both
@@ -22,7 +20,7 @@
 //!
 //! Invariants checked by the tests (and usable by callers):
 //! * decisions equal a direct [`crate::alloc::AllocPolicy`] evaluation of
-//!   the same window statistics,
+//!   the same window statistics, for any single-owner ownership table,
 //! * fault-free completion time equals `ProtocolTiming::dbr_latency()`
 //!   exactly (the watchdog never fires on a lossless ring),
 //! * the ring never holds more than one packet per board per hop slot
@@ -78,23 +76,6 @@ impl Default for RetryPolicy {
         Self {
             grace: 16,
             max_retries: 4,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The deterministic extra latency one token fault costs a round when
-    /// recovery succeeds on the first attempt: a lost token is detected
-    /// after `round_trip + grace` and its relaunch takes another round
-    /// trip; a corrupted token is detected for free on return and only
-    /// pays the resend round trip. This is the analytic mirror of the
-    /// message-level recovery (see `erapid-core`'s control planes).
-    pub fn recovery_delay(&self, timing: &ProtocolTiming, corrupt: bool) -> Cycle {
-        let round_trip = timing.boards as Cycle * timing.ring_hop;
-        if corrupt {
-            round_trip
-        } else {
-            round_trip + self.grace
         }
     }
 }
@@ -197,12 +178,11 @@ pub struct DbrRound {
     /// token in flight when the fault struck).
     armed: Vec<TokenFault>,
     error: Option<ProtocolError>,
-    /// Stage transitions observed so far: `(cycle, new stage label)`,
-    /// starting with `(start, "link_request")`. This is the telemetry
-    /// layer's view of the Lock-Step ring — bounded (≤ 6 entries) and
-    /// recorded unconditionally so message-level and analytic traces can
-    /// be compared stage by stage.
-    stage_log: Vec<(Cycle, &'static str)>,
+    /// Stage transitions observed so far: `(cycle, stage entered)`,
+    /// starting with `(start, Some(LinkRequest))`; `None` is the terminal
+    /// entry. This is the telemetry layer's view of the Lock-Step ring —
+    /// bounded (≤ 6 entries) and recorded unconditionally.
+    stage_log: Vec<(Cycle, Option<Stage>)>,
 }
 
 impl DbrRound {
@@ -252,7 +232,7 @@ impl DbrRound {
             retries: 0,
             armed: Vec::new(),
             error: None,
-            stage_log: vec![(start, "link_request")],
+            stage_log: vec![(start, Some(Stage::LinkRequest))],
         }
     }
 
@@ -263,15 +243,15 @@ impl DbrRound {
         self
     }
 
-    /// The phase label, for tracing.
-    pub fn stage(&self) -> &'static str {
+    /// The stage in progress; `None` once the round is done.
+    pub fn stage(&self) -> Option<Stage> {
         match self.phase {
-            RoundPhase::LinkRequest { .. } => "link_request",
-            RoundPhase::BoardRequest => "board_request",
-            RoundPhase::Reconfigure { .. } => "reconfigure",
-            RoundPhase::BoardResponse => "board_response",
-            RoundPhase::LinkResponse { .. } => "link_response",
-            RoundPhase::Done => "done",
+            RoundPhase::LinkRequest { .. } => Some(Stage::LinkRequest),
+            RoundPhase::BoardRequest => Some(Stage::BoardRequest),
+            RoundPhase::Reconfigure { .. } => Some(Stage::Reconfigure),
+            RoundPhase::BoardResponse => Some(Stage::BoardResponse),
+            RoundPhase::LinkResponse { .. } => Some(Stage::LinkResponse),
+            RoundPhase::Done => None,
         }
     }
 
@@ -280,15 +260,15 @@ impl DbrRound {
         matches!(self.phase, RoundPhase::Done)
     }
 
-    /// Stage transitions observed so far: `(cycle, new stage label)`.
+    /// Stage transitions observed so far: `(cycle, stage entered)`.
     /// Consecutive entries delimit one stage's span; the final entry is
-    /// `(completion, "done")` once the round resolves.
-    pub fn stage_log(&self) -> &[(Cycle, &'static str)] {
+    /// `(completion, None)` once the round resolves.
+    pub fn stage_log(&self) -> &[(Cycle, Option<Stage>)] {
         &self.stage_log
     }
 
     /// Drains the stage log (used by the system tracer on completion).
-    pub fn take_stage_log(&mut self) -> Vec<(Cycle, &'static str)> {
+    pub fn take_stage_log(&mut self) -> Vec<(Cycle, Option<Stage>)> {
         std::mem::take(&mut self.stage_log)
     }
 
@@ -406,9 +386,7 @@ impl DbrRound {
                     }
                 } else {
                     if let ControlPacket::BoardRequest { reports, .. } = &mut packet {
-                        if let Some(r) = self.rcs[b as usize].report_toward(origin) {
-                            reports.push(r);
-                        }
+                        reports.extend(self.rcs[b as usize].reports_toward(origin));
                     }
                     self.ring.send(now, BoardId(b), packet);
                 }
@@ -563,8 +541,11 @@ impl DbrRound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::IncomingLink;
+    use desim::rng::Pcg32;
     use photonics::bitrate::RateLevel;
     use photonics::rwa::StaticRwa;
+    use photonics::wavelength::Wavelength;
 
     const BOARDS: u16 = 4;
 
@@ -613,6 +594,20 @@ mod tests {
         (outgoing, demands)
     }
 
+    /// The extra latency one token fault costs a round when recovery
+    /// succeeds on the first attempt: a lost token is detected after
+    /// `round_trip + grace` and its relaunch takes another round trip; a
+    /// corrupted token is detected for free on return and only pays the
+    /// resend round trip.
+    fn recovery_delay(retry: RetryPolicy, timing: &ProtocolTiming, corrupt: bool) -> Cycle {
+        let round_trip = timing.boards as Cycle * timing.ring_hop;
+        if corrupt {
+            round_trip
+        } else {
+            round_trip + retry.grace
+        }
+    }
+
     /// Drives a round tick by tick, injecting `fault` at cycle `fault_at`.
     fn run_with_fault(
         mut round: DbrRound,
@@ -653,6 +648,115 @@ mod tests {
         assert!(round.is_done());
         assert_eq!(outcome.retries, 0);
         assert!(outcome.error.is_none());
+    }
+
+    /// The round is a distributed evaluation of the Reconfigure stage: for
+    /// *any* single-owner `(d, w) → s` table — including a source holding
+    /// several wavelengths toward one destination and one wavelength toward
+    /// several, which is what earlier rounds leave behind — its grants are
+    /// the per-destination direct decisions over the full table, in order.
+    #[test]
+    fn round_equals_the_direct_decision_on_any_ownership_table() {
+        let mut rng = Pcg32::stream(0xD8B2, 1);
+        let policy = AllocPolicy::paper();
+        for trial in 0..200 {
+            let boards: u16 = if trial % 2 == 0 { 4 } else { 8 };
+            let b = boards as usize;
+            // owner[d][w]: start from the static RWA, then move a random
+            // number of wavelengths to random other sources (a few slots go
+            // unowned, as after a receiver failure).
+            let last = boards as u32 - 1;
+            let other = |rng: &mut Pcg32, d: u16| BoardId((d + rng.range(1, last) as u16) % boards);
+            let mut owner = vec![vec![None; b]; b];
+            for d in 0..boards {
+                for (s, w) in StaticRwa::new(boards).incoming(BoardId(d)) {
+                    owner[d as usize][w.index()] = Some(s);
+                }
+            }
+            for _ in 0..rng.below(3 * boards as u32) {
+                let d = rng.below(boards as u32) as u16;
+                let w = rng.range(1, last) as usize;
+                owner[d as usize][w] = (!rng.bernoulli(0.1)).then(|| other(&mut rng, d));
+            }
+            // One source stacked with 2–3 wavelengths toward one destination
+            // and holding one of them toward a second destination too.
+            let d0 = rng.below(boards as u32) as u16;
+            let s0 = other(&mut rng, d0);
+            let w0 = rng.range(1, last - 2) as usize;
+            owner[d0 as usize][w0..w0 + rng.range(2, 3) as usize].fill(Some(s0));
+            let d1 = (0..boards).find(|&d| d != d0 && d != s0.0).unwrap();
+            owner[d1 as usize][w0] = Some(s0);
+
+            // util[s][d]: the flow's TX-queue occupancy, spanning the three
+            // classes and both band edges.
+            let util: Vec<Vec<f64>> = (0..b)
+                .map(|_| {
+                    (0..b)
+                        .map(|_| match rng.below(6) {
+                            0 | 1 => 0.0,
+                            2 => 0.3,
+                            3 => 0.3 * rng.next_f64(),
+                            _ => 0.3 + 0.7 * rng.next_f64(),
+                        })
+                        .collect()
+                })
+                .collect();
+
+            let mut outgoing = vec![Vec::new(); b];
+            let mut demands = vec![Vec::new(); b];
+            let mut direct = Vec::new();
+            for d in 0..boards {
+                let mut channels = Vec::new();
+                for w in 1..boards {
+                    let Some(s) = owner[d as usize][w as usize] else {
+                        continue;
+                    };
+                    let buffer_util = util[s.index()][d as usize];
+                    channels.push(IncomingLink {
+                        wavelength: Wavelength(w),
+                        owner: s,
+                        buffer_util,
+                    });
+                    outgoing[s.index()].push(LinkReading {
+                        wavelength: Wavelength(w),
+                        destination: Some(BoardId(d)),
+                        link_util: rng.next_f64(),
+                        buffer_util,
+                        level: RateLevel(2),
+                    });
+                }
+                demands[d as usize] = (0..boards)
+                    .filter(|&s| s != d)
+                    .map(|s| FlowDemand {
+                        source: BoardId(s),
+                        buffer_util: util[s as usize][d as usize],
+                    })
+                    .collect();
+                direct.extend(policy.reconfigure_with_demands(
+                    BoardId(d),
+                    &channels,
+                    &demands[d as usize],
+                ));
+            }
+            // The LC chain order a reading arrives in must not matter.
+            for readings in &mut outgoing {
+                rng.shuffle(readings);
+            }
+
+            let timing = ProtocolTiming {
+                boards,
+                lcs_per_board: boards,
+                ..ProtocolTiming::paper64()
+            };
+            let outcome = DbrRound::new(timing, policy, 0, outgoing, demands).run_to_completion();
+            assert_eq!(outcome.grants, direct, "trial {trial} (B = {boards})");
+            let mut moved: Vec<_> = (outcome.grants.iter())
+                .map(|g| (g.destination, g.wavelength))
+                .collect();
+            moved.sort();
+            moved.dedup();
+            assert_eq!(moved.len(), outcome.grants.len(), "a (d, w) granted twice");
+        }
     }
 
     #[test]
@@ -718,17 +822,9 @@ mod tests {
             }
             now += 1;
         }
-        assert_eq!(
-            seen,
-            vec![
-                "link_request",
-                "board_request",
-                "reconfigure",
-                "board_response",
-                "link_response",
-                "done"
-            ]
-        );
+        let mut expected: Vec<Option<Stage>> = Stage::all().into_iter().map(Some).collect();
+        expected.push(None);
+        assert_eq!(seen, expected);
     }
 
     #[test]
@@ -738,18 +834,10 @@ mod tests {
         let mut round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
         let outcome = round.run_to_completion();
         let log = round.stage_log();
-        let labels: Vec<&'static str> = log.iter().map(|&(_, l)| l).collect();
-        assert_eq!(
-            labels,
-            vec![
-                "link_request",
-                "board_request",
-                "reconfigure",
-                "board_response",
-                "link_response",
-                "done"
-            ]
-        );
+        let stages: Vec<Option<Stage>> = log.iter().map(|&(_, s)| s).collect();
+        let mut expected: Vec<Option<Stage>> = Stage::all().into_iter().map(Some).collect();
+        expected.push(None);
+        assert_eq!(stages, expected);
         // Entries are time-ordered, start at the round start and end at the
         // completion cycle.
         assert!(log.windows(2).all(|p| p[0].0 <= p[1].0));
@@ -775,7 +863,6 @@ mod tests {
         .run_to_completion();
         // Board Request launches at link_req = 5; drop board 1's token at 6.
         let round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
-        let policy = RetryPolicy::default();
         let outcome = run_with_fault(
             round,
             0,
@@ -787,10 +874,10 @@ mod tests {
         );
         assert!(outcome.error.is_none(), "round must complete via retry");
         assert_eq!(outcome.retries, 1);
-        // Exactly the analytic recovery delay on top of the clean latency.
+        // Exactly the recovery delay on top of the clean latency.
         assert_eq!(
             outcome.completed_at,
-            t.dbr_latency() + policy.recovery_delay(&t, false)
+            t.dbr_latency() + recovery_delay(RetryPolicy::default(), &t, false)
         );
         // And the decisions are unchanged: the relaunched token recollected
         // the same statistics.
@@ -817,7 +904,7 @@ mod tests {
         assert_eq!(outcome.retries, 1);
         assert_eq!(
             outcome.completed_at,
-            t.dbr_latency() + RetryPolicy::default().recovery_delay(&t, false)
+            t.dbr_latency() + recovery_delay(RetryPolicy::default(), &t, false)
         );
     }
 
@@ -849,7 +936,7 @@ mod tests {
         // paid — no grace window.
         assert_eq!(
             outcome.completed_at,
-            t.dbr_latency() + RetryPolicy::default().recovery_delay(&t, true)
+            t.dbr_latency() + recovery_delay(RetryPolicy::default(), &t, true)
         );
         assert_eq!(outcome.grants, baseline.grants);
     }
@@ -883,7 +970,7 @@ mod tests {
         assert_eq!(outcome.grants, baseline.grants);
         assert_eq!(
             outcome.completed_at,
-            t.dbr_latency() + RetryPolicy::default().recovery_delay(&t, false)
+            t.dbr_latency() + recovery_delay(RetryPolicy::default(), &t, false)
         );
     }
 

@@ -3,26 +3,27 @@
 //! Each board's RC owns an *outgoing* link statistic table (filled by the
 //! Link Request stage from its own LCs) and an *incoming* link statistic
 //! table (filled by the Board Request stage from the other RCs). Fig. 4.
-//! The RC computes the Reconfigure stage with an [`AllocPolicy`] and turns
-//! Board Response grants into Link Response laser commands.
+//! The destination's RC decides the Reconfigure stage with its
+//! [`AllocPolicy`] over the incoming table, and every RC turns Board
+//! Response grants into Link Response laser commands.
 
-use crate::alloc::{AllocPolicy, IncomingLink, Reassignment};
+use crate::alloc::{AllocPolicy, IncomingLink};
 use crate::msg::{LaserCommand, LinkReading, WavelengthGrant};
-use photonics::rwa::StaticRwa;
 use photonics::wavelength::{BoardId, Wavelength};
 
 /// One board's reconfiguration controller.
 #[derive(Debug, Clone)]
 pub struct ReconfigController {
     board: BoardId,
-    boards: u16,
     policy: AllocPolicy,
-    /// Outgoing table indexed by wavelength: latest reading per transmitter.
-    outgoing: Vec<Option<LinkReading>>,
+    /// Outgoing table: the latest reading of every lit channel this board
+    /// drives, one entry per `(destination, wavelength)`. Wavelength alone
+    /// is not a key: once DBR has moved ownership, a board may drive
+    /// several wavelengths toward one destination and the same wavelength
+    /// toward several.
+    outgoing: Vec<LinkReading>,
     /// Incoming table indexed by wavelength: latest owner + buffer stats.
     incoming: Vec<Option<IncomingLink>>,
-    /// Reconfigurations decided (lifetime).
-    reassignments_made: u64,
 }
 
 impl ReconfigController {
@@ -31,11 +32,9 @@ impl ReconfigController {
         assert!(board.0 < boards);
         Self {
             board,
-            boards,
             policy,
-            outgoing: vec![None; boards as usize],
+            outgoing: Vec::new(),
             incoming: vec![None; boards as usize],
-            reassignments_made: 0,
         }
     }
 
@@ -49,33 +48,41 @@ impl ReconfigController {
         &self.policy
     }
 
-    /// Lifetime count of re-assignments this RC decided.
-    pub fn reassignments_made(&self) -> u64 {
-        self.reassignments_made
-    }
-
     /// Link Request stage completion: stores the readings the circulating
-    /// packet collected from this board's LCs.
+    /// packet collected from this board's LCs. Dark transmitters (no
+    /// destination) drive no channel and are not tabled.
     pub fn update_outgoing(&mut self, readings: &[LinkReading]) {
         for r in readings {
-            self.outgoing[r.wavelength.index()] = Some(*r);
+            let Some(d) = r.destination else { continue };
+            match self.slot(d, r.wavelength) {
+                Some(i) => self.outgoing[i] = *r,
+                None => self.outgoing.push(*r),
+            }
         }
     }
 
-    /// The stored outgoing reading for a wavelength.
-    pub fn outgoing(&self, w: Wavelength) -> Option<&LinkReading> {
-        self.outgoing[w.index()].as_ref()
+    fn slot(&self, d: BoardId, w: Wavelength) -> Option<usize> {
+        self.outgoing
+            .iter()
+            .position(|r| r.destination == Some(d) && r.wavelength == w)
+    }
+
+    /// The stored reading of the channel this board drives toward `d` on
+    /// wavelength `w`.
+    pub fn outgoing(&self, d: BoardId, w: Wavelength) -> Option<&LinkReading> {
+        self.slot(d, w).map(|i| &self.outgoing[i])
     }
 
     /// Board Request stage, responder side: when `requester`'s
-    /// `Board_Request` passes through this RC, report the reading of the
-    /// channel this board drives *toward* the requester, if any laser of
-    /// ours points there.
-    pub fn report_toward(&self, requester: BoardId) -> Option<(BoardId, LinkReading)> {
+    /// `Board_Request` passes through this RC, report the reading of
+    /// *every* channel this board drives toward the requester.
+    pub fn reports_toward(
+        &self,
+        requester: BoardId,
+    ) -> impl Iterator<Item = (BoardId, LinkReading)> + '_ {
         self.outgoing
             .iter()
-            .flatten()
-            .find(|r| r.destination == Some(requester))
+            .filter(move |r| r.destination == Some(requester))
             .map(|r| (self.board, *r))
     }
 
@@ -96,23 +103,10 @@ impl ReconfigController {
         self.incoming[w.index()].as_ref()
     }
 
-    /// Reconfigure stage: classify the incoming table and compute grants.
-    pub fn reconfigure(&mut self) -> Vec<Reassignment> {
-        let incoming: Vec<IncomingLink> = self.incoming.iter().flatten().copied().collect();
-        let grants = self.policy.reconfigure(self.board, &incoming);
-        self.reassignments_made += grants.len() as u64;
-        // Keep the incoming table coherent with the decisions.
-        for g in &grants {
-            if let Some(entry) = &mut self.incoming[g.wavelength.index()] {
-                entry.owner = g.to;
-            }
-        }
-        grants
-    }
-
     /// Board Response stage, receiver side: converts the grants that concern
     /// *this* board into laser commands for the Link Response stage, and
-    /// updates the outgoing table's notion of destinations.
+    /// drops the channels it gives up from the outgoing table (a channel it
+    /// gains has no reading until the next Link Request collects one).
     pub fn commands_from_grants(&mut self, grants: &[WavelengthGrant]) -> Vec<LaserCommand> {
         let mut cmds = Vec::new();
         for g in grants {
@@ -122,10 +116,8 @@ impl ReconfigController {
                     destination: g.destination,
                     on: false,
                 });
-                if let Some(r) = &mut self.outgoing[g.wavelength.index()] {
-                    if r.destination == Some(g.destination) {
-                        r.destination = None;
-                    }
+                if let Some(i) = self.slot(g.destination, g.wavelength) {
+                    self.outgoing.swap_remove(i);
                 }
             }
             if g.to == self.board {
@@ -134,37 +126,16 @@ impl ReconfigController {
                     destination: g.destination,
                     on: true,
                 });
-                if let Some(r) = &mut self.outgoing[g.wavelength.index()] {
-                    r.destination = Some(g.destination);
-                }
             }
         }
         cmds
-    }
-
-    /// Resets both tables to the static RWA view (used at boot and by the
-    /// periodic re-synchronisation the paper mentions).
-    pub fn reset_to_static(&mut self, rwa: &StaticRwa) {
-        assert_eq!(rwa.boards(), self.boards);
-        for slot in &mut self.outgoing {
-            *slot = None;
-        }
-        for slot in &mut self.incoming {
-            *slot = None;
-        }
-        for (owner, w) in rwa.incoming(self.board) {
-            self.incoming[w.index()] = Some(IncomingLink {
-                wavelength: w,
-                owner,
-                buffer_util: 0.0,
-            });
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::FlowDemand;
     use photonics::bitrate::RateLevel;
 
     fn reading(w: u16, dest: Option<u16>, link: f64, buf: f64) -> LinkReading {
@@ -180,12 +151,20 @@ mod tests {
     #[test]
     fn outgoing_table_updates() {
         let mut rc = ReconfigController::new(BoardId(0), 4, AllocPolicy::paper());
-        rc.update_outgoing(&[reading(1, Some(3), 0.5, 0.1), reading(2, Some(2), 0.0, 0.0)]);
-        assert_eq!(
-            rc.outgoing(Wavelength(1)).unwrap().destination,
-            Some(BoardId(3))
-        );
-        assert!(rc.outgoing(Wavelength(3)).is_none());
+        rc.update_outgoing(&[
+            reading(1, Some(3), 0.5, 0.1),
+            reading(2, Some(2), 0.0, 0.0),
+            reading(3, None, 0.0, 0.0),
+        ]);
+        let stored = rc.outgoing(BoardId(3), Wavelength(1)).unwrap();
+        assert_eq!(stored.link_util, 0.5);
+        assert!(rc.outgoing(BoardId(3), Wavelength(2)).is_none());
+        assert!(rc.outgoing(BoardId(2), Wavelength(3)).is_none(), "dark");
+        // A newer reading of the same channel replaces the old one.
+        rc.update_outgoing(&[reading(1, Some(3), 0.9, 0.4)]);
+        let stored = rc.outgoing(BoardId(3), Wavelength(1)).unwrap();
+        assert_eq!(stored.link_util, 0.9);
+        assert_eq!(rc.reports_toward(BoardId(3)).count(), 1);
         assert_eq!(rc.board(), BoardId(0));
     }
 
@@ -193,10 +172,29 @@ mod tests {
     fn report_toward_finds_the_right_channel() {
         let mut rc = ReconfigController::new(BoardId(1), 4, AllocPolicy::paper());
         rc.update_outgoing(&[reading(1, Some(0), 0.9, 0.6), reading(3, Some(2), 0.1, 0.0)]);
-        let (owner, r) = rc.report_toward(BoardId(0)).unwrap();
-        assert_eq!(owner, BoardId(1));
-        assert_eq!(r.wavelength, Wavelength(1));
-        assert!(rc.report_toward(BoardId(3)).is_none());
+        let reports: Vec<_> = rc.reports_toward(BoardId(0)).collect();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].0, BoardId(1));
+        assert_eq!(reports[0].1.wavelength, Wavelength(1));
+        assert_eq!(rc.reports_toward(BoardId(3)).count(), 0);
+    }
+
+    #[test]
+    fn every_channel_toward_the_requester_is_reported() {
+        // After earlier DBR rounds board 1 drives λ1 and λ2 toward board 0
+        // and λ1 also toward board 2: wavelength alone is not a key.
+        let mut rc = ReconfigController::new(BoardId(1), 4, AllocPolicy::paper());
+        rc.update_outgoing(&[
+            reading(1, Some(0), 0.9, 0.6),
+            reading(2, Some(0), 0.2, 0.6),
+            reading(1, Some(2), 0.0, 0.0),
+        ]);
+        let toward_0: Vec<u16> = rc
+            .reports_toward(BoardId(0))
+            .map(|(_, r)| r.wavelength.0)
+            .collect();
+        assert_eq!(toward_0, vec![1, 2]);
+        assert_eq!(rc.reports_toward(BoardId(2)).count(), 1);
     }
 
     #[test]
@@ -209,12 +207,21 @@ mod tests {
             (BoardId(2), reading(2, Some(0), 0.0, 0.0)), // idle
             (BoardId(3), reading(3, Some(0), 0.0, 0.0)), // idle
         ]);
-        let grants = rc0.reconfigure();
+        let channels: Vec<IncomingLink> = (1..4)
+            .filter_map(|w| rc0.incoming(Wavelength(w)).copied())
+            .collect();
+        let demands: Vec<FlowDemand> = channels
+            .iter()
+            .map(|c| FlowDemand {
+                source: c.owner,
+                buffer_util: c.buffer_util,
+            })
+            .collect();
+        let grants = rc0
+            .policy()
+            .reconfigure_with_demands(BoardId(0), &channels, &demands);
         assert_eq!(grants.len(), 2);
         assert!(grants.iter().all(|g| g.to == BoardId(1)));
-        assert_eq!(rc0.reassignments_made(), 2);
-        // Incoming table now reflects the new owners.
-        assert_eq!(rc0.incoming(Wavelength(2)).unwrap().owner, BoardId(1));
 
         // Board 2 (loser of λ2) turns its laser off; board 1 turns two on.
         let mut rc2 = ReconfigController::new(BoardId(2), 4, AllocPolicy::paper());
@@ -223,21 +230,14 @@ mod tests {
         assert_eq!(cmds2.len(), 1);
         assert!(!cmds2[0].on);
         assert_eq!(cmds2[0].wavelength, Wavelength(2));
-        assert_eq!(rc2.outgoing(Wavelength(2)).unwrap().destination, None);
+        assert!(rc2.outgoing(BoardId(0), Wavelength(2)).is_none());
 
         let mut rc1 = ReconfigController::new(BoardId(1), 4, AllocPolicy::paper());
-        rc1.update_outgoing(&[
-            reading(1, Some(0), 1.0, 0.8),
-            reading(2, None, 0.0, 0.0),
-            reading(3, None, 0.0, 0.0),
-        ]);
+        rc1.update_outgoing(&[reading(1, Some(0), 1.0, 0.8)]);
         let cmds1 = rc1.commands_from_grants(&grants);
         assert_eq!(cmds1.len(), 2);
         assert!(cmds1.iter().all(|c| c.on && c.destination == BoardId(0)));
-        assert_eq!(
-            rc1.outgoing(Wavelength(2)).unwrap().destination,
-            Some(BoardId(0))
-        );
+        assert!(rc1.outgoing(BoardId(0), Wavelength(1)).is_some());
     }
 
     #[test]
@@ -250,18 +250,5 @@ mod tests {
             to: BoardId(2),
         };
         assert!(rc.commands_from_grants(&[g]).is_empty());
-    }
-
-    #[test]
-    fn reset_to_static_restores_rwa_owners() {
-        let rwa = StaticRwa::new(4);
-        let mut rc = ReconfigController::new(BoardId(2), 4, AllocPolicy::paper());
-        rc.update_incoming(&[(BoardId(0), reading(2, Some(2), 0.3, 0.9))]);
-        rc.reconfigure();
-        rc.reset_to_static(&rwa);
-        // Static owner of λ1 at destination 2 is board 3 ((2+1) mod 4).
-        assert_eq!(rc.incoming(Wavelength(1)).unwrap().owner, BoardId(3));
-        assert_eq!(rc.incoming(Wavelength(1)).unwrap().buffer_util, 0.0);
-        assert!(rc.outgoing(Wavelength(1)).is_none());
     }
 }

@@ -8,9 +8,9 @@
 //! packet from the previous RC_i ... RC_{i+1} will not service the newly
 //! received control packet until it transmits its own control packet."
 //!
-//! [`ControlRing`] is a message-level simulation of the ring used to
-//! validate that property and to measure the control-plane latency the
-//! system model charges.
+//! [`ControlRing`] is a message-level simulation of the ring: it carries
+//! the Board Request / Board Response tokens of every DBR round
+//! ([`crate::protocol::DbrRound`]).
 
 use crate::msg::ControlPacket;
 use desim::Cycle;

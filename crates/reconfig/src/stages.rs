@@ -1,10 +1,11 @@
 //! Protocol stage timing.
 //!
-//! The system model charges control-plane latency without simulating every
-//! control flit: each stage's duration follows from the ring/LC-chain
-//! geometry. "The key requirement of LS is to minimize the impact of
-//! reconfiguration latency on the on-going communication" (§3) — decisions
-//! take effect only after the full five-stage pipeline completes.
+//! Each stage's duration follows from the ring/LC-chain geometry: the two
+//! LC-chain stages are charged as fixed delays, the two ring stages are what
+//! a fault-free token loop of [`crate::ring::ControlRing`] takes. "The key
+//! requirement of LS is to minimize the impact of reconfiguration latency on
+//! the on-going communication" (§3) — decisions take effect only after the
+//! full five-stage pipeline completes.
 
 use desim::Cycle;
 

@@ -17,7 +17,7 @@ pub enum LsStageLabel {
 }
 
 impl LsStageLabel {
-    /// The wire label, matching `reconfig::protocol::DbrRound::stage()`.
+    /// The wire label.
     pub fn name(self) -> &'static str {
         match self {
             LsStageLabel::LinkRequest => "link_request",
@@ -25,18 +25,6 @@ impl LsStageLabel {
             LsStageLabel::Reconfigure => "reconfigure",
             LsStageLabel::BoardResponse => "board_response",
             LsStageLabel::LinkResponse => "link_response",
-        }
-    }
-
-    /// Parses a protocol stage label; `None` for "done" and unknown labels.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "link_request" => Some(LsStageLabel::LinkRequest),
-            "board_request" => Some(LsStageLabel::BoardRequest),
-            "reconfigure" => Some(LsStageLabel::Reconfigure),
-            "board_response" => Some(LsStageLabel::BoardResponse),
-            "link_response" => Some(LsStageLabel::LinkResponse),
-            _ => None,
         }
     }
 }
@@ -527,9 +515,12 @@ mod tests {
             LsStageLabel::BoardResponse,
             LsStageLabel::LinkResponse,
         ] {
-            assert_eq!(LsStageLabel::from_name(stage.name()), Some(stage));
+            let mut w = SnapWriter::new();
+            stage.save(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(LsStageLabel::load(&mut SnapReader::new(&bytes)), Ok(stage));
         }
-        assert_eq!(LsStageLabel::from_name("done"), None);
+        assert!(LsStageLabel::load(&mut SnapReader::new(&[5])).is_err());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! Library code never panics on bad input: recording out of order and every
 //! decode failure surface as a typed [`TraceError`].
 
+use desim::snap::fnv1a;
 use desim::Cycle;
 use std::path::Path;
 
@@ -299,16 +300,6 @@ pub struct InjectionTrace {
     pub meta: TraceMeta,
     /// Time-ordered injections.
     pub entries: Vec<TraceEntry>,
-}
-
-/// FNV-1a 64-bit, the checksum both formats carry.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {

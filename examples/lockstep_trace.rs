@@ -78,21 +78,20 @@ fn main() {
         .collect();
 
     let mut round = DbrRound::new(timing, AllocPolicy::paper(), 0, outgoing, demands);
-    let mut last_stage = round.stage();
     println!("timeline:");
-    println!("  cycle {:>4}: {}", 0, last_stage);
     let mut now = 0;
     let outcome = loop {
         if let Some(outcome) = round.tick(now) {
-            println!("  cycle {:>4}: done", now);
             break outcome;
-        }
-        if round.stage() != last_stage {
-            last_stage = round.stage();
-            println!("  cycle {:>4}: {}", now, last_stage);
         }
         now += 1;
     };
+    for &(at, stage) in round.stage_log() {
+        match stage {
+            Some(stage) => println!("  cycle {at:>4}: {stage:?}"),
+            None => println!("  cycle {at:>4}: done"),
+        }
+    }
 
     println!("\ndecisions ({} grants):", outcome.grants.len());
     for g in &outcome.grants {

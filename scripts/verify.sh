@@ -8,6 +8,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== one DBR control plane (no analytic shortcut, no LC/regulator stand-ins) =="
+if grep -rn "AnalyticLatency\|LinkRegulator\|LinkController" crates tests examples src; then
+    echo "verify: a retired control-plane name is back"; exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -25,6 +30,9 @@ echo "== arbiter equivalence smoke (word-parallel vs slice oracles, release) =="
 # position-identical to the retained slice-based oracle implementations;
 # the property suite drives both through randomized grant histories.
 cargo test -q --release -p router --test arbiter_props
+# Likewise a Lock-Step round must reach the direct Reconfigure decision on
+# any single-owner wavelength table (the reference `System` is held to).
+cargo test -q --release -p reconfig round_equals_the_direct_decision
 
 echo "== determinism suite with the per-board jobs on workers (2 and 8 point workers) =="
 # The cycle engine (DESIGN.md §12) must stay byte-identical whether its

@@ -398,6 +398,67 @@ fn corrupt_snapshot_always_detected_with_fallback() {
     let _ = std::fs::remove_dir_all(full_dir);
 }
 
+/// Every DBR run has a live Lock-Step round after each Bandwidth
+/// boundary; it finishes in `dbr_latency` ≪ `R_w`, so a boundary-cadence
+/// checkpointer never meets one and a snapshot lands at *every* boundary.
+#[test]
+fn every_boundary_checkpoints_while_dbr_rounds_run() {
+    let dir = tdir("every");
+    let mut sys = build(NetworkMode::PB, full_plan());
+    let mut sink = StreamSink::create(&paths(&dir)).expect("create sink");
+    let mut ck = Checkpointer::new(dir.join("ckpt"), 1, WINDOW).expect("checkpointer");
+    let end = run_streaming(&mut sys, nz(1), &mut sink, Some(&mut ck)).expect("stream run");
+    assert!(sys.srs().reconfig_counts().0 > 0, "rounds must have run");
+    assert_eq!(
+        ck.written_count(),
+        (end - 1) / WINDOW,
+        "a boundary was skipped"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The frozen `.ersp` body still carries the retired analytic plane's two
+/// fields (a delay word, always 0, and the `pending_dbr` list, always
+/// empty). A body that has either set is refused with a typed mismatch.
+#[test]
+fn analytic_plane_state_in_a_snapshot_is_refused() {
+    use erapid_suite::desim::snap::{SnapError, SnapReader, SnapWriter};
+    use erapid_suite::erapid_core::faults::FaultKind;
+    // Untraced, so an injected fault changes nothing but the armed list.
+    let fresh = || {
+        let cfg = SystemConfig::small(NetworkMode::PB);
+        System::new(cfg, TrafficPattern::Complement, 0.5, full_plan())
+    };
+    let body = |sys: &System| {
+        let mut w = SnapWriter::new();
+        sys.save_state(&mut w).expect("quiescent");
+        w.into_bytes()
+    };
+    let clean = body(&fresh());
+    assert!(fresh().load_state(&mut SnapReader::new(&clean)).is_ok());
+    // The delay word follows the tag and six u64 counters; the pending
+    // list's length word sits right before the armed-token list's, which
+    // an armed token fault makes the first byte to differ.
+    let delay_at = 4 + 6 * 8;
+    let mut armed = fresh();
+    armed.inject_fault(FaultKind::TokenLoss { victim: 1 });
+    let armed_len_at = (clean.iter().zip(&body(&armed)))
+        .position(|(a, b)| a != b)
+        .expect("the armed fault is saved");
+    for at in [delay_at, armed_len_at - 8] {
+        let mut bytes = clean.clone();
+        assert_eq!(bytes[at], 0);
+        bytes[at] = 1;
+        assert!(
+            matches!(
+                fresh().load_state(&mut SnapReader::new(&bytes)),
+                Err(SnapError::Mismatch(_))
+            ),
+            "byte {at} set must be refused as analytic-plane state"
+        );
+    }
+}
+
 /// Version and config-fingerprint mismatches are typed errors.
 #[test]
 fn version_and_config_mismatch_rejected() {

@@ -6,7 +6,8 @@
 //! replaced. These fingerprints were captured from the pre-optimization
 //! engine and pin the full observable outcome of sixteen generated runs
 //! (B=4 and B=8, all four modes, uniform + complement), two fault-heavy
-//! runs, one traced run (event stream hash) and eight fixture replays at
+//! runs, two low-load paper64 runs whose DBR rounds re-decide wavelengths
+//! they already moved, one traced run (event stream hash) and eight fixture replays at
 //! B=8 (uniform/complement recordings plus the scenario-engine collective
 //! fixture in all four modes) — including bit-exact f64 latency/power,
 //! grant/retune/relock
@@ -208,8 +209,15 @@ fn faulted_paper64() -> SystemConfig {
     cfg
 }
 
-/// The generated-traffic grid: name, config, pattern, load.
-fn generated_cases() -> Vec<(String, SystemConfig, TrafficPattern, f64)> {
+/// The paper-claims plan (2 warm-up + 4 measured windows): long enough for
+/// DBR to hand one source a second wavelength toward a destination and
+/// then decide about it again — the ownership shape the `p64-*` pins need.
+fn p64_plan() -> PhasePlan {
+    PhasePlan::new(4000, 8000).with_max_cycles(40_000)
+}
+
+/// The generated-traffic grid: name, config, pattern, load, plan.
+fn generated_cases() -> Vec<(String, SystemConfig, TrafficPattern, f64, PhasePlan)> {
     let mut cases = Vec::new();
     for (scale, make) in [
         ("b4", SystemConfig::small as fn(NetworkMode) -> SystemConfig),
@@ -228,6 +236,7 @@ fn generated_cases() -> Vec<(String, SystemConfig, TrafficPattern, f64)> {
                     make(mode),
                     pattern.clone(),
                     load,
+                    golden_plan(),
                 ));
             }
         }
@@ -237,24 +246,45 @@ fn generated_cases() -> Vec<(String, SystemConfig, TrafficPattern, f64)> {
         faulted_small(),
         TrafficPattern::Complement,
         0.6,
+        golden_plan(),
     ));
     cases.push((
         "b8-faults".into(),
         faulted_paper64(),
         TrafficPattern::Complement,
         0.6,
+        golden_plan(),
     ));
     cases.push((
         "b4-relocks".into(),
         relocked_small(),
         TrafficPattern::Uniform,
         0.4,
+        golden_plan(),
     ));
+    // Low-load points where an earlier round has already moved wavelengths,
+    // so a source holds several toward one destination when the next round
+    // collects its Board Requests. Recorded under the analytic plane; a
+    // round that under-reports those channels grants less (35 and 21).
+    for mode in [NetworkMode::PB, NetworkMode::NpB] {
+        cases.push((
+            format!("p64-{}-butterfly-0.2", mode.name()),
+            SystemConfig::paper64(mode),
+            TrafficPattern::Butterfly,
+            0.2,
+            p64_plan(),
+        ));
+    }
     cases
 }
 
-fn run_generated(cfg: SystemConfig, pattern: TrafficPattern, load: f64) -> Fingerprint {
-    fingerprint(System::new(cfg, pattern, load, golden_plan()))
+fn run_generated(
+    cfg: SystemConfig,
+    pattern: TrafficPattern,
+    load: f64,
+    plan: PhasePlan,
+) -> Fingerprint {
+    fingerprint(System::new(cfg, pattern, load, plan))
 }
 
 /// Controller-on runs: the online threshold controller (`erapid-tune`,
@@ -374,8 +404,8 @@ fn regen_collective_fixture() {
 #[test]
 #[ignore = "pin regeneration: run manually with --ignored --nocapture"]
 fn regen_golden() {
-    for (name, cfg, pattern, load) in generated_cases() {
-        let fp = run_generated(cfg, pattern, load);
+    for (name, cfg, pattern, load, plan) in generated_cases() {
+        let fp = run_generated(cfg, pattern, load, plan);
         println!("    (\"{name}\", {fp:?}),");
     }
     for (name, mode, fixture) in replay_cases() {
@@ -391,7 +421,8 @@ fn regen_golden() {
     println!("    traced events: count {count}, hash 0x{hash:016x}");
 }
 
-/// Captured from the pre-optimization engine (commit f7f7755).
+/// Captured from the pre-optimization engine (commit f7f7755); the two
+/// `p64-*` rows from commit 695a620, the last with the analytic DBR plane.
 const GENERATED_PINS: &[(&str, Fingerprint)] = &[
     (
         "b4-NP-NB-uniform",
@@ -697,6 +728,38 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
             lc_hash: 5139194829466049058,
         },
     ),
+    (
+        "p64-P-B-butterfly-0.2",
+        Fingerprint {
+            injected: 3235,
+            delivered: 3217,
+            latency_bits: 4635549093913791554,
+            power_bits: 4643797062066311184,
+            grants: 42,
+            retunes: 138,
+            relocks: 0,
+            ls_retries: 0,
+            ls_aborts: 0,
+            cycles: 12371,
+            lc_hash: 14286901229491661373,
+        },
+    ),
+    (
+        "p64-NP-B-butterfly-0.2",
+        Fingerprint {
+            injected: 3235,
+            delivered: 3210,
+            latency_bits: 4634889492914150322,
+            power_bits: 4645365609522628087,
+            grants: 24,
+            retunes: 0,
+            relocks: 0,
+            ls_retries: 0,
+            ls_aborts: 0,
+            cycles: 12371,
+            lc_hash: 5105397487481653437,
+        },
+    ),
 ];
 
 const REPLAY_PINS: &[(&str, Fingerprint)] = &[
@@ -920,9 +983,10 @@ const TRACED_PIN: (Fingerprint, u64, u64) = (
 fn generated_runs_match_pinned_fingerprints() {
     let cases = generated_cases();
     assert_eq!(cases.len(), GENERATED_PINS.len(), "pin table out of date");
-    for ((name, cfg, pattern, load), (pin_name, pin)) in cases.into_iter().zip(GENERATED_PINS) {
+    for ((name, cfg, pattern, load, plan), (pin_name, pin)) in cases.into_iter().zip(GENERATED_PINS)
+    {
         assert_eq!(&name, pin_name, "pin table order drifted");
-        let got = run_generated(cfg, pattern, load);
+        let got = run_generated(cfg, pattern, load, plan);
         assert_eq!(&got, pin, "fingerprint diverged for {name}");
     }
 }
@@ -989,9 +1053,10 @@ fn sharded_generated_runs_match_pinned_fingerprints() {
     let two = NonZeroUsize::new(2).unwrap();
     let cases = generated_cases();
     assert_eq!(cases.len(), GENERATED_PINS.len(), "pin table out of date");
-    for ((name, cfg, pattern, load), (pin_name, pin)) in cases.into_iter().zip(GENERATED_PINS) {
+    for ((name, cfg, pattern, load, plan), (pin_name, pin)) in cases.into_iter().zip(GENERATED_PINS)
+    {
         assert_eq!(&name, pin_name, "pin table order drifted");
-        let mut sys = System::new(cfg.clone(), pattern.clone(), load, golden_plan());
+        let mut sys = System::new(cfg.clone(), pattern.clone(), load, plan);
         sys.run_sharded(two);
         assert_eq!(
             &fingerprint_of(&sys),
@@ -1000,7 +1065,7 @@ fn sharded_generated_runs_match_pinned_fingerprints() {
         );
         if name == "b8-P-B-complement" {
             for workers in [4usize, 8] {
-                let mut sys = System::new(cfg.clone(), pattern.clone(), load, golden_plan());
+                let mut sys = System::new(cfg.clone(), pattern.clone(), load, plan);
                 sys.run_sharded(NonZeroUsize::new(workers).unwrap());
                 assert_eq!(
                     &fingerprint_of(&sys),

@@ -5,7 +5,7 @@
 //! developed in the authors' later work.)
 
 use erapid_suite::desim::phase::PhasePlan;
-use erapid_suite::erapid_core::config::{ControlPlane, NetworkMode, SystemConfig};
+use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::experiment::run_once;
 use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
 use erapid_suite::erapid_core::system::System;
@@ -87,39 +87,36 @@ fn reconfigured_network_keeps_comparable_delivery_volume() {
 
 #[test]
 fn token_loss_round_completes_via_retry_instead_of_deadlocking() {
-    // Regression (a): losing an LS token mid-round must not hang the
-    // control plane. The round watchdog detects the silent loss, relaunches
-    // the stage, and the round's decisions still land — the run finishes,
-    // DBR still grants, and the abort fail-safe never fires.
-    let mut cfg = SystemConfig::small(NetworkMode::PB);
-    cfg.control_plane = ControlPlane::MessageLevel;
+    // Regression (a): losing or corrupting an LS token mid-round must not
+    // hang the control plane. The round watchdog detects the silent loss
+    // (the origin's checksum the corruption), resends, and the round's
+    // decisions still land — the run finishes, DBR still grants, and the
+    // abort fail-safe never fires.
+    let plan = PhasePlan::new(2000, 6000).with_max_cycles(40_000);
+    let cfg = SystemConfig::small(NetworkMode::PB);
+    let clean = run_once(cfg.clone(), TrafficPattern::Complement, 0.4, plan);
     // First bandwidth boundary is t = 4000 (window 2000, even windows
-    // trigger Bandwidth); 10 cycles later the token is mid-ring.
-    cfg.faults = FaultPlan::new().at(4010, FaultKind::TokenLoss { victim: 1 });
-    let faulted = run_once(
-        cfg.clone(),
-        TrafficPattern::Complement,
-        0.4,
-        PhasePlan::new(2000, 6000).with_max_cycles(40_000),
-    );
-    cfg.faults = FaultPlan::new();
-    let clean = run_once(
-        cfg,
-        TrafficPattern::Complement,
-        0.4,
-        PhasePlan::new(2000, 6000).with_max_cycles(40_000),
-    );
-    assert!(
-        faulted.ls_retries >= 1,
-        "the watchdog must have resent the lost token"
-    );
-    assert_eq!(faulted.ls_aborts, 0, "retry must succeed, not abort");
-    assert!(faulted.grants > 0, "the recovered round still reconfigures");
-    assert_eq!(
-        faulted.grants, clean.grants,
-        "recovery delays the decisions but must not change them"
-    );
-    assert_eq!(faulted.undrained, 0, "every labelled packet drains");
+    // trigger Bandwidth); the Board Request tokens are on the ring from
+    // 4005, so one cycle later the victim's is mid-ring.
+    for kind in [
+        FaultKind::TokenLoss { victim: 1 },
+        FaultKind::TokenCorrupt { victim: 2 },
+    ] {
+        let mut cfg = cfg.clone();
+        cfg.faults = FaultPlan::new().at(4006, kind);
+        let faulted = run_once(cfg, TrafficPattern::Complement, 0.4, plan);
+        assert_eq!(
+            (faulted.ls_retries, faulted.ls_aborts),
+            (1, 0),
+            "{kind:?}: one resend, no abort"
+        );
+        assert!(faulted.grants > 0, "the recovered round still reconfigures");
+        assert_eq!(
+            faulted.grants, clean.grants,
+            "recovery delays the decisions but must not change them"
+        );
+        assert_eq!(faulted.undrained, 0, "every labelled packet drains");
+    }
 }
 
 #[test]

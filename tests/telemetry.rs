@@ -4,7 +4,7 @@
 //! §8).
 
 use erapid_suite::desim::phase::PhasePlan;
-use erapid_suite::erapid_core::config::{ControlPlane, NetworkMode, SystemConfig};
+use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
 use erapid_suite::erapid_core::runner::{run_points, RunPoint};
 use erapid_suite::erapid_telemetry::{chrome_trace, jsonl, TraceConfig};
@@ -20,9 +20,8 @@ fn plan() -> PhasePlan {
 /// receiver outage, a CDR relock on a live hot channel and an LS token
 /// loss. Small topology is R(1,4,4): complement pairs 0↔3 / 1↔2, so the
 /// hot flow 1→2 rides λ(1→2) = 3 and 0→3 rides λ1 (the outage victim).
-fn traced_point(mode: NetworkMode, control: ControlPlane, load: f64) -> RunPoint {
+fn traced_point(mode: NetworkMode, load: f64) -> RunPoint {
     let mut cfg = SystemConfig::small(mode);
-    cfg.control_plane = control;
     cfg.trace = TraceConfig::on();
     cfg.faults = FaultPlan::new()
         .receiver_outage(3, 1, 3000, 7000)
@@ -40,14 +39,12 @@ fn traced_point(mode: NetworkMode, control: ControlPlane, load: f64) -> RunPoint
 }
 
 fn batch() -> Vec<RunPoint> {
-    // Both control planes and both reconfig-capable modes, two loads: the
-    // trace content differs per point, so an ordering bug cannot cancel out.
+    // Both reconfig-capable modes, two loads: the trace content differs
+    // per point, so an ordering bug cannot cancel out.
     let mut points = Vec::new();
-    for control in [ControlPlane::AnalyticLatency, ControlPlane::MessageLevel] {
-        for mode in [NetworkMode::PB, NetworkMode::NpB] {
-            for load in [0.3, 0.6] {
-                points.push(traced_point(mode, control, load));
-            }
+    for mode in [NetworkMode::PB, NetworkMode::NpB] {
+        for load in [0.3, 0.6] {
+            points.push(traced_point(mode, load));
         }
     }
     points
@@ -79,7 +76,7 @@ fn traces_are_byte_identical_sequential_vs_parallel() {
 
 #[test]
 fn tracing_does_not_perturb_results() {
-    let traced = traced_point(NetworkMode::PB, ControlPlane::MessageLevel, 0.5);
+    let traced = traced_point(NetworkMode::PB, 0.5);
     let mut plain = traced.clone();
     plain.cfg.trace = TraceConfig::off();
     let (traced, plain) = (traced.run(), plain.run());
@@ -94,7 +91,7 @@ fn tracing_does_not_perturb_results() {
 
 #[test]
 fn trace_off_returns_empty_trace_and_same_result() {
-    let mut point = traced_point(NetworkMode::PB, ControlPlane::AnalyticLatency, 0.4);
+    let mut point = traced_point(NetworkMode::PB, 0.4);
     point.cfg.trace = TraceConfig::off();
     let trace = point.run().trace;
     assert!(trace.records.is_empty());
@@ -106,7 +103,7 @@ fn trace_off_returns_empty_trace_and_same_result() {
 
 #[test]
 fn latency_and_tx_wait_histograms_are_registered_and_populated() {
-    let p = traced_point(NetworkMode::PB, ControlPlane::AnalyticLatency, 0.5);
+    let p = traced_point(NetworkMode::PB, 0.5);
     let out = p.run();
     let (r, trace) = (out.result, out.trace);
     let names: Vec<&str> = trace
@@ -136,7 +133,7 @@ fn latency_and_tx_wait_histograms_are_registered_and_populated() {
 
 #[test]
 fn faulted_trace_contains_every_event_family() {
-    let p = traced_point(NetworkMode::PB, ControlPlane::MessageLevel, 0.5);
+    let p = traced_point(NetworkMode::PB, 0.5);
     let trace = p.run().trace;
     let tags: std::collections::BTreeSet<&str> =
         trace.records.iter().map(|r| r.event.tag()).collect();
