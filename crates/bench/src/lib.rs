@@ -1,8 +1,10 @@
-//! Shared harness for the figure/table regeneration binaries.
+//! The evaluation harness: the experiment [`index`] (every table, figure
+//! and paper-vs-measured claim, run by the `figures` bin and asserted by
+//! `tests/paper_claims.rs`) and what the bins share.
 //!
-//! Every binary prints the same rows/series the paper reports and drops a
-//! CSV next to the console output (under `results/`, created on demand);
-//! the matrix bins write their `<KIND>_<sha>.json` report there too
+//! `figures` prints the rows/series the paper reports and drops a CSV per
+//! figure under `results/` (created on demand); the matrix bins write
+//! their `<KIND>_<sha>.json` report there too
 //! ([`BenchConfig::write_report`], built from the one [`Json`] value).
 //!
 //! Environment knobs — parsed **once** in each binary's `main` by
@@ -10,7 +12,8 @@
 //! never reads the environment, so tests can construct any configuration
 //! without process-wide races):
 //! * `ERAPID_QUICK=1` — quarter-length runs and a 3-point load axis, for
-//!   smoke-testing the binaries.
+//!   smoke-testing the binaries (`figures` then prints tables only: the
+//!   claims are calibrated on the full plan, and no CSV is overwritten).
 //! * `ERAPID_RESULTS=<dir>` — where every CSV, recorded workload and JSON
 //!   report is written (default `results`); no binary writes into the cwd.
 //! * `ERAPID_THREADS=<n>` — worker threads for the run-level executor
@@ -28,6 +31,9 @@
 //! run-level executor and the per-point cycle engine to a single thread,
 //! overriding the env knobs — for debugging and for timing baselines.
 
+pub mod claims;
+pub mod experiments;
+pub mod index;
 pub mod json;
 
 pub use json::Json;
@@ -36,11 +42,19 @@ use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::experiment::{default_plan, paper_loads, RunOutput, RunResult};
 use erapid_core::runner::{self, RunPoint};
 use erapid_workloads::ScenarioSpec;
+use index::Results;
 use netstats::csv::Csv;
 use netstats::table::Table;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use traffic::pattern::TrafficPattern;
+
+/// Prints `msg` and exits 2: how every bin rejects a name or argument it
+/// does not know.
+pub fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
 
 /// The four-scenario suite, or the single scenario the env knob
 /// `env_name` names (`ERAPID_SCENARIO` for `scenarios`, `ERAPID_TUNE` for
@@ -49,10 +63,9 @@ pub fn scenario_suite(env_name: &str) -> Vec<ScenarioSpec> {
     match std::env::var(env_name) {
         Ok(name) if !name.trim().is_empty() => match ScenarioSpec::from_name(&name) {
             Some(spec) => vec![spec],
-            None => {
-                eprintln!("unknown {env_name} {name:?} (want hotspot/diurnal/incast/collective)");
-                std::process::exit(2);
-            }
+            None => usage_exit(&format!(
+                "unknown {env_name} {name:?} (want hotspot/diurnal/incast/collective)"
+            )),
         },
         _ => ScenarioSpec::paper_suite(),
     }
@@ -197,46 +210,70 @@ impl BenchConfig {
         }
     }
 
-    /// Builds the experiment point for one (mode, pattern, load) on the
-    /// paper's 64-node system.
-    pub fn point(&self, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunPoint {
-        let cfg = SystemConfig::paper64(mode);
+    /// The one point constructor: `cfg` under `pattern` at `load`, on this
+    /// configuration's phase plan for `cfg`'s window.
+    pub fn point(&self, cfg: SystemConfig, pattern: &TrafficPattern, load: f64) -> RunPoint {
         let plan = self.plan(cfg.schedule.window);
         RunPoint::generate(cfg, pattern.clone(), load, plan)
     }
 
-    /// Runs the full panel for one pattern (the 4 curves of one figure
-    /// column), fanning all mode × load points over the worker pool.
-    /// Results are byte-identical to the sequential order for any thread
-    /// count.
-    pub fn run_panel(&self, name: &str, pattern: &TrafficPattern) -> Panel {
-        let loads = self.load_axis();
-        let modes = NetworkMode::all();
-        eprintln!(
-            "  running {} ({} modes x {} loads on {} threads x {} point workers) ...",
-            name,
-            modes.len(),
-            loads.len(),
-            self.threads,
-            self.point_threads
-        );
-        let points: Vec<RunPoint> = modes
-            .iter()
-            .flat_map(|&mode| loads.iter().map(move |&l| (mode, l)))
-            .map(|(mode, l)| self.point(mode, pattern, l))
-            .collect();
-        let flat: Vec<RunResult> = self.run(points).iter().map(|o| o.result).collect();
-        let results = modes
-            .iter()
-            .zip(flat.chunks(loads.len()))
-            .map(|(&mode, series)| (mode, series.to_vec()))
-            .collect();
-        Panel {
-            pattern: name.to_string(),
-            results,
-            loads,
+    /// Writes `<results>/<name>.csv` and says so — except in quick mode,
+    /// whose truncated runs must not overwrite the committed figures.
+    pub fn write_csv(&self, name: &str, csv: &Csv) {
+        if self.quick {
+            return;
+        }
+        let path = self.results_dir().join(format!("{name}.csv"));
+        match csv.write_to(&path) {
+            Ok(()) => println!("wrote {}\n", path.display()),
+            Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
     }
+}
+
+/// Column headers of [`result_row`].
+pub const RESULT_COLUMNS: [&str; 10] = [
+    "thr (pkt/n/c)",
+    "thr/Nc",
+    "lat (cyc)",
+    "p95",
+    "src path",
+    "TX wait",
+    "power (mW)",
+    "grants",
+    "retunes",
+    "undrained",
+];
+
+/// The one way a [`RunResult`] becomes table cells.
+pub fn result_row(r: &RunResult) -> Vec<String> {
+    vec![
+        format!("{:.4}", r.throughput),
+        format!("{:.3}", r.throughput_norm),
+        format!("{:.1}", r.latency),
+        format!("{:.0}", r.latency_p95),
+        format!("{:.1}", r.src_path),
+        format!("{:.1}", r.tx_wait),
+        format!("{:.1}", r.power_mw),
+        format!("{}", r.grants),
+        format!("{}", r.retunes),
+        format!("{}", r.undrained),
+    ]
+}
+
+/// A table with one [`result_row`] per result, each behind the cells that
+/// name it (`keys` are their headers).
+pub fn result_table(
+    title: &str,
+    keys: &[&str],
+    rows: impl IntoIterator<Item = (Vec<String>, RunResult)>,
+) -> Table {
+    let mut t = Table::new([keys, &RESULT_COLUMNS[..]].concat()).with_title(title);
+    for (mut cells, result) in rows {
+        cells.extend(result_row(&result));
+        t.row(cells);
+    }
+    t
 }
 
 /// Ranks labelled survival fractions worst-first and returns the `take`
@@ -261,6 +298,25 @@ pub struct Panel {
     pub results: Vec<(NetworkMode, Vec<RunResult>)>,
     /// The load axis used.
     pub loads: Vec<f64>,
+}
+
+impl Panel {
+    /// The four curves of `pattern` over `bench`'s load axis, read from
+    /// `results`.
+    pub fn from_results(bench: &BenchConfig, pattern: &str, results: &Results) -> Panel {
+        let loads = bench.load_axis();
+        let curve = |mode| {
+            loads
+                .iter()
+                .map(|&l| results.p64(pattern, mode, l))
+                .collect()
+        };
+        Panel {
+            pattern: pattern.to_string(),
+            results: NetworkMode::all().map(|mode| (mode, curve(mode))).into(),
+            loads,
+        }
+    }
 }
 
 /// Prints the three sub-panels (throughput, latency, power) the paper's
@@ -313,11 +369,7 @@ pub fn print_panel(cfg: &BenchConfig, panel: &Panel) {
         }
         csv.row(row);
     }
-    let path = cfg.results_dir().join(format!("{}.csv", panel.pattern));
-    match csv.write_to(&path) {
-        Ok(()) => println!("wrote {}\n", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    cfg.write_csv(&panel.pattern, &csv);
 }
 
 /// Draws the panel's three metrics as terminal line charts (the actual
@@ -343,45 +395,6 @@ pub fn print_charts(panel: &Panel) {
     draw("power", "mW", &|r| r.power_mw);
 }
 
-/// Prints the paper-vs-measured summary comparisons for a panel, mirroring
-/// the claims in §4.2.
-pub fn print_ratios(panel: &Panel) {
-    let find = |mode: NetworkMode| -> &Vec<RunResult> {
-        &panel
-            .results
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .expect("all modes present")
-            .1
-    };
-    let peak = |s: &Vec<RunResult>| s.iter().map(|r| r.throughput).fold(0.0f64, f64::max);
-    let peak_pwr = |s: &Vec<RunResult>| s.iter().map(|r| r.power_mw).fold(0.0f64, f64::max);
-    let npnb = find(NetworkMode::NpNb);
-    let npb = find(NetworkMode::NpB);
-    let pnb = find(NetworkMode::PNb);
-    let pb = find(NetworkMode::PB);
-    println!("[{}] headline ratios:", panel.pattern);
-    println!(
-        "  peak throughput  NP-B/NP-NB = {:.2}x   P-B/NP-B = {:.2}x",
-        peak(npb) / peak(npnb).max(1e-12),
-        peak(pb) / peak(npb).max(1e-12),
-    );
-    println!(
-        "  peak power       NP-B/NP-NB = {:.2}x   P-B/NP-B = {:.2}x   P-NB/NP-NB = {:.2}x",
-        peak_pwr(npb) / peak_pwr(npnb).max(1e-12),
-        peak_pwr(pb) / peak_pwr(npb).max(1e-12),
-        peak_pwr(pnb) / peak_pwr(npnb).max(1e-12),
-    );
-    // Mid-load power saving of P-B vs NP-B (where DPM has headroom).
-    let mid = panel.loads.len() / 2;
-    println!(
-        "  mid-load power   P-B/NP-B = {:.2}x   (load {:.1})",
-        pb[mid].power_mw / npb[mid].power_mw.max(1e-12),
-        panel.loads[mid]
-    );
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,23 +406,18 @@ mod tests {
         }
     }
 
-    /// Sequential reference for [`BenchConfig::run_panel`]: the plain
-    /// mode × load loop on the calling thread.
-    fn run_panel_sequential(cfg: &BenchConfig, name: &str, pattern: &TrafficPattern) -> Panel {
-        let loads = cfg.load_axis();
-        let mut results = Vec::new();
-        for mode in NetworkMode::all() {
-            let series: Vec<RunResult> = loads
-                .iter()
-                .map(|&l| cfg.point(mode, pattern, l).run().result)
-                .collect();
-            results.push((mode, series));
-        }
-        Panel {
-            pattern: name.to_string(),
-            results,
-            loads,
-        }
+    /// Fig. 5's uniform points through `cfg`'s two thread budgets must
+    /// equal the plain loop on the calling thread, field for field, in
+    /// order.
+    fn assert_matches_sequential(cfg: &BenchConfig) {
+        let points = || -> Vec<RunPoint> {
+            let points = experiments::panel_points(cfg, &["uniform"]);
+            points.into_iter().map(|p| p.run).collect()
+        };
+        let fanned: Vec<RunResult> = cfg.run(points()).iter().map(|o| o.result).collect();
+        let sequential: Vec<RunResult> = points().into_iter().map(|p| p.run().result).collect();
+        assert_eq!(fanned.len(), 4 * cfg.load_axis().len());
+        assert_eq!(fanned, sequential);
     }
 
     #[test]
@@ -461,7 +469,11 @@ mod tests {
     #[test]
     fn run_point_smoke() {
         let r = quick_cfg()
-            .point(NetworkMode::NpNb, &TrafficPattern::Uniform, 0.2)
+            .point(
+                SystemConfig::paper64(NetworkMode::NpNb),
+                &TrafficPattern::Uniform,
+                0.2,
+            )
             .run()
             .result;
         assert!(r.throughput > 0.0);
@@ -470,39 +482,19 @@ mod tests {
     #[test]
     fn sharded_panel_matches_sequential() {
         // Run-level pool *and* per-point board sharding at once: the
-        // nested 2x2 budget must still be byte-identical to the plain
-        // sequential loop.
-        let cfg = BenchConfig {
-            quick: true,
+        // nested 2x2 budget must still be byte-identical.
+        assert_matches_sequential(&BenchConfig {
             threads: NonZeroUsize::new(2).unwrap(),
             point_threads: NonZeroUsize::new(2).unwrap(),
-            ..BenchConfig::default()
-        };
-        let par = cfg.run_panel("uniform", &TrafficPattern::Uniform);
-        let seq = run_panel_sequential(&cfg, "uniform", &TrafficPattern::Uniform);
-        assert_eq!(par.loads, seq.loads);
-        for ((ma, sa), (mb, sb)) in par.results.iter().zip(&seq.results) {
-            assert_eq!(ma, mb);
-            assert_eq!(sa, sb, "mode {} series diverged", ma.name());
-        }
+            ..quick_cfg()
+        });
     }
 
     #[test]
     fn parallel_panel_matches_sequential() {
-        // 2 threads vs the plain sequential loop over the same points:
-        // every RunResult field must be identical, in identical order.
-        let cfg = BenchConfig {
-            quick: true,
+        assert_matches_sequential(&BenchConfig {
             threads: NonZeroUsize::new(2).unwrap(),
-            ..BenchConfig::default()
-        };
-        let par = cfg.run_panel("uniform", &TrafficPattern::Uniform);
-        let seq = run_panel_sequential(&cfg, "uniform", &TrafficPattern::Uniform);
-        assert_eq!(par.loads, seq.loads);
-        assert_eq!(par.results.len(), seq.results.len());
-        for ((ma, sa), (mb, sb)) in par.results.iter().zip(&seq.results) {
-            assert_eq!(ma, mb);
-            assert_eq!(sa, sb, "mode {} series diverged", ma.name());
-        }
+            ..quick_cfg()
+        });
     }
 }

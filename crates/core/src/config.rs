@@ -61,6 +61,13 @@ impl NetworkMode {
         }
     }
 
+    /// The mode [`NetworkMode::name`] prints as `s` (ASCII case ignored).
+    pub fn from_name(s: &str) -> Option<Self> {
+        Self::all()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(s))
+    }
+
     /// The DPM thresholds this mode runs with (§4.2: P-NB uses
     /// `L_max = 0.7, B_max = 0`; P-B uses `L_max = 0.9, B_max = 0.3`).
     pub fn dpm_policy(self) -> Option<DpmPolicy> {
@@ -168,12 +175,14 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's 64-node system (B = 8, D = 8) with Table 1 parameters.
-    pub fn paper64(mode: NetworkMode) -> Self {
+    /// An R(1,B,D) system with Table 1 parameters: the one place the board
+    /// count is written into both the topology and the control ring's
+    /// timing model.
+    pub fn geometry(mode: NetworkMode, boards: u16, nodes_per_board: u16) -> Self {
         Self {
             clusters: 1,
-            boards: 8,
-            nodes_per_board: 8,
+            boards,
+            nodes_per_board,
             packet_flits: 8,
             vcs: 4,
             buf_depth: 4,
@@ -189,7 +198,11 @@ impl SystemConfig {
             burst: None,
             scenario: None,
             control_plane: ControlPlane::default(),
-            timing: ProtocolTiming::paper64(),
+            timing: ProtocolTiming {
+                boards,
+                lcs_per_board: nodes_per_board,
+                ..ProtocolTiming::paper64()
+            },
             fiber: Fiber::rack_scale(),
             serdes: Serdes::paper(),
             seed: 0xE4A9_1D07,
@@ -201,17 +214,14 @@ impl SystemConfig {
         }
     }
 
+    /// The paper's 64-node system (B = 8, D = 8).
+    pub fn paper64(mode: NetworkMode) -> Self {
+        Self::geometry(mode, 8, 8)
+    }
+
     /// A small R(1,4,4) system for fast tests (the paper's Fig. 1 example).
     pub fn small(mode: NetworkMode) -> Self {
-        let mut c = Self::paper64(mode);
-        c.boards = 4;
-        c.nodes_per_board = 4;
-        c.timing = ProtocolTiming {
-            boards: 4,
-            lcs_per_board: 4,
-            ..ProtocolTiming::paper64()
-        };
-        c
+        Self::geometry(mode, 4, 4)
     }
 
     /// Total node count.
@@ -269,6 +279,9 @@ impl SystemConfig {
         if self.nodes_per_board < 1 {
             return fail("need at least one node per board");
         }
+        if self.timing.boards != self.boards {
+            return fail("timing.boards must equal boards (build with SystemConfig::geometry)");
+        }
         if self.packet_flits < 1 {
             return fail("packets must carry at least one flit");
         }
@@ -325,6 +338,30 @@ mod tests {
         assert!(NetworkMode::PB.bandwidth_reconfig());
         assert_eq!(NetworkMode::all().len(), 4);
         assert_eq!(NetworkMode::PB.name(), "P-B");
+    }
+
+    #[test]
+    fn mode_names_round_trip() {
+        for mode in NetworkMode::all() {
+            assert_eq!(NetworkMode::from_name(mode.name()), Some(mode));
+            assert_eq!(
+                NetworkMode::from_name(&mode.name().to_lowercase()),
+                Some(mode)
+            );
+        }
+        assert_eq!(NetworkMode::from_name("x"), None);
+    }
+
+    #[test]
+    fn ring_timing_must_match_the_board_count() {
+        // Used to pass validation and die on an `assert_eq!` inside the
+        // first DBR round (`reconfig::protocol::DbrRound::new`).
+        let mut c = SystemConfig::paper64(NetworkMode::NpB);
+        c.boards = 4;
+        assert!(matches!(c.try_validate(), Err(ErapidError::Config(_))));
+        let c = SystemConfig::geometry(NetworkMode::NpB, 4, 8);
+        assert!(c.try_validate().is_ok());
+        assert_eq!((c.timing.boards, c.timing.lcs_per_board), (4, 8));
     }
 
     #[test]

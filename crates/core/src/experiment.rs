@@ -20,7 +20,7 @@ use traffic::pattern::TrafficPattern;
 use traffic::trace::{InjectionTrace, TraceMeta};
 
 /// One run's headline numbers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunResult {
     /// Normalised offered load (fraction of `N_c`).
     pub load: f64,
@@ -230,24 +230,7 @@ mod tests {
         // active, or a zero-load point) must rank as fully delivered, not
         // NaN — the scenario bench sorts by this value and a NaN would
         // poison the worst-offender ranking.
-        let mut r = RunResult {
-            load: 0.0,
-            throughput: 0.0,
-            throughput_norm: 0.0,
-            latency: 0.0,
-            latency_p95: 0.0,
-            power_mw: 0.0,
-            src_path: 0.0,
-            tx_wait: 0.0,
-            undrained: 0,
-            grants: 0,
-            retunes: 0,
-            ls_retries: 0,
-            ls_aborts: 0,
-            injected: 0,
-            delivered: 0,
-            cycles: 0,
-        };
+        let mut r = RunResult::default();
         assert_eq!(r.delivered_fraction(), 1.0);
         r.injected = 4;
         r.delivered = 3;

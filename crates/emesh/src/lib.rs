@@ -6,7 +6,7 @@
 //! wired hop-to-hop with credit flow control and dimension-order (XY)
 //! routing. It exercises the `router` crate in its full multi-hop role —
 //! per-hop RC/VA/SA/ST pipelines, per-link credit loops — and provides the
-//! apples-to-apples baseline bench (`erapid-bench --bin baseline`).
+//! apples-to-apples baseline experiment (`erapid-bench --bin figures -- baseline`).
 //!
 //! * [`topology`] — mesh geometry and XY dimension-order routing,
 //! * [`network`] — the assembled mesh: routers, inter-router links,

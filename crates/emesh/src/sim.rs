@@ -50,7 +50,7 @@ impl MeshConfig {
 }
 
 /// One mesh run's headline numbers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MeshRunResult {
     /// Offered load in packets/node/cycle.
     pub offered: f64,

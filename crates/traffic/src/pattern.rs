@@ -57,6 +57,49 @@ impl TrafficPattern {
         ]
     }
 
+    /// Every pattern, one per [`TrafficPattern::name`] (hotspot with the
+    /// extension benches' half-hot, Zipf-1.2 mix).
+    pub fn all() -> Vec<TrafficPattern> {
+        let mut all: Vec<_> = Self::paper_suite().into_iter().map(|(_, p)| p).collect();
+        all.extend([
+            TrafficPattern::Transpose,
+            TrafficPattern::BitReversal,
+            TrafficPattern::Tornado,
+            TrafficPattern::Neighbour,
+            TrafficPattern::Hotspot {
+                fraction: 0.5,
+                exponent: 1.2,
+            },
+        ]);
+        all
+    }
+
+    /// The pattern [`TrafficPattern::name`] prints as `s`.
+    pub fn from_name(s: &str) -> Option<TrafficPattern> {
+        Self::all().into_iter().find(|p| p.name() == s)
+    }
+
+    /// Whether [`TrafficPattern::dest`] is defined on `n` nodes: any
+    /// `n >= 2`, a power of two for the bit permutations, an even bit
+    /// count for transpose.
+    pub fn valid_for(&self, n: u32) -> bool {
+        let even_bits = n.trailing_zeros().is_multiple_of(2);
+        n >= 2
+            && (!self.needs_pow2() || n.is_power_of_two())
+            && (!matches!(self, TrafficPattern::Transpose) || even_bits)
+    }
+
+    fn needs_pow2(&self) -> bool {
+        matches!(
+            self,
+            TrafficPattern::Butterfly
+                | TrafficPattern::Complement
+                | TrafficPattern::PerfectShuffle
+                | TrafficPattern::Transpose
+                | TrafficPattern::BitReversal
+        )
+    }
+
     /// True when the pattern is a fixed permutation (destination depends
     /// only on the source).
     pub fn is_permutation(&self) -> bool {
@@ -89,15 +132,7 @@ impl TrafficPattern {
     pub fn dest(&self, src: u32, n: u32, rng: &mut Pcg32) -> u32 {
         assert!(n >= 2 && src < n);
         let bits = n.trailing_zeros();
-        let need_pow2 = matches!(
-            self,
-            TrafficPattern::Butterfly
-                | TrafficPattern::Complement
-                | TrafficPattern::PerfectShuffle
-                | TrafficPattern::Transpose
-                | TrafficPattern::BitReversal
-        );
-        if need_pow2 {
+        if self.needs_pow2() {
             assert!(n.is_power_of_two(), "bit permutations need 2^k nodes");
         }
         let dst = match self {
@@ -167,6 +202,27 @@ mod tests {
 
     fn rng() -> Pcg32 {
         Pcg32::stream(99, 0)
+    }
+
+    #[test]
+    fn names_round_trip_and_validity_matches_dest() {
+        let all = TrafficPattern::all();
+        assert_eq!(all.len(), 9);
+        for p in &all {
+            let back = TrafficPattern::from_name(p.name()).expect("every name parses");
+            assert_eq!(back.name(), p.name());
+            assert!(p.valid_for(64) && !p.valid_for(1));
+            // 9 nodes: only the bit permutations are undefined; 8 nodes
+            // (3 bits) additionally rules out transpose.
+            assert_eq!(p.valid_for(9), !p.needs_pow2(), "{}", p.name());
+            assert_eq!(
+                p.valid_for(8),
+                !matches!(p, TrafficPattern::Transpose),
+                "{}",
+                p.name()
+            );
+        }
+        assert!(TrafficPattern::from_name("nope").is_none());
     }
 
     #[test]

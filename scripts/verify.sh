@@ -13,6 +13,12 @@ if grep -rn "AnalyticLatency\|LinkRegulator\|LinkController" crates tests exampl
     echo "verify: a retired control-plane name is back"; exit 1
 fi
 
+echo "== one experiment index (the nine figure bins stay retired) =="
+if grep -rnE -- "--bin (table1|arch|fig3|fig5|fig6|ablation|baseline|breakdown|scaling)\b" \
+    crates scripts .claude README.md DESIGN.md EXPERIMENTS.md; then
+    echo "verify: a retired figure bin is referenced; use 'figures <id>'"; exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -49,6 +55,14 @@ echo "== benchmark/ tests (the one perf instrument compiles against the crates a
 # is what catches an API break in System/runner before the pipeline does.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== figures all (every claim inside its band, the five CSVs == results/*.csv) =="
+figures_dir="$(mktemp -d)"
+trap 'rm -rf "$figures_dir"' EXIT
+ERAPID_RESULTS="$figures_dir" cargo run --release -q -p erapid-bench --bin figures -- all > /dev/null
+for csv in fig3 uniform complement butterfly perfect_shuffle; do
+    cmp "$figures_dir/$csv.csv" "results/$csv.csv" || { echo "figures: results/$csv.csv is stale"; exit 1; }
+done
+
 echo "== scenarios smoke (workload generators: seq == sharded == fanned) =="
 # One small P-B point per scenario through all three engines; the bin
 # exits nonzero when delivery is zero or any engine pair diverges.
@@ -67,14 +81,14 @@ fi
 
 echo "== resilience smoke (quick fault-scenario matrix) =="
 resilience_dir="$(mktemp -d)"
-trap 'rm -rf "$resilience_dir"' EXIT
+trap 'rm -rf "$figures_dir" "$resilience_dir"' EXIT
 ERAPID_QUICK=1 ERAPID_RESULTS="$resilience_dir" \
     cargo run --release -q -p erapid-bench --bin resilience > /dev/null
 test -s "$resilience_dir"/RESILIENCE_*.json || { echo "resilience smoke: missing RESILIENCE_<sha>.json"; exit 1; }
 
 echo "== tracereport smoke (quick traced run, JSONL + Perfetto outputs) =="
 trace_dir="$(mktemp -d)"
-trap 'rm -rf "$resilience_dir" "$trace_dir"' EXIT
+trap 'rm -rf "$figures_dir" "$resilience_dir" "$trace_dir"' EXIT
 ERAPID_QUICK=1 ERAPID_TRACE="$trace_dir/trace.jsonl" \
     cargo run --release -q -p erapid-bench --bin tracereport > /dev/null
 test -s "$trace_dir/trace.jsonl" || { echo "tracereport smoke: empty trace"; exit 1; }
@@ -108,7 +122,7 @@ fi
 
 echo "== replay smoke (record -> persist -> replay conformance) =="
 replay_dir="$(mktemp -d)"
-trap 'rm -rf "$resilience_dir" "$trace_dir" "$replay_dir"' EXIT
+trap 'rm -rf "$figures_dir" "$resilience_dir" "$trace_dir" "$replay_dir"' EXIT
 ERAPID_QUICK=1 ERAPID_RESULTS="$replay_dir" \
     cargo run --release -q -p erapid-bench --bin replay > /dev/null
 report=$(ls "$replay_dir"/REPLAY_*.json 2> /dev/null | head -1)
@@ -120,7 +134,7 @@ echo "replay smoke: $(basename "$report") written"
 
 echo "== marathon smoke (streamed run, forced mid-run kill, checkpoint resume) =="
 marathon_dir="$(mktemp -d)"
-trap 'rm -rf "$resilience_dir" "$trace_dir" "$replay_dir" "$marathon_dir"' EXIT
+trap 'rm -rf "$figures_dir" "$resilience_dir" "$trace_dir" "$replay_dir" "$marathon_dir"' EXIT
 # The bin aborts itself mid-run (SIGABRT), resumes from the newest
 # checkpoint, and asserts zero byte divergence from the uninterrupted run
 # plus a peak-RSS ceiling — a nonzero exit here means the crash-safety
