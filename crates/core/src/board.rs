@@ -20,6 +20,11 @@
 //! packed `u64` bitset words over requester ids `in_port · V + in_vc`
 //! (DESIGN.md §16). The board's `D + B` output ports and `D + W` input
 //! ports set those bitset widths.
+//!
+//! Only *ready* injectors are ticked: one with nothing queued, or whose
+//! last tick was blocked by full input VCs, sleeps until an enqueue or a
+//! flit leaving its port can change the outcome (DESIGN.md §16), so a
+//! saturated cycle costs what the flits that moved cost, not `D + W`.
 
 use crate::config::SystemConfig;
 use crate::txqueue::{ReadyPacket, TransmitQueue};
@@ -29,7 +34,7 @@ use router::flit::NodeId;
 use router::inject::FlitInjector;
 use router::packet::Packet;
 use router::routing::{PortId, TableRoute};
-use router::{Router, RouterConfig};
+use router::{words, Router, RouterConfig};
 
 /// A packet delivered to its destination node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +55,14 @@ pub struct Board {
     d: u16,
     packet_flits: u16,
     router: Router,
-    node_inj: Vec<FlitInjector>,
-    rx_inj: Vec<FlitInjector>,
+    /// One injector per router input port: `[0, D)` node NIs, `[D, D + W)`
+    /// optical receivers.
+    injectors: Vec<FlitInjector>,
+    /// Injectors worth ticking, one bit per input port: bit `p` set ⟹
+    /// injector `p` is non-idle; a non-idle injector outside the set is
+    /// *asleep* — its last tick was blocked and no flit has left its port
+    /// since.
+    inj_ready: Vec<u64>,
     /// One TX queue per destination board (`tx[self]` unused).
     tx: Vec<TransmitQueue>,
     /// `Buffer_util` counters, one per destination board — event-driven
@@ -114,8 +125,8 @@ impl Board {
             d,
             packet_flits: cfg.packet_flits,
             router,
-            node_inj: (0..d).map(|p| FlitInjector::new(PortId(p))).collect(),
-            rx_inj: (0..w).map(|i| FlitInjector::new(PortId(d + i))).collect(),
+            injectors: (0..d + w).map(|p| FlitInjector::new(PortId(p))).collect(),
+            inj_ready: vec![0; words::words_for((d + w) as usize)],
             tx: (0..b)
                 .map(|_| TransmitQueue::new(per_vc * cfg.vcs as u32))
                 .collect(),
@@ -145,10 +156,20 @@ impl Board {
         self.router.take_buffered_peak()
     }
 
+    /// Queues a packet at input port `port`'s injector. Only the enqueue
+    /// that ends idleness readies it: behind a blocked packet, a longer
+    /// backlog changes nothing about the next tick.
+    fn enqueue(&mut self, port: usize, packet: Packet) {
+        self.inflight += 1;
+        if self.injectors[port].is_idle() {
+            words::set(&mut self.inj_ready, port);
+        }
+        self.injectors[port].enqueue(packet);
+    }
+
     /// Queues a freshly generated packet at a node NI.
     pub fn enqueue_node_packet(&mut self, local_node: u16, packet: Packet) {
-        self.inflight += 1;
-        self.node_inj[local_node as usize].enqueue(packet);
+        self.enqueue(local_node as usize, packet);
     }
 
     /// Queues an optically arrived packet at the receiver for `wavelength`
@@ -162,18 +183,24 @@ impl Board {
             injected_at: pkt.injected_at,
             labelled: pkt.labelled,
         };
-        self.inflight += 1;
-        self.rx_inj[wavelength as usize].enqueue(packet);
+        self.enqueue((self.d + wavelength) as usize, packet);
     }
 
     /// Source-side NI backlog (packets) at a node.
     pub fn ni_backlog(&self, local_node: u16) -> usize {
-        self.node_inj[local_node as usize].backlog_len()
+        self.injectors[local_node as usize].backlog_len()
     }
 
     /// Receiver-side backlog (packets) at the receiver for `wavelength`.
     pub fn rx_backlog(&self, wavelength: u16) -> usize {
-        self.rx_inj[wavelength as usize].backlog_len()
+        self.injectors[(self.d + wavelength) as usize].backlog_len()
+    }
+
+    /// Injectors with packets queued that are not being ticked: blocked on
+    /// full input VCs, waiting for a flit to leave their port.
+    pub fn sleeping_injectors(&self) -> usize {
+        let pending = self.injectors.iter().filter(|i| !i.is_idle()).count();
+        pending - words::count(&self.inj_ready) as usize
     }
 
     /// The TX queue toward destination board `dest`.
@@ -191,10 +218,8 @@ impl Board {
                 self.tx_ready.remove(i);
             }
         }
-        let port = PortId(self.d + dest);
-        for _ in 0..pkt.flits {
-            self.router.credit(port, pkt.vc);
-        }
+        self.router
+            .credit_n(PortId(self.d + dest), pkt.vc, pkt.flits as u32);
         Some(pkt)
     }
 
@@ -234,8 +259,8 @@ impl Board {
         use std::mem::size_of;
         size_of::<Self>()
             + self.router.approx_memory_bytes()
-            + std::mem::size_of_val(self.node_inj.as_slice())
-            + std::mem::size_of_val(self.rx_inj.as_slice())
+            + std::mem::size_of_val(self.injectors.as_slice())
+            + std::mem::size_of_val(self.inj_ready.as_slice())
             + std::mem::size_of_val(self.tx.as_slice())
             + std::mem::size_of_val(self.buffer_util.as_slice())
             + self.tx_ready.capacity() * size_of::<u16>()
@@ -248,12 +273,13 @@ impl Board {
         use desim::snap::Snap;
         w.tag(b"BRDS");
         self.router.save_state(w);
-        w.usize(self.node_inj.len());
-        for inj in &self.node_inj {
+        let (node_inj, rx_inj) = self.injectors.split_at(self.d as usize);
+        w.usize(node_inj.len());
+        for inj in node_inj {
             inj.save_state(w);
         }
-        w.usize(self.rx_inj.len());
-        for inj in &self.rx_inj {
+        w.usize(rx_inj.len());
+        for inj in rx_inj {
             inj.save_state(w);
         }
         w.usize(self.tx.len());
@@ -274,7 +300,9 @@ impl Board {
     }
 
     /// Overlays checkpointed board state onto a freshly built board with
-    /// identical geometry.
+    /// identical geometry. The ready set is not persisted: every non-idle
+    /// injector restarts ready, and one that was asleep spends a single
+    /// state-free blocked tick going back to sleep.
     pub fn load_state(
         &mut self,
         r: &mut desim::snap::SnapReader<'_>,
@@ -282,13 +310,20 @@ impl Board {
         use desim::snap::Snap;
         r.tag(b"BRDS")?;
         self.router.load_state(r)?;
-        r.len_eq(self.node_inj.len(), "board node injectors")?;
-        for inj in &mut self.node_inj {
+        let (node_inj, rx_inj) = self.injectors.split_at_mut(self.d as usize);
+        r.len_eq(node_inj.len(), "board node injectors")?;
+        for inj in node_inj {
             inj.load_state(r)?;
         }
-        r.len_eq(self.rx_inj.len(), "board RX injectors")?;
-        for inj in &mut self.rx_inj {
+        r.len_eq(rx_inj.len(), "board RX injectors")?;
+        for inj in rx_inj {
             inj.load_state(r)?;
+        }
+        self.inj_ready.iter_mut().for_each(|w| *w = 0);
+        for (p, inj) in self.injectors.iter().enumerate() {
+            if !inj.is_idle() {
+                words::set(&mut self.inj_ready, p);
+            }
         }
         r.len_eq(self.tx.len(), "board TX queues")?;
         for q in &mut self.tx {
@@ -314,8 +349,7 @@ impl Board {
     /// Whether the board is completely idle (no queued or in-flight flits).
     pub fn is_idle(&self) -> bool {
         self.router.buffered_flits() == 0
-            && self.node_inj.iter().all(|i| i.is_idle())
-            && self.rx_inj.iter().all(|i| i.is_idle())
+            && self.injectors.iter().all(|i| i.is_idle())
             && self
                 .tx
                 .iter()
@@ -332,10 +366,12 @@ impl Board {
         delivered
     }
 
-    /// Advances the board one cycle: injectors feed the router, the router
-    /// steps, traversals land in node sinks (appended to `delivered` —
-    /// which is *not* cleared, the caller owns it) or TX queues, which
-    /// maintain `Buffer_util` incrementally.
+    /// Advances the board one cycle: ready injectors feed the router
+    /// (ascending; one that drains or makes no progress leaves the ready
+    /// set), the router steps, injectors of ports a flit left are readied
+    /// for the next cycle, and traversals land in node sinks (appended to
+    /// `delivered` — which is *not* cleared, the caller owns it) or TX
+    /// queues, which maintain `Buffer_util` incrementally.
     ///
     /// The traversal list is accumulated into a persistent scratch buffer,
     /// so a steady-state cycle performs no heap allocation.
@@ -351,17 +387,28 @@ impl Board {
         if self.inflight == 0 {
             return;
         }
-        for inj in &mut self.node_inj {
-            inj.tick(&mut self.router);
-        }
-        for inj in &mut self.rx_inj {
-            inj.tick(&mut self.router);
+        for wi in 0..self.inj_ready.len() {
+            let mut bits = self.inj_ready[wi];
+            while bits != 0 {
+                let p = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let inj = &mut self.injectors[p];
+                if !inj.tick(&mut self.router) || inj.is_idle() {
+                    words::clear(&mut self.inj_ready, p);
+                }
+            }
         }
         // Take the scratch to sidestep the simultaneous `&mut self.router`
         // / `&mut self.traversal_scratch` borrow; restored below.
         let mut traversals = std::mem::take(&mut self.traversal_scratch);
         traversals.clear();
         self.router.step_into(now, &mut traversals);
+        let (injectors, ready) = (&self.injectors, &mut self.inj_ready);
+        self.router.drain_popped_ports(|port| {
+            if !injectors[port.index()].is_idle() {
+                words::set(ready, port.index());
+            }
+        });
         for t in &traversals {
             let out = t.out_port.0;
             if out < self.d {

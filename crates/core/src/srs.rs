@@ -18,6 +18,7 @@ use photonics::rwa::StaticRwa;
 use photonics::serdes::Serdes;
 use photonics::wavelength::{BoardId, Wavelength};
 use reconfig::msg::WavelengthGrant;
+use std::sync::Arc;
 
 /// A packet arriving at a destination board's receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,6 +156,7 @@ impl Srs {
         let rwa = StaticRwa::new(boards);
         let owner = vec![vec![None; w_count as usize]; boards as usize];
         let n = (boards as usize).pow(2) * w_count as usize;
+        let ladder = Arc::new(ladder);
         let mut channels = Vec::with_capacity(n);
         for s in 0..boards {
             for d in 0..boards {
@@ -163,7 +165,7 @@ impl Srs {
                         BoardId(s),
                         BoardId(d),
                         Wavelength(w),
-                        ladder.clone(),
+                        Arc::clone(&ladder),
                         serdes,
                         fiber_delay,
                     ));

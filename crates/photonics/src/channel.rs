@@ -14,6 +14,7 @@ use crate::bitrate::{RateLadder, RateLevel};
 use crate::serdes::Serdes;
 use crate::wavelength::{BoardId, Wavelength};
 use desim::Cycle;
+use std::sync::Arc;
 
 /// Channel availability state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,9 @@ pub struct OpticalChannel {
     src: BoardId,
     dst: BoardId,
     wavelength: Wavelength,
-    ladder: RateLadder,
+    /// Shared with every other channel of the system: the ladder is
+    /// config-derived and immutable, so one allocation serves all B²·W.
+    ladder: Arc<RateLadder>,
     serdes: Serdes,
     fiber_delay: Cycle,
     level: RateLevel,
@@ -57,7 +60,7 @@ impl OpticalChannel {
         src: BoardId,
         dst: BoardId,
         wavelength: Wavelength,
-        ladder: RateLadder,
+        ladder: Arc<RateLadder>,
         serdes: Serdes,
         fiber_delay: Cycle,
     ) -> Self {
@@ -315,7 +318,7 @@ mod tests {
             BoardId(0),
             BoardId(2),
             Wavelength(2),
-            RateLadder::paper(),
+            Arc::new(RateLadder::paper()),
             Serdes::paper(),
             4,
         )

@@ -51,8 +51,17 @@ impl CreditCounter {
     /// # Panics
     /// If already at maximum — returning a phantom credit is a protocol bug.
     pub fn restore(&mut self) {
-        assert!(self.credits < self.max, "credit overflow");
-        self.credits += 1;
+        self.restore_n(1);
+    }
+
+    /// Returns `n` credits at once (a whole packet left the downstream
+    /// buffer).
+    ///
+    /// # Panics
+    /// If that would exceed the maximum.
+    pub fn restore_n(&mut self, n: u32) {
+        assert!(n <= self.max - self.credits, "credit overflow");
+        self.credits += n;
     }
 
     /// Serializes the live credit count (`max` is config-derived).
@@ -138,6 +147,9 @@ mod tests {
         c.restore();
         assert_eq!(c.available(), 1);
         assert_eq!(c.max(), 2);
+        c.consume();
+        c.restore_n(2);
+        assert_eq!(c.available(), 2);
     }
 
     #[test]

@@ -72,10 +72,15 @@ impl FlitInjector {
 
     /// Attempts to inject one flit this cycle. Returns true if a flit
     /// entered the router.
+    ///
+    /// A `false` tick changes nothing — neither here nor in the router —
+    /// and its outcome can only change once a flit leaves one of this
+    /// port's VCs, so a driver may stop ticking a blocked injector until
+    /// [`Router::drain_popped_ports`] names its port.
     pub fn tick(&mut self, router: &mut Router) -> bool {
         // Start the next packet if none is in progress.
         if self.current.is_none() {
-            let Some(pkt) = self.backlog.pop_front() else {
+            let Some(&pkt) = self.backlog.front() else {
                 return false;
             };
             // Pick a VC whose buffer is empty *and* idle to start a fresh
@@ -90,10 +95,10 @@ impl FlitInjector {
                 }
             }
             let Some(vc) = chosen else {
-                // No idle VC: put the packet back and retry next cycle.
-                self.backlog.push_front(pkt);
+                // No idle VC: the packet stays at the head of the backlog.
                 return false;
             };
+            self.backlog.pop_front();
             self.vc = vc;
             self.vc_cursor = (vc + 1) % vcs;
             self.current = Some(pkt);

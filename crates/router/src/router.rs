@@ -25,12 +25,17 @@
 //! Per-VC pipeline state lives in a flat struct-of-arrays [`VcArena`]
 //! indexed by requester id `r = in_port · V + in_vc`, and every candidate
 //! set the stages walk — RC-pending VCs, per-output-port VA waiters and SA
-//! actives — is a packed `u64` bitset over those ids ([`crate::words`]),
+//! bidders — is a packed `u64` bitset over those ids ([`crate::words`]),
 //! iterated with `trailing_zeros`. Bitset iteration is inherently
 //! ascending, which is the same canonical `(port asc, vc asc)` order the
 //! original slice scans used, so grants, stalls and traversal order are
 //! byte-identical to the pre-bitset router. Per-output-port `u64` masks
 //! (`va_ports`/`sa_ports`) let VA/SA skip 64 idle ports per word.
+//!
+//! Every set is *event-maintained*: a bit changes only at the event that
+//! changes its defining predicate (the list is in DESIGN.md §16), never by
+//! a per-cycle re-test, so a stalled VC — no flit, or no credit — costs
+//! the stages nothing until the inject or credit that unstalls it.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::credit::CreditCounter;
@@ -123,12 +128,14 @@ pub struct Router {
     /// words *are* the VA arbiter's request input — no separate bitmap is
     /// seeded and wiped.
     va_waiting: Vec<u64>,
-    /// VCs in `Active{out, ..}` per output port (same layout) — the SA
-    /// stage's candidate set.
-    sa_active: Vec<u64>,
+    /// The SA stage's *bidding* set per output port (same layout): bit `r`
+    /// set ⟺ VC `r` is `Active{out, out_vc, ..}` ∧ holds a buffered flit ∧
+    /// `(out, out_vc)` has a credit. Kept exact by [`Router::rebid`] at the
+    /// five events that can change it, so SA never re-tests flit or credit.
+    sa_bidding: Vec<u64>,
     /// Output ports with any `va_waiting` bit set (one bit per port).
     va_ports: Vec<u64>,
-    /// Output ports with any `sa_active` bit set (one bit per port).
+    /// Output ports with any `sa_bidding` bit set (one bit per port).
     sa_ports: Vec<u64>,
     /// VCs with RC work pending: bit `r` set ⟺ `Idle` with a buffered
     /// head, or `Routing`. All-zero lets `step` skip the RC pass.
@@ -137,6 +144,11 @@ pub struct Router {
     sa_requests: Vec<u64>,
     /// SA scratch: input ports already matched this cycle (one bit each).
     sa_input_used: Vec<u64>,
+    /// Input ports a flit left (ST pop) since [`Router::drain_popped_ports`]
+    /// last ran — the wake-up signal for a sleeping injector. Only ever
+    /// OR-ed into, so a driver that ticks every injector every cycle may
+    /// leave it unread.
+    popped_ports: Vec<u64>,
 }
 
 impl Router {
@@ -166,12 +178,13 @@ impl Router {
             buffered: 0,
             buffered_peak: 0,
             va_waiting: vec![0; cfg.out_ports as usize * req_words],
-            sa_active: vec![0; cfg.out_ports as usize * req_words],
+            sa_bidding: vec![0; cfg.out_ports as usize * req_words],
             va_ports: vec![0; port_words],
             sa_ports: vec![0; port_words],
             rc_pending: vec![0; req_words],
             sa_requests: vec![0; req_words],
             sa_input_used: vec![0; words::words_for(cfg.in_ports as usize)],
+            popped_ports: vec![0; words::words_for(cfg.in_ports as usize)],
         }
     }
 
@@ -248,9 +261,14 @@ impl Router {
     pub fn inject(&mut self, port: PortId, vc: u8, flit: Flit) {
         let r = self.rid(port, vc);
         self.arena.buffers[r].push(flit);
-        // A head landing in an empty idle VC arms RC for the next cycle.
-        if self.arena.tag[r] == VcTag::Idle && self.arena.buffers[r].len() == 1 {
-            words::set(&mut self.rc_pending, r);
+        if self.arena.buffers[r].len() == 1 {
+            match self.arena.tag[r] {
+                // A head landing in an empty idle VC arms RC for the next cycle.
+                VcTag::Idle => words::set(&mut self.rc_pending, r),
+                // A body flit refilling a drained active VC may bid again.
+                VcTag::Active => self.rebid(r),
+                _ => {}
+            }
         }
         self.stats.injected += 1;
         self.buffered += 1;
@@ -262,7 +280,31 @@ impl Router {
     /// Returns one credit for `(out_port, out_vc)` — the downstream consumer
     /// freed a slot.
     pub fn credit(&mut self, out_port: PortId, out_vc: u8) {
-        self.out_credits[out_port.index() * self.cfg.vcs as usize + out_vc as usize].restore();
+        self.credit_n(out_port, out_vc, 1);
+    }
+
+    /// Returns `n` credits for `(out_port, out_vc)` at once — a whole
+    /// packet left the downstream queue. One restore and, when the slot
+    /// was starved, one bid re-derivation for its owner.
+    pub fn credit_n(&mut self, out_port: PortId, out_vc: u8, n: u32) {
+        let vcs = self.cfg.vcs as usize;
+        let slot = out_port.index() * vcs + out_vc as usize;
+        let starved = !self.out_credits[slot].can_send();
+        self.out_credits[slot].restore_n(n);
+        if starved {
+            if let Some((p, v)) = self.out_vc_owner[slot] {
+                self.rebid(p as usize * vcs + v as usize);
+            }
+        }
+    }
+
+    /// Calls `wake` for every input port a flit left since the last call,
+    /// ascending, and forgets them. A port's input VCs are written only by
+    /// its own injector and by ST, so a pop is the only event that can turn
+    /// a blocked [`crate::FlitInjector::tick`] into a productive one.
+    pub fn drain_popped_ports(&mut self, mut wake: impl FnMut(PortId)) {
+        words::for_each_set(&self.popped_ports, |p| wake(PortId(p as u16)));
+        self.popped_ports.iter_mut().for_each(|w| *w = 0);
     }
 
     /// Credits available toward `(out_port, out_vc)`.
@@ -301,12 +343,13 @@ impl Router {
     pub fn approx_memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let word_vecs = self.va_waiting.capacity()
-            + self.sa_active.capacity()
+            + self.sa_bidding.capacity()
             + self.va_ports.capacity()
             + self.sa_ports.capacity()
             + self.rc_pending.capacity()
             + self.sa_requests.capacity()
-            + self.sa_input_used.capacity();
+            + self.sa_input_used.capacity()
+            + self.popped_ports.capacity();
         size_of::<Self>()
             + self.arena.approx_memory_bytes()
             + self.out_vc_owner.capacity() * size_of::<Option<(u16, u8)>>()
@@ -320,13 +363,13 @@ impl Router {
     ///
     /// Only pipeline state is written: input VC buffers and states, output
     /// VC ownership and credits, arbiter rotors, stats and occupancy
-    /// counters. The derived bitset words (`va_waiting`, `sa_active`, the
+    /// counters. The derived bitset words (`va_waiting`, `sa_bidding`, the
     /// port masks and `rc_pending`) are *not* persisted — they are exact
-    /// functions of the VC states and are rebuilt on restore; a bitset is
-    /// canonically ordered by construction, so the rebuild is behaviourally
-    /// identical to the live words. The byte format is unchanged from the
-    /// pre-arena router: VC states serialize through the [`VcState`] enum
-    /// bridge.
+    /// functions of the VC states, buffers and credits and are rebuilt on
+    /// restore; a bitset is canonically ordered by construction, so the
+    /// rebuild is behaviourally identical to the live words. The byte
+    /// format is unchanged from the pre-arena router: VC states serialize
+    /// through the [`VcState`] enum bridge.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         w.tag(b"RTRS");
@@ -414,32 +457,48 @@ impl Router {
         }
     }
 
-    /// Adds VC `r` to the SA active set of output port `out`.
+    /// Whether VC `r` bids in SA: `Active` with a buffered flit and a
+    /// credit on its `(out, out_vc)`.
     #[inline]
-    fn add_active(&mut self, out: usize, r: usize) {
-        let base = out * self.req_words;
-        words::set(&mut self.sa_active[base..base + self.req_words], r);
-        words::set(&mut self.sa_ports, out);
+    fn bids(&self, r: usize) -> bool {
+        let slot =
+            self.arena.out_port[r] as usize * self.cfg.vcs as usize + self.arena.out_vc[r] as usize;
+        self.arena.tag[r] == VcTag::Active
+            && !self.arena.buffers[r].is_empty()
+            && self.out_credits[slot].can_send()
     }
 
-    /// Removes VC `r` from the SA active set, clearing the port mask bit
-    /// when the set empties.
+    /// Re-derives VC `r`'s membership of the bidding set of the output
+    /// port it is (or, just after a tail release, was) routed to, keeping
+    /// the `sa_ports` mask in step. Called at every event that can change
+    /// [`Router::bids`]: `inject` into an empty active VC, a credit
+    /// arriving at a starved slot, VA grant, ST pop/consume, tail release.
     #[inline]
-    fn remove_active(&mut self, out: usize, r: usize) {
+    fn rebid(&mut self, r: usize) {
+        let out = self.arena.out_port[r] as usize;
+        let bids = self.bids(r);
         let base = out * self.req_words;
-        let set = &mut self.sa_active[base..base + self.req_words];
-        words::clear(set, r);
-        if !words::any(set) {
-            words::clear(&mut self.sa_ports, out);
+        let set = &mut self.sa_bidding[base..base + self.req_words];
+        if bids == words::test(set, r) {
+            return;
+        }
+        if bids {
+            words::set(set, r);
+            words::set(&mut self.sa_ports, out);
+        } else {
+            words::clear(set, r);
+            if !words::any(set) {
+                words::clear(&mut self.sa_ports, out);
+            }
         }
     }
 
-    /// Recomputes the derived bitset words (`va_waiting`, `sa_active`, the
-    /// port masks, `rc_pending`) from the VC states, in canonical
-    /// port-ascending/VC-ascending order.
+    /// Recomputes the derived bitset words (`va_waiting`, `sa_bidding`,
+    /// the port masks, `rc_pending`) from the VC states, buffers and
+    /// credits, in canonical port-ascending/VC-ascending order.
     fn rebuild_derived(&mut self) -> Result<(), desim::snap::SnapError> {
         self.va_waiting.iter_mut().for_each(|w| *w = 0);
-        self.sa_active.iter_mut().for_each(|w| *w = 0);
+        self.sa_bidding.iter_mut().for_each(|w| *w = 0);
         self.va_ports.iter_mut().for_each(|w| *w = 0);
         self.sa_ports.iter_mut().for_each(|w| *w = 0);
         self.rc_pending.iter_mut().for_each(|w| *w = 0);
@@ -463,13 +522,45 @@ impl Router {
                 }
                 VcTag::Active => {
                     let out = self.arena.out_port[r] as usize;
-                    if out >= out_ports {
+                    if out >= out_ports || self.arena.out_vc[r] >= self.cfg.vcs {
                         return Err(desim::snap::SnapError::Mismatch(format!(
-                            "active VC at out-of-range port {out}"
+                            "active VC at out-of-range port {out} / VC {}",
+                            self.arena.out_vc[r]
                         )));
                     }
-                    self.add_active(out, r);
+                    self.rebid(r);
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Test-support self-check: the live candidate words (`rc_pending`,
+    /// `va_waiting`, `sa_bidding`, both port masks) must equal what
+    /// [`Router::rebuild_derived`] computes from the arena and the credit
+    /// counters. Names the first set that drifted. (On `Err` the words
+    /// have been rebuilt, i.e. repaired.)
+    pub fn check_derived(&mut self) -> Result<(), String> {
+        let live = [
+            ("rc_pending", self.rc_pending.clone()),
+            ("va_waiting", self.va_waiting.clone()),
+            ("sa_bidding", self.sa_bidding.clone()),
+            ("va_ports", self.va_ports.clone()),
+            ("sa_ports", self.sa_ports.clone()),
+        ];
+        self.rebuild_derived().map_err(|e| e.to_string())?;
+        let rebuilt = [
+            &self.rc_pending,
+            &self.va_waiting,
+            &self.sa_bidding,
+            &self.va_ports,
+            &self.sa_ports,
+        ];
+        for ((name, live), rebuilt) in live.iter().zip(rebuilt) {
+            if live != rebuilt {
+                return Err(format!(
+                    "{name} drifted: live {live:x?}, rebuilt {rebuilt:x?}"
+                ));
             }
         }
         Ok(())
@@ -599,13 +690,13 @@ impl Router {
                         break;
                     };
                     self.remove_waiting(out, winner);
-                    self.add_active(out, winner);
                     let (p, v) = (winner / vcs, winner % vcs);
                     self.out_vc_owner[owner_base + out_vc] = Some((p as u16, v as u8));
                     self.arena.tag[winner] = VcTag::Active;
                     self.arena.out_port[winner] = out as u16;
                     self.arena.out_vc[winner] = out_vc as u8;
                     self.arena.timer[winner] = now + 1;
+                    self.rebid(winner);
                 }
             }
         }
@@ -614,12 +705,13 @@ impl Router {
     /// SA + ST: separable switch allocation, then traversal (appended to
     /// `traversals`).
     ///
-    /// Candidates come from the per-port `sa_active` words, filtered per
-    /// bit by readiness (active-at timer, buffered flit, downstream
-    /// credit, input port not yet matched) into the `sa_requests` scratch
+    /// Candidates come from the per-port `sa_bidding` words — flit and
+    /// credit already hold for every member — filtered per bit by the two
+    /// conditions that change without an event (active-at timer, input
+    /// port not yet matched this cycle) into the `sa_requests` scratch
     /// words; the request bits — and therefore the arbitration outcome,
-    /// the stall stats and the traversal order — are exactly those of the
-    /// old full scan.
+    /// the stall stats and the traversal order — are exactly those of a
+    /// full scan over every active VC.
     fn stage_sa_st(&mut self, now: Cycle, traversals: &mut Vec<Traversal>) {
         let vcs = self.cfg.vcs as usize;
         self.sa_input_used.iter_mut().for_each(|w| *w = 0);
@@ -632,7 +724,7 @@ impl Router {
                 let owner_base = out * vcs;
                 let mut requesters = 0u64;
                 for wi in 0..self.req_words {
-                    let mut bits = self.sa_active[req_base + wi];
+                    let mut bits = self.sa_bidding[req_base + wi];
                     let mut req_word = 0u64;
                     while bits != 0 {
                         let bit = bits.trailing_zeros();
@@ -642,15 +734,11 @@ impl Router {
                         if words::test(&self.sa_input_used, p) {
                             continue;
                         }
-                        if self.arena.tag[r] != VcTag::Active {
-                            debug_assert!(false, "sa_active entry not Active");
-                            continue;
-                        }
-                        let out_vc = self.arena.out_vc[r] as usize;
-                        if now >= self.arena.timer[r]
-                            && !self.arena.buffers[r].is_empty()
-                            && self.out_credits[owner_base + out_vc].can_send()
-                        {
+                        debug_assert!(
+                            self.bids(r) && self.arena.out_port[r] as usize == out,
+                            "stale sa_bidding entry"
+                        );
+                        if now >= self.arena.timer[r] {
                             req_word |= 1u64 << bit;
                             requesters += 1;
                         }
@@ -679,6 +767,7 @@ impl Router {
                     continue;
                 };
                 self.buffered -= 1;
+                words::set(&mut self.popped_ports, p);
                 self.out_credits[owner_base + out_vc as usize].consume();
                 self.stats.traversed += 1;
                 if flit.kind.is_tail() {
@@ -687,12 +776,14 @@ impl Router {
                     // next cycle.
                     self.out_vc_owner[owner_base + out_vc as usize] = None;
                     self.arena.tag[winner] = VcTag::Idle;
-                    self.remove_active(out, winner);
                     if !self.arena.buffers[winner].is_empty() {
                         // The next packet's head is already queued: RC work.
                         words::set(&mut self.rc_pending, winner);
                     }
                 }
+                // The pop, the consumed credit or the tail release may
+                // each have ended this VC's bid.
+                self.rebid(winner);
                 traversals.push(Traversal {
                     out_port: PortId(out as u16),
                     out_vc,

@@ -1,17 +1,19 @@
 //! Randomized tests of the router: no flit is lost or duplicated, per-packet
-//! flit order is preserved, and every packet reaches the output port its
-//! destination routes to.
+//! flit order is preserved, every packet reaches the output port its
+//! destination routes to, and letting stalled injectors sleep is
+//! indistinguishable from ticking all of them every cycle.
 //!
 //! Cases are generated from fixed-seed `desim::rng` streams (no external
 //! property-testing crate — the build runs offline), so every failure
 //! reproduces exactly.
 
 use desim::rng::Pcg32;
+use desim::snap::SnapWriter;
 use router::flit::{NodeId, PacketId};
 use router::inject::FlitInjector;
 use router::packet::Packet;
 use router::routing::{PortId, TableRoute};
-use router::{Router, RouterConfig};
+use router::{words, Router, RouterConfig};
 use std::collections::HashMap;
 
 /// Drives a router with per-port injectors until everything drains (or a
@@ -143,4 +145,201 @@ fn single_flow_throughput_is_full_rate() {
         let last = log.last().unwrap().0;
         assert_eq!(last - first, (flits - 1) as u64, "bubbles in the pipeline");
     }
+}
+
+/// A router with one injector per input port. `ready` is the sleep
+/// discipline's state; the full-scan rig keeps it up to date but never
+/// reads it.
+struct Rig {
+    router: Router,
+    injectors: Vec<FlitInjector>,
+    ready: Vec<u64>,
+    /// `FlitInjector::tick` calls made so far.
+    ticks: u64,
+}
+
+impl Rig {
+    fn new(cfg: RouterConfig) -> Self {
+        let table = (0..cfg.out_ports).map(PortId).collect();
+        Self {
+            router: Router::new(cfg, Box::new(TableRoute::new(table))),
+            injectors: (0..cfg.in_ports)
+                .map(|p| FlitInjector::new(PortId(p)))
+                .collect(),
+            ready: vec![0; words::words_for(cfg.in_ports as usize)],
+            ticks: 0,
+        }
+    }
+
+    fn enqueue(&mut self, port: usize, packet: Packet) {
+        if self.injectors[port].is_idle() {
+            words::set(&mut self.ready, port);
+        }
+        self.injectors[port].enqueue(packet);
+    }
+
+    /// The full scan — the loop `benchmark/src/adapter.rs`'s router kernel
+    /// uses: every injector, every cycle; the popped-port words are never
+    /// read.
+    fn tick_all(&mut self) {
+        for inj in &mut self.injectors {
+            self.ticks += u64::from(!inj.is_idle());
+            inj.tick(&mut self.router);
+        }
+    }
+
+    /// The board's discipline: only ready injectors, ascending; one that
+    /// drains or makes no progress leaves the set.
+    fn tick_ready(&mut self) {
+        let snapshot = self.ready.clone();
+        words::for_each_set(&snapshot, |p| {
+            self.ticks += 1;
+            let inj = &mut self.injectors[p];
+            if !inj.tick(&mut self.router) || inj.is_idle() {
+                words::clear(&mut self.ready, p);
+            }
+        });
+    }
+
+    /// Re-readies the non-idle injectors of every port a flit left.
+    fn wake_popped(&mut self) {
+        let (injectors, ready) = (&self.injectors, &mut self.ready);
+        self.router.drain_popped_ports(|port| {
+            if !injectors[port.index()].is_idle() {
+                words::set(ready, port.index());
+            }
+        });
+    }
+
+    fn drained(&self) -> bool {
+        self.router.buffered_flits() == 0 && self.injectors.iter().all(|i| i.is_idle())
+    }
+
+    fn state_bytes(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.router.save_state(&mut w);
+        for inj in &self.injectors {
+            inj.save_state(&mut w);
+        }
+        w.into_bytes()
+    }
+}
+
+/// The referee for the event-maintained candidate sets: a rig that ticks
+/// every injector every cycle and a rig that lets stalled injectors sleep
+/// must be indistinguishable — same traversals every cycle, same stats,
+/// same checkpoint bytes — and in both the router's live candidate words
+/// must equal what `rebuild_derived` computes from scratch.
+#[test]
+fn sleeping_injectors_are_indistinguishable_from_the_full_scan() {
+    let mut rng = Pcg32::stream(0x51EE_9E25, 0);
+    // (in_ports, vcs) pinned around the one-word requester boundary
+    // (63/64/65 requesters and input ports), then random small shapes.
+    let pinned = [(63, 1), (16, 4), (65, 1), (13, 5), (21, 3), (64, 2)];
+    let (mut full_ticks, mut sleepy_ticks) = (0u64, 0u64);
+    for case in 0..40 {
+        let (in_ports, vcs) = match pinned.get(case) {
+            Some(&shape) => shape,
+            None => (rng.range(1, 6) as u16, rng.range(1, 4) as u8),
+        };
+        let out_ports = rng.range(1, 8) as u16;
+        let cfg = RouterConfig {
+            in_ports,
+            out_ports,
+            vcs,
+            buf_depth: if case % 3 == 0 {
+                1
+            } else {
+                rng.range(1, 4) as usize
+            },
+            downstream_depth: rng.range(1, 8),
+        };
+        let (mut full, mut sleepy) = (Rig::new(cfg), Rig::new(cfg));
+        let arrival_rate = 0.02 + 0.3 * rng.next_f64();
+        let max_delay = rng.range(1, 12) as u64;
+        // Credits owed: (due cycle, out port, out vc).
+        let mut owed: Vec<(u64, PortId, u8)> = Vec::new();
+        let mut drought_until = 0u64;
+        let mut next_id = 0u64;
+        let mut enqueued_flits = 0u64;
+        let mut now = 0u64;
+        while now < 600 || !(full.drained() && owed.is_empty()) {
+            assert!(now < 60_000, "case {case}: rigs never drained");
+            // A long credit drought now and then: everything due is held.
+            if now < 600 && now >= drought_until && rng.bernoulli(0.01) {
+                drought_until = now + rng.range(20, 150) as u64;
+            }
+            if now >= drought_until {
+                let mut due: Vec<(PortId, u8)> = Vec::new();
+                owed.retain(|&(at, port, vc)| {
+                    let is_due = at <= now;
+                    if is_due {
+                        due.push((port, vc));
+                    }
+                    !is_due
+                });
+                due.sort_by_key(|&(port, vc)| (port.0, vc));
+                // One by one on one side, batched per slot on the other.
+                for &(port, vc) in &due {
+                    full.router.credit(port, vc);
+                }
+                let mut rest = due.as_slice();
+                while let Some(&slot) = rest.first() {
+                    let n = rest.iter().take_while(|&&s| s == slot).count();
+                    sleepy.router.credit_n(slot.0, slot.1, n as u32);
+                    rest = &rest[n..];
+                }
+            }
+            // Random multi-packet arrivals, identical on both sides.
+            while now < 600 && rng.bernoulli(arrival_rate) {
+                let port = rng.below(in_ports as u32) as usize;
+                for _ in 0..rng.range(1, 4) {
+                    let packet = Packet {
+                        id: PacketId(next_id),
+                        src: NodeId(port as u32),
+                        dst: NodeId(rng.below(out_ports as u32)),
+                        flits: rng.range(1, 6) as u16,
+                        injected_at: now,
+                        labelled: false,
+                    };
+                    next_id += 1;
+                    enqueued_flits += packet.flits as u64;
+                    full.enqueue(port, packet);
+                    sleepy.enqueue(port, packet);
+                }
+            }
+            full.tick_all();
+            sleepy.tick_ready();
+            let moved = full.router.step(now);
+            assert_eq!(moved, sleepy.router.step(now), "case {case} cycle {now}");
+            sleepy.wake_popped();
+            assert_eq!(full.router.stats(), sleepy.router.stats());
+            for (a, b) in full.injectors.iter().zip(&sleepy.injectors) {
+                assert_eq!(a.injected_flits(), b.injected_flits());
+            }
+            for rig in [&mut full, &mut sleepy] {
+                if let Err(e) = rig.router.check_derived() {
+                    panic!("case {case} cycle {now}: {e}");
+                }
+            }
+            for t in &moved {
+                owed.push((
+                    now + rng.range(1, max_delay as u32) as u64,
+                    t.out_port,
+                    t.out_vc,
+                ));
+            }
+            now += 1;
+        }
+        assert!(sleepy.drained());
+        assert_eq!(full.router.stats().traversed, enqueued_flits);
+        assert_eq!(full.state_bytes(), sleepy.state_bytes(), "case {case}");
+        full_ticks += full.ticks;
+        sleepy_ticks += sleepy.ticks;
+    }
+    // Not vacuous: the discipline skipped a real share of the ticks.
+    assert!(
+        sleepy_ticks * 10 < full_ticks * 9,
+        "sleep discipline ticked {sleepy_ticks} of the full scan's {full_ticks}"
+    );
 }

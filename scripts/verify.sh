@@ -31,11 +31,15 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
-echo "== arbiter equivalence smoke (word-parallel vs slice oracles, release) =="
+echo "== arbiter + candidate-set equivalence smokes (word-parallel vs slice oracles, sleeping vs full-scan rigs; release) =="
 # The router's u64 word-scan arbiters (DESIGN.md §16) must stay
 # position-identical to the retained slice-based oracle implementations;
 # the property suite drives both through randomized grant histories.
 cargo test -q --release -p router --test arbiter_props
+# Candidate-set equivalence smoke: the event-maintained injector ready set
+# and SA bidding set (DESIGN.md §16) against a rig that ticks every
+# injector every cycle, plus live words == `rebuild_derived` per cycle.
+cargo test -q --release -p router --test router_props
 # Likewise a Lock-Step round must reach the direct Reconfigure decision on
 # any single-owner wavelength table (the reference `System` is held to).
 cargo test -q --release -p reconfig round_equals_the_direct_decision

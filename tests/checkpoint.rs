@@ -398,6 +398,60 @@ fn corrupt_snapshot_always_detected_with_fallback() {
     let _ = std::fs::remove_dir_all(full_dir);
 }
 
+/// Resume while asleep: a saturated NP-NB complement run is checkpointed
+/// at a cycle where blocked injectors are out of the boards' ready sets.
+/// The ready set is not in the `.ersp`; the restore readies every non-idle
+/// injector instead, and the resumed run must still reach the
+/// uninterrupted run's metrics to the bit and its final snapshot to the
+/// byte — which pins that ticking a blocked injector is a state-free no-op.
+#[test]
+fn resume_with_sleeping_injectors_is_bit_identical() {
+    let saturated = || {
+        System::new(
+            SystemConfig::small(NetworkMode::NpNb),
+            TrafficPattern::Complement,
+            0.6,
+            full_plan(),
+        )
+    };
+    let asleep = |sys: &System| -> usize {
+        (0..sys.config().boards)
+            .map(|b| sys.board(b).sleeping_injectors())
+            .sum()
+    };
+    let mut full = saturated();
+    while full.now() < 5 * WINDOW + 137 || asleep(&full) == 0 {
+        full.step();
+        assert!(full.now() < 6 * WINDOW, "no injector ever slept");
+    }
+    let snap = encode_snapshot(&full, StreamCursor::start()).expect("NP-NB is always quiescent");
+    let mut resumed = saturated();
+    checkpoint::restore_system(&mut resumed, &snap).expect("restore");
+    assert_eq!(resumed.now(), full.now());
+    assert_eq!(
+        asleep(&resumed),
+        0,
+        "restore must ready every non-idle injector"
+    );
+    assert_eq!(full.run(), resumed.run());
+    let bits = |sys: &System| {
+        let m = sys.metrics();
+        (
+            m.injected_total,
+            m.delivered_total,
+            m.throughput_ppc().to_bits(),
+            m.mean_latency().to_bits(),
+            m.average_power_mw().to_bits(),
+        )
+    };
+    assert_eq!(bits(&full), bits(&resumed));
+    assert_eq!(
+        encode_snapshot(&full, StreamCursor::start()).expect("encode"),
+        encode_snapshot(&resumed, StreamCursor::start()).expect("encode"),
+        "final .ersp bytes diverged"
+    );
+}
+
 /// Every DBR run has a live Lock-Step round after each Bandwidth
 /// boundary; it finishes in `dbr_latency` ≪ `R_w`, so a boundary-cadence
 /// checkpointer never meets one and a snapshot lands at *every* boundary.
