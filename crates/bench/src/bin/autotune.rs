@@ -2,7 +2,7 @@
 //!
 //! Offline layer: sweeps a [`TuneGrid`] of DPM operating points
 //! (`L_min`/`L_max`/`B_max`/`R_w`) per (power-aware mode, workload
-//! scenario) through the traced sharded runner, joins each run's
+//! scenario) through the traced runner, joins each run's
 //! `dpm_retunes`/`dbr_grants`/`buffer_crossings` window columns and
 //! latency digest into a [`SweepOutcome`], computes the power/p95-latency
 //! Pareto front per workload and [`choose`]s the point minimising
@@ -29,10 +29,9 @@
 //!   (hotspot/diurnal/incast/collective).
 //! * `ERAPID_TUNE_GRID=smoke|coarse|fine` — grid size (default `coarse`).
 //! * `--smoke` — CI gate: the 2×2 smoke grid on two hostile scenarios
-//!   (small P-B system); asserts every point sequential == board-sharded
-//!   (controller-enabled leg included) and that the chosen point strictly
-//!   beats the paper-constant baseline objective on ≥1 scenario, exits
-//!   nonzero otherwise.
+//!   (small P-B system); asserts that a controller-enabled leg delivers
+//!   and that the chosen point strictly beats the paper-constant baseline
+//!   objective on ≥1 scenario, exits nonzero otherwise.
 
 use erapid_bench::{git_sha, scenario_suite, BenchConfig, Json};
 use erapid_core::config::{NetworkMode, SystemConfig};
@@ -45,7 +44,6 @@ use erapid_tune::{
 use erapid_workloads::ScenarioSpec;
 use netstats::table::Table;
 use reconfig::lockstep::LockStepSchedule;
-use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 const LOAD: f64 = 0.6;
@@ -168,10 +166,9 @@ fn outcome_obj(o: &SweepOutcome) -> Json {
 }
 
 /// `--smoke`: the CI gate. The 2×2 smoke grid (plus the baseline) on two
-/// hostile scenarios, small P-B system. Every candidate runs sequential
-/// *and* board-sharded (2 workers) — byte-identical or fail — and so does
-/// one controller-enabled leg per scenario. The chosen point must strictly
-/// beat the paper-constant baseline objective on ≥1 scenario.
+/// hostile scenarios, small P-B system, and one controller-enabled leg
+/// per scenario, which must deliver. The chosen point must strictly beat
+/// the paper-constant baseline objective on ≥1 scenario.
 fn smoke(bench: &BenchConfig) -> ! {
     let specs = [ScenarioSpec::hotspot(), ScenarioSpec::incast()];
     let mode = NetworkMode::PB;
@@ -182,7 +179,6 @@ fn smoke(bench: &BenchConfig) -> ! {
             std::process::exit(1);
         }
     };
-    let two = NonZeroUsize::new(2).unwrap_or(NonZeroUsize::MIN);
     let mut failures = 0;
     let mut improved = 0;
     for spec in &specs {
@@ -192,15 +188,8 @@ fn smoke(bench: &BenchConfig) -> ! {
         };
         let mut outcomes = Vec::new();
         for op in candidates(mode, &grid_points) {
-            let p = point(bench, spec, mode, op, true);
-            let seq = p.clone().run();
-            if seq.result != p.run_with(two).result {
-                fail(format!(
-                    "{}: sequential != board-sharded result",
-                    op.label()
-                ));
-            }
-            if let Some(o) = join(op, &seq) {
+            let out = point(bench, spec, mode, op, true).run();
+            if let Some(o) = join(op, &out) {
                 println!(
                     "  [{}] {}: delivered {:.1}%, power {:.1} mW, p95 {:.0}, objective {:.0}",
                     spec.name(),
@@ -213,13 +202,9 @@ fn smoke(bench: &BenchConfig) -> ! {
                 outcomes.push(o);
             }
         }
-        // Online-controller leg: the adaptive config must shard identically.
+        // Online-controller leg.
         let cp = controller_point(bench, spec, mode, baseline(mode), true);
-        let cs_r = cp.clone().run().result;
-        if cs_r != cp.run_with(two).result {
-            fail("controller-enabled: sequential != board-sharded result".into());
-        }
-        if cs_r.delivered == 0 {
+        if cp.run().result.delivered == 0 {
             fail("controller-enabled run delivered no packets".into());
         }
         let base = outcomes.first().cloned();
@@ -227,7 +212,7 @@ fn smoke(bench: &BenchConfig) -> ! {
             (Some(base), Ok(chosen)) => {
                 let beat = improves(chosen, &base);
                 println!(
-                    "ok [{}]: {} candidates seq == sharded; chosen {} objective {:.1} vs baseline {:.1}{}",
+                    "ok [{}]: {} candidates; chosen {} objective {:.1} vs baseline {:.1}{}",
                     spec.name(),
                     outcomes.len(),
                     chosen.point.label(),
@@ -250,7 +235,7 @@ fn smoke(bench: &BenchConfig) -> ! {
         std::process::exit(1);
     }
     println!(
-        "autotune --smoke: all points byte-identical across engines, baseline beaten on {improved}/{} scenarios",
+        "autotune --smoke: baseline beaten on {improved}/{} scenarios",
         specs.len()
     );
     std::process::exit(0);
@@ -273,12 +258,11 @@ fn main() {
         }
     };
     println!(
-        "=== autotune @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes x {} grid points ({grid_name}) on {} threads x {} point workers ===\n",
+        "=== autotune @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes x {} grid points ({grid_name}) on {} threads ===\n",
         specs.len(),
         modes.len(),
         grid_points.len(),
-        bench.threads,
-        bench.point_threads
+        bench.threads
     );
 
     // Stage 1 — offline sweep: every (mode, scenario, candidate) run at

@@ -24,7 +24,7 @@
 //! ```text
 //! cargo run --release -p erapid-bench --bin marathon
 //! ERAPID_QUICK=1 cargo run --release -p erapid-bench --bin marathon
-//! ERAPID_CHECKPOINT_EVERY=10 ERAPID_POINT_THREADS=2 ... marathon
+//! ERAPID_CHECKPOINT_EVERY=10 ... marathon
 //! ```
 
 use desim::phase::PhasePlan;
@@ -34,6 +34,7 @@ use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::stream::{run_streaming, StreamPaths, StreamSink};
 use erapid_core::System;
 use erapid_telemetry::TraceConfig;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use traffic::pattern::TrafficPattern;
@@ -141,8 +142,8 @@ fn stats_line(sys: &System, end: u64) -> String {
 fn child_full(m: &Marathon) {
     let mut sys = m.system();
     let mut sink = StreamSink::create(&m.paths("full")).expect("create stream files");
-    let end = run_streaming(&mut sys, m.bench.point_threads, &mut sink, None)
-        .expect("streaming run failed");
+    let end =
+        run_streaming(&mut sys, NonZeroUsize::MIN, &mut sink, None).expect("streaming run failed");
     sink.finalize().expect("finalize stream");
     println!("{}", stats_line(&sys, end));
 }
@@ -155,7 +156,7 @@ fn child_kill(m: &Marathon) {
     let counters = sys.metric_counter_names();
     let gauges = sys.metric_gauge_names();
     let kill_at = m.kill_at;
-    sys.run_with(m.bench.point_threads, &mut |s| {
+    sys.run_with(NonZeroUsize::MIN, &mut |s| {
         let now = s.now();
         if now >= kill_at {
             // The crash: SIGABRT, no destructors, nothing flushed beyond
@@ -185,7 +186,7 @@ fn child_resume(m: &Marathon) {
     );
     let mut sink = StreamSink::resume(&m.paths("resumed"), cursor).expect("reopen stream files");
     let mut ckpt = m.checkpointer();
-    let end = run_streaming(&mut sys, m.bench.point_threads, &mut sink, Some(&mut ckpt))
+    let end = run_streaming(&mut sys, NonZeroUsize::MIN, &mut sink, Some(&mut ckpt))
         .expect("resumed streaming run failed");
     sink.finalize().expect("finalize stream");
     println!("{}", stats_line(&sys, end));

@@ -26,8 +26,8 @@
 //! * `ERAPID_SCENARIO_SEED=<n>` — override the config seed for scenario
 //!   streams.
 //! * `--smoke` — CI gate: one small P-B point per scenario; asserts
-//!   nonzero delivery and sequential == board-sharded == fanned-out
-//!   results, exits nonzero on any mismatch.
+//!   nonzero delivery and sequential == fanned-out results, exits
+//!   nonzero on any mismatch.
 
 use erapid_bench::{git_sha, rank_worst_offenders, scenario_suite, BenchConfig, Json};
 use erapid_core::config::{NetworkMode, SystemConfig};
@@ -63,26 +63,24 @@ fn point(bench: &BenchConfig, spec: &ScenarioSpec, mode: NetworkMode, small: boo
     RunPoint::generate(cfg, TrafficPattern::Uniform, LOAD, plan)
 }
 
-/// `--smoke`: the CI gate. One small P-B point per scenario, three ways:
-/// sequential, board-sharded (2 workers), and fanned out across the point
-/// pool — delivery must be nonzero and all three byte-identical.
+/// `--smoke`: the CI gate. One small P-B point per scenario, run on the
+/// calling thread and fanned out across the point pool — delivery must be
+/// nonzero and the two byte-identical.
 fn smoke(bench: &BenchConfig) -> ! {
     let specs = scenario_suite("ERAPID_SCENARIO");
-    let two = NonZeroUsize::new(2).unwrap();
     let points: Vec<RunPoint> = specs
         .iter()
         .map(|s| point(bench, s, NetworkMode::PB, true))
         .collect();
     let fan_out = BenchConfig {
-        threads: two,
-        point_threads: NonZeroUsize::MIN,
+        threads: NonZeroUsize::new(2).unwrap(),
         ..bench.clone()
     };
     let fanned = fan_out.run(points.clone());
     let mut failures = 0;
     for (spec, (p, fan)) in specs.iter().zip(points.into_iter().zip(fanned)) {
-        let (seq_r, fan_r) = (p.clone().run().result, fan.result);
-        let shard_r = p.run_with(two).result;
+        let (seq_r, fan_r) = (p.run().result, fan.result);
+        let before = failures;
         let mut fail = |msg: &str| {
             eprintln!("FAIL [{}]: {msg}", spec.name());
             failures += 1;
@@ -90,15 +88,12 @@ fn smoke(bench: &BenchConfig) -> ! {
         if seq_r.delivered == 0 {
             fail("delivered no packets");
         }
-        if seq_r != shard_r {
-            fail("sequential != board-sharded result");
-        }
         if seq_r != fan_r {
             fail("sequential != fanned-out result");
         }
-        if failures == 0 {
+        if failures == before {
             println!(
-                "ok [{}]: delivered {}/{} injected, seq == sharded == fanned",
+                "ok [{}]: delivered {}/{} injected, seq == fanned",
                 spec.name(),
                 seq_r.delivered,
                 seq_r.injected
@@ -134,11 +129,10 @@ fn main() {
     let specs = scenario_suite("ERAPID_SCENARIO");
     let modes = NetworkMode::all();
     println!(
-        "=== scenario matrix @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes on {} threads x {} point workers ===\n",
+        "=== scenario matrix @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes on {} threads ===\n",
         specs.len(),
         modes.len(),
-        bench.threads,
-        bench.point_threads
+        bench.threads
     );
 
     let points: Vec<RunPoint> = specs

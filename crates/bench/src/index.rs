@@ -27,7 +27,7 @@ pub struct Point {
 /// Which simulator a [`Point`] goes through.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Network {
-    /// [`RunPoint::run_with`].
+    /// [`RunPoint::run`].
     Erapid,
     /// The electrical 8×8 mesh ([`emesh::run_mesh`]).
     Mesh,
@@ -65,10 +65,9 @@ impl Results {
             return;
         }
         eprintln!(
-            "  running {} points ({} threads x {} point workers) ...",
+            "  running {} points ({} threads) ...",
             seen.len(),
-            bench.threads,
-            bench.point_threads
+            bench.threads
         );
         let (labels, runs): (Vec<_>, Vec<_>) = erapid.into_iter().map(|p| (p.label, p.run)).unzip();
         let outs = bench.run(runs);

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! The evaluation harness: the experiment [`index`] (every table, figure
 //! and paper-vs-measured claim, run by the `figures` bin and asserted by
 //! `tests/paper_claims.rs`) and what the bins share.
@@ -19,17 +20,13 @@
 //! * `ERAPID_THREADS=<n>` — worker threads for the run-level executor
 //!   (default: all available cores; results are byte-identical for any
 //!   value).
-//! * `ERAPID_POINT_THREADS=<n>` — workers sharing each cycle's per-board
-//!   compute phase *inside* each point (DESIGN.md §12; default 1 = the
-//!   jobs run inline, 0 = all available cores; byte-identical for any
-//!   value).
 //! * `ERAPID_TRACE=<path>` — where the `tracereport` binary writes its
 //!   JSONL event trace (a Chrome/Perfetto trace lands next to it).
 //!
 //! Every binary also accepts a `--seq` escape-hatch flag (handled here in
-//! [`BenchConfig::from_env`], no per-binary parsing): it forces both the
-//! run-level executor and the per-point cycle engine to a single thread,
-//! overriding the env knobs — for debugging and for timing baselines.
+//! [`BenchConfig::from_env`], no per-binary parsing): it forces the
+//! run-level executor to one thread, overriding `ERAPID_THREADS` — for
+//! debugging and for timing baselines.
 
 pub mod claims;
 pub mod experiments;
@@ -108,9 +105,6 @@ pub struct BenchConfig {
     pub quick: bool,
     /// Worker threads for the run-level executor.
     pub threads: NonZeroUsize,
-    /// Board-shard workers inside each point's cycle engine (1 = the
-    /// sequential engine; DESIGN.md §12).
-    pub point_threads: NonZeroUsize,
     /// Directory CSVs and JSON reports are written to.
     pub results: PathBuf,
     /// Event-trace output path (`tracereport` only; `None` = default).
@@ -122,7 +116,6 @@ impl Default for BenchConfig {
         Self {
             quick: false,
             threads: runner::available_threads(),
-            point_threads: NonZeroUsize::MIN,
             results: PathBuf::from("results"),
             trace: None,
         }
@@ -130,10 +123,10 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// Reads `ERAPID_QUICK`, `ERAPID_THREADS`, `ERAPID_POINT_THREADS`,
-    /// `ERAPID_RESULTS` and `ERAPID_TRACE`, plus the `--seq` escape hatch
-    /// from the command line (forces both thread knobs to 1). Binaries
-    /// call this once at the top of `main`.
+    /// Reads `ERAPID_QUICK`, `ERAPID_THREADS`, `ERAPID_RESULTS` and
+    /// `ERAPID_TRACE`, plus the `--seq` escape hatch from the command line
+    /// (forces `threads` to 1). Binaries call this once at the top of
+    /// `main`.
     pub fn from_env() -> Self {
         let seq = std::env::args().skip(1).any(|a| a == "--seq");
         Self {
@@ -144,11 +137,6 @@ impl BenchConfig {
                 NonZeroUsize::MIN
             } else {
                 runner::threads_from_env()
-            },
-            point_threads: if seq {
-                NonZeroUsize::MIN
-            } else {
-                runner::point_threads_from_env()
             },
             results: PathBuf::from(
                 std::env::var("ERAPID_RESULTS").unwrap_or_else(|_| "results".into()),
@@ -194,11 +182,10 @@ impl BenchConfig {
     }
 
     /// Runs `points` through the one fan-out
-    /// ([`runner::run_points`]) on this configuration's two thread
-    /// budgets; outputs come back in input order, byte-identical for any
-    /// budget.
+    /// ([`runner::run_points`]) on this configuration's thread budget;
+    /// outputs come back in input order, byte-identical for any budget.
     pub fn run(&self, points: Vec<RunPoint>) -> Vec<RunOutput> {
-        runner::run_points(self.threads, self.point_threads, points)
+        runner::run_points(self.threads, points)
     }
 
     /// The phase plan for a system with reconfiguration window `window`.
@@ -406,20 +393,6 @@ mod tests {
         }
     }
 
-    /// Fig. 5's uniform points through `cfg`'s two thread budgets must
-    /// equal the plain loop on the calling thread, field for field, in
-    /// order.
-    fn assert_matches_sequential(cfg: &BenchConfig) {
-        let points = || -> Vec<RunPoint> {
-            let points = experiments::panel_points(cfg, &["uniform"]);
-            points.into_iter().map(|p| p.run).collect()
-        };
-        let fanned: Vec<RunResult> = cfg.run(points()).iter().map(|o| o.result).collect();
-        let sequential: Vec<RunResult> = points().into_iter().map(|p| p.run().result).collect();
-        assert_eq!(fanned.len(), 4 * cfg.load_axis().len());
-        assert_eq!(fanned, sequential);
-    }
-
     #[test]
     fn worst_offenders_rank_lowest_survival_first() {
         let survival = [(0.9, "a"), (0.4, "b"), (1.0, "c"), (0.7, "d")];
@@ -479,22 +452,21 @@ mod tests {
         assert!(r.throughput > 0.0);
     }
 
-    #[test]
-    fn sharded_panel_matches_sequential() {
-        // Run-level pool *and* per-point board sharding at once: the
-        // nested 2x2 budget must still be byte-identical.
-        assert_matches_sequential(&BenchConfig {
-            threads: NonZeroUsize::new(2).unwrap(),
-            point_threads: NonZeroUsize::new(2).unwrap(),
-            ..quick_cfg()
-        });
-    }
-
+    /// Fig. 5's uniform points fanned over two threads must equal the
+    /// plain loop on the calling thread, field for field, in order.
     #[test]
     fn parallel_panel_matches_sequential() {
-        assert_matches_sequential(&BenchConfig {
+        let cfg = BenchConfig {
             threads: NonZeroUsize::new(2).unwrap(),
             ..quick_cfg()
-        });
+        };
+        let points = || -> Vec<RunPoint> {
+            let points = experiments::panel_points(&cfg, &["uniform"]);
+            points.into_iter().map(|p| p.run).collect()
+        };
+        let fanned: Vec<RunResult> = cfg.run(points()).iter().map(|o| o.result).collect();
+        let sequential: Vec<RunResult> = points().into_iter().map(|p| p.run().result).collect();
+        assert_eq!(fanned.len(), 4 * cfg.load_axis().len());
+        assert_eq!(fanned, sequential);
     }
 }

@@ -268,11 +268,8 @@ mod tests {
             let plan = default_plan(cfg.schedule.window);
             crate::runner::RunPoint::generate(cfg, TrafficPattern::Uniform, load, plan)
         });
-        let results = crate::runner::run_points(
-            crate::runner::available_threads(),
-            std::num::NonZeroUsize::MIN,
-            points.collect(),
-        );
+        let results =
+            crate::runner::run_points(crate::runner::available_threads(), points.collect());
         assert_eq!(results.len(), 2);
         assert!(results[1].result.throughput > results[0].result.throughput);
     }

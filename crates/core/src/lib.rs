@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(clippy::perf)]
 //! # erapid-core — the E-RAPID system model
@@ -94,7 +95,6 @@ pub mod experiment;
 pub mod faults;
 pub mod metrics;
 pub mod runner;
-pub(crate) mod shard;
 pub mod srs;
 pub mod stream;
 pub mod system;
@@ -107,8 +107,7 @@ pub use experiment::{run_once, trace_meta, RunOutput, RunResult, RunTrace, Trace
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::PacketDelivery;
 pub use runner::{
-    parallel_map, parallel_map_prioritized, point_threads_from_env, run_points,
-    run_points_timed_sharded, RunPoint,
+    parallel_map, parallel_map_prioritized, run_points, run_points_timed_sharded, RunPoint,
 };
 pub use stream::{StreamCursor, StreamPaths, StreamSink};
 pub use system::{PhaseTimers, System, WindowFlush};

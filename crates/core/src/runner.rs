@@ -1,6 +1,6 @@
 //! The one way to run a point, and the parallel run-level executor.
 //!
-//! [`RunPoint::run_with`] is the only implementation of §4's procedure
+//! [`RunPoint::run`] is the only implementation of §4's procedure
 //! (warm up, label, drain, report); which observers ride along — event
 //! trace, packet log, injection recording — is the point's own
 //! [`SystemConfig`], and everything they saw comes back in one
@@ -11,12 +11,9 @@
 //! its per-node RNG streams (seeded from `cfg.seed`), so runs share no
 //! state and a run's result is byte-identical no matter which thread
 //! executes it. That makes run-level fan-out safe by construction — only
-//! the *scheduling* is concurrent. A second, nested level of parallelism
-//! shares each cycle's per-board compute phase *inside* one point across
-//! workers (`ERAPID_POINT_THREADS`, [`crate::System::run_sharded`],
-//! DESIGN.md §12); every cycle is the same compute → in-order commit
-//! whatever the worker count, so it is deterministic by construction
-//! rather than by independence.
+//! the *scheduling* is concurrent. It is also the only level of
+//! parallelism: inside a point a cycle's boards run in one plain loop
+//! (DESIGN.md §12).
 //!
 //! No external crates: the pool is a self-scheduling worker loop over
 //! [`std::thread::scope`] — workers pull the next unclaimed index from a
@@ -52,24 +49,6 @@ pub fn threads_from_env() -> NonZeroUsize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .and_then(NonZeroUsize::new)
         .unwrap_or_else(available_threads)
-}
-
-/// Parses the `ERAPID_POINT_THREADS` env knob — workers *inside* one
-/// simulation point sharing each cycle's per-board compute phase
-/// (`crate::System::run_sharded`). Unset or unparsable mean `1` (the jobs
-/// run inline: intra-point workers are opt-in because the run-level
-/// executor usually saturates the machine already, and the per-cycle
-/// barrier does not pay at B ≤ 32 — DESIGN.md §12 "Measured"); `0` means
-/// "use [`available_threads`]". Results are byte-identical for any value.
-pub fn point_threads_from_env() -> NonZeroUsize {
-    match std::env::var("ERAPID_POINT_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => available_threads(),
-            Ok(n) => NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN),
-            Err(_) => NonZeroUsize::MIN,
-        },
-        Err(_) => NonZeroUsize::MIN,
-    }
 }
 
 /// Maps `f` over `items` on up to `threads` worker threads, returning the
@@ -210,18 +189,11 @@ impl RunPoint {
         self.plan.max_cycles as u128 * (self.cfg.boards as u128).pow(2)
     }
 
-    /// Executes this point on the calling thread.
+    /// The one implementation of §4's procedure, on the calling thread:
+    /// build the system (generated or replayed injections), run it to the
+    /// end of its plan and drain it into a [`RunOutput`]. A replayed point
+    /// reports the trace's recorded load and provenance.
     pub fn run(self) -> RunOutput {
-        self.run_with(NonZeroUsize::MIN)
-    }
-
-    /// The one implementation of §4's procedure: build the system
-    /// (generated or replayed injections), run it to the end of its plan
-    /// with the per-board jobs on `point_threads` workers
-    /// ([`System::run_sharded`]; byte-identical for any worker count, one
-    /// worker runs them inline) and drain it into a [`RunOutput`]. A
-    /// replayed point reports the trace's recorded load and provenance.
-    pub fn run_with(self, point_threads: NonZeroUsize) -> RunOutput {
         let capacity = self.cfg.capacity().uniform_capacity();
         let recording = self.cfg.record_injections;
         let (load, meta, mut sys) = match self.source {
@@ -236,40 +208,33 @@ impl RunPoint {
                 System::with_trace(self.cfg, trace.replayer(), self.plan),
             ),
         };
-        let cycles = sys.run_sharded(point_threads);
+        let cycles = sys.run();
         collect(sys, load, meta, capacity, cycles)
     }
 }
 
-/// Fans a batch of experiment points out over `threads` workers, each
-/// point's per-board jobs on `point_threads` workers of its own. The two
-/// budgets multiply (up to `threads × point_threads` busy threads);
-/// nothing splits one total between them. Each worker records into its
-/// own point-local [`System`], and outputs land in input order, so
-/// results and traces are byte-identical to running each point
-/// sequentially for any `(threads, point_threads)`.
-pub fn run_points(
-    threads: NonZeroUsize,
-    point_threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<RunOutput> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        p.run_with(point_threads)
-    })
+/// Fans a batch of experiment points out over `threads` workers. Each
+/// worker records into its own point-local [`System`], and outputs land
+/// in input order, so results and traces are byte-identical to running
+/// each point sequentially for any `threads`.
+pub fn run_points(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<RunOutput> {
+    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, RunPoint::run)
 }
 
 /// As [`run_points`], keeping only each point's [`RunResult`] and its
 /// wall time — the feedback loop on [`RunPoint::estimated_cost`]
-/// (`benchmark/` reads it as `core.runner.dispatch_idle_frac`; the shim
-/// goes when that adapter moves to [`RunPoint::run_with`]).
+/// (`benchmark/` reads it as `core.runner.dispatch_idle_frac`). The
+/// second count is accepted and ignored (the per-board worker path it
+/// sized is gone); the next `benchmark`-archetype PR, which moves the
+/// adapter to timing [`RunPoint::run`] itself, drops the shim.
 pub fn run_points_timed_sharded(
     threads: NonZeroUsize,
-    point_threads: NonZeroUsize,
+    _point_threads: NonZeroUsize,
     points: Vec<RunPoint>,
 ) -> Vec<(RunResult, std::time::Duration)> {
     parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
         let start = std::time::Instant::now();
-        let r = p.run_with(point_threads).result;
+        let r = p.run().result;
         (r, start.elapsed())
     })
 }

@@ -250,7 +250,7 @@ impl Srs {
                 self.owned[f].remove(p);
             }
             let i = self.idx(s, d, w);
-            self.spans().close_busy(i, now);
+            self.close_busy(i, now);
         }
         if let Some(s) = new {
             let f = self.flow(s, d);
@@ -508,104 +508,73 @@ impl Srs {
         self.relocks_applied
     }
 
-    /// The whole-bank view of the busy-span tables (dense channel indices).
-    fn spans(&mut self) -> Spans<'_> {
-        Spans {
-            open: &mut self.busy_open,
-            start: &mut self.busy_start,
-            cap: &mut self.busy_cap,
-            win_busy: &mut self.win_busy,
+    /// Closes the open busy span on channel `i` at `at` (clamped to the
+    /// serialization end), folding its cycles into the running window.
+    /// A span closed at its own start cycle contributes nothing — exactly
+    /// the eager sampler, which never saw the channel busy.
+    fn close_busy(&mut self, i: usize, at: Cycle) {
+        if !self.busy_open[i] {
+            return;
         }
+        let end = self.busy_cap[i].min(at);
+        if end > self.busy_start[i] {
+            self.win_busy[i] += end - self.busy_start[i];
+        }
+        self.busy_open[i] = false;
     }
 
-    /// Splits the optical stage into its `B` source lanes, ascending. The
-    /// channel bank and its per-channel side tables are dense
-    /// `(s·B + d)·W + w` arrays, so source board `s` owns the contiguous
-    /// block `[s·B·W, (s+1)·B·W)` of each — `chunks_mut` hands every lane
-    /// its own block, and the lanes can be driven concurrently.
-    pub(crate) fn lanes(&mut self) -> impl Iterator<Item = SrsLane<'_>> {
-        let b = self.boards as usize;
-        let wavelengths = self.wavelengths;
-        let bw = b * wavelengths as usize;
-        let failed_tx = self.failed_tx.as_slice();
-        let spans = (self.busy_open.chunks_mut(bw))
-            .zip(self.busy_start.chunks_mut(bw))
-            .zip(self.busy_cap.chunks_mut(bw))
-            .zip(self.win_busy.chunks_mut(bw))
-            .map(|(((open, start), cap), win_busy)| Spans {
-                open,
-                start,
-                cap,
-                win_busy,
-            });
-        (self.channels.chunks_mut(bw))
-            .zip(spans)
-            .zip(self.pending_retune.chunks(bw))
-            .zip(self.owned.chunks(b))
-            .enumerate()
-            .map(
-                move |(s, (((channels, spans), pending_retune), owned))| SrsLane {
-                    s: s as u16,
-                    wavelengths,
-                    base: s * bw,
-                    channels,
-                    spans,
-                    pending_retune,
-                    owned,
-                    failed_tx,
-                },
-            )
-    }
-
-    /// Source lane `s` alone — what [`Srs::lanes`] yields at position `s`,
-    /// sliced directly (the inline engine only asks for lanes that have a
-    /// packet to send).
-    pub(crate) fn lane(&mut self, s: u16) -> SrsLane<'_> {
-        let b = self.boards as usize;
-        let bw = b * self.wavelengths as usize;
-        let base = s as usize * bw;
-        let block = base..base + bw;
-        SrsLane {
-            s,
-            wavelengths: self.wavelengths,
-            base,
-            channels: &mut self.channels[block.clone()],
-            spans: Spans {
-                open: &mut self.busy_open[block.clone()],
-                start: &mut self.busy_start[block.clone()],
-                cap: &mut self.busy_cap[block.clone()],
-                win_busy: &mut self.win_busy[block.clone()],
+    /// Tries to transmit `packet` from board `s` to board `d` on any free
+    /// owned channel, returning the wavelength used. The serialization-end
+    /// wake and the fiber arrival go straight into their heaps: the cycle
+    /// calls this board-ascending, and each [`BinaryHeapQueue`] breaks time
+    /// ties by insertion sequence, so that call order *is* the pop order
+    /// the pins were recorded against (DESIGN.md §12).
+    pub(crate) fn try_transmit(
+        &mut self,
+        now: Cycle,
+        s: u16,
+        d: u16,
+        packet: ReadyPacket,
+    ) -> Option<u16> {
+        if self.is_tx_failed(s, d) {
+            return None;
+        }
+        let base = self.idx(s, d, 0);
+        // Scan only owned wavelengths; ascending order matches the legacy
+        // full `0..W` scan over the ownership map.
+        let w = self.owned[self.flow(s, d)].iter().copied().find(|&w| {
+            let i = base + w as usize;
+            // A channel with a pending retune must not start a packet:
+            // the retune would never get a free window under load.
+            self.channels[i].can_send(now) && self.pending_retune[i].is_none()
+        })?;
+        let i = base + w as usize;
+        // Back-to-back reuse exactly at the previous packet's end: its
+        // wake entry has not fired yet, so close its span here first.
+        debug_assert!(
+            !self.busy_open[i] || self.busy_cap[i] <= now,
+            "span open past serialization"
+        );
+        self.close_busy(i, self.busy_cap[i]);
+        let arrive_at = self.channels[i].begin_packet(now, packet.flits as u32);
+        let Some(until) = self.channels[i].sending_until() else {
+            unreachable!("begin_packet leaves the channel Sending")
+        };
+        self.wake.insert(until, i);
+        self.busy_open[i] = true;
+        self.busy_start[i] = now;
+        self.busy_cap[i] = until;
+        self.power_dirty = true;
+        self.arrivals.insert(
+            arrive_at,
+            Arrival {
+                dst_board: d,
+                wavelength: w,
+                src_board: s,
+                packet,
             },
-            pending_retune: &self.pending_retune[block],
-            owned: &self.owned[s as usize * b..(s as usize + 1) * b],
-            failed_tx: &self.failed_tx,
-        }
-    }
-
-    /// One lane transmit committed on the spot — the unit tests' handle on
-    /// [`SrsLane::try_transmit`] (the engine buffers and commits per board).
-    #[cfg(test)]
-    fn try_transmit(&mut self, now: Cycle, s: u16, d: u16, packet: ReadyPacket) -> Option<u16> {
-        let mut fx = LaneEffects::default();
-        let w = self.lane(s).try_transmit(now, d, packet, &mut fx);
-        self.commit_lane_effects(&mut fx);
-        w
-    }
-
-    /// Drains one board's buffered publish-remote effects in arrival
-    /// order: wake-queue entries and fiber arrivals insert in the sequence
-    /// the lane produced them (each [`BinaryHeapQueue`] breaks time ties by
-    /// insertion sequence, so an identical insertion order is an identical
-    /// pop order), and the power cache is invalidated iff the lane lit a
-    /// laser. Leaves `fx` empty for the next cycle.
-    pub(crate) fn commit_lane_effects(&mut self, fx: &mut LaneEffects) {
-        for (until, i) in fx.wakes.drain(..) {
-            self.wake.insert(until, i);
-        }
-        for (arrive_at, arr) in fx.arrivals.drain(..) {
-            self.arrivals.insert(arrive_at, arr);
-        }
-        self.power_dirty |= std::mem::take(&mut fx.power_dirty);
+        );
+        Some(w)
     }
 
     /// Packets still in flight in the optical domain (serializing or on
@@ -715,7 +684,7 @@ impl Srs {
             self.channels[i].settle(now);
             if self.busy_cap[i] <= now {
                 let cap = self.busy_cap[i];
-                self.spans().close_busy(i, cap);
+                self.close_busy(i, cap);
             }
             self.power_dirty = true;
         }
@@ -1091,126 +1060,6 @@ impl Srs {
     }
 }
 
-/// The publish-remote half of a lane's transmit work: everything a
-/// departure pushes into *shared* SRS state, buffered per source board
-/// while the lanes run and applied in canonical board order by
-/// [`Srs::commit_lane_effects`]. The mutate-local half (channel
-/// `begin_packet`, busy spans, window integrals) needs no buffering — it
-/// lives entirely inside the lane's array block.
-#[derive(Debug, Default)]
-pub(crate) struct LaneEffects {
-    /// `(serialization end, dense channel index)` wake-queue entries.
-    pub(crate) wakes: Vec<(Cycle, usize)>,
-    /// `(fiber arrival cycle, arrival)` pairs.
-    pub(crate) arrivals: Vec<(Cycle, Arrival)>,
-    /// Whether the lane lit a laser (invalidates the power cache).
-    pub(crate) power_dirty: bool,
-}
-
-/// A mutable view over a block of the busy-span tables: the whole bank
-/// ([`Srs::spans`], dense channel indices) or one lane's `B·W` block
-/// (lane-local indices).
-struct Spans<'a> {
-    open: &'a mut [bool],
-    start: &'a mut [Cycle],
-    cap: &'a mut [Cycle],
-    win_busy: &'a mut [Cycle],
-}
-
-impl Spans<'_> {
-    /// Closes the open busy span on channel `i` at `at` (clamped to the
-    /// serialization end), folding its cycles into the running window.
-    /// A span closed at its own start cycle contributes nothing — exactly
-    /// the eager sampler, which never saw the channel busy.
-    fn close_busy(&mut self, i: usize, at: Cycle) {
-        if !self.open[i] {
-            return;
-        }
-        let end = self.cap[i].min(at);
-        if end > self.start[i] {
-            self.win_busy[i] += end - self.start[i];
-        }
-        self.open[i] = false;
-    }
-}
-
-/// One source board's mutable window into the SRS: the `B·W` contiguous
-/// block of channel/busy-span state that board `s` alone serializes onto,
-/// plus shared read-only views (ownership mirror, failed transmitters,
-/// pending retunes). Produced by [`Srs::lanes`].
-pub(crate) struct SrsLane<'a> {
-    s: u16,
-    wavelengths: u16,
-    /// Dense index of the lane's first channel (`s·B·W`).
-    base: usize,
-    channels: &'a mut [OpticalChannel],
-    spans: Spans<'a>,
-    /// Lane slice of the pending-retune table (transmit only reads it).
-    pending_retune: &'a [Option<(RateLevel, Cycle)>],
-    /// The lane's `B` per-destination sorted owned-wavelength lists.
-    owned: &'a [Vec<u16>],
-    failed_tx: &'a [(u16, u16)],
-}
-
-impl SrsLane<'_> {
-    /// Lane-local dense index of `(d, w)` — [`Srs::idx`] minus `base`.
-    fn li(&self, d: u16, w: u16) -> usize {
-        d as usize * self.wavelengths as usize + w as usize
-    }
-
-    /// Tries to transmit `packet` from this lane's board to board `d` on
-    /// any free owned channel. On success returns the wavelength used; the
-    /// channel and its busy span mutate in place, while the wake/arrival
-    /// inserts and the power-cache invalidation are deferred into `fx`.
-    pub(crate) fn try_transmit(
-        &mut self,
-        now: Cycle,
-        d: u16,
-        packet: ReadyPacket,
-        fx: &mut LaneEffects,
-    ) -> Option<u16> {
-        if self.failed_tx.contains(&(self.s, d)) {
-            return None;
-        }
-        // Scan only owned wavelengths; ascending order matches the legacy
-        // full `0..W` scan over the ownership map.
-        let w = self.owned[d as usize].iter().copied().find(|&w| {
-            let li = self.li(d, w);
-            // A channel with a pending retune must not start a packet:
-            // the retune would never get a free window under load.
-            self.channels[li].can_send(now) && self.pending_retune[li].is_none()
-        })?;
-        let li = self.li(d, w);
-        // Back-to-back reuse exactly at the previous packet's end: its
-        // wake entry has not fired yet, so close its span here first.
-        debug_assert!(
-            !self.spans.open[li] || self.spans.cap[li] <= now,
-            "span open past serialization"
-        );
-        let cap = self.spans.cap[li];
-        self.spans.close_busy(li, cap);
-        let arrive_at = self.channels[li].begin_packet(now, packet.flits as u32);
-        let Some(until) = self.channels[li].sending_until() else {
-            unreachable!("begin_packet leaves the channel Sending")
-        };
-        fx.wakes.push((until, self.base + li));
-        self.spans.open[li] = true;
-        self.spans.start[li] = now;
-        self.spans.cap[li] = until;
-        fx.power_dirty = true;
-        fx.arrivals.push((
-            arrive_at,
-            Arrival {
-                dst_board: d,
-                wavelength: w,
-                src_board: self.s,
-                packet,
-            },
-        ));
-        Some(w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1255,31 +1104,6 @@ mod tests {
         assert_eq!(s.owned_wavelengths(1, 0), vec![1]);
         assert_eq!(s.boards(), 4);
         assert_eq!(s.wavelengths(), 4);
-    }
-
-    #[test]
-    fn lanes_and_lane_yield_the_same_views() {
-        // Two constructors, one view: the `chunks_mut` split the workers
-        // get and the direct slice the inline engine takes must agree on
-        // every block boundary.
-        let mut s = srs();
-        let at = |l: &SrsLane<'_>| {
-            (
-                (l.s, l.wavelengths, l.base),
-                (l.channels.as_ptr(), l.channels.len()),
-                (l.spans.open.as_ptr(), l.spans.open.len()),
-                (l.spans.start.as_ptr(), l.spans.cap.as_ptr()),
-                (l.spans.win_busy.as_ptr(), l.spans.win_busy.len()),
-                (l.pending_retune.as_ptr(), l.pending_retune.len()),
-                (l.owned.as_ptr(), l.owned.len()),
-                (l.failed_tx.as_ptr(), l.failed_tx.len()),
-            )
-        };
-        let split: Vec<_> = s.lanes().map(|l| at(&l)).collect();
-        assert_eq!(split.len(), 4);
-        for (b, expected) in split.iter().enumerate() {
-            assert_eq!(at(&s.lane(b as u16)), *expected, "lane {b}");
-        }
     }
 
     #[test]

@@ -236,10 +236,10 @@ impl StreamSink {
 
 /// Drives a run with streaming export and optional checkpointing: at
 /// every `R_w` boundary the hook drains one window into `sink`, then (if
-/// due) snapshots the quiescent system with the post-flush cursor. Covers
-/// both engines — `point_threads` of 1 is the sequential loop, more is
-/// the board-sharded engine — with byte-identical output. After the run,
-/// the post-last-boundary tail is flushed; the caller finalizes the sink.
+/// due) snapshots the quiescent system with the post-flush cursor. After
+/// the run, the post-last-boundary tail is flushed; the caller finalizes
+/// the sink. The count is accepted and ignored, as in
+/// [`crate::System::run_with`]; the next `benchmark`-archetype PR drops it.
 ///
 /// A sink or checkpoint I/O error stops all further streaming (the run
 /// itself completes — simulation state never depends on export I/O) and

@@ -13,11 +13,10 @@
 //! 6. the SRS settles channel state and the power meter samples the
 //!    instantaneous link power.
 
-use crate::board::Board;
+use crate::board::{Board, Delivered};
 use crate::config::{NetworkMode, SystemConfig};
 use crate::faults::FaultKind;
 use crate::metrics::{PacketDelivery, RunMetrics};
-use crate::shard::{self, BoardOut, Gate, Job};
 use crate::srs::Srs;
 use desim::phase::{Phase, PhasePlan};
 use desim::Cycle;
@@ -64,10 +63,11 @@ pub struct System {
     metrics: RunMetrics,
     /// The in-flight Lock-Step DBR round, if any.
     active_round: Option<DbrRound>,
-    /// Per-board cross-board effect buffers: filled by the compute phase,
-    /// drained by the in-order commit within the same cycle (so empty at
-    /// every cycle boundary and never snapshotted); allocated once.
-    outs: Vec<BoardOut>,
+    /// Per-cycle scratch: one board's deliveries, then one lane's ready
+    /// destinations. Both empty at every cycle boundary (never
+    /// snapshotted); reused, so steady-state allocation-free.
+    delivered: Vec<Delivered>,
+    ready: Vec<u16>,
     /// Next unapplied event in `cfg.faults` (the plan is time-sorted).
     fault_cursor: usize,
     /// Token faults waiting for the next DBR round.
@@ -95,8 +95,7 @@ pub struct System {
     watch_pending: Vec<bool>,
     /// Online threshold auto-tuner (None unless `cfg.tune` is set in a
     /// power-aware mode). Stepped at Power-kind `R_w` boundaries inside
-    /// the cycle's *sequential prologue*, so the run is byte-identical for
-    /// any worker count (DESIGN.md §15).
+    /// the cycle's prologue (DESIGN.md §15).
     controller: Option<ThresholdController>,
 }
 
@@ -229,7 +228,6 @@ impl System {
             ),
         };
         let boards = (0..cfg.boards).map(|b| Board::new(&cfg, b)).collect();
-        let outs = (0..cfg.boards).map(|_| BoardOut::default()).collect();
         let srs = Srs::new(
             cfg.boards,
             cfg.ladder.clone(),
@@ -283,7 +281,8 @@ impl System {
             now: 0,
             metrics,
             active_round: None,
-            outs,
+            delivered: Vec::new(),
+            ready: Vec::new(),
             fault_cursor: 0,
             armed_token: Vec::new(),
             ls_retries: 0,
@@ -335,33 +334,28 @@ impl System {
 
     /// Advances one cycle.
     pub fn step(&mut self) {
-        self.step_inner(true, None, &mut NullProbe);
+        self.step_inner(true, &mut NullProbe);
     }
 
     /// Advances one cycle with the traffic sources silenced — used to
     /// drain the network completely (conservation checks, clean shutdown).
     pub fn step_without_injection(&mut self) {
-        self.step_inner(false, None, &mut NullProbe);
+        self.step_inner(false, &mut NullProbe);
     }
 
     /// Advances one cycle, attributing wall time per engine phase into
     /// `timers`. Simulation state evolves exactly as [`System::step`].
     pub fn step_profiled(&mut self, timers: &mut PhaseTimers) {
-        self.step_inner(true, None, &mut TimerProbe::new(timers));
+        self.step_inner(true, &mut TimerProbe::new(timers));
     }
 
-    /// The cycle — the only implementation of one (DESIGN.md §12): a
-    /// sequential prologue (faults/windows/DBR/LS/injection), the per-board
-    /// compute phase (`Board::step_into` + [`shard::transmit_lane`] into
-    /// that board's [`BoardOut`]), the in-order commit, and a sequential
-    /// epilogue (receive, SRS tick, power record). Without a `gate` the
-    /// compute phase runs inline, every board step before every lane
-    /// transmit so the probe can tell the two apart; with one, the same two
-    /// functions run fused per board on the gate's workers. Either order
-    /// touches the same disjoint per-board state, and the commit replays
-    /// the shared side effects in ascending board order, so the run is
-    /// byte-identical for any worker count.
-    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, gate: Option<&Gate>, probe: &mut P) {
+    /// The cycle — the only implementation of one (DESIGN.md §12): the
+    /// prologue (faults/windows/DBR/LS/injection), every board's router
+    /// step with its deliveries recorded, every ready lane's transmits,
+    /// then receive, SRS tick and the power record. Boards and lanes are
+    /// visited ascending and write the shared metrics and SRS heaps as they
+    /// go — that order is the one every pin was recorded against.
+    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, probe: &mut P) {
         let now = self.now;
         probe.start();
         self.apply_due_faults(now);
@@ -372,34 +366,20 @@ impl System {
             self.inject(now);
         }
         probe.lap(|t| &mut t.inject);
-        if let Some(gate) = gate {
-            let mut jobs: Vec<Job<'_>> = (self.boards.iter_mut())
-                .zip(self.srs.lanes())
-                .zip(&mut self.outs)
-                .map(|((board, lane), out)| Job {
-                    now,
-                    board,
-                    lane,
-                    out,
-                })
-                .collect();
-            gate.run_epoch(&mut jobs);
-            drop(jobs);
-            self.commit_deliveries(now);
-            probe.lap(|t| &mut t.route);
-        } else {
-            for (board, out) in self.boards.iter_mut().zip(&mut self.outs) {
-                board.step_into(now, &mut out.delivered);
-            }
-            self.commit_deliveries(now);
-            probe.lap(|t| &mut t.route);
-            for (s, (board, out)) in (0..).zip(self.boards.iter_mut().zip(&mut self.outs)) {
-                if !board.ready_dests().is_empty() {
-                    shard::transmit_lane(now, board, &mut self.srs.lane(s), out);
-                }
+        let mut delivered = std::mem::take(&mut self.delivered);
+        for b in 0..self.boards.len() {
+            self.boards[b].step_into(now, &mut delivered);
+            for d in delivered.drain(..) {
+                self.record_delivery(now, d);
             }
         }
-        self.commit_lanes();
+        self.delivered = delivered;
+        probe.lap(|t| &mut t.route);
+        for s in 0..self.cfg.boards {
+            if !self.boards[s as usize].ready_dests().is_empty() {
+                self.transmit(now, s);
+            }
+        }
         self.receive(now);
         self.srs.tick(now, &mut self.tracer);
         probe.lap(|t| &mut t.optical);
@@ -413,112 +393,96 @@ impl System {
 
     /// The run loop behind every `run*` entry point: cycles until every
     /// labelled packet drains (or the plan's hard cap), calling `hook`
-    /// before each. Up to `point_threads` workers (clamped to the board
-    /// count, the calling thread included) share each cycle's compute
-    /// phase; with one, no thread is spawned and the phase runs inline.
-    fn drive<P: PhaseProbe>(
-        &mut self,
-        point_threads: std::num::NonZeroUsize,
-        probe: &mut P,
-        hook: &mut impl FnMut(&mut System),
-    ) -> Cycle {
-        let workers = point_threads.get().min(self.cfg.boards as usize);
+    /// before each.
+    fn drive<P: PhaseProbe>(&mut self, probe: &mut P, hook: &mut impl FnMut(&mut System)) -> Cycle {
         let plan = self.metrics.plan;
-        let gate = Gate::new();
-        std::thread::scope(|scope| {
-            // The calling thread participates, so spawn `workers - 1`.
-            for _ in 1..workers {
-                scope.spawn(|| shard::worker(&gate));
-            }
-            let lend = (workers > 1).then_some(&gate);
-            while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-                hook(self);
-                self.step_inner(true, lend, probe);
-            }
-            gate.halt();
-        });
+        while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
+            hook(self);
+            self.step_inner(true, probe);
+        }
         self.now
     }
 
     /// Runs until every labelled packet drains (or the plan's hard cap).
     /// Returns the final cycle.
     pub fn run(&mut self) -> Cycle {
-        self.run_sharded(std::num::NonZeroUsize::MIN)
+        self.drive(&mut NullProbe, &mut |_| {})
     }
 
     /// As [`System::run`], attributing wall time per engine phase into
     /// `timers`. The simulation trajectory is identical — the probe only
     /// reads clocks.
     pub fn run_profiled(&mut self, timers: &mut PhaseTimers) -> Cycle {
-        let one = std::num::NonZeroUsize::MIN;
-        self.drive(one, &mut TimerProbe::new(timers), &mut |_| {})
+        self.drive(&mut TimerProbe::new(timers), &mut |_| {})
     }
 
-    /// As [`System::run`], but with each cycle's per-board compute phase
-    /// (router steps + lane transmits) shared across up to `point_threads`
-    /// worker threads (clamped to the board count; `1` runs the jobs
-    /// inline). The run is **byte-identical** to [`System::run`] for any
-    /// worker count: the compute phase only touches disjoint
-    /// per-board/per-lane state, and the commit phase replays every shared
-    /// side effect in ascending board order (see `crate::shard` and
-    /// DESIGN.md §12).
-    pub fn run_sharded(&mut self, point_threads: std::num::NonZeroUsize) -> Cycle {
-        self.run_with(point_threads, &mut |_| {})
+    /// [`System::run`]. The count is accepted and ignored — it never
+    /// changed a byte of output, and the worker path it selected is gone;
+    /// the signature stays until the next `benchmark`-archetype PR drops
+    /// it from `benchmark/src/adapter.rs`.
+    pub fn run_sharded(&mut self, _point_threads: std::num::NonZeroUsize) -> Cycle {
+        self.run()
     }
 
-    /// Pass A of the commit, in ascending board order: the per-delivery
-    /// metric/telemetry updates of every board's step. Identical push
-    /// order on every f64 accumulator ⇒ bit-identical results.
-    fn commit_deliveries(&mut self, now: Cycle) {
-        for out in &mut self.outs {
-            for d in out.delivered.drain(..) {
-                self.metrics.delivered_total += 1;
-                if self.metrics.measuring(now) {
-                    self.metrics
-                        .throughput
-                        .deliver(now, self.cfg.packet_flits as u32);
+    /// The metric/telemetry updates of one delivery. Called in board
+    /// order, so every f64 accumulator sees the same push sequence.
+    fn record_delivery(&mut self, now: Cycle, d: Delivered) {
+        self.metrics.delivered_total += 1;
+        if self.metrics.measuring(now) {
+            self.metrics
+                .throughput
+                .deliver(now, self.cfg.packet_flits as u32);
+        }
+        if d.labelled {
+            self.metrics.tracker.deliver_labelled();
+            self.metrics.latency.record(d.injected_at, now);
+            if let Some((reg, ids)) = &mut self.registry {
+                reg.observe(ids.latency_hist, (now - d.injected_at) as f64);
+            }
+        }
+        if let Some(log) = &mut self.packet_log {
+            log.push(PacketDelivery {
+                id: d.id.0,
+                dst: d.dst,
+                injected_at: d.injected_at,
+                delivered_at: now,
+                labelled: d.labelled,
+            });
+        }
+    }
+
+    /// Moves board `s`'s ready TX-queue packets onto free owned channels.
+    /// Only destinations with a completed packet are visited (the board's
+    /// ready-destination set, ascending, snapshotted once because it
+    /// mutates as packets depart); labelled departures push their TX
+    /// stats as they leave.
+    fn transmit(&mut self, now: Cycle, s: u16) {
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        ready.extend_from_slice(self.boards[s as usize].ready_dests());
+        for &d in &ready {
+            let board = &mut self.boards[s as usize];
+            while let Some(pkt) = board.tx_queue(d).peek().copied() {
+                if self.srs.try_transmit(now, s, d, pkt).is_none() {
+                    break;
                 }
-                if d.labelled {
-                    self.metrics.tracker.deliver_labelled();
-                    self.metrics.latency.record(d.injected_at, now);
+                let Some(departed) = board.tx_depart(now, d) else {
+                    break; // unreachable: the queue head was just peeked
+                };
+                debug_assert_eq!(departed.id, pkt.id);
+                if pkt.labelled {
+                    let tx_wait = (now - pkt.completed_at) as f64;
+                    self.metrics
+                        .src_path
+                        .push((pkt.completed_at - pkt.injected_at) as f64);
+                    self.metrics.tx_wait.push(tx_wait);
                     if let Some((reg, ids)) = &mut self.registry {
-                        reg.observe(ids.latency_hist, (now - d.injected_at) as f64);
+                        reg.observe(ids.tx_wait_hist, tx_wait);
                     }
                 }
-                if let Some(log) = &mut self.packet_log {
-                    log.push(PacketDelivery {
-                        id: d.id.0,
-                        dst: d.dst,
-                        injected_at: d.injected_at,
-                        delivered_at: now,
-                        labelled: d.labelled,
-                    });
-                }
             }
         }
-    }
-
-    /// Pass B of the commit, again board-ascending: every lane's
-    /// wake/arrival heap inserts and power-cache invalidation, then its
-    /// labelled TX stats. Identical heap insertion sequence ⇒ identical
-    /// pop order.
-    fn commit_lanes(&mut self) {
-        for out in &mut self.outs {
-            // Every departure buffers an arrival: none means an idle lane.
-            if out.fx.arrivals.is_empty() {
-                debug_assert!(out.fx.wakes.is_empty() && !out.fx.power_dirty);
-                debug_assert!(out.tx_labelled.is_empty());
-                continue;
-            }
-            self.srs.commit_lane_effects(&mut out.fx);
-            for (src_path, tx_wait) in out.tx_labelled.drain(..) {
-                self.metrics.src_path.push(src_path);
-                self.metrics.tx_wait.push(tx_wait);
-                if let Some((reg, ids)) = &mut self.registry {
-                    reg.observe(ids.tx_wait_hist, tx_wait);
-                }
-            }
-        }
+        self.ready = ready;
     }
 
     /// Coarse heap-footprint estimate in bytes of the live simulation
@@ -552,9 +516,8 @@ impl System {
         match self.cfg.schedule.kind_at(now) {
             Some(WindowKind::Power) if self.cfg.mode.power_aware() => {
                 // The controller steps first so the thresholds it derives
-                // from the just-closed window govern this Power cycle. Both
-                // calls sit in the sequential prologue of either engine, so
-                // the sharded run replays them identically (DESIGN.md §15).
+                // from the just-closed window govern this Power cycle
+                // (DESIGN.md §15).
                 self.controller_cycle();
                 self.power_cycle(now);
             }
@@ -1337,19 +1300,19 @@ impl System {
         Ok(())
     }
 
-    /// As [`Self::run_sharded`], invoking `hook` at the top of every cycle
+    /// As [`Self::run`], invoking `hook` at the top of every cycle
     /// *before* the cycle executes. The hook observes the system exactly
     /// as the cycle will (same `now`, pre-boundary state), which is what
     /// checkpointing and streaming export need: a hook at cycle
     /// `t = k·R_w` captures the state an uninterrupted run has when
-    /// entering that boundary cycle. The trajectory is byte-identical to
-    /// the unhooked run for any worker count.
+    /// entering that boundary cycle. The count is accepted and ignored, as
+    /// in [`Self::run_sharded`]; the next `benchmark`-archetype PR drops it.
     pub fn run_with<F: FnMut(&mut System)>(
         &mut self,
-        point_threads: std::num::NonZeroUsize,
+        _point_threads: std::num::NonZeroUsize,
         hook: &mut F,
     ) -> Cycle {
-        self.drive(point_threads, &mut NullProbe, hook)
+        self.drive(&mut NullProbe, hook)
     }
 
     /// Drains one window's worth of streamable output: recorded trace

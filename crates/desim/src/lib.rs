@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # desim — simulation support library
 //!
 //! The original E-RAPID paper ran on YACSIM/NETSIM (Rice University, C,
@@ -41,7 +43,6 @@
 pub mod phase;
 pub mod queue;
 pub mod rng;
-#[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod snap;
 
 /// Simulation time, measured in router clock cycles.

@@ -217,10 +217,7 @@ impl Zipf {
     /// Samples a category index in `[0, n)`.
     pub fn sample(&self, rng: &mut Pcg32) -> usize {
         let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("no NaN in cdf"))
-        {
+        match self.cdf.binary_search_by(|probe| probe.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

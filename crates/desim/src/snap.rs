@@ -490,7 +490,6 @@ pub fn load_vec_exact<T: Snap>(
 pub type SnapCycle = Cycle;
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(clippy::perf)]
 //! # photonics — the optical substrate of E-RAPID
 //!

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # powermgmt — Dynamic Power Management (DPM) for E-RAPID links
 //!
 //! Implements §3.1 of the paper:

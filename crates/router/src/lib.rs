@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(clippy::perf)]
 //! # router — cycle-accurate electrical virtual-channel router

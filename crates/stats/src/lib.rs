@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # netstats — measurement substrate for the E-RAPID reproduction
 //!
 //! Everything the evaluation section of the paper measures flows through this

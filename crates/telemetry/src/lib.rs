@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! Deterministic cycle-level telemetry for the E-RAPID simulator.
 //!
 //! The paper's argument is about *when* things happen: DPM rate/voltage

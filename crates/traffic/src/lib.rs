@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # traffic — synthetic workloads for the E-RAPID evaluation
 //!
 //! §4 of the paper: "Packets were injected according to Bernoulli process

@@ -17,8 +17,8 @@
 //!
 //! All state is integer milli-units (`0..=1000`); every decision is a pure
 //! function of `(spec, current thresholds, observation)` with no floats,
-//! clocks or RNG — which is what makes the controller bit-exact across the
-//! sequential and board-sharded engines and across checkpoint/resume. The
+//! clocks or RNG — which is what makes the controller bit-exact across
+//! run-level fan-out and across checkpoint/resume. The
 //! step/clamp arithmetic maintains three invariants from any reachable
 //! state: `l_min + min_gap ≤ l_max`, `l_min_floor ≤ l_min`,
 //! `l_max ≤ l_max_ceil`, and `b_max_floor ≤ b_max ≤ b_max_ceil`.

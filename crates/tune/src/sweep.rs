@@ -2,8 +2,8 @@
 //! Pareto fronts and the power × p95-latency choice rule.
 //!
 //! The `autotune` bench bin runs every [`OperatingPoint`] of a [`TuneGrid`]
-//! through the traced sharded runner, joins each run's counters and
-//! latency digest into a [`SweepOutcome`], and per workload computes the
+//! through the traced runner, joins each run's counters and latency
+//! digest into a [`SweepOutcome`], and per workload computes the
 //! power/latency [`pareto_front`] and [`choose`]s the point minimising
 //! `power_mw × latency_p95` among outcomes that kept delivery intact.
 //! Everything is deterministic: grids enumerate in fixed nested order,

@@ -19,6 +19,17 @@ if grep -rnE -- "--bin (table1|arch|fig3|fig5|fig6|ablation|baseline|breakdown|s
     echo "verify: a retired figure bin is referenced; use 'figures <id>'"; exit 1
 fi
 
+echo "== one way to run a cycle's boards (no worker gate, no lane split, no point-thread knob) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "POINT_THREAD[S]|point_threads_from_en[v]|SrsLan[e]|LaneEffect[s]|BoardOu[t]|shard:[:]" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a retired board-worker name is back"; exit 1
+fi
+
+# One temp root for every smoke below, removed on any exit.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -44,15 +55,6 @@ cargo test -q --release -p router --test router_props
 # any single-owner wavelength table (the reference `System` is held to).
 cargo test -q --release -p reconfig round_equals_the_direct_decision
 
-echo "== determinism suite with the per-board jobs on workers (2 and 8 point workers) =="
-# The cycle engine (DESIGN.md §12) must stay byte-identical whether its
-# per-board jobs run inline or on workers — rerun the determinism suite
-# (and, at 2 workers, the golden engine pins, exercising the bitset
-# router's grant/stall/traversal order on worker threads) with the env
-# knob forcing every `run_sharded` caller through 2 and then 8 workers.
-ERAPID_POINT_THREADS=2 cargo test -q --release --test determinism --test golden_engine
-ERAPID_POINT_THREADS=8 cargo test -q --release --test determinism
-
 echo "== benchmark/ tests (the one perf instrument compiles against the crates and runs) =="
 # benchmark/ is its own workspace, so nothing above builds it: its suite
 # (a tiny run of all five workloads, BENCHMARK.json == catalog, compare)
@@ -60,39 +62,37 @@ echo "== benchmark/ tests (the one perf instrument compiles against the crates a
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== figures all (every claim inside its band, the five CSVs == results/*.csv) =="
-figures_dir="$(mktemp -d)"
-trap 'rm -rf "$figures_dir"' EXIT
+figures_dir="$tmp/figures"
 ERAPID_RESULTS="$figures_dir" cargo run --release -q -p erapid-bench --bin figures -- all > /dev/null
 for csv in fig3 uniform complement butterfly perfect_shuffle; do
     cmp "$figures_dir/$csv.csv" "results/$csv.csv" || { echo "figures: results/$csv.csv is stale"; exit 1; }
 done
 
-echo "== scenarios smoke (workload generators: seq == sharded == fanned) =="
-# One small P-B point per scenario through all three engines; the bin
-# exits nonzero when delivery is zero or any engine pair diverges.
+echo "== scenarios smoke (workload generators: seq == fanned) =="
+# One small P-B point per scenario, on the calling thread and fanned over
+# the run-level pool; the bin exits nonzero when delivery is zero or the
+# two diverge.
 cargo run --release -q -p erapid-bench --bin scenarios -- --smoke
 
-echo "== autotune smoke (sweep: seq == sharded, chosen beats paper baseline) =="
+echo "== autotune smoke (sweep: chosen beats paper baseline) =="
 if [ "${ERAPID_SKIP_TUNE_SMOKE:-0}" = "1" ]; then
     echo "autotune smoke: skipped (ERAPID_SKIP_TUNE_SMOKE=1)"
 else
-    # The smoke grid on two hostile scenarios (small P-B system): every
-    # operating point and the controller-enabled leg must be byte-identical
-    # sequential vs board-sharded, and the chosen point must beat the
-    # paper-constant baseline objective on >=1 scenario (DESIGN.md §15).
+    # The smoke grid on two hostile scenarios (small P-B system): the
+    # controller-enabled leg must deliver and the chosen point must beat
+    # the paper-constant baseline objective on >=1 scenario (DESIGN.md §15).
     cargo run --release -q -p erapid-bench --bin autotune -- --smoke
 fi
 
 echo "== resilience smoke (quick fault-scenario matrix) =="
-resilience_dir="$(mktemp -d)"
-trap 'rm -rf "$figures_dir" "$resilience_dir"' EXIT
+resilience_dir="$tmp/resilience"
 ERAPID_QUICK=1 ERAPID_RESULTS="$resilience_dir" \
     cargo run --release -q -p erapid-bench --bin resilience > /dev/null
 test -s "$resilience_dir"/RESILIENCE_*.json || { echo "resilience smoke: missing RESILIENCE_<sha>.json"; exit 1; }
 
 echo "== tracereport smoke (quick traced run, JSONL + Perfetto outputs) =="
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$figures_dir" "$resilience_dir" "$trace_dir"' EXIT
+trace_dir="$tmp/trace"
+mkdir "$trace_dir"
 ERAPID_QUICK=1 ERAPID_TRACE="$trace_dir/trace.jsonl" \
     cargo run --release -q -p erapid-bench --bin tracereport > /dev/null
 test -s "$trace_dir/trace.jsonl" || { echo "tracereport smoke: empty trace"; exit 1; }
@@ -125,8 +125,7 @@ if grep -o '"dropped":[0-9]*' "$trace_dir/trace.jsonl" | grep -qv ':0$'; then
 fi
 
 echo "== replay smoke (record -> persist -> replay conformance) =="
-replay_dir="$(mktemp -d)"
-trap 'rm -rf "$figures_dir" "$resilience_dir" "$trace_dir" "$replay_dir"' EXIT
+replay_dir="$tmp/replay"
 ERAPID_QUICK=1 ERAPID_RESULTS="$replay_dir" \
     cargo run --release -q -p erapid-bench --bin replay > /dev/null
 report=$(ls "$replay_dir"/REPLAY_*.json 2> /dev/null | head -1)
@@ -137,15 +136,12 @@ test -s "$replay_dir"/workload_*.ertr || { echo "replay smoke: missing workload 
 echo "replay smoke: $(basename "$report") written"
 
 echo "== marathon smoke (streamed run, forced mid-run kill, checkpoint resume) =="
-marathon_dir="$(mktemp -d)"
-trap 'rm -rf "$figures_dir" "$resilience_dir" "$trace_dir" "$replay_dir" "$marathon_dir"' EXIT
+marathon_dir="$tmp/marathon"
 # The bin aborts itself mid-run (SIGABRT), resumes from the newest
 # checkpoint, and asserts zero byte divergence from the uninterrupted run
 # plus a peak-RSS ceiling — a nonzero exit here means the crash-safety
-# contract broke. Run it through both engines.
+# contract broke.
 ERAPID_QUICK=1 ERAPID_RESULTS="$marathon_dir" \
-    cargo run --release -q -p erapid-bench --bin marathon > /dev/null
-ERAPID_QUICK=1 ERAPID_RESULTS="$marathon_dir" ERAPID_POINT_THREADS=2 \
     cargo run --release -q -p erapid-bench --bin marathon > /dev/null
 mreport=$(ls "$marathon_dir"/MARATHON_*.json 2> /dev/null | head -1)
 test -n "$mreport" && test -s "$mreport" || { echo "marathon smoke: missing MARATHON_<sha>.json"; exit 1; }

@@ -3,8 +3,8 @@
 //! The contract under test (DESIGN.md §13): a run that is killed mid-way
 //! and resumed from its newest checkpoint produces **byte-identical**
 //! artifacts — streamed JSONL trace, `.erpd` delivery log, and final
-//! metrics to the bit — to the same run uninterrupted, on both the
-//! sequential and the board-sharded engine, in all four network modes.
+//! metrics to the bit — to the same run uninterrupted, in all four
+//! network modes.
 //! And corruption of a snapshot (truncation, bit flips, version or config
 //! mismatch) is always *detected*, falling back to the previous good
 //! checkpoint rather than panicking or restoring garbage.
@@ -44,9 +44,8 @@ fn build(mode: NetworkMode, plan: PhasePlan) -> System {
     System::new(cfg(mode), TrafficPattern::Complement, 0.5, plan)
 }
 
-fn nz(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).expect("nonzero")
-}
+/// The count `run_streaming`'s frozen signature still takes (ignored).
+const ONE: NonZeroUsize = NonZeroUsize::MIN;
 
 fn tdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("erapid-ckpt-{tag}-{}", std::process::id()));
@@ -90,11 +89,11 @@ fn artifacts(sys: &System, end: u64, p: &StreamPaths) -> Artifacts {
 }
 
 /// The uninterrupted reference run.
-fn run_full(mode: NetworkMode, threads: usize, dir: &Path) -> Artifacts {
+fn run_full(mode: NetworkMode, dir: &Path) -> Artifacts {
     let p = paths(dir);
     let mut sys = build(mode, full_plan());
     let mut sink = StreamSink::create(&p).expect("create sink");
-    let end = run_streaming(&mut sys, nz(threads), &mut sink, None).expect("stream run");
+    let end = run_streaming(&mut sys, ONE, &mut sink, None).expect("stream run");
     sink.finalize().expect("finalize");
     artifacts(&sys, end, &p)
 }
@@ -102,19 +101,13 @@ fn run_full(mode: NetworkMode, threads: usize, dir: &Path) -> Artifacts {
 /// The crash leg: run with checkpoints until `kill_at`, drop everything
 /// unfinalized (the on-disk state a SIGKILL leaves: checkpoints at
 /// cadence plus un-checkpointed stream tail). Returns the checkpoint dir.
-fn run_killed(
-    mode: NetworkMode,
-    threads: usize,
-    dir: &Path,
-    kill_at: u64,
-    every_windows: u64,
-) -> PathBuf {
+fn run_killed(mode: NetworkMode, dir: &Path, kill_at: u64, every_windows: u64) -> PathBuf {
     let p = paths(dir);
     let ckpt_dir = dir.join("ckpt");
     let mut sys = build(mode, full_plan().with_max_cycles(kill_at));
     let mut sink = StreamSink::create(&p).expect("create sink");
     let mut ck = Checkpointer::new(&ckpt_dir, every_windows, WINDOW).expect("checkpointer");
-    run_streaming(&mut sys, nz(threads), &mut sink, Some(&mut ck)).expect("killed leg");
+    run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("killed leg");
     assert!(ck.written_count() > 0, "kill_at must lie past a checkpoint");
     // No finalize, no trailer: the crash.
     ckpt_dir
@@ -122,7 +115,7 @@ fn run_killed(
 
 /// The resume leg: fresh identical system, newest valid checkpoint, files
 /// truncated to its cursor, run to the end.
-fn run_resumed(mode: NetworkMode, threads: usize, dir: &Path, every_windows: u64) -> Artifacts {
+fn run_resumed(mode: NetworkMode, dir: &Path, every_windows: u64) -> Artifacts {
     let p = paths(dir);
     let ckpt_dir = dir.join("ckpt");
     let mut sys = build(mode, full_plan());
@@ -130,20 +123,20 @@ fn run_resumed(mode: NetworkMode, threads: usize, dir: &Path, every_windows: u64
     assert!(sys.now() > 0, "restore must land mid-run");
     let mut sink = StreamSink::resume(&p, cursor).expect("reopen sink");
     let mut ck = Checkpointer::new(&ckpt_dir, every_windows, WINDOW).expect("checkpointer");
-    let end = run_streaming(&mut sys, nz(threads), &mut sink, Some(&mut ck)).expect("resume leg");
+    let end = run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("resume leg");
     sink.finalize().expect("finalize");
     artifacts(&sys, end, &p)
 }
 
-fn kill_resume_equals_full(mode: NetworkMode, threads: usize, kill_at: u64, tag: &str) {
+fn kill_resume_equals_full(mode: NetworkMode, kill_at: u64, tag: &str) {
     let full_dir = tdir(&format!("{tag}-full"));
     let crash_dir = tdir(&format!("{tag}-crash"));
-    let full = run_full(mode, threads, &full_dir);
-    run_killed(mode, threads, &crash_dir, kill_at, 1);
-    let resumed = run_resumed(mode, threads, &crash_dir, 1);
+    let full = run_full(mode, &full_dir);
+    run_killed(mode, &crash_dir, kill_at, 1);
+    let resumed = run_resumed(mode, &crash_dir, 1);
     assert_eq!(
         full, resumed,
-        "killed+resumed run diverged ({mode:?}, {threads} threads, kill at {kill_at})"
+        "killed+resumed run diverged ({mode:?}, kill at {kill_at})"
     );
     // The streamed delivery log itself must verify and decode.
     let back = read_deliveries(paths(&full_dir).deliveries.as_deref().expect("path"))
@@ -154,22 +147,16 @@ fn kill_resume_equals_full(mode: NetworkMode, threads: usize, kill_at: u64, tag:
 }
 
 /// The golden pin of the tentpole contract: kill mid-window at 60 % of
-/// the horizon, resume, byte-identical — sequential engine.
+/// the horizon, resume, byte-identical.
 #[test]
 fn golden_kill_resume_byte_identical_sequential() {
-    kill_resume_equals_full(NetworkMode::PB, 1, 8 * WINDOW + 777, "gold-seq");
-}
-
-/// Same pin through the board-sharded engine (2 workers).
-#[test]
-fn golden_kill_resume_byte_identical_sharded() {
-    kill_resume_equals_full(NetworkMode::PB, 2, 8 * WINDOW + 777, "gold-shard");
+    kill_resume_equals_full(NetworkMode::PB, 8 * WINDOW + 777, "gold-seq");
 }
 
 /// The kill/resume contract holds with the scenario engine driving
 /// injection: its per-node RNG streams ride the snapshot, so a resumed
 /// run's stream continues exactly where the killed run stopped — every
-/// scenario, alternating sequential and board-sharded engines.
+/// scenario.
 #[test]
 fn scenario_kill_resume_byte_identical() {
     use erapid_suite::erapid_workloads::ScenarioSpec;
@@ -178,8 +165,7 @@ fn scenario_kill_resume_byte_identical() {
         c.scenario = Some(spec.clone());
         c
     };
-    for (i, spec) in ScenarioSpec::paper_suite().iter().enumerate() {
-        let threads = if i % 2 == 0 { 1 } else { 2 };
+    for spec in &ScenarioSpec::paper_suite() {
         let build = || System::new(scen_cfg(spec), TrafficPattern::Uniform, 0.5, full_plan());
 
         // Uninterrupted reference.
@@ -187,7 +173,7 @@ fn scenario_kill_resume_byte_identical() {
         let p = paths(&full_dir);
         let mut sys = build();
         let mut sink = StreamSink::create(&p).expect("create sink");
-        let end = run_streaming(&mut sys, nz(threads), &mut sink, None).expect("full leg");
+        let end = run_streaming(&mut sys, ONE, &mut sink, None).expect("full leg");
         sink.finalize().expect("finalize");
         let full = artifacts(&sys, end, &p);
 
@@ -203,7 +189,7 @@ fn scenario_kill_resume_byte_identical() {
         );
         let mut sink = StreamSink::create(&pc).expect("create sink");
         let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-        run_streaming(&mut sys, nz(threads), &mut sink, Some(&mut ck)).expect("killed leg");
+        run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("killed leg");
         assert!(ck.written_count() > 0, "kill must lie past a checkpoint");
 
         // Resume leg: fresh system, newest checkpoint, run to the end.
@@ -212,15 +198,14 @@ fn scenario_kill_resume_byte_identical() {
         assert!(sys.now() > 0, "restore must land mid-run");
         let mut sink = StreamSink::resume(&pc, cursor).expect("reopen sink");
         let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-        let end =
-            run_streaming(&mut sys, nz(threads), &mut sink, Some(&mut ck)).expect("resume leg");
+        let end = run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("resume leg");
         sink.finalize().expect("finalize");
         let resumed = artifacts(&sys, end, &pc);
 
         assert_eq!(
             full,
             resumed,
-            "[{}] killed+resumed scenario run diverged ({threads} threads)",
+            "[{}] killed+resumed scenario run diverged",
             spec.name()
         );
         let _ = std::fs::remove_dir_all(full_dir);
@@ -232,7 +217,7 @@ fn scenario_kill_resume_byte_identical() {
 /// live on a scenario workload: the controller's milli-unit thresholds and
 /// counters ride the snapshot (tag `TUNC`), and the restore retargets the
 /// DBR buffer watches to the restored `B_max`, so a resumed run adapts
-/// exactly like the uninterrupted one — both engines.
+/// exactly like the uninterrupted one.
 #[test]
 fn controller_kill_resume_byte_identical() {
     use erapid_suite::erapid_tune::ControllerSpec;
@@ -243,80 +228,59 @@ fn controller_kill_resume_byte_identical() {
         c.tune = Some(ControllerSpec::paper_pb());
         c
     };
-    for threads in [1usize, 2] {
-        let build = || System::new(tuned_cfg(), TrafficPattern::Uniform, 0.5, full_plan());
+    let build = || System::new(tuned_cfg(), TrafficPattern::Uniform, 0.5, full_plan());
 
-        // Uninterrupted reference.
-        let full_dir = tdir(&format!("tune-{threads}-full"));
-        let p = paths(&full_dir);
-        let mut sys = build();
-        let mut sink = StreamSink::create(&p).expect("create sink");
-        let end = run_streaming(&mut sys, nz(threads), &mut sink, None).expect("full leg");
-        sink.finalize().expect("finalize");
-        let full = artifacts(&sys, end, &p);
-        let full_ctrl = sys.controller().expect("controller is on").clone();
-        assert!(
-            full_ctrl.windows_seen() > 0,
-            "controller must observe windows in the reference run"
-        );
+    // Uninterrupted reference.
+    let full_dir = tdir("tune-full");
+    let p = paths(&full_dir);
+    let mut sys = build();
+    let mut sink = StreamSink::create(&p).expect("create sink");
+    let end = run_streaming(&mut sys, ONE, &mut sink, None).expect("full leg");
+    sink.finalize().expect("finalize");
+    let full = artifacts(&sys, end, &p);
+    let full_ctrl = sys.controller().expect("controller is on").clone();
+    assert!(
+        full_ctrl.windows_seen() > 0,
+        "controller must observe windows in the reference run"
+    );
 
-        // Crash leg: checkpoints every window, killed mid-window.
-        let crash_dir = tdir(&format!("tune-{threads}-crash"));
-        let pc = paths(&crash_dir);
-        let ckpt_dir = crash_dir.join("ckpt");
-        let mut sys = System::new(
-            tuned_cfg(),
-            TrafficPattern::Uniform,
-            0.5,
-            full_plan().with_max_cycles(8 * WINDOW + 777),
-        );
-        let mut sink = StreamSink::create(&pc).expect("create sink");
-        let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-        run_streaming(&mut sys, nz(threads), &mut sink, Some(&mut ck)).expect("killed leg");
-        assert!(ck.written_count() > 0, "kill must lie past a checkpoint");
+    // Crash leg: checkpoints every window, killed mid-window.
+    let crash_dir = tdir("tune-crash");
+    let pc = paths(&crash_dir);
+    let ckpt_dir = crash_dir.join("ckpt");
+    let mut sys = System::new(
+        tuned_cfg(),
+        TrafficPattern::Uniform,
+        0.5,
+        full_plan().with_max_cycles(8 * WINDOW + 777),
+    );
+    let mut sink = StreamSink::create(&pc).expect("create sink");
+    let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
+    run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("killed leg");
+    assert!(ck.written_count() > 0, "kill must lie past a checkpoint");
 
-        // Resume leg.
-        let mut sys = build();
-        let (_, cursor) = resume_latest(&mut sys, &ckpt_dir).expect("no checkpoint to resume");
-        assert!(sys.now() > 0, "restore must land mid-run");
-        let mut sink = StreamSink::resume(&pc, cursor).expect("reopen sink");
-        let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-        let end =
-            run_streaming(&mut sys, nz(threads), &mut sink, Some(&mut ck)).expect("resume leg");
-        sink.finalize().expect("finalize");
-        let resumed = artifacts(&sys, end, &pc);
+    // Resume leg.
+    let mut sys = build();
+    let (_, cursor) = resume_latest(&mut sys, &ckpt_dir).expect("no checkpoint to resume");
+    assert!(sys.now() > 0, "restore must land mid-run");
+    let mut sink = StreamSink::resume(&pc, cursor).expect("reopen sink");
+    let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
+    let end = run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("resume leg");
+    sink.finalize().expect("finalize");
+    let resumed = artifacts(&sys, end, &pc);
 
-        assert_eq!(
-            full, resumed,
-            "killed+resumed controller run diverged ({threads} threads)"
-        );
-        assert_eq!(
-            sys.controller().expect("controller is on"),
-            &full_ctrl,
-            "resumed controller state diverged ({threads} threads)"
-        );
-        let _ = std::fs::remove_dir_all(full_dir);
-        let _ = std::fs::remove_dir_all(crash_dir);
-    }
-}
-
-/// Cross-engine: a sequential full run vs a *sharded* killed+resumed run
-/// — the two engines share one byte-identity contract, checkpointing
-/// included.
-#[test]
-fn sharded_resume_matches_sequential_full() {
-    let full_dir = tdir("xeng-full");
-    let crash_dir = tdir("xeng-crash");
-    let full = run_full(NetworkMode::PB, 1, &full_dir);
-    run_killed(NetworkMode::PB, 2, &crash_dir, 7 * WINDOW + 321, 2);
-    let resumed = run_resumed(NetworkMode::PB, 2, &crash_dir, 2);
-    assert_eq!(full, resumed);
+    assert_eq!(full, resumed, "killed+resumed controller run diverged");
+    assert_eq!(
+        sys.controller().expect("controller is on"),
+        &full_ctrl,
+        "resumed controller state diverged"
+    );
     let _ = std::fs::remove_dir_all(full_dir);
     let _ = std::fs::remove_dir_all(crash_dir);
 }
 
-/// Kill at a seeded-random cycle in every mode × both engines: resume
-/// equivalence is not a property of one lucky cycle.
+/// Kill at two seeded-random cycles in every mode: resume equivalence is
+/// not a property of one lucky cycle.
 #[test]
 fn kill_at_random_window_all_modes() {
     let mut rng = Pcg32::new(0x0C0FFEE5, 7);
@@ -326,10 +290,10 @@ fn kill_at_random_window_all_modes() {
         NetworkMode::NpB,
         NetworkMode::PB,
     ] {
-        for threads in [1usize, 2] {
+        for leg in 0..2 {
             // Past the first checkpoint (window 1), inside the horizon.
             let kill_at = WINDOW + 500 + rng.below((9 * WINDOW) as u32) as u64;
-            kill_resume_equals_full(mode, threads, kill_at, &format!("rand-{mode:?}-{threads}"));
+            kill_resume_equals_full(mode, kill_at, &format!("rand-{mode:?}-{leg}"));
         }
     }
 }
@@ -340,7 +304,7 @@ fn kill_at_random_window_all_modes() {
 #[test]
 fn corrupt_snapshot_always_detected_with_fallback() {
     let dir = tdir("corrupt");
-    let ckpt_dir = run_killed(NetworkMode::PB, 1, &dir, 9 * WINDOW + 50, 2);
+    let ckpt_dir = run_killed(NetworkMode::PB, &dir, 9 * WINDOW + 50, 2);
     let config = cfg(NetworkMode::PB);
     let mut snaps: Vec<PathBuf> = std::fs::read_dir(&ckpt_dir)
         .expect("list")
@@ -381,8 +345,8 @@ fn corrupt_snapshot_always_detected_with_fallback() {
     // the resume (from the *older* checkpoint) still reproduces the
     // uninterrupted run byte-for-byte.
     let full_dir = tdir("corrupt-full");
-    let full = run_full(NetworkMode::PB, 1, &full_dir);
-    let resumed = run_resumed(NetworkMode::PB, 1, &dir, 2);
+    let full = run_full(NetworkMode::PB, &full_dir);
+    let resumed = run_resumed(NetworkMode::PB, &dir, 2);
     assert_eq!(full, resumed);
 
     // Every snapshot corrupt (including any the resume leg just wrote)
@@ -461,7 +425,7 @@ fn every_boundary_checkpoints_while_dbr_rounds_run() {
     let mut sys = build(NetworkMode::PB, full_plan());
     let mut sink = StreamSink::create(&paths(&dir)).expect("create sink");
     let mut ck = Checkpointer::new(dir.join("ckpt"), 1, WINDOW).expect("checkpointer");
-    let end = run_streaming(&mut sys, nz(1), &mut sink, Some(&mut ck)).expect("stream run");
+    let end = run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("stream run");
     assert!(sys.srs().reconfig_counts().0 > 0, "rounds must have run");
     assert_eq!(
         ck.written_count(),

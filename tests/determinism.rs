@@ -22,11 +22,7 @@ fn point(cfg: SystemConfig, pattern: TrafficPattern, load: f64) -> RunPoint {
 /// The points' results on `threads` run-level workers.
 fn results_on(threads: usize, points: Vec<RunPoint>) -> Vec<RunResult> {
     use std::num::NonZeroUsize;
-    let outs = run_points(
-        NonZeroUsize::new(threads).unwrap(),
-        NonZeroUsize::MIN,
-        points,
-    );
+    let outs = run_points(NonZeroUsize::new(threads).unwrap(), points);
     outs.iter().map(|o| o.result).collect()
 }
 
@@ -261,98 +257,6 @@ fn board_step_buffer_reuse_conserves_deliveries() {
 }
 
 #[test]
-fn sharded_run_identical_to_sequential_across_worker_counts() {
-    // The board-sharded engine must be invisible in every observable:
-    // RunResult (all f64s bit-compared via PartialEq), the telemetry
-    // event stream, the per-window metric snapshots and the per-packet
-    // delivery log, for any worker count (including more workers than
-    // boards and more workers than cores).
-    use erapid_suite::erapid_telemetry::TraceConfig;
-    use std::num::NonZeroUsize;
-    for mode in NetworkMode::all() {
-        let mk = || {
-            let mut cfg = SystemConfig::small(mode);
-            cfg.seed = 23;
-            cfg.packet_log = true;
-            cfg.trace = TraceConfig::with_capacity(1 << 18);
-            cfg
-        };
-        let seq_out = point(mk(), TrafficPattern::Complement, 0.6).run();
-        let (seq, seq_trace) = (seq_out.result, seq_out.trace);
-        for workers in [2usize, 4, 8] {
-            let shard_out = point(mk(), TrafficPattern::Complement, 0.6)
-                .run_with(NonZeroUsize::new(workers).unwrap());
-            let (shard, shard_trace) = (shard_out.result, shard_out.trace);
-            assert_eq!(
-                seq, shard,
-                "mode {mode:?}: RunResult diverged at {workers} workers"
-            );
-            assert_eq!(
-                seq_trace.records, shard_trace.records,
-                "mode {mode:?}: telemetry event stream diverged at {workers} workers"
-            );
-            assert_eq!(
-                seq_trace.windows, shard_trace.windows,
-                "mode {mode:?}: metric windows diverged at {workers} workers"
-            );
-            assert_eq!(
-                seq_trace.packets, shard_trace.packets,
-                "mode {mode:?}: packet log diverged at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_run_identical_under_faults() {
-    // Fault application stays a sequential phase, so a scheduled outage /
-    // relock storm must not open any worker-count dependence.
-    use erapid_suite::erapid_core::experiment::run_once;
-    use erapid_suite::erapid_core::faults::FaultPlan;
-    use std::num::NonZeroUsize;
-    for mode in [NetworkMode::NpB, NetworkMode::PB] {
-        let mk = || {
-            let mut cfg = SystemConfig::small(mode);
-            cfg.seed = 17;
-            cfg.faults = FaultPlan::relock_storm(9, cfg.boards, 2500, 5500, 6, 300)
-                .receiver_outage(3, 1, 3000, 6000);
-            cfg
-        };
-        let seq = run_once(mk(), TrafficPattern::Complement, 0.5, plan());
-        for workers in [2usize, 8] {
-            let shard = point(mk(), TrafficPattern::Complement, 0.5)
-                .run_with(NonZeroUsize::new(workers).unwrap())
-                .result;
-            assert_eq!(
-                seq, shard,
-                "mode {mode:?}: faulted run diverged at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_run_identical_at_env_point_workers() {
-    // `verify.sh` reruns this suite with ERAPID_POINT_THREADS=2 and =8;
-    // this test picks the knob up so the whole determinism file exercises
-    // the sharded engine at the CI-chosen worker counts. Without the env
-    // var it degenerates to the (still asserted) 1-worker fallback path.
-    use erapid_suite::erapid_core::experiment::run_once;
-    use erapid_suite::erapid_core::runner::point_threads_from_env;
-    let workers = point_threads_from_env();
-    let mk = || {
-        let mut cfg = SystemConfig::small(NetworkMode::PB);
-        cfg.seed = 29;
-        cfg
-    };
-    let seq = run_once(mk(), TrafficPattern::Uniform, 0.4, plan());
-    let shard = point(mk(), TrafficPattern::Uniform, 0.4)
-        .run_with(workers)
-        .result;
-    assert_eq!(seq, shard, "sharded run diverged at {workers} workers");
-}
-
-#[test]
 fn observers_never_perturb_and_compose() {
     // The three observers are config fields, not run variants: one faulted
     // P-B complement point run under all eight on/off combinations gives
@@ -434,7 +338,9 @@ fn every_run_loop_is_the_same_engine() {
     // `step` are thin callers of one cycle implementation: on a faulted,
     // traced P-B point they must agree on every observable, the hook must
     // fire once per cycle, and the profiler must still tell the electrical
-    // half of the cycle from the optical one.
+    // half of the cycle from the optical one. The worker counts the two
+    // frozen signatures still take are ignored: 8 and 2 change nothing,
+    // and the hook stays on the calling thread.
     use erapid_suite::desim::Cycle;
     use erapid_suite::erapid_core::faults::FaultPlan;
     use erapid_suite::erapid_core::system::PhaseTimers;
@@ -485,8 +391,6 @@ fn every_run_loop_is_the_same_engine() {
             sys.take_packet_log(),
         )
     }
-    let one = NonZeroUsize::MIN;
-
     let mut sys = mk();
     let end = sys.run();
     let reference = observe(sys, end);
@@ -516,15 +420,17 @@ fn every_run_loop_is_the_same_engine() {
 
     let mut sys = mk();
     let mut hooked = 0;
-    let end = sys.run_with(one, &mut |s| {
+    let caller = std::thread::current().id();
+    let end = sys.run_with(NonZeroUsize::new(8).unwrap(), &mut |s| {
         assert_eq!(s.now(), hooked, "hook runs before each cycle, in order");
+        assert_eq!(std::thread::current().id(), caller);
         hooked += 1;
     });
     assert_eq!(hooked, end, "hook must run exactly once per cycle");
-    assert_eq!(observe(sys, end), reference, "run_with diverged");
+    assert_eq!(observe(sys, end), reference, "run_with(8) diverged");
 
     let mut sys = mk();
-    let end = sys.run_sharded(one.saturating_add(1));
+    let end = sys.run_sharded(NonZeroUsize::new(2).unwrap());
     assert_eq!(observe(sys, end), reference, "run_sharded(2) diverged");
 
     let mut sys = mk();

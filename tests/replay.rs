@@ -271,8 +271,8 @@ fn fixture_replay_parallel_matches_sequential() {
             })
             .collect()
     };
-    let par = run_points(NonZeroUsize::new(4).unwrap(), NonZeroUsize::MIN, points());
-    let seq = run_points(NonZeroUsize::MIN, NonZeroUsize::MIN, points());
+    let par = run_points(NonZeroUsize::new(4).unwrap(), points());
+    let seq = run_points(NonZeroUsize::MIN, points());
     assert_eq!(par.len(), seq.len());
     for (mode, (p, s)) in NetworkMode::all().iter().zip(par.iter().zip(&seq)) {
         assert_eq!(p.result, s.result, "{}: RunResult diverged", mode.name());

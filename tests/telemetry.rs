@@ -52,8 +52,8 @@ fn batch() -> Vec<RunPoint> {
 
 #[test]
 fn traces_are_byte_identical_sequential_vs_parallel() {
-    let seq = run_points(NonZeroUsize::MIN, NonZeroUsize::MIN, batch());
-    let par = run_points(NonZeroUsize::new(4).unwrap(), NonZeroUsize::MIN, batch());
+    let seq = run_points(NonZeroUsize::MIN, batch());
+    let par = run_points(NonZeroUsize::new(4).unwrap(), batch());
     assert_eq!(seq.len(), par.len());
     for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
         let (ts, tp) = (&s.trace, &p.trace);
