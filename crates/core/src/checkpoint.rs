@@ -1,7 +1,7 @@
 //! Crash-safe checkpoint/restore of a running [`System`].
 //!
 //! A snapshot (`.ersp`) captures the *entire* mutable simulation state —
-//! boards, router VA/SA lists, the SRS channel bank and its wake/retune/
+//! boards, router VA/SA lists, the SRS receiver slots and its wake/retune/
 //! relock queues, occupancy integrals, fault-plan cursor, RNG streams and
 //! the telemetry registry — plus the [`StreamCursor`] of the streaming
 //! export, so a killed run resumes byte-identical to an uninterrupted one.
@@ -47,8 +47,10 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
 pub const SNAP_MAGIC: [u8; 4] = *b"ERSP";
-/// Snapshot format version this build reads and writes.
-pub const SNAP_VERSION: u16 = 1;
+/// Snapshot format version this build reads and writes. Version 2 stores
+/// the SRS as its O(B·W) receiver slots; version 1's dense per-laser bank
+/// is refused, not converted.
+pub const SNAP_VERSION: u16 = 2;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
 pub const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 

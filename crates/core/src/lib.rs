@@ -25,8 +25,9 @@
 //!   NP-NB / P-NB / NP-B / P-B,
 //! * [`txqueue`] — per-destination-board transmitter queues (packets are
 //!   the interleaving unit in the optical domain, §2.1),
-//! * [`srs`] — the Scalable Remote Optical Super-Highway: ownership map +
-//!   channel bank + in-flight arrivals,
+//! * [`srs`] — the Scalable Remote Optical Super-Highway: one slot per
+//!   `(d, w)` receiver (owner, lit laser, pending work) + in-flight
+//!   arrivals,
 //! * [`board`] — one board: router, NIs, TX queues, receivers,
 //! * [`system`] — the full system and its cycle loop, including the LS
 //!   odd–even reconfiguration triggers,

@@ -1,24 +1,28 @@
 //! The Scalable Remote Optical Super-Highway (SRS).
 //!
-//! Owns the wavelength ownership map (which source board may light
-//! wavelength `w` toward destination board `d`), the bank of optical
-//! channels, in-flight packet arrivals, and the per-channel DPM/DBR state
-//! machines (pending retunes and pending grants). The WDM invariant — at
-//! most one lit laser per (destination, wavelength) — is enforced here: a
-//! granted channel only lights after the donor's laser is dark.
+//! Owns the optical stage as one [`Slot`] per `(d, w)` receiver: which
+//! source board may light wavelength `w` toward destination board `d` (the
+//! owner), whose laser is lit on it, that laser's state machine, the
+//! owner's link-utilization span and the lit laser's pending DPM retune
+//! and CDR relock — plus in-flight packet arrivals and pending grants. The
+//! WDM invariant — at most one lit laser per (destination, wavelength) — is
+//! the layout itself: a slot names one lit source, and a granted laser only
+//! lights once the slot is dark. What a retired owner leaves behind (its
+//! DPM level, a stuck LC, its in-window busy) is carried explicitly in side
+//! tables keyed by `(s, d, w)`, so state is O(B·W) in what is lit plus one
+//! byte per laser.
 
 use crate::txqueue::ReadyPacket;
 use desim::queue::BinaryHeapQueue;
 use desim::Cycle;
 use erapid_telemetry::{TraceEvent, TraceSink};
 use photonics::bitrate::{RateLadder, RateLevel};
-use photonics::channel::{ChannelState, OpticalChannel};
+use photonics::channel::{ChannelState, LinkTiming, OpticalChannel};
 use photonics::power::LinkPowerModel;
 use photonics::rwa::StaticRwa;
 use photonics::serdes::Serdes;
 use photonics::wavelength::{BoardId, Wavelength};
 use reconfig::msg::WavelengthGrant;
-use std::sync::Arc;
 
 /// A packet arriving at a destination board's receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,44 +74,170 @@ impl desim::snap::Snap for PendingGrant {
     }
 }
 
+/// `(source, destination, wavelength)` — one laser. Tuple order is the
+/// dense `(s·B + d)·W + w` order the trace pins were recorded in.
+type Laser = (u16, u16, u16);
+
+/// An open serialization span: busy from `start` to `cap` (exclusive).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: Cycle,
+    cap: Cycle,
+}
+
+/// One `(d, w)` receiver.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Board allowed to light `w` toward `d` (`None`: λ0, or a failed
+    /// receiver).
+    owner: Option<u16>,
+    /// Board whose laser is lit — `Some` exactly while `chan` is on. It
+    /// differs from `owner` only while a donor drains after a grant, a
+    /// failed receiver drains, or the owner's transmitters are down.
+    lit_by: Option<u16>,
+    /// The lit laser's state machine (`Off` while the slot is dark).
+    chan: OpticalChannel,
+    /// The lit laser's pending DPM retune: `(target level, penalty)`.
+    retune: Option<(RateLevel, Cycle)>,
+    /// The lit laser's pending CDR relock penalty, applied once it is
+    /// between packets.
+    relock: Option<Cycle>,
+    /// `Link_util` of the last completed window, for the owner at that
+    /// roll (what the LS protocol reads). Busy time is integrated from
+    /// serialization spans instead of per-cycle sampling; the division at
+    /// the roll reproduces the eager `Σ 1.0 / window` bits exactly
+    /// (integer-valued f64 sum).
+    link_prev: f64,
+    /// The owner's busy cycles in the running window (closed spans).
+    win_busy: Cycle,
+    /// The owner's open serialization span.
+    busy: Option<Span>,
+}
+
+impl Slot {
+    fn dark(level: RateLevel) -> Self {
+        Self {
+            owner: None,
+            lit_by: None,
+            chan: OpticalChannel::new(level),
+            retune: None,
+            relock: None,
+            link_prev: 0.0,
+            win_busy: 0,
+            busy: None,
+        }
+    }
+
+    /// Closes the open busy span at `at` (clamped to the serialization
+    /// end), folding its cycles into the running window. A span closed at
+    /// its own start cycle contributes nothing — exactly the eager sampler,
+    /// which never saw the channel busy.
+    fn close_busy(&mut self, at: Cycle) {
+        if let Some(span) = self.busy.take() {
+            let end = span.cap.min(at);
+            if end > span.start {
+                self.win_busy += end - span.start;
+            }
+        }
+    }
+
+    /// Index of the slot's draw in [`Srs::power_mw`]: `0` unless the lit
+    /// laser is the owner's, else `1 + 2·level`, `+ 1` while sending.
+    /// Branch-free, so the recount does not mispredict on traffic.
+    fn power_class(&self) -> usize {
+        let counted = (self.lit_by == self.owner) & self.chan.is_on();
+        let sending = matches!(self.chan.state(), ChannelState::Sending { .. });
+        usize::from(counted) * (1 + 2 * self.chan.level().index() + usize::from(sending))
+    }
+
+    /// Turns the lit laser off (it must be between packets); its pending
+    /// retune and relock go dark with it.
+    fn darken(&mut self, now: Cycle) {
+        self.chan.power_off(now);
+        self.lit_by = None;
+        self.retune = None;
+        self.relock = None;
+    }
+
+    fn save(&self, w: &mut desim::snap::SnapWriter) {
+        use desim::snap::Snap;
+        self.owner.save(w);
+        self.lit_by.save(w);
+        if self.lit_by.is_some() {
+            self.chan.save_state(w);
+        }
+        self.retune.save(w);
+        self.relock.save(w);
+        w.f64(self.link_prev);
+        w.u64(self.win_busy);
+        self.busy.map(|s| (s.start, s.cap)).save(w);
+    }
+
+    fn load(
+        r: &mut desim::snap::SnapReader<'_>,
+        timing: &LinkTiming,
+    ) -> Result<Self, desim::snap::SnapError> {
+        use desim::snap::Snap;
+        let owner = Snap::load(r)?;
+        let lit_by: Option<u16> = Snap::load(r)?;
+        let chan = match lit_by {
+            Some(_) => OpticalChannel::load_state(r, timing.levels())?,
+            None => OpticalChannel::new(top_level(timing)),
+        };
+        Ok(Self {
+            owner,
+            lit_by,
+            chan,
+            retune: Snap::load(r)?,
+            relock: Snap::load(r)?,
+            link_prev: r.f64()?,
+            win_busy: r.u64()?,
+            busy: Option::<(Cycle, Cycle)>::load(r)?.map(|(start, cap)| Span { start, cap }),
+        })
+    }
+}
+
+/// The ladder's highest level — every laser's level at boot.
+fn top_level(timing: &LinkTiming) -> RateLevel {
+    RateLevel((timing.levels() - 1) as u8)
+}
+
 /// The optical stage.
 pub struct Srs {
     boards: u16,
     wavelengths: u16,
-    /// `owner[d][w]` — board allowed to light `w` toward `d`.
-    owner: Vec<Vec<Option<u16>>>,
-    /// Sorted wavelengths owned per `(s·B + d)` flow — the mirror of
-    /// `owner` that lets `try_transmit` scan only lit wavelengths.
-    /// Maintained exclusively through [`Srs::set_owner`]; ascending order
-    /// reproduces the legacy full `0..W` scan exactly.
+    /// Receiver slots indexed by `d·W + w`.
+    slots: Vec<Slot>,
+    /// Sorted wavelengths owned per `(s·B + d)` flow — the per-source view
+    /// of the slots' owners that lets `try_transmit` scan only owned
+    /// wavelengths. Maintained exclusively through [`Srs::set_owner`];
+    /// ascending order reproduces the legacy full `0..W` scan exactly.
     owned: Vec<Vec<u16>>,
-    /// Dense channel bank indexed by `(s·B + d)·W + w`.
-    channels: Vec<OpticalChannel>,
+    /// DPM level of every laser, indexed by `(s·B + d)·W + w`: a former
+    /// owner granted a receiver back relights at its own last level. The
+    /// lit laser's level is written through on every retune.
+    levels: Vec<RateLevel>,
+    /// Running-window busy cycles of owners retired since the last roll,
+    /// restored if the same source regains the receiver before it.
+    busy_stash: Vec<(Laser, Cycle)>,
+    /// Lasers whose LC is wedged (sorted): their DPM retunes are dropped.
+    /// Keyed by laser, so the wedge survives a grant away and back.
+    stuck_lc: Vec<Laser>,
+    /// Serialization and fiber constants shared by every laser.
+    timing: LinkTiming,
     /// Window length (`R_w`) for the link-utilization spans.
     window: Cycle,
-    /// Per-channel `Link_util` of the last completed window (what the LS
-    /// protocol reads). Busy time is integrated from serialization spans
-    /// instead of per-cycle sampling; the division at the roll reproduces
-    /// the eager `Σ 1.0 / window` bits exactly (integer-valued f64 sum).
-    link_prev: Vec<f64>,
-    /// Busy cycles accumulated in the running window (closed spans).
-    win_busy: Vec<Cycle>,
-    /// Open serialization span per channel: `busy_open` guards
-    /// `busy_start` (first unaccounted busy cycle) and `busy_cap`
-    /// (serialization end, exclusive).
-    busy_open: Vec<bool>,
-    busy_start: Vec<Cycle>,
-    busy_cap: Vec<Cycle>,
-    /// Serialization-end wake queue: channel indices keyed by their
-    /// `Sending` `until`, so `tick` settles only channels whose packet
-    /// actually ended instead of scanning the whole bank.
+    /// Serialization-end wake queue: slot indices keyed by their `Sending`
+    /// `until`, so `tick` settles only lasers whose packet actually ended
+    /// instead of scanning the whole stage.
     wake: BinaryHeapQueue<usize>,
-    /// Sorted channel indices with a pending retune/relock — the only
-    /// slots `tick` visits. Ascending index order is the legacy full-scan
-    /// order, so trace-event order is preserved. Stale entries (slot
-    /// cleared by a fault/grant) are dropped on the next sweep.
-    retune_queue: Vec<usize>,
-    relock_queue: Vec<usize>,
+    /// Sorted lasers with a pending retune/relock — the only slots `tick`
+    /// visits. Ascending `(s, d, w)` is the legacy full-scan order, so
+    /// trace-event order is preserved. Stale entries (laser darkened, or
+    /// its pending work cleared by a fault/grant) are dropped on the next
+    /// sweep.
+    retune_queue: Vec<Laser>,
+    relock_queue: Vec<Laser>,
     /// Total laser power changes only on state/level/ownership edges;
     /// between edges `record_cycle` returns this cached sum (recomputed
     /// in the legacy `(d asc, w asc)` order, so the bits match).
@@ -115,9 +245,9 @@ pub struct Srs {
     power_cache: f64,
     arrivals: BinaryHeapQueue<Arrival>,
     pending_grants: Vec<PendingGrant>,
-    /// Per-channel pending DPM retune: `(target level, penalty)`.
-    pending_retune: Vec<Option<(RateLevel, Cycle)>>,
-    power_model: LinkPowerModel,
+    /// A laser's draw (mW) by [`Slot::power_class`]: `0.0`, then idle and
+    /// active per level — `power_model`'s values, tabulated once.
+    power_mw: Vec<f64>,
     /// Receiver lock-in penalty charged when a granted channel lights.
     lock_penalty: Cycle,
     /// Failed (destination, wavelength) pairs: the demux/receiver is dead,
@@ -127,11 +257,6 @@ pub struct Srs {
     /// toward `d` cannot light. Ownership is retained so repair restores
     /// service.
     failed_tx: Vec<(u16, u16)>,
-    /// Per-channel stuck-LC flags: DPM retunes are silently dropped.
-    stuck_lc: Vec<bool>,
-    /// Per-channel pending CDR relock penalty, applied once the channel is
-    /// between packets.
-    pending_relock: Vec<Option<Cycle>>,
     /// The static RWA (used to restore ownership on receiver repair).
     rwa: StaticRwa,
     /// Lifetime counters.
@@ -145,7 +270,7 @@ impl Srs {
     /// the ladder's highest level.
     pub fn new(
         boards: u16,
-        ladder: RateLadder,
+        ladder: &RateLadder,
         serdes: Serdes,
         fiber_delay: Cycle,
         power_model: LinkPowerModel,
@@ -153,54 +278,38 @@ impl Srs {
         lock_penalty: Cycle,
     ) -> Self {
         let w_count = boards;
-        let rwa = StaticRwa::new(boards);
-        let owner = vec![vec![None; w_count as usize]; boards as usize];
-        let n = (boards as usize).pow(2) * w_count as usize;
-        let ladder = Arc::new(ladder);
-        let mut channels = Vec::with_capacity(n);
-        for s in 0..boards {
-            for d in 0..boards {
-                for w in 0..w_count {
-                    channels.push(OpticalChannel::new(
-                        BoardId(s),
-                        BoardId(d),
-                        Wavelength(w),
-                        Arc::clone(&ladder),
-                        serdes,
-                        fiber_delay,
-                    ));
-                }
-            }
-        }
+        let receivers = boards as usize * w_count as usize;
+        let top = ladder.highest();
         let mut srs = Self {
             boards,
             wavelengths: w_count,
-            owner,
+            slots: vec![Slot::dark(top); receivers],
             owned: vec![Vec::new(); (boards as usize).pow(2)],
-            channels,
+            levels: vec![top; boards as usize * receivers],
+            busy_stash: Vec::new(),
+            stuck_lc: Vec::new(),
+            timing: LinkTiming::new(ladder, serdes, fiber_delay),
             window,
-            link_prev: vec![0.0; n],
-            win_busy: vec![0; n],
-            busy_open: vec![false; n],
-            busy_start: vec![0; n],
-            busy_cap: vec![0; n],
-            wake: BinaryHeapQueue::with_capacity(boards as usize * w_count as usize),
+            wake: BinaryHeapQueue::with_capacity(receivers),
             retune_queue: Vec::new(),
             relock_queue: Vec::new(),
             power_dirty: true,
             power_cache: 0.0,
             // At most one packet is in flight per (source, wavelength), so
             // this pre-sizing makes arrival pushes allocation-free.
-            arrivals: BinaryHeapQueue::with_capacity(boards as usize * w_count as usize),
+            arrivals: BinaryHeapQueue::with_capacity(receivers),
             pending_grants: Vec::new(),
-            pending_retune: vec![None; n],
-            power_model,
+            power_mw: std::iter::once(0.0)
+                .chain(
+                    ladder
+                        .iter()
+                        .flat_map(|(l, _)| [power_model.idle_mw(l), power_model.active_mw(l)]),
+                )
+                .collect(),
             lock_penalty,
             failed: Vec::new(),
             failed_tx: Vec::new(),
-            stuck_lc: vec![false; n],
-            pending_relock: vec![None; n],
-            rwa,
+            rwa: StaticRwa::new(boards),
             grants_applied: 0,
             retunes_applied: 0,
             relocks_applied: 0,
@@ -208,39 +317,39 @@ impl Srs {
         // Static RWA: one lit laser per (destination, remote wavelength).
         for d in 0..boards {
             for w in 1..w_count {
-                let s = srs.rwa.static_owner(BoardId(d), Wavelength(w));
-                srs.set_owner(0, d, w, Some(s.0));
-                srs.channel_mut(s.0, d, w).power_on();
+                let s = srs.rwa.static_owner(BoardId(d), Wavelength(w)).0;
+                srs.set_owner(0, d, w, Some(s));
+                let k = srs.slot(d, w);
+                srs.slots[k].chan.power_on();
+                srs.slots[k].lit_by = Some(s);
             }
         }
         srs
     }
 
-    fn idx(&self, s: u16, d: u16, w: u16) -> usize {
-        ((s as usize * self.boards as usize) + d as usize) * self.wavelengths as usize + w as usize
+    /// Slot index of receiver `(d, w)`.
+    fn slot(&self, d: u16, w: u16) -> usize {
+        d as usize * self.wavelengths as usize + w as usize
     }
 
-    /// Inverse of [`Srs::idx`]: `(source, destination, wavelength)` of a
-    /// dense channel index (used to stamp trace events).
-    fn coords(&self, i: usize) -> (u16, u16, u16) {
-        let w = i % self.wavelengths as usize;
-        let sd = i / self.wavelengths as usize;
-        let d = sd % self.boards as usize;
-        let s = sd / self.boards as usize;
-        (s as u16, d as u16, w as u16)
+    /// Index of laser `(s, d, w)` in the per-laser level table.
+    fn laser(&self, (s, d, w): Laser) -> usize {
+        (s as usize * self.boards as usize + d as usize) * self.wavelengths as usize + w as usize
     }
 
     fn flow(&self, s: u16, d: u16) -> usize {
         s as usize * self.boards as usize + d as usize
     }
 
-    /// The single mutation point for the ownership map: updates `owner`,
-    /// the per-flow sorted `owned` mirror, closes the de-owned channel's
+    /// The single mutation point for ownership: updates the slot's owner
+    /// and the per-flow sorted `owned` lists, closes the retired owner's
     /// busy span at `now` (the eager per-cycle sampler stopped counting a
-    /// channel the moment its owner changed), and invalidates the power
-    /// cache.
+    /// channel the moment its owner changed) and stashes its in-window
+    /// busy, restores the new owner's stashed busy, and invalidates the
+    /// power cache.
     fn set_owner(&mut self, now: Cycle, d: u16, w: u16, new: Option<u16>) {
-        let old = self.owner[d as usize][w as usize];
+        let k = self.slot(d, w);
+        let old = self.slots[k].owner;
         if old == new {
             return;
         }
@@ -249,43 +358,67 @@ impl Srs {
             if let Ok(p) = self.owned[f].binary_search(&w) {
                 self.owned[f].remove(p);
             }
-            let i = self.idx(s, d, w);
-            self.close_busy(i, now);
+            let slot = &mut self.slots[k];
+            slot.close_busy(now);
+            if slot.win_busy > 0 {
+                self.busy_stash.push(((s, d, w), slot.win_busy));
+            }
         }
+        let mut win_busy = 0;
         if let Some(s) = new {
             let f = self.flow(s, d);
             if let Err(p) = self.owned[f].binary_search(&w) {
                 self.owned[f].insert(p, w);
             }
+            if let Some(p) = self.busy_stash.iter().position(|e| e.0 == (s, d, w)) {
+                win_busy = self.busy_stash.swap_remove(p).1;
+            }
         }
-        self.owner[d as usize][w as usize] = new;
+        let slot = &mut self.slots[k];
+        slot.win_busy = win_busy;
+        slot.owner = new;
         self.power_dirty = true;
     }
 
-    /// Inserts `i` into a sorted pending-work queue (no duplicates).
-    fn queue_push(queue: &mut Vec<usize>, i: usize) {
-        if let Err(p) = queue.binary_search(&i) {
-            queue.insert(p, i);
+    /// Lights `s`'s laser on the dark receiver `(d, w)` at its own last
+    /// DPM level, through a `lock`-cycle dark window.
+    fn light(&mut self, now: Cycle, d: u16, w: u16, s: u16, lock: Cycle) {
+        let level = self.levels[self.laser((s, d, w))];
+        let k = self.slot(d, w);
+        let slot = &mut self.slots[k];
+        debug_assert!(slot.lit_by.is_none(), "two lasers lit on ({d}, λ{w})");
+        slot.chan = OpticalChannel::new(level);
+        slot.chan.power_on_dark(now, lock);
+        slot.lit_by = Some(s);
+        self.power_dirty = true;
+    }
+
+    /// Inserts `l` into a sorted pending-work queue (no duplicates).
+    fn queue_push(queue: &mut Vec<Laser>, l: Laser) {
+        if let Err(p) = queue.binary_search(&l) {
+            queue.insert(p, l);
         }
     }
 
-    /// The channel for `(source, destination, wavelength)`.
-    pub fn channel(&self, s: u16, d: u16, w: u16) -> &OpticalChannel {
-        &self.channels[self.idx(s, d, w)]
-    }
-
-    fn channel_mut(&mut self, s: u16, d: u16, w: u16) -> &mut OpticalChannel {
-        let i = self.idx(s, d, w);
-        &mut self.channels[i]
+    /// The state of laser `(source, destination, wavelength)`: the slot's
+    /// live channel when `s` is the lit source, else a dark channel at
+    /// `s`'s own DPM level.
+    pub fn channel(&self, s: u16, d: u16, w: u16) -> OpticalChannel {
+        let slot = &self.slots[self.slot(d, w)];
+        if slot.lit_by == Some(s) {
+            slot.chan
+        } else {
+            OpticalChannel::new(self.levels[self.laser((s, d, w))])
+        }
     }
 
     /// Current owner of wavelength `w` toward destination `d`.
     pub fn owner(&self, d: u16, w: u16) -> Option<u16> {
-        self.owner[d as usize][w as usize]
+        self.slots[self.slot(d, w)].owner
     }
 
     /// Wavelengths board `s` currently owns toward destination `d`
-    /// (ascending — the maintained mirror of the ownership map).
+    /// (ascending — the maintained per-source view of the owners).
     pub fn owned_wavelengths(&self, s: u16, d: u16) -> Vec<u16> {
         self.owned[self.flow(s, d)].clone()
     }
@@ -297,7 +430,7 @@ impl Srs {
 
     /// Number of lasers currently on.
     pub fn lasers_on(&self) -> usize {
-        self.channels.iter().filter(|c| c.is_on()).count()
+        self.slots.iter().filter(|s| s.lit_by.is_some()).count()
     }
 
     /// True when the receiver for wavelength `w` at board `d` has failed.
@@ -322,43 +455,42 @@ impl Srs {
             return;
         }
         self.failed.push((d, w));
-        if let Some(owner) = self.owner[d as usize][w as usize] {
+        let k = self.slot(d, w);
+        if let Some(s) = self.slots[k].owner {
             if sink.enabled() {
                 sink.emit(
                     now,
                     TraceEvent::Revoke {
                         dest: d,
                         wavelength: w,
-                        owner,
+                        owner: s,
                     },
                 );
             }
-        }
-        if let Some(s) = self.owner[d as usize][w as usize] {
             self.set_owner(now, d, w, None);
-            let i = self.idx(s, d, w);
-            self.pending_retune[i] = None;
             self.power_dirty = true;
-            let c = &mut self.channels[i];
-            c.settle(now);
-            if c.is_on() && c.can_send(now) {
-                c.power_off(now);
-            } else if c.is_on() {
-                // Mid-packet: schedule the shutdown through the grant
-                // machinery's donor path by marking a self-grant-free
-                // pending power-off.
-                self.pending_grants.push(PendingGrant {
-                    grant: WavelengthGrant {
-                        destination: BoardId(d),
-                        wavelength: Wavelength(w),
-                        from: BoardId(s),
-                        // A failed wavelength has no recipient: `to` is the
-                        // donor itself, and the relight is suppressed by
-                        // the failure check in `tick`.
-                        to: BoardId(s),
-                    },
-                    donor_dark: false,
-                });
+            let slot = &mut self.slots[k];
+            if slot.lit_by == Some(s) {
+                slot.retune = None;
+                slot.chan.settle(now);
+                if slot.chan.can_send(now) {
+                    slot.darken(now);
+                } else {
+                    // Mid-packet: schedule the shutdown through the grant
+                    // machinery's donor path.
+                    self.pending_grants.push(PendingGrant {
+                        grant: WavelengthGrant {
+                            destination: BoardId(d),
+                            wavelength: Wavelength(w),
+                            from: BoardId(s),
+                            // A failed wavelength has no recipient: `to` is
+                            // the donor itself, and the relight is
+                            // suppressed by the failure check in `tick`.
+                            to: BoardId(s),
+                        },
+                        donor_dark: false,
+                    });
+                }
             }
         }
         // Any in-flight ownership transfer on the dead wavelength becomes a
@@ -392,9 +524,10 @@ impl Srs {
                 handover = true;
             }
         }
-        if !handover && !self.channel(s, d, w).is_on() && !self.is_tx_failed(s, d) {
+        let dark = self.slots[self.slot(d, w)].lit_by.is_none();
+        if !handover && dark && !self.is_tx_failed(s, d) {
             let lock = self.lock_penalty;
-            self.channel_mut(s, d, w).power_on_dark(now, lock);
+            self.light(now, d, w, s, lock);
         }
     }
 
@@ -413,7 +546,9 @@ impl Srs {
             return;
         }
         self.failed_tx.push((s, d));
-        for w in self.owned_wavelengths(s, d) {
+        let f = self.flow(s, d);
+        for j in 0..self.owned[f].len() {
+            let w = self.owned[f][j];
             if sink.enabled() {
                 sink.emit(
                     now,
@@ -424,15 +559,18 @@ impl Srs {
                     },
                 );
             }
-            let i = self.idx(s, d, w);
-            self.pending_retune[i] = None;
-            self.pending_relock[i] = None;
             self.power_dirty = true;
-            let c = &mut self.channels[i];
-            c.settle(now);
-            if c.is_on() && c.can_send(now) {
-                c.power_off(now);
-            } else if c.is_on() {
+            let k = self.slot(d, w);
+            let slot = &mut self.slots[k];
+            if slot.lit_by != Some(s) {
+                continue; // not lit yet: a pending grant's relight is suppressed
+            }
+            slot.retune = None;
+            slot.relock = None;
+            slot.chan.settle(now);
+            if slot.chan.can_send(now) {
+                slot.darken(now);
+            } else {
                 // Mid-packet: darken through the grant machinery once the
                 // wavelength clears (relight suppressed by `is_tx_failed`).
                 self.pending_grants.push(PendingGrant {
@@ -450,22 +588,29 @@ impl Srs {
 
     /// Fault repair: board `s`'s transmitters toward `d` recover; every
     /// owned wavelength whose receiver is alive re-lights through a lock-in
-    /// window.
+    /// window (once a donor still draining onto it is dark — the pending
+    /// grant lights it then).
     pub fn repair_transmitter(&mut self, now: Cycle, s: u16, d: u16) {
         let Some(pos) = self.failed_tx.iter().position(|&p| p == (s, d)) else {
             return;
         };
         self.failed_tx.swap_remove(pos);
-        // Cancel shutdowns still pending from the failure: those channels
-        // are lit and may simply keep running.
+        // Cancel the shutdowns this outage scheduled: those lasers are lit
+        // and may simply keep running. A dead receiver's drain stays.
+        let failed = &self.failed;
         self.pending_grants.retain(|pg| {
-            !(pg.grant.destination.0 == d && pg.grant.from == pg.grant.to && pg.grant.from.0 == s)
+            let g = pg.grant;
+            !(g.destination.0 == d
+                && g.from == g.to
+                && g.from.0 == s
+                && !failed.contains(&(d, g.wavelength.0)))
         });
         let lock = self.lock_penalty;
-        for w in self.owned_wavelengths(s, d) {
-            if !self.is_failed(d, w) && !self.channel(s, d, w).is_on() {
-                self.channel_mut(s, d, w).power_on_dark(now, lock);
-                self.power_dirty = true;
+        let f = self.flow(s, d);
+        for j in 0..self.owned[f].len() {
+            let w = self.owned[f][j];
+            if !self.is_failed(d, w) && self.slots[self.slot(d, w)].lit_by.is_none() {
+                self.light(now, d, w, s, lock);
             }
         }
     }
@@ -474,21 +619,24 @@ impl Srs {
     /// current power level. Pending and future DPM retunes are dropped
     /// until [`Srs::unstick_lc`].
     pub fn stick_lc(&mut self, s: u16, d: u16, w: u16) {
-        let i = self.idx(s, d, w);
-        self.stuck_lc[i] = true;
-        self.pending_retune[i] = None;
+        Self::queue_push(&mut self.stuck_lc, (s, d, w));
+        let k = self.slot(d, w);
+        if self.slots[k].lit_by == Some(s) {
+            self.slots[k].retune = None;
+        }
     }
 
     /// Fault repair: the stuck LC recovers; the next DPM decision can
     /// retune the channel again.
     pub fn unstick_lc(&mut self, s: u16, d: u16, w: u16) {
-        let i = self.idx(s, d, w);
-        self.stuck_lc[i] = false;
+        if let Ok(p) = self.stuck_lc.binary_search(&(s, d, w)) {
+            self.stuck_lc.remove(p);
+        }
     }
 
     /// True when the LC of channel `(s → d, w)` is stuck.
     pub fn is_lc_stuck(&self, s: u16, d: u16, w: u16) -> bool {
-        self.stuck_lc[self.idx(s, d, w)]
+        self.stuck_lc.binary_search(&(s, d, w)).is_ok()
     }
 
     /// Fault injection: the receiver CDR of channel `(s → d, w)` loses
@@ -496,31 +644,16 @@ impl Srs {
     /// between packets (in-flight photons still land). Inert on a dark
     /// channel.
     pub fn schedule_relock(&mut self, s: u16, d: u16, w: u16, penalty: Cycle) {
-        let i = self.idx(s, d, w);
-        if self.channels[i].is_on() {
-            self.pending_relock[i] = Some(penalty);
-            Self::queue_push(&mut self.relock_queue, i);
+        let k = self.slot(d, w);
+        if self.slots[k].lit_by == Some(s) {
+            self.slots[k].relock = Some(penalty);
+            Self::queue_push(&mut self.relock_queue, (s, d, w));
         }
     }
 
     /// CDR relock events actually applied (storm observability).
     pub fn relocks_applied(&self) -> u64 {
         self.relocks_applied
-    }
-
-    /// Closes the open busy span on channel `i` at `at` (clamped to the
-    /// serialization end), folding its cycles into the running window.
-    /// A span closed at its own start cycle contributes nothing — exactly
-    /// the eager sampler, which never saw the channel busy.
-    fn close_busy(&mut self, i: usize, at: Cycle) {
-        if !self.busy_open[i] {
-            return;
-        }
-        let end = self.busy_cap[i].min(at);
-        if end > self.busy_start[i] {
-            self.win_busy[i] += end - self.busy_start[i];
-        }
-        self.busy_open[i] = false;
     }
 
     /// Tries to transmit `packet` from board `s` to board `d` on any free
@@ -539,31 +672,35 @@ impl Srs {
         if self.is_tx_failed(s, d) {
             return None;
         }
-        let base = self.idx(s, d, 0);
+        let base = self.slot(d, 0);
         // Scan only owned wavelengths; ascending order matches the legacy
         // full `0..W` scan over the ownership map.
         let w = self.owned[self.flow(s, d)].iter().copied().find(|&w| {
-            let i = base + w as usize;
+            let slot = &self.slots[base + w as usize];
             // A channel with a pending retune must not start a packet:
             // the retune would never get a free window under load.
-            self.channels[i].can_send(now) && self.pending_retune[i].is_none()
+            slot.lit_by == Some(s) && slot.chan.can_send(now) && slot.retune.is_none()
         })?;
-        let i = base + w as usize;
+        let k = base + w as usize;
+        let slot = &mut self.slots[k];
         // Back-to-back reuse exactly at the previous packet's end: its
         // wake entry has not fired yet, so close its span here first.
         debug_assert!(
-            !self.busy_open[i] || self.busy_cap[i] <= now,
+            slot.busy.is_none_or(|span| span.cap <= now),
             "span open past serialization"
         );
-        self.close_busy(i, self.busy_cap[i]);
-        let arrive_at = self.channels[i].begin_packet(now, packet.flits as u32);
-        let Some(until) = self.channels[i].sending_until() else {
+        slot.close_busy(Cycle::MAX);
+        let arrive_at = slot
+            .chan
+            .begin_packet(&self.timing, now, packet.flits as u32);
+        let Some(until) = slot.chan.sending_until() else {
             unreachable!("begin_packet leaves the channel Sending")
         };
-        self.wake.insert(until, i);
-        self.busy_open[i] = true;
-        self.busy_start[i] = now;
-        self.busy_cap[i] = until;
+        slot.busy = Some(Span {
+            start: now,
+            cap: until,
+        });
+        self.wake.insert(until, k);
         self.power_dirty = true;
         self.arrivals.insert(
             arrive_at,
@@ -602,17 +739,23 @@ impl Srs {
         out
     }
 
-    /// Schedules a DPM retune for channel `(s,d,w)`; applied as soon as the
-    /// wavelength is free.
+    /// Schedules a DPM retune for the lit channel `(s,d,w)`; applied as
+    /// soon as the wavelength is free. Inert on a dark channel (DPM only
+    /// retunes lit ones) and on a stuck LC.
+    ///
+    /// # Panics
+    /// If `level` is not on the ladder.
     pub fn schedule_retune(&mut self, s: u16, d: u16, w: u16, level: RateLevel, penalty: Cycle) {
-        let i = self.idx(s, d, w);
-        if self.stuck_lc[i] {
+        assert!(level.index() < self.timing.levels(), "level out of range");
+        if self.is_lc_stuck(s, d, w) {
             // A wedged LC silently drops the retune command.
             return;
         }
-        if self.channels[i].level() != level {
-            self.pending_retune[i] = Some((level, penalty));
-            Self::queue_push(&mut self.retune_queue, i);
+        let k = self.slot(d, w);
+        let slot = &mut self.slots[k];
+        if slot.lit_by == Some(s) && slot.chan.level() != level {
+            slot.retune = Some((level, penalty));
+            Self::queue_push(&mut self.retune_queue, (s, d, w));
         }
     }
 
@@ -638,7 +781,7 @@ impl Srs {
             // the physical laser swap completes over the next cycles.
             let d = grant.destination.0;
             let w = grant.wavelength.0;
-            debug_assert_eq!(self.owner[d as usize][w as usize], Some(grant.from.0));
+            debug_assert_eq!(self.owner(d, w), Some(grant.from.0));
             self.set_owner(now, d, w, Some(grant.to.0));
             if sink.enabled() {
                 sink.emit(
@@ -651,9 +794,11 @@ impl Srs {
                     },
                 );
             }
-            // Cancel any pending retune on the donor channel.
-            let di = self.idx(grant.from.0, d, w);
-            self.pending_retune[di] = None;
+            // Cancel any pending retune on the donor's laser.
+            let k = self.slot(d, w);
+            if self.slots[k].lit_by == Some(grant.from.0) {
+                self.slots[k].retune = None;
+            }
             self.pending_grants.push(PendingGrant {
                 grant,
                 donor_dark: false,
@@ -670,7 +815,7 @@ impl Srs {
     /// is stamped `now + penalty` — the blackout span is deterministic) and
     /// [`TraceEvent::DpmApplied`] when a pending retune takes effect.
     pub fn tick(&mut self, now: Cycle, sink: &mut dyn TraceSink) {
-        // Settle channels whose serialization has ended (event-driven
+        // Settle slots whose serialization has ended (event-driven
         // replacement for the legacy settle-every-channel scan). Channels
         // left in a stale `Transitioning{until ≤ now}` state are
         // observationally identical to settled-`Idle` ones — `is_on`,
@@ -678,98 +823,96 @@ impl Srs {
         // `Sending` ends need wakes. A stale wake (the channel started a
         // new packet at exactly its old `until`) settles harmlessly.
         while self.wake.peek_time().is_some_and(|t| t <= now) {
-            let Some((_, i)) = self.wake.pop() else {
+            let Some((_, k)) = self.wake.pop() else {
                 break;
             };
-            self.channels[i].settle(now);
-            if self.busy_cap[i] <= now {
-                let cap = self.busy_cap[i];
-                self.close_busy(i, cap);
+            let slot = &mut self.slots[k];
+            slot.chan.settle(now);
+            if slot.busy.is_some_and(|span| span.cap <= now) {
+                slot.close_busy(now);
             }
             self.power_dirty = true;
         }
         // Apply pending CDR relocks on idle channels: the laser stays up
         // but the link is unusable until the receiver re-locks — modeled
-        // as a dark window of the relock penalty. Only queued slots are
-        // visited; ascending index order is the legacy scan order.
-        let mut k = 0;
-        while k < self.relock_queue.len() {
-            let i = self.relock_queue[k];
+        // as a dark window of the relock penalty. Only queued lasers are
+        // visited; a laser no longer lit lost its relock with its light.
+        let mut q = 0;
+        while q < self.relock_queue.len() {
+            let (s, d, w) = self.relock_queue[q];
+            let k = self.slot(d, w);
+            let slot = &mut self.slots[k];
             let mut keep = false;
-            if let Some(penalty) = self.pending_relock[i] {
-                let c = &mut self.channels[i];
-                if c.is_on() && c.can_send(now) {
-                    c.power_off(now);
-                    c.power_on_dark(now, penalty);
-                    self.pending_relock[i] = None;
+            if let Some(penalty) = slot.relock.filter(|_| slot.lit_by == Some(s)) {
+                if slot.chan.can_send(now) {
+                    slot.chan.power_off(now);
+                    slot.chan.power_on_dark(now, penalty);
+                    slot.relock = None;
                     self.relocks_applied += 1;
                     self.power_dirty = true;
                     if sink.enabled() {
-                        let (src, dest, wavelength) = self.coords(i);
                         sink.emit(
                             now,
                             TraceEvent::RelockStart {
-                                src,
-                                dest,
-                                wavelength,
+                                src: s,
+                                dest: d,
+                                wavelength: w,
                                 penalty,
                             },
                         );
                         sink.emit(
                             now + penalty,
                             TraceEvent::RelockEnd {
-                                src,
-                                dest,
-                                wavelength,
+                                src: s,
+                                dest: d,
+                                wavelength: w,
                             },
                         );
                     }
-                } else if !c.is_on() {
-                    self.pending_relock[i] = None;
                 } else {
                     keep = true;
                 }
             }
             if keep {
-                k += 1;
+                q += 1;
             } else {
-                self.relock_queue.remove(k);
+                self.relock_queue.remove(q);
             }
         }
         // Apply pending retunes on idle channels (same sweep discipline).
-        let mut k = 0;
-        while k < self.retune_queue.len() {
-            let i = self.retune_queue[k];
+        let mut q = 0;
+        while q < self.retune_queue.len() {
+            let laser @ (s, d, w) = self.retune_queue[q];
+            let k = self.slot(d, w);
+            let slot = &mut self.slots[k];
             let mut keep = false;
-            if let Some((level, penalty)) = self.pending_retune[i] {
-                let c = &mut self.channels[i];
-                if c.is_on() && c.can_send(now) {
-                    c.begin_transition(now, level, penalty);
-                    self.pending_retune[i] = None;
+            if let Some((level, penalty)) = slot.retune.filter(|_| slot.lit_by == Some(s)) {
+                if slot.chan.can_send(now) {
+                    slot.chan.begin_transition(now, level, penalty);
+                    slot.retune = None;
+                    let li = self.laser(laser);
+                    self.levels[li] = level;
                     self.retunes_applied += 1;
                     self.power_dirty = true;
                     if sink.enabled() {
-                        let (src, dest, wavelength) = self.coords(i);
                         sink.emit(
                             now,
                             TraceEvent::DpmApplied {
-                                src,
-                                dest,
-                                wavelength,
+                                src: s,
+                                dest: d,
+                                wavelength: w,
                                 level: level.0,
                             },
                         );
                     }
-                } else if !c.is_on() {
-                    self.pending_retune[i] = None;
                 } else {
                     keep = true;
                 }
             }
             if keep {
-                k += 1;
+                q += 1;
             } else {
-                self.retune_queue.remove(k);
+                self.retune_queue.remove(q);
             }
         }
         // Progress ownership transfers: donor darkens, then recipient lights.
@@ -778,34 +921,44 @@ impl Srs {
         while j < self.pending_grants.len() {
             let pg = self.pending_grants[j];
             let (d, w) = (pg.grant.destination.0, pg.grant.wavelength.0);
+            let (from, to) = (pg.grant.from.0, pg.grant.to.0);
+            let k = self.slot(d, w);
             if !pg.donor_dark {
-                let di = self.idx(pg.grant.from.0, d, w);
-                let donor = &mut self.channels[di];
-                donor.settle(now);
-                if !donor.is_on() {
+                let slot = &mut self.slots[k];
+                if slot.lit_by != Some(from) {
                     self.pending_grants[j].donor_dark = true;
-                } else if donor.can_send(now) {
-                    donor.power_off(now);
-                    self.pending_grants[j].donor_dark = true;
-                    self.power_dirty = true;
-                }
-            }
-            if self.pending_grants[j].donor_dark {
-                // A failed wavelength (dead receiver or dead transmitter
-                // group) never relights; a repaired one relights its
-                // retargeted recipient even when that is the donor itself.
-                if !self.is_failed(d, w) && !self.is_tx_failed(pg.grant.to.0, d) {
-                    let ri = self.idx(pg.grant.to.0, d, w);
-                    let recipient = &mut self.channels[ri];
-                    if !recipient.is_on() {
-                        recipient.power_on_dark(now, lock);
+                } else {
+                    slot.chan.settle(now);
+                    if slot.chan.can_send(now) {
+                        slot.darken(now);
+                        self.pending_grants[j].donor_dark = true;
                         self.power_dirty = true;
                     }
                 }
-                self.pending_grants.swap_remove(j);
-            } else {
-                j += 1;
             }
+            if !self.pending_grants[j].donor_dark {
+                j += 1;
+                continue;
+            }
+            // A failed wavelength (dead receiver or dead transmitter
+            // group) never relights; a repaired one relights its
+            // retargeted recipient even when that is the donor itself. A
+            // recipient lights only while it still owns the receiver (a
+            // later grant may have moved it on).
+            if !self.is_failed(d, w) && !self.is_tx_failed(to, d) && self.slots[k].owner == Some(to)
+            {
+                match self.slots[k].lit_by {
+                    None => self.light(now, d, w, to, lock),
+                    Some(x) if x == to => {}
+                    Some(_) => {
+                        // An earlier transfer's donor still drains (its
+                        // own pending grant darkens it): wait for it.
+                        j += 1;
+                        continue;
+                    }
+                }
+            }
+            self.pending_grants.swap_remove(j);
         }
     }
 
@@ -824,56 +977,48 @@ impl Srs {
         self.power_cache
     }
 
-    /// The eager power sum, in its original `(d asc, w asc)` order —
-    /// identical state always reproduces identical f64 bits.
+    /// The eager power sum: a left fold over the slots in their
+    /// `(d asc, w asc)` order, counting the owner's laser when it is the
+    /// lit one. Every other slot adds `+0.0`, which leaves a sum that
+    /// starts at `+0.0` over non-negative terms bit-identical to skipping
+    /// it — identical state always reproduces identical f64 bits.
     fn compute_power(&self) -> f64 {
-        let mut total = 0.0;
-        for d in 0..self.boards {
-            for w in 0..self.wavelengths {
-                let Some(s) = self.owner[d as usize][w as usize] else {
-                    continue;
-                };
-                let c = &self.channels[self.idx(s, d, w)];
-                if !c.is_on() {
-                    // Mid-transfer gap: nothing lit on this wavelength.
-                    continue;
-                }
-                let busy = matches!(c.state(), ChannelState::Sending { .. });
-                total += if busy {
-                    self.power_model.active_mw(c.level())
-                } else {
-                    self.power_model.idle_mw(c.level())
-                };
-            }
-        }
-        total
+        (self.slots.iter()).fold(0.0, |total, slot| total + self.power_mw[slot.power_class()])
     }
 
     /// Rolls all utilization windows at the `R_w` boundary `now`; the
     /// frozen values feed the next DPM/DBR decisions. Open serialization
     /// spans are split at the boundary: cycles before `now` land in the
-    /// closing window, the rest stay with the (still open) span.
+    /// closing window, the rest stay with the (still open) span. Busy
+    /// stashed by owners retired in the closing window is dropped with it.
     pub fn roll_windows(&mut self, now: Cycle) {
-        for i in 0..self.channels.len() {
-            if self.busy_open[i] {
-                let end = self.busy_cap[i].min(now);
-                if end > self.busy_start[i] {
-                    self.win_busy[i] += end - self.busy_start[i];
+        for slot in &mut self.slots {
+            if let Some(span) = slot.busy {
+                let end = span.cap.min(now);
+                if end > span.start {
+                    slot.win_busy += end - span.start;
                 }
-                if self.busy_cap[i] <= now {
-                    self.busy_open[i] = false;
-                } else {
-                    self.busy_start[i] = now;
-                }
+                slot.busy = (span.cap > now).then_some(Span {
+                    start: now,
+                    cap: span.cap,
+                });
             }
-            self.link_prev[i] = (self.win_busy[i] as f64 / self.window as f64).clamp(0.0, 1.0);
-            self.win_busy[i] = 0;
+            slot.link_prev = (slot.win_busy as f64 / self.window as f64).clamp(0.0, 1.0);
+            slot.win_busy = 0;
         }
+        self.busy_stash.clear();
     }
 
-    /// Previous-window `Link_util` of channel `(s,d,w)`.
+    /// Previous-window `Link_util` of channel `(s,d,w)` — the receiver's,
+    /// while `s` owns it; `0.0` for any other source (no policy reads a
+    /// link it does not own).
     pub fn link_util(&self, s: u16, d: u16, w: u16) -> f64 {
-        self.link_prev[self.idx(s, d, w)]
+        let slot = &self.slots[self.slot(d, w)];
+        if slot.owner == Some(s) {
+            slot.link_prev
+        } else {
+            0.0
+        }
     }
 
     /// Board count.
@@ -886,27 +1031,159 @@ impl Srs {
         self.wavelengths
     }
 
-    /// Serializes the full mutable optical-stage state: ownership map,
-    /// channel bank, busy spans, wake/arrival queues, pending DPM/DBR/CDR
-    /// work, fault sets and lifetime counters. Geometry (board count,
-    /// ladder, power model, RWA, penalties) is config-derived. The `owned`
-    /// mirror is rebuilt from `owner` on load rather than persisted.
+    /// True when `lit_by ≠ owner` on slot `(d, w)` is accounted for: a
+    /// pending grant or a failed receiver names the slot, or the slot is
+    /// dark because its owner's transmitters toward `d` are down.
+    fn mismatch_explained(&self, d: u16, w: u16, slot: &Slot) -> bool {
+        self.pending_grants
+            .iter()
+            .any(|pg| pg.grant.destination.0 == d && pg.grant.wavelength.0 == w)
+            || self.is_failed(d, w)
+            || (slot.lit_by.is_none() && slot.owner.is_some_and(|o| self.is_tx_failed(o, d)))
+    }
+
+    /// Test-support self-check of the slot bank (ROADMAP item 3a's SRS
+    /// clause), run every cycle by the fault-plan property and on every
+    /// snapshot load. Names the first violation of: every board, laser and
+    /// slot index in range (queues, stash, stuck list, wakes, arrivals,
+    /// grants, faults); a slot's `lit_by` is `Some` exactly while its
+    /// laser is on — so at most one source is lit per `(d, w)` — and only
+    /// a lit laser has pending work; the lit laser's level is its entry
+    /// in the level table; `lit_by ≠ owner` only while a pending grant, a
+    /// failed receiver or a failed owner transmitter names the slot; the
+    /// `owned` lists equal the owner fields; and a clean power cache has
+    /// the recount's bits.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let (b, wn) = (self.boards, self.wavelengths);
+        let laser_ok = |&(s, d, w): &Laser| s < b && d < b && w < wn;
+        let ascending = |q: &[Laser]| q.windows(2).all(|p| p[0] < p[1]);
+        for (what, q) in [
+            ("retune queue", &self.retune_queue),
+            ("relock queue", &self.relock_queue),
+            ("stuck-LC list", &self.stuck_lc),
+        ] {
+            if let Some(l) = q.iter().find(|l| !laser_ok(l)) {
+                return Err(format!("{what} names laser {l:?} outside B = {b}"));
+            }
+            if !ascending(q) {
+                return Err(format!("{what} is not strictly ascending"));
+            }
+        }
+        if let Some((l, _)) = self.busy_stash.iter().find(|(l, _)| !laser_ok(l)) {
+            return Err(format!("busy stash names laser {l:?} outside B = {b}"));
+        }
+        if let Some(k) = self.wake.events().find(|&&k| k >= self.slots.len()) {
+            return Err(format!("wake queue names slot {k} of {}", self.slots.len()));
+        }
+        if self
+            .arrivals
+            .events()
+            .any(|a| a.dst_board >= b || a.src_board >= b || a.wavelength >= wn)
+        {
+            return Err(format!(
+                "an arrival names a board or wavelength outside B = {b}"
+            ));
+        }
+        if self.pending_grants.iter().any(|pg| {
+            let g = pg.grant;
+            g.destination.0 >= b || g.from.0 >= b || g.to.0 >= b || g.wavelength.0 >= wn
+        }) {
+            return Err(format!(
+                "a pending grant names a board or wavelength outside B = {b}"
+            ));
+        }
+        if self
+            .failed
+            .iter()
+            .chain(&self.failed_tx)
+            .any(|&(x, y)| x >= b || y >= b)
+        {
+            return Err(format!(
+                "a failed receiver/transmitter lies outside B = {b}"
+            ));
+        }
+        if let Some(l) = self
+            .levels
+            .iter()
+            .find(|l| l.index() >= self.timing.levels())
+        {
+            return Err(format!("laser level {} is off the ladder", l.0));
+        }
+        let mut owned = vec![Vec::new(); self.owned.len()];
+        for (k, slot) in self.slots.iter().enumerate() {
+            let (d, w) = ((k / wn as usize) as u16, (k % wn as usize) as u16);
+            if let Some(s) = slot.owner.into_iter().chain(slot.lit_by).find(|&s| s >= b) {
+                return Err(format!(
+                    "slot ({d}, λ{w}) names board {s} but the system has {b}"
+                ));
+            }
+            if slot.lit_by.is_some() != slot.chan.is_on() {
+                return Err(format!(
+                    "slot ({d}, λ{w}): lit_by {:?} but the laser is {:?}",
+                    slot.lit_by,
+                    slot.chan.state()
+                ));
+            }
+            match slot.lit_by {
+                Some(s) if slot.chan.level() != self.levels[self.laser((s, d, w))] => {
+                    return Err(format!(
+                        "slot ({d}, λ{w}): lit laser {s} runs at {:?}, its level entry says {:?}",
+                        slot.chan.level(),
+                        self.levels[self.laser((s, d, w))]
+                    ));
+                }
+                None if slot.retune.is_some() || slot.relock.is_some() => {
+                    return Err(format!("dark slot ({d}, λ{w}) has pending retune/relock"));
+                }
+                _ => {}
+            }
+            if slot.lit_by != slot.owner && !self.mismatch_explained(d, w, slot) {
+                return Err(format!(
+                    "slot ({d}, λ{w}) lit by {:?} but owned by {:?}, and no pending grant or \
+                     failure names it",
+                    slot.lit_by, slot.owner
+                ));
+            }
+            if let Some(s) = slot.owner {
+                owned[self.flow(s, d)].push(w);
+            }
+        }
+        if owned != self.owned {
+            return Err("owned lists disagree with the slots' owners".into());
+        }
+        if !self.power_dirty && self.power_cache.to_bits() != self.compute_power().to_bits() {
+            return Err(format!(
+                "cached power {} != recount {}",
+                self.power_cache,
+                self.compute_power()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Serializes the mutable optical-stage state (`.ersp` v2): every
+    /// slot — owner, lit source, the lit laser's state, pending retune
+    /// and relock, link/busy accounting with only an *open* span's bounds
+    /// — then the lasers whose level is below the ladder top, the busy
+    /// stash, the wake/arrival heaps, the pending-work queues, grants,
+    /// fault sets and lifetime counters. Geometry (board count, ladder,
+    /// power model, RWA, penalties) is config-derived; the `owned` lists
+    /// are rebuilt from the slots on load rather than persisted.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         w.tag(b"SRSS");
-        w.usize(self.owner.len());
-        for row in &self.owner {
-            row.save(w);
+        w.usize(self.slots.len());
+        for slot in &self.slots {
+            slot.save(w);
         }
-        w.usize(self.channels.len());
-        for c in &self.channels {
-            c.save_state(w);
-        }
-        self.link_prev.save(w);
-        self.win_busy.save(w);
-        self.busy_open.save(w);
-        self.busy_start.save(w);
-        self.busy_cap.save(w);
+        let top = top_level(&self.timing);
+        let retuned: Vec<(usize, RateLevel)> = (self.levels.iter().enumerate())
+            .filter(|&(_, &l)| l != top)
+            .map(|(i, &l)| (i, l))
+            .collect();
+        retuned.save(w);
+        self.busy_stash.save(w);
+        self.stuck_lc.save(w);
         self.wake.save_state(w);
         self.retune_queue.save(w);
         self.relock_queue.save(w);
@@ -914,149 +1191,96 @@ impl Srs {
         w.f64(self.power_cache);
         self.arrivals.save_state(w);
         self.pending_grants.save(w);
-        self.pending_retune.save(w);
         self.failed.save(w);
         self.failed_tx.save(w);
-        self.stuck_lc.save(w);
-        self.pending_relock.save(w);
         w.u64(self.grants_applied);
         w.u64(self.retunes_applied);
         w.u64(self.relocks_applied);
     }
 
     /// Overlays checkpointed optical-stage state onto a freshly built SRS
-    /// with identical geometry.
+    /// with identical geometry. Anything [`Srs::check_invariants`] would
+    /// refuse — a board or laser out of range, a slot lit by a source
+    /// with no grant or failure to account for it — is a typed error.
     pub fn load_state(
         &mut self,
         r: &mut desim::snap::SnapReader<'_>,
     ) -> Result<(), desim::snap::SnapError> {
         use desim::snap::{Snap, SnapError};
         r.tag(b"SRSS")?;
-        r.len_eq(self.owner.len(), "SRS ownership rows")?;
-        let mut owner: Vec<Vec<Option<u16>>> = Vec::with_capacity(self.owner.len());
-        for _ in 0..self.owner.len() {
-            let row: Vec<Option<u16>> = Snap::load(r)?;
-            if row.len() != self.wavelengths as usize {
-                return Err(SnapError::Mismatch(format!(
-                    "SRS ownership row: expected {} wavelengths, snapshot has {}",
-                    self.wavelengths,
-                    row.len()
-                )));
-            }
-            if let Some(s) = row.iter().flatten().find(|&&s| s >= self.boards) {
+        r.len_eq(self.slots.len(), "SRS receiver slots")?;
+        for k in 0..self.slots.len() {
+            self.slots[k] = Slot::load(r, &self.timing)?;
+        }
+        let top = top_level(&self.timing);
+        self.levels.fill(top);
+        let retuned: Vec<(usize, RateLevel)> = Snap::load(r)?;
+        for (i, level) in retuned {
+            let Some(entry) = self.levels.get_mut(i) else {
                 return Err(SnapError::Format(format!(
-                    "SRS snapshot names board {s} but the system has {}",
-                    self.boards
+                    "SRS level table names laser {i} of {}",
+                    self.levels.len()
                 )));
-            }
-            owner.push(row);
+            };
+            *entry = level;
         }
-        r.len_eq(self.channels.len(), "SRS channel bank")?;
-        for c in &mut self.channels {
-            c.load_state(r)?;
-        }
-        let link_prev: Vec<f64> = Snap::load(r)?;
-        let n = self.channels.len();
-        let check = |len: usize, what: &str| {
-            if len == n {
-                Ok(())
-            } else {
-                Err(SnapError::Mismatch(format!(
-                    "{what}: expected {n} entries, snapshot has {len}"
-                )))
-            }
-        };
-        check(link_prev.len(), "SRS link_prev")?;
-        let win_busy: Vec<Cycle> = Snap::load(r)?;
-        check(win_busy.len(), "SRS win_busy")?;
-        let busy_open: Vec<bool> = Snap::load(r)?;
-        check(busy_open.len(), "SRS busy_open")?;
-        let busy_start: Vec<Cycle> = Snap::load(r)?;
-        check(busy_start.len(), "SRS busy_start")?;
-        let busy_cap: Vec<Cycle> = Snap::load(r)?;
-        check(busy_cap.len(), "SRS busy_cap")?;
+        self.busy_stash = Snap::load(r)?;
+        self.stuck_lc = Snap::load(r)?;
         self.wake.load_state(r)?;
-        let retune_queue: Vec<usize> = Snap::load(r)?;
-        let relock_queue: Vec<usize> = Snap::load(r)?;
-        if let Some(&i) = retune_queue.iter().chain(&relock_queue).find(|&&i| i >= n) {
-            return Err(SnapError::Format(format!(
-                "SRS work queue names channel {i} of {n}"
-            )));
-        }
-        let power_dirty = r.bool()?;
-        let power_cache = r.f64()?;
+        self.retune_queue = Snap::load(r)?;
+        self.relock_queue = Snap::load(r)?;
+        self.power_dirty = r.bool()?;
+        self.power_cache = r.f64()?;
         self.arrivals.load_state(r)?;
-        let pending_grants: Vec<PendingGrant> = Snap::load(r)?;
-        let pending_retune: Vec<Option<(RateLevel, Cycle)>> = Snap::load(r)?;
-        check(pending_retune.len(), "SRS pending retunes")?;
-        let failed: Vec<(u16, u16)> = Snap::load(r)?;
-        let failed_tx: Vec<(u16, u16)> = Snap::load(r)?;
-        let stuck_lc: Vec<bool> = Snap::load(r)?;
-        check(stuck_lc.len(), "SRS stuck LCs")?;
-        let pending_relock: Vec<Option<Cycle>> = Snap::load(r)?;
-        check(pending_relock.len(), "SRS pending relocks")?;
+        self.pending_grants = Snap::load(r)?;
+        self.failed = Snap::load(r)?;
+        self.failed_tx = Snap::load(r)?;
         self.grants_applied = r.u64()?;
         self.retunes_applied = r.u64()?;
         self.relocks_applied = r.u64()?;
-        // Rebuild the per-flow sorted mirror from the ownership map. The
-        // `d` outer / `w` inner scan appends each flow's wavelengths in
+        // Rebuild the per-flow sorted lists from the owners. The `d` outer
+        // / `w` inner slot order appends each flow's wavelengths in
         // ascending order, matching the `set_owner` insertion discipline.
+        // An out-of-range owner is skipped here and refused just below.
         for f in &mut self.owned {
             f.clear();
         }
-        for d in 0..self.boards {
-            for w in 0..self.wavelengths {
-                if let Some(s) = owner[d as usize][w as usize] {
-                    let f = self.flow(s, d);
-                    self.owned[f].push(w);
-                }
+        for k in 0..self.slots.len() {
+            let d = (k / self.wavelengths as usize) as u16;
+            if let Some(s) = self.slots[k].owner.filter(|&s| s < self.boards) {
+                let f = self.flow(s, d);
+                self.owned[f].push((k % self.wavelengths as usize) as u16);
             }
         }
-        self.owner = owner;
-        self.link_prev = link_prev;
-        self.win_busy = win_busy;
-        self.busy_open = busy_open;
-        self.busy_start = busy_start;
-        self.busy_cap = busy_cap;
-        self.retune_queue = retune_queue;
-        self.relock_queue = relock_queue;
-        self.power_dirty = power_dirty;
-        self.power_cache = power_cache;
-        self.pending_grants = pending_grants;
-        self.pending_retune = pending_retune;
-        self.failed = failed;
-        self.failed_tx = failed_tx;
-        self.stuck_lc = stuck_lc;
-        self.pending_relock = pending_relock;
-        Ok(())
+        self.check_invariants()
+            .map_err(|e| SnapError::Format(format!("SRS snapshot: {e}")))
     }
 
-    /// Coarse heap-footprint estimate in bytes. The channel bank and its
-    /// per-channel span/retune/relock side tables are the O(B²·W) = O(B³)
-    /// bulk of the optical stage; smaller maps are counted per element
-    /// too. Analytic capacity × element-size sums, not an allocator probe.
+    /// Coarse heap-footprint estimate in bytes: the B·W slots, the one-byte
+    /// per-laser level table, the per-flow owned lists, and every carried
+    /// table, queue and heap at capacity × element size. Analytic, not an
+    /// allocator probe.
     pub fn approx_memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let per_channel = size_of::<OpticalChannel>()
-            + size_of::<f64>()          // link_prev
-            + 3 * size_of::<Cycle>()    // win_busy, busy_start, busy_cap
-            + size_of::<bool>() * 2     // busy_open, stuck_lc
-            + size_of::<Option<(RateLevel, Cycle)>>()
-            + size_of::<Option<Cycle>>();
         size_of::<Self>()
-            + self.channels.len() * per_channel
-            + self
-                .owner
-                .iter()
-                .map(|v| size_of::<Vec<Option<u16>>>() + std::mem::size_of_val(v.as_slice()))
-                .sum::<usize>()
+            + self.slots.capacity() * size_of::<Slot>()
+            + self.levels.capacity() * size_of::<RateLevel>()
             + self
                 .owned
                 .iter()
                 .map(|v| size_of::<Vec<u16>>() + v.capacity() * size_of::<u16>())
                 .sum::<usize>()
-            + self.retune_queue.capacity() * size_of::<usize>()
-            + self.relock_queue.capacity() * size_of::<usize>()
+            + self.busy_stash.capacity() * size_of::<(Laser, Cycle)>()
+            + (self.stuck_lc.capacity()
+                + self.retune_queue.capacity()
+                + self.relock_queue.capacity())
+                * size_of::<Laser>()
+            + self.wake.approx_memory_bytes()
+            + self.arrivals.approx_memory_bytes()
+            + self.pending_grants.capacity() * size_of::<PendingGrant>()
+            + (self.failed.capacity() + self.failed_tx.capacity()) * size_of::<(u16, u16)>()
+            + self.timing.levels() * size_of::<Cycle>()
+            + self.power_mw.capacity() * size_of::<f64>()
     }
 }
 
@@ -1069,7 +1293,7 @@ mod tests {
     fn srs() -> Srs {
         Srs::new(
             4,
-            RateLadder::paper(),
+            &RateLadder::paper(),
             Serdes::paper(),
             4,
             LinkPowerModel::paper_table(),
@@ -1261,7 +1485,7 @@ mod fault_tests {
     fn srs() -> Srs {
         Srs::new(
             4,
-            RateLadder::paper(),
+            &RateLadder::paper(),
             Serdes::paper(),
             4,
             LinkPowerModel::paper_table(),
@@ -1481,5 +1705,418 @@ mod fault_tests {
         s.schedule_relock(2, 0, 1, 200); // unowned, dark channel
         s.tick(5, &mut NullSink);
         assert_eq!(s.relocks_applied(), 0);
+    }
+
+    /// `λ2` toward board 0, handed from `from` to `to`.
+    fn grant_l2(from: u16, to: u16) -> WavelengthGrant {
+        WavelengthGrant {
+            destination: BoardId(0),
+            wavelength: Wavelength(2),
+            from: BoardId(from),
+            to: BoardId(to),
+        }
+    }
+
+    #[test]
+    fn transmitter_repair_waits_for_a_draining_donor() {
+        let mut s = srs();
+        // Board 2 is mid-packet on λ2 when λ2 is granted to board 1, whose
+        // transmitters toward 0 then fail and recover before 2 drains.
+        assert_eq!(s.try_transmit(0, 2, 0, pkt(1)), Some(2));
+        s.schedule_grants(0, &[grant_l2(2, 1)], &mut NullSink);
+        s.fail_transmitter(5, 1, 0, &mut NullSink);
+        s.repair_transmitter(10, 1, 0);
+        assert!(s.channel(1, 0, 1).is_on(), "the idle λ1 relights at once");
+        assert!(s.channel(2, 0, 2).is_on());
+        assert!(!s.channel(1, 0, 2).is_on(), "not beside the donor");
+        s.tick(48, &mut NullSink);
+        assert!(!s.channel(2, 0, 2).is_on());
+        assert!(s.channel(1, 0, 2).is_on(), "the grant lights it");
+    }
+
+    #[test]
+    fn transmitter_repair_keeps_a_dead_receivers_drain() {
+        let mut s = srs();
+        // Board 1's laser on λ1 is mid-packet when the receiver dies, and
+        // board 1's transmitters toward 0 fail and recover meanwhile: the
+        // receiver's shutdown is not the outage's to cancel.
+        assert_eq!(s.try_transmit(0, 1, 0, pkt(1)), Some(1));
+        s.fail_receiver(5, 0, 1, &mut NullSink);
+        s.fail_transmitter(6, 1, 0, &mut NullSink);
+        s.repair_transmitter(7, 1, 0);
+        s.tick(48, &mut NullSink);
+        assert!(!s.channel(1, 0, 1).is_on());
+        assert_eq!(s.lasers_on(), 11);
+    }
+
+    #[test]
+    fn overlapping_grants_drain_every_donor_first() {
+        let mut s = srs();
+        // λ2 goes 2 → 1 while 2 is mid-packet, then 1 → 3 before 1 ever
+        // lit: board 3 lights only once the slot is dark, and board 1
+        // never does.
+        assert_eq!(s.try_transmit(0, 2, 0, pkt(1)), Some(2));
+        s.schedule_grants(0, &[grant_l2(2, 1)], &mut NullSink);
+        s.schedule_grants(1, &[grant_l2(1, 3)], &mut NullSink);
+        s.tick(1, &mut NullSink);
+        assert!(!s.channel(3, 0, 2).is_on(), "not beside the first donor");
+        s.tick(48, &mut NullSink);
+        assert!(!s.channel(2, 0, 2).is_on());
+        assert!(!s.channel(1, 0, 2).is_on());
+        assert!(s.channel(3, 0, 2).is_on());
+        assert_eq!(s.owner(0, 2), Some(3));
+        s.check_invariants().expect("one laser, owned");
+    }
+}
+
+/// State a retired owner leaves behind on a `(d, w)` receiver, and the
+/// event order of one cycle's retunes — pinned through the public API so
+/// the storage layout under it can change.
+#[cfg(test)]
+mod carried_state_tests {
+    use super::*;
+    use erapid_telemetry::NullSink;
+    use router::flit::PacketId;
+
+    fn srs() -> Srs {
+        Srs::new(
+            4,
+            &RateLadder::paper(),
+            Serdes::paper(),
+            4,
+            LinkPowerModel::paper_table(),
+            100,
+            65,
+        )
+    }
+
+    fn pkt(id: u64) -> ReadyPacket {
+        ReadyPacket {
+            id: PacketId(id),
+            src: 0,
+            dst: 0,
+            injected_at: 0,
+            labelled: false,
+            flits: 8,
+            vc: 0,
+            completed_at: 0,
+        }
+    }
+
+    /// `λ1` toward board 0, handed from `from` to `to`.
+    fn grant(from: u16, to: u16) -> WavelengthGrant {
+        WavelengthGrant {
+            destination: BoardId(0),
+            wavelength: Wavelength(1),
+            from: BoardId(from),
+            to: BoardId(to),
+        }
+    }
+
+    #[derive(Default)]
+    struct Rec(Vec<TraceEvent>);
+
+    impl TraceSink for Rec {
+        fn emit(&mut self, _at: Cycle, event: TraceEvent) {
+            self.0.push(event);
+        }
+    }
+
+    #[test]
+    fn regranted_owner_relights_at_its_own_level() {
+        let mut s = srs();
+        // Board 1 (static owner of λ1 → 0) retunes down to the lowest level.
+        s.schedule_retune(1, 0, 1, RateLevel(0), 65);
+        s.tick(1, &mut NullSink);
+        s.schedule_grants(100, &[grant(1, 2)], &mut NullSink);
+        s.tick(100, &mut NullSink);
+        // Board 2 lights at *its* level, and retunes to the middle one.
+        assert_eq!(s.channel(2, 0, 1).level(), RateLevel(2));
+        s.tick(165, &mut NullSink);
+        s.schedule_retune(2, 0, 1, RateLevel(1), 65);
+        s.tick(200, &mut NullSink);
+        assert_eq!(s.channel(2, 0, 1).level(), RateLevel(1));
+        // Granted back, board 1 relights at its own last level (0), not the
+        // level the wavelength last ran at (1).
+        s.schedule_grants(300, &[grant(2, 1)], &mut NullSink);
+        s.tick(300, &mut NullSink);
+        assert!(s.channel(1, 0, 1).is_on());
+        assert_eq!(s.channel(1, 0, 1).level(), RateLevel(0));
+        assert!(!s.channel(2, 0, 1).is_on());
+        assert_eq!(s.channel(2, 0, 1).level(), RateLevel(1));
+        // 8 flits × 11 cycles at 2.5 Gbps + 4 fiber: the level is live.
+        s.tick(365, &mut NullSink);
+        assert_eq!(s.try_transmit(365, 1, 0, pkt(1)), Some(1));
+        assert!(s.arrivals_due(365 + 88 + 3).is_empty());
+        assert_eq!(s.arrivals_due(365 + 88 + 4).len(), 1);
+    }
+
+    #[test]
+    fn stuck_lc_survives_a_grant_away_and_back() {
+        let mut s = srs();
+        s.stick_lc(1, 0, 1);
+        s.schedule_grants(0, &[grant(1, 2)], &mut NullSink);
+        s.tick(0, &mut NullSink);
+        // The recipient's LC is healthy.
+        assert!(!s.is_lc_stuck(2, 0, 1));
+        s.tick(65, &mut NullSink);
+        s.schedule_retune(2, 0, 1, RateLevel(1), 65);
+        s.tick(66, &mut NullSink);
+        assert_eq!(s.reconfig_counts().1, 1);
+        s.tick(131, &mut NullSink);
+        s.schedule_grants(131, &[grant(2, 1)], &mut NullSink);
+        s.tick(131, &mut NullSink);
+        assert!(s.is_lc_stuck(1, 0, 1), "the wedge belongs to board 1's LC");
+        s.tick(196, &mut NullSink);
+        s.schedule_retune(1, 0, 1, RateLevel(0), 65);
+        s.tick(197, &mut NullSink);
+        assert_eq!(s.channel(1, 0, 1).level(), RateLevel(2));
+        assert_eq!(s.reconfig_counts().1, 1, "the stuck LC dropped the retune");
+    }
+
+    #[test]
+    fn retired_owner_busy_returns_with_the_receiver_in_one_window() {
+        let mut s = srs();
+        // Board 1 keeps λ1 busy for 48 cycles, then loses it to board 2.
+        assert_eq!(s.try_transmit(0, 1, 0, pkt(1)), Some(1));
+        s.tick(48, &mut NullSink);
+        s.schedule_grants(50, &[grant(1, 2)], &mut NullSink);
+        s.tick(50, &mut NullSink);
+        // The receiver dies under board 2 and is repaired on the boundary
+        // cycle itself — faults apply before the windows roll.
+        s.fail_receiver(60, 0, 1, &mut NullSink);
+        s.repair_receiver(100, 0, 1);
+        assert_eq!(s.owner(0, 1), Some(1));
+        s.roll_windows(100);
+        assert_eq!(s.link_util(1, 0, 1), 0.48);
+        assert_eq!(s.link_util(2, 0, 1), 0.0);
+        // The busy is the closed window's, not carried into the next one.
+        s.roll_windows(200);
+        assert_eq!(s.link_util(1, 0, 1), 0.0);
+    }
+
+    #[test]
+    fn relock_on_a_draining_donor_delays_the_recipient() {
+        let mut s = srs();
+        // Donor 2 → 0 on λ2 mid-packet (until 48) when its CDR loses lock
+        // and the wavelength is granted to board 1.
+        assert_eq!(s.try_transmit(0, 2, 0, pkt(1)), Some(2));
+        s.schedule_relock(2, 0, 2, 200);
+        let g = WavelengthGrant {
+            destination: BoardId(0),
+            wavelength: Wavelength(2),
+            from: BoardId(2),
+            to: BoardId(1),
+        };
+        s.schedule_grants(10, &[g], &mut NullSink);
+        s.tick(10, &mut NullSink);
+        // The relock engages when the packet clears and holds the donor's
+        // laser up through its 200-cycle blackout.
+        s.tick(48, &mut NullSink);
+        assert_eq!(s.relocks_applied(), 1);
+        assert!(s.channel(2, 0, 2).is_on());
+        assert!(!s.channel(1, 0, 2).is_on());
+        s.tick(247, &mut NullSink);
+        assert!(!s.channel(1, 0, 2).is_on());
+        s.tick(248, &mut NullSink);
+        assert!(!s.channel(2, 0, 2).is_on());
+        assert!(s.channel(1, 0, 2).is_on());
+        // Then the recipient's own lock-in: usable 65 cycles later.
+        s.tick(313, &mut NullSink);
+        assert!(s.try_transmit(313, 1, 0, pkt(2)).is_some());
+        assert!(s.try_transmit(313, 1, 0, pkt(3)).is_some());
+    }
+
+    #[test]
+    fn one_cycles_retunes_apply_in_source_major_order() {
+        let mut s = srs();
+        // (s=2, d=0, λ2) precedes (s=1, d=2, λ3) in (d, w) order — the
+        // order DPM schedules them in — but follows it in (s, d, w) order.
+        s.schedule_retune(2, 0, 2, RateLevel(0), 65);
+        s.schedule_retune(1, 2, 3, RateLevel(1), 65);
+        let mut rec = Rec::default();
+        s.tick(5, &mut rec);
+        let applied = |src, dest, wavelength, level| TraceEvent::DpmApplied {
+            src,
+            dest,
+            wavelength,
+            level,
+        };
+        assert_eq!(rec.0, vec![applied(1, 2, 3, 1), applied(2, 0, 2, 0)]);
+    }
+}
+
+/// The slot bank's own contracts: footprint, self-check and the `.ersp`
+/// section.
+#[cfg(test)]
+mod slot_tests {
+    use super::*;
+    use desim::snap::{SnapError, SnapReader, SnapWriter};
+    use erapid_telemetry::NullSink;
+    use router::flit::PacketId;
+
+    fn srs_of(boards: u16) -> Srs {
+        Srs::new(
+            boards,
+            &RateLadder::paper(),
+            Serdes::paper(),
+            4,
+            LinkPowerModel::paper_table(),
+            100,
+            65,
+        )
+    }
+
+    fn pkt(id: u64) -> ReadyPacket {
+        ReadyPacket {
+            id: PacketId(id),
+            src: 0,
+            dst: 0,
+            injected_at: 0,
+            labelled: false,
+            flits: 8,
+            vc: 0,
+            completed_at: 0,
+        }
+    }
+
+    fn bytes(s: &Srs) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        s.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A B = 4 stage with a bit of everything: a packet in flight, a
+    /// pending grant, a retune, a relock, a stuck LC, stashed busy and a
+    /// failed transmitter.
+    fn busy_stage() -> Srs {
+        let mut s = srs_of(4);
+        assert_eq!(s.try_transmit(0, 1, 0, pkt(1)), Some(1));
+        s.tick(48, &mut NullSink);
+        assert_eq!(s.try_transmit(48, 2, 0, pkt(2)), Some(2));
+        let g = WavelengthGrant {
+            destination: BoardId(0),
+            wavelength: Wavelength(1),
+            from: BoardId(1),
+            to: BoardId(3),
+        };
+        s.schedule_grants(50, &[g], &mut NullSink);
+        s.schedule_retune(1, 2, 3, RateLevel(0), 65);
+        s.schedule_relock(2, 0, 2, 100);
+        s.stick_lc(3, 1, 2);
+        s.fail_transmitter(50, 2, 1, &mut NullSink);
+        s.record_cycle();
+        s
+    }
+
+    #[test]
+    fn footprint_grows_with_the_slots_not_the_lasers() {
+        let (b16, b32) = (
+            srs_of(16).approx_memory_bytes(),
+            srs_of(32).approx_memory_bytes(),
+        );
+        // Slots are B·W = B² (4× per doubling); only the one-byte level
+        // table is B³. The dense bank grew 8×.
+        assert!(b32 <= 5 * b16, "B = 16 → 32 grew {b16} → {b32} bytes");
+        assert!(b32 < 400_000, "B = 32 stage is {b32} bytes");
+    }
+
+    #[test]
+    fn footprint_counts_every_carried_table() {
+        let fresh = srs_of(4).approx_memory_bytes();
+        let mut s = srs_of(4);
+        let grow = |s: &mut Srs, what: &str, f: &dyn Fn(&mut Srs)| {
+            let before = s.approx_memory_bytes();
+            f(s);
+            assert!(s.approx_memory_bytes() > before, "{what} is not counted");
+        };
+        grow(&mut s, "stuck-LC list", &|s| s.stick_lc(1, 0, 1));
+        grow(&mut s, "relock queue", &|s| s.schedule_relock(1, 0, 1, 50));
+        grow(&mut s, "retune queue", &|s| {
+            s.schedule_retune(2, 0, 2, RateLevel(0), 65)
+        });
+        grow(&mut s, "failed receivers", &|s| {
+            s.fail_receiver(0, 1, 2, &mut NullSink)
+        });
+        grow(&mut s, "failed transmitters", &|s| {
+            s.fail_transmitter(0, 3, 2, &mut NullSink)
+        });
+        grow(&mut s, "pending grants + busy stash", &|s| {
+            s.try_transmit(0, 3, 0, pkt(1));
+            s.tick(48, &mut NullSink);
+            s.schedule_grants(
+                48,
+                &[WavelengthGrant {
+                    destination: BoardId(0),
+                    wavelength: Wavelength(3),
+                    from: BoardId(3),
+                    to: BoardId(1),
+                }],
+                &mut NullSink,
+            );
+        });
+        assert!(s.approx_memory_bytes() > fresh);
+    }
+
+    #[test]
+    fn invariants_hold_through_grants_faults_and_drains() {
+        let mut s = busy_stage();
+        s.check_invariants().expect("busy stage");
+        for now in 50..400 {
+            s.tick(now, &mut NullSink);
+            s.record_cycle();
+            s.check_invariants()
+                .unwrap_or_else(|e| panic!("cycle {now}: {e}"));
+        }
+        s.repair_transmitter(400, 2, 1);
+        s.fail_receiver(401, 0, 3, &mut NullSink);
+        s.check_invariants().expect("after faults");
+    }
+
+    #[test]
+    fn snapshot_round_trips_the_slot_bank() {
+        let s = busy_stage();
+        let saved = bytes(&s);
+        let mut back = srs_of(4);
+        back.load_state(&mut SnapReader::new(&saved))
+            .expect("clean snapshot loads");
+        assert_eq!(bytes(&back), saved);
+        // The section is O(B·W): a dense B²·W bank would be ≥ 64 × 43 B.
+        assert!(saved.len() < 1_500, "{} bytes", saved.len());
+    }
+
+    #[test]
+    fn snapshot_refuses_what_the_invariants_refuse() {
+        type Mutation = (&'static str, fn(&mut Srs));
+        let cases: [Mutation; 6] = [
+            // Receiver (2, λ1): owned and lit by board 3, nothing pending.
+            ("lit source ≥ B", |s| s.slots[9].lit_by = Some(4)),
+            ("lit_by ≠ owner, no grant", |s| {
+                s.slots[9].lit_by = Some(0)
+            }),
+            ("stuck key out of range", |s| s.stuck_lc.push((3, 9, 1))),
+            ("retune key out of range", |s| {
+                s.retune_queue.push((0, 0, 4))
+            }),
+            ("relock key out of range", |s| {
+                s.relock_queue.push((7, 0, 1))
+            }),
+            ("stash key out of range", |s| {
+                s.busy_stash.push(((0, 4, 1), 3))
+            }),
+        ];
+        for (what, mutate) in cases {
+            let mut s = busy_stage();
+            mutate(&mut s);
+            assert!(s.check_invariants().is_err(), "{what}: self-check");
+            let mut fresh = srs_of(4);
+            assert!(
+                matches!(
+                    fresh.load_state(&mut SnapReader::new(&bytes(&s))),
+                    Err(SnapError::Format(_))
+                ),
+                "{what}: load"
+            );
+        }
     }
 }

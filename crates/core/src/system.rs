@@ -230,7 +230,7 @@ impl System {
         let boards = (0..cfg.boards).map(|b| Board::new(&cfg, b)).collect();
         let srs = Srs::new(
             cfg.boards,
-            cfg.ladder.clone(),
+            &cfg.ladder,
             cfg.serdes,
             cfg.fiber.delay_cycles(),
             cfg.power_model.clone(),
@@ -486,9 +486,9 @@ impl System {
     }
 
     /// Coarse heap-footprint estimate in bytes of the live simulation
-    /// state: boards (routers, TX queues) plus the optical stage's channel
-    /// bank. Analytic capacity × element-size sums — comparable across
-    /// board counts (`benchmark/` reports it as
+    /// state: boards (routers, TX queues) plus the optical stage's receiver
+    /// slots and carried tables. Analytic capacity × element-size sums —
+    /// comparable across board counts (`benchmark/` reports it as
     /// `core.system.approx_memory_bytes`).
     pub fn approx_memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -1193,7 +1193,7 @@ impl System {
 
     /// Overlays a checkpointed state onto a freshly-constructed system
     /// built from the *same* config (and, under replay, the same trace).
-    /// Geometry mismatches (board count, channel bank shape, presence of
+    /// Geometry mismatches (board count, receiver slot count, presence of
     /// replay/logs/telemetry) are typed [`desim::snap::SnapError::Mismatch`]
     /// errors, never panics.
     pub fn load_state(

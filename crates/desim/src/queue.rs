@@ -93,6 +93,17 @@ impl<E> BinaryHeapQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The pending events, in no particular order (validation and
+    /// inspection; pop order is [`Self::pop`]'s).
+    pub fn events(&self) -> impl Iterator<Item = &E> {
+        self.heap.iter().map(|e| &e.event)
+    }
+
+    /// Heap footprint in bytes: capacity × entry size.
+    pub fn approx_memory_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<HeapEntry<E>>()
+    }
 }
 
 impl<E: crate::snap::Snap> BinaryHeapQueue<E> {

@@ -1,20 +1,22 @@
-//! End-to-end optical channel state machine.
+//! One laser's optical state machine.
 //!
-//! An [`OpticalChannel`] is one (source board, destination board, wavelength)
-//! lightpath: the laser at the source, the fiber, and the receiver at the
-//! destination. It tracks:
+//! An [`OpticalChannel`] is the mutable state of one (source board,
+//! destination board, wavelength) lightpath: the laser at the source, the
+//! fiber, and the receiver at the destination. It tracks:
 //!
 //! * on/off state (DBR turns whole channels on and off),
 //! * the current bit-rate level (DPM scales it),
 //! * packet serialization occupancy (busy-until bookkeeping),
 //! * rate-transition disable windows (the conservative 65-cycle CDR/voltage
 //!   penalty of §4.1).
+//!
+//! Identity and the link's physical constants are not per-channel state:
+//! whoever holds the channels (the SRS) knows which lightpath each is, and
+//! holds one [`LinkTiming`] for all of them.
 
 use crate::bitrate::{RateLadder, RateLevel};
 use crate::serdes::Serdes;
-use crate::wavelength::{BoardId, Wavelength};
 use desim::Cycle;
-use std::sync::Arc;
 
 /// Channel availability state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,64 +37,58 @@ pub enum ChannelState {
     },
 }
 
-/// One lightpath with DPM/DBR state.
-#[derive(Debug, Clone)]
-pub struct OpticalChannel {
-    src: BoardId,
-    dst: BoardId,
-    wavelength: Wavelength,
-    /// Shared with every other channel of the system: the ladder is
-    /// config-derived and immutable, so one allocation serves all B²·W.
-    ladder: Arc<RateLadder>,
-    serdes: Serdes,
+/// The per-system link constants every channel shares: serialization time
+/// per ladder level (tabulated once from the ladder and the serdes, so a
+/// packet start is an integer multiply) and the fiber flight time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkTiming {
+    /// Cycles one flit occupies the wavelength, indexed by level.
+    flit_cycles: Vec<Cycle>,
     fiber_delay: Cycle,
-    level: RateLevel,
-    state: ChannelState,
-    /// Lifetime counters.
-    packets_sent: u64,
-    flits_sent: u64,
-    transitions: u64,
 }
 
-impl OpticalChannel {
-    /// Creates a channel, initially off, at the ladder's highest level.
-    pub fn new(
-        src: BoardId,
-        dst: BoardId,
-        wavelength: Wavelength,
-        ladder: Arc<RateLadder>,
-        serdes: Serdes,
-        fiber_delay: Cycle,
-    ) -> Self {
-        let level = ladder.highest();
+impl LinkTiming {
+    /// Tabulates `serdes`'s flit occupancy at every level of `ladder`.
+    pub fn new(ladder: &RateLadder, serdes: Serdes, fiber_delay: Cycle) -> Self {
         Self {
-            src,
-            dst,
-            wavelength,
-            ladder,
-            serdes,
+            flit_cycles: ladder.iter().map(|(_, r)| serdes.flit_cycles(r)).collect(),
             fiber_delay,
-            level,
-            state: ChannelState::Off,
-            packets_sent: 0,
-            flits_sent: 0,
-            transitions: 0,
         }
     }
 
-    /// Source board.
-    pub fn src(&self) -> BoardId {
-        self.src
+    /// Number of ladder levels.
+    pub fn levels(&self) -> usize {
+        self.flit_cycles.len()
     }
 
-    /// Destination board.
-    pub fn dst(&self) -> BoardId {
-        self.dst
+    /// Cycles one flit occupies the wavelength at `level`.
+    ///
+    /// # Panics
+    /// If the level is out of range.
+    pub fn flit_cycles(&self, level: RateLevel) -> Cycle {
+        self.flit_cycles[level.index()]
     }
 
-    /// Wavelength of the lightpath.
-    pub fn wavelength(&self) -> Wavelength {
-        self.wavelength
+    /// Fiber propagation delay in cycles.
+    pub fn fiber_delay(&self) -> Cycle {
+        self.fiber_delay
+    }
+}
+
+/// One lightpath's DPM/DBR state: its rate level and availability.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpticalChannel {
+    level: RateLevel,
+    state: ChannelState,
+}
+
+impl OpticalChannel {
+    /// Creates a channel, initially off, at `level`.
+    pub fn new(level: RateLevel) -> Self {
+        Self {
+            level,
+            state: ChannelState::Off,
+        }
     }
 
     /// Current availability state.
@@ -103,11 +99,6 @@ impl OpticalChannel {
     /// Current rate level.
     pub fn level(&self) -> RateLevel {
         self.level
-    }
-
-    /// The rate ladder in use.
-    pub fn ladder(&self) -> &RateLadder {
-        &self.ladder
     }
 
     /// True when the laser is on (any state except `Off`).
@@ -124,21 +115,6 @@ impl OpticalChannel {
             ChannelState::Sending { until } => Some(until),
             _ => None,
         }
-    }
-
-    /// Lifetime packet count.
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
-    }
-
-    /// Lifetime flit count.
-    pub fn flits_sent(&self) -> u64 {
-        self.flits_sent
-    }
-
-    /// Lifetime rate-transition count.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
     }
 
     /// Turns the laser on (idle). No-op when already on.
@@ -185,32 +161,22 @@ impl OpticalChannel {
         }
     }
 
-    /// Cycles one flit occupies the wavelength at the current level.
-    pub fn flit_cycles(&self) -> u64 {
-        self.serdes.flit_cycles(self.ladder.rate(self.level))
-    }
-
     /// Starts serializing a packet of `flits` flits. Returns the cycle at
     /// which the last bit *arrives at the destination* (serialization +
     /// fiber propagation).
     ///
     /// # Panics
     /// If the channel cannot send at `now`.
-    pub fn begin_packet(&mut self, now: Cycle, flits: u32) -> Cycle {
+    pub fn begin_packet(&mut self, timing: &LinkTiming, now: Cycle, flits: u32) -> Cycle {
         assert!(self.can_send(now), "channel busy/off at {now}");
-        let occupancy = self
-            .serdes
-            .packet_cycles(self.ladder.rate(self.level), flits);
-        let clear = now + occupancy;
+        let clear = now + timing.flit_cycles(self.level) * flits as u64;
         self.state = ChannelState::Sending { until: clear };
-        self.packets_sent += 1;
-        self.flits_sent += flits as u64;
-        clear + self.fiber_delay
+        clear + timing.fiber_delay()
     }
 
     /// Begins a bit-rate transition to `level`: the link goes dark for
     /// `penalty` cycles (bit-rate control packet + CDR re-lock / voltage
-    /// settle). No-op (and uncounted) if the level is unchanged.
+    /// settle). No-op if the level is unchanged.
     ///
     /// # Panics
     /// If the channel is mid-packet or off.
@@ -223,9 +189,7 @@ impl OpticalChannel {
             "transition must wait for the wavelength to clear"
         );
         assert!(self.is_on(), "cannot retune a dark channel");
-        assert!(level.index() < self.ladder.len(), "level out of range");
         self.level = level;
-        self.transitions += 1;
         self.state = ChannelState::Transitioning {
             until: now + penalty,
         };
@@ -234,7 +198,6 @@ impl OpticalChannel {
     /// Directly sets the level of an off channel (used when DBR powers a
     /// channel on at a chosen level without a live transition).
     pub fn preset_level(&mut self, level: RateLevel) {
-        assert!(level.index() < self.ladder.len());
         assert_eq!(self.state, ChannelState::Off, "preset only while off");
         self.level = level;
     }
@@ -256,11 +219,9 @@ impl OpticalChannel {
         };
     }
 
-    /// Serializes the mutable channel state for a checkpoint. Identity and
-    /// geometry (endpoints, ladder, serdes, fiber delay) come from the
-    /// configuration and are not persisted.
+    /// Serializes the channel for a checkpoint: level, then state.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
-        w.u8(self.level.index() as u8);
+        w.u8(self.level.0);
         match self.state {
             ChannelState::Off => w.u8(0),
             ChannelState::Idle => w.u8(1),
@@ -273,25 +234,21 @@ impl OpticalChannel {
                 w.u64(until);
             }
         }
-        w.u64(self.packets_sent);
-        w.u64(self.flits_sent);
-        w.u64(self.transitions);
     }
 
-    /// Overlays checkpointed mutable state onto a freshly built channel.
+    /// Decodes a checkpointed channel whose level must lie on a ladder of
+    /// `levels` levels.
     pub fn load_state(
-        &mut self,
         r: &mut desim::snap::SnapReader<'_>,
-    ) -> Result<(), desim::snap::SnapError> {
-        let level = r.u8()? as usize;
-        if level >= self.ladder.len() {
+        levels: usize,
+    ) -> Result<Self, desim::snap::SnapError> {
+        let level = r.u8()?;
+        if level as usize >= levels {
             return Err(desim::snap::SnapError::Mismatch(format!(
-                "rate level {level} outside ladder of {}",
-                self.ladder.len()
+                "rate level {level} outside ladder of {levels}"
             )));
         }
-        self.level = RateLevel(level as u8);
-        self.state = match r.u8()? {
+        let state = match r.u8()? {
             0 => ChannelState::Off,
             1 => ChannelState::Idle,
             2 => ChannelState::Sending { until: r.u64()? },
@@ -302,10 +259,10 @@ impl OpticalChannel {
                 )))
             }
         };
-        self.packets_sent = r.u64()?;
-        self.flits_sent = r.u64()?;
-        self.transitions = r.u64()?;
-        Ok(())
+        Ok(Self {
+            level: RateLevel(level),
+            state,
+        })
     }
 }
 
@@ -314,14 +271,11 @@ mod tests {
     use super::*;
 
     fn chan() -> OpticalChannel {
-        OpticalChannel::new(
-            BoardId(0),
-            BoardId(2),
-            Wavelength(2),
-            Arc::new(RateLadder::paper()),
-            Serdes::paper(),
-            4,
-        )
+        OpticalChannel::new(RateLevel(2))
+    }
+
+    fn timing() -> LinkTiming {
+        LinkTiming::new(&RateLadder::paper(), Serdes::paper(), 4)
     }
 
     #[test]
@@ -339,29 +293,31 @@ mod tests {
         c.power_on();
         assert!(c.can_send(10));
         // 8 flits at 5 Gbps: 8 × 6 = 48 cycles; +4 fiber = arrives at 62.
-        let arrival = c.begin_packet(10, 8);
+        let arrival = c.begin_packet(&timing(), 10, 8);
         assert_eq!(arrival, 62);
         assert_eq!(c.state(), ChannelState::Sending { until: 58 });
+        assert_eq!(c.sending_until(), Some(58));
         assert!(!c.can_send(57));
         assert!(c.can_send(58));
         c.settle(58);
         assert_eq!(c.state(), ChannelState::Idle);
-        assert_eq!(c.packets_sent(), 1);
-        assert_eq!(c.flits_sent(), 8);
+        assert_eq!(c.sending_until(), None);
     }
 
     #[test]
     fn lower_level_stretches_occupancy() {
+        let t = timing();
         let mut c = chan();
         c.power_on();
         c.begin_transition(0, RateLevel(0), 65);
-        assert_eq!(c.transitions(), 1);
+        assert_eq!(c.level(), RateLevel(0));
+        assert_eq!(c.state(), ChannelState::Transitioning { until: 65 });
         assert!(!c.can_send(64));
         assert!(c.can_send(65));
         // 8 flits at 2.5 Gbps: 8 × 11 = 88 cycles.
-        let arrival = c.begin_packet(65, 8);
+        let arrival = c.begin_packet(&t, 65, 8);
         assert_eq!(arrival, 65 + 88 + 4);
-        assert_eq!(c.flit_cycles(), 11);
+        assert_eq!(t.flit_cycles(c.level()), 11);
     }
 
     #[test]
@@ -369,17 +325,34 @@ mod tests {
         let mut c = chan();
         c.power_on();
         c.begin_transition(0, RateLevel(2), 65);
-        assert_eq!(c.transitions(), 0);
+        assert_eq!(c.state(), ChannelState::Idle);
         assert!(c.can_send(0));
+    }
+
+    #[test]
+    fn timing_tabulates_serdes_per_level() {
+        let (ladder, serdes) = (RateLadder::paper(), Serdes::paper());
+        let t = timing();
+        assert_eq!(t.levels(), ladder.len());
+        assert_eq!(t.fiber_delay(), 4);
+        for (level, rate) in ladder.iter() {
+            assert_eq!(t.flit_cycles(level), serdes.flit_cycles(rate));
+            assert_eq!(
+                t.flit_cycles(level) * 8,
+                serdes.packet_cycles(rate, 8),
+                "level {level:?}"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "channel busy/off")]
     fn cannot_send_mid_packet() {
+        let t = timing();
         let mut c = chan();
         c.power_on();
-        c.begin_packet(0, 8);
-        c.begin_packet(1, 8);
+        c.begin_packet(&t, 0, 8);
+        c.begin_packet(&t, 1, 8);
     }
 
     #[test]
@@ -387,7 +360,7 @@ mod tests {
     fn cannot_power_off_mid_packet() {
         let mut c = chan();
         c.power_on();
-        c.begin_packet(0, 8);
+        c.begin_packet(&timing(), 0, 8);
         c.power_off(5);
     }
 
@@ -395,7 +368,7 @@ mod tests {
     fn power_off_after_settle_ok() {
         let mut c = chan();
         c.power_on();
-        c.begin_packet(0, 1); // 6 cycles
+        c.begin_packet(&timing(), 0, 1); // 6 cycles
         c.settle(6);
         c.power_off(6);
         assert_eq!(c.state(), ChannelState::Off);
@@ -407,7 +380,7 @@ mod tests {
         c.preset_level(RateLevel(0));
         c.power_on();
         assert_eq!(c.level(), RateLevel(0));
-        assert_eq!(c.flit_cycles(), 11);
+        assert_eq!(timing().flit_cycles(c.level()), 11);
     }
 
     #[test]
@@ -442,14 +415,5 @@ mod tests {
         let mut c = chan();
         c.power_on();
         c.power_on_dark(0, 65);
-    }
-
-    #[test]
-    fn identity_accessors() {
-        let c = chan();
-        assert_eq!(c.src(), BoardId(0));
-        assert_eq!(c.dst(), BoardId(2));
-        assert_eq!(c.wavelength(), Wavelength(2));
-        assert_eq!(c.ladder().len(), 3);
     }
 }

@@ -42,7 +42,7 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
-echo "== arbiter + candidate-set equivalence smokes (word-parallel vs slice oracles, sleeping vs full-scan rigs; release) =="
+echo "== arbiter + candidate-set equivalence smokes, SRS auditor (word-parallel vs slice oracles, sleeping vs full-scan rigs, per-cycle SRS invariants under fault plans; release) =="
 # The router's u64 word-scan arbiters (DESIGN.md §16) must stay
 # position-identical to the retained slice-based oracle implementations;
 # the property suite drives both through randomized grant histories.
@@ -51,6 +51,11 @@ cargo test -q --release -p router --test arbiter_props
 # and SA bidding set (DESIGN.md §16) against a rig that ticks every
 # injector every cycle, plus live words == `rebuild_derived` per cycle.
 cargo test -q --release -p router --test router_props
+# The SRS auditor: `Srs::check_invariants` on every cycle of random fault
+# plans (one lit laser per receiver, a lit non-owner only while a grant or
+# failure accounts for it, owned lists == owners, clean power cache ==
+# its recount).
+cargo test -q --release -p erapid-suite --test props random_fault_plans_conserve_and_drain
 # Likewise a Lock-Step round must reach the direct Reconfigure decision on
 # any single-owner wavelength table (the reference `System` is held to).
 cargo test -q --release -p reconfig round_equals_the_direct_decision

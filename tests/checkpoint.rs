@@ -497,15 +497,51 @@ fn version_and_config_mismatch_rejected() {
 
     // Future version: patch the version field and re-seal the checksum so
     // only the version check can object.
-    let mut v2 = bytes.clone();
-    v2[4] = 0xFF;
-    let body_len = v2.len() - 8;
-    let sum = erapid_suite::desim::snap::fnv1a(&v2[..body_len]);
-    v2[body_len..].copy_from_slice(&sum.to_le_bytes());
+    let reseal = |b: &mut Vec<u8>| {
+        let body_len = b.len() - 8;
+        let sum = erapid_suite::desim::snap::fnv1a(&b[..body_len]);
+        b[body_len..].copy_from_slice(&sum.to_le_bytes());
+    };
+    let mut future = bytes.clone();
+    future[4] = 0xFF;
+    reseal(&mut future);
     assert!(matches!(
-        decode_snapshot(&v2, fp),
+        decode_snapshot(&future, fp),
         Err(SnapError::Version(0xFF))
     ));
+
+    // Version 1 (the dense per-laser SRS bank) is refused, not misread as
+    // the receiver-slot layout.
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    reseal(&mut v1);
+    assert!(matches!(
+        decode_snapshot(&v1, fp),
+        Err(SnapError::Version(1))
+    ));
+
+    // A mutated slot. The SRS section opens with its tag and slot count;
+    // receiver (0, λ0) is dark and unowned (21 bytes), then (0, λ1) is
+    // owned and lit by board 1. Claiming it lit by board 2 (no grant or
+    // failure accounts for that) or by a board past B is a typed error.
+    let srs_at = (bytes.windows(4))
+        .position(|t| t == b"SRSS")
+        .expect("SRS section");
+    let lit_at = srs_at + 4 + 8 + 21 + 3;
+    assert_eq!(bytes[lit_at - 3..lit_at + 3], [1, 1, 0, 1, 1, 0]);
+    for lit_by in [2u16, 9] {
+        let mut bad = bytes.clone();
+        bad[lit_at + 1..lit_at + 3].copy_from_slice(&lit_by.to_le_bytes());
+        reseal(&mut bad);
+        let mut fresh = build(NetworkMode::PB, full_plan());
+        assert!(
+            matches!(
+                checkpoint::restore_system(&mut fresh, &bad),
+                Err(SnapError::Format(_))
+            ),
+            "slot (0, λ1) lit by {lit_by} must be refused"
+        );
+    }
 
     // Truncation below the checksum is Format, inside is Checksum.
     assert!(decode_snapshot(&bytes[..4], fp).is_err());

@@ -345,10 +345,13 @@ fn record_replay_closes_for_random_points() {
 /// Packets are conserved under *random* fault plans: never more delivered
 /// than injected on any cycle, and once the sources go quiet everything
 /// injected is delivered — no outage, relock or token fault loses or
-/// duplicates a packet — with the WDM invariant (at most one lit laser per
-/// `(destination, wavelength)`) intact at the end. The plans mix
-/// receiver/transmitter outages (with repairs), stuck LCs, CDR relocks and
-/// LS token faults at random cycles.
+/// duplicates a packet — with the SRS's invariants
+/// (`Srs::check_invariants`: at most one lit laser per
+/// `(destination, wavelength)`, a lit non-owner only while a grant or
+/// failure accounts for it, `owned` == owners, a clean power cache ==
+/// its recount) intact on every cycle. The plans mix receiver/transmitter
+/// outages (with repairs), stuck LCs, CDR relocks and LS token faults at
+/// random cycles.
 #[test]
 fn random_fault_plans_conserve_and_drain() {
     use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
@@ -411,8 +414,14 @@ fn random_fault_plans_conserve_and_drain() {
             pattern.name()
         );
         let mut sys = System::new(cfg, pattern, load, plan);
+        let audit = |sys: &System| {
+            if let Err(e) = sys.srs().check_invariants() {
+                panic!("{what}: SRS invariant broken at cycle {}: {e}", sys.now());
+            }
+        };
         while sys.now() < plan.max_cycles {
             sys.step();
+            audit(&sys);
             let m = sys.metrics();
             assert!(
                 m.delivered_total <= m.injected_total,
@@ -427,19 +436,11 @@ fn random_fault_plans_conserve_and_drain() {
         while !sys.is_drained() {
             assert!(sys.now() < drain_cap, "{what}: never drained");
             sys.step_without_injection();
+            audit(&sys);
         }
         let m = sys.metrics();
         assert!(m.injected_total > 0, "{what}: no traffic");
         assert_eq!(m.delivered_total, m.injected_total, "{what}: packets lost");
-        let srs = sys.srs();
-        for d in 0..srs.boards() {
-            for w in 0..srs.wavelengths() {
-                let lit = (0..srs.boards())
-                    .filter(|&s| srs.channel(s, d, w).is_on())
-                    .count();
-                assert!(lit <= 1, "{what}: {lit} lasers lit on ({d}, λ{w})");
-            }
-        }
     }
 }
 
