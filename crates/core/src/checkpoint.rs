@@ -39,7 +39,7 @@
 use crate::config::SystemConfig;
 use crate::stream::StreamCursor;
 use crate::system::System;
-use desim::snap::{fnv1a, Snap, SnapError, SnapReader, SnapWriter};
+use desim::snap::{fnv1a, seal, unseal, Snap, SnapError, SnapReader, SnapWriter};
 use desim::Cycle;
 use std::fs;
 use std::io::{self, Write as _};
@@ -65,15 +65,11 @@ pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
 /// Fails (typed, no panic) if the system is not quiescent.
 pub fn encode_snapshot(sys: &System, cursor: StreamCursor) -> Result<Vec<u8>, SnapError> {
     let mut w = SnapWriter::new();
-    w.tag(&SNAP_MAGIC);
-    w.u16(SNAP_VERSION);
+    w.header(&SNAP_MAGIC, SNAP_VERSION);
     w.u64(config_fingerprint(sys.config()));
     cursor.save(&mut w);
     sys.save_state(&mut w)?;
-    let mut bytes = w.into_bytes();
-    let sum = fnv1a(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    Ok(bytes)
+    Ok(seal(w.into_bytes()))
 }
 
 /// Verifies a snapshot's checksum, magic, version and config fingerprint;
@@ -81,25 +77,8 @@ pub fn encode_snapshot(sys: &System, cursor: StreamCursor) -> Result<Vec<u8>, Sn
 /// corruption mode is a typed error — the caller's contract is "any
 /// `Err` means try the previous snapshot".
 pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<(StreamCursor, &[u8]), SnapError> {
-    if bytes.len() < 8 {
-        return Err(SnapError::Format(
-            "snapshot shorter than its checksum".into(),
-        ));
-    }
-    let (payload, sum) = bytes.split_at(bytes.len() - 8);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(sum);
-    let stored = u64::from_le_bytes(stored);
-    let computed = fnv1a(payload);
-    if stored != computed {
-        return Err(SnapError::Checksum { stored, computed });
-    }
-    let mut r = SnapReader::new(payload);
-    r.tag(&SNAP_MAGIC)?;
-    let ver = r.u16()?;
-    if ver != SNAP_VERSION {
-        return Err(SnapError::Version(ver));
-    }
+    let mut r = SnapReader::new(unseal(bytes)?);
+    r.header(&SNAP_MAGIC, SNAP_VERSION)?;
     let fp = r.u64()?;
     if fp != fingerprint {
         return Err(SnapError::Mismatch(format!(
@@ -107,7 +86,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<(StreamCursor, 
         )));
     }
     let cursor = StreamCursor::load(&mut r)?;
-    Ok((cursor, &payload[r.pos()..]))
+    Ok((cursor, r.bytes(r.remaining())?))
 }
 
 /// Overlays a decoded snapshot onto a freshly-constructed system built
@@ -136,14 +115,14 @@ pub struct Checkpointer {
 
 impl Checkpointer {
     /// Creates a checkpointer writing into `dir` every `every_windows`
-    /// `R_w` windows of `window` cycles each. Keeps the newest 2
-    /// snapshots.
+    /// `R_w` windows of `window` cycles each (a cadence past `u64::MAX`
+    /// cycles saturates, i.e. never fires). Keeps the newest 2 snapshots.
     pub fn new(dir: impl Into<PathBuf>, every_windows: u64, window: Cycle) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(Self {
             dir,
-            every_cycles: every_windows.max(1) * window,
+            every_cycles: every_windows.max(1).saturating_mul(window),
             keep: 2,
             written: Vec::new(),
             last_at: None,

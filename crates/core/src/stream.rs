@@ -9,10 +9,12 @@
 //! - a **JSONL trace** (`.jsonl`): one line per trace event, then one line
 //!   per metric window — the same line formats `tracereport` emits, so
 //!   existing tooling reads a streamed trace unchanged;
-//! - a **binary delivery log** (`.erpd`): fixed 29-byte little-endian
-//!   records (`id u64, dst u32, injected u64, delivered u64, labelled
-//!   u8`), guarded by an FNV-1a-64 checksum trailer — the `.ertr`
-//!   discipline applied to output instead of input.
+//! - a **binary delivery log** (`.erpd`): a [`desim::snap`] header, then
+//!   29-byte [`PacketDelivery`] records in their [`Snap`] encoding (`id
+//!   u64, dst u32, injected u64, delivered u64, labelled bool`), closed by
+//!   an `END.` trailer carrying the record count and an FNV-1a-64 over
+//!   the records only — so the file can grow window by window and be cut
+//!   back to any checkpoint's cursor.
 //!
 //! Crash-safe resume: the byte positions and the *running* delivery
 //! checksum live in a [`StreamCursor`] that every checkpoint embeds
@@ -23,7 +25,7 @@
 
 use crate::metrics::PacketDelivery;
 use crate::system::WindowFlush;
-use desim::snap::{fnv1a_update, Snap, SnapError, SnapReader, SnapWriter, FNV_OFFSET};
+use desim::snap::{fnv1a, fnv1a_update, Snap, SnapError, SnapReader, SnapWriter, FNV_OFFSET};
 use erapid_telemetry::jsonl_line;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -38,10 +40,8 @@ pub const DELIV_VERSION: u16 = 1;
 pub const DELIV_TRAILER: [u8; 4] = *b"END.";
 /// Header length: magic + version.
 const DELIV_HEADER: u64 = 6;
-/// One fixed-width delivery record.
+/// One delivery record: `PacketDelivery`'s `Snap` encoding.
 const DELIV_RECORD: u64 = 29;
-/// Trailer length: tag + record count + checksum.
-const DELIV_TRAILER_LEN: u64 = 20;
 
 /// Resume point of a [`StreamSink`]: how many bytes of each file are
 /// checkpoint-covered, and the running checksum over the delivery records
@@ -119,8 +119,9 @@ impl StreamSink {
         let deliv = match &paths.deliveries {
             Some(p) => {
                 let mut f = BufWriter::new(File::create(p)?);
-                f.write_all(&DELIV_MAGIC)?;
-                f.write_all(&DELIV_VERSION.to_le_bytes())?;
+                let mut w = SnapWriter::new();
+                w.header(&DELIV_MAGIC, DELIV_VERSION);
+                f.write_all(&w.into_bytes())?;
                 Some(f)
             }
             None => None,
@@ -204,15 +205,16 @@ impl StreamSink {
             self.cursor.trace_bytes += self.line.len() as u64;
         }
         if let Some(out) = &mut self.deliv {
-            let mut buf = [0u8; DELIV_RECORD as usize];
+            let mut w = SnapWriter::with_capacity(flush.packets.len() * DELIV_RECORD as usize);
             for p in &flush.packets {
-                encode_delivery(p, &mut buf);
-                out.write_all(&buf)?;
-                self.cursor.deliv_fnv = fnv1a_update(self.cursor.deliv_fnv, &buf);
-                self.cursor.deliv_bytes += DELIV_RECORD;
-                self.cursor.deliv_records += 1;
+                p.save(&mut w);
             }
+            let records = w.into_bytes();
+            out.write_all(&records)?;
             out.flush()?;
+            self.cursor.deliv_fnv = fnv1a_update(self.cursor.deliv_fnv, &records);
+            self.cursor.deliv_bytes += records.len() as u64;
+            self.cursor.deliv_records += flush.packets.len() as u64;
         }
         Ok(())
     }
@@ -225,9 +227,11 @@ impl StreamSink {
             out.flush()?;
         }
         if let Some(out) = &mut self.deliv {
-            out.write_all(&DELIV_TRAILER)?;
-            out.write_all(&self.cursor.deliv_records.to_le_bytes())?;
-            out.write_all(&self.cursor.deliv_fnv.to_le_bytes())?;
+            let mut w = SnapWriter::new();
+            w.tag(&DELIV_TRAILER);
+            w.u64(self.cursor.deliv_records);
+            w.u64(self.cursor.deliv_fnv);
+            out.write_all(&w.into_bytes())?;
             out.flush()?;
         }
         Ok(self.cursor)
@@ -278,74 +282,40 @@ pub fn run_streaming(
     Ok(end)
 }
 
-fn encode_delivery(p: &PacketDelivery, buf: &mut [u8; DELIV_RECORD as usize]) {
-    buf[0..8].copy_from_slice(&p.id.to_le_bytes());
-    buf[8..12].copy_from_slice(&p.dst.to_le_bytes());
-    buf[12..20].copy_from_slice(&p.injected_at.to_le_bytes());
-    buf[20..28].copy_from_slice(&p.delivered_at.to_le_bytes());
-    buf[28] = u8::from(p.labelled);
-}
-
-/// Reads back a finalized delivery log, verifying magic, version, record
-/// framing, trailer count and checksum. The verification half of the
-/// streaming contract — `marathon` diffs two of these byte-for-byte.
+/// Reads back a finalized delivery log; see [`decode_deliveries`]. The
+/// verification half of the streaming contract — `marathon` diffs two of
+/// these byte-for-byte.
 pub fn read_deliveries(path: &Path) -> Result<Vec<PacketDelivery>, SnapError> {
     let bytes = std::fs::read(path).map_err(|e| SnapError::Io(e.to_string()))?;
-    let min = DELIV_HEADER + DELIV_TRAILER_LEN;
-    if (bytes.len() as u64) < min {
-        return Err(SnapError::Format(
-            "delivery log shorter than header + trailer".into(),
-        ));
+    decode_deliveries(&bytes)
+}
+
+/// Decodes a finalized delivery log, verifying magic, version, trailer
+/// tag, that the trailer count covers the body exactly, and the checksum
+/// over the records, before it allocates for them.
+pub fn decode_deliveries(bytes: &[u8]) -> Result<Vec<PacketDelivery>, SnapError> {
+    // The trailer is tag + count + checksum, 20 bytes; a log shorter than
+    // header + trailer fails on the truncated read below.
+    let body_len = bytes.len().saturating_sub(DELIV_HEADER as usize + 20);
+    let mut r = SnapReader::new(bytes);
+    r.header(&DELIV_MAGIC, DELIV_VERSION)?;
+    let body = r.bytes(body_len)?;
+    r.tag(&DELIV_TRAILER)?;
+    let count = r.u64()?;
+    let stored = r.u64()?;
+    if count.checked_mul(DELIV_RECORD) != Some(body_len as u64) {
+        return Err(SnapError::Format(format!(
+            "delivery log trailer count {count} disagrees with its {body_len}-byte body"
+        )));
     }
-    if bytes[0..4] != DELIV_MAGIC {
-        return Err(SnapError::Format("delivery log magic mismatch".into()));
-    }
-    let ver = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if ver != DELIV_VERSION {
-        return Err(SnapError::Version(ver));
-    }
-    let body = &bytes[DELIV_HEADER as usize..bytes.len() - DELIV_TRAILER_LEN as usize];
-    if !(body.len() as u64).is_multiple_of(DELIV_RECORD) {
-        return Err(SnapError::Format(
-            "delivery log body is not whole records".into(),
-        ));
-    }
-    let trailer = &bytes[bytes.len() - DELIV_TRAILER_LEN as usize..];
-    if trailer[0..4] != DELIV_TRAILER {
-        return Err(SnapError::Format("delivery log trailer missing".into()));
-    }
-    let mut count = [0u8; 8];
-    count.copy_from_slice(&trailer[4..12]);
-    let count = u64::from_le_bytes(count);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(&trailer[12..20]);
-    let stored = u64::from_le_bytes(stored);
-    if count != body.len() as u64 / DELIV_RECORD {
-        return Err(SnapError::Format(
-            "delivery log trailer count disagrees with body length".into(),
-        ));
-    }
-    let computed = fnv1a_update(FNV_OFFSET, body);
+    let computed = fnv1a(body);
     if computed != stored {
         return Err(SnapError::Checksum { stored, computed });
     }
+    let mut r = SnapReader::new(body);
     let mut out = Vec::with_capacity(count as usize);
-    for rec in body.chunks_exact(DELIV_RECORD as usize) {
-        let mut id = [0u8; 8];
-        id.copy_from_slice(&rec[0..8]);
-        let mut dst = [0u8; 4];
-        dst.copy_from_slice(&rec[8..12]);
-        let mut injected = [0u8; 8];
-        injected.copy_from_slice(&rec[12..20]);
-        let mut delivered = [0u8; 8];
-        delivered.copy_from_slice(&rec[20..28]);
-        out.push(PacketDelivery {
-            id: u64::from_le_bytes(id),
-            dst: u32::from_le_bytes(dst),
-            injected_at: u64::from_le_bytes(injected),
-            delivered_at: u64::from_le_bytes(delivered),
-            labelled: rec[28] != 0,
-        });
+    while r.remaining() > 0 {
+        out.push(PacketDelivery::load(&mut r)?);
     }
     Ok(out)
 }

@@ -1,42 +1,52 @@
-//! Binary state-snapshot substrate for checkpoint/restore.
+//! The binary container every on-disk format is written against.
 //!
-//! Long-horizon runs must survive being killed: the simulator periodically
-//! serializes its full mutable state and a resumed process continues
-//! byte-identically to an uninterrupted one. This module is the byte-level
-//! layer every crate's `save_state`/`load_state` hooks are written against:
+//! Three formats share one shape — a 4-byte magic, a `u16` version, a
+//! body and an FNV-1a-64 checksum — and this module is the only code that
+//! reads or writes it:
 //!
-//! * [`SnapWriter`] / [`SnapReader`] — little-endian primitive encoding
-//!   with typed truncation errors (no panics on corrupt input),
+//! * `.ersp` checkpoints (`erapid_core::checkpoint`): header + body,
+//!   [`seal`]ed;
+//! * `.ertr` injection traces (`traffic::trace`): header + meta + LEB128
+//!   [`SnapWriter::varint`] entries, [`seal`]ed;
+//! * `.erpd` delivery logs (`erapid_core::stream`): header + [`Snap`]
+//!   records + an `END.` trailer whose checksum folds the records only,
+//!   so the file can be appended to and truncated back to a cursor.
+//!
+//! The pieces:
+//!
+//! * [`SnapWriter`] / [`SnapReader`] — little-endian primitives, LEB128
+//!   varints and the [`SnapReader::header`] magic/version check, with
+//!   typed truncation errors (no panics on corrupt input);
+//! * [`seal`] / [`unseal`] — append and verify the trailing checksum;
 //! * [`Snap`] — the round-trip trait for value types (flits, packets, RNG
 //!   streams); container structs instead expose `load_state(&mut self)`
 //!   overlay restores so config-derived geometry (capacities, route
-//!   tables) is rebuilt from the config rather than persisted,
-//! * [`fnv1a`] / [`fnv1a_update`] — the FNV-1a-64 checksum the snapshot
-//!   format carries, the same discipline as the `.ertr` trace format.
+//!   tables) is rebuilt from the config rather than persisted;
+//! * [`fnv1a`] / [`fnv1a_update`] — the FNV-1a-64 checksum itself.
 //!
-//! Restore is *strict*: every length read from the stream must match the
-//! geometry of the freshly-built target, and every byte of the payload
-//! must be consumed. A mismatch is a typed [`SnapError`], never a panic —
-//! the checkpoint layer treats any error as "this snapshot is bad, fall
-//! back to the previous one".
+//! Decoding is *strict*: every length read from the stream must match the
+//! geometry of the freshly-built target or fit the bytes that remain, and
+//! every byte of the payload must be consumed. A mismatch is a typed
+//! [`SnapError`], never a panic or an unbounded allocation — the
+//! checkpoint layer treats any error as "this snapshot is bad, fall back
+//! to the previous one".
 
-use crate::Cycle;
-
-/// Typed error from snapshot encoding or decoding.
+/// Typed error from encoding or decoding any of the container formats.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
-    /// The byte stream is malformed (truncation, bad tag, trailing bytes).
+    /// The input is malformed (truncation, bad tag, bad varint, trailing
+    /// bytes, an out-of-range field).
     Format(String),
-    /// The snapshot declares a format version this build does not read.
+    /// The input declares a format version this build does not read.
     Version(u16),
     /// The stored checksum does not match the payload.
     Checksum {
-        /// Checksum stored in the snapshot.
+        /// Checksum stored in the input.
         stored: u64,
         /// Checksum computed over the payload.
         computed: u64,
     },
-    /// The snapshot was taken under a different configuration than the
+    /// The input was taken under a different configuration than the
     /// system it is being restored into.
     Mismatch(String),
     /// Filesystem I/O failed (message of the underlying error).
@@ -46,14 +56,14 @@ pub enum SnapError {
 impl std::fmt::Display for SnapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapError::Format(msg) => write!(f, "malformed snapshot: {msg}"),
-            SnapError::Version(v) => write!(f, "unsupported snapshot version {v}"),
+            SnapError::Format(msg) => write!(f, "malformed input: {msg}"),
+            SnapError::Version(v) => write!(f, "unsupported format version {v}"),
             SnapError::Checksum { stored, computed } => write!(
                 f,
-                "snapshot checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
-            SnapError::Mismatch(msg) => write!(f, "snapshot/config mismatch: {msg}"),
-            SnapError::Io(msg) => write!(f, "snapshot I/O failed: {msg}"),
+            SnapError::Mismatch(msg) => write!(f, "config mismatch: {msg}"),
+            SnapError::Io(msg) => write!(f, "I/O failed: {msg}"),
         }
     }
 }
@@ -78,6 +88,30 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
 
+/// Appends the FNV-1a-64 of everything in `bytes` as a little-endian
+/// trailer.
+pub fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let sum = fnv1a(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Verifies and strips a [`seal`] trailer, returning the payload before
+/// it. Shorter than the trailer is `Format`; a wrong sum is `Checksum`.
+pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapError> {
+    let at = bytes
+        .len()
+        .checked_sub(8)
+        .ok_or_else(|| SnapError::Format("shorter than its checksum".into()))?;
+    let (payload, trailer) = bytes.split_at(at);
+    let stored = SnapReader::new(trailer).u64()?;
+    let computed = fnv1a(payload);
+    if stored != computed {
+        return Err(SnapError::Checksum { stored, computed });
+    }
+    Ok(payload)
+}
+
 /// Append-only little-endian byte sink.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
@@ -90,14 +124,11 @@ impl SnapWriter {
         Self::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// Creates an empty writer with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(n),
+        }
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -112,27 +143,50 @@ impl SnapWriter {
         self.buf.extend_from_slice(t);
     }
 
+    /// Writes a container header: the 4-byte magic, then the `u16`
+    /// format version.
+    pub fn header(&mut self, magic: &[u8; 4], version: u16) {
+        self.tag(magic);
+        self.u16(version);
+    }
+
+    /// Writes a LEB128 varint: 7 bits per byte, low group first, the high
+    /// bit set on every byte but the last.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Writes one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a bool as one byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Writes a `u16`, little-endian.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -165,11 +219,6 @@ impl<'a> SnapReader<'a> {
         Self { bytes, pos: 0 }
     }
 
-    /// Current read offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
@@ -179,14 +228,16 @@ impl<'a> SnapReader<'a> {
     pub fn expect_end(&self) -> Result<(), SnapError> {
         if self.remaining() != 0 {
             return Err(SnapError::Format(format!(
-                "{} trailing bytes after snapshot payload",
+                "{} trailing bytes after the payload",
                 self.remaining()
             )));
         }
         Ok(())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+    /// Reads the next `n` raw bytes (caller handles length framing).
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         let end = self
             .pos
             .checked_add(n)
@@ -199,10 +250,44 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
+    /// Reads and verifies a container header written by
+    /// [`SnapWriter::header`]: a wrong magic is `Format`, any other
+    /// version is `Version`.
+    pub fn header(&mut self, magic: &[u8; 4], version: u16) -> Result<(), SnapError> {
+        self.tag(magic)?;
+        match self.u16()? {
+            v if v == version => Ok(()),
+            v => Err(SnapError::Version(v)),
+        }
+    }
+
+    /// Reads a LEB128 varint written by [`SnapWriter::varint`]. More than
+    /// 64 bits of value (a tenth byte above 1, or an eleventh byte) is
+    /// `Format`.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, SnapError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                break;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(SnapError::Format(format!(
+            "varint overflows u64 at offset {}",
+            self.pos
+        )))
+    }
+
     /// Reads and verifies a 4-byte section tag.
     pub fn tag(&mut self, t: &[u8; 4]) -> Result<(), SnapError> {
         let at = self.pos;
-        let got = self.take(4)?;
+        let got = self.bytes(4)?;
         if got != t {
             return Err(SnapError::Format(format!(
                 "expected section {:?} at offset {at}, found {:?}",
@@ -214,11 +299,13 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a bool (strict: only 0 or 1).
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapError> {
         match self.u8()? {
             0 => Ok(false),
@@ -228,20 +315,23 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, SnapError> {
-        let b = self.take(2)?;
+        let b = self.bytes(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        let b = self.take(4)?;
+        let b = self.bytes(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        let b = self.take(8)?;
+        let b = self.bytes(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
@@ -442,7 +532,7 @@ impl Snap for String {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len_at_most(1 << 20, "String")?;
-        let bytes = r.take(n)?;
+        let bytes = r.bytes(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| SnapError::Format("string is not UTF-8".to_string()))
     }
@@ -485,9 +575,6 @@ pub fn load_vec_exact<T: Snap>(
     }
     Ok(out)
 }
-
-/// `Cycle` already encodes as `u64`; re-exported alias for hook clarity.
-pub type SnapCycle = Cycle;
 
 #[cfg(test)]
 mod tests {
@@ -591,6 +678,44 @@ mod tests {
         assert_eq!(v, vec![10, 20, 30]);
         let err = load_vec_exact::<u32>(&mut SnapReader::new(&bytes), 4, "field").unwrap_err();
         assert!(matches!(err, SnapError::Mismatch(_)));
+    }
+
+    #[test]
+    fn varint_round_trips_and_rejects_overflow() {
+        let values = [0, 1, 0x7f, 0x80, 300, u64::MAX - 1, u64::MAX];
+        let mut w = SnapWriter::new();
+        values.iter().for_each(|&v| w.varint(v));
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        for v in values {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        r.expect_end().unwrap();
+        // u64::MAX is nine 0xff bytes and a final 0x01: a larger tenth
+        // group, an eleventh byte or a cut-off varint is malformed.
+        let over = [&[0xff; 9][..], &[0x02]].concat();
+        for bad in [&over[..], &[0xff; 11], &[0x80]] {
+            let got = SnapReader::new(bad).varint();
+            assert!(matches!(got, Err(SnapError::Format(_))), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn header_and_seal_are_checked_and_typed() {
+        let mut w = SnapWriter::new();
+        w.header(b"ERXX", 3);
+        let sealed = seal(w.into_bytes());
+        let payload = unseal(&sealed).unwrap();
+        assert!(SnapReader::new(payload).header(b"ERXX", 3).is_ok());
+        let wrong_magic = SnapReader::new(payload).header(b"ERYY", 3);
+        assert!(matches!(wrong_magic, Err(SnapError::Format(_))));
+        let skew = SnapReader::new(payload).header(b"ERXX", 4);
+        assert_eq!(skew, Err(SnapError::Version(3)));
+        // Shorter than the 8-byte trailer is malformed; a flip is caught.
+        assert!(matches!(unseal(&sealed[..7]), Err(SnapError::Format(_))));
+        let mut flipped = sealed.clone();
+        flipped[2] ^= 1;
+        assert!(matches!(unseal(&flipped), Err(SnapError::Checksum { .. })));
     }
 
     #[test]

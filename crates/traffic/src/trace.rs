@@ -9,10 +9,11 @@
 //!
 //! Two interchange formats, both self-describing and checksummed:
 //!
-//! * **compact binary** (`.ertr`) — magic + version header, the
-//!   [`TraceMeta`] provenance block, LEB128 varint entries with
-//!   delta-encoded cycles, and a trailing FNV-1a checksum over everything
-//!   before it. This is the fixture/committed format.
+//! * **compact binary** (`.ertr`) — on the shared [`desim::snap`]
+//!   container: magic + version header, the [`TraceMeta`] provenance
+//!   block, LEB128 varint entries with delta-encoded cycles, and the
+//!   [`seal`] checksum over everything before it. This is the
+//!   fixture/committed format.
 //! * **JSONL** — one meta header object then one object per entry;
 //!   grep/jq-friendly, parsed back by a small strict reader. This is the
 //!   interchange format for external tools.
@@ -20,7 +21,7 @@
 //! Library code never panics on bad input: recording out of order and every
 //! decode failure surface as a typed [`TraceError`].
 
-use desim::snap::fnv1a;
+use desim::snap::{fnv1a, seal, unseal, SnapError, SnapReader, SnapWriter};
 use desim::Cycle;
 use std::path::Path;
 
@@ -52,20 +53,10 @@ pub enum TraceError {
         /// The last recorded cycle.
         last: Cycle,
     },
-    /// The byte stream is not a valid trace (bad magic, truncation,
-    /// malformed varint/JSON, trailing garbage).
-    Format(String),
-    /// The file declares a format version this build does not read.
-    Version(u16),
-    /// The stored checksum does not match the decoded content.
-    Checksum {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum computed over the decoded bytes.
-        computed: u64,
-    },
-    /// Filesystem I/O failed (message of the underlying error).
-    Io(String),
+    /// Either form failed to decode (bad magic, version skew, checksum,
+    /// truncation, malformed varint/JSON, an out-of-range field, trailing
+    /// garbage) or its file failed to read or write.
+    Decode(SnapError),
 }
 
 impl std::fmt::Display for TraceError {
@@ -74,21 +65,18 @@ impl std::fmt::Display for TraceError {
             TraceError::OutOfOrder { at, last } => {
                 write!(f, "trace must be time-ordered: cycle {at} after {last}")
             }
-            TraceError::Format(msg) => write!(f, "malformed trace: {msg}"),
-            TraceError::Version(v) => write!(
-                f,
-                "unsupported trace format version {v} (this build reads {TRACE_FORMAT_VERSION})"
-            ),
-            TraceError::Checksum { stored, computed } => write!(
-                f,
-                "trace checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
-            TraceError::Io(msg) => write!(f, "trace I/O failed: {msg}"),
+            TraceError::Decode(e) => write!(f, "bad trace: {e}"),
         }
     }
 }
 
 impl std::error::Error for TraceError {}
+
+impl From<SnapError> for TraceError {
+    fn from(e: SnapError) -> Self {
+        TraceError::Decode(e)
+    }
+}
 
 /// Provenance header carried by every persisted trace: enough to know what
 /// workload the entries are and which build recorded them.
@@ -302,64 +290,19 @@ pub struct InjectionTrace {
     pub entries: Vec<TraceEntry>,
 }
 
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+/// Reads a varint-length-prefixed UTF-8 meta string (at most 4 KiB).
+fn read_str(r: &mut SnapReader<'_>, what: &str) -> Result<String, SnapError> {
+    let len = r.varint()?;
+    if len > 4096 {
+        return Err(SnapError::Format(format!("{what} string too long ({len})")));
     }
+    String::from_utf8(r.bytes(len as usize)?.to_vec())
+        .map_err(|_| SnapError::Format(format!("{what} is not UTF-8")))
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Sequential byte reader with typed truncation errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| TraceError::Format(format!("truncated reading {what}")))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64, TraceError> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let byte = self.take(1, what)?[0];
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(TraceError::Format(format!("varint overflow in {what}")))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, TraceError> {
-        let len = self.varint(what)? as usize;
-        if len > 4096 {
-            return Err(TraceError::Format(format!(
-                "{what} string too long ({len})"
-            )));
-        }
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| TraceError::Format(format!("{what} is not UTF-8")))
-    }
+/// Narrows a decoded integer to its field's type.
+fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, SnapError> {
+    T::try_from(v).map_err(|_| SnapError::Format(format!("{what} {v} out of range")))
 }
 
 impl InjectionTrace {
@@ -379,123 +322,72 @@ impl InjectionTrace {
     }
 
     fn payload_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.entries.len() * 4);
-        out.extend_from_slice(&TRACE_MAGIC);
-        out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.meta.seed.to_le_bytes());
-        out.extend_from_slice(&self.meta.boards.to_le_bytes());
-        out.extend_from_slice(&self.meta.nodes_per_board.to_le_bytes());
-        out.extend_from_slice(&self.meta.load.to_bits().to_le_bytes());
-        push_str(&mut out, &self.meta.pattern);
-        push_str(&mut out, &self.meta.git_sha);
-        push_varint(&mut out, self.entries.len() as u64);
+        let mut w = SnapWriter::with_capacity(64 + self.entries.len() * 4);
+        w.header(&TRACE_MAGIC, TRACE_FORMAT_VERSION);
+        w.u64(self.meta.seed);
+        w.u16(self.meta.boards);
+        w.u16(self.meta.nodes_per_board);
+        w.f64(self.meta.load);
+        for s in [&self.meta.pattern, &self.meta.git_sha] {
+            w.varint(s.len() as u64);
+            w.bytes(s.as_bytes());
+        }
+        w.varint(self.entries.len() as u64);
         let mut last = 0u64;
         for e in &self.entries {
             // Cycles are non-decreasing, so the delta encoding never
             // underflows for a trace built through the recorder.
-            push_varint(&mut out, e.cycle.wrapping_sub(last));
-            push_varint(&mut out, e.src as u64);
-            push_varint(&mut out, e.dst as u64);
+            w.varint(e.cycle.wrapping_sub(last));
+            w.varint(e.src.into());
+            w.varint(e.dst.into());
             last = e.cycle;
         }
-        out
+        w.into_bytes()
     }
 
     /// Serializes to the compact binary format (payload + FNV-1a trailer).
     pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = self.payload_bytes();
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        seal(self.payload_bytes())
     }
 
-    /// Decodes the compact binary format, verifying magic, version and
-    /// checksum, and that entries are time-ordered.
+    /// Decodes the compact binary format, verifying checksum, magic and
+    /// version, and that entries are time-ordered.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < TRACE_MAGIC.len() + 2 + 8 {
-            return Err(TraceError::Format("file shorter than header".to_string()));
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(
-            trailer
-                .try_into()
-                .map_err(|_| TraceError::Format("bad checksum trailer".to_string()))?,
-        );
-        let computed = fnv1a(payload);
-        if stored != computed {
-            return Err(TraceError::Checksum { stored, computed });
-        }
-        let mut r = Reader {
-            bytes: payload,
-            pos: 0,
+        let mut r = SnapReader::new(unseal(bytes)?);
+        r.header(&TRACE_MAGIC, TRACE_FORMAT_VERSION)?;
+        let meta = TraceMeta {
+            seed: r.u64()?,
+            boards: r.u16()?,
+            nodes_per_board: r.u16()?,
+            load: r.f64()?,
+            pattern: read_str(&mut r, "pattern")?,
+            git_sha: read_str(&mut r, "git_sha")?,
         };
-        if r.take(4, "magic")? != TRACE_MAGIC {
-            return Err(TraceError::Format(
-                "bad magic (not an ERTR file)".to_string(),
-            ));
+        // An entry is at least three one-byte varints: bound the count by
+        // the bytes left before allocating for it.
+        let count = r.varint()?;
+        if count > (r.remaining() / 3) as u64 {
+            return Err(SnapError::Format(format!(
+                "entry count {count} exceeds the {} bytes left",
+                r.remaining()
+            ))
+            .into());
         }
-        let version = u16::from_le_bytes(
-            r.take(2, "version")?
-                .try_into()
-                .map_err(|_| TraceError::Format("bad version field".to_string()))?,
-        );
-        if version != TRACE_FORMAT_VERSION {
-            return Err(TraceError::Version(version));
-        }
-        let seed = u64::from_le_bytes(
-            r.take(8, "seed")?
-                .try_into()
-                .map_err(|_| TraceError::Format("bad seed field".to_string()))?,
-        );
-        let fixed = |b: &[u8], what: &str| -> Result<u16, TraceError> {
-            Ok(u16::from_le_bytes(b.try_into().map_err(|_| {
-                TraceError::Format(format!("bad {what} field"))
-            })?))
+        let mut rec = TraceRecorder {
+            entries: Vec::with_capacity(count as usize),
         };
-        let boards = fixed(r.take(2, "boards")?, "boards")?;
-        let nodes_per_board = fixed(r.take(2, "nodes_per_board")?, "nodes_per_board")?;
-        let load = f64::from_bits(u64::from_le_bytes(
-            r.take(8, "load")?
-                .try_into()
-                .map_err(|_| TraceError::Format("bad load field".to_string()))?,
-        ));
-        let pattern = r.string("pattern")?;
-        let git_sha = r.string("git_sha")?;
-        let count = r.varint("entry count")? as usize;
-        if count > 1 << 28 {
-            return Err(TraceError::Format(format!(
-                "implausible entry count {count}"
-            )));
-        }
-        let mut rec = TraceRecorder::new();
         let mut last = 0u64;
-        for i in 0..count {
-            let cycle = last.wrapping_add(r.varint("cycle delta")?);
-            let src = r.varint("src")?;
-            let dst = r.varint("dst")?;
-            if src > u32::MAX as u64 || dst > u32::MAX as u64 {
-                return Err(TraceError::Format(format!("entry {i}: node id overflow")));
-            }
-            rec.record(cycle, src as u32, dst as u32)?;
+        for _ in 0..count {
+            let cycle = last.wrapping_add(r.varint()?);
+            rec.record(
+                cycle,
+                narrow(r.varint()?, "src")?,
+                narrow(r.varint()?, "dst")?,
+            )?;
             last = cycle;
         }
-        if r.pos != payload.len() {
-            return Err(TraceError::Format(format!(
-                "{} trailing bytes after entries",
-                payload.len() - r.pos
-            )));
-        }
-        Ok(Self {
-            meta: TraceMeta {
-                seed,
-                boards,
-                nodes_per_board,
-                pattern,
-                load,
-                git_sha,
-            },
-            entries: rec.entries,
-        })
+        r.expect_end()?;
+        Ok(rec.into_trace(meta))
     }
 
     /// Serializes to JSONL interchange: a meta header line, then one object
@@ -532,76 +424,74 @@ impl InjectionTrace {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines
             .next()
-            .ok_or_else(|| TraceError::Format("empty JSONL document".to_string()))?;
-        let version = json_u64(header, "erapid_trace")?;
-        if version != TRACE_FORMAT_VERSION as u64 {
-            return Err(TraceError::Version(version as u16));
+            .ok_or_else(|| SnapError::Format("empty JSONL document".to_string()))?;
+        let version = json_int(header, "erapid_trace")?;
+        if version != TRACE_FORMAT_VERSION {
+            return Err(SnapError::Version(version).into());
         }
         let meta = TraceMeta {
-            seed: json_u64(header, "seed")?,
-            boards: json_u64(header, "boards")? as u16,
-            nodes_per_board: json_u64(header, "nodes_per_board")? as u16,
+            seed: json_int(header, "seed")?,
+            boards: json_int(header, "boards")?,
+            nodes_per_board: json_int(header, "nodes_per_board")?,
             load: json_f64(header, "load")?,
             pattern: json_str(header, "pattern")?,
             git_sha: json_str(header, "git_sha")?,
         };
-        let declared = json_u64(header, "entries")? as usize;
+        let declared: usize = json_int(header, "entries")?;
         let stored = u64::from_str_radix(&json_str(header, "checksum")?, 16)
-            .map_err(|_| TraceError::Format("checksum is not hex".to_string()))?;
+            .map_err(|_| SnapError::Format("checksum is not hex".to_string()))?;
         let mut rec = TraceRecorder::new();
         for line in lines {
             rec.record(
-                json_u64(line, "cycle")?,
-                json_u64(line, "src")? as u32,
-                json_u64(line, "dst")? as u32,
+                json_int(line, "cycle")?,
+                json_int(line, "src")?,
+                json_int(line, "dst")?,
             )?;
         }
         if rec.len() != declared {
-            return Err(TraceError::Format(format!(
+            return Err(SnapError::Format(format!(
                 "header declares {declared} entries, found {}",
                 rec.len()
-            )));
+            ))
+            .into());
         }
-        let trace = Self {
-            meta,
-            entries: rec.entries,
-        };
+        let trace = rec.into_trace(meta);
         let computed = trace.checksum();
         if stored != computed {
-            return Err(TraceError::Checksum { stored, computed });
+            return Err(SnapError::Checksum { stored, computed }.into());
         }
         Ok(trace)
     }
 
     /// Writes the compact binary form to `path`.
     pub fn save(&self, path: &Path) -> Result<(), TraceError> {
-        std::fs::write(path, self.to_binary()).map_err(|e| TraceError::Io(e.to_string()))
+        std::fs::write(path, self.to_binary()).map_err(|e| SnapError::Io(e.to_string()).into())
     }
 
     /// Loads the compact binary form from `path`.
     pub fn load(path: &Path) -> Result<Self, TraceError> {
-        let bytes = std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?;
+        let bytes = std::fs::read(path).map_err(|e| SnapError::Io(e.to_string()))?;
         Self::from_binary(&bytes)
     }
 
     /// Writes the JSONL interchange form to `path`.
     pub fn save_jsonl(&self, path: &Path) -> Result<(), TraceError> {
-        std::fs::write(path, self.to_jsonl()).map_err(|e| TraceError::Io(e.to_string()))
+        std::fs::write(path, self.to_jsonl()).map_err(|e| SnapError::Io(e.to_string()).into())
     }
 
     /// Loads the JSONL interchange form from `path`.
     pub fn load_jsonl(path: &Path) -> Result<Self, TraceError> {
-        let text = std::fs::read_to_string(path).map_err(|e| TraceError::Io(e.to_string()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| SnapError::Io(e.to_string()))?;
         Self::from_jsonl(&text)
     }
 }
 
 /// Extracts the raw token after `"key":` in a single-line JSON object.
-fn json_raw<'a>(line: &'a str, key: &str) -> Result<&'a str, TraceError> {
+fn json_raw<'a>(line: &'a str, key: &str) -> Result<&'a str, SnapError> {
     let needle = format!("\"{key}\":");
     let start = line
         .find(&needle)
-        .ok_or_else(|| TraceError::Format(format!("missing key {key}")))?
+        .ok_or_else(|| SnapError::Format(format!("missing key {key}")))?
         + needle.len();
     let rest = &line[start..];
     let end = if rest.starts_with('"') {
@@ -611,7 +501,7 @@ fn json_raw<'a>(line: &'a str, key: &str) -> Result<&'a str, TraceError> {
         loop {
             match bytes.get(i) {
                 None => {
-                    return Err(TraceError::Format(format!("unterminated string for {key}")));
+                    return Err(SnapError::Format(format!("unterminated string for {key}")));
                 }
                 Some(b'\\') => i += 2,
                 Some(b'"') => break i + 1,
@@ -620,29 +510,31 @@ fn json_raw<'a>(line: &'a str, key: &str) -> Result<&'a str, TraceError> {
         }
     } else {
         rest.find([',', '}'])
-            .ok_or_else(|| TraceError::Format(format!("unterminated value for {key}")))?
+            .ok_or_else(|| SnapError::Format(format!("unterminated value for {key}")))?
     };
     Ok(&rest[..end])
 }
 
-fn json_u64(line: &str, key: &str) -> Result<u64, TraceError> {
-    json_raw(line, key)?
+/// An unsigned integer value, checked to fit its field's type.
+fn json_int<T: TryFrom<u64>>(line: &str, key: &str) -> Result<T, SnapError> {
+    let v: u64 = json_raw(line, key)?
         .parse()
-        .map_err(|_| TraceError::Format(format!("{key} is not an integer")))
+        .map_err(|_| SnapError::Format(format!("{key} is not an integer")))?;
+    narrow(v, key)
 }
 
-fn json_f64(line: &str, key: &str) -> Result<f64, TraceError> {
+fn json_f64(line: &str, key: &str) -> Result<f64, SnapError> {
     json_raw(line, key)?
         .parse()
-        .map_err(|_| TraceError::Format(format!("{key} is not a number")))
+        .map_err(|_| SnapError::Format(format!("{key} is not a number")))
 }
 
-fn json_str(line: &str, key: &str) -> Result<String, TraceError> {
+fn json_str(line: &str, key: &str) -> Result<String, SnapError> {
     let raw = json_raw(line, key)?;
     let inner = raw
         .strip_prefix('"')
         .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| TraceError::Format(format!("{key} is not a string")))?;
+        .ok_or_else(|| SnapError::Format(format!("{key} is not a string")))?;
     json_unescape(inner)
 }
 
@@ -667,7 +559,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Reverses [`json_escape`] (plus the standard JSON escapes).
-fn json_unescape(s: &str) -> Result<String, TraceError> {
+fn json_unescape(s: &str) -> Result<String, SnapError> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -685,14 +577,14 @@ fn json_unescape(s: &str) -> Result<String, TraceError> {
             Some('u') => {
                 let hex: String = chars.by_ref().take(4).collect();
                 let code = u32::from_str_radix(&hex, 16)
-                    .map_err(|_| TraceError::Format(format!("bad \\u escape \\u{hex}")))?;
+                    .map_err(|_| SnapError::Format(format!("bad \\u escape \\u{hex}")))?;
                 out.push(
                     char::from_u32(code)
-                        .ok_or_else(|| TraceError::Format(format!("bad code point {code:#x}")))?,
+                        .ok_or_else(|| SnapError::Format(format!("bad code point {code:#x}")))?,
                 );
             }
             other => {
-                return Err(TraceError::Format(format!("bad escape \\{other:?}")));
+                return Err(SnapError::Format(format!("bad escape \\{other:?}")));
             }
         }
     }
@@ -834,7 +726,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         assert!(matches!(
             InjectionTrace::from_binary(&bytes),
-            Err(TraceError::Checksum { .. })
+            Err(TraceError::Decode(SnapError::Checksum { .. }))
         ));
         // Truncation is a format error (trailer checksum can't match or
         // header is short).
@@ -847,14 +739,11 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let t = sample();
-        let mut bytes = t.payload_bytes();
+        let mut bytes = sample().payload_bytes();
         bytes[4] = 99; // version field, LE low byte
-        let sum = fnv1a(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            InjectionTrace::from_binary(&bytes),
-            Err(TraceError::Version(99))
+            InjectionTrace::from_binary(&seal(bytes)),
+            Err(TraceError::Decode(SnapError::Version(99)))
         );
     }
 
@@ -865,8 +754,46 @@ mod tests {
         let tampered = text.replacen("\"src\":1", "\"src\":9", 1);
         assert!(matches!(
             InjectionTrace::from_jsonl(&tampered),
-            Err(TraceError::Checksum { .. })
+            Err(TraceError::Decode(SnapError::Checksum { .. }))
         ));
+    }
+
+    /// Widens the sample JSONL's first `"key":from` by `2^bits`. A
+    /// truncating cast reads it back as `from`, so the checksum still
+    /// holds and only a range check can refuse it.
+    fn assert_widened_refused(key: &str, from: u64, bits: u32) {
+        let (old, wide) = (format!("\"{key}\":{from}"), from + (1u64 << bits));
+        let text = sample()
+            .to_jsonl()
+            .replacen(&old, &format!("\"{key}\":{wide}"), 1);
+        let got = InjectionTrace::from_jsonl(&text);
+        let refused = matches!(&got, Err(TraceError::Decode(SnapError::Format(m))) if m.contains("out of range"));
+        assert!(refused, "{key}: {got:?}");
+    }
+
+    #[test]
+    fn jsonl_src_beyond_u32_is_rejected() {
+        assert_widened_refused("src", 1, 32);
+    }
+
+    #[test]
+    fn jsonl_dst_beyond_u32_is_rejected() {
+        assert_widened_refused("dst", 2, 32);
+    }
+
+    #[test]
+    fn jsonl_boards_beyond_u16_is_rejected() {
+        assert_widened_refused("boards", 4, 16);
+    }
+
+    #[test]
+    fn jsonl_nodes_per_board_beyond_u16_is_rejected() {
+        assert_widened_refused("nodes_per_board", 4, 16);
+    }
+
+    #[test]
+    fn jsonl_version_beyond_u16_is_rejected() {
+        assert_widened_refused("erapid_trace", 1, 16);
     }
 
     #[test]
@@ -887,7 +814,7 @@ mod tests {
     fn missing_file_is_io_error() {
         assert!(matches!(
             InjectionTrace::load(Path::new("/nonexistent/erapid.ertr")),
-            Err(TraceError::Io(_))
+            Err(TraceError::Decode(SnapError::Io(_)))
         ));
     }
 }

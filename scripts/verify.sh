@@ -26,6 +26,16 @@ if grep -rnE "POINT_THREAD[S]|point_threads_from_en[v]|SrsLan[e]|LaneEffect[s]|B
     echo "verify: a retired board-worker name is back"; exit 1
 fi
 
+echo "== one binary container (magic/version header, FNV seal and varint live in desim::snap) =="
+# (each name holds a bracket class so the gate does not match itself)
+if grep -rn "from_le_byte[s]" crates | grep -v "^crates/desim/src/snap\.rs:"; then
+    echo "verify: little-endian decoding outside desim::snap"; exit 1
+fi
+if grep -rnE "TraceError::(Forma[t]|Versio[n]|Checksu[m]|I[o])\b|encode_deliver[y]|fn varin[t]" \
+    crates tests examples src scripts README.md DESIGN.md .claude | grep -v "^crates/desim/src/snap\.rs:"; then
+    echo "verify: a retired container name is back"; exit 1
+fi
+
 # One temp root for every smoke below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -42,7 +52,7 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
-echo "== arbiter + candidate-set equivalence smokes, SRS auditor (word-parallel vs slice oracles, sleeping vs full-scan rigs, per-cycle SRS invariants under fault plans; release) =="
+echo "== arbiter + candidate-set equivalence smokes, hostile-input sweep, SRS auditor (word-parallel vs slice oracles, sleeping vs full-scan rigs, mutated .ersp/.ertr/.erpd/dumpi/OTF2 inputs, per-cycle SRS invariants under fault plans; release) =="
 # The router's u64 word-scan arbiters (DESIGN.md §16) must stay
 # position-identical to the retained slice-based oracle implementations;
 # the property suite drives both through randomized grant histories.
@@ -51,6 +61,10 @@ cargo test -q --release -p router --test arbiter_props
 # and SA bidding set (DESIGN.md §16) against a rig that ticks every
 # injector every cycle, plus live words == `rebuild_derived` per cycle.
 cargo test -q --release -p router --test router_props
+# The hostile-input sweep: every mutated `.ersp` / `.ertr` / `.erpd` /
+# dumpi / OTF2 input decodes to `Ok` or a typed error — never a panic, an
+# unbounded allocation or a hang.
+cargo test -q --release -p erapid-suite --test hostile_inputs
 # The SRS auditor: `Srs::check_invariants` on every cycle of random fault
 # plans (one lit laser per receiver, a lit non-owner only while a grant or
 # failure accounts for it, owned lists == owners, clean power cache ==

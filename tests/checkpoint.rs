@@ -498,9 +498,8 @@ fn version_and_config_mismatch_rejected() {
     // Future version: patch the version field and re-seal the checksum so
     // only the version check can object.
     let reseal = |b: &mut Vec<u8>| {
-        let body_len = b.len() - 8;
-        let sum = erapid_suite::desim::snap::fnv1a(&b[..body_len]);
-        b[body_len..].copy_from_slice(&sum.to_le_bytes());
+        b.truncate(b.len() - 8);
+        *b = erapid_suite::desim::snap::seal(std::mem::take(b));
     };
     let mut future = bytes.clone();
     future[4] = 0xFF;
@@ -570,4 +569,22 @@ fn restore_into_wrong_geometry_is_refused() {
         full_plan(),
     );
     assert!(checkpoint::restore_system(&mut wrong, &bytes).is_err());
+}
+
+/// A huge `ERAPID_CHECKPOINT_EVERY` saturates to a cadence that never
+/// fires, instead of overflowing windows × cycles.
+#[test]
+fn huge_cadence_saturates_to_never() {
+    let dir = tdir("huge-cadence");
+    let mut ck = Checkpointer::new(&dir, u64::MAX, WINDOW).expect("checkpointer");
+    let mut sys = build(NetworkMode::NpNb, full_plan());
+    while sys.now() < WINDOW {
+        sys.step();
+    }
+    assert!(!ck.due(&sys));
+    assert!(!ck
+        .maybe_checkpoint(&sys, StreamCursor::start())
+        .expect("nothing to write"));
+    assert_eq!(ck.written_count(), 0);
+    let _ = std::fs::remove_dir_all(dir);
 }

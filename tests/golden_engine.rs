@@ -21,6 +21,7 @@
 //! ```
 
 use erapid_suite::desim::phase::PhasePlan;
+use erapid_suite::desim::snap::{fnv1a_update, FNV_OFFSET};
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
 use erapid_suite::erapid_core::system::System;
@@ -58,27 +59,20 @@ struct Fingerprint {
     lc_hash: u64,
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// FNV-1a over every (d, w) slot: ownership, power state and DPM level of
 /// each channel, in the deterministic scan order.
 fn lc_hash(sys: &System) -> u64 {
     let boards = sys.config().boards;
     let wavelengths = sys.config().wavelengths();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for d in 0..boards {
         for w in 0..wavelengths {
             match sys.srs().owner(d, w) {
                 Some(s) => {
                     let c = sys.srs().channel(s, d, w);
-                    fnv(&mut h, &[1, s as u8, u8::from(c.is_on()), c.level().0]);
+                    h = fnv1a_update(h, &[1, s as u8, u8::from(c.is_on()), c.level().0]);
                 }
-                None => fnv(&mut h, &[0]),
+                None => h = fnv1a_update(h, &[0]),
             }
         }
     }
@@ -360,10 +354,10 @@ fn traced_fingerprint() -> (Fingerprint, u64, u64) {
     sys.run();
     let records = sys.take_trace_records();
     assert_eq!(sys.trace_dropped(), 0, "trace ring overflowed; widen it");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for r in &records {
-        fnv(&mut h, &r.at.to_le_bytes());
-        fnv(&mut h, r.event.tag().as_bytes());
+        h = fnv1a_update(h, &r.at.to_le_bytes());
+        h = fnv1a_update(h, r.event.tag().as_bytes());
     }
     let count = records.len() as u64;
     let fp = fingerprint_of(&sys);

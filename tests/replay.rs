@@ -285,6 +285,37 @@ fn fixture_replay_parallel_matches_sequential() {
     }
 }
 
+/// The writer reproduces every committed fixture byte for byte, and the
+/// JSONL twin's header carries the checksum the binary file was sealed
+/// with.
+#[test]
+fn fixtures_re_encode_byte_identically() {
+    for name in [
+        "uniform_b4d4.ertr",
+        "complement_b4d4.ertr",
+        "collective_b4d4.ertr",
+    ] {
+        let path = fixture_path(name);
+        let on_disk = std::fs::read(&path).expect("fixture reads");
+        let trace = InjectionTrace::load(&path).expect("fixture loads");
+        assert_eq!(trace.to_binary(), on_disk, "{name}: writer bytes drifted");
+        let sealed_with = on_disk[on_disk.len() - 8..]
+            .try_into()
+            .map(u64::from_le_bytes)
+            .expect("8-byte trailer");
+        let jsonl = trace.to_jsonl();
+        let header = jsonl.lines().next().expect("JSONL header");
+        assert!(
+            header.contains(&format!("\"checksum\":\"{sealed_with:016x}\"")),
+            "{name}: JSONL header checksum drifted: {header}"
+        );
+        assert_eq!(
+            InjectionTrace::from_jsonl(&jsonl).expect("twin loads"),
+            trace
+        );
+    }
+}
+
 /// The provenance header a recording attaches matches its configuration.
 #[test]
 fn trace_meta_reflects_config() {
