@@ -1,6 +1,6 @@
 //! What each [`crate::index::Experiment`] runs and prints. Every
 //! simulation point comes from [`BenchConfig::point`]; every per-result
-//! row from [`crate::result_row`].
+//! row from `result_row`.
 
 use crate::index::{p64_label, Network, Point, Results};
 use crate::{print_charts, print_panel, result_table, BenchConfig, Panel};
@@ -143,7 +143,7 @@ pub fn arch(_: &BenchConfig, _: &Results) {
         "transmitter",
         "λ",
         per_board("port→coupler "),
-        &|w, d| match bank.transmitter(Wavelength(w)).is_on(BoardId(d)) {
+        &|w, d| match bank.is_on(Wavelength(w), BoardId(d)) {
             true => "ON".to_string(),
             false => "·".to_string(),
         },
@@ -303,22 +303,22 @@ pub fn headline(_: &BenchConfig, results: &Results) {
 
 // ---- Row-per-result tables (ablation, breakdown, scaling) ----------------
 
-/// A titled table with one [`crate::result_row`] per point; `keys` head
+/// A titled table with one `result_row` per point; `keys` head
 /// the cells that name each row.
-pub struct RowTable {
+pub(crate) struct RowTable {
     title: String,
     keys: Vec<&'static str>,
     rows: Vec<(Vec<String>, Point)>,
 }
 
-pub fn row_points(tables: Vec<RowTable>) -> Vec<Point> {
+pub(crate) fn row_points(tables: Vec<RowTable>) -> Vec<Point> {
     tables
         .into_iter()
         .flat_map(|t| t.rows.into_iter().map(|(_, point)| point))
         .collect()
 }
 
-pub fn row_tables(tables: &[RowTable], results: &Results) {
+pub(crate) fn row_tables(tables: &[RowTable], results: &Results) {
     for t in tables {
         let rows = t
             .rows
@@ -358,7 +358,7 @@ fn edited(mode: NetworkMode, edit: impl FnOnce(&mut SystemConfig)) -> SystemConf
     cfg
 }
 
-pub fn ablation_tables(bench: &BenchConfig) -> Vec<RowTable> {
+pub(crate) fn ablation_tables(bench: &BenchConfig) -> Vec<RowTable> {
     let windows = |burst: Option<BurstSpec>| {
         [500u64, 1000, 2000, 4000, 8000]
             .map(|window| {
@@ -493,7 +493,7 @@ pub fn ablation_tables(bench: &BenchConfig) -> Vec<RowTable> {
     ]
 }
 
-pub fn breakdown_tables(bench: &BenchConfig) -> Vec<RowTable> {
+pub(crate) fn breakdown_tables(bench: &BenchConfig) -> Vec<RowTable> {
     [("uniform", [NpNb, PB]), ("complement", [NpNb, NpB])]
         .map(|(pat, modes)| RowTable {
             title: format!("{pat}: where the cycles go on the way to the destination"),
@@ -519,7 +519,7 @@ pub fn scaling_label(boards: u16, pat: &str, mode: NetworkMode) -> String {
     format!("scaling/B{boards}/{pat}/{}", mode.name())
 }
 
-pub fn scaling_table(bench: &BenchConfig) -> RowTable {
+pub(crate) fn scaling_table(bench: &BenchConfig) -> RowTable {
     let mut rows = Vec::new();
     for boards in SCALING_BOARDS {
         for pat in ["complement", "uniform"] {

@@ -219,7 +219,7 @@ impl BenchConfig {
 }
 
 /// Column headers of [`result_row`].
-pub const RESULT_COLUMNS: [&str; 10] = [
+const RESULT_COLUMNS: [&str; 10] = [
     "thr (pkt/n/c)",
     "thr/Nc",
     "lat (cyc)",
@@ -233,7 +233,7 @@ pub const RESULT_COLUMNS: [&str; 10] = [
 ];
 
 /// The one way a [`RunResult`] becomes table cells.
-pub fn result_row(r: &RunResult) -> Vec<String> {
+fn result_row(r: &RunResult) -> Vec<String> {
     vec![
         format!("{:.4}", r.throughput),
         format!("{:.3}", r.throughput_norm),
@@ -248,7 +248,7 @@ pub fn result_row(r: &RunResult) -> Vec<String> {
     ]
 }
 
-/// A table with one [`result_row`] per result, each behind the cells that
+/// A table with one `result_row` per result, each behind the cells that
 /// name it (`keys` are their headers).
 pub fn result_table(
     title: &str,

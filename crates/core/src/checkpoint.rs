@@ -11,7 +11,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 4 | `ERSP` |
-//! | version | 2 | [`SNAP_VERSION`] |
+//! | version | 2 | `SNAP_VERSION` |
 //! | fingerprint | 8 | FNV-1a-64 of `format!("{cfg:?}")` |
 //! | cursor | 32 | [`StreamCursor`] (trace/delivery positions) |
 //! | body | … | [`System::save_state`] byte stream |
@@ -46,13 +46,13 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
-pub const SNAP_MAGIC: [u8; 4] = *b"ERSP";
+const SNAP_MAGIC: [u8; 4] = *b"ERSP";
 /// Snapshot format version this build reads and writes. Version 2 stores
 /// the SRS as its O(B·W) receiver slots; version 1's dense per-laser bank
 /// is refused, not converted.
-pub const SNAP_VERSION: u16 = 2;
+const SNAP_VERSION: u16 = 2;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
-pub const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
+const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 
 /// FNV-1a-64 over the config's `Debug` rendering — cheap structural
 /// identity that refuses to overlay a snapshot onto a differently-shaped
@@ -130,7 +130,7 @@ impl Checkpointer {
         })
     }
 
-    /// Cadence from [`CHECKPOINT_EVERY_ENV`] in windows: unset defaults to
+    /// Cadence from `ERAPID_CHECKPOINT_EVERY` in windows: unset defaults to
     /// `default_windows`, `0` (or unparsable) disables (returns `None`).
     pub fn from_env(
         dir: impl Into<PathBuf>,

@@ -102,9 +102,8 @@ pub struct BurstSpec {
 /// Full system configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Clusters (the paper's evaluation uses C = 1).
-    pub clusters: u16,
-    /// Boards per cluster (B).
+    /// Boards (B). The system is one cluster, `R(1, B, D)`: the paper
+    /// evaluates C = 1 and leaves multi-cluster systems to future work.
     pub boards: u16,
     /// Nodes per board (D).
     pub nodes_per_board: u16,
@@ -180,7 +179,6 @@ impl SystemConfig {
     /// timing model.
     pub fn geometry(mode: NetworkMode, boards: u16, nodes_per_board: u16) -> Self {
         Self {
-            clusters: 1,
             boards,
             nodes_per_board,
             packet_flits: 8,
@@ -270,9 +268,6 @@ impl SystemConfig {
     /// exists, via [`FaultPlan::validate`]).
     pub fn try_validate(&self) -> Result<(), ErapidError> {
         let fail = |msg: &str| Err(ErapidError::Config(msg.into()));
-        if self.clusters != 1 {
-            return fail("multi-cluster systems are future work");
-        }
         if self.boards < 2 {
             return fail("need at least two boards");
         }

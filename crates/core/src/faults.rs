@@ -111,12 +111,6 @@ impl FaultPlan {
             .at(up_at, FaultKind::ReceiverRepair { board, wavelength })
     }
 
-    /// Convenience: a transmitter outage window toward one destination.
-    pub fn transmitter_outage(self, board: u16, dest: u16, down_at: Cycle, up_at: Cycle) -> Self {
-        self.at(down_at, FaultKind::TransmitterDown { board, dest })
-            .at(up_at, FaultKind::TransmitterRepair { board, dest })
-    }
-
     /// Seed-reproducible CDR relock storm: `count` relock events on random
     /// live channels, at random cycles in `[start, end)`. The storm is a
     /// pure function of `(seed, boards, start, end, count, penalty)` — the
@@ -262,10 +256,8 @@ mod tests {
 
     #[test]
     fn outage_builders_pair_down_and_up() {
-        let plan = FaultPlan::new()
-            .receiver_outage(3, 1, 100, 200)
-            .transmitter_outage(0, 2, 150, 250);
-        assert_eq!(plan.len(), 4);
+        let plan = FaultPlan::new().receiver_outage(3, 1, 100, 200);
+        assert_eq!(plan.len(), 2);
         assert!(plan.validate(4).is_ok());
     }
 

@@ -185,7 +185,7 @@ impl RunPoint {
     /// heterogeneous grid well enough to keep workers busy. The per-point
     /// wall times of [`run_points_timed_sharded`] are the check on this
     /// estimate.
-    pub fn estimated_cost(&self) -> u128 {
+    fn estimated_cost(&self) -> u128 {
         self.plan.max_cycles as u128 * (self.cfg.boards as u128).pow(2)
     }
 
@@ -222,7 +222,7 @@ pub fn run_points(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<RunOutput
 }
 
 /// As [`run_points`], keeping only each point's [`RunResult`] and its
-/// wall time — the feedback loop on [`RunPoint::estimated_cost`]
+/// wall time — the feedback loop on `RunPoint::estimated_cost`
 /// (`benchmark/` reads it as `core.runner.dispatch_idle_frac`). The
 /// second count is accepted and ignored (the per-board worker path it
 /// sized is gone); the next `benchmark`-archetype PR, which moves the

@@ -26,7 +26,7 @@ use reconfig::msg::WavelengthGrant;
 
 /// A packet arriving at a destination board's receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Arrival {
+pub(crate) struct Arrival {
     /// Destination board.
     pub dst_board: u16,
     /// Wavelength it arrived on.
@@ -417,12 +417,6 @@ impl Srs {
         self.slots[self.slot(d, w)].owner
     }
 
-    /// Wavelengths board `s` currently owns toward destination `d`
-    /// (ascending — the maintained per-source view of the owners).
-    pub fn owned_wavelengths(&self, s: u16, d: u16) -> Vec<u16> {
-        self.owned[self.flow(s, d)].clone()
-    }
-
     /// Lifetime `(grants, retunes)` applied.
     pub fn reconfig_counts(&self) -> (u64, u64) {
         (self.grants_applied, self.retunes_applied)
@@ -434,7 +428,7 @@ impl Srs {
     }
 
     /// True when the receiver for wavelength `w` at board `d` has failed.
-    pub fn is_failed(&self, d: u16, w: u16) -> bool {
+    fn is_failed(&self, d: u16, w: u16) -> bool {
         self.failed.contains(&(d, w))
     }
 
@@ -532,7 +526,7 @@ impl Srs {
     }
 
     /// True when board `s`'s transmitters toward `d` have failed.
-    pub fn is_tx_failed(&self, s: u16, d: u16) -> bool {
+    fn is_tx_failed(&self, s: u16, d: u16) -> bool {
         self.failed_tx.contains(&(s, d))
     }
 
@@ -635,7 +629,7 @@ impl Srs {
     }
 
     /// True when the LC of channel `(s → d, w)` is stuck.
-    pub fn is_lc_stuck(&self, s: u16, d: u16, w: u16) -> bool {
+    fn is_lc_stuck(&self, s: u16, d: u16, w: u16) -> bool {
         self.stuck_lc.binary_search(&(s, d, w)).is_ok()
     }
 
@@ -722,7 +716,7 @@ impl Srs {
 
     /// Pops the next packet that has fully arrived by `now`, if any — the
     /// allocation-free form the cycle loop drains arrivals with.
-    pub fn pop_arrival_due(&mut self, now: Cycle) -> Option<Arrival> {
+    pub(crate) fn pop_arrival_due(&mut self, now: Cycle) -> Option<Arrival> {
         match self.arrivals.peek_time() {
             Some(t) if t <= now => self.arrivals.pop().map(|(_, a)| a),
             _ => None,
@@ -730,8 +724,9 @@ impl Srs {
     }
 
     /// All packets that have fully arrived by `now` (allocating wrapper
-    /// over [`Srs::pop_arrival_due`], for tests and inspection).
-    pub fn arrivals_due(&mut self, now: Cycle) -> Vec<Arrival> {
+    /// over [`Srs::pop_arrival_due`]).
+    #[cfg(test)]
+    fn arrivals_due(&mut self, now: Cycle) -> Vec<Arrival> {
         let mut out = Vec::new();
         while let Some(arr) = self.pop_arrival_due(now) {
             out.push(arr);
@@ -1325,7 +1320,7 @@ mod tests {
         assert_eq!(s.owner(0, 0), None);
         // (B-1) lasers per board on: 4 boards × 3 = 12.
         assert_eq!(s.lasers_on(), 12);
-        assert_eq!(s.owned_wavelengths(1, 0), vec![1]);
+        assert_eq!(s.owned[s.flow(1, 0)], [1]);
         assert_eq!(s.boards(), 4);
         assert_eq!(s.wavelengths(), 4);
     }
@@ -1376,7 +1371,7 @@ mod tests {
         // Now both of board 1's channels are usable.
         assert!(s.try_transmit(80, 1, 0, pkt(1)).is_some());
         assert!(s.try_transmit(80, 1, 0, pkt(2)).is_some());
-        assert_eq!(s.owned_wavelengths(1, 0), vec![1, 2]);
+        assert_eq!(s.owned[s.flow(1, 0)], [1, 2]);
         assert_eq!(s.reconfig_counts().0, 1);
     }
 

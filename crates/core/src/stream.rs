@@ -33,9 +33,9 @@ use std::io::{self, BufWriter, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a streamed delivery log.
-pub const DELIV_MAGIC: [u8; 4] = *b"ERPD";
+const DELIV_MAGIC: [u8; 4] = *b"ERPD";
 /// Delivery-log format version.
-pub const DELIV_VERSION: u16 = 1;
+const DELIV_VERSION: u16 = 1;
 /// Trailer tag ending a finalized delivery log.
 pub const DELIV_TRAILER: [u8; 4] = *b"END.";
 /// Header length: magic + version.

@@ -1025,12 +1025,6 @@ impl System {
         (self.ls_retries, self.ls_aborted)
     }
 
-    /// True when this system records a trace (i.e. [`SystemConfig::trace`]
-    /// enabled it).
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// Drains the recorded trace, oldest event first. Empty when tracing is
     /// off (the default).
     pub fn take_trace_records(&mut self) -> Vec<TraceRecord> {
@@ -1063,15 +1057,6 @@ impl System {
     pub fn metric_gauge_names(&self) -> Vec<String> {
         match &self.registry {
             Some((reg, _)) => reg.gauge_names().iter().map(|s| s.to_string()).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Histogram names registered by a traced run (empty when tracing is
-    /// off), in registration order.
-    pub fn metric_hist_names(&self) -> Vec<String> {
-        match &self.registry {
-            Some((reg, _)) => reg.hist_names().iter().map(|s| s.to_string()).collect(),
             None => Vec::new(),
         }
     }
@@ -1551,7 +1536,7 @@ mod tests {
         cfg.trace = erapid_telemetry::TraceConfig::on();
         let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, plan());
         sys.run();
-        assert!(sys.trace_enabled());
+        assert!(sys.tracer.enabled());
         assert_eq!(sys.trace_dropped(), 0, "64 KiB ring must fit a small run");
         let records = sys.take_trace_records();
         assert!(!records.is_empty(), "a P-B run must emit events");

@@ -9,8 +9,7 @@
 //!
 //! * [`rng`] — deterministic, splittable PCG32 random-number streams and
 //!   the distributions a network simulator needs: Bernoulli injection
-//!   processes, uniform destinations, geometric/exponential
-//!   inter-arrivals, Zipf hotspots,
+//!   processes, uniform destinations, Zipf hotspots,
 //! * [`phase`] — simulation phase management: warm-up, measurement and
 //!   drain windows exactly as described in §4 of the paper ("the simulator
 //!   was warmed up under load without taking measurements until steady
@@ -51,11 +50,6 @@ pub mod snap;
 /// reproduction is expressed in these cycles.
 pub type Cycle = u64;
 
-/// Converts a cycle count to nanoseconds at the paper's 400 MHz router clock.
-pub fn cycles_to_ns(cycles: Cycle) -> f64 {
-    cycles as f64 * NS_PER_CYCLE
-}
-
 /// Converts nanoseconds to (rounded-up) cycles at the 400 MHz router clock.
 pub fn ns_to_cycles(ns: f64) -> Cycle {
     (ns / NS_PER_CYCLE).ceil() as Cycle
@@ -65,7 +59,7 @@ pub fn ns_to_cycles(ns: f64) -> Cycle {
 pub const CLOCK_HZ: f64 = 400.0e6;
 
 /// Nanoseconds per router clock cycle (2.5 ns at 400 MHz).
-pub const NS_PER_CYCLE: f64 = 1.0e9 / CLOCK_HZ;
+const NS_PER_CYCLE: f64 = 1.0e9 / CLOCK_HZ;
 
 #[cfg(test)]
 mod lib_tests {
@@ -73,7 +67,6 @@ mod lib_tests {
 
     #[test]
     fn cycle_time_roundtrip() {
-        assert!((cycles_to_ns(1) - 2.5).abs() < 1e-12);
         assert_eq!(ns_to_cycles(2.5), 1);
         assert_eq!(ns_to_cycles(2.6), 2);
         assert_eq!(ns_to_cycles(5.0), 2);

@@ -12,12 +12,11 @@
 //!   injected according to Bernoulli process based on the network load"),
 //! * [`Pcg32::below`] / [`Pcg32::range`] — uniform destinations (unbiased,
 //!   via Lemire rejection),
-//! * [`Pcg32::exponential`] / [`Pcg32::geometric`] — inter-arrival times,
 //! * [`Zipf`] — skewed hotspot destination choice (extension workloads).
 
 /// SplitMix64: used to expand one seed into per-stream state/increment pairs.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -61,18 +60,12 @@ impl Pcg32 {
 
     /// Next 32 uniformly random bits.
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(Self::MULT).wrapping_add(self.inc);
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
         let rot = (old >> 59) as u32;
         xorshifted.rotate_right(rot)
-    }
-
-    /// Next 64 uniformly random bits.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        ((self.next_u32() as u64) << 32) | self.next_u32() as u64
     }
 
     /// Uniform float in `[0, 1)` with 32 bits of precision.
@@ -120,27 +113,6 @@ impl Pcg32 {
             return false;
         }
         self.next_f64() < p
-    }
-
-    /// Exponential variate with the given `rate` (mean `1/rate`).
-    #[inline]
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0);
-        // 1 - U avoids ln(0).
-        -(1.0 - self.next_f64()).ln() / rate
-    }
-
-    /// Geometric variate: number of failures before the first success of a
-    /// Bernoulli(p) process. This is the inter-arrival gap of a Bernoulli
-    /// injection source.
-    #[inline]
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0);
-        if p >= 1.0 {
-            return 0;
-        }
-        let u = 1.0 - self.next_f64();
-        (u.ln() / (1.0 - p).ln()).floor() as u64
     }
 
     /// Fisher–Yates shuffle.
@@ -285,28 +257,6 @@ mod tests {
         assert!((rate - p).abs() < 0.005, "rate {rate}");
         assert!(rng.bernoulli(1.0));
         assert!(!rng.bernoulli(0.0));
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = Pcg32::stream(5, 5);
-        let rate = 0.25;
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| rng.exponential(rate)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_mean_matches_bernoulli_gap() {
-        let mut rng = Pcg32::stream(6, 6);
-        let p = 0.2;
-        let n = 100_000;
-        let sum: u64 = (0..n).map(|_| rng.geometric(p)).sum();
-        let mean = sum as f64 / n as f64;
-        // Mean failures before success = (1-p)/p = 4.
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-        assert_eq!(rng.geometric(1.0), 0);
     }
 
     #[test]

@@ -538,21 +538,7 @@ impl Snap for String {
     }
 }
 
-/// Overwrites `dst` (fixed geometry) element-wise from the stream; the
-/// stored length must match `dst.len()` exactly.
-pub fn load_slice_into<T: Snap>(
-    r: &mut SnapReader<'_>,
-    dst: &mut [T],
-    what: &str,
-) -> Result<(), SnapError> {
-    r.len_eq(dst.len(), what)?;
-    for v in dst.iter_mut() {
-        *v = T::load(r)?;
-    }
-    Ok(())
-}
-
-/// Saves a slice with its length (the mirror of [`load_slice_into`]).
+/// Saves a slice with its length (the mirror of [`load_vec_exact`]).
 pub fn save_slice<T: Snap>(w: &mut SnapWriter, src: &[T]) {
     w.usize(src.len());
     for v in src {
@@ -664,8 +650,7 @@ mod tests {
         let mut w = SnapWriter::new();
         save_slice(&mut w, &[1u8, 2, 3]);
         let bytes = w.into_bytes();
-        let mut dst = [0u8; 2];
-        let err = load_slice_into(&mut SnapReader::new(&bytes), &mut dst, "field").unwrap_err();
+        let err = SnapReader::new(&bytes).len_eq(2, "field").unwrap_err();
         assert!(matches!(err, SnapError::Mismatch(_)));
     }
 

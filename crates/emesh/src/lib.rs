@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # emesh — the electrical baseline network
 //!
 //! The paper evaluates E-RAPID against "other electrical networks" (§4.1).

@@ -45,16 +45,6 @@ impl RouterEnergy {
             static_mw: 5.0,
         }
     }
-
-    /// Energy of one complete hop (write + read + arbitrate + crossbar +
-    /// link), picojoules.
-    pub fn per_hop_pj(&self) -> f64 {
-        self.buffer_write_pj
-            + self.buffer_read_pj
-            + self.crossbar_pj
-            + self.arbitration_pj
-            + self.link_pj
-    }
 }
 
 /// Integrates mesh power over a run.
@@ -114,8 +104,11 @@ mod tests {
 
     #[test]
     fn per_hop_energy_sums_components() {
-        let e = RouterEnergy::typical_100nm();
-        assert!((e.per_hop_pj() - 23.5).abs() < 1e-12);
+        // One full hop (write + read + arbitrate + crossbar + link) is
+        // 23.5 pJ; over one 2.5 ns cycle that is 9.4 mW above static.
+        let mut m = MeshPowerMeter::new(RouterEnergy::typical_100nm(), 1);
+        m.record_cycle(1, 1);
+        assert!((m.average_mw() - (23.5 / 2.5 + 5.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -9,13 +9,13 @@ pub mod port {
     /// Local NI injection/ejection port.
     pub const LOCAL: PortId = PortId(0);
     /// Toward `y - 1`.
-    pub const NORTH: PortId = PortId(1);
+    pub(crate) const NORTH: PortId = PortId(1);
     /// Toward `x + 1`.
-    pub const EAST: PortId = PortId(2);
+    pub(crate) const EAST: PortId = PortId(2);
     /// Toward `y + 1`.
-    pub const SOUTH: PortId = PortId(3);
+    pub(crate) const SOUTH: PortId = PortId(3);
     /// Toward `x - 1`.
-    pub const WEST: PortId = PortId(4);
+    pub(crate) const WEST: PortId = PortId(4);
     /// Ports per mesh router.
     pub const COUNT: u16 = 5;
 }
@@ -95,7 +95,7 @@ impl Mesh2D {
 
     /// XY dimension-order route step at router `here` for a packet to
     /// `dst`: correct x first, then y, then eject.
-    pub fn xy_step(&self, here: u32, dst: u32) -> PortId {
+    fn xy_step(&self, here: u32, dst: u32) -> PortId {
         let (hx, hy) = self.coords(here);
         let (dx, dy) = self.coords(dst);
         if dx > hx {

@@ -135,11 +135,6 @@ impl RateLadder {
         self.levels[level.index()]
     }
 
-    /// The lowest level.
-    pub fn lowest(&self) -> RateLevel {
-        RateLevel(0)
-    }
-
     /// The highest level.
     pub fn highest(&self) -> RateLevel {
         RateLevel((self.levels.len() - 1) as u8)
@@ -202,7 +197,6 @@ mod tests {
         assert_eq!(l.up(RateLevel(0)), RateLevel(1));
         assert_eq!(l.down(RateLevel(0)), RateLevel(0));
         assert_eq!(l.down(RateLevel(2)), RateLevel(1));
-        assert_eq!(l.lowest(), RateLevel(0));
         assert_eq!(l.highest(), RateLevel(2));
     }
 
@@ -210,7 +204,7 @@ mod tests {
     fn interpolated_ladder_ends_match_paper() {
         let l = RateLadder::interpolated(5);
         assert_eq!(l.len(), 5);
-        assert!((l.rate(l.lowest()).gbps - 2.5).abs() < 1e-12);
+        assert!((l.rate(RateLevel(0)).gbps - 2.5).abs() < 1e-12);
         assert!((l.rate(l.highest()).gbps - 5.0).abs() < 1e-12);
         assert!((l.rate(l.highest()).vdd - 0.9).abs() < 1e-12);
     }

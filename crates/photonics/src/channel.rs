@@ -195,13 +195,6 @@ impl OpticalChannel {
         };
     }
 
-    /// Directly sets the level of an off channel (used when DBR powers a
-    /// channel on at a chosen level without a live transition).
-    pub fn preset_level(&mut self, level: RateLevel) {
-        assert_eq!(self.state, ChannelState::Off, "preset only while off");
-        self.level = level;
-    }
-
     /// Powers on a granted channel with a dark lock-in window: the laser
     /// lights at `now` but the destination receiver needs `lock_penalty`
     /// cycles to lock onto the new transmitter before data can flow.
@@ -376,19 +369,12 @@ mod tests {
 
     #[test]
     fn preset_level_while_off() {
-        let mut c = chan();
-        c.preset_level(RateLevel(0));
+        // A dark channel holds the level it relights at (the SRS builds a
+        // regranted laser at its carried level).
+        let mut c = OpticalChannel::new(RateLevel(0));
         c.power_on();
         assert_eq!(c.level(), RateLevel(0));
         assert_eq!(timing().flit_cycles(c.level()), 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "preset only while off")]
-    fn preset_while_on_panics() {
-        let mut c = chan();
-        c.power_on();
-        c.preset_level(RateLevel(0));
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl Fiber {
     }
 
     /// Standard single-mode fiber (group index 1.468) of the given length.
-    pub fn smf(length_m: f64) -> Self {
+    fn smf(length_m: f64) -> Self {
         Self::new(length_m, 1.468)
     }
 
@@ -37,13 +37,8 @@ impl Fiber {
         Self::smf(2.0)
     }
 
-    /// Length in metres.
-    pub fn length_m(&self) -> f64 {
-        self.length_m
-    }
-
     /// One-way propagation delay in nanoseconds.
-    pub fn delay_ns(&self) -> f64 {
+    fn delay_ns(&self) -> f64 {
         self.length_m * self.group_index / C_VACUUM * 1.0e9
     }
 
@@ -63,7 +58,7 @@ mod tests {
         // 2 m at n=1.468: ~9.8 ns → 4 cycles at 2.5 ns/cycle.
         assert!((f.delay_ns() - 9.79).abs() < 0.05, "{}", f.delay_ns());
         assert_eq!(f.delay_cycles(), 4);
-        assert_eq!(f.length_m(), 2.0);
+        assert_eq!(f.length_m, 2.0);
     }
 
     #[test]

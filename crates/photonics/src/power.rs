@@ -26,32 +26,26 @@
 
 use crate::bitrate::{BitRate, RateLadder, RateLevel};
 
-/// Paper constants (Table 1 / §4.1).
-pub mod constants {
-    /// VCSEL driver capacitance, farads (0.62 pF).
-    pub const C_DRIVER_F: f64 = 0.62e-12;
-    /// CDR capacitance, farads (9.26 pF).
-    pub const C_CDR_F: f64 = 9.26e-12;
-    /// TIA drain-source current at 5 Gbps, amperes (27.8 mA).
-    pub const I_DS_5G_A: f64 = 27.8e-3;
-    /// VCSEL modulation current, amperes (16.6 mA).
-    pub const I_MOD_A: f64 = 16.6e-3;
-    /// VCSEL slope efficiency as printed in the paper (A/W).
-    pub const SLOPE_EFFICIENCY: f64 = 0.42;
-    /// Photodetector power, watts (1.4 µW).
-    pub const P_PHOTODETECTOR_W: f64 = 1.4e-6;
-    /// Average VCSEL power while transmitting 64-byte packets (1.5 µW).
-    pub const P_VCSEL_AVG_W: f64 = 1.5e-6;
-    /// Switching activity of the driver stage.
-    pub const ALPHA_DRIVER: f64 = 0.5;
-    /// Switching activity of the CDR, calibrated so the 5 Gbps CDR power
-    /// equals the paper's 17.05 mW.
-    pub const ALPHA_CDR: f64 = 0.4546;
-    /// Reference bit rate for the TIA current constant (5 Gbps).
-    pub const BR_REF_GBPS: f64 = 5.0;
-    /// Reference voltage for the TIA current constant (0.9 V).
-    pub const VDD_REF: f64 = 0.9;
-}
+// Paper constants (Table 1 / §4.1).
+/// VCSEL driver capacitance, farads (0.62 pF).
+const C_DRIVER_F: f64 = 0.62e-12;
+/// CDR capacitance, farads (9.26 pF).
+const C_CDR_F: f64 = 9.26e-12;
+/// TIA drain-source current at 5 Gbps, amperes (27.8 mA).
+const I_DS_5G_A: f64 = 27.8e-3;
+/// Photodetector power, watts (1.4 µW).
+const P_PHOTODETECTOR_W: f64 = 1.4e-6;
+/// Average VCSEL power while transmitting 64-byte packets (1.5 µW).
+const P_VCSEL_AVG_W: f64 = 1.5e-6;
+/// Switching activity of the driver stage.
+const ALPHA_DRIVER: f64 = 0.5;
+/// Switching activity of the CDR, calibrated so the 5 Gbps CDR power
+/// equals the paper's 17.05 mW.
+const ALPHA_CDR: f64 = 0.4546;
+/// Reference bit rate for the TIA current constant (5 Gbps).
+const BR_REF_GBPS: f64 = 5.0;
+/// Reference voltage for the TIA current constant (0.9 V).
+const VDD_REF: f64 = 0.9;
 
 /// Per-component power at one operating point, in milliwatts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,21 +67,10 @@ impl PowerBreakdown {
     pub fn total_mw(&self) -> f64 {
         self.vcsel_mw + self.driver_mw + self.tia_mw + self.cdr_mw + self.photodetector_mw
     }
-
-    /// Transmit-side power (VCSEL + driver).
-    pub fn transmitter_mw(&self) -> f64 {
-        self.vcsel_mw + self.driver_mw
-    }
-
-    /// Receive-side power (photodetector + TIA + CDR).
-    pub fn receiver_mw(&self) -> f64 {
-        self.photodetector_mw + self.tia_mw + self.cdr_mw
-    }
 }
 
 /// Computes the analytic per-component breakdown at an operating point.
 pub fn analytic_breakdown(rate: BitRate) -> PowerBreakdown {
-    use constants::*;
     let br = rate.gbps * 1.0e9;
     let v = rate.vdd;
     // CMOS dynamic power α·C·V²·f, in watts → mW.
@@ -109,15 +92,6 @@ pub fn analytic_breakdown(rate: BitRate) -> PowerBreakdown {
     }
 }
 
-/// Where per-level total power numbers come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PowerSource {
-    /// Totals computed from the analytic component models.
-    Analytic,
-    /// Totals pinned to the paper's published Table 1 values.
-    PaperTable,
-}
-
 /// Total link power per rate level, plus the idle (laser-on, no data)
 /// fraction used by the simulation's power accounting.
 #[derive(Debug, Clone)]
@@ -127,26 +101,24 @@ pub struct LinkPowerModel {
     /// Fraction of the level's power drawn while the laser is on but no flit
     /// is being transmitted (laser bias + receiver keep-alive).
     idle_fraction: f64,
-    source: PowerSource,
 }
 
 /// The paper's published Table 1 link-power ladder, mW, indexed by
 /// [`RateLevel`]: 8.6 mW @ 2.5 Gbps, 26 mW @ 3.75 Gbps, 43.03 mW @ 5 Gbps.
 ///
 /// This is the single source of truth for the published numbers — every
-/// table pinned to the paper (here and in `powermgmt`'s energy accounting)
-/// must read it rather than repeat the literals.
-pub const PAPER_LADDER_MW: [f64; 3] = [8.6, 26.0, 43.03];
+/// table pinned to the paper reads it through
+/// [`LinkPowerModel::paper_table`] rather than repeating the literals.
+const PAPER_LADDER_MW: [f64; 3] = [8.6, 26.0, 43.03];
 
 impl LinkPowerModel {
-    /// The paper's published totals ([`PAPER_LADDER_MW`]) on the paper
+    /// The paper's published Table 1 totals (8.6 / 26 / 43.03 mW) on the paper
     /// ladder.
     pub fn paper_table() -> Self {
         Self {
             ladder: RateLadder::paper(),
             totals_mw: PAPER_LADDER_MW.to_vec(),
             idle_fraction: DEFAULT_IDLE_FRACTION,
-            source: PowerSource::PaperTable,
         }
     }
 
@@ -160,7 +132,6 @@ impl LinkPowerModel {
             ladder,
             totals_mw: totals,
             idle_fraction: DEFAULT_IDLE_FRACTION,
-            source: PowerSource::Analytic,
         }
     }
 
@@ -176,11 +147,6 @@ impl LinkPowerModel {
         &self.ladder
     }
 
-    /// Which totals are in use.
-    pub fn source(&self) -> PowerSource {
-        self.source
-    }
-
     /// Total power at `level` while actively transmitting, mW.
     pub fn active_mw(&self, level: RateLevel) -> f64 {
         self.totals_mw[level.index()]
@@ -189,11 +155,6 @@ impl LinkPowerModel {
     /// Power at `level` while on but idle, mW.
     pub fn idle_mw(&self, level: RateLevel) -> f64 {
         self.totals_mw[level.index()] * self.idle_fraction
-    }
-
-    /// Idle fraction in use.
-    pub fn idle_fraction(&self) -> f64 {
-        self.idle_fraction
     }
 
     /// Energy per bit at `level`, picojoules.
@@ -209,7 +170,7 @@ impl LinkPowerModel {
 /// The paper's complement-traffic result (NP-NB and P-NB consume the *same*
 /// power while 6 of 7 links sit idle) only holds if idle links are nearly
 /// free, i.e. power accounting is dominated by activity.
-pub const DEFAULT_IDLE_FRACTION: f64 = 0.05;
+const DEFAULT_IDLE_FRACTION: f64 = 0.05;
 
 #[cfg(test)]
 mod tests {
@@ -240,15 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn split_matches_total() {
-        let b = analytic_breakdown(RateLadder::paper().rate(RateLevel(1)));
-        assert!((b.transmitter_mw() + b.receiver_mw() - b.total_mw()).abs() < 1e-12);
-    }
-
-    #[test]
     fn paper_table_pins_published_totals() {
         let m = LinkPowerModel::paper_table();
-        assert_eq!(m.source(), PowerSource::PaperTable);
         for (i, &mw) in PAPER_LADDER_MW.iter().enumerate() {
             assert_eq!(m.active_mw(RateLevel(i as u8)), mw);
         }
@@ -267,7 +221,7 @@ mod tests {
     fn idle_power_is_fraction_of_active() {
         let m = LinkPowerModel::paper_table().with_idle_fraction(0.1);
         assert!((m.idle_mw(RateLevel(2)) - 4.303).abs() < 1e-9);
-        assert_eq!(m.idle_fraction(), 0.1);
+        assert_eq!(m.idle_fraction, 0.1);
     }
 
     #[test]
@@ -288,7 +242,6 @@ mod tests {
         let m = LinkPowerModel::analytic(RateLadder::paper());
         assert!(m.active_mw(RateLevel(0)) < m.active_mw(RateLevel(1)));
         assert!(m.active_mw(RateLevel(1)) < m.active_mw(RateLevel(2)));
-        assert_eq!(m.source(), PowerSource::Analytic);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Serdes {
     pub fn packet_cycles(&self, rate: BitRate, flits: u32) -> u64 {
         self.flit_cycles(rate) * flits as u64
     }
-
-    /// Effective flits per cycle the wavelength can sustain at this rate.
-    pub fn flits_per_cycle(&self, rate: BitRate) -> f64 {
-        1.0 / self.flit_cycles(rate) as f64
-    }
 }
 
 #[cfg(test)]
@@ -87,13 +82,6 @@ mod tests {
         assert!(
             s.flit_cycles(ladder.rate(RateLevel(0))) > s.flit_cycles(ladder.rate(RateLevel(2)))
         );
-    }
-
-    #[test]
-    fn flits_per_cycle_inverse() {
-        let s = Serdes::paper();
-        let high = RateLadder::paper().rate(RateLevel(2));
-        assert!((s.flits_per_cycle(high) - 1.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,55 +12,33 @@ use crate::wavelength::{BoardId, Wavelength};
 /// One transmitter: a laser array for a single wavelength with one port per
 /// destination board.
 #[derive(Debug, Clone)]
-pub struct Transmitter {
-    wavelength: Wavelength,
+struct Transmitter {
     /// `lasers[d]` — laser driving output port `d` (toward board `d`).
     lasers: Vec<bool>,
 }
 
 impl Transmitter {
-    /// Creates a transmitter for `wavelength` with `ports` output ports,
-    /// all lasers off.
-    pub fn new(wavelength: Wavelength, ports: usize) -> Self {
+    /// Creates a transmitter with `ports` output ports, all lasers off.
+    fn new(ports: usize) -> Self {
         assert!(ports >= 2);
         Self {
-            wavelength,
             lasers: vec![false; ports],
         }
     }
 
-    /// The wavelength all lasers in this transmitter emit.
-    pub fn wavelength(&self) -> Wavelength {
-        self.wavelength
-    }
-
     /// Number of output ports (= destination boards).
-    pub fn ports(&self) -> usize {
+    fn ports(&self) -> usize {
         self.lasers.len()
     }
 
-    /// Whether the laser driving port `d` is on.
-    pub fn is_on(&self, d: BoardId) -> bool {
-        self.lasers[d.index()]
-    }
-
     /// Turns the laser toward board `d` on or off. Returns the prior state.
-    pub fn set(&mut self, d: BoardId, on: bool) -> bool {
+    fn set(&mut self, d: BoardId, on: bool) -> bool {
         std::mem::replace(&mut self.lasers[d.index()], on)
     }
 
     /// Number of lasers currently on.
-    pub fn active_lasers(&self) -> usize {
+    fn active_lasers(&self) -> usize {
         self.lasers.iter().filter(|&&on| on).count()
-    }
-
-    /// Destinations with an active laser.
-    pub fn active_ports(&self) -> impl Iterator<Item = BoardId> + '_ {
-        self.lasers
-            .iter()
-            .enumerate()
-            .filter(|(_, &on)| on)
-            .map(|(i, _)| BoardId(i as u16))
     }
 }
 
@@ -78,7 +56,7 @@ impl TransmitterBank {
         Self {
             board,
             transmitters: (0..boards)
-                .map(|w| Transmitter::new(Wavelength(w), boards as usize))
+                .map(|_| Transmitter::new(boards as usize))
                 .collect(),
         }
     }
@@ -98,14 +76,9 @@ impl TransmitterBank {
         self.transmitters.is_empty()
     }
 
-    /// The transmitter for wavelength `w`.
-    pub fn transmitter(&self, w: Wavelength) -> &Transmitter {
-        &self.transmitters[w.index()]
-    }
-
-    /// Mutable access to the transmitter for wavelength `w`.
-    pub fn transmitter_mut(&mut self, w: Wavelength) -> &mut Transmitter {
-        &mut self.transmitters[w.index()]
+    /// Whether the laser of transmitter `w` driving port `d` is on.
+    pub fn is_on(&self, w: Wavelength, d: BoardId) -> bool {
+        self.transmitters[w.index()].lasers[d.index()]
     }
 
     /// Applies the static RWA: for every remote destination `d`, turn on
@@ -122,24 +95,13 @@ impl TransmitterBank {
                 continue;
             }
             let w = rwa.wavelength(self.board, d);
-            self.transmitter_mut(w).set(d, true);
+            self.transmitters[w.index()].set(d, true);
         }
     }
 
     /// Total lasers on across the bank.
     pub fn active_lasers(&self) -> usize {
         self.transmitters.iter().map(|t| t.active_lasers()).sum()
-    }
-
-    /// All `(wavelength, destination)` pairs with an active laser.
-    pub fn active_channels(&self) -> Vec<(Wavelength, BoardId)> {
-        let mut v = Vec::new();
-        for t in &self.transmitters {
-            for d in t.active_ports() {
-                v.push((t.wavelength(), d));
-            }
-        }
-        v
     }
 }
 
@@ -150,12 +112,10 @@ mod tests {
 
     #[test]
     fn lasers_toggle() {
-        let mut t = Transmitter::new(Wavelength(2), 4);
-        assert_eq!(t.wavelength(), Wavelength(2));
+        let mut t = Transmitter::new(4);
         assert_eq!(t.ports(), 4);
-        assert!(!t.is_on(BoardId(1)));
         assert!(!t.set(BoardId(1), true));
-        assert!(t.is_on(BoardId(1)));
+        assert!(t.lasers[1]);
         assert_eq!(t.active_lasers(), 1);
         assert!(t.set(BoardId(1), false));
         assert_eq!(t.active_lasers(), 0);
@@ -166,17 +126,12 @@ mod tests {
         let rwa = StaticRwa::new(4);
         let mut bank = TransmitterBank::new(BoardId(0), 4);
         bank.apply_static_rwa(&rwa);
-        // B-1 = 3 lasers on, one per remote board.
+        // B-1 = 3 lasers on, one per remote board, each on its RWA
+        // wavelength: s=0→d uses λ_{(0-d) mod 4}.
         assert_eq!(bank.active_lasers(), 3);
-        let mut chans = bank.active_channels();
-        chans.sort_by_key(|(w, d)| (d.0, w.0));
-        // Destinations 1, 2, 3 each served exactly once.
-        let dests: Vec<u16> = chans.iter().map(|(_, d)| d.0).collect();
-        assert_eq!(dests, vec![1, 2, 3]);
-        // And with the RWA wavelengths: s=0→d uses λ_{(0-d) mod 4}.
-        assert_eq!(chans[0].0, Wavelength(3)); // d=1
-        assert_eq!(chans[1].0, Wavelength(2)); // d=2
-        assert_eq!(chans[2].0, Wavelength(1)); // d=3
+        for (d, w) in [(1, 3), (2, 2), (3, 1)] {
+            assert!(bank.is_on(Wavelength(w), BoardId(d)), "d={d}");
+        }
     }
 
     #[test]
@@ -185,7 +140,7 @@ mod tests {
         let mut bank = TransmitterBank::new(BoardId(1), 4);
         bank.apply_static_rwa(&rwa);
         // DBR-style extra laser: λ2 toward board 0.
-        bank.transmitter_mut(Wavelength(2)).set(BoardId(0), true);
+        bank.transmitters[2].set(BoardId(0), true);
         assert_eq!(bank.active_lasers(), 4);
         bank.apply_static_rwa(&rwa);
         assert_eq!(bank.active_lasers(), 3);
@@ -197,6 +152,6 @@ mod tests {
         assert_eq!(bank.len(), 8);
         assert!(!bank.is_empty());
         assert_eq!(bank.board(), BoardId(2));
-        assert_eq!(bank.transmitter(Wavelength(5)).ports(), 8);
+        assert_eq!(bank.transmitters[5].ports(), 8);
     }
 }

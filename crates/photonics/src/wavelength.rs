@@ -41,47 +41,6 @@ impl fmt::Display for BoardId {
     }
 }
 
-/// The WDM wavelength set of a system with `boards` boards: one wavelength
-/// per board offset, `λ_0` being the (unused) self-offset.
-#[derive(Debug, Clone)]
-pub struct WavelengthSet {
-    count: u16,
-}
-
-impl WavelengthSet {
-    /// Creates the set for a system of `boards` boards.
-    pub fn for_boards(boards: u16) -> Self {
-        assert!(boards >= 2, "a system needs at least 2 boards");
-        Self { count: boards }
-    }
-
-    /// Number of wavelengths (`W = B`).
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Always false: a valid set has ≥ 2 wavelengths.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Iterates all wavelengths `λ_0 .. λ_{W-1}`.
-    pub fn iter(&self) -> impl Iterator<Item = Wavelength> {
-        (0..self.count).map(Wavelength)
-    }
-
-    /// Iterates the remote-traffic wavelengths `λ_1 .. λ_{W-1}` (`λ_0` is
-    /// the self-offset and carries no inter-board traffic under static RWA).
-    pub fn remote(&self) -> impl Iterator<Item = Wavelength> {
-        (1..self.count).map(Wavelength)
-    }
-
-    /// True if `w` belongs to this set.
-    pub fn contains(&self, w: Wavelength) -> bool {
-        w.0 < self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,29 +51,5 @@ mod tests {
         assert_eq!(BoardId(7).to_string(), "B7");
         assert_eq!(Wavelength(3).index(), 3);
         assert_eq!(BoardId(7).index(), 7);
-    }
-
-    #[test]
-    fn set_size_equals_board_count() {
-        let set = WavelengthSet::for_boards(8);
-        assert_eq!(set.len(), 8);
-        assert_eq!(set.iter().count(), 8);
-        assert_eq!(set.remote().count(), 7);
-        assert!(set.contains(Wavelength(7)));
-        assert!(!set.contains(Wavelength(8)));
-        assert!(!set.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 boards")]
-    fn single_board_system_rejected() {
-        WavelengthSet::for_boards(1);
-    }
-
-    #[test]
-    fn remote_skips_lambda_zero() {
-        let set = WavelengthSet::for_boards(4);
-        let remote: Vec<u16> = set.remote().map(|w| w.0).collect();
-        assert_eq!(remote, vec![1, 2, 3]);
     }
 }

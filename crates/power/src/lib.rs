@@ -14,10 +14,10 @@
 //!   penalty is the CDR re-lock (12 cycles) but the paper "conservatively
 //!   disables the link for 65 cycles" (the slow voltage-transition bound),
 //!   which is the default here.
-//! * [`dls`] — Dynamic Link Shutdown: a link idle for consecutive windows
-//!   is turned off entirely (the DLS technique of Kim et al. the paper
-//!   cites; in E-RAPID idle lasers are turned off by the DBR stage, and this
-//!   module provides the standalone policy plus hysteresis).
+//!
+//! The paper's power management is this DPM alone — bit-rate and voltage
+//! scaling under Lock-Step. Lasers go dark only when DBR moves a wavelength
+//! away from its owner (`erapid-core`'s SRS), never by a shutdown policy.
 //!
 //! ## Example: the threshold regulator
 //!
@@ -32,7 +32,6 @@
 //! assert_eq!(policy.decide(0.95, 0.5), ScaleDecision::Up);
 //! ```
 
-pub mod dls;
 pub mod policy;
 pub mod transition;
 

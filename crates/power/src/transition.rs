@@ -16,7 +16,7 @@ use photonics::bitrate::RateLevel;
 
 /// How transition penalties are charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PenaltyMode {
+enum PenaltyMode {
     /// The paper's evaluation setting: every rate change disables the link
     /// for the full voltage-ramp bound.
     Conservative,
@@ -32,8 +32,9 @@ pub struct TransitionModel {
     pub freq_penalty: Cycle,
     /// Cycles for a voltage ramp across adjacent levels.
     pub volt_penalty: Cycle,
-    /// Charging mode.
-    pub mode: PenaltyMode,
+    /// Charging mode: [`TransitionModel::paper`] or
+    /// [`TransitionModel::detailed`].
+    mode: PenaltyMode,
 }
 
 impl TransitionModel {

@@ -81,7 +81,7 @@ impl AllocPolicy {
     }
 
     /// Classifies one buffer utilization.
-    pub fn classify(&self, buffer_util: f64) -> Classification {
+    fn classify(&self, buffer_util: f64) -> Classification {
         if buffer_util <= self.b_min {
             Classification::Under
         } else if buffer_util > self.b_max {

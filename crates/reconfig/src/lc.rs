@@ -30,11 +30,6 @@ impl ThresholdWatch {
         }
     }
 
-    /// Whether the last observation was above the threshold.
-    pub fn is_above(&self) -> bool {
-        self.above
-    }
-
     /// Feeds one window-average occupancy; returns `Some(new_side)` on a
     /// crossing (`true` = now above `B_max`), `None` while the side holds.
     ///
@@ -92,14 +87,14 @@ mod tests {
     #[test]
     fn threshold_watch_fires_only_on_crossings() {
         let mut watch = ThresholdWatch::new(0.3);
-        assert!(!watch.is_above());
+        assert!(!watch.above);
         // Below the threshold: no signal.
         assert_eq!(watch.observe(0.1), None);
         assert_eq!(watch.observe(0.3), None); // boundary is not a crossing
                                               // Crossing up fires once, then holds.
         assert_eq!(watch.observe(0.5), Some(true));
         assert_eq!(watch.observe(0.9), None);
-        assert!(watch.is_above());
+        assert!(watch.above);
         // Crossing back down fires the falling edge.
         assert_eq!(watch.observe(0.2), Some(false));
         assert_eq!(watch.observe(0.2), None);
@@ -114,7 +109,7 @@ mod tests {
         // New threshold: no signal until the next observation, which then
         // re-evaluates the side against the new value.
         assert!(watch.retarget(0.6));
-        assert!(watch.is_above(), "retarget must not flip the side itself");
+        assert!(watch.above, "retarget must not flip the side itself");
         assert_eq!(watch.observe(0.5), Some(false));
         // And crossing the new threshold fires as usual.
         assert_eq!(watch.observe(0.7), Some(true));
@@ -129,10 +124,10 @@ mod tests {
         let mut watch = ThresholdWatch::new(0.3);
         for v in [0.0, 0.29, 0.9, 0.3, 0.31, 0.1] {
             let first = watch.observe(v);
-            let side = watch.is_above();
+            let side = watch.above;
             for _ in 0..3 {
                 assert_eq!(watch.observe(v), None, "repeat of {v} signalled");
-                assert_eq!(watch.is_above(), side, "repeat of {v} mutated state");
+                assert_eq!(watch.above, side, "repeat of {v} mutated state");
             }
             // The first observation is the only one that may signal.
             let _ = first;

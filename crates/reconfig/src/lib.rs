@@ -60,5 +60,5 @@ pub mod stages;
 pub use alloc::{AllocPolicy, Classification, FlowDemand, Reassignment};
 pub use lc::ThresholdWatch;
 pub use lockstep::{LockStepSchedule, WindowKind};
-pub use protocol::{ProtocolError, RetryPolicy, TokenFault};
+pub use protocol::{ProtocolError, RetryPolicy, RoundOutcome, TokenFault};
 pub use rc::ReconfigController;

@@ -523,7 +523,8 @@ impl DbrRound {
     }
 
     /// Runs the round to completion starting from its start cycle.
-    pub fn run_to_completion(&mut self) -> RoundOutcome {
+    #[cfg(test)]
+    fn run_to_completion(&mut self) -> RoundOutcome {
         let mut now = self.start;
         loop {
             if let Some(outcome) = self.tick(now) {

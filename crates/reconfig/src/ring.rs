@@ -35,7 +35,6 @@ pub struct ControlRing {
     in_flight: Vec<InFlight>,
     /// Per-board receive queues (delivered packets awaiting service).
     delivered: Vec<VecDeque<(Cycle, ControlPacket)>>,
-    hops_taken: u64,
 }
 
 impl ControlRing {
@@ -48,7 +47,6 @@ impl ControlRing {
             hop_latency,
             in_flight: Vec::new(),
             delivered: (0..boards).map(|_| VecDeque::new()).collect(),
-            hops_taken: 0,
         }
     }
 
@@ -57,23 +55,13 @@ impl ControlRing {
         self.boards
     }
 
-    /// Latency of one ring hop.
-    pub fn hop_latency(&self) -> Cycle {
-        self.hop_latency
-    }
-
-    /// Total hops completed.
-    pub fn hops_taken(&self) -> u64 {
-        self.hops_taken
-    }
-
     /// Cycles for a packet to make a full loop back to its origin.
     pub fn round_trip(&self) -> Cycle {
         self.hop_latency * self.boards as Cycle
     }
 
     /// The board after `b` on the ring.
-    pub fn successor(&self, b: BoardId) -> BoardId {
+    fn successor(&self, b: BoardId) -> BoardId {
         BoardId((b.0 + 1) % self.boards)
     }
 
@@ -102,7 +90,6 @@ impl ControlRing {
         // Deterministic delivery order: by time, then board.
         arrived.sort_by_key(|(t, b, _)| (*t, b.0));
         for (t, b, p) in arrived {
-            self.hops_taken += 1;
             self.delivered[b.index()].push_back((t, p));
         }
     }
@@ -118,7 +105,7 @@ impl ControlRing {
     }
 
     /// Packets waiting in receive queues.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.delivered.iter().map(|q| q.len()).sum()
     }
 
@@ -217,7 +204,6 @@ mod tests {
         assert!(returned.iter().all(|&r| r), "all packets must return home");
         assert_eq!(ring.in_flight(), 0);
         assert_eq!(ring.queued(), 0);
-        assert_eq!(ring.hops_taken(), (b as u64) * (b as u64));
     }
 
     #[test]
@@ -225,7 +211,6 @@ mod tests {
         let ring = ControlRing::new(8, 4);
         assert_eq!(ring.round_trip(), 32);
         assert_eq!(ring.successor(BoardId(7)), BoardId(0));
-        assert_eq!(ring.hop_latency(), 4);
         assert_eq!(ring.boards(), 8);
     }
 

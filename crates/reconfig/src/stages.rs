@@ -82,12 +82,6 @@ impl ProtocolTiming {
     pub fn dbr_latency(&self) -> Cycle {
         Stage::all().iter().map(|&s| self.stage_cycles(s)).sum()
     }
-
-    /// Latency of the power-awareness cycle (one RC→LC chain loop; the DPM
-    /// decision is local to each LC).
-    pub fn power_latency(&self) -> Cycle {
-        (self.lcs_per_board as Cycle + 1) * self.lc_hop
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +96,6 @@ mod tests {
         assert_eq!(t.stage_cycles(Stage::BoardRequest), 16);
         assert_eq!(t.stage_cycles(Stage::Reconfigure), 4);
         assert_eq!(t.dbr_latency(), 9 + 16 + 4 + 16 + 9);
-        assert_eq!(t.power_latency(), 9);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //!
 //! Table 1: "credit-based" flow control with a single-flit buffer and
 //! credits incurring a one-cycle channel delay. A [`CreditCounter`] tracks
-//! the downstream space an upstream sender may use; [`CreditReturnQueue`]
-//! models the one-cycle (configurable) return delay.
-
-use desim::Cycle;
-use std::collections::VecDeque;
+//! the downstream space an upstream sender may use; the return delay is
+//! modelled where credits are handed back (the callers of
+//! [`crate::Router::credit`]).
 
 /// Credits available toward one downstream buffer.
 #[derive(Debug, Clone)]
@@ -86,52 +84,6 @@ impl CreditCounter {
     }
 }
 
-/// Credits in flight back to the sender, delivered after a fixed delay.
-#[derive(Debug, Clone)]
-pub struct CreditReturnQueue {
-    delay: Cycle,
-    /// (deliver_at, count) in nondecreasing time order.
-    in_flight: VecDeque<(Cycle, u32)>,
-}
-
-impl CreditReturnQueue {
-    /// Creates a queue with the given return delay (paper: 1 cycle).
-    pub fn new(delay: Cycle) -> Self {
-        Self {
-            delay,
-            in_flight: VecDeque::new(),
-        }
-    }
-
-    /// Enqueues one credit released at `now`.
-    pub fn send(&mut self, now: Cycle) {
-        let at = now + self.delay;
-        match self.in_flight.back_mut() {
-            Some((t, n)) if *t == at => *n += 1,
-            _ => self.in_flight.push_back((at, 1)),
-        }
-    }
-
-    /// Credits that have arrived by `now` (inclusive); removes them.
-    pub fn arrivals(&mut self, now: Cycle) -> u32 {
-        let mut total = 0;
-        while let Some(&(t, n)) = self.in_flight.front() {
-            if t <= now {
-                total += n;
-                self.in_flight.pop_front();
-            } else {
-                break;
-            }
-        }
-        total
-    }
-
-    /// Credits still in flight.
-    pub fn pending(&self) -> u32 {
-        self.in_flight.iter().map(|&(_, n)| n).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,33 +117,5 @@ mod tests {
     fn overflow_panics() {
         let mut c = CreditCounter::new(1);
         c.restore();
-    }
-
-    #[test]
-    fn return_queue_delays_by_one_cycle() {
-        let mut q = CreditReturnQueue::new(1);
-        q.send(10);
-        assert_eq!(q.arrivals(10), 0);
-        assert_eq!(q.pending(), 1);
-        assert_eq!(q.arrivals(11), 1);
-        assert_eq!(q.pending(), 0);
-    }
-
-    #[test]
-    fn return_queue_batches_same_cycle() {
-        let mut q = CreditReturnQueue::new(2);
-        q.send(5);
-        q.send(5);
-        q.send(6);
-        assert_eq!(q.pending(), 3);
-        assert_eq!(q.arrivals(7), 2);
-        assert_eq!(q.arrivals(8), 1);
-    }
-
-    #[test]
-    fn zero_delay_is_immediate() {
-        let mut q = CreditReturnQueue::new(0);
-        q.send(3);
-        assert_eq!(q.arrivals(3), 1);
     }
 }

@@ -56,7 +56,8 @@ impl FlitInjector {
     }
 
     /// Packets waiting (including the one in progress).
-    pub fn backlog_len(&self) -> usize {
+    #[cfg(test)]
+    fn backlog_len(&self) -> usize {
         self.backlog.len() + usize::from(self.current.is_some())
     }
 

@@ -56,5 +56,5 @@ pub mod words;
 pub use flit::{Flit, FlitKind, NodeId, PacketId};
 pub use inject::FlitInjector;
 pub use packet::Packet;
-pub use router::{Router, RouterConfig, Traversal};
+pub use router::{Router, RouterConfig, RouterStats, Traversal};
 pub use routing::PortId;

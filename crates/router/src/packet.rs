@@ -74,31 +74,6 @@ impl desim::snap::Snap for Packet {
     }
 }
 
-/// Allocates packet ids monotonically.
-#[derive(Debug, Default, Clone)]
-pub struct PacketIdAllocator {
-    next: u64,
-}
-
-impl PacketIdAllocator {
-    /// Creates an allocator starting at id 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a fresh id.
-    pub fn allocate(&mut self) -> PacketId {
-        let id = PacketId(self.next);
-        self.next += 1;
-        id
-    }
-
-    /// Ids handed out so far.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,14 +116,5 @@ mod tests {
         let flits = pkt(2).flitize();
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Tail);
-    }
-
-    #[test]
-    fn id_allocator_is_monotone() {
-        let mut a = PacketIdAllocator::new();
-        let x = a.allocate();
-        let y = a.allocate();
-        assert!(y > x);
-        assert_eq!(a.allocated(), 2);
     }
 }

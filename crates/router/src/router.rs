@@ -233,27 +233,6 @@ impl Router {
         self.arena.buffers[self.rid(port, vc)].space()
     }
 
-    /// Occupancy fraction of input `(port, vc)`.
-    pub fn input_occupancy(&self, port: PortId, vc: u8) -> f64 {
-        self.arena.buffers[self.rid(port, vc)].occupancy()
-    }
-
-    /// Mean occupancy across all VCs of an input port.
-    pub fn port_occupancy(&self, port: PortId) -> f64 {
-        let vcs = self.cfg.vcs as usize;
-        let base = port.index() * vcs;
-        self.arena.buffers[base..base + vcs]
-            .iter()
-            .map(|b| b.occupancy())
-            .sum::<f64>()
-            / vcs as f64
-    }
-
-    /// Owner of output VC `(out_port, out_vc)`, as `(in_port, in_vc)`.
-    pub fn output_owner(&self, out_port: PortId, out_vc: u8) -> Option<(u16, u8)> {
-        self.out_vc_owner[out_port.index() * self.cfg.vcs as usize + out_vc as usize]
-    }
-
     /// Injects a flit into input `(port, vc)`.
     ///
     /// # Panics
@@ -308,7 +287,8 @@ impl Router {
     }
 
     /// Credits available toward `(out_port, out_vc)`.
-    pub fn credits_available(&self, out_port: PortId, out_vc: u8) -> u32 {
+    #[cfg(test)]
+    fn credits_available(&self, out_port: PortId, out_vc: u8) -> u32 {
         self.out_credits[out_port.index() * self.cfg.vcs as usize + out_vc as usize].available()
     }
 
@@ -317,15 +297,9 @@ impl Router {
         self.buffered
     }
 
-    /// High-water mark of buffered flits since the last
-    /// [`Router::take_buffered_peak`] (a per-window congestion gauge for
-    /// the telemetry layer — one `max` in `inject`, nothing in the fast
-    /// path).
-    pub fn buffered_peak(&self) -> u64 {
-        self.buffered_peak
-    }
-
-    /// Returns the high-water mark and restarts it from the current
+    /// Returns the high-water mark of buffered flits since the last call (a
+    /// per-window congestion gauge for the telemetry layer — one `max` in
+    /// `inject`, nothing in the fast path) and restarts it from the current
     /// occupancy (called at each R_w window boundary).
     pub fn take_buffered_peak(&mut self) -> u64 {
         let peak = self.buffered_peak;
@@ -887,7 +861,7 @@ mod tests {
             r.inject(PortId(0), 0, f);
         }
         assert_eq!(r.buffered_flits(), 4);
-        assert_eq!(r.buffered_peak(), 4);
+        assert_eq!(r.buffered_peak, 4);
         // Drain completely; the peak survives until taken.
         let mut drained = 0;
         for now in 0..30 {
@@ -899,10 +873,10 @@ mod tests {
         }
         assert_eq!(drained, 4);
         assert_eq!(r.buffered_flits(), 0);
-        assert_eq!(r.buffered_peak(), 4);
+        assert_eq!(r.buffered_peak, 4);
         // Taking the peak restarts it from the current (empty) occupancy.
         assert_eq!(r.take_buffered_peak(), 4);
-        assert_eq!(r.buffered_peak(), 0);
+        assert_eq!(r.buffered_peak, 0);
     }
 
     #[test]
@@ -1001,10 +975,8 @@ mod tests {
         let a = packet(1, 1, 2);
         let log = run(&mut r, vec![(PortId(0), 0, a)], 20);
         assert_eq!(log.len(), 2);
-        // After the tail, all output VCs at port 1 are free again.
-        for v in 0..2u8 {
-            assert_eq!(r.output_owner(PortId(1), v), None);
-        }
+        // After the tail, every output VC is free again.
+        assert!(r.out_vc_owner.iter().all(Option::is_none));
         // A second packet reuses the VC.
         let b = packet(2, 1, 2);
         let log2 = run(&mut r, vec![(PortId(0), 0, b)], 20);
@@ -1016,8 +988,7 @@ mod tests {
         let mut r = small(2, 1);
         let flit = packet(1, 1, 1).remove(0);
         r.inject(PortId(0), 0, flit);
-        assert!((r.input_occupancy(PortId(0), 0) - 0.5).abs() < 1e-12);
-        assert!((r.port_occupancy(PortId(0)) - 0.25).abs() < 1e-12);
+        assert!((r.arena.buffers[0].occupancy() - 0.5).abs() < 1e-12);
         assert_eq!(r.input_space(PortId(0), 0), 1);
     }
 

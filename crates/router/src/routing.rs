@@ -59,15 +59,6 @@ impl RouteFunction for TableRoute {
     }
 }
 
-/// A closure-backed route function.
-pub struct FnRoute<F: Fn(NodeId) -> PortId>(pub F);
-
-impl<F: Fn(NodeId) -> PortId> RouteFunction for FnRoute<F> {
-    fn route(&self, dst: NodeId) -> PortId {
-        (self.0)(dst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,12 +71,6 @@ mod tests {
         assert_eq!(t.route(NodeId(2)), PortId(1));
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn closure_route() {
-        let r = FnRoute(|dst: NodeId| PortId((dst.0 % 4) as u16));
-        assert_eq!(r.route(NodeId(6)), PortId(2));
     }
 
     #[test]

@@ -8,11 +8,11 @@ use std::fmt::Write as _;
 
 /// One named series of `(x, y)` points.
 #[derive(Debug, Clone)]
-pub struct Series {
+struct Series {
     /// Legend label.
-    pub name: String,
+    name: String,
     /// Data points (need not be sorted; plotted by x).
-    pub points: Vec<(f64, f64)>,
+    points: Vec<(f64, f64)>,
 }
 
 /// Glyphs assigned to series, in order.

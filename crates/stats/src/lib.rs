@@ -12,9 +12,10 @@
 //! * [`histogram`] — fixed-bin latency histograms with percentile queries.
 //! * [`occupancy`] — event-driven flit-cycle integrals, bit-compatible with
 //!   eager per-cycle sampling (the hot-path form; DESIGN.md §10).
-//! * [`windowed`] — windowed utilization counters; these are the "hardware
-//!   counters located at each LC" from §3 of the paper, measuring
-//!   `Link_util` and `Buffer_util` over each reconfiguration window `R_w`.
+//!   These are the "hardware counters located at each LC" from §3 of the
+//!   paper, measuring `Link_util` and `Buffer_util` over each
+//!   reconfiguration window `R_w`; their eager per-cycle form, `windowed`,
+//!   is compiled for tests only, as the oracle of that bit-compatibility.
 //! * [`meter`] — composite throughput/latency/power meters.
 //! * [`table`] — plain-text table rendering for the bench binaries.
 //! * [`chart`] — ASCII line charts for the figure binaries.
@@ -27,10 +28,10 @@ pub mod meter;
 pub mod occupancy;
 pub mod running;
 pub mod table;
-pub mod windowed;
+#[cfg(test)]
+mod windowed;
 
 pub use histogram::Histogram;
 pub use meter::{LatencyMeter, PowerMeter, ThroughputMeter};
 pub use occupancy::OccupancyIntegral;
 pub use running::Running;
-pub use windowed::WindowedUtilization;

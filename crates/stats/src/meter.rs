@@ -171,16 +171,6 @@ impl PowerMeter {
         }
     }
 
-    /// Peak instantaneous power in mW.
-    pub fn peak_mw(&self) -> f64 {
-        self.peak_mw
-    }
-
-    /// Total energy in mW·cycles (multiply by 2.5 ns for mJ at 400 MHz).
-    pub fn energy_mw_cycles(&self) -> f64 {
-        self.mw_cycles
-    }
-
     /// Cycles recorded.
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -324,15 +314,15 @@ mod tests {
         p.record(10.0);
         p.record(30.0);
         assert!((p.average_mw() - 20.0).abs() < 1e-12);
-        assert_eq!(p.peak_mw(), 30.0);
+        assert_eq!(p.peak_mw, 30.0);
         assert_eq!(p.cycles(), 2);
-        assert!((p.energy_mw_cycles() - 40.0).abs() < 1e-12);
+        assert!((p.mw_cycles - 40.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_power_meter_is_zero() {
         let p = PowerMeter::new();
         assert_eq!(p.average_mw(), 0.0);
-        assert_eq!(p.peak_mw(), 0.0);
+        assert_eq!(p.peak_mw, 0.0);
     }
 }

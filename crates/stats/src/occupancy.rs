@@ -1,5 +1,6 @@
 //! Event-driven buffer-occupancy counter, bit-compatible with the eager
-//! per-cycle [`crate::WindowedUtilization`] sampling it replaces.
+//! per-cycle `WindowedUtilization` sampling it replaces (kept, test-only,
+//! as this module's oracle).
 //!
 //! The eager counter recorded `flits_held / capacity` every cycle and
 //! averaged at the window roll. That is an O(B) loop per board per cycle
@@ -195,7 +196,7 @@ impl desim::snap::Snap for OccupancyIntegral {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WindowedUtilization;
+    use crate::windowed::WindowedUtilization;
 
     /// Drives both counters through the same random enqueue/dequeue
     /// schedule and checks bit-identical window averages.

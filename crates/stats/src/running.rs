@@ -57,20 +57,6 @@ impl Running {
         }
     }
 
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample seen (`+inf` if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -153,7 +139,6 @@ mod tests {
         assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
         assert!((r.variance() - 4.0).abs() < 1e-12);
-        assert!((r.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(r.min(), 2.0);
         assert_eq!(r.max(), 9.0);
         assert!((r.sum() - 40.0).abs() < 1e-9);
@@ -205,14 +190,5 @@ mod tests {
         r.clear();
         assert_eq!(r.count(), 0);
         assert_eq!(r.mean(), 0.0);
-    }
-
-    #[test]
-    fn sample_variance_uses_bessel() {
-        let mut r = Running::new();
-        r.push(1.0);
-        r.push(3.0);
-        assert!((r.variance() - 1.0).abs() < 1e-12);
-        assert!((r.sample_variance() - 2.0).abs() < 1e-12);
     }
 }

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
+enum Align {
     /// Left-aligned (labels).
     Left,
     /// Right-aligned (numbers).
@@ -45,13 +45,6 @@ impl Table {
     /// Sets a title printed above the table.
     pub fn with_title(mut self, title: impl Into<String>) -> Self {
         self.title = Some(title.into());
-        self
-    }
-
-    /// Overrides column alignments.
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns;
         self
     }
 
@@ -134,11 +127,6 @@ pub fn f(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
-/// Formats a ratio as a percentage string, e.g. `0.25` → `"25.0%"`.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +158,6 @@ mod tests {
     #[test]
     fn helpers_format() {
         assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(pct(0.256), "25.6%");
     }
 
     #[test]
@@ -180,13 +167,5 @@ mod tests {
         assert_eq!(t.len(), 0);
         let s = t.render();
         assert!(s.contains("| x |"));
-    }
-
-    #[test]
-    fn custom_aligns() {
-        let mut t = Table::new(vec!["a", "b"]).with_aligns(vec![Align::Right, Align::Left]);
-        t.row(vec!["1", "x"]);
-        let s = t.render();
-        assert!(s.contains("| 1 | x"));
     }
 }

@@ -1,4 +1,7 @@
-//! Windowed utilization counters — the LC "hardware counters" of §3.
+//! Windowed utilization counters — the LC "hardware counters" of §3, in
+//! their eager per-cycle form. Compiled for tests only: the engine samples
+//! through [`crate::occupancy::OccupancyIntegral`], and this counter is the
+//! oracle its bit-equality test compares against.
 //!
 //! The paper measures two statistics per optical link over each
 //! reconfiguration window `R_w`:
@@ -18,7 +21,7 @@ use desim::Cycle;
 
 /// Utilization accumulated over fixed windows with one-window history.
 #[derive(Debug, Clone)]
-pub struct WindowedUtilization {
+pub(crate) struct WindowedUtilization {
     window: Cycle,
     /// Sum of per-cycle utilization values in the running window (for
     /// Link_util each cycle contributes 0 or 1; for Buffer_util a fraction).
@@ -36,7 +39,7 @@ impl WindowedUtilization {
     ///
     /// # Panics
     /// If `window == 0`.
-    pub fn new(window: Cycle) -> Self {
+    pub(crate) fn new(window: Cycle) -> Self {
         assert!(window > 0, "window must be positive");
         Self {
             window,
@@ -48,30 +51,30 @@ impl WindowedUtilization {
     }
 
     /// Window length in cycles.
-    pub fn window(&self) -> Cycle {
+    pub(crate) fn window(&self) -> Cycle {
         self.window
     }
 
     /// Records one cycle with the given utilization contribution in `[0,1]`
     /// (1.0 = busy for Link_util; occupancy fraction for Buffer_util).
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         debug_assert!((0.0..=1.0).contains(&value), "utilization sample {value}");
         self.acc += value;
         self.cycles += 1;
     }
 
     /// Records a busy cycle (shorthand for `record(1.0)`).
-    pub fn record_busy(&mut self) {
+    pub(crate) fn record_busy(&mut self) {
         self.record(1.0);
     }
 
     /// Records an idle cycle (shorthand for `record(0.0)`).
-    pub fn record_idle(&mut self) {
+    pub(crate) fn record_idle(&mut self) {
         self.record(0.0);
     }
 
     /// Utilization of the running (incomplete) window so far.
-    pub fn current(&self) -> f64 {
+    pub(crate) fn current(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
@@ -80,12 +83,12 @@ impl WindowedUtilization {
     }
 
     /// Utilization of the last completed window — what the LS protocol reads.
-    pub fn previous(&self) -> f64 {
+    pub(crate) fn previous(&self) -> f64 {
         self.previous
     }
 
     /// Number of completed windows.
-    pub fn completed_windows(&self) -> u64 {
+    pub(crate) fn completed_windows(&self) -> u64 {
         self.completed
     }
 
@@ -94,7 +97,7 @@ impl WindowedUtilization {
     /// called every `window` cycles; rolling an empty window yields 0.
     ///
     /// Returns the frozen utilization.
-    pub fn roll(&mut self) -> f64 {
+    pub(crate) fn roll(&mut self) -> f64 {
         // Normalise over the nominal window length so a partially-recorded
         // window (e.g. link disabled during a bit-rate transition) counts
         // the un-recorded cycles as idle — matching a hardware counter that
@@ -108,7 +111,7 @@ impl WindowedUtilization {
     }
 
     /// Resets everything, including history.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.acc = 0.0;
         self.cycles = 0;
         self.previous = 0.0;

@@ -171,7 +171,9 @@ pub enum TraceEvent {
         above: bool,
         util_milli: u32,
     },
-    /// A DLS power-gating decision changed a link's supply state.
+    /// A link-shutdown decision changed a link's supply state. Reserved:
+    /// nothing emits it (the paper's power management is DPM only), but the
+    /// tag keeps its number so the event codec and exporters stay stable.
     DlsPower {
         src: u16,
         dest: u16,

@@ -11,8 +11,9 @@
 //! - [`NullSink`] is a zero-cost no-op: every emit point checks
 //!   `sink.enabled()` (an inlined `false`) before building the event, so a
 //!   run with tracing off does no extra work and allocates nothing.
-//! - [`RingRecorder`] is a preallocated ring buffer with optional 1-in-N
-//!   sampling; it never allocates after construction, so tracing perturbs
+//! - [`RingRecorder`] is a preallocated ring buffer that keeps every event
+//!   (the oldest are overwritten and counted once it is full); it never
+//!   allocates after construction, so tracing perturbs
 //!   neither the simulation (events are observations, not inputs) nor the
 //!   allocator behaviour of the hot path.
 //! - [`MetricRegistry`] aggregates counters/gauges/histograms (reusing

@@ -8,7 +8,7 @@ use desim::Cycle;
 /// Default ring capacity: generous for a paper-scale run (a 40-window
 /// paper64 run emits a few thousand events) while staying a bounded,
 /// one-time allocation.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Plain-data tracing knobs.
 ///
@@ -24,9 +24,6 @@ pub struct TraceConfig {
     /// Ring capacity in events; once full the oldest events are overwritten
     /// (and counted in [`RingRecorder::dropped`]).
     pub capacity: usize,
-    /// Keep one event in every `sample_every` (1 = keep all). Sampling is
-    /// deterministic: it counts emissions, never wall time.
-    pub sample_every: u32,
 }
 
 impl TraceConfig {
@@ -35,7 +32,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: 0,
-            sample_every: 1,
         }
     }
 
@@ -44,7 +40,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             capacity: DEFAULT_CAPACITY,
-            sample_every: 1,
         }
     }
 
@@ -53,15 +48,7 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             capacity,
-            sample_every: 1,
         }
-    }
-
-    /// Keep only one event in every `n` (deterministic count-based
-    /// sampling). `n` is clamped to at least 1.
-    pub fn sampled(mut self, n: u32) -> Self {
-        self.sample_every = n.max(1);
-        self
     }
 }
 
@@ -81,12 +68,9 @@ impl Default for TraceConfig {
 pub struct RingRecorder {
     buf: Vec<TraceRecord>,
     capacity: usize,
-    /// Index of the oldest record once the ring has wrapped.
+    /// Index of the oldest record once the ring has wrapped (0 until then).
     head: usize,
     dropped: u64,
-    sample_every: u32,
-    /// Emissions seen since the last kept event.
-    phase: u32,
 }
 
 impl RingRecorder {
@@ -97,14 +81,7 @@ impl RingRecorder {
             capacity,
             head: 0,
             dropped: 0,
-            sample_every: 1,
-            phase: 0,
         }
-    }
-
-    pub fn with_sampling(mut self, sample_every: u32) -> Self {
-        self.sample_every = sample_every.max(1);
-        self
     }
 
     /// Number of records currently held.
@@ -137,14 +114,15 @@ impl RingRecorder {
         out
     }
 
-    /// Serializes the ring contents and wrap/sampling cursors (capacity and
-    /// sampling rate are config-derived).
+    /// Serializes the ring contents and wrap cursor (capacity is
+    /// config-derived).
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         self.buf.save(w);
         w.usize(self.head);
         w.u64(self.dropped);
-        w.u32(self.phase);
+        // Frozen `.ersp` body: the retired sampling phase, always 0 at rest.
+        w.u32(0);
     }
 
     /// Overlays checkpointed ring contents; the ring geometry must match.
@@ -161,25 +139,33 @@ impl RingRecorder {
                 self.capacity
             )));
         }
+        // `emit` moves the head only once the ring is full, and
+        // `take_records` resets it to 0: any other head would replay the
+        // records out of emission order.
         let head = r.usize()?;
-        if head > buf.len() || (head != 0 && head >= self.capacity) {
-            return Err(SnapError::Format(format!("ring head {head} out of range")));
+        if head != 0 && (buf.len() < self.capacity || head >= self.capacity) {
+            return Err(SnapError::Format(format!(
+                "ring head {head} with {} of {} records held",
+                buf.len(),
+                self.capacity
+            )));
+        }
+        let dropped = r.u64()?;
+        // Frozen `.ersp` body: the retired sampling phase.
+        if r.u32()? != 0 {
+            return Err(SnapError::Format(
+                "snapshot carries a trace-sampling phase; sampling is retired".into(),
+            ));
         }
         self.buf = buf;
         self.head = head;
-        self.dropped = r.u64()?;
-        self.phase = r.u32()?;
+        self.dropped = dropped;
         Ok(())
     }
 }
 
 impl TraceSink for RingRecorder {
     fn emit(&mut self, at: Cycle, event: TraceEvent) {
-        self.phase += 1;
-        if self.phase < self.sample_every {
-            return;
-        }
-        self.phase = 0;
         let rec = TraceRecord { at, event };
         if self.buf.len() < self.capacity {
             self.buf.push(rec);
@@ -211,7 +197,7 @@ impl Tracer {
         } else {
             cfg.capacity
         };
-        Tracer::Ring(RingRecorder::new(capacity).with_sampling(cfg.sample_every))
+        Tracer::Ring(RingRecorder::new(capacity))
     }
 
     /// Drains any recorded events (empty for the null tracer).
@@ -317,13 +303,32 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_every_nth() {
-        let mut r = RingRecorder::new(64).with_sampling(3);
-        for i in 0..9 {
-            r.emit(i, window(i));
-        }
-        let kept: Vec<Cycle> = r.records().iter().map(|r| r.at).collect();
-        assert_eq!(kept, vec![2, 5, 8]);
+    fn partial_ring_with_a_nonzero_head_is_refused() {
+        use desim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+        // Five records, head `head`, nothing dropped, phase 0.
+        let state = |head: usize| {
+            let mut w = SnapWriter::new();
+            (0..5)
+                .map(|i| TraceRecord {
+                    at: i,
+                    event: window(i),
+                })
+                .collect::<Vec<_>>()
+                .save(&mut w);
+            w.usize(head);
+            w.u64(0);
+            w.u32(0);
+            w.into_bytes()
+        };
+        let load = |capacity: usize, head: usize| {
+            RingRecorder::new(capacity).load_state(&mut SnapReader::new(&state(head)))
+        };
+        // A ring that never filled never moved its head.
+        assert!(load(8, 0).is_ok());
+        assert!(matches!(load(8, 3), Err(SnapError::Format(_))));
+        // A full ring may start anywhere below its capacity.
+        assert!(load(5, 3).is_ok());
+        assert!(matches!(load(5, 5), Err(SnapError::Format(_))));
     }
 
     #[test]
@@ -355,7 +360,6 @@ mod tests {
         let t = Tracer::from_config(TraceConfig {
             enabled: true,
             capacity: 0,
-            sample_every: 1,
         });
         assert!(t.enabled());
     }

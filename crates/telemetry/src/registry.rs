@@ -104,15 +104,6 @@ impl MetricRegistry {
         self.hists[id.0].record(value);
     }
 
-    /// Run-cumulative total of a counter (across all windows so far).
-    pub fn counter_total(&self, id: CounterId) -> u64 {
-        self.counters[id.0]
-    }
-
-    pub fn histogram_ref(&self, id: HistId) -> &Histogram {
-        &self.hists[id.0]
-    }
-
     /// Finalizes the current window: snapshots counter deltas and gauge
     /// values into a [`WindowSnapshot`] tagged `window`.
     pub fn roll(&mut self, window: u64) {
@@ -136,10 +127,6 @@ impl MetricRegistry {
 
     pub fn gauge_names(&self) -> &[&'static str] {
         &self.gauge_names
-    }
-
-    pub fn hist_names(&self) -> &[&'static str] {
-        &self.hist_names
     }
 
     /// Digests every registered histogram into a [`HistogramSummary`], in
@@ -291,7 +278,7 @@ mod tests {
         assert_eq!(w[0].counters, vec![3]);
         assert_eq!(w[1].counters, vec![2]);
         assert_eq!(w[2].counters, vec![0]);
-        assert_eq!(reg.counter_total(c), 5);
+        assert_eq!(reg.counters[c.0], 5);
     }
 
     #[test]
@@ -313,7 +300,7 @@ mod tests {
         reg.observe(h, 10.0);
         reg.roll(1);
         reg.observe(h, 20.0);
-        assert_eq!(reg.histogram_ref(h).count(), 2);
+        assert_eq!(reg.hists[h.0].count(), 2);
     }
 
     #[test]

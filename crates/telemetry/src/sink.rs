@@ -14,8 +14,8 @@ use desim::Cycle;
 /// ```
 ///
 /// so a disabled sink skips event construction entirely. `enabled()` must
-/// be constant for the lifetime of a run: flipping it mid-run would make
-/// sampled traces meaningless.
+/// be constant for the lifetime of a run: flipping it mid-run would leave
+/// a trace with silent gaps.
 pub trait TraceSink {
     /// Whether emit points should bother constructing events at all.
     fn enabled(&self) -> bool {

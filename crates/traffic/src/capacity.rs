@@ -50,12 +50,12 @@ impl CapacityModel {
     }
 
     /// Channel service rate μ in packets/cycle.
-    pub fn channel_rate(&self) -> f64 {
+    fn channel_rate(&self) -> f64 {
         1.0 / (self.flit_cycles as f64 * self.packet_flits as f64)
     }
 
     /// Optical-stage capacity bound, packets/node/cycle.
-    pub fn optical_bound(&self) -> f64 {
+    fn optical_bound(&self) -> f64 {
         let n = self.nodes() as f64;
         let d = self.nodes_per_board as f64;
         self.channel_rate() * (n - 1.0) / (d * d)

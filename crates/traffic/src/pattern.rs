@@ -102,7 +102,8 @@ impl TrafficPattern {
 
     /// True when the pattern is a fixed permutation (destination depends
     /// only on the source).
-    pub fn is_permutation(&self) -> bool {
+    #[cfg(test)]
+    fn is_permutation(&self) -> bool {
         !matches!(
             self,
             TrafficPattern::Uniform | TrafficPattern::Hotspot { .. }

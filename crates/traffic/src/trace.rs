@@ -27,10 +27,10 @@ use std::path::Path;
 
 /// On-disk format version written (and the only one accepted) by this
 /// build. Bump on any incompatible layout change.
-pub const TRACE_FORMAT_VERSION: u16 = 1;
+const TRACE_FORMAT_VERSION: u16 = 1;
 
 /// Magic bytes opening a binary trace file.
-pub const TRACE_MAGIC: [u8; 4] = *b"ERTR";
+const TRACE_MAGIC: [u8; 4] = *b"ERTR";
 
 /// One recorded injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +210,8 @@ pub struct TraceReplayer {
 
 impl TraceReplayer {
     /// Builds a replayer over time-ordered `entries` (validated).
-    pub fn from_entries(entries: Vec<TraceEntry>) -> Result<Self, TraceError> {
+    #[cfg(test)]
+    fn from_entries(entries: Vec<TraceEntry>) -> Result<Self, TraceError> {
         for pair in entries.windows(2) {
             if pair[1].cycle < pair[0].cycle {
                 return Err(TraceError::OutOfOrder {

@@ -278,10 +278,10 @@ pub fn pareto_front(outcomes: &[SweepOutcome]) -> Vec<SweepOutcome> {
 /// Fraction of the best delivered fraction an outcome must retain to stay
 /// eligible for [`choose`]: a point that starves delivery cannot win on a
 /// latency statistic computed over the few packets that survived.
-pub const DELIVERY_GUARD: f64 = 0.95;
+const DELIVERY_GUARD: f64 = 0.95;
 
 /// Picks the outcome minimising [`SweepOutcome::objective`] among those
-/// within [`DELIVERY_GUARD`] of the best delivered fraction. Deterministic:
+/// within `DELIVERY_GUARD` (95 %) of the best delivered fraction. Deterministic:
 /// `total_cmp` ordering, ties resolve to the earliest outcome in slice
 /// (= grid) order. Typed [`TuneError::NoViablePoint`] when the slice is
 /// empty or the guard eliminates everything.
@@ -316,7 +316,7 @@ pub fn choose(outcomes: &[SweepOutcome]) -> Result<&SweepOutcome, TuneError> {
 /// Whether `chosen` improves on the `base`line. Two ways to win, mirroring
 /// the [`choose`] eligibility rule:
 /// * the baseline starves delivery — its delivered fraction falls outside
-///   [`DELIVERY_GUARD`] of the chosen point's — so restoring delivery is
+///   `DELIVERY_GUARD` of the chosen point's — so restoring delivery is
 ///   the improvement (the baseline's latency statistic is survivor-biased
 ///   and not comparable);
 /// * at comparable delivery, a strictly lower `power × p95` objective.

@@ -19,7 +19,6 @@
 //! from a recorded one downstream.
 
 use std::fmt;
-use std::path::Path;
 use traffic::trace::{InjectionTrace, TraceEntry, TraceMeta};
 
 /// The external log formats [`ingest_str`] reads.
@@ -29,25 +28,6 @@ pub enum ExternalFormat {
     DumpiText,
     /// One `{"t":…,"src":…,"dst":…}` JSON object per line (OTF2-style).
     Otf2Jsonl,
-}
-
-impl ExternalFormat {
-    /// Guesses the format from content: a document whose first non-blank,
-    /// non-comment line starts with `{` is JSONL, anything else is text.
-    pub fn detect(text: &str) -> ExternalFormat {
-        for line in text.lines() {
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('#') {
-                continue;
-            }
-            return if t.starts_with('{') {
-                ExternalFormat::Otf2Jsonl
-            } else {
-                ExternalFormat::DumpiText
-            };
-        }
-        ExternalFormat::DumpiText
-    }
 }
 
 /// A rejected external log, pinpointing the offending line.
@@ -80,8 +60,6 @@ pub enum IngestError {
         /// The exclusive limit it must stay under.
         limit: u64,
     },
-    /// Filesystem I/O failed.
-    Io(String),
 }
 
 impl fmt::Display for IngestError {
@@ -98,7 +76,6 @@ impl fmt::Display for IngestError {
                 value,
                 limit,
             } => write!(f, "line {line}: {field} {value} outside 0..{limit}"),
-            IngestError::Io(msg) => write!(f, "ingest I/O failed: {msg}"),
         }
     }
 }
@@ -243,13 +220,6 @@ pub fn ingest_str(
     Ok(InjectionTrace { meta, entries })
 }
 
-/// Reads `path`, auto-detects the format, and converts — the one-call
-/// file form of [`ingest_str`].
-pub fn ingest_file(path: &Path, meta: TraceMeta) -> Result<InjectionTrace, IngestError> {
-    let text = std::fs::read_to_string(path).map_err(|e| IngestError::Io(e.to_string()))?;
-    ingest_str(&text, ExternalFormat::detect(&text), meta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,19 +256,9 @@ mod tests {
     #[test]
     fn otf2_jsonl_parses_and_detects() {
         let text = "{\"t\":3,\"src\":0,\"dst\":5}\n{\"t\":9,\"src\":2,\"dst\":0}\n";
-        assert_eq!(ExternalFormat::detect(text), ExternalFormat::Otf2Jsonl);
         let t = ingest_str(text, ExternalFormat::Otf2Jsonl, meta()).unwrap();
         assert_eq!(t.entries.len(), 2);
         assert_eq!(t.entries[1].cycle, 9);
-    }
-
-    #[test]
-    fn detect_skips_leading_comments() {
-        assert_eq!(
-            ExternalFormat::detect("# header\n0 1 2\n"),
-            ExternalFormat::DumpiText
-        );
-        assert_eq!(ExternalFormat::detect(""), ExternalFormat::DumpiText);
     }
 
     #[test]
@@ -351,14 +311,6 @@ mod tests {
         assert!(matches!(
             ingest_str("not json", ExternalFormat::Otf2Jsonl, meta()),
             Err(IngestError::Parse { line: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn missing_file_is_io() {
-        assert!(matches!(
-            ingest_file(Path::new("/nonexistent/events.log"), meta()),
-            Err(IngestError::Io(_))
         ));
     }
 }

@@ -37,4 +37,4 @@ pub mod spec;
 
 pub use engine::ScenarioEngine;
 pub use ingest::{ExternalFormat, IngestError};
-pub use spec::{ScenarioKind, ScenarioSpec};
+pub use spec::{ScenarioKind, ScenarioSpec, SpecError};

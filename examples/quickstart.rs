@@ -16,8 +16,7 @@ fn main() {
     //    with Table 1's router and optical-link parameters.
     let cfg = SystemConfig::paper64(NetworkMode::PB);
     println!(
-        "system: R({},{},{}) = {} nodes, {} wavelengths, R_w = {} cycles",
-        cfg.clusters,
+        "system: R(1,{},{}) = {} nodes, {} wavelengths, R_w = {} cycles",
         cfg.boards,
         cfg.nodes_per_board,
         cfg.nodes(),

@@ -36,9 +36,38 @@ if grep -rnE "TraceError::(Forma[t]|Versio[n]|Checksu[m]|I[o])\b|encode_deliver[
     echo "verify: a retired container name is back"; exit 1
 fi
 
-# One temp root for every smoke below, removed on any exit.
+echo "== link shutdown, trace sampling and four dead router types stay retired =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "DlsPolic[y]|sample_ever[y]|CreditReturnQueu[e]|PacketIdAllocato[r]|FnRout[e]" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a retired name is back"; exit 1
+fi
+
+# One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== reachability (every pub item under crates/*/src is named outside its own file) =="
+# Committed survivors may carry a trailing ` # <reason>`; anything the scan
+# finds beyond them fails.
+scripts/reach.sh . "$tmp/UNREACHED.txt"
+sed 's/ # .*$//' results/UNREACHED.txt > "$tmp/UNREACHED.committed"
+if grep -vxFf "$tmp/UNREACHED.committed" "$tmp/UNREACHED.txt"; then
+    echo "verify: pub items above are named nowhere outside their own file (scripts/reach.sh);"
+    echo "        delete them, drop the pub, or move them under #[cfg(test)]"
+    exit 1
+fi
+# Gate self-test: a planted item that only a comment elsewhere mentions
+# must be flagged.
+probe="$tmp/reach-probe"
+mkdir -p "$probe/benchmark"
+cp -r crates tests examples src "$probe"
+cp -r benchmark/src benchmark/tests "$probe/benchmark"
+echo "pub fn reach_probe_unnamed() {}" >> "$probe/crates/desim/src/lib.rs"
+echo "// reach_probe_unnamed is only mentioned here" >> "$probe/crates/router/src/lib.rs"
+scripts/reach.sh "$probe" "$tmp/reach-probe.txt"
+grep -qx "crates/desim/src/lib.rs: pub fn reach_probe_unnamed" "$tmp/reach-probe.txt" \
+    || { echo "verify: scripts/reach.sh missed a planted unreached item"; exit 1; }
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

@@ -477,6 +477,48 @@ fn analytic_plane_state_in_a_snapshot_is_refused() {
     }
 }
 
+/// The retired trace-sampling phase keeps its `.ersp` word, frozen at 0:
+/// a snapshot carrying any other value is refused as a typed error.
+#[test]
+fn trace_sampling_phase_in_a_snapshot_is_refused() {
+    use erapid_suite::desim::snap::{SnapError, SnapReader, SnapWriter};
+    // A one-record ring overflows at once, so once drained it holds only
+    // its `dropped` count — which is what finds it in the body.
+    let fresh = || {
+        let mut c = SystemConfig::small(NetworkMode::PB);
+        c.trace = TraceConfig::with_capacity(1);
+        System::new(c, TrafficPattern::Complement, 0.5, full_plan())
+    };
+    let mut sys = fresh();
+    while sys.now() < 2 * WINDOW || !sys.can_checkpoint() {
+        sys.step();
+    }
+    sys.take_trace_records();
+    let dropped = sys.trace_dropped();
+    let mut w = SnapWriter::new();
+    sys.save_state(&mut w).expect("quiescent");
+    let clean = w.into_bytes();
+    assert!(fresh().load_state(&mut SnapReader::new(&clean)).is_ok());
+    // Empty record list, head 0, `dropped`, then the phase word.
+    let ring = [[0; 8], [0; 8], dropped.to_le_bytes()].concat();
+    let hits: Vec<usize> = (0..clean.len())
+        .filter(|&i| clean[i..].starts_with(&ring))
+        .collect();
+    assert_eq!(
+        hits.len(),
+        1,
+        "the drained ring ({dropped} dropped) is unique"
+    );
+    let phase_at = hits[0] + ring.len();
+    assert_eq!(clean[phase_at..phase_at + 4], [0; 4]);
+    let mut bytes = clean;
+    bytes[phase_at] = 1;
+    assert!(matches!(
+        fresh().load_state(&mut SnapReader::new(&bytes)),
+        Err(SnapError::Format(_))
+    ));
+}
+
 /// Version and config-fingerprint mismatches are typed errors.
 #[test]
 fn version_and_config_mismatch_rejected() {
