@@ -2,16 +2,19 @@
 //!
 //! A snapshot (`.ersp`) captures the *entire* mutable simulation state —
 //! boards, router VA/SA lists, the SRS receiver slots and its wake/retune/
-//! relock queues, occupancy integrals, fault-plan cursor, RNG streams and
-//! the telemetry registry — plus the [`StreamCursor`] of the streaming
-//! export, so a killed run resumes byte-identical to an uninterrupted one.
+//! relock queues, occupancy integrals, fault-plan cursor, the injection
+//! source (generator RNG streams, scenario RNG streams or a replay cursor,
+//! as one tagged section) and the telemetry registry — plus the
+//! [`StreamCursor`] of the streaming export, so a killed run resumes
+//! byte-identical to an uninterrupted one. Only live state is stored: a
+//! word that nothing reads is not kept frozen in the body.
 //!
 //! ## Snapshot layout
 //!
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 4 | `ERSP` |
-//! | version | 2 | `SNAP_VERSION` |
+//! | version | 2 | `SNAP_VERSION` (3) |
 //! | fingerprint | 8 | FNV-1a-64 of `format!("{cfg:?}")` |
 //! | cursor | 32 | [`StreamCursor`] (trace/delivery positions) |
 //! | body | … | [`System::save_state`] byte stream |
@@ -47,10 +50,12 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: [u8; 4] = *b"ERSP";
-/// Snapshot format version this build reads and writes. Version 2 stores
-/// the SRS as its O(B·W) receiver slots; version 1's dense per-laser bank
-/// is refused, not converted.
-const SNAP_VERSION: u16 = 2;
+/// Snapshot format version this build reads and writes. Version 3 stores
+/// the injection source as one tagged section and drops the retired
+/// words version 2 kept frozen; version 2 stored the SRS as its O(B·W)
+/// receiver slots, version 1 as a dense per-laser bank. Older versions are
+/// refused, not converted.
+const SNAP_VERSION: u16 = 3;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
 const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 

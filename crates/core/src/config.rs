@@ -292,6 +292,14 @@ impl SystemConfig {
         if self.ladder.len() != self.power_model.ladder().len() {
             return fail("power model must cover the ladder");
         }
+        if let Some(b) = self.burst {
+            if !(b.burstiness >= 1.0 && b.burstiness.is_finite()) {
+                return fail("burst burstiness must be finite and ≥ 1");
+            }
+            if !(b.dwell >= 1.0 && b.dwell.is_finite()) {
+                return fail("burst dwell must be finite and ≥ 1 cycle");
+            }
+        }
         if let Some(spec) = &self.scenario {
             spec.validate(self.nodes())
                 .map_err(|e| ErapidError::Config(e.0))?;
@@ -426,6 +434,34 @@ mod tests {
         bad.rate_scale = f64::NAN;
         c.scenario = Some(bad);
         assert!(matches!(c.try_validate(), Err(ErapidError::Config(_))));
+    }
+
+    #[test]
+    fn burst_specs_are_validated() {
+        // Each used to validate and then fail an `assert!` inside
+        // `OnOffSource` when `System::new` built the generators.
+        let mut c = SystemConfig::small(NetworkMode::PB);
+        let ok = BurstSpec {
+            burstiness: 4.0,
+            dwell: 1000.0,
+        };
+        c.burst = Some(ok);
+        assert!(c.try_validate().is_ok());
+        for bad in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for spec in [
+                BurstSpec {
+                    burstiness: bad,
+                    ..ok
+                },
+                BurstSpec { dwell: bad, ..ok },
+            ] {
+                c.burst = Some(spec);
+                assert!(
+                    matches!(c.try_validate(), Err(ErapidError::Config(_))),
+                    "{spec:?} must be refused"
+                );
+            }
+        }
     }
 
     #[test]

@@ -107,8 +107,6 @@ pub use error::ErapidError;
 pub use experiment::{run_once, trace_meta, RunOutput, RunResult, RunTrace, TraceSource};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::PacketDelivery;
-pub use runner::{
-    parallel_map, parallel_map_prioritized, run_points, run_points_timed_sharded, RunPoint,
-};
+pub use runner::{parallel_map, run_points, run_points_timed_sharded, RunPoint};
 pub use stream::{StreamCursor, StreamPaths, StreamSink};
 pub use system::{PhaseTimers, System, WindowFlush};

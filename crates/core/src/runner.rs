@@ -85,7 +85,7 @@ fn priority_order(costs: &[u128]) -> Vec<usize> {
 /// FIFO dispatch: when the most expensive point sits late in the grid, a
 /// worker would otherwise pick it up last and run it alone while the
 /// rest of the pool idles.
-pub fn parallel_map_prioritized<T, R, F, C>(
+fn parallel_map_prioritized<T, R, F, C>(
     threads: NonZeroUsize,
     items: Vec<T>,
     cost: C,

@@ -406,6 +406,31 @@ mod tests {
     }
 
     #[test]
+    fn window_rows_name_their_columns() {
+        let dir = tmpdir("rows");
+        let paths = StreamPaths {
+            trace: Some(dir.join("t.jsonl")),
+            deliveries: None,
+        };
+        let mut sink = StreamSink::create(&paths).unwrap();
+        let flush = WindowFlush {
+            records: Vec::new(),
+            windows: vec![erapid_telemetry::WindowSnapshot {
+                window: 1,
+                counters: vec![4],
+                gauges: vec![0.5],
+            }],
+            packets: Vec::new(),
+        };
+        let (counters, gauges) = (["grants".to_string()], ["util".to_string()]);
+        sink.flush_window(&flush, &counters, &gauges).unwrap();
+        sink.finalize().unwrap();
+        let text = std::fs::read_to_string(paths.trace.as_deref().unwrap()).unwrap();
+        assert_eq!(text, "{\"window\":1,\"grants\":4,\"util\":0.5}\n");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
     fn corrupt_delivery_log_is_detected() {
         let dir = tmpdir("corrupt");
         let paths = StreamPaths {

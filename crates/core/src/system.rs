@@ -5,7 +5,8 @@
 //! 1. at `R_w` boundaries, roll all hardware-counter windows and trigger
 //!    the LS odd–even cycle — DPM decisions apply locally, DBR decisions
 //!    apply when the five-stage Lock-Step round they launch completes,
-//! 2. node traffic generators inject packets into their NIs,
+//! 2. the injection source (generators, scenario or replayed trace) puts
+//!    the packets due this cycle into their NIs,
 //! 3. every board steps its IBI router (deliveries eject, remote flits
 //!    reassemble in TX queues),
 //! 4. ready packets in TX queues depart on free owned optical channels,
@@ -37,22 +38,91 @@ use router::flit::{NodeId, PacketId};
 use router::packet::Packet;
 use traffic::generator::{NodeGenerator, PacketRequest};
 use traffic::pattern::TrafficPattern;
-use traffic::source::InjectionSource;
 use traffic::trace::{TraceRecorder, TraceReplayer};
+
+/// Where a run's packets come from: exactly one source, chosen when the
+/// system is built and polled once per cycle.
+enum Source {
+    /// One Bernoulli (or bursty) generator per node: the paper's model.
+    Generators(Vec<NodeGenerator>),
+    /// A production-shaped scenario (`cfg.scenario`).
+    Scenario(ScenarioEngine),
+    /// A recorded injection trace ([`System::with_trace`]).
+    Replay(TraceReplayer),
+}
+
+impl Source {
+    /// The snapshot tag: 0 generators, 1 scenario, 2 replay.
+    fn tag(&self) -> u8 {
+        match self {
+            Source::Generators(_) => 0,
+            Source::Scenario(_) => 1,
+            Source::Replay(_) => 2,
+        }
+    }
+
+    /// Appends every request due at `now` to `due`, ascending source node.
+    fn poll_into(&mut self, now: Cycle, due: &mut Vec<PacketRequest>) {
+        match self {
+            Source::Generators(gens) => due.extend(gens.iter_mut().filter_map(|g| g.poll(now))),
+            Source::Scenario(engine) => engine.poll_into(now, due),
+            Source::Replay(replay) => {
+                while let Some(e) = replay.pop_due(now) {
+                    due.push(PacketRequest {
+                        src: e.src,
+                        dst: e.dst,
+                    });
+                }
+            }
+        }
+    }
+
+    /// The variant tag, then that variant's mutable state.
+    fn save_state(&self, w: &mut desim::snap::SnapWriter) {
+        w.u8(self.tag());
+        match self {
+            Source::Generators(gens) => {
+                w.usize(gens.len());
+                for g in gens {
+                    g.save_state(w);
+                }
+            }
+            Source::Scenario(engine) => engine.save_state(w),
+            Source::Replay(replay) => replay.save_state(w),
+        }
+    }
+
+    /// Overlays a saved source of the same kind; a snapshot of another
+    /// kind is a typed mismatch.
+    fn load_state(
+        &mut self,
+        r: &mut desim::snap::SnapReader<'_>,
+    ) -> Result<(), desim::snap::SnapError> {
+        let tag = r.u8()?;
+        if tag != self.tag() {
+            return Err(desim::snap::SnapError::Mismatch(format!(
+                "snapshot injection source tag {tag} != this system's {}",
+                self.tag()
+            )));
+        }
+        match self {
+            Source::Generators(gens) => {
+                r.len_eq(gens.len(), "node generators")?;
+                gens.iter_mut().try_for_each(|g| g.load_state(r))
+            }
+            Source::Scenario(engine) => engine.load_state(r),
+            Source::Replay(replay) => replay.load_state(r),
+        }
+    }
+}
 
 /// A full simulated E-RAPID system.
 pub struct System {
     cfg: SystemConfig,
     boards: Vec<Board>,
     srs: Srs,
-    generators: Vec<NodeGenerator>,
-    /// When set, injection replays this trace instead of the generators.
-    replay: Option<TraceReplayer>,
-    /// When set (`cfg.scenario`), injection polls this scenario source
-    /// instead of the per-node generators.
-    scenario: Option<Box<dyn InjectionSource>>,
-    /// Reusable per-cycle scenario request buffer.
-    scenario_scratch: Vec<PacketRequest>,
+    /// The one injection source.
+    source: Source,
     /// Records every injection for later replay (None unless
     /// `cfg.record_injections` — zero cost when off).
     injection_log: Option<TraceRecorder>,
@@ -63,9 +133,11 @@ pub struct System {
     metrics: RunMetrics,
     /// The in-flight Lock-Step DBR round, if any.
     active_round: Option<DbrRound>,
-    /// Per-cycle scratch: one board's deliveries, then one lane's ready
-    /// destinations. Both empty at every cycle boundary (never
-    /// snapshotted); reused, so steady-state allocation-free.
+    /// Per-cycle scratch: the requests due this cycle, one board's
+    /// deliveries, one lane's ready destinations. All empty at every cycle
+    /// boundary (never snapshotted); reused, so steady-state
+    /// allocation-free.
+    due: Vec<PacketRequest>,
     delivered: Vec<Delivered>,
     ready: Vec<u16>,
     /// Next unapplied event in `cfg.faults` (the plan is time-sorted).
@@ -216,17 +288,38 @@ impl System {
         cfg.validate();
         let rate = cfg.capacity().injection_rate(load);
         let nodes = cfg.nodes();
-        let generators = match cfg.burst {
-            None => traffic::generator::build_generators(nodes, &pattern, rate, cfg.seed),
-            Some(b) => traffic::generator::build_bursty_generators(
+        // A scenario preempts the generators; the rate is the same
+        // load × N_c normalisation the synthetic patterns use, so the
+        // bench load axis carries over unchanged.
+        let source = match (&cfg.scenario, cfg.burst) {
+            (Some(spec), _) => {
+                Source::Scenario(ScenarioEngine::new(spec.clone(), nodes, rate, cfg.seed))
+            }
+            (None, None) => Source::Generators(traffic::generator::build_generators(
+                nodes, &pattern, rate, cfg.seed,
+            )),
+            (None, Some(b)) => Source::Generators(traffic::generator::build_bursty_generators(
                 nodes,
                 &pattern,
                 rate,
                 b.burstiness,
                 b.dwell,
                 cfg.seed,
-            ),
+            )),
         };
+        Self::with_source(cfg, source, plan)
+    }
+
+    /// Builds a system that replays a recorded injection trace instead of
+    /// drawing from live traffic generators — exact workload replay across
+    /// configurations (every injection comes from the trace).
+    pub fn with_trace(cfg: SystemConfig, replay: TraceReplayer, plan: PhasePlan) -> Self {
+        cfg.validate();
+        Self::with_source(cfg, Source::Replay(replay), plan)
+    }
+
+    /// Everything but the injection source, derived from a validated `cfg`.
+    fn with_source(cfg: SystemConfig, source: Source, plan: PhasePlan) -> Self {
         let boards = (0..cfg.boards).map(|b| Board::new(&cfg, b)).collect();
         let srs = Srs::new(
             cfg.boards,
@@ -237,7 +330,7 @@ impl System {
             cfg.schedule.window,
             cfg.transition.penalty(),
         );
-        let metrics = RunMetrics::new(nodes as usize, plan);
+        let metrics = RunMetrics::new(cfg.nodes() as usize, plan);
         let tracer = Tracer::from_config(cfg.trace);
         let registry = cfg.trace.enabled.then(build_registry);
         // `validate()` above already vetted any tune spec, so construction
@@ -261,26 +354,18 @@ impl System {
         let injection_log = cfg.record_injections.then(TraceRecorder::new);
         let packet_log = cfg.packet_log.then(Vec::new);
         let watch_pending = vec![true; buffer_watch.len()];
-        // A scenario source preempts the generators; the rate is the same
-        // load × N_c normalisation the synthetic patterns use, so the
-        // bench load axis carries over unchanged.
-        let scenario = cfg.scenario.clone().map(|spec| {
-            Box::new(ScenarioEngine::new(spec, nodes, rate, cfg.seed)) as Box<dyn InjectionSource>
-        });
         Self {
             cfg,
             boards,
             srs,
-            generators,
-            replay: None,
-            scenario,
-            scenario_scratch: Vec::new(),
+            source,
             injection_log,
             packet_log,
             next_packet_id: 0,
             now: 0,
             metrics,
             active_round: None,
+            due: Vec::new(),
             delivered: Vec::new(),
             ready: Vec::new(),
             fault_cursor: 0,
@@ -295,16 +380,6 @@ impl System {
             buffer_watch,
             controller,
         }
-    }
-
-    /// Builds a system that replays a recorded injection trace instead of
-    /// drawing from live traffic generators — exact workload replay across
-    /// configurations (`load`/`pattern` are irrelevant; every injection
-    /// comes from the trace).
-    pub fn with_trace(cfg: SystemConfig, replay: TraceReplayer, plan: PhasePlan) -> Self {
-        let mut sys = Self::new(cfg, TrafficPattern::Uniform, 0.0, plan);
-        sys.replay = Some(replay);
-        sys
     }
 
     /// Current cycle.
@@ -486,8 +561,9 @@ impl System {
     }
 
     /// Coarse heap-footprint estimate in bytes of the live simulation
-    /// state: boards (routers, TX queues) plus the optical stage's receiver
-    /// slots and carried tables. Analytic capacity × element-size sums —
+    /// state: boards (routers, TX queues), the optical stage's receiver
+    /// slots and carried tables, and the per-node generators when they are
+    /// the source. Analytic capacity × element-size sums —
     /// comparable across board counts (`benchmark/` reports it as
     /// `core.system.approx_memory_bytes`).
     pub fn approx_memory_bytes(&self) -> usize {
@@ -498,7 +574,10 @@ impl System {
                 .map(Board::approx_memory_bytes)
                 .sum::<usize>()
             + self.srs.approx_memory_bytes()
-            + std::mem::size_of_val(self.generators.as_slice())
+            + match &self.source {
+                Source::Generators(gens) => std::mem::size_of_val(gens.as_slice()),
+                Source::Scenario(_) | Source::Replay(_) => 0,
+            }
     }
 
     /// `R_w` boundary handling: roll windows, trigger the odd–even cycle.
@@ -808,40 +887,17 @@ impl System {
         }
     }
 
-    /// Node injection: Bernoulli sources fire into their NIs (or the
-    /// replayed trace's entries due this cycle, or the scenario source's).
-    /// All branches funnel through [`Self::inject_one`], so the injection
-    /// log sees the exact workload regardless of its source.
+    /// Node injection: the source's requests due this cycle, each through
+    /// [`Self::inject_one`], so packet ids, labels and the injection log
+    /// see the exact workload whatever its source.
     fn inject(&mut self, now: Cycle) {
-        let plan = self.metrics.plan;
-        let labelled = plan.phase_at(now) == Phase::Measure;
-        if let Some(mut rep) = self.replay.take() {
-            while let Some(e) = rep.pop_due(now) {
-                self.inject_one(now, e.src, e.dst, labelled);
-            }
-            self.replay = Some(rep);
-            return;
+        let labelled = self.metrics.plan.phase_at(now) == Phase::Measure;
+        let mut due = std::mem::take(&mut self.due);
+        self.source.poll_into(now, &mut due);
+        for req in due.drain(..) {
+            self.inject_one(now, req.src, req.dst, labelled);
         }
-        if let Some(mut sc) = self.scenario.take() {
-            let mut due = std::mem::take(&mut self.scenario_scratch);
-            due.clear();
-            sc.poll_into(now, &mut due);
-            for req in &due {
-                self.inject_one(now, req.src, req.dst, labelled);
-            }
-            self.scenario_scratch = due;
-            self.scenario = Some(sc);
-            return;
-        }
-        // Moving the Vec out and back costs three pointer words and frees
-        // `self` for the funnel call; no element is touched.
-        let mut gens = std::mem::take(&mut self.generators);
-        for g in &mut gens {
-            if let Some(req) = g.poll(now) {
-                self.inject_one(now, req.src, req.dst, labelled);
-            }
-        }
-        self.generators = gens;
+        self.due = due;
     }
 
     /// Injects one packet from `src` to `dst`, assigning the next
@@ -996,23 +1052,6 @@ impl System {
         }
     }
 
-    /// Fault injection: kills the receiver for wavelength `w` at board `d`
-    /// (see [`Srs::fail_receiver`]). With DBR active the orphaned flow
-    /// re-acquires bandwidth through its queue demand; without it the flow
-    /// starves — the resilience story reconfigurability buys.
-    pub fn fail_receiver(&mut self, d: u16, w: u16) {
-        let now = self.now;
-        self.srs.fail_receiver(now, d, w, &mut self.tracer);
-    }
-
-    /// Fault repair: restores the receiver for wavelength `w` at board `d`
-    /// (see [`Srs::repair_receiver`]); the static owner re-lights and DBR
-    /// re-admits the wavelength.
-    pub fn repair_receiver(&mut self, d: u16, w: u16) {
-        let now = self.now;
-        self.srs.repair_receiver(now, d, w);
-    }
-
     /// Applies one fault immediately, outside any scheduled plan.
     pub fn inject_fault(&mut self, kind: FaultKind) {
         let now = self.now;
@@ -1104,7 +1143,7 @@ impl System {
     }
 
     /// Serializes the full mutable simulation state (boards, SRS,
-    /// generators, logs, metrics, control plane, telemetry). Config-derived
+    /// injection source, logs, metrics, control plane, telemetry). Config-derived
     /// geometry is *not* written — restore overlays a freshly-constructed
     /// identical system. Fails if a DBR round is in flight
     /// (see [`Self::can_checkpoint`]); in-flight rounds borrow stage state
@@ -1127,22 +1166,13 @@ impl System {
         w.u64(self.dbr_rounds);
         w.u64(self.ls_retries);
         w.u64(self.ls_aborted);
-        // Frozen `.ersp` body: the retired analytic plane's delay word ...
-        w.u64(0);
         w.usize(self.fault_cursor);
         w.usize(self.boards.len());
         for b in &self.boards {
             b.save_state(w);
         }
         self.srs.save_state(w);
-        w.usize(self.generators.len());
-        for g in &self.generators {
-            g.save_state(w);
-        }
-        w.bool(self.replay.is_some());
-        if let Some(rp) = &self.replay {
-            rp.save_state(w);
-        }
+        self.source.save_state(w);
         w.bool(self.injection_log.is_some());
         if let Some(log) = &self.injection_log {
             log.save_state(w);
@@ -1152,8 +1182,6 @@ impl System {
             log.save(w);
         }
         self.metrics.save_state(w);
-        // ... and its `pending_dbr` delayed-grant list, always empty.
-        w.usize(0);
         self.armed_token.save(w);
         self.tracer.save_state(w);
         w.bool(self.registry.is_some());
@@ -1165,10 +1193,6 @@ impl System {
             watch.save_state(w);
         }
         self.watch_pending.save(w);
-        w.bool(self.scenario.is_some());
-        if let Some(sc) = &self.scenario {
-            sc.save_state(w);
-        }
         w.bool(self.controller.is_some());
         if let Some(c) = &self.controller {
             c.save_state(w);
@@ -1178,8 +1202,8 @@ impl System {
 
     /// Overlays a checkpointed state onto a freshly-constructed system
     /// built from the *same* config (and, under replay, the same trace).
-    /// Geometry mismatches (board count, receiver slot count, presence of
-    /// replay/logs/telemetry) are typed [`desim::snap::SnapError::Mismatch`]
+    /// Geometry mismatches (board count, receiver slot count, source kind,
+    /// presence of logs/telemetry) are typed [`desim::snap::SnapError::Mismatch`]
     /// errors, never panics.
     pub fn load_state(
         &mut self,
@@ -1196,11 +1220,6 @@ impl System {
             }
             Ok(())
         }
-        fn analytic_plane_state() -> SnapError {
-            SnapError::Mismatch(
-                "snapshot carries delayed DBR grants of the retired analytic control plane".into(),
-            )
-        }
         r.tag(b"SYSS")?;
         let now = r.u64()?;
         let next_packet_id = r.u64()?;
@@ -1208,10 +1227,6 @@ impl System {
         let dbr_rounds = r.u64()?;
         let ls_retries = r.u64()?;
         let ls_aborted = r.u64()?;
-        // Frozen `.ersp` body: the retired analytic plane's delay word ...
-        if r.u64()? != 0 {
-            return Err(analytic_plane_state());
-        }
         let fault_cursor = r.usize()?;
         if fault_cursor > self.cfg.faults.len() {
             return Err(SnapError::Format(
@@ -1223,14 +1238,7 @@ impl System {
             b.load_state(r)?;
         }
         self.srs.load_state(r)?;
-        r.len_eq(self.generators.len(), "node generators")?;
-        for g in &mut self.generators {
-            g.load_state(r)?;
-        }
-        presence(r.bool()?, self.replay.is_some(), "a replay source")?;
-        if let Some(rp) = &mut self.replay {
-            rp.load_state(r)?;
-        }
+        self.source.load_state(r)?;
         presence(r.bool()?, self.injection_log.is_some(), "an injection log")?;
         if let Some(log) = &mut self.injection_log {
             log.load_state(r)?;
@@ -1240,10 +1248,6 @@ impl System {
             self.packet_log = Some(Snap::load(r)?);
         }
         self.metrics.load_state(r)?;
-        // ... and its `pending_dbr` delayed-grant list.
-        if r.usize()? != 0 {
-            return Err(analytic_plane_state());
-        }
         self.armed_token = Snap::load(r)?;
         self.tracer.load_state(r)?;
         presence(r.bool()?, self.registry.is_some(), "a metric registry")?;
@@ -1256,10 +1260,6 @@ impl System {
         }
         let watch_pending: Vec<bool> =
             desim::snap::load_vec_exact(r, self.watch_pending.len(), "watch-pending flags")?;
-        presence(r.bool()?, self.scenario.is_some(), "a scenario source")?;
-        if let Some(sc) = &mut self.scenario {
-            sc.load_state(r)?;
-        }
         presence(r.bool()?, self.controller.is_some(), "a tuning controller")?;
         if let Some(c) = &mut self.controller {
             c.load_state(r)?;

@@ -14,7 +14,6 @@
 //! for window boundaries and Lock-Step/DBR ring events.
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::registry::{MetricRegistry, WindowSnapshot};
 use std::fmt::Write as _;
 
 /// Serializes one record as a single JSON object (no trailing newline).
@@ -308,32 +307,6 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Serializes a registry's finalized windows as JSON Lines: one object per
-/// window with named counter deltas and gauge values.
-pub fn windows_jsonl(reg: &MetricRegistry) -> String {
-    windows_jsonl_rows(reg.counter_names(), reg.gauge_names(), reg.windows())
-}
-
-/// As [`windows_jsonl`], for snapshots detached from their registry.
-pub fn windows_jsonl_rows(
-    counter_names: &[&'static str],
-    gauge_names: &[&'static str],
-    windows: &[WindowSnapshot],
-) -> String {
-    let mut out = String::new();
-    for w in windows {
-        let _ = write!(out, "{{\"window\":{}", w.window);
-        for (name, v) in counter_names.iter().zip(&w.counters) {
-            let _ = write!(out, ",\"{name}\":{v}");
-        }
-        for (name, v) in gauge_names.iter().zip(&w.gauges) {
-            let _ = write!(out, ",\"{name}\":{v}");
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,17 +388,5 @@ mod tests {
         let recs = sample_records();
         assert_eq!(jsonl(&recs), jsonl(&recs));
         assert_eq!(chrome_trace(&recs), chrome_trace(&recs));
-    }
-
-    #[test]
-    fn windows_jsonl_names_columns() {
-        let mut reg = MetricRegistry::new();
-        let c = reg.counter("grants");
-        let g = reg.gauge("util");
-        reg.inc(c, 4);
-        reg.set(g, 0.5);
-        reg.roll(1);
-        let text = windows_jsonl(&reg);
-        assert_eq!(text, "{\"window\":1,\"grants\":4,\"util\":0.5}\n");
     }
 }

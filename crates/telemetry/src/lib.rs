@@ -34,7 +34,7 @@ pub mod registry;
 pub mod sink;
 
 pub use event::{FaultLabel, LsStageLabel, TraceEvent, TraceRecord, WindowLabel};
-pub use export::{chrome_trace, jsonl, jsonl_line, windows_jsonl, windows_jsonl_rows};
+pub use export::{chrome_trace, jsonl, jsonl_line};
 pub use recorder::{RingRecorder, TraceConfig, Tracer};
 pub use registry::{
     counter_column, CounterId, GaugeId, HistId, HistogramSummary, MetricRegistry, WindowSnapshot,

@@ -121,8 +121,6 @@ impl RingRecorder {
         self.buf.save(w);
         w.usize(self.head);
         w.u64(self.dropped);
-        // Frozen `.ersp` body: the retired sampling phase, always 0 at rest.
-        w.u32(0);
     }
 
     /// Overlays checkpointed ring contents; the ring geometry must match.
@@ -151,12 +149,6 @@ impl RingRecorder {
             )));
         }
         let dropped = r.u64()?;
-        // Frozen `.ersp` body: the retired sampling phase.
-        if r.u32()? != 0 {
-            return Err(SnapError::Format(
-                "snapshot carries a trace-sampling phase; sampling is retired".into(),
-            ));
-        }
         self.buf = buf;
         self.head = head;
         self.dropped = dropped;
@@ -305,7 +297,7 @@ mod tests {
     #[test]
     fn partial_ring_with_a_nonzero_head_is_refused() {
         use desim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-        // Five records, head `head`, nothing dropped, phase 0.
+        // Five records, head `head`, nothing dropped.
         let state = |head: usize| {
             let mut w = SnapWriter::new();
             (0..5)
@@ -317,7 +309,6 @@ mod tests {
                 .save(&mut w);
             w.usize(head);
             w.u64(0);
-            w.u32(0);
             w.into_bytes()
         };
         let load = |capacity: usize, head: usize| {

@@ -146,7 +146,8 @@ impl MetricRegistry {
             .collect()
     }
 
-    pub fn windows(&self) -> &[WindowSnapshot] {
+    #[cfg(test)]
+    fn windows(&self) -> &[WindowSnapshot] {
         &self.windows
     }
 

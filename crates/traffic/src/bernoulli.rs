@@ -12,7 +12,6 @@ use desim::Cycle;
 pub struct BernoulliInjector {
     rate: f64,
     rng: Pcg32,
-    generated: u64,
 }
 
 impl BernoulliInjector {
@@ -23,28 +22,12 @@ impl BernoulliInjector {
         Self {
             rate: rate.min(1.0),
             rng,
-            generated: 0,
         }
-    }
-
-    /// The injection probability per cycle.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Packets generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Rolls the coin for one cycle; true means "inject a packet now".
     pub fn fires(&mut self, _now: Cycle) -> bool {
-        if self.rng.bernoulli(self.rate) {
-            self.generated += 1;
-            true
-        } else {
-            false
-        }
+        self.rng.bernoulli(self.rate)
     }
 
     /// Borrows the RNG (for destination draws correlated with this source).
@@ -52,21 +35,19 @@ impl BernoulliInjector {
         &mut self.rng
     }
 
-    /// Serializes the RNG position and counter (rate is config-derived).
+    /// Serializes the RNG position (rate is config-derived).
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         self.rng.save(w);
-        w.u64(self.generated);
     }
 
-    /// Overlays checkpointed RNG position and counter.
+    /// Overlays a checkpointed RNG position.
     pub fn load_state(
         &mut self,
         r: &mut desim::snap::SnapReader<'_>,
     ) -> Result<(), desim::snap::SnapError> {
         use desim::snap::Snap;
         self.rng = Pcg32::load(r)?;
-        self.generated = r.u64()?;
         Ok(())
     }
 }
@@ -82,8 +63,6 @@ mod tests {
         let fires = (0..n).filter(|&t| inj.fires(t)).count();
         let rate = fires as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
-        assert_eq!(inj.generated(), fires as u64);
-        assert_eq!(inj.rate(), 0.25);
     }
 
     #[test]
@@ -101,7 +80,7 @@ mod tests {
     #[test]
     fn over_unity_rate_clamps() {
         let inj = BernoulliInjector::new(3.0, Pcg32::stream(1, 5));
-        assert_eq!(inj.rate(), 1.0);
+        assert_eq!(inj.rate, 1.0);
     }
 
     #[test]

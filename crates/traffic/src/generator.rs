@@ -42,13 +42,6 @@ impl Source {
             Source::OnOff(o) => o.rng_mut(),
         }
     }
-
-    fn generated(&self) -> u64 {
-        match self {
-            Source::Bernoulli(b) => b.generated(),
-            Source::OnOff(o) => o.generated(),
-        }
-    }
 }
 
 /// One node's traffic source.
@@ -110,21 +103,6 @@ impl NodeGenerator {
         }
     }
 
-    /// The node this generator feeds.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
-    /// Packets generated so far.
-    pub fn generated(&self) -> u64 {
-        self.source.generated()
-    }
-
-    /// The pattern in use.
-    pub fn pattern(&self) -> &TrafficPattern {
-        &self.pattern
-    }
-
     /// Advances one cycle; returns a request if the source fires.
     pub fn poll(&mut self, now: Cycle) -> Option<PacketRequest> {
         if !self.source.fires(now) {
@@ -139,8 +117,8 @@ impl NodeGenerator {
         })
     }
 
-    /// Serializes the mutable source state (RNG position, burst phase,
-    /// counters). Identity, pattern and rates are config-derived.
+    /// Serializes the mutable source state (RNG position, burst phase).
+    /// Identity, pattern and rates are config-derived.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         match &self.source {
             Source::Bernoulli(b) => {
@@ -230,9 +208,6 @@ mod tests {
         let req = g.poll(0).expect("rate 1.0 always fires");
         assert_eq!(req.src, 3);
         assert_eq!(req.dst, 60);
-        assert_eq!(g.node(), 3);
-        assert_eq!(g.generated(), 1);
-        assert_eq!(g.pattern().name(), "complement");
     }
 
     #[test]

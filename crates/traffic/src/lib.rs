@@ -14,10 +14,11 @@
 //!   (packets/node/cycle) that loads are normalised against,
 //! * [`generator`] — per-node packet generators tying it together,
 //! * [`burst`] — a two-state MMPP (bursty on/off) extension workload,
-//! * [`trace`] — record/replay of injection traces,
-//! * [`source`] — the [`source::InjectionSource`] seam external workload
-//!   engines (e.g. `erapid-workloads`) plug into.
-
+//! * [`trace`] — record/replay of injection traces.
+//!
+//! A simulated system is fed by exactly one source: these generators, an
+//! `erapid-workloads` scenario engine, or a [`trace::TraceReplayer`]; all
+//! three emit [`generator::PacketRequest`]s in ascending source order.
 //!
 //! ## Example: the paper's injection model
 //!
@@ -39,7 +40,6 @@ pub mod burst;
 pub mod capacity;
 pub mod generator;
 pub mod pattern;
-pub mod source;
 pub mod trace;
 
 pub use capacity::CapacityModel;

@@ -5,7 +5,7 @@
 //! static — the Zipf CDF, the hotspot popularity permutation, one PCG32
 //! stream per node — from `(spec, nodes, rate, seed)`; the only mutable
 //! state is the RNG positions, which is exactly what
-//! [`InjectionSource::save_state`] serializes. Every cycle-varying
+//! [`ScenarioEngine::save_state`] serializes. Every cycle-varying
 //! decision (storm victim, diurnal phase, collective step, hotspot
 //! rotation) is an integer function of the polled cycle, so a resumed
 //! engine continues the stream bit-for-bit.
@@ -15,7 +15,6 @@ use desim::rng::{Pcg32, Zipf};
 use desim::snap::{load_vec_exact, save_slice, SnapError, SnapReader, SnapWriter};
 use desim::Cycle;
 use traffic::generator::PacketRequest;
-use traffic::source::InjectionSource;
 use traffic::trace::TraceEntry;
 
 /// Salt decorrelating scenario RNG streams from the Bernoulli generators
@@ -77,11 +76,6 @@ impl ScenarioEngine {
         }
     }
 
-    /// The spec this engine was built from.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
     /// Uniform destination excluding `src` (the Bernoulli generators'
     /// convention).
     fn uniform_dest(nodes: u32, src: u32, rng: &mut Pcg32) -> u32 {
@@ -115,10 +109,11 @@ impl ScenarioEngine {
         }
         out
     }
-}
 
-impl InjectionSource for ScenarioEngine {
-    fn poll_into(&mut self, now: Cycle, out: &mut Vec<PacketRequest>) {
+    /// Appends every request due at `now` to `out`, ascending source node.
+    /// The stream is a pure function of the construction inputs and the
+    /// polled cycles.
+    pub fn poll_into(&mut self, now: Cycle, out: &mut Vec<PacketRequest>) {
         let n = self.nodes;
         match self.spec.kind {
             ScenarioKind::ZipfHotspot { rotate_every, .. } => {
@@ -215,13 +210,16 @@ impl InjectionSource for ScenarioEngine {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    /// Serializes the mutable state: the kind tag and the RNG positions.
+    pub fn save_state(&self, w: &mut SnapWriter) {
         w.tag(b"SCEN");
         w.u8(self.spec.kind_tag());
         save_slice(w, &self.rngs);
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Overlays checkpointed RNG positions onto an engine built from the
+    /// same inputs; a different kind or node count is a typed error.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag(b"SCEN")?;
         let tag = r.u8()?;
         if tag != self.spec.kind_tag() {

@@ -14,8 +14,8 @@
 //!   collective) and their parameters, carried in
 //!   `erapid_core::config::SystemConfig`,
 //! * [`engine`] — [`engine::ScenarioEngine`]: the per-cycle emission
-//!   engine implementing `traffic::source::InjectionSource`, with
-//!   checkpointable RNG state,
+//!   engine (`poll_into`, the call a `System`'s scenario source makes
+//!   every cycle), with checkpointable RNG state,
 //! * [`ingest`] — external event-log → `.ertr` conversion with typed
 //!   per-line errors (non-monotone timestamps, out-of-range nodes).
 //!

@@ -244,7 +244,13 @@ impl ScenarioSpec {
                 if comm == 0 {
                     return fail("collective comm phase must be positive".into());
                 }
-                let _ = compute; // 0 is legal: back-to-back exchanges.
+                // A compute phase of 0 is legal (back-to-back exchanges),
+                // but the cycle length `comm + compute` must fit a cycle.
+                if comm.checked_add(compute).is_none() {
+                    return fail(format!(
+                        "collective comm {comm} + compute {compute} overflows a cycle count"
+                    ));
+                }
                 if !(intensity >= 0.0 && intensity.is_finite()) {
                     return fail(format!(
                         "collective intensity must be finite ≥ 0: {intensity}"
@@ -317,5 +323,22 @@ mod tests {
             rate_scale: 1.0,
         };
         assert!(s.validate(16).is_err());
+    }
+
+    #[test]
+    fn collective_cycle_length_must_not_overflow() {
+        // Used to validate, then panic on cycle 0 of `poll_into`: an add
+        // overflow in debug builds, a remainder by zero in release.
+        let collective = |comm, compute| ScenarioSpec {
+            kind: ScenarioKind::Collective {
+                comm,
+                compute,
+                intensity: 1.0,
+            },
+            rate_scale: 1.0,
+        };
+        assert!(collective(u64::MAX, 1).validate(16).is_err());
+        assert!(collective(1, u64::MAX).validate(16).is_err());
+        assert!(collective(u64::MAX - 1, 1).validate(16).is_ok());
     }
 }

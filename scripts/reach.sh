@@ -10,7 +10,10 @@
 #    benchmark/{src,tests}. Lines whose first non-blank characters are `//`
 #    are skipped, so a doc mention does not keep an item alive.
 # 3. Writes `<file>: pub <kind> <name>` for every item whose name appears in
-#    no file but the one defining it, sorted, to <out>.
+#    no file but the one defining it, sorted, to <out>. A `pub fn` must be
+#    named outside a `pub use` line: a crate root re-exporting a function
+#    does not call it. Types keep the plain rule, since re-exporting is how
+#    a type callers only see through inference is reached.
 #
 # A name shared by two items counts as reached for both, so the scan can miss
 # a dead item but never flags a live one. scripts/verify.sh fails when a line
@@ -32,6 +35,8 @@ find "${dirs[@]}" -name '*.rs' | LC_ALL=C sort | awk '
         file = $0
         while ((getline line < file) > 0) {
             if (line ~ /^[ \t]*\/\//) continue
+            # A `pub use` item list may span lines; it ends at its `;`.
+            if (line ~ /^[ \t]*pub[ \t]+use[ \t]/) in_use = 1
             # An item definition: `pub [const|unsafe|async|extern "C"]* <kind> <name>`.
             if (file ~ /^crates\/[^\/]+\/src\// &&
                 match(line, /^[ \t]*pub[ \t]+((const|unsafe|async|extern[ \t]+"[^"]*")[ \t]+)*(fn|struct|enum|mod|const|static|trait|type)[ \t]+(mut[ \t]+)?[A-Za-z_][A-Za-z0-9_]*/)) {
@@ -39,12 +44,16 @@ find "${dirs[@]}" -name '*.rs' | LC_ALL=C sort | awk '
                 kind = w[n - 1] == "mut" ? w[n - 2] : w[n - 1]
                 items[++count] = file ": pub " kind " " w[n]
                 item_name[count] = w[n]
+                item_fn[count] = kind == "fn"
             }
+            was_use = in_use
+            if (in_use && line ~ /;/) in_use = 0
             gsub(/[^A-Za-z0-9_]+/, " ", line)
             t = split(line, tok, " ")
             for (i = 1; i <= t; i++) {
                 key = tok[i] SUBSEP file
                 if (!(key in seen)) { seen[key] = 1; files[tok[i]]++ }
+                if (!was_use && !(key in called)) { called[key] = 1; callers[tok[i]]++ }
             }
         }
         close(file)
@@ -52,7 +61,8 @@ find "${dirs[@]}" -name '*.rs' | LC_ALL=C sort | awk '
     END {
         for (i = 1; i <= count; i++) {
             # The defining file always holds the name; any second file reaches it.
-            if (files[item_name[i]] < 2) print items[i]
+            reached = item_fn[i] ? callers[item_name[i]] : files[item_name[i]]
+            if (reached < 2) print items[i]
         }
     }
 ' | LC_ALL=C sort -u > "$out"

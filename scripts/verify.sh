@@ -43,6 +43,13 @@ if grep -rnE "DlsPolic[y]|sample_ever[y]|CreditReturnQueu[e]|PacketIdAllocato[r]
     echo "verify: a retired name is back"; exit 1
 fi
 
+echo "== one injection source (no trait seam, no per-source scratch, no .ersp fossils, no detached row writer) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "InjectionSourc[e]|scenario_scratc[h]|analytic_plane_stat[e]|windows_jsonl_row[s]" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a retired injection or snapshot name is back"; exit 1
+fi
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -58,16 +65,20 @@ if grep -vxFf "$tmp/UNREACHED.committed" "$tmp/UNREACHED.txt"; then
     exit 1
 fi
 # Gate self-test: a planted item that only a comment elsewhere mentions
-# must be flagged.
+# must be flagged, and so must a planted fn that only a `pub use` names.
 probe="$tmp/reach-probe"
 mkdir -p "$probe/benchmark"
 cp -r crates tests examples src "$probe"
 cp -r benchmark/src benchmark/tests "$probe/benchmark"
 echo "pub fn reach_probe_unnamed() {}" >> "$probe/crates/desim/src/lib.rs"
 echo "// reach_probe_unnamed is only mentioned here" >> "$probe/crates/router/src/lib.rs"
+echo "pub fn reach_probe_reexported() {}" >> "$probe/crates/desim/src/snap.rs"
+echo "pub use snap::reach_probe_reexported;" >> "$probe/crates/desim/src/lib.rs"
 scripts/reach.sh "$probe" "$tmp/reach-probe.txt"
-grep -qx "crates/desim/src/lib.rs: pub fn reach_probe_unnamed" "$tmp/reach-probe.txt" \
-    || { echo "verify: scripts/reach.sh missed a planted unreached item"; exit 1; }
+for planted in "lib.rs: pub fn reach_probe_unnamed" "snap.rs: pub fn reach_probe_reexported"; do
+    grep -qx "crates/desim/src/$planted" "$tmp/reach-probe.txt" \
+        || { echo "verify: scripts/reach.sh missed the planted item $planted"; exit 1; }
+done
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

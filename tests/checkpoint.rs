@@ -11,6 +11,7 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::desim::rng::Pcg32;
+use erapid_suite::desim::snap::SnapError;
 use erapid_suite::erapid_core::checkpoint::{
     self, config_fingerprint, decode_snapshot, encode_snapshot, latest_valid, resume_latest,
     Checkpointer,
@@ -21,7 +22,10 @@ use erapid_suite::erapid_core::stream::{
 };
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::erapid_telemetry::TraceConfig;
+use erapid_suite::erapid_tune::{ControllerSpec, ThresholdController};
+use erapid_suite::erapid_workloads::ScenarioSpec;
 use erapid_suite::traffic::pattern::TrafficPattern;
+use erapid_suite::traffic::trace::InjectionTrace;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
@@ -72,6 +76,7 @@ struct Artifacts {
     latency_bits: u64,
     power_bits: u64,
     cycles: u64,
+    controller: Option<ThresholdController>,
 }
 
 fn artifacts(sys: &System, end: u64, p: &StreamPaths) -> Artifacts {
@@ -85,13 +90,17 @@ fn artifacts(sys: &System, end: u64, p: &StreamPaths) -> Artifacts {
         latency_bits: m.mean_latency().to_bits(),
         power_bits: m.average_power_mw().to_bits(),
         cycles: end,
+        controller: sys.controller().cloned(),
     }
 }
 
+/// Builds the system under test for a plan (the crash leg caps it).
+type Build<'a> = &'a dyn Fn(PhasePlan) -> System;
+
 /// The uninterrupted reference run.
-fn run_full(mode: NetworkMode, dir: &Path) -> Artifacts {
+fn run_full(build: Build, dir: &Path) -> Artifacts {
     let p = paths(dir);
-    let mut sys = build(mode, full_plan());
+    let mut sys = build(full_plan());
     let mut sink = StreamSink::create(&p).expect("create sink");
     let end = run_streaming(&mut sys, ONE, &mut sink, None).expect("stream run");
     sink.finalize().expect("finalize");
@@ -101,10 +110,10 @@ fn run_full(mode: NetworkMode, dir: &Path) -> Artifacts {
 /// The crash leg: run with checkpoints until `kill_at`, drop everything
 /// unfinalized (the on-disk state a SIGKILL leaves: checkpoints at
 /// cadence plus un-checkpointed stream tail). Returns the checkpoint dir.
-fn run_killed(mode: NetworkMode, dir: &Path, kill_at: u64, every_windows: u64) -> PathBuf {
+fn run_killed(build: Build, dir: &Path, kill_at: u64, every_windows: u64) -> PathBuf {
     let p = paths(dir);
     let ckpt_dir = dir.join("ckpt");
-    let mut sys = build(mode, full_plan().with_max_cycles(kill_at));
+    let mut sys = build(full_plan().with_max_cycles(kill_at));
     let mut sink = StreamSink::create(&p).expect("create sink");
     let mut ck = Checkpointer::new(&ckpt_dir, every_windows, WINDOW).expect("checkpointer");
     run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("killed leg");
@@ -115,10 +124,10 @@ fn run_killed(mode: NetworkMode, dir: &Path, kill_at: u64, every_windows: u64) -
 
 /// The resume leg: fresh identical system, newest valid checkpoint, files
 /// truncated to its cursor, run to the end.
-fn run_resumed(mode: NetworkMode, dir: &Path, every_windows: u64) -> Artifacts {
+fn run_resumed(build: Build, dir: &Path, every_windows: u64) -> Artifacts {
     let p = paths(dir);
     let ckpt_dir = dir.join("ckpt");
-    let mut sys = build(mode, full_plan());
+    let mut sys = build(full_plan());
     let (_, cursor) = resume_latest(&mut sys, &ckpt_dir).expect("no checkpoint to resume");
     assert!(sys.now() > 0, "restore must land mid-run");
     let mut sink = StreamSink::resume(&p, cursor).expect("reopen sink");
@@ -128,15 +137,17 @@ fn run_resumed(mode: NetworkMode, dir: &Path, every_windows: u64) -> Artifacts {
     artifacts(&sys, end, &p)
 }
 
-fn kill_resume_equals_full(mode: NetworkMode, kill_at: u64, tag: &str) {
+/// Kills a checkpoint-every-window run at `kill_at`, resumes it, and
+/// asserts it equals the uninterrupted run; returns the latter.
+fn kill_resume_equals_full(build: Build, kill_at: u64, tag: &str) -> Artifacts {
     let full_dir = tdir(&format!("{tag}-full"));
     let crash_dir = tdir(&format!("{tag}-crash"));
-    let full = run_full(mode, &full_dir);
-    run_killed(mode, &crash_dir, kill_at, 1);
-    let resumed = run_resumed(mode, &crash_dir, 1);
+    let full = run_full(build, &full_dir);
+    run_killed(build, &crash_dir, kill_at, 1);
+    let resumed = run_resumed(build, &crash_dir, 1);
     assert_eq!(
         full, resumed,
-        "killed+resumed run diverged ({mode:?}, kill at {kill_at})"
+        "[{tag}] killed+resumed run diverged (kill at {kill_at})"
     );
     // The streamed delivery log itself must verify and decode.
     let back = read_deliveries(paths(&full_dir).deliveries.as_deref().expect("path"))
@@ -144,13 +155,15 @@ fn kill_resume_equals_full(mode: NetworkMode, kill_at: u64, tag: &str) {
     assert_eq!(back.len() as u64, full.delivered);
     let _ = std::fs::remove_dir_all(full_dir);
     let _ = std::fs::remove_dir_all(crash_dir);
+    full
 }
 
 /// The golden pin of the tentpole contract: kill mid-window at 60 % of
 /// the horizon, resume, byte-identical.
 #[test]
 fn golden_kill_resume_byte_identical_sequential() {
-    kill_resume_equals_full(NetworkMode::PB, 8 * WINDOW + 777, "gold-seq");
+    let build = |plan| build(NetworkMode::PB, plan);
+    kill_resume_equals_full(&build, 8 * WINDOW + 777, "gold-seq");
 }
 
 /// The kill/resume contract holds with the scenario engine driving
@@ -159,57 +172,13 @@ fn golden_kill_resume_byte_identical_sequential() {
 /// scenario.
 #[test]
 fn scenario_kill_resume_byte_identical() {
-    use erapid_suite::erapid_workloads::ScenarioSpec;
-    let scen_cfg = |spec: &ScenarioSpec| {
-        let mut c = cfg(NetworkMode::PB);
-        c.scenario = Some(spec.clone());
-        c
-    };
     for spec in &ScenarioSpec::paper_suite() {
-        let build = || System::new(scen_cfg(spec), TrafficPattern::Uniform, 0.5, full_plan());
-
-        // Uninterrupted reference.
-        let full_dir = tdir(&format!("scen-{}-full", spec.name()));
-        let p = paths(&full_dir);
-        let mut sys = build();
-        let mut sink = StreamSink::create(&p).expect("create sink");
-        let end = run_streaming(&mut sys, ONE, &mut sink, None).expect("full leg");
-        sink.finalize().expect("finalize");
-        let full = artifacts(&sys, end, &p);
-
-        // Crash leg: checkpoints at every window, killed mid-window.
-        let crash_dir = tdir(&format!("scen-{}-crash", spec.name()));
-        let pc = paths(&crash_dir);
-        let ckpt_dir = crash_dir.join("ckpt");
-        let mut sys = System::new(
-            scen_cfg(spec),
-            TrafficPattern::Uniform,
-            0.5,
-            full_plan().with_max_cycles(8 * WINDOW + 777),
-        );
-        let mut sink = StreamSink::create(&pc).expect("create sink");
-        let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-        run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("killed leg");
-        assert!(ck.written_count() > 0, "kill must lie past a checkpoint");
-
-        // Resume leg: fresh system, newest checkpoint, run to the end.
-        let mut sys = build();
-        let (_, cursor) = resume_latest(&mut sys, &ckpt_dir).expect("no checkpoint to resume");
-        assert!(sys.now() > 0, "restore must land mid-run");
-        let mut sink = StreamSink::resume(&pc, cursor).expect("reopen sink");
-        let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-        let end = run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("resume leg");
-        sink.finalize().expect("finalize");
-        let resumed = artifacts(&sys, end, &pc);
-
-        assert_eq!(
-            full,
-            resumed,
-            "[{}] killed+resumed scenario run diverged",
-            spec.name()
-        );
-        let _ = std::fs::remove_dir_all(full_dir);
-        let _ = std::fs::remove_dir_all(crash_dir);
+        let build = |plan| {
+            let mut c = cfg(NetworkMode::PB);
+            c.scenario = Some(spec.clone());
+            System::new(c, TrafficPattern::Uniform, 0.5, plan)
+        };
+        kill_resume_equals_full(&build, 8 * WINDOW + 777, &format!("scen-{}", spec.name()));
     }
 }
 
@@ -217,66 +186,46 @@ fn scenario_kill_resume_byte_identical() {
 /// live on a scenario workload: the controller's milli-unit thresholds and
 /// counters ride the snapshot (tag `TUNC`), and the restore retargets the
 /// DBR buffer watches to the restored `B_max`, so a resumed run adapts
-/// exactly like the uninterrupted one.
+/// exactly like the uninterrupted one (its state is part of `Artifacts`).
 #[test]
 fn controller_kill_resume_byte_identical() {
-    use erapid_suite::erapid_tune::ControllerSpec;
-    use erapid_suite::erapid_workloads::ScenarioSpec;
-    let tuned_cfg = || {
+    let build = |plan| {
         let mut c = cfg(NetworkMode::PB);
         c.scenario = Some(ScenarioSpec::incast());
         c.tune = Some(ControllerSpec::paper_pb());
-        c
+        System::new(c, TrafficPattern::Uniform, 0.5, plan)
     };
-    let build = || System::new(tuned_cfg(), TrafficPattern::Uniform, 0.5, full_plan());
-
-    // Uninterrupted reference.
-    let full_dir = tdir("tune-full");
-    let p = paths(&full_dir);
-    let mut sys = build();
-    let mut sink = StreamSink::create(&p).expect("create sink");
-    let end = run_streaming(&mut sys, ONE, &mut sink, None).expect("full leg");
-    sink.finalize().expect("finalize");
-    let full = artifacts(&sys, end, &p);
-    let full_ctrl = sys.controller().expect("controller is on").clone();
+    let full = kill_resume_equals_full(&build, 8 * WINDOW + 777, "tune");
+    let ctrl = full.controller.expect("controller is on");
     assert!(
-        full_ctrl.windows_seen() > 0,
+        ctrl.windows_seen() > 0,
         "controller must observe windows in the reference run"
     );
+}
 
-    // Crash leg: checkpoints every window, killed mid-window.
-    let crash_dir = tdir("tune-crash");
-    let pc = paths(&crash_dir);
-    let ckpt_dir = crash_dir.join("ckpt");
-    let mut sys = System::new(
-        tuned_cfg(),
-        TrafficPattern::Uniform,
-        0.5,
-        full_plan().with_max_cycles(8 * WINDOW + 777),
-    );
-    let mut sink = StreamSink::create(&pc).expect("create sink");
-    let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-    run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("killed leg");
-    assert!(ck.written_count() > 0, "kill must lie past a checkpoint");
+/// A replayed run resumes byte-identically too: the snapshot's source
+/// section holds the replay cursor. A replay-fed system refuses a
+/// generator-fed snapshot of the same config as a typed mismatch.
+#[test]
+fn replay_kill_resume_byte_identical() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/collective_b4d4.ertr");
+    let trace = InjectionTrace::load(&path).expect("fixture loads");
+    // Kill mid-trace, past the first checkpoint.
+    let kill_at = WINDOW + 777;
+    assert!(trace.entries.iter().any(|e| e.cycle > kill_at));
+    for mode in [NetworkMode::NpNb, NetworkMode::PB] {
+        let replayed = |plan| System::with_trace(cfg(mode), trace.replayer(), plan);
+        let full = kill_resume_equals_full(&replayed, kill_at, &format!("replay-{mode:?}"));
+        assert!(full.injected > 0);
 
-    // Resume leg.
-    let mut sys = build();
-    let (_, cursor) = resume_latest(&mut sys, &ckpt_dir).expect("no checkpoint to resume");
-    assert!(sys.now() > 0, "restore must land mid-run");
-    let mut sink = StreamSink::resume(&pc, cursor).expect("reopen sink");
-    let mut ck = Checkpointer::new(&ckpt_dir, 1, WINDOW).expect("checkpointer");
-    let end = run_streaming(&mut sys, ONE, &mut sink, Some(&mut ck)).expect("resume leg");
-    sink.finalize().expect("finalize");
-    let resumed = artifacts(&sys, end, &pc);
-
-    assert_eq!(full, resumed, "killed+resumed controller run diverged");
-    assert_eq!(
-        sys.controller().expect("controller is on"),
-        &full_ctrl,
-        "resumed controller state diverged"
-    );
-    let _ = std::fs::remove_dir_all(full_dir);
-    let _ = std::fs::remove_dir_all(crash_dir);
+        let live = build(mode, full_plan());
+        let bytes = encode_snapshot(&live, StreamCursor::start()).expect("encode");
+        assert!(matches!(
+            checkpoint::restore_system(&mut replayed(full_plan()), &bytes),
+            Err(SnapError::Mismatch(_))
+        ));
+    }
 }
 
 /// Kill at two seeded-random cycles in every mode: resume equivalence is
@@ -293,7 +242,8 @@ fn kill_at_random_window_all_modes() {
         for leg in 0..2 {
             // Past the first checkpoint (window 1), inside the horizon.
             let kill_at = WINDOW + 500 + rng.below((9 * WINDOW) as u32) as u64;
-            kill_resume_equals_full(mode, kill_at, &format!("rand-{mode:?}-{leg}"));
+            let build = |plan| build(mode, plan);
+            kill_resume_equals_full(&build, kill_at, &format!("rand-{mode:?}-{leg}"));
         }
     }
 }
@@ -304,7 +254,8 @@ fn kill_at_random_window_all_modes() {
 #[test]
 fn corrupt_snapshot_always_detected_with_fallback() {
     let dir = tdir("corrupt");
-    let ckpt_dir = run_killed(NetworkMode::PB, &dir, 9 * WINDOW + 50, 2);
+    let build = |plan| build(NetworkMode::PB, plan);
+    let ckpt_dir = run_killed(&build, &dir, 9 * WINDOW + 50, 2);
     let config = cfg(NetworkMode::PB);
     let mut snaps: Vec<PathBuf> = std::fs::read_dir(&ckpt_dir)
         .expect("list")
@@ -345,8 +296,8 @@ fn corrupt_snapshot_always_detected_with_fallback() {
     // the resume (from the *older* checkpoint) still reproduces the
     // uninterrupted run byte-for-byte.
     let full_dir = tdir("corrupt-full");
-    let full = run_full(NetworkMode::PB, &full_dir);
-    let resumed = run_resumed(NetworkMode::PB, &dir, 2);
+    let full = run_full(&build, &full_dir);
+    let resumed = run_resumed(&build, &dir, 2);
     assert_eq!(full, resumed);
 
     // Every snapshot corrupt (including any the resume leg just wrote)
@@ -435,94 +386,9 @@ fn every_boundary_checkpoints_while_dbr_rounds_run() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// The frozen `.ersp` body still carries the retired analytic plane's two
-/// fields (a delay word, always 0, and the `pending_dbr` list, always
-/// empty). A body that has either set is refused with a typed mismatch.
-#[test]
-fn analytic_plane_state_in_a_snapshot_is_refused() {
-    use erapid_suite::desim::snap::{SnapError, SnapReader, SnapWriter};
-    use erapid_suite::erapid_core::faults::FaultKind;
-    // Untraced, so an injected fault changes nothing but the armed list.
-    let fresh = || {
-        let cfg = SystemConfig::small(NetworkMode::PB);
-        System::new(cfg, TrafficPattern::Complement, 0.5, full_plan())
-    };
-    let body = |sys: &System| {
-        let mut w = SnapWriter::new();
-        sys.save_state(&mut w).expect("quiescent");
-        w.into_bytes()
-    };
-    let clean = body(&fresh());
-    assert!(fresh().load_state(&mut SnapReader::new(&clean)).is_ok());
-    // The delay word follows the tag and six u64 counters; the pending
-    // list's length word sits right before the armed-token list's, which
-    // an armed token fault makes the first byte to differ.
-    let delay_at = 4 + 6 * 8;
-    let mut armed = fresh();
-    armed.inject_fault(FaultKind::TokenLoss { victim: 1 });
-    let armed_len_at = (clean.iter().zip(&body(&armed)))
-        .position(|(a, b)| a != b)
-        .expect("the armed fault is saved");
-    for at in [delay_at, armed_len_at - 8] {
-        let mut bytes = clean.clone();
-        assert_eq!(bytes[at], 0);
-        bytes[at] = 1;
-        assert!(
-            matches!(
-                fresh().load_state(&mut SnapReader::new(&bytes)),
-                Err(SnapError::Mismatch(_))
-            ),
-            "byte {at} set must be refused as analytic-plane state"
-        );
-    }
-}
-
-/// The retired trace-sampling phase keeps its `.ersp` word, frozen at 0:
-/// a snapshot carrying any other value is refused as a typed error.
-#[test]
-fn trace_sampling_phase_in_a_snapshot_is_refused() {
-    use erapid_suite::desim::snap::{SnapError, SnapReader, SnapWriter};
-    // A one-record ring overflows at once, so once drained it holds only
-    // its `dropped` count — which is what finds it in the body.
-    let fresh = || {
-        let mut c = SystemConfig::small(NetworkMode::PB);
-        c.trace = TraceConfig::with_capacity(1);
-        System::new(c, TrafficPattern::Complement, 0.5, full_plan())
-    };
-    let mut sys = fresh();
-    while sys.now() < 2 * WINDOW || !sys.can_checkpoint() {
-        sys.step();
-    }
-    sys.take_trace_records();
-    let dropped = sys.trace_dropped();
-    let mut w = SnapWriter::new();
-    sys.save_state(&mut w).expect("quiescent");
-    let clean = w.into_bytes();
-    assert!(fresh().load_state(&mut SnapReader::new(&clean)).is_ok());
-    // Empty record list, head 0, `dropped`, then the phase word.
-    let ring = [[0; 8], [0; 8], dropped.to_le_bytes()].concat();
-    let hits: Vec<usize> = (0..clean.len())
-        .filter(|&i| clean[i..].starts_with(&ring))
-        .collect();
-    assert_eq!(
-        hits.len(),
-        1,
-        "the drained ring ({dropped} dropped) is unique"
-    );
-    let phase_at = hits[0] + ring.len();
-    assert_eq!(clean[phase_at..phase_at + 4], [0; 4]);
-    let mut bytes = clean;
-    bytes[phase_at] = 1;
-    assert!(matches!(
-        fresh().load_state(&mut SnapReader::new(&bytes)),
-        Err(SnapError::Format(_))
-    ));
-}
-
 /// Version and config-fingerprint mismatches are typed errors.
 #[test]
 fn version_and_config_mismatch_rejected() {
-    use erapid_suite::desim::snap::SnapError;
     let sys = build(NetworkMode::PB, full_plan());
     let bytes = encode_snapshot(&sys, StreamCursor::start()).expect("encode");
     let fp = config_fingerprint(sys.config());
@@ -551,15 +417,18 @@ fn version_and_config_mismatch_rejected() {
         Err(SnapError::Version(0xFF))
     ));
 
-    // Version 1 (the dense per-laser SRS bank) is refused, not misread as
-    // the receiver-slot layout.
-    let mut v1 = bytes.clone();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    reseal(&mut v1);
-    assert!(matches!(
-        decode_snapshot(&v1, fp),
-        Err(SnapError::Version(1))
-    ));
+    // Older layouts are refused, not misread: version 1 (the dense
+    // per-laser SRS bank) and version 2 (the frozen retired words and a
+    // presence flag per injection source).
+    for old in [1u16, 2] {
+        let mut b = bytes.clone();
+        b[4..6].copy_from_slice(&old.to_le_bytes());
+        reseal(&mut b);
+        assert!(matches!(
+            decode_snapshot(&b, fp),
+            Err(SnapError::Version(v)) if v == old
+        ));
+    }
 
     // A mutated slot. The SRS section opens with its tag and slot count;
     // receiver (0, λ0) is dark and unowned (21 bytes), then (0, λ1) is

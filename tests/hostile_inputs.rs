@@ -6,7 +6,9 @@
 //!   (`from_jsonl`);
 //! * `.erpd` delivery logs (`decode_deliveries`, the body of
 //!   `read_deliveries`);
-//! * dumpi-text and OTF2-JSONL ingest (`ingest_str`).
+//! * dumpi-text and OTF2-JSONL ingest (`ingest_str`);
+//! * the scenario and burst specs a `SystemConfig` carries, through
+//!   `try_validate`, `System::new` and the sources' per-cycle polls.
 //!
 //! Mutations: bit flips, truncation at every cut class (empty, each header
 //! byte, each trailer byte, anywhere in the body), length and count fields
@@ -22,13 +24,15 @@ use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::desim::rng::Pcg32;
 use erapid_suite::desim::snap::{fnv1a, seal, unseal, SnapWriter};
 use erapid_suite::erapid_core::checkpoint::{encode_snapshot, restore_system};
-use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
+use erapid_suite::erapid_core::config::{BurstSpec, NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::metrics::PacketDelivery;
 use erapid_suite::erapid_core::stream::{
     decode_deliveries, StreamCursor, StreamPaths, StreamSink, DELIV_TRAILER,
 };
 use erapid_suite::erapid_core::system::{System, WindowFlush};
 use erapid_suite::erapid_workloads::ingest::{ingest_str, ExternalFormat};
+use erapid_suite::erapid_workloads::{ScenarioEngine, ScenarioKind, ScenarioSpec};
+use erapid_suite::traffic::generator::build_bursty_generators;
 use erapid_suite::traffic::pattern::TrafficPattern;
 use erapid_suite::traffic::trace::{InjectionTrace, TraceError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -365,4 +369,130 @@ fn ingest_survives_mutation() {
         sweep_text(name, text, &decode, &mut rng);
     }
     assert_bounded_allocation();
+}
+
+/// Keeps `v` or, half the time, replaces it with an edge value.
+fn edge_u64(rng: &mut Pcg32, v: &mut u64) {
+    if rng.bernoulli(0.5) {
+        *v = [0, 1, 2, u64::MAX - 1, u64::MAX][rng.below(5) as usize];
+    }
+}
+
+fn edge_f64(rng: &mut Pcg32, v: &mut f64) {
+    if rng.bernoulli(0.5) {
+        *v = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, 1e308][rng.below(6) as usize];
+    }
+}
+
+/// Config specs: each mutant `ScenarioSpec` or `BurstSpec` is refused by
+/// `try_validate`, or it builds a `System` and its source polls cycles
+/// 0..64 and both sides of the first and last phase edge up to 2^40
+/// without a panic.
+#[test]
+fn config_specs_survive_mutation() {
+    const HORIZON: u64 = 1 << 40;
+    let plan = PhasePlan::new(100, 100);
+    let mut rng = Pcg32::new(0x05EE_DE5D, 5);
+    let (mut refused, mut polled) = (0, 0);
+    for case in 0..3000 {
+        let (boards, per_board) = [(2, 1), (4, 4), (8, 8)][case % 3];
+        let mut cfg = SystemConfig::geometry(NetworkMode::NpNb, boards, per_board);
+        let kind = rng.below(5) as usize;
+        // The cycle lengths the source's behaviour turns on.
+        let edges = if kind == 4 {
+            let mut b = BurstSpec {
+                burstiness: 4.0,
+                dwell: 1000.0,
+            };
+            edge_f64(&mut rng, &mut b.burstiness);
+            edge_f64(&mut rng, &mut b.dwell);
+            cfg.burst = Some(b);
+            Vec::new()
+        } else {
+            let mut spec = ScenarioSpec::paper_suite()[kind].clone();
+            edge_f64(&mut rng, &mut spec.rate_scale);
+            let edges = match &mut spec.kind {
+                ScenarioKind::ZipfHotspot {
+                    exponent,
+                    rotate_every,
+                } => {
+                    edge_f64(&mut rng, exponent);
+                    edge_u64(&mut rng, rotate_every);
+                    vec![*rotate_every]
+                }
+                ScenarioKind::Diurnal { period, trough } => {
+                    edge_u64(&mut rng, period);
+                    edge_f64(&mut rng, trough);
+                    vec![*period / 2, *period]
+                }
+                ScenarioKind::IncastStorm {
+                    period,
+                    burst,
+                    intensity,
+                    background,
+                    ..
+                } => {
+                    edge_u64(&mut rng, period);
+                    edge_u64(&mut rng, burst);
+                    edge_f64(&mut rng, intensity);
+                    edge_f64(&mut rng, background);
+                    vec![*burst, *period]
+                }
+                ScenarioKind::Collective {
+                    comm,
+                    compute,
+                    intensity,
+                } => {
+                    edge_u64(&mut rng, comm);
+                    edge_u64(&mut rng, compute);
+                    edge_f64(&mut rng, intensity);
+                    vec![*comm, comm.wrapping_add(*compute)]
+                }
+            };
+            cfg.scenario = Some(spec);
+            edges
+        };
+        let name = format!("{:?} {:?}, {} nodes", cfg.scenario, cfg.burst, cfg.nodes());
+        if cfg.try_validate().is_err() {
+            refused += 1;
+            continue;
+        }
+        // Both sides of each phase edge's first and last boundary.
+        let cycles: Vec<u64> = (0..64)
+            .chain(
+                edges
+                    .iter()
+                    .filter(|&&e| (1..=HORIZON).contains(&e))
+                    .flat_map(|&e| {
+                        let last = HORIZON / e * e;
+                        [e - 1, e, e + 1, last - 1, last, last + 1]
+                    }),
+            )
+            .filter(|&t| t <= HORIZON)
+            .collect();
+        let (nodes, rate) = (cfg.nodes(), cfg.capacity().injection_rate(0.5));
+        survive("config spec", &name, || {
+            System::new(cfg.clone(), TrafficPattern::Uniform, 0.5, plan);
+            let mut due = Vec::new();
+            if let Some(spec) = &cfg.scenario {
+                let mut engine = ScenarioEngine::new(spec.clone(), nodes, rate, cfg.seed);
+                for &t in &cycles {
+                    engine.poll_into(t, &mut due);
+                }
+            } else if let Some(b) = cfg.burst {
+                let uniform = TrafficPattern::Uniform;
+                let mut gens =
+                    build_bursty_generators(nodes, &uniform, rate, b.burstiness, b.dwell, cfg.seed);
+                for &t in &cycles {
+                    due.extend(gens.iter_mut().filter_map(|g| g.poll(t)));
+                }
+            }
+            assert!(due.iter().all(|r| r.src < nodes && r.dst < nodes));
+        });
+        polled += 1;
+    }
+    assert!(
+        refused > 0 && polled > 0,
+        "{refused} refused, {polled} polled"
+    );
 }

@@ -452,7 +452,6 @@ fn random_fault_plans_conserve_and_drain() {
 #[test]
 fn scenario_streams_monotone_lossless_and_seed_reproducible() {
     use erapid_suite::erapid_workloads::{ScenarioEngine, ScenarioSpec};
-    use erapid_suite::traffic::source::InjectionSource;
 
     let mut rng = Pcg32::stream(0xBEEF, 11);
     for spec in ScenarioSpec::paper_suite() {

@@ -38,7 +38,10 @@ fn run_with_fault(mode: NetworkMode, load: f64) -> (u64, u64, u64) {
     while sys.now() < FAULT_AT {
         sys.step();
     }
-    sys.fail_receiver(3, w);
+    sys.inject_fault(FaultKind::ReceiverDown {
+        board: 3,
+        wavelength: w,
+    });
     sys.run();
     let m = sys.metrics();
     (
@@ -148,7 +151,7 @@ fn throughput_recovers_after_receiver_repair() {
 
 #[test]
 fn repair_restores_the_static_network_too() {
-    // `repair_receiver` is the inverse of `fail_receiver` even without DBR:
+    // A receiver repair is the inverse of its failure even without DBR:
     // once the receiver is back, NP-NB's static wavelength relights and the
     // previously-starved flow drains.
     let cfg = SystemConfig::small(NetworkMode::NpNb);
@@ -158,11 +161,17 @@ fn repair_restores_the_static_network_too() {
     while sys.now() < FAULT_AT {
         sys.step();
     }
-    sys.fail_receiver(3, w);
+    sys.inject_fault(FaultKind::ReceiverDown {
+        board: 3,
+        wavelength: w,
+    });
     while sys.now() < 2 * FAULT_AT {
         sys.step();
     }
-    sys.repair_receiver(3, w);
+    sys.inject_fault(FaultKind::ReceiverRepair {
+        board: 3,
+        wavelength: w,
+    });
     sys.run();
     let m = sys.metrics();
     assert_eq!(
@@ -183,8 +192,9 @@ fn conservation_holds_across_failures() {
         while sys.now() < FAULT_AT {
             sys.step();
         }
-        sys.fail_receiver(3, 1);
-        sys.fail_receiver(2, 2);
+        for (board, wavelength) in [(3, 1), (2, 2)] {
+            sys.inject_fault(FaultKind::ReceiverDown { board, wavelength });
+        }
         sys.run();
         let m = sys.metrics();
         assert!(m.delivered_total <= m.injected_total);
