@@ -7,11 +7,16 @@
 //! names a load reads that point only — the Tier-1 test runs exactly the
 //! points the table reads.
 
-use crate::experiments::{analytic_mw, fig3_trace, headline_grid, mesh_label, scaling_label};
+use crate::experiments::{
+    analytic_mw, fig3_trace, headline_grid, mesh_label, resilience_label, scaling_label,
+    scenario_label, tune_label, tuned, Tuned,
+};
 use crate::index::{Claim, Metric, Results, LAT, PWR, THR};
 use erapid_core::config::NetworkMode::{self, NpB, NpNb, PNb, PB};
 use erapid_core::config::SystemConfig;
 use erapid_core::experiment::{paper_loads, RunResult};
+use erapid_tune::improves;
+use erapid_workloads::ScenarioSpec;
 use photonics::bitrate::{RateLadder, RateLevel};
 use photonics::power::analytic_breakdown;
 
@@ -564,6 +569,134 @@ pub const SCALING: &[Claim] = &[
         |_| {
             let cfg = SystemConfig::geometry(PB, 16, 8);
             cfg.timing.dbr_latency() as f64 / cfg.schedule.window as f64
+        },
+    ),
+];
+
+/// The resilience study's complement point under `fault` in `mode`.
+fn faulted(r: &Results, fault: &str, mode: NetworkMode) -> RunResult {
+    r.at(&resilience_label(fault, "complement", mode))
+}
+
+pub const RESILIENCE: &[Claim] = &[
+    Claim::new(
+        "resilience_rx_outage_dbr_drains",
+        "rx_outage: DBR re-routes the orphaned flow and drains (NP-B + P-B undrained packets)",
+        0.0..=0.0,
+        |r| (faulted(r, "rx_outage", NpB).undrained + faulted(r, "rx_outage", PB).undrained) as f64,
+    ),
+    Claim::new(
+        "resilience_rx_outage_static_strands",
+        "rx_outage: static ownership strands packets behind the dead receiver (NP-NB undrained)",
+        15.0..=40.0,
+        |r| faulted(r, "rx_outage", NpNb).undrained as f64,
+    ),
+    Claim::new(
+        "resilience_rx_outage_latency_ratio",
+        "rx_outage: what reconfigurability buys back (NP-NB ÷ NP-B mean latency)",
+        100.0..=150.0,
+        |r| faulted(r, "rx_outage", NpNb).latency / faulted(r, "rx_outage", NpB).latency,
+    ),
+    Claim::new(
+        "resilience_token_loss_watchdog_retries",
+        "ls_token_loss: the round watchdog relaunches each lost round (P-B LS retries, 3 losses)",
+        1.0..=3.0,
+        |r| faulted(r, "ls_token_loss", PB).ls_retries as f64,
+    ),
+    Claim::new(
+        "resilience_token_loss_no_aborts",
+        "ls_token_loss: ... and no round is abandoned (P-B LS aborts)",
+        0.0..=0.0,
+        |r| faulted(r, "ls_token_loss", PB).ls_aborts as f64,
+    ),
+];
+
+/// `metric` of mode `num` ÷ `metric` of mode `den` under scenario `name`.
+fn scenario_ratio(
+    r: &Results,
+    name: &str,
+    (num, den): (NetworkMode, NetworkMode),
+    metric: Metric,
+) -> f64 {
+    metric(&r.at(&scenario_label(name, num))) / metric(&r.at(&scenario_label(name, den)))
+}
+
+/// Delivered fraction.
+const DELIVERED: Metric = |r| r.delivered_fraction();
+
+pub const SCENARIOS: &[Claim] = &[
+    Claim::new(
+        "scenarios_diurnal_pb_power_saving",
+        "diurnal: DPM follows the wave down into its troughs (P-B ÷ NP-B power)",
+        0.42..=0.50,
+        |r| scenario_ratio(r, "diurnal", (PB, NpB), PWR),
+    ),
+    Claim::new(
+        "scenarios_diurnal_pb_latency_cost",
+        "diurnal: ... and pays in latency while the links re-scale to it (P-B ÷ NP-B mean latency)",
+        3.2..=4.0,
+        |r| scenario_ratio(r, "diurnal", (PB, NpB), LAT),
+    ),
+    Claim::new(
+        "scenarios_diurnal_pb_delivers",
+        "diurnal: ... and still delivers what it is offered (P-B delivered fraction)",
+        0.99..=1.0,
+        |r| DELIVERED(&r.at(&scenario_label("diurnal", PB))),
+    ),
+    Claim::new(
+        "scenarios_incast_pb_delivers",
+        "incast: the storms outrun every mode, yet P-B keeps delivering (P-B delivered fraction)",
+        0.18..=0.26,
+        |r| DELIVERED(&r.at(&scenario_label("incast", PB))),
+    ),
+];
+
+/// The tuning claims read the hotspot and incast sweeps: where the paper's
+/// constants lose, and few enough runs for Tier-1.
+const TUNE_CLAIMED: [fn() -> ScenarioSpec; 2] = [ScenarioSpec::hotspot, ScenarioSpec::incast];
+
+fn hostile_tuned(r: &Results) -> Vec<Tuned> {
+    tuned(r, &TUNE_CLAIMED.map(|spec| spec()))
+}
+
+/// Chosen ÷ paper-constant delivered fraction.
+fn delivery_gain((_, paper, chosen): &Tuned) -> f64 {
+    chosen.delivered_fraction() / paper.delivered_fraction()
+}
+
+pub const AUTOTUNE: &[Claim] = &[
+    Claim::new(
+        "autotune_chosen_beats_paper_constants",
+        "hotspot and incast: the chosen point beats the paper's constants on k of the 4 workloads (k)",
+        2.0..=4.0,
+        |r| {
+            let tuned = hostile_tuned(r);
+            tuned.iter().filter(|(_, paper, chosen)| improves(chosen, paper)).count() as f64
+        },
+    ),
+    Claim::new(
+        "autotune_chosen_never_starves_delivery",
+        "... and keeps the paper's delivery while doing so (smallest chosen ÷ paper delivered fraction)",
+        0.98..=1.01,
+        |r| smallest(hostile_tuned(r).iter().map(delivery_gain)),
+    ),
+    Claim::new(
+        "autotune_incast_restores_delivery",
+        "P-B incast: the chosen point delivers more than the paper's (chosen ÷ paper delivered fraction)",
+        1.03..=1.09,
+        |r| {
+            let tuned = hostile_tuned(r);
+            let incast = tuned.iter().find(|(workload, _, _)| *workload == (PB, "incast"));
+            incast.map_or(0.0, delivery_gain)
+        },
+    ),
+    Claim::new(
+        "autotune_controller_leg_delivers",
+        "hotspot and incast: P-B with the online controller seeded at the constants delivers (smallest fraction)",
+        0.45..=0.60,
+        |r| {
+            let suite = TUNE_CLAIMED.map(|spec| spec());
+            smallest(suite.iter().map(|s| DELIVERED(&r.at(&tune_label(PB, s, "controller")))))
         },
     ),
 ];

@@ -4,7 +4,12 @@
 
 use crate::index::{p64_label, Network, Point, Results};
 use crate::{print_charts, print_panel, result_table, BenchConfig, Panel};
+use desim::phase::PhasePlan;
 use erapid_core::config::{BurstSpec, NetworkMode, SystemConfig};
+use erapid_core::faults::{FaultKind, FaultPlan};
+use erapid_core::runner::RunPoint;
+use erapid_tune::{choose, improves, ControllerSpec, OperatingPoint, SweepOutcome, TuneGrid};
+use erapid_workloads::ScenarioSpec;
 use netstats::csv::Csv;
 use netstats::table::Table;
 use photonics::bitrate::{RateLadder, RateLevel};
@@ -637,4 +642,321 @@ pub fn baseline(bench: &BenchConfig, results: &Results) {
         }
         println!("{}", t.render());
     }
+}
+
+// ---- Resilience ---------------------------------------------------------
+
+/// The load of the resilience study's complement rows.
+const RESILIENCE_LOAD: f64 = 0.5;
+/// The workload scenarios the resilience study layers its faults onto (in
+/// P-B, at the scenario study's load), next to complement in every mode.
+const HOSTILE: [fn() -> ScenarioSpec; 2] = [ScenarioSpec::incast, ScenarioSpec::collective];
+
+/// The label of the resilience study's `(fault plan, traffic, mode)` point.
+/// Its fault-free points are Fig. 5's and the scenario study's.
+pub(crate) fn resilience_label(fault: &str, traffic: &str, mode: NetworkMode) -> String {
+    match (fault, traffic) {
+        ("none", "complement") => p64_label(traffic, mode, RESILIENCE_LOAD),
+        ("none", _) => scenario_label(traffic, mode),
+        _ => format!("resilience/{fault}/{traffic}/{}", mode.name()),
+    }
+}
+
+/// `(name, what, plan)` per fault plan, fault-free first, timed against
+/// `bench`'s phase plan (a quick run is shorter, so the outage moves
+/// forward).
+fn fault_plans(bench: &BenchConfig) -> [(&'static str, &'static str, FaultPlan); 5] {
+    let window = SystemConfig::paper64(PB).schedule.window;
+    let (down, up) = match bench.quick {
+        true => (3 * window / 2, 5 * window / 2),
+        false => (4 * window, 6 * window),
+    };
+    // Complement's hot flow out of board 0 lands on board 7, on its static
+    // wavelength λ(0→7) = (0 − 7) mod 8 = 1.
+    let (board, dest, wavelength) = (0, 7, 1);
+    let relocks = if bench.quick { 8 } else { 32 };
+    // Bandwidth boundaries fall at even window multiples; each loss strikes
+    // 10 cycles into a round, with the token mid-flight on the RC ring.
+    let mut token = FaultPlan::new();
+    for i in 0..if bench.quick { 1 } else { 3 } {
+        token.push(
+            2 * window * (i + 1) + 10,
+            FaultKind::TokenLoss { victim: 3 },
+        );
+    }
+    [
+        ("none", "fault-free", FaultPlan::new()),
+        (
+            "rx_outage",
+            "receiver (board 7, λ1) down, repaired two windows later",
+            FaultPlan::new().receiver_outage(dest, wavelength, down, up),
+        ),
+        (
+            "lc_stuck",
+            "LC (0→7, λ1) wedged at its rate until repaired",
+            FaultPlan::new()
+                .at(
+                    down,
+                    FaultKind::LcStuck {
+                        board,
+                        dest,
+                        wavelength,
+                    },
+                )
+                .at(
+                    up,
+                    FaultKind::LcRepair {
+                        board,
+                        dest,
+                        wavelength,
+                    },
+                ),
+        ),
+        (
+            "cdr_relock_storm",
+            "seeded burst of 500-cycle CDR relocks on live channels",
+            FaultPlan::relock_storm(42, 8, down, up, relocks, 500),
+        ),
+        (
+            "ls_token_loss",
+            "board 3's LS token lost just after bandwidth boundaries",
+            token,
+        ),
+    ]
+}
+
+/// `cfg` fed by the workload scenario `spec` at `load` (the pattern is
+/// inert under a scenario).
+fn scenario_point(
+    label: String,
+    mut cfg: SystemConfig,
+    spec: ScenarioSpec,
+    load: f64,
+    plan: PhasePlan,
+) -> Point {
+    cfg.scenario = Some(spec);
+    Point {
+        label,
+        network: Network::Erapid,
+        run: RunPoint::generate(cfg, TrafficPattern::Uniform, load, plan),
+    }
+}
+
+/// One table per fault plan: complement in every mode, then P-B under each
+/// hostile scenario.
+pub(crate) fn resilience_tables(bench: &BenchConfig) -> Vec<RowTable> {
+    fault_plans(bench)
+        .into_iter()
+        .map(|(fault, what, faults)| {
+            let title = format!("[{fault}] {what} ({} fault events)", faults.len());
+            let faulted = |mode| SystemConfig {
+                faults: faults.clone(),
+                ..SystemConfig::paper64(mode)
+            };
+            let mut rows: Vec<_> = NetworkMode::all()
+                .into_iter()
+                .map(|mode| {
+                    let label = resilience_label(fault, "complement", mode);
+                    let cells = vec!["complement".to_string(), mode.name().to_string()];
+                    let cfg = faulted(mode);
+                    (
+                        cells,
+                        erapid(bench, label, cfg, "complement", RESILIENCE_LOAD),
+                    )
+                })
+                .collect();
+            for spec in HOSTILE.map(|spec| spec()) {
+                let cells = vec![spec.name().to_string(), PB.name().to_string()];
+                let label = resilience_label(fault, spec.name(), PB);
+                let cfg = faulted(PB);
+                let plan = bench.plan(cfg.schedule.window);
+                let point = scenario_point(label, cfg, spec, SCENARIO_LOAD, plan);
+                rows.push((cells, point));
+            }
+            RowTable {
+                title,
+                keys: vec!["traffic", "mode"],
+                rows,
+            }
+        })
+        .collect()
+}
+
+/// P-B throughput under `fault` ÷ fault-free, on `traffic`.
+fn recovery(results: &Results, fault: &str, traffic: &str) -> f64 {
+    let thr = |fault| results.at(&resilience_label(fault, traffic, PB)).throughput;
+    thr(fault) / thr("none")
+}
+
+pub(crate) fn resilience(bench: &BenchConfig, results: &Results) {
+    let plans = fault_plans(bench);
+    row_tables(&resilience_tables(bench), results);
+    let hostile = HOSTILE.map(|spec| spec().name());
+    let traffic = ["complement", hostile[0], hostile[1]];
+    let mut t = Table::new([&["fault"], &traffic[..]].concat())
+        .with_title("P-B throughput recovery: faulted ÷ fault-free");
+    for (fault, _, _) in &plans[1..] {
+        let mut row = vec![fault.to_string()];
+        row.extend(
+            traffic
+                .iter()
+                .map(|pat| format!("{:.1}%", 100.0 * recovery(results, fault, pat))),
+        );
+        t.row(row);
+    }
+    println!("{}", t.render());
+}
+
+// ---- Workload scenarios -------------------------------------------------
+
+/// The load of the scenario study (and of the auto-tuning study).
+const SCENARIO_LOAD: f64 = 0.6;
+
+/// The label of the scenario study's `(scenario, mode)` point.
+pub(crate) fn scenario_label(name: &str, mode: NetworkMode) -> String {
+    format!("scenarios/{name}/{}", mode.name())
+}
+
+pub(crate) fn scenario_tables(bench: &BenchConfig) -> Vec<RowTable> {
+    ScenarioSpec::paper_suite()
+        .into_iter()
+        .map(|spec| RowTable {
+            title: format!("[{}] {:?}", spec.name(), spec.kind),
+            keys: vec!["mode"],
+            rows: NetworkMode::all()
+                .into_iter()
+                .map(|mode| {
+                    let cfg = SystemConfig::paper64(mode);
+                    let plan = bench.plan(cfg.schedule.window);
+                    let label = scenario_label(spec.name(), mode);
+                    let point = scenario_point(label, cfg, spec.clone(), SCENARIO_LOAD, plan);
+                    (vec![mode.name().to_string()], point)
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+// ---- Auto-tuning --------------------------------------------------------
+
+/// The modes the tuning study sweeps: the power-aware ones.
+const TUNED_MODES: [NetworkMode; 2] = [PNb, PB];
+
+/// The paper-constant operating point of `mode`, at the paper's `R_w`.
+fn paper_constants(mode: NetworkMode) -> OperatingPoint {
+    let policy = mode
+        .dpm_policy()
+        .expect("the study tunes power-aware modes");
+    OperatingPoint::from_policy(policy, 2000)
+}
+
+/// The paper constants, then every smoke-grid point that is not them: index
+/// 0 is the baseline, and ties in [`erapid_tune::choose`] resolve to it.
+fn candidates(mode: NetworkMode) -> Vec<OperatingPoint> {
+    let base = paper_constants(mode);
+    let grid = TuneGrid::smoke().points().expect("the smoke grid is valid");
+    std::iter::once(base)
+        .chain(grid.into_iter().filter(|p| *p != base))
+        .collect()
+}
+
+/// Every `(mode, scenario)` the tuning study sweeps, over `suite`.
+fn tuned_workloads(suite: &[ScenarioSpec]) -> impl Iterator<Item = (NetworkMode, &ScenarioSpec)> {
+    TUNED_MODES
+        .into_iter()
+        .flat_map(move |mode| suite.iter().map(move |spec| (mode, spec)))
+}
+
+/// The label of one tuning leg: an operating point's label, or
+/// `controller`.
+pub(crate) fn tune_label(mode: NetworkMode, spec: &ScenarioSpec, leg: &str) -> String {
+    format!("autotune/{}/{}/{leg}", mode.name(), spec.name())
+}
+
+/// The small system under `spec` at `op`: its thresholds as the DPM
+/// override, its `B_max` also as the DBR trigger (both loops see one
+/// threshold, as the online controller keeps them), its `R_w` as the
+/// Lock-Step window; two measured windows and a drain cap.
+fn tune_point(label: String, mode: NetworkMode, spec: &ScenarioSpec, op: OperatingPoint) -> Point {
+    let mut cfg = SystemConfig::small(mode);
+    cfg.dpm_override = Some(op.dpm_policy());
+    cfg.alloc.b_max = op.b_max_milli as f64 / 1000.0;
+    cfg.schedule = LockStepSchedule::new(op.r_w);
+    let plan = PhasePlan::new(2000, 4000).with_max_cycles(24_000);
+    scenario_point(label, cfg, spec.clone(), SCENARIO_LOAD, plan)
+}
+
+pub(crate) fn tune_tables() -> Vec<RowTable> {
+    tuned_workloads(&ScenarioSpec::paper_suite())
+        .map(|(mode, spec)| {
+            let mut rows: Vec<_> = candidates(mode)
+                .into_iter()
+                .map(|op| {
+                    let label = tune_label(mode, spec, &op.label());
+                    (vec![op.label()], tune_point(label, mode, spec, op))
+                })
+                .collect();
+            // The online controller, seeded at the paper constants.
+            if mode == PB {
+                let base = paper_constants(mode);
+                let mut ctl = tune_point(tune_label(mode, spec, "controller"), mode, spec, base);
+                let (l_min, l_max, b_max) = (base.l_min_milli, base.l_max_milli, base.b_max_milli);
+                ctl.run.cfg.tune = Some(ControllerSpec::around_milli(l_min, l_max, b_max));
+                rows.push((vec!["controller".to_string()], ctl));
+            }
+            RowTable {
+                title: format!("[{} {}] sweep, small system", mode.name(), spec.name()),
+                keys: vec!["operating point"],
+                rows,
+            }
+        })
+        .collect()
+}
+
+/// A swept `(mode, scenario)` with the paper constants' outcome and the
+/// chosen one.
+pub(crate) type Tuned = ((NetworkMode, &'static str), SweepOutcome, SweepOutcome);
+
+/// Every workload swept over `suite` that has a viable point: each leg
+/// joined from `results`, and the choice made among those that injected.
+pub(crate) fn tuned(results: &Results, suite: &[ScenarioSpec]) -> Vec<Tuned> {
+    tuned_workloads(suite)
+        .filter_map(|(mode, spec)| {
+            let outcomes: Vec<SweepOutcome> = candidates(mode)
+                .into_iter()
+                .filter_map(|op| {
+                    let r = results.at(&tune_label(mode, spec, &op.label()));
+                    let (power, mean, p95) = (r.power_mw, r.latency, r.latency_p95);
+                    SweepOutcome::join(op, r.injected, r.delivered, power, mean, p95).ok()
+                })
+                .collect();
+            let chosen = choose(&outcomes).ok()?.clone();
+            let paper = outcomes.first()?.clone();
+            Some(((mode, spec.name()), paper, chosen))
+        })
+        .collect()
+}
+
+pub(crate) fn autotune(_: &BenchConfig, results: &Results) {
+    row_tables(&tune_tables(), results);
+    let mut t = Table::new(vec![
+        "workload",
+        "paper objective",
+        "chosen",
+        "chosen objective",
+        "improves",
+    ])
+    .with_title(
+        "Chosen point (min power × p95 within 95% of the best delivery) vs the paper constants",
+    );
+    for ((mode, scenario), paper, chosen) in tuned(results, &ScenarioSpec::paper_suite()) {
+        t.row(vec![
+            format!("{} {scenario}", mode.name()),
+            format!("{:.0}", paper.objective()),
+            chosen.point.label(),
+            format!("{:.0}", chosen.objective()),
+            format!("{}", improves(&chosen, &paper)),
+        ]);
+    }
+    println!("{}", t.render());
 }

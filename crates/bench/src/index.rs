@@ -228,7 +228,7 @@ fn no_points(_: &BenchConfig) -> Vec<Point> {
 }
 
 /// Every experiment, in EXPERIMENTS.md order.
-pub static INDEX: [Experiment; 10] = [
+pub static INDEX: [Experiment; 13] = [
     Experiment {
         id: "table1",
         title: "Table 1: simulation network parameters",
@@ -298,5 +298,26 @@ pub static INDEX: [Experiment; 10] = [
         points: |b| ex::row_points(vec![ex::scaling_table(b)]),
         render: ex::scaling,
         claims: claims::SCALING,
+    },
+    Experiment {
+        id: "resilience",
+        title: "Resilience: four fault plans on complement (every mode) and on two hostile scenarios (P-B)",
+        points: |b| ex::row_points(ex::resilience_tables(b)),
+        render: ex::resilience,
+        claims: claims::RESILIENCE,
+    },
+    Experiment {
+        id: "scenarios",
+        title: "Workload scenarios: hotspot, diurnal, incast and collective traffic in every mode (load 0.6)",
+        points: |b| ex::row_points(ex::scenario_tables(b)),
+        render: |b, r| ex::row_tables(&ex::scenario_tables(b), r),
+        claims: claims::SCENARIOS,
+    },
+    Experiment {
+        id: "autotune",
+        title: "Auto-tuning: the smoke grid around the paper's DPM constants, per power-aware mode and scenario",
+        points: |_| ex::row_points(ex::tune_tables()),
+        render: ex::autotune,
+        claims: claims::AUTOTUNE,
     },
 ];

@@ -1,16 +1,14 @@
-//! The one JSON value the report-writing bins build (`TUNE_`, `SCENARIO_`,
-//! `RESILIENCE_`, `REPLAY_`, `MARATHON_<sha>.json`). Write-only, std only.
+//! The JSON value `marathon` builds its `MARATHON_<sha>.json` report from.
+//! Write-only, std only.
 
 /// A JSON value; object keys keep insertion order.
 #[derive(Debug, Clone)]
 pub enum Json {
-    Null,
     Bool(bool),
     U64(u64),
     /// Non-finite values render as `null` (JSON has no NaN/Infinity).
     F64(f64),
     Str(String),
-    Arr(Vec<Json>),
     Obj(Vec<(&'static str, Json)>),
 }
 
@@ -20,27 +18,20 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// An array of unsigned integers (per-window counter columns).
-    pub fn u64s(v: &[u64]) -> Json {
-        Json::Arr(v.iter().map(|&x| Json::U64(x)).collect())
-    }
-
-    /// Single-line rendering: `": "` after keys, `", "` between items.
+    /// Single-line rendering: `": "` after keys, `", "` between fields.
     pub fn render(&self) -> String {
-        let list = |open: char, items: Vec<String>, close: char| {
-            format!("{open}{}{close}", items.join(", "))
-        };
         match self {
-            Json::Null => "null".into(),
             Json::Bool(b) => b.to_string(),
             Json::U64(n) => n.to_string(),
             Json::F64(x) if x.is_finite() => x.to_string(),
             Json::F64(_) => "null".into(),
             Json::Str(s) => quote(s),
-            Json::Arr(items) => list('[', items.iter().map(Json::render).collect(), ']'),
             Json::Obj(fields) => {
                 let field = |(k, v): &(&str, Json)| format!("{}: {}", quote(k), v.render());
-                list('{', fields.iter().map(field).collect(), '}')
+                format!(
+                    "{{{}}}",
+                    fields.iter().map(field).collect::<Vec<_>>().join(", ")
+                )
             }
         }
     }
@@ -65,8 +56,17 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_render_as_null() {
-        let v = Json::Arr([f64::NAN, f64::INFINITY, -0.5, 3.0].map(Json::F64).to_vec());
-        assert_eq!(v.render(), "[null, null, -0.5, 3]");
+        let v = Json::Obj(
+            [
+                ("a", f64::NAN),
+                ("b", f64::INFINITY),
+                ("c", -0.5),
+                ("d", 3.0),
+            ]
+            .map(|(k, x)| (k, Json::F64(x)))
+            .to_vec(),
+        );
+        assert_eq!(v.render(), r#"{"a": null, "b": null, "c": -0.5, "d": 3}"#);
     }
 
     #[test]
@@ -77,14 +77,8 @@ mod tests {
 
     #[test]
     fn nesting_keeps_insertion_order() {
-        let inner = Json::Obj(vec![("z", Json::Null), ("a", Json::Bool(true))]);
-        let v = Json::Obj(vec![
-            ("xs", Json::u64s(&[1, 2])),
-            ("o", Json::Arr(vec![inner])),
-        ]);
-        assert_eq!(
-            v.render(),
-            r#"{"xs": [1, 2], "o": [{"z": null, "a": true}]}"#
-        );
+        let inner = Json::Obj(vec![("z", Json::U64(1)), ("a", Json::Bool(true))]);
+        let v = Json::Obj(vec![("x", Json::U64(2)), ("o", inner)]);
+        assert_eq!(v.render(), r#"{"x": 2, "o": {"z": 1, "a": true}}"#);
     }
 }

@@ -4,9 +4,9 @@
 //! `tests/paper_claims.rs`) and what the bins share.
 //!
 //! `figures` prints the rows/series the paper reports and drops a CSV per
-//! figure under `results/` (created on demand); the matrix bins write
-//! their `<KIND>_<sha>.json` report there too
-//! ([`BenchConfig::write_report`], built from the one [`Json`] value).
+//! figure under `results/` (created on demand); `marathon` writes its
+//! `MARATHON_<sha>.json` report there too ([`BenchConfig::write_report`],
+//! built from the one [`Json`] value).
 //!
 //! Environment knobs — parsed **once** in each binary's `main` by
 //! [`BenchConfig::from_env`] and passed down as plain values (library code
@@ -15,8 +15,8 @@
 //! * `ERAPID_QUICK=1` — quarter-length runs and a 3-point load axis, for
 //!   smoke-testing the binaries (`figures` then prints tables only: the
 //!   claims are calibrated on the full plan, and no CSV is overwritten).
-//! * `ERAPID_RESULTS=<dir>` — where every CSV, recorded workload and JSON
-//!   report is written (default `results`); no binary writes into the cwd.
+//! * `ERAPID_RESULTS=<dir>` — where every CSV and JSON report is written
+//!   (default `results`); no binary writes into the cwd.
 //! * `ERAPID_THREADS=<n>` — worker threads for the run-level executor
 //!   (default: all available cores; results are byte-identical for any
 //!   value).
@@ -38,7 +38,6 @@ pub use json::Json;
 use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::experiment::{default_plan, paper_loads, RunOutput, RunResult};
 use erapid_core::runner::{self, RunPoint};
-use erapid_workloads::ScenarioSpec;
 use index::Results;
 use netstats::csv::Csv;
 use netstats::table::Table;
@@ -51,21 +50,6 @@ use traffic::pattern::TrafficPattern;
 pub fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2)
-}
-
-/// The four-scenario suite, or the single scenario the env knob
-/// `env_name` names (`ERAPID_SCENARIO` for `scenarios`, `ERAPID_TUNE` for
-/// `autotune`); an unknown name exits 2 with the valid list.
-pub fn scenario_suite(env_name: &str) -> Vec<ScenarioSpec> {
-    match std::env::var(env_name) {
-        Ok(name) if !name.trim().is_empty() => match ScenarioSpec::from_name(&name) {
-            Some(spec) => vec![spec],
-            None => usage_exit(&format!(
-                "unknown {env_name} {name:?} (want hotspot/diurnal/incast/collective)"
-            )),
-        },
-        _ => ScenarioSpec::paper_suite(),
-    }
 }
 
 /// Short commit hash, read straight from `.git` (works offline, no git
@@ -263,20 +247,6 @@ pub fn result_table(
     t
 }
 
-/// Ranks labelled survival fractions worst-first and returns the `take`
-/// worst labels — the scenario/resilience bins' hostile-workload picker.
-///
-/// Ordering is total (`f64::total_cmp`), so a NaN fraction — which a
-/// buggy metric could produce — sorts *after* every real number instead
-/// of scrambling the sort, and ties keep their input order (stable sort).
-/// Idle runs report fraction 1.0 (see `RunResult::delivered_fraction`)
-/// and therefore rank last.
-pub fn rank_worst_offenders<'a>(survival: &[(f64, &'a str)], take: usize) -> Vec<&'a str> {
-    let mut ranked = survival.to_vec();
-    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-    ranked.into_iter().take(take).map(|(_, n)| n).collect()
-}
-
 /// One pattern's full panel: all four configurations across the load axis.
 pub struct Panel {
     /// Pattern name.
@@ -391,30 +361,6 @@ mod tests {
             quick: true,
             ..BenchConfig::default()
         }
-    }
-
-    #[test]
-    fn worst_offenders_rank_lowest_survival_first() {
-        let survival = [(0.9, "a"), (0.4, "b"), (1.0, "c"), (0.7, "d")];
-        assert_eq!(rank_worst_offenders(&survival, 2), vec!["b", "d"]);
-        // Asking for more than available returns everything, ranked.
-        assert_eq!(rank_worst_offenders(&survival, 9), vec!["b", "d", "a", "c"]);
-        assert!(rank_worst_offenders(&[], 2).is_empty());
-    }
-
-    #[test]
-    fn worst_offenders_nan_ranks_last_and_idle_runs_rank_after_lossy() {
-        // total_cmp: NaN sorts after +inf, so a poisoned fraction can
-        // never displace a real worst offender; an idle run's 1.0 (the
-        // injected == 0 guard) ranks after any lossy run.
-        let survival = [(f64::NAN, "nan"), (1.0, "idle"), (0.2, "lossy")];
-        assert_eq!(
-            rank_worst_offenders(&survival, 3),
-            vec!["lossy", "idle", "nan"]
-        );
-        // Ties keep input order (stable sort).
-        let tied = [(0.5, "first"), (0.5, "second")];
-        assert_eq!(rank_worst_offenders(&tied, 2), vec!["first", "second"]);
     }
 
     #[test]

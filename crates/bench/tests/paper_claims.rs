@@ -5,8 +5,9 @@
 //! EXPERIMENTS.md must carry exactly the blocks `figures` prints — so a
 //! number in the doc is a number asserted here.
 
-use erapid_bench::index::{Claim, Results, INDEX};
+use erapid_bench::index::{Claim, Network, Results, INDEX};
 use erapid_bench::BenchConfig;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 struct Evaluated {
@@ -81,6 +82,31 @@ fn experiments_md_carries_the_rendered_claim_blocks() {
             doc.contains(block),
             "EXPERIMENTS.md's `{id}` claim block is stale; `figures {id}` prints:\n{block}"
         );
+    }
+}
+
+/// `Results::run` keeps the first point under each label, so points that
+/// share a label must be one simulation: otherwise a table or claim would
+/// silently read another experiment's run.
+#[test]
+fn every_label_names_one_point() {
+    let quick = BenchConfig {
+        quick: true,
+        ..BenchConfig::default()
+    };
+    for bench in [BenchConfig::default(), quick] {
+        let mut first = HashMap::new();
+        for point in INDEX.iter().flat_map(|e| (e.points)(&bench)) {
+            let sim = (format!("{:?}", point.run), point.network == Network::Mesh);
+            let held = first
+                .entry(point.label.clone())
+                .or_insert_with(|| sim.clone());
+            assert!(
+                *held == sim,
+                "label {} names two different points",
+                point.label
+            );
+        }
     }
 }
 

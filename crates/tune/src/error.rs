@@ -1,14 +1,13 @@
 //! Typed auto-tuning errors.
 //!
 //! Every malformed input the sweep joiner or grid builder can receive — an
-//! empty grid, a band where `L_min ≥ L_max`, a traced run that produced no
-//! windows or injected nothing — is a [`TuneError`], never a panic. The
-//! crate denies `clippy::unwrap_used`/`expect_used` to keep that contract
-//! honest.
+//! empty grid, a band where `L_min ≥ L_max`, a run that injected nothing —
+//! is a [`TuneError`], never a panic. The crate denies
+//! `clippy::unwrap_used`/`expect_used` to keep that contract honest.
 
 use std::fmt;
 
-/// What went wrong while building a grid, joining a traced outcome, or
+/// What went wrong while building a grid, joining a run's outcome, or
 /// choosing an operating point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TuneError {
@@ -25,14 +24,9 @@ pub enum TuneError {
     /// A controller spec or grid value was out of range (thresholds are
     /// milli-units in `0..=1000`; steps and windows must be nonzero).
     InvalidSpec(String),
-    /// The traced run rolled no metric windows, so there is nothing to
-    /// join (horizon shorter than one `R_w`, or tracing disabled).
-    EmptyWindows,
     /// The run injected zero packets — its latency and delivery columns
     /// are meaningless, and a ratio over them would divide by zero.
     ZeroInjected,
-    /// The export lacks a counter the joiner needs (wrong registry shape).
-    MissingCounter(&'static str),
     /// No sweep outcome survived the delivery guard (or the slice was
     /// empty), so no operating point can be chosen.
     NoViablePoint(String),
@@ -50,14 +44,8 @@ impl fmt::Display for TuneError {
                 "invalid threshold band: L_min {l_min_milli}‰ must lie strictly below L_max {l_max_milli}‰"
             ),
             TuneError::InvalidSpec(what) => write!(f, "invalid tuning spec: {what}"),
-            TuneError::EmptyWindows => {
-                write!(f, "traced run exported no metric windows to join")
-            }
             TuneError::ZeroInjected => {
                 write!(f, "run injected zero packets; outcome carries no signal")
-            }
-            TuneError::MissingCounter(name) => {
-                write!(f, "telemetry export lacks required counter {name:?}")
             }
             TuneError::NoViablePoint(what) => write!(f, "no viable operating point: {what}"),
         }
@@ -79,9 +67,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("900"));
         assert!(msg.contains("700"));
-        assert!(TuneError::MissingCounter("dpm_retunes")
-            .to_string()
-            .contains("dpm_retunes"));
         assert!(TuneError::EmptyGrid("l_max axis".into())
             .to_string()
             .contains("l_max axis"));

@@ -8,12 +8,11 @@
 //! layers:
 //!
 //! * **Offline** ([`sweep`]): enumerate an operating-point grid, join each
-//!   point's traced outcome (power, p95 latency, reconfiguration activity
-//!   from the per-window counter columns), compute the power/latency Pareto
-//!   front per workload and choose the point minimising the
-//!   power × p95-latency objective. The `autotune` bench bin drives this
-//!   through `runner::run_points` (points with `cfg.trace` on) and emits
-//!   `TUNE_<sha>.json` under the results directory.
+//!   point's run result (delivery, power, p95 latency), compute the
+//!   power/latency Pareto front per workload and choose the point
+//!   minimising the power × p95-latency objective. The bench index's
+//!   `autotune` experiment drives this and states what it chose as
+//!   checked claims (EXPERIMENTS.md).
 //! * **Online** ([`controller`]): a deterministic windowed controller that
 //!   nudges the live DPM thresholds at `R_w` boundaries from the just-closed
 //!   window's link/buffer counters. All state is integer milli-units, so its

@@ -1,17 +1,16 @@
-//! Offline operating-point sweeps: grid enumeration, telemetry joins,
+//! Offline operating-point sweeps: grid enumeration, run-result joins,
 //! Pareto fronts and the power × p95-latency choice rule.
 //!
-//! The `autotune` bench bin runs every [`OperatingPoint`] of a [`TuneGrid`]
-//! through the traced runner, joins each run's counters and latency
-//! digest into a [`SweepOutcome`], and per workload computes the
-//! power/latency [`pareto_front`] and [`choose`]s the point minimising
+//! The bench index's `autotune` experiment runs every [`OperatingPoint`]
+//! of a [`TuneGrid`], joins each run's delivery, power and latency digest
+//! into a [`SweepOutcome`], and per workload computes the power/latency
+//! [`pareto_front`] and [`choose`]s the point minimising
 //! `power_mw × latency_p95` among outcomes that kept delivery intact.
 //! Everything is deterministic: grids enumerate in fixed nested order,
 //! sorts use `f64::total_cmp`, and ties resolve to the earlier grid point.
 
 use crate::controller::MILLI;
 use crate::error::TuneError;
-use erapid_telemetry::{counter_column, WindowSnapshot};
 use powermgmt::policy::DpmPolicy;
 
 /// One candidate operating point: the DPM threshold triple plus the
@@ -73,7 +72,7 @@ pub struct TuneGrid {
 }
 
 impl TuneGrid {
-    /// The CI smoke grid: 2 × 2 straddling the paper's P-B point (more
+    /// The smoke grid: 2 × 2 straddling the paper's P-B point (more
     /// aggressive scale-down on one side, a laxer upscale trigger on the
     /// other), paper `R_w`.
     pub fn smoke() -> Self {
@@ -82,27 +81,6 @@ impl TuneGrid {
             l_max_milli: vec![900],
             b_max_milli: vec![300, 500],
             r_w: vec![2000],
-        }
-    }
-
-    /// The default offline grid: spans both paper presets plus the
-    /// power-saving side (`L_min` above the presets' 0.5/0.7).
-    pub fn coarse() -> Self {
-        Self {
-            l_min_milli: vec![500, 700, 800],
-            l_max_milli: vec![750, 900],
-            b_max_milli: vec![100, 300, 500],
-            r_w: vec![2000],
-        }
-    }
-
-    /// The fine grid: 4 × 3 × 3 thresholds × 2 window lengths.
-    pub fn fine() -> Self {
-        Self {
-            l_min_milli: vec![300, 500, 700, 800],
-            l_max_milli: vec![750, 850, 950],
-            b_max_milli: vec![0, 100, 300],
-            r_w: vec![1000, 2000],
         }
     }
 
@@ -170,7 +148,7 @@ impl TuneGrid {
     }
 }
 
-/// One operating point's measured outcome, joined from a traced run.
+/// One operating point's measured outcome, joined from a run's result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// The point that produced this outcome.
@@ -185,21 +163,12 @@ pub struct SweepOutcome {
     pub latency_mean: f64,
     /// 95th-percentile labelled-packet latency, cycles.
     pub latency_p95: f64,
-    /// Whole-run `dpm_retunes` total from the window columns.
-    pub retunes: u64,
-    /// Whole-run `dbr_grants` total.
-    pub grants: u64,
-    /// Whole-run `buffer_crossings` total.
-    pub buffer_crossings: u64,
 }
 
 impl SweepOutcome {
-    /// Joins a run's scalar results with its telemetry export. Typed
-    /// errors for every degenerate input: no metric windows
-    /// ([`TuneError::EmptyWindows`]), zero injected packets
-    /// ([`TuneError::ZeroInjected`]) and a registry missing one of the
-    /// joined counters ([`TuneError::MissingCounter`]).
-    #[allow(clippy::too_many_arguments)]
+    /// Joins a run's scalar results. A run that injected nothing is
+    /// [`TuneError::ZeroInjected`]: its delivery and latency carry no
+    /// signal.
     pub fn join(
         point: OperatingPoint,
         injected: u64,
@@ -207,20 +176,10 @@ impl SweepOutcome {
         power_mw: f64,
         latency_mean: f64,
         latency_p95: f64,
-        counter_names: &[String],
-        windows: &[WindowSnapshot],
     ) -> Result<Self, TuneError> {
-        if windows.is_empty() {
-            return Err(TuneError::EmptyWindows);
-        }
         if injected == 0 {
             return Err(TuneError::ZeroInjected);
         }
-        let total = |name: &'static str| -> Result<u64, TuneError> {
-            counter_column(counter_names, windows, name)
-                .map(|col| col.iter().sum())
-                .ok_or(TuneError::MissingCounter(name))
-        };
         Ok(Self {
             point,
             injected,
@@ -228,9 +187,6 @@ impl SweepOutcome {
             power_mw,
             latency_mean,
             latency_p95,
-            retunes: total("dpm_retunes")?,
-            grants: total("dbr_grants")?,
-            buffer_crossings: total("buffer_crossings")?,
         })
     }
 
@@ -348,9 +304,6 @@ mod tests {
             power_mw: power,
             latency_mean: p95 / 2.0,
             latency_p95: p95,
-            retunes: 0,
-            grants: 0,
-            buffer_crossings: 0,
         }
     }
 
@@ -395,16 +348,16 @@ mod tests {
 
     #[test]
     fn empty_axes_and_bad_values_are_typed_errors() {
-        let mut g = TuneGrid::coarse();
+        let mut g = TuneGrid::smoke();
         g.b_max_milli.clear();
         assert!(matches!(g.points(), Err(TuneError::EmptyGrid(_))));
-        let mut g = TuneGrid::coarse();
+        let mut g = TuneGrid::smoke();
         g.r_w.clear();
         assert!(matches!(g.points(), Err(TuneError::EmptyGrid(_))));
-        let mut g = TuneGrid::coarse();
+        let mut g = TuneGrid::smoke();
         g.l_max_milli.push(1200);
         assert!(matches!(g.points(), Err(TuneError::InvalidSpec(_))));
-        let mut g = TuneGrid::coarse();
+        let mut g = TuneGrid::smoke();
         g.r_w = vec![0];
         assert!(matches!(g.points(), Err(TuneError::InvalidSpec(_))));
     }
@@ -412,11 +365,6 @@ mod tests {
     #[test]
     fn preset_grids_enumerate() {
         assert_eq!(TuneGrid::smoke().points().unwrap().len(), 4);
-        // coarse: (800, 750) is the only inverted band → 5 × 3 survive.
-        assert_eq!(TuneGrid::coarse().points().unwrap().len(), 15);
-        // fine: 300/500/700 clear every l_max, 800 only 850/950 →
-        // 11 bands × 3 b_max × 2 r_w.
-        assert_eq!(TuneGrid::fine().points().unwrap().len(), 66);
     }
 
     #[test]
@@ -431,39 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn join_errors_on_empty_windows_and_zero_injected() {
-        let names: Vec<String> = vec!["dpm_retunes".into()];
-        let err = SweepOutcome::join(point(500, 900), 10, 10, 1.0, 1.0, 1.0, &names, &[]);
-        assert_eq!(err, Err(TuneError::EmptyWindows));
-        let w = vec![WindowSnapshot {
-            window: 1,
-            counters: vec![0],
-            gauges: vec![],
-        }];
-        let err = SweepOutcome::join(point(500, 900), 0, 0, 1.0, 1.0, 1.0, &names, &w);
+    fn join_rejects_zero_injected_and_keeps_the_scalars() {
+        let err = SweepOutcome::join(point(500, 900), 0, 0, 1.0, 1.0, 1.0);
         assert_eq!(err, Err(TuneError::ZeroInjected));
-    }
-
-    #[test]
-    fn join_errors_on_missing_counter_and_sums_columns() {
-        let names: Vec<String> = ["dpm_retunes", "dbr_grants", "buffer_crossings"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let w = |a: u64, b: u64, c: u64| WindowSnapshot {
-            window: 0,
-            counters: vec![a, b, c],
-            gauges: vec![],
-        };
-        let windows = vec![w(1, 2, 3), w(4, 5, 6)];
-        let o = SweepOutcome::join(point(500, 900), 100, 90, 2.0, 50.0, 80.0, &names, &windows)
-            .unwrap();
-        assert_eq!((o.retunes, o.grants, o.buffer_crossings), (5, 7, 9));
+        let o = SweepOutcome::join(point(500, 900), 100, 90, 2.0, 50.0, 80.0).unwrap();
         assert!((o.delivered_fraction() - 0.9).abs() < 1e-12);
         assert!((o.objective() - 160.0).abs() < 1e-12);
-        let short: Vec<String> = vec!["dpm_retunes".into()];
-        let err = SweepOutcome::join(point(500, 900), 100, 90, 2.0, 50.0, 80.0, &short, &windows);
-        assert_eq!(err, Err(TuneError::MissingCounter("dbr_grants")));
     }
 
     #[test]

@@ -146,8 +146,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// All four scenarios in presentation order — the `scenarios` bench
-    /// matrix.
+    /// All four scenarios in presentation order — the bench index's
+    /// `scenarios` experiment.
     pub fn paper_suite() -> Vec<ScenarioSpec> {
         vec![
             Self::hotspot(),
@@ -157,25 +157,13 @@ impl ScenarioSpec {
         ]
     }
 
-    /// Stable short name (JSON keys, `ERAPID_SCENARIO` filter values).
+    /// Stable short name (table rows and point labels).
     pub fn name(&self) -> &'static str {
         match self.kind {
             ScenarioKind::ZipfHotspot { .. } => "hotspot",
             ScenarioKind::Diurnal { .. } => "diurnal",
             ScenarioKind::IncastStorm { .. } => "incast",
             ScenarioKind::Collective { .. } => "collective",
-        }
-    }
-
-    /// The default spec for a scenario name (the [`Self::name`] values),
-    /// `None` for an unknown name.
-    pub fn from_name(name: &str) -> Option<ScenarioSpec> {
-        match name.trim() {
-            "hotspot" => Some(Self::hotspot()),
-            "diurnal" => Some(Self::diurnal()),
-            "incast" => Some(Self::incast()),
-            "collective" => Some(Self::collective()),
-            _ => None,
         }
     }
 
@@ -276,9 +264,7 @@ mod tests {
         assert_eq!(tags.len(), 4);
         for s in &suite {
             s.validate(16).unwrap();
-            assert_eq!(ScenarioSpec::from_name(s.name()), Some(s.clone()));
         }
-        assert_eq!(ScenarioSpec::from_name("nope"), None);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic pins for the offline tuning sweep (`erapid-tune`,
 //! DESIGN.md §15).
 //!
-//! A real mini-sweep — the `autotune --smoke` grid plus the paper-constant
-//! baseline, run through the traced engine on the small P-B system under
-//! the Zipf-hotspot scenario — is joined into [`SweepOutcome`]s exactly the
-//! way the `autotune` bench bin does it. The test then pins the *shape* of
+//! A real mini-sweep — the smoke grid plus the paper-constant baseline, run
+//! on the small P-B system under the incast scenario — is joined into
+//! [`SweepOutcome`]s exactly the way the bench index's `autotune`
+//! experiment does it. The test then pins the *shape* of
 //! the analysis: the Pareto front is non-empty, sorted by ascending power
 //! and pairwise non-dominated, and [`choose`] lands on the pinned operating
 //! point. Because every input run is byte-deterministic (golden_engine.rs),
@@ -13,15 +13,15 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
+use erapid_suite::erapid_core::experiment::RunResult;
 use erapid_suite::erapid_core::runner::RunPoint;
-use erapid_suite::erapid_telemetry::TraceConfig;
 use erapid_suite::erapid_tune::{choose, pareto_front, OperatingPoint, SweepOutcome, TuneGrid};
 use erapid_suite::erapid_workloads::ScenarioSpec;
 use erapid_suite::reconfig::lockstep::LockStepSchedule;
 use erapid_suite::traffic::pattern::TrafficPattern;
 
 /// Two measured windows and a drain cap: long enough for several DPM
-/// windows so the joined `dpm_retunes` column is non-trivial.
+/// windows so the retune count is non-trivial.
 fn sweep_plan() -> PhasePlan {
     PhasePlan::new(2000, 4000).with_max_cycles(24_000)
 }
@@ -29,15 +29,18 @@ fn sweep_plan() -> PhasePlan {
 /// One sweep leg, configured the way `autotune` configures a [`RunPoint`]:
 /// scenario generator on, the point's thresholds as the DPM override, its
 /// `B_max` as the allocator threshold, its `R_w` as the Lock-Step window.
-fn sweep_once(op: OperatingPoint) -> SweepOutcome {
+fn run_leg(op: OperatingPoint) -> RunResult {
     let mut cfg = SystemConfig::small(NetworkMode::PB);
     cfg.scenario = Some(ScenarioSpec::incast());
-    cfg.trace = TraceConfig::with_capacity(1024);
     cfg.dpm_override = Some(op.dpm_policy());
     cfg.alloc.b_max = op.b_max_milli as f64 / 1000.0;
     cfg.schedule = LockStepSchedule::new(op.r_w);
-    let out = RunPoint::generate(cfg, TrafficPattern::Uniform, 0.6, sweep_plan()).run();
-    let (r, trace) = (out.result, out.trace);
+    RunPoint::generate(cfg, TrafficPattern::Uniform, 0.6, sweep_plan())
+        .run()
+        .result
+}
+
+fn join(op: OperatingPoint, r: &RunResult) -> SweepOutcome {
     SweepOutcome::join(
         op,
         r.injected,
@@ -45,10 +48,12 @@ fn sweep_once(op: OperatingPoint) -> SweepOutcome {
         r.power_mw,
         r.latency,
         r.latency_p95,
-        &trace.counter_names,
-        &trace.windows,
     )
-    .expect("traced scenario run joins cleanly")
+    .expect("scenario run injects")
+}
+
+fn sweep_once(op: OperatingPoint) -> SweepOutcome {
+    join(op, &run_leg(op))
 }
 
 /// The swept points: paper P-B constants first, then the smoke grid.
@@ -81,19 +86,22 @@ const FRONT_PIN: &[&str] = &["l700-900 b300 rw2000"];
 #[test]
 #[ignore = "pin regeneration: run manually with --ignored --nocapture"]
 fn regen_autotune() {
-    let outcomes: Vec<SweepOutcome> = sweep_points().into_iter().map(sweep_once).collect();
-    for o in &outcomes {
+    let mut outcomes = Vec::new();
+    for op in sweep_points() {
+        let r = run_leg(op);
+        let o = join(op, &r);
         println!(
-            "    {}: delivered {}/{}, power {:.3} mW, p95 {:.1}, objective {:.1}, retunes {}, crossings {}",
+            "    {}: delivered {}/{}, power {:.3} mW, p95 {:.1}, objective {:.1}, retunes {}, grants {}",
             o.point.label(),
             o.delivered,
             o.injected,
             o.power_mw,
             o.latency_p95,
             o.objective(),
-            o.retunes,
-            o.buffer_crossings,
+            r.retunes,
+            r.grants,
         );
+        outcomes.push(o);
     }
     let front = pareto_front(&outcomes);
     println!(

@@ -115,31 +115,45 @@ fn trace_record_replay_round_trip() {
 fn parallel_sweep_identical_to_sequential() {
     // The run-level executor must be invisible in the results: the same
     // sweep on 1 thread and on 4 threads returns the same RunResults —
-    // every field, in the same order.
+    // every field, in the same order. The sweep holds generated points in
+    // two modes and one small P-B point per workload scenario.
     use erapid_suite::erapid_core::experiment::default_plan;
-    for mode in [NetworkMode::NpNb, NetworkMode::PB] {
-        let points = || -> Vec<RunPoint> {
-            [0.2, 0.5, 0.8]
-                .iter()
-                .map(|&load| {
-                    let mut cfg = SystemConfig::small(mode);
-                    cfg.seed = 11;
-                    let mut p = point(cfg, TrafficPattern::Complement, load);
-                    p.plan = default_plan(p.cfg.schedule.window);
-                    p
-                })
-                .collect()
-        };
-        let (seq, par) = (results_on(1, points()), results_on(4, points()));
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            // Full-struct equality: every field of every RunResult.
-            assert_eq!(
-                s, p,
-                "mode {mode:?} load {} diverged under parallel execution",
-                s.load
-            );
-        }
+    use erapid_suite::erapid_workloads::ScenarioSpec;
+    let points = || -> Vec<RunPoint> {
+        let mut points: Vec<RunPoint> = [NetworkMode::NpNb, NetworkMode::PB]
+            .into_iter()
+            .flat_map(|mode| [0.2, 0.5, 0.8].map(|load| (mode, load)))
+            .map(|(mode, load)| {
+                let mut cfg = SystemConfig::small(mode);
+                cfg.seed = 11;
+                let mut p = point(cfg, TrafficPattern::Complement, load);
+                p.plan = default_plan(p.cfg.schedule.window);
+                p
+            })
+            .collect();
+        points.extend(ScenarioSpec::paper_suite().into_iter().map(|spec| {
+            let mut cfg = SystemConfig::small(NetworkMode::PB);
+            cfg.scenario = Some(spec);
+            let mut p = point(cfg, TrafficPattern::Uniform, 0.6);
+            // Past one storm and one collective phase, not to the drain cap.
+            p.plan = PhasePlan::new(2000, 4000).with_max_cycles(8000);
+            p
+        }));
+        points
+    };
+    let labels: Vec<String> = points()
+        .iter()
+        .map(|p| match &p.cfg.scenario {
+            Some(spec) => format!("{} scenario", spec.name()),
+            None => format!("{:?} load {}", p.cfg.mode, p.load),
+        })
+        .collect();
+    let (seq, par) = (results_on(1, points()), results_on(4, points()));
+    assert_eq!(seq.len(), par.len());
+    for ((s, p), label) in seq.iter().zip(&par).zip(&labels) {
+        // Full-struct equality: every field of every RunResult.
+        assert_eq!(s, p, "{label} diverged under parallel execution");
+        assert!(s.delivered > 0, "{label} delivered nothing");
     }
 }
 
