@@ -3,8 +3,7 @@
 
 use desim::phase::{PhasePlan, PhaseTracker};
 use desim::Cycle;
-use netstats::meter::{LatencyMeter, PowerMeter, ThroughputMeter};
-use netstats::running::Running;
+use netstats::meter::{IntMean, LatencyMeter, PowerMeter, ThroughputMeter};
 
 /// One delivered packet, as logged when `SystemConfig::packet_log` is on.
 ///
@@ -31,7 +30,8 @@ pub struct RunMetrics {
     pub throughput: ThroughputMeter,
     /// End-to-end latency of labelled packets.
     pub latency: LatencyMeter,
-    /// Average optical-link power over the measurement interval.
+    /// Average optical-link power over the measurement interval, from the
+    /// optical stage's lit-laser counts per power class.
     pub power: PowerMeter,
     /// Labelled-packet completion tracking.
     pub tracker: PhaseTracker,
@@ -43,9 +43,9 @@ pub struct RunMetrics {
     pub delivered_total: u64,
     /// Latency decomposition, source side: injection → TX-queue-ready
     /// (NI wait + IBI traversal + reassembly), labelled remote packets.
-    pub src_path: Running,
+    pub src_path: IntMean,
     /// Latency decomposition: TX-queue wait (ready → optical departure).
-    pub tx_wait: Running,
+    pub tx_wait: IntMean,
 }
 
 impl desim::snap::Snap for PacketDelivery {
@@ -74,7 +74,7 @@ impl RunMetrics {
         use desim::snap::Snap;
         self.throughput.save(w);
         self.latency.save(w);
-        self.power.save(w);
+        self.power.save_state(w);
         self.tracker.save(w);
         w.u64(self.injected_total);
         w.u64(self.delivered_total);
@@ -90,31 +90,32 @@ impl RunMetrics {
         use desim::snap::Snap;
         self.throughput = ThroughputMeter::load(r)?;
         self.latency = LatencyMeter::load(r)?;
-        self.power = PowerMeter::load(r)?;
+        self.power.load_state(r)?;
         self.tracker = PhaseTracker::load(r)?;
         self.injected_total = r.u64()?;
         self.delivered_total = r.u64()?;
-        self.src_path = Running::load(r)?;
-        self.tx_wait = Running::load(r)?;
+        self.src_path = IntMean::load(r)?;
+        self.tx_wait = IntMean::load(r)?;
         Ok(())
     }
 }
 
 impl RunMetrics {
-    /// Creates metrics for a network of `nodes` nodes under `plan`.
-    pub fn new(nodes: usize, plan: PhasePlan) -> Self {
+    /// Creates metrics for a network of `nodes` nodes under `plan`, with
+    /// `class_mw` the draw of one laser in each power class (mW).
+    pub fn new(nodes: usize, plan: PhasePlan, class_mw: Vec<f64>) -> Self {
         let mut throughput = ThroughputMeter::new(nodes);
         throughput.start(plan.measure_start());
         Self {
             throughput,
             latency: LatencyMeter::standard(),
-            power: PowerMeter::new(),
+            power: PowerMeter::new(class_mw),
             tracker: PhaseTracker::new(),
             plan,
             injected_total: 0,
             delivered_total: 0,
-            src_path: Running::new(),
-            tx_wait: Running::new(),
+            src_path: IntMean::default(),
+            tx_wait: IntMean::default(),
         }
     }
 
@@ -145,7 +146,7 @@ mod tests {
 
     #[test]
     fn measuring_window() {
-        let m = RunMetrics::new(4, PhasePlan::new(100, 50));
+        let m = RunMetrics::new(4, PhasePlan::new(100, 50), vec![0.0]);
         assert!(!m.measuring(99));
         assert!(m.measuring(100));
         assert!(m.measuring(149));
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn throughput_starts_at_measure_start() {
-        let mut m = RunMetrics::new(2, PhasePlan::new(100, 100));
+        let mut m = RunMetrics::new(2, PhasePlan::new(100, 100), vec![0.0]);
         m.throughput.deliver(150, 8);
         m.throughput.deliver(180, 8);
         // 2 packets / (2 nodes × 100 cycles).
@@ -163,7 +164,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_zero() {
-        let m = RunMetrics::new(4, PhasePlan::new(10, 10));
+        let m = RunMetrics::new(4, PhasePlan::new(10, 10), vec![0.0]);
         assert_eq!(m.throughput_ppc(), 0.0);
         assert_eq!(m.mean_latency(), 0.0);
         assert_eq!(m.average_power_mw(), 0.0);

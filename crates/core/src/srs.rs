@@ -141,13 +141,24 @@ impl Slot {
         }
     }
 
-    /// Index of the slot's draw in [`Srs::power_mw`]: `0` unless the lit
+    /// Index of the slot's draw in [`class_mw`]: `0` unless the lit
     /// laser is the owner's, else `1 + 2·level`, `+ 1` while sending.
-    /// Branch-free, so the recount does not mispredict on traffic.
+    /// Branch-free: [`Slot::edit`] runs it twice per change.
     fn power_class(&self) -> usize {
         let counted = (self.lit_by == self.owner) & self.chan.is_on();
         let sending = matches!(self.chan.state(), ChannelState::Sending { .. });
         usize::from(counted) * (1 + 2 * self.chan.level().index() + usize::from(sending))
+    }
+
+    /// The one door for a change that may move the slot's power class:
+    /// runs `f`, then moves the slot's laser from its old class to its new
+    /// one in `lit`.
+    fn edit<R>(&mut self, lit: &mut [u32], f: impl FnOnce(&mut Self) -> R) -> R {
+        let before = self.power_class();
+        let out = f(self);
+        lit[before] -= 1;
+        lit[self.power_class()] += 1;
+        out
     }
 
     /// Turns the lit laser off (it must be between packets); its pending
@@ -157,6 +168,17 @@ impl Slot {
         self.lit_by = None;
         self.retune = None;
         self.relock = None;
+    }
+
+    /// Settles the lit laser at `now` and darkens it if it is between
+    /// packets; false while a packet still serializes.
+    fn darken_if_idle(&mut self, now: Cycle) -> bool {
+        self.chan.settle(now);
+        let idle = self.chan.can_send(now);
+        if idle {
+            self.darken(now);
+        }
+        idle
     }
 
     fn save(&self, w: &mut desim::snap::SnapWriter) {
@@ -197,6 +219,18 @@ impl Slot {
     }
 }
 
+/// A laser's draw (mW) by [`Slot::power_class`]: `0.0`, then idle and
+/// active per level of `ladder`.
+pub(crate) fn class_mw(ladder: &RateLadder, model: &LinkPowerModel) -> Vec<f64> {
+    std::iter::once(0.0)
+        .chain(
+            ladder
+                .iter()
+                .flat_map(|(l, _)| [model.idle_mw(l), model.active_mw(l)]),
+        )
+        .collect()
+}
+
 /// The ladder's highest level — every laser's level at boot.
 fn top_level(timing: &LinkTiming) -> RateLevel {
     RateLevel((timing.levels() - 1) as u8)
@@ -210,8 +244,9 @@ pub struct Srs {
     slots: Vec<Slot>,
     /// Sorted wavelengths owned per `(s·B + d)` flow — the per-source view
     /// of the slots' owners that lets `try_transmit` scan only owned
-    /// wavelengths. Maintained exclusively through [`Srs::set_owner`];
-    /// ascending order reproduces the legacy full `0..W` scan exactly.
+    /// wavelengths. Maintained through [`Srs::set_owner`], rebuilt from
+    /// the slots at boot and on load; ascending order reproduces the
+    /// legacy full `0..W` scan exactly.
     owned: Vec<Vec<u16>>,
     /// DPM level of every laser, indexed by `(s·B + d)·W + w`: a former
     /// owner granted a receiver back relights at its own last level. The
@@ -238,16 +273,11 @@ pub struct Srs {
     /// sweep.
     retune_queue: Vec<Laser>,
     relock_queue: Vec<Laser>,
-    /// Total laser power changes only on state/level/ownership edges;
-    /// between edges `record_cycle` returns this cached sum (recomputed
-    /// in the legacy `(d asc, w asc)` order, so the bits match).
-    power_dirty: bool,
-    power_cache: f64,
+    /// Lasers in each [`Slot::power_class`], moved by [`Slot::edit`] on
+    /// every class change; sums to B·W. Derived: recounted on load.
+    lit: Vec<u32>,
     arrivals: BinaryHeapQueue<Arrival>,
     pending_grants: Vec<PendingGrant>,
-    /// A laser's draw (mW) by [`Slot::power_class`]: `0.0`, then idle and
-    /// active per level — `power_model`'s values, tabulated once.
-    power_mw: Vec<f64>,
     /// Receiver lock-in penalty charged when a granted channel lights.
     lock_penalty: Cycle,
     /// Failed (destination, wavelength) pairs: the demux/receiver is dead,
@@ -273,7 +303,6 @@ impl Srs {
         ladder: &RateLadder,
         serdes: Serdes,
         fiber_delay: Cycle,
-        power_model: LinkPowerModel,
         window: Cycle,
         lock_penalty: Cycle,
     ) -> Self {
@@ -293,19 +322,11 @@ impl Srs {
             wake: BinaryHeapQueue::with_capacity(receivers),
             retune_queue: Vec::new(),
             relock_queue: Vec::new(),
-            power_dirty: true,
-            power_cache: 0.0,
+            lit: vec![0; 1 + 2 * ladder.len()],
             // At most one packet is in flight per (source, wavelength), so
             // this pre-sizing makes arrival pushes allocation-free.
             arrivals: BinaryHeapQueue::with_capacity(receivers),
             pending_grants: Vec::new(),
-            power_mw: std::iter::once(0.0)
-                .chain(
-                    ladder
-                        .iter()
-                        .flat_map(|(l, _)| [power_model.idle_mw(l), power_model.active_mw(l)]),
-                )
-                .collect(),
             lock_penalty,
             failed: Vec::new(),
             failed_tx: Vec::new(),
@@ -318,13 +339,33 @@ impl Srs {
         for d in 0..boards {
             for w in 1..w_count {
                 let s = srs.rwa.static_owner(BoardId(d), Wavelength(w)).0;
-                srs.set_owner(0, d, w, Some(s));
                 let k = srs.slot(d, w);
-                srs.slots[k].chan.power_on();
-                srs.slots[k].lit_by = Some(s);
+                let slot = &mut srs.slots[k];
+                slot.owner = Some(s);
+                slot.lit_by = Some(s);
+                slot.chan.power_on();
             }
         }
+        srs.rebuild_derived();
         srs
+    }
+
+    /// Rebuilds what is derived from the slots: the per-flow sorted
+    /// `owned` lists (the `d` outer / `w` inner slot order appends each
+    /// flow's wavelengths in ascending order, the [`Srs::set_owner`]
+    /// discipline; an owner ≥ B is skipped) and the lit-class counters.
+    fn rebuild_derived(&mut self) {
+        for f in &mut self.owned {
+            f.clear();
+        }
+        for k in 0..self.slots.len() {
+            let d = (k / self.wavelengths as usize) as u16;
+            if let Some(s) = self.slots[k].owner.filter(|&s| s < self.boards) {
+                let f = self.flow(s, d);
+                self.owned[f].push((k % self.wavelengths as usize) as u16);
+            }
+        }
+        self.lit = self.recount_lit();
     }
 
     /// Slot index of receiver `(d, w)`.
@@ -341,12 +382,12 @@ impl Srs {
         s as usize * self.boards as usize + d as usize
     }
 
-    /// The single mutation point for ownership: updates the slot's owner
-    /// and the per-flow sorted `owned` lists, closes the retired owner's
-    /// busy span at `now` (the eager per-cycle sampler stopped counting a
-    /// channel the moment its owner changed) and stashes its in-window
-    /// busy, restores the new owner's stashed busy, and invalidates the
-    /// power cache.
+    /// The single mutation point for ownership after boot: updates the
+    /// slot's owner and the per-flow sorted `owned` lists, closes the
+    /// retired owner's busy span at `now` (the eager per-cycle sampler
+    /// stopped counting a channel the moment its owner changed) and
+    /// stashes its in-window busy, restores the new owner's stashed busy,
+    /// and moves the slot's power class.
     fn set_owner(&mut self, now: Cycle, d: u16, w: u16, new: Option<u16>) {
         let k = self.slot(d, w);
         let old = self.slots[k].owner;
@@ -374,10 +415,10 @@ impl Srs {
                 win_busy = self.busy_stash.swap_remove(p).1;
             }
         }
-        let slot = &mut self.slots[k];
-        slot.win_busy = win_busy;
-        slot.owner = new;
-        self.power_dirty = true;
+        self.slots[k].edit(&mut self.lit, |slot| {
+            slot.win_busy = win_busy;
+            slot.owner = new;
+        });
     }
 
     /// Lights `s`'s laser on the dark receiver `(d, w)` at its own last
@@ -385,12 +426,12 @@ impl Srs {
     fn light(&mut self, now: Cycle, d: u16, w: u16, s: u16, lock: Cycle) {
         let level = self.levels[self.laser((s, d, w))];
         let k = self.slot(d, w);
-        let slot = &mut self.slots[k];
-        debug_assert!(slot.lit_by.is_none(), "two lasers lit on ({d}, λ{w})");
-        slot.chan = OpticalChannel::new(level);
-        slot.chan.power_on_dark(now, lock);
-        slot.lit_by = Some(s);
-        self.power_dirty = true;
+        self.slots[k].edit(&mut self.lit, |slot| {
+            debug_assert!(slot.lit_by.is_none(), "two lasers lit on ({d}, λ{w})");
+            slot.chan = OpticalChannel::new(level);
+            slot.chan.power_on_dark(now, lock);
+            slot.lit_by = Some(s);
+        });
     }
 
     /// Inserts `l` into a sorted pending-work queue (no duplicates).
@@ -462,14 +503,13 @@ impl Srs {
                 );
             }
             self.set_owner(now, d, w, None);
-            self.power_dirty = true;
             let slot = &mut self.slots[k];
             if slot.lit_by == Some(s) {
-                slot.retune = None;
-                slot.chan.settle(now);
-                if slot.chan.can_send(now) {
-                    slot.darken(now);
-                } else {
+                let darkened = slot.edit(&mut self.lit, |slot| {
+                    slot.retune = None;
+                    slot.darken_if_idle(now)
+                });
+                if !darkened {
                     // Mid-packet: schedule the shutdown through the grant
                     // machinery's donor path.
                     self.pending_grants.push(PendingGrant {
@@ -553,18 +593,17 @@ impl Srs {
                     },
                 );
             }
-            self.power_dirty = true;
             let k = self.slot(d, w);
             let slot = &mut self.slots[k];
             if slot.lit_by != Some(s) {
                 continue; // not lit yet: a pending grant's relight is suppressed
             }
-            slot.retune = None;
-            slot.relock = None;
-            slot.chan.settle(now);
-            if slot.chan.can_send(now) {
-                slot.darken(now);
-            } else {
+            let darkened = slot.edit(&mut self.lit, |slot| {
+                slot.retune = None;
+                slot.relock = None;
+                slot.darken_if_idle(now)
+            });
+            if !darkened {
                 // Mid-packet: darken through the grant machinery once the
                 // wavelength clears (relight suppressed by `is_tx_failed`).
                 self.pending_grants.push(PendingGrant {
@@ -684,9 +723,10 @@ impl Srs {
             "span open past serialization"
         );
         slot.close_busy(Cycle::MAX);
-        let arrive_at = slot
-            .chan
-            .begin_packet(&self.timing, now, packet.flits as u32);
+        let arrive_at = slot.edit(&mut self.lit, |slot| {
+            slot.chan
+                .begin_packet(&self.timing, now, packet.flits as u32)
+        });
         let Some(until) = slot.chan.sending_until() else {
             unreachable!("begin_packet leaves the channel Sending")
         };
@@ -695,7 +735,6 @@ impl Srs {
             cap: until,
         });
         self.wake.insert(until, k);
-        self.power_dirty = true;
         self.arrivals.insert(
             arrive_at,
             Arrival {
@@ -822,11 +861,10 @@ impl Srs {
                 break;
             };
             let slot = &mut self.slots[k];
-            slot.chan.settle(now);
+            slot.edit(&mut self.lit, |slot| slot.chan.settle(now));
             if slot.busy.is_some_and(|span| span.cap <= now) {
                 slot.close_busy(now);
             }
-            self.power_dirty = true;
         }
         // Apply pending CDR relocks on idle channels: the laser stays up
         // but the link is unusable until the receiver re-locks — modeled
@@ -840,11 +878,12 @@ impl Srs {
             let mut keep = false;
             if let Some(penalty) = slot.relock.filter(|_| slot.lit_by == Some(s)) {
                 if slot.chan.can_send(now) {
-                    slot.chan.power_off(now);
-                    slot.chan.power_on_dark(now, penalty);
+                    slot.edit(&mut self.lit, |slot| {
+                        slot.chan.power_off(now);
+                        slot.chan.power_on_dark(now, penalty);
+                    });
                     slot.relock = None;
                     self.relocks_applied += 1;
-                    self.power_dirty = true;
                     if sink.enabled() {
                         sink.emit(
                             now,
@@ -883,12 +922,13 @@ impl Srs {
             let mut keep = false;
             if let Some((level, penalty)) = slot.retune.filter(|_| slot.lit_by == Some(s)) {
                 if slot.chan.can_send(now) {
-                    slot.chan.begin_transition(now, level, penalty);
+                    slot.edit(&mut self.lit, |slot| {
+                        slot.chan.begin_transition(now, level, penalty)
+                    });
                     slot.retune = None;
                     let li = self.laser(laser);
                     self.levels[li] = level;
                     self.retunes_applied += 1;
-                    self.power_dirty = true;
                     if sink.enabled() {
                         sink.emit(
                             now,
@@ -923,12 +963,8 @@ impl Srs {
                 if slot.lit_by != Some(from) {
                     self.pending_grants[j].donor_dark = true;
                 } else {
-                    slot.chan.settle(now);
-                    if slot.chan.can_send(now) {
-                        slot.darken(now);
-                        self.pending_grants[j].donor_dark = true;
-                        self.power_dirty = true;
-                    }
+                    self.pending_grants[j].donor_dark =
+                        slot.edit(&mut self.lit, |slot| slot.darken_if_idle(now));
                 }
             }
             if !self.pending_grants[j].donor_dark {
@@ -957,28 +993,20 @@ impl Srs {
         }
     }
 
-    /// Returns the total instantaneous power draw (mW) of all lit lasers.
-    /// Between power-relevant edges (packet start/end, retune, relock,
-    /// grant, fault) the cached sum is returned unchanged; on an edge it
-    /// is recomputed by [`Srs::compute_power`] in the legacy summation
-    /// order, so the bits match the eager per-cycle loop exactly.
-    /// Link-utilization recording needs no per-cycle work any more: busy
-    /// time is integrated from serialization spans.
-    pub fn record_cycle(&mut self) -> f64 {
-        if self.power_dirty {
-            self.power_cache = self.compute_power();
-            self.power_dirty = false;
-        }
-        self.power_cache
+    /// Lasers in each power class (dark first, then idle and active per
+    /// level, as [`class_mw`] prices them) — what `PowerMeter` records each
+    /// measured cycle.
+    pub(crate) fn lit(&self) -> &[u32] {
+        &self.lit
     }
 
-    /// The eager power sum: a left fold over the slots in their
-    /// `(d asc, w asc)` order, counting the owner's laser when it is the
-    /// lit one. Every other slot adds `+0.0`, which leaves a sum that
-    /// starts at `+0.0` over non-negative terms bit-identical to skipping
-    /// it — identical state always reproduces identical f64 bits.
-    fn compute_power(&self) -> f64 {
-        (self.slots.iter()).fold(0.0, |total, slot| total + self.power_mw[slot.power_class()])
+    /// [`Srs::lit`] counted afresh from the slots.
+    fn recount_lit(&self) -> Vec<u32> {
+        let mut lit = vec![0; self.lit.len()];
+        for slot in &self.slots {
+            lit[slot.power_class()] += 1;
+        }
+        lit
     }
 
     /// Rolls all utilization windows at the `R_w` boundary `now`; the
@@ -1046,8 +1074,8 @@ impl Srs {
     /// a lit laser has pending work; the lit laser's level is its entry
     /// in the level table; `lit_by ≠ owner` only while a pending grant, a
     /// failed receiver or a failed owner transmitter names the slot; the
-    /// `owned` lists equal the owner fields; and a clean power cache has
-    /// the recount's bits.
+    /// `owned` lists equal the owner fields; and the lit-class counters
+    /// equal a recount of the slots.
     pub fn check_invariants(&self) -> Result<(), String> {
         let (b, wn) = (self.boards, self.wavelengths);
         let laser_ok = |&(s, d, w): &Laser| s < b && d < b && w < wn;
@@ -1146,24 +1174,25 @@ impl Srs {
         if owned != self.owned {
             return Err("owned lists disagree with the slots' owners".into());
         }
-        if !self.power_dirty && self.power_cache.to_bits() != self.compute_power().to_bits() {
+        let recount = self.recount_lit();
+        if self.lit != recount {
             return Err(format!(
-                "cached power {} != recount {}",
-                self.power_cache,
-                self.compute_power()
+                "lit-class counters {:?} != recount {recount:?}",
+                self.lit
             ));
         }
         Ok(())
     }
 
-    /// Serializes the mutable optical-stage state (`.ersp` v2): every
+    /// Serializes the mutable optical-stage state (`.ersp` v4): every
     /// slot — owner, lit source, the lit laser's state, pending retune
     /// and relock, link/busy accounting with only an *open* span's bounds
     /// — then the lasers whose level is below the ladder top, the busy
     /// stash, the wake/arrival heaps, the pending-work queues, grants,
     /// fault sets and lifetime counters. Geometry (board count, ladder,
-    /// power model, RWA, penalties) is config-derived; the `owned` lists
-    /// are rebuilt from the slots on load rather than persisted.
+    /// RWA, penalties) is config-derived; the `owned` lists and the
+    /// lit-class counters are rebuilt from the slots on load rather than
+    /// persisted.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         w.tag(b"SRSS");
@@ -1182,8 +1211,6 @@ impl Srs {
         self.wake.save_state(w);
         self.retune_queue.save(w);
         self.relock_queue.save(w);
-        w.bool(self.power_dirty);
-        w.f64(self.power_cache);
         self.arrivals.save_state(w);
         self.pending_grants.save(w);
         self.failed.save(w);
@@ -1224,8 +1251,6 @@ impl Srs {
         self.wake.load_state(r)?;
         self.retune_queue = Snap::load(r)?;
         self.relock_queue = Snap::load(r)?;
-        self.power_dirty = r.bool()?;
-        self.power_cache = r.f64()?;
         self.arrivals.load_state(r)?;
         self.pending_grants = Snap::load(r)?;
         self.failed = Snap::load(r)?;
@@ -1233,20 +1258,8 @@ impl Srs {
         self.grants_applied = r.u64()?;
         self.retunes_applied = r.u64()?;
         self.relocks_applied = r.u64()?;
-        // Rebuild the per-flow sorted lists from the owners. The `d` outer
-        // / `w` inner slot order appends each flow's wavelengths in
-        // ascending order, matching the `set_owner` insertion discipline.
         // An out-of-range owner is skipped here and refused just below.
-        for f in &mut self.owned {
-            f.clear();
-        }
-        for k in 0..self.slots.len() {
-            let d = (k / self.wavelengths as usize) as u16;
-            if let Some(s) = self.slots[k].owner.filter(|&s| s < self.boards) {
-                let f = self.flow(s, d);
-                self.owned[f].push((k % self.wavelengths as usize) as u16);
-            }
-        }
+        self.rebuild_derived();
         self.check_invariants()
             .map_err(|e| SnapError::Format(format!("SRS snapshot: {e}")))
     }
@@ -1275,7 +1288,7 @@ impl Srs {
             + self.pending_grants.capacity() * size_of::<PendingGrant>()
             + (self.failed.capacity() + self.failed_tx.capacity()) * size_of::<(u16, u16)>()
             + self.timing.levels() * size_of::<Cycle>()
-            + self.power_mw.capacity() * size_of::<f64>()
+            + self.lit.capacity() * size_of::<u32>()
     }
 }
 
@@ -1286,15 +1299,7 @@ mod tests {
     use router::flit::PacketId;
 
     fn srs() -> Srs {
-        Srs::new(
-            4,
-            &RateLadder::paper(),
-            Serdes::paper(),
-            4,
-            LinkPowerModel::paper_table(),
-            100,
-            65,
-        )
+        Srs::new(4, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
     }
 
     fn pkt(id: u64) -> ReadyPacket {
@@ -1425,12 +1430,19 @@ mod tests {
     #[test]
     fn power_accounting_idle_vs_active() {
         let mut s = srs();
-        let idle_total = s.record_cycle();
-        // 12 idle lasers at 43.03 × 0.05.
-        assert!((idle_total - 12.0 * 43.03 * 0.05).abs() < 1e-6);
+        let mw = class_mw(&RateLadder::paper(), &LinkPowerModel::paper_table());
+        let draw = |s: &Srs| -> f64 {
+            (s.lit().iter().zip(&mw))
+                .map(|(&n, &p)| f64::from(n) * p)
+                .sum()
+        };
+        let idle = 1 + 2 * RateLadder::paper().highest().index();
+        // 4 dark λ0 receivers and 12 idle lasers at 43.03 × 0.05.
+        assert_eq!((s.lit()[0], s.lit()[idle], s.lit()[idle + 1]), (4, 12, 0));
+        assert!((draw(&s) - 12.0 * 43.03 * 0.05).abs() < 1e-6);
         s.try_transmit(0, 1, 0, pkt(1)).unwrap();
-        let one_active = s.record_cycle();
-        assert!((one_active - (11.0 * 43.03 * 0.05 + 43.03)).abs() < 1e-6);
+        assert_eq!((s.lit()[0], s.lit()[idle], s.lit()[idle + 1]), (4, 11, 1));
+        assert!((draw(&s) - (11.0 * 43.03 * 0.05 + 43.03)).abs() < 1e-6);
     }
 
     #[test]
@@ -1439,7 +1451,6 @@ mod tests {
         s.try_transmit(0, 1, 0, pkt(1)).unwrap();
         for now in 0..100u64 {
             s.tick(now, &mut NullSink);
-            s.record_cycle();
         }
         s.roll_windows(100);
         // 48 of 100 cycles busy on (1,0,λ1).
@@ -1478,15 +1489,7 @@ mod fault_tests {
     use router::flit::PacketId;
 
     fn srs() -> Srs {
-        Srs::new(
-            4,
-            &RateLadder::paper(),
-            Serdes::paper(),
-            4,
-            LinkPowerModel::paper_table(),
-            100,
-            65,
-        )
+        Srs::new(4, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
     }
 
     fn pkt(id: u64) -> ReadyPacket {
@@ -1774,15 +1777,7 @@ mod carried_state_tests {
     use router::flit::PacketId;
 
     fn srs() -> Srs {
-        Srs::new(
-            4,
-            &RateLadder::paper(),
-            Serdes::paper(),
-            4,
-            LinkPowerModel::paper_table(),
-            100,
-            65,
-        )
+        Srs::new(4, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
     }
 
     fn pkt(id: u64) -> ReadyPacket {
@@ -1951,15 +1946,7 @@ mod slot_tests {
     use router::flit::PacketId;
 
     fn srs_of(boards: u16) -> Srs {
-        Srs::new(
-            boards,
-            &RateLadder::paper(),
-            Serdes::paper(),
-            4,
-            LinkPowerModel::paper_table(),
-            100,
-            65,
-        )
+        Srs::new(boards, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
     }
 
     fn pkt(id: u64) -> ReadyPacket {
@@ -2000,7 +1987,6 @@ mod slot_tests {
         s.schedule_relock(2, 0, 2, 100);
         s.stick_lc(3, 1, 2);
         s.fail_transmitter(50, 2, 1, &mut NullSink);
-        s.record_cycle();
         s
     }
 
@@ -2059,7 +2045,6 @@ mod slot_tests {
         s.check_invariants().expect("busy stage");
         for now in 50..400 {
             s.tick(now, &mut NullSink);
-            s.record_cycle();
             s.check_invariants()
                 .unwrap_or_else(|e| panic!("cycle {now}: {e}"));
         }

@@ -18,7 +18,7 @@ use crate::board::{Board, Delivered};
 use crate::config::{NetworkMode, SystemConfig};
 use crate::faults::FaultKind;
 use crate::metrics::{PacketDelivery, RunMetrics};
-use crate::srs::Srs;
+use crate::srs::{class_mw, Srs};
 use desim::phase::{Phase, PhasePlan};
 use desim::Cycle;
 use erapid_telemetry::{
@@ -326,11 +326,14 @@ impl System {
             &cfg.ladder,
             cfg.serdes,
             cfg.fiber.delay_cycles(),
-            cfg.power_model.clone(),
             cfg.schedule.window,
             cfg.transition.penalty(),
         );
-        let metrics = RunMetrics::new(cfg.nodes() as usize, plan);
+        let metrics = RunMetrics::new(
+            cfg.nodes() as usize,
+            plan,
+            class_mw(&cfg.ladder, &cfg.power_model),
+        );
         let tracer = Tracer::from_config(cfg.trace);
         let registry = cfg.trace.enabled.then(build_registry);
         // `validate()` above already vetted any tune spec, so construction
@@ -458,9 +461,8 @@ impl System {
         self.receive(now);
         self.srs.tick(now, &mut self.tracer);
         probe.lap(|t| &mut t.optical);
-        let mw = self.srs.record_cycle();
         if self.metrics.measuring(now) {
-            self.metrics.power.record(mw);
+            self.metrics.power.record(self.srs.lit());
         }
         probe.lap(|t| &mut t.stats);
         self.now += 1;
@@ -546,13 +548,13 @@ impl System {
                 };
                 debug_assert_eq!(departed.id, pkt.id);
                 if pkt.labelled {
-                    let tx_wait = (now - pkt.completed_at) as f64;
+                    let tx_wait = now - pkt.completed_at;
                     self.metrics
                         .src_path
-                        .push((pkt.completed_at - pkt.injected_at) as f64);
+                        .push(pkt.completed_at - pkt.injected_at);
                     self.metrics.tx_wait.push(tx_wait);
                     if let Some((reg, ids)) = &mut self.registry {
-                        reg.observe(ids.tx_wait_hist, tx_wait);
+                        reg.observe(ids.tx_wait_hist, tx_wait as f64);
                     }
                 }
             }

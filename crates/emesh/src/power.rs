@@ -47,13 +47,16 @@ impl RouterEnergy {
     }
 }
 
-/// Integrates mesh power over a run.
+/// Integrates mesh power over a run: integer hop and link totals, priced
+/// once at read time.
 #[derive(Debug, Clone)]
 pub struct MeshPowerMeter {
     energy: RouterEnergy,
     routers: u32,
-    /// Accumulated dynamic energy, picojoules.
-    dynamic_pj: f64,
+    /// Flits that traversed a router, over all recorded cycles.
+    hops: u64,
+    /// Flits launched onto inter-router links, over all recorded cycles.
+    links: u64,
     cycles: u64,
 }
 
@@ -64,7 +67,8 @@ impl MeshPowerMeter {
         Self {
             energy,
             routers,
-            dynamic_pj: 0.0,
+            hops: 0,
+            links: 0,
             cycles: 0,
         }
     }
@@ -73,12 +77,8 @@ impl MeshPowerMeter {
     /// cycle, `links` = flits launched onto inter-router links.
     pub fn record_cycle(&mut self, hops: u64, links: u64) {
         self.cycles += 1;
-        self.dynamic_pj += hops as f64
-            * (self.energy.buffer_write_pj
-                + self.energy.buffer_read_pj
-                + self.energy.crossbar_pj
-                + self.energy.arbitration_pj)
-            + links as f64 * self.energy.link_pj;
+        self.hops += hops;
+        self.links += links;
     }
 
     /// Cycles recorded.
@@ -92,8 +92,11 @@ impl MeshPowerMeter {
         if self.cycles == 0 {
             return self.routers as f64 * self.energy.static_mw;
         }
+        let e = &self.energy;
+        let hop_pj = e.buffer_write_pj + e.buffer_read_pj + e.crossbar_pj + e.arbitration_pj;
+        let dynamic_pj = self.hops as f64 * hop_pj + self.links as f64 * e.link_pj;
         let seconds = self.cycles as f64 * 2.5e-9;
-        let dynamic_w = self.dynamic_pj * 1.0e-12 / seconds;
+        let dynamic_w = dynamic_pj * 1.0e-12 / seconds;
         dynamic_w * 1.0e3 + self.routers as f64 * self.energy.static_mw
     }
 }

@@ -102,21 +102,6 @@ impl Histogram {
             .map(move |(i, &c)| (i as f64 * self.bin_width, c))
     }
 
-    /// Merges a histogram with identical geometry.
-    ///
-    /// # Panics
-    /// If bin counts or widths differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        assert!((self.bin_width - other.bin_width).abs() < f64::EPSILON);
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.sum += other.sum;
-    }
-
     /// Resets all counts.
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
@@ -213,19 +198,6 @@ mod tests {
         h.record(-5.0);
         let bins: Vec<u64> = h.bins().map(|(_, c)| c).collect();
         assert_eq!(bins[0], 1);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(4, 1.0);
-        let mut b = Histogram::new(4, 1.0);
-        a.record(0.5);
-        b.record(0.5);
-        b.record(3.5);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        let bins: Vec<u64> = a.bins().map(|(_, c)| c).collect();
-        assert_eq!(bins, vec![2, 0, 0, 1]);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! power in milliwatts.
 //!
 //! Modules:
-//! * [`running`] — numerically stable streaming mean/variance (Welford).
 //! * [`histogram`] — fixed-bin latency histograms with percentile queries.
 //! * [`occupancy`] — event-driven flit-cycle integrals, bit-compatible with
 //!   eager per-cycle sampling (the hot-path form; DESIGN.md §10).
@@ -16,7 +15,8 @@
 //!   paper, measuring `Link_util` and `Buffer_util` over each
 //!   reconfiguration window `R_w`; their eager per-cycle form, `windowed`,
 //!   is compiled for tests only, as the oracle of that bit-compatibility.
-//! * [`meter`] — composite throughput/latency/power meters.
+//! * [`meter`] — composite throughput/latency/power meters, accumulated
+//!   as integers (an exact mean, lit-laser cycles per power class).
 //! * [`table`] — plain-text table rendering for the bench binaries.
 //! * [`chart`] — ASCII line charts for the figure binaries.
 //! * [`csv`] — tiny CSV writer (no external dependency).
@@ -26,12 +26,10 @@ pub mod csv;
 pub mod histogram;
 pub mod meter;
 pub mod occupancy;
-pub mod running;
 pub mod table;
 #[cfg(test)]
 mod windowed;
 
 pub use histogram::Histogram;
-pub use meter::{LatencyMeter, PowerMeter, ThroughputMeter};
+pub use meter::{IntMean, LatencyMeter, PowerMeter, ThroughputMeter};
 pub use occupancy::OccupancyIntegral;
-pub use running::Running;

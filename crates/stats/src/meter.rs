@@ -2,7 +2,6 @@
 //! throughput (packets/node/cycle), latency (cycles), and power (mW).
 
 use crate::histogram::Histogram;
-use crate::running::Running;
 use desim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use desim::Cycle;
 
@@ -72,10 +71,35 @@ impl ThroughputMeter {
     }
 }
 
+/// Exact mean of integer samples: a count and a `u128` sum, so the mean
+/// does not depend on the order the samples arrived in.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntMean {
+    count: u64,
+    sum: u128,
+}
+
+impl IntMean {
+    /// Adds one sample.
+    pub fn push(&mut self, x: u64) {
+        self.count += 1;
+        self.sum += u128::from(x);
+    }
+
+    /// `sum as f64 / count as f64` (0 if empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+}
+
 /// Measures end-to-end packet latency (injection to delivery, in cycles).
 #[derive(Debug, Clone)]
 pub struct LatencyMeter {
-    stats: Running,
+    mean: IntMean,
     hist: Histogram,
 }
 
@@ -83,7 +107,7 @@ impl LatencyMeter {
     /// Creates a meter with a histogram of `bins` bins of `bin_width` cycles.
     pub fn new(bins: usize, bin_width: f64) -> Self {
         Self {
-            stats: Running::new(),
+            mean: IntMean::default(),
             hist: Histogram::new(bins, bin_width),
         }
     }
@@ -96,84 +120,88 @@ impl LatencyMeter {
     /// Records a delivered packet injected at `injected` and delivered `now`.
     pub fn record(&mut self, injected: Cycle, now: Cycle) {
         debug_assert!(now >= injected);
-        let lat = (now - injected) as f64;
-        self.stats.push(lat);
-        self.hist.record(lat);
-    }
-
-    /// Number of packets measured.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
+        let lat = now - injected;
+        self.mean.push(lat);
+        self.hist.record(lat as f64);
     }
 
     /// Mean latency in cycles.
     pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Maximum observed latency.
-    pub fn max(&self) -> f64 {
-        if self.stats.count() == 0 {
-            0.0
-        } else {
-            self.stats.max()
-        }
+        self.mean.mean()
     }
 
     /// 95th-percentile latency, if any packets were measured.
     pub fn p95(&self) -> Option<f64> {
         self.hist.p95()
     }
-
-    /// 99th-percentile latency, if any packets were measured.
-    pub fn p99(&self) -> Option<f64> {
-        self.hist.p99()
-    }
-
-    /// Access to the underlying histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
 }
 
-/// Integrates link power over time to report average power in mW.
+/// Average optical power in mW, from lit-laser cycles per power class.
 ///
-/// Each cycle the model reports the instantaneous total power draw of the
-/// optical links; the meter integrates mW·cycles and divides by elapsed
-/// cycles.
-#[derive(Debug, Clone, Default)]
+/// Each cycle the optical stage reports how many lasers sit in each class
+/// (dark, then idle and active per DPM level); the meter adds those
+/// integer counts and multiplies by the per-class draw once, at read time.
+#[derive(Debug, Clone)]
 pub struct PowerMeter {
-    mw_cycles: f64,
+    /// Draw of one laser in each class (mW).
+    class_mw: Vec<f64>,
+    /// Laser-cycles recorded in each class.
+    class_cycles: Vec<u64>,
     cycles: u64,
-    peak_mw: f64,
 }
 
 impl PowerMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one cycle at the given instantaneous power draw (mW).
-    pub fn record(&mut self, mw: f64) {
-        debug_assert!(mw >= 0.0);
-        self.mw_cycles += mw;
-        self.cycles += 1;
-        self.peak_mw = self.peak_mw.max(mw);
-    }
-
-    /// Average power in mW over the recorded cycles.
-    pub fn average_mw(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.mw_cycles / self.cycles as f64
+    /// Creates an empty meter over the per-class draws `class_mw` (mW).
+    pub fn new(class_mw: Vec<f64>) -> Self {
+        Self {
+            class_cycles: vec![0; class_mw.len()],
+            class_mw,
+            cycles: 0,
         }
     }
 
-    /// Cycles recorded.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
+    /// Records one cycle with `lit[c]` lasers in class `c`.
+    pub fn record(&mut self, lit: &[u32]) {
+        debug_assert_eq!(lit.len(), self.class_cycles.len());
+        for (total, &n) in self.class_cycles.iter_mut().zip(lit) {
+            *total += u64::from(n);
+        }
+        self.cycles += 1;
+    }
+
+    /// Average power in mW over the recorded cycles: `Σ_c cycles_c · P_c`
+    /// in class order, over the cycle count.
+    pub fn average_mw(&self) -> f64 {
+        if self.cycles == 0 {
+            return 0.0;
+        }
+        let mw_cycles: f64 = (self.class_cycles.iter().zip(&self.class_mw))
+            .map(|(&n, &mw)| n as f64 * mw)
+            .sum();
+        mw_cycles / self.cycles as f64
+    }
+
+    /// Serializes the counters (the class table is config-derived).
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        self.class_cycles.save(w);
+        w.u64(self.cycles);
+    }
+
+    /// Overlays checkpointed counters; a class count other than this
+    /// meter's is a format error.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.usize()?;
+        if n != self.class_cycles.len() {
+            return Err(SnapError::Format(format!(
+                "power meter has {n} classes, the config {}",
+                self.class_cycles.len()
+            )));
+        }
+        for total in &mut self.class_cycles {
+            *total = r.u64()?;
+        }
+        self.cycles = r.u64()?;
+        Ok(())
     }
 }
 
@@ -202,30 +230,31 @@ impl Snap for ThroughputMeter {
     }
 }
 
-impl Snap for LatencyMeter {
+impl Snap for IntMean {
     fn save(&self, w: &mut SnapWriter) {
-        self.stats.save(w);
-        self.hist.save(w);
+        w.u64(self.count);
+        w.u64(self.sum as u64);
+        w.u64((self.sum >> 64) as u64);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let count = r.u64()?;
+        let (lo, hi) = (r.u64()?, r.u64()?);
         Ok(Self {
-            stats: Running::load(r)?,
-            hist: Histogram::load(r)?,
+            count,
+            sum: u128::from(hi) << 64 | u128::from(lo),
         })
     }
 }
 
-impl Snap for PowerMeter {
+impl Snap for LatencyMeter {
     fn save(&self, w: &mut SnapWriter) {
-        w.f64(self.mw_cycles);
-        w.u64(self.cycles);
-        w.f64(self.peak_mw);
+        self.mean.save(w);
+        self.hist.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Self {
-            mw_cycles: r.f64()?,
-            cycles: r.u64()?,
-            peak_mw: r.f64()?,
+            mean: IntMean::load(r)?,
+            hist: Histogram::load(r)?,
         })
     }
 }
@@ -262,37 +291,26 @@ mod tests {
         for (inj, del) in [(0, 10), (0, 20), (0, 30)] {
             m.record(inj, del);
         }
-        assert_eq!(m.count(), 3);
-        assert!((m.mean() - 20.0).abs() < 1e-12);
-        assert_eq!(m.max(), 30.0);
+        assert_eq!(m.mean(), 20.0);
         assert!(m.p95().unwrap() >= 24.0);
-        assert!(m.p99().is_some());
     }
 
     #[test]
     fn empty_latency_meter() {
         let m = LatencyMeter::standard();
-        assert_eq!(m.count(), 0);
         assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.max(), 0.0);
         assert!(m.p95().is_none());
     }
 
     #[test]
     fn single_sample_percentiles_agree_with_the_sample() {
-        // One packet: every percentile is that packet's bin, and the order
-        // p50 <= p95 <= p99 still holds (a degenerate but legal histogram).
+        // One packet: p95 is that packet's bin (a degenerate but legal
+        // histogram), and the mean is the sample itself.
         let mut m = LatencyMeter::new(64, 8.0);
         m.record(100, 142); // latency 42 -> bin [40, 48)
-        assert_eq!(m.count(), 1);
         assert_eq!(m.mean(), 42.0);
-        let p50 = m.histogram().p50().unwrap();
         let p95 = m.p95().unwrap();
-        let p99 = m.p99().unwrap();
-        assert!(p50 <= p95 && p95 <= p99);
-        for p in [p50, p95, p99] {
-            assert!((40.0..=48.0).contains(&p), "percentile {p} off-bin");
-        }
+        assert!((40.0..=48.0).contains(&p95), "percentile {p95} off-bin");
     }
 
     #[test]
@@ -309,20 +327,36 @@ mod tests {
     }
 
     #[test]
-    fn power_average_and_peak() {
-        let mut p = PowerMeter::new();
-        p.record(10.0);
-        p.record(30.0);
-        assert!((p.average_mw() - 20.0).abs() < 1e-12);
-        assert_eq!(p.peak_mw, 30.0);
-        assert_eq!(p.cycles(), 2);
-        assert!((p.mw_cycles - 40.0).abs() < 1e-12);
+    fn power_average_weighs_class_cycles() {
+        // Classes: dark, idle 10 mW, active 30 mW.
+        let mut p = PowerMeter::new(vec![0.0, 10.0, 30.0]);
+        p.record(&[1, 1, 0]);
+        p.record(&[1, 0, 1]);
+        assert_eq!(p.class_cycles, [2, 1, 1]);
+        assert_eq!(p.cycles, 2);
+        assert_eq!(p.average_mw(), 20.0);
     }
 
     #[test]
     fn empty_power_meter_is_zero() {
-        let p = PowerMeter::new();
+        let p = PowerMeter::new(vec![0.0, 10.0, 30.0]);
         assert_eq!(p.average_mw(), 0.0);
-        assert_eq!(p.peak_mw, 0.0);
+    }
+
+    #[test]
+    fn power_snapshot_refuses_another_class_count() {
+        let mut p = PowerMeter::new(vec![0.0, 10.0, 30.0]);
+        p.record(&[1, 1, 0]);
+        let mut w = SnapWriter::new();
+        p.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = PowerMeter::new(vec![0.0, 10.0, 30.0]);
+        back.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!((back.class_cycles, back.cycles), (p.class_cycles, p.cycles));
+        let mut other = PowerMeter::new(vec![0.0, 10.0, 30.0, 5.0, 15.0]);
+        assert!(matches!(
+            other.load_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Format(_))
+        ));
     }
 }

@@ -7,16 +7,11 @@
 //! noise; a replayed trace turns the comparison into a deterministic,
 //! packet-for-packet diff.
 //!
-//! Two interchange formats, both self-describing and checksummed:
-//!
-//! * **compact binary** (`.ertr`) — on the shared [`desim::snap`]
-//!   container: magic + version header, the [`TraceMeta`] provenance
-//!   block, LEB128 varint entries with delta-encoded cycles, and the
-//!   [`seal`] checksum over everything before it. This is the
-//!   fixture/committed format.
-//! * **JSONL** — one meta header object then one object per entry;
-//!   grep/jq-friendly, parsed back by a small strict reader. This is the
-//!   interchange format for external tools.
+//! One format, self-describing and checksummed: the compact binary
+//! `.ertr`, on the shared [`desim::snap`] container — magic + version
+//! header, the [`TraceMeta`] provenance block, LEB128 varint entries with
+//! delta-encoded cycles, and the [`seal`] checksum over everything before
+//! it.
 //!
 //! Library code never panics on bad input: recording out of order and every
 //! decode failure surface as a typed [`TraceError`].
@@ -308,7 +303,7 @@ fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, SnapError> {
 
 impl InjectionTrace {
     /// Checksum over the canonical binary payload (header + entries) —
-    /// the value [`Self::to_binary`] appends and both loaders verify.
+    /// the value [`Self::to_binary`] appends and [`Self::from_binary`] verifies.
     pub fn checksum(&self) -> u64 {
         fnv1a(&self.payload_bytes())
     }
@@ -391,79 +386,6 @@ impl InjectionTrace {
         Ok(rec.into_trace(meta))
     }
 
-    /// Serializes to JSONL interchange: a meta header line, then one object
-    /// per entry. Deterministic (Rust's shortest-round-trip floats).
-    pub fn to_jsonl(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(64 + self.entries.len() * 32);
-        let _ = writeln!(
-            out,
-            "{{\"erapid_trace\":{},\"seed\":{},\"boards\":{},\"nodes_per_board\":{},\"load\":{},\"pattern\":\"{}\",\"git_sha\":\"{}\",\"entries\":{},\"checksum\":\"{:016x}\"}}",
-            TRACE_FORMAT_VERSION,
-            self.meta.seed,
-            self.meta.boards,
-            self.meta.nodes_per_board,
-            self.meta.load,
-            json_escape(&self.meta.pattern),
-            json_escape(&self.meta.git_sha),
-            self.entries.len(),
-            self.checksum(),
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{{\"cycle\":{},\"src\":{},\"dst\":{}}}",
-                e.cycle, e.src, e.dst
-            );
-        }
-        out
-    }
-
-    /// Parses the JSONL interchange form. Strict about our own fields,
-    /// tolerant of key order; verifies the header checksum when present.
-    pub fn from_jsonl(text: &str) -> Result<Self, TraceError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| SnapError::Format("empty JSONL document".to_string()))?;
-        let version = json_int(header, "erapid_trace")?;
-        if version != TRACE_FORMAT_VERSION {
-            return Err(SnapError::Version(version).into());
-        }
-        let meta = TraceMeta {
-            seed: json_int(header, "seed")?,
-            boards: json_int(header, "boards")?,
-            nodes_per_board: json_int(header, "nodes_per_board")?,
-            load: json_f64(header, "load")?,
-            pattern: json_str(header, "pattern")?,
-            git_sha: json_str(header, "git_sha")?,
-        };
-        let declared: usize = json_int(header, "entries")?;
-        let stored = u64::from_str_radix(&json_str(header, "checksum")?, 16)
-            .map_err(|_| SnapError::Format("checksum is not hex".to_string()))?;
-        let mut rec = TraceRecorder::new();
-        for line in lines {
-            rec.record(
-                json_int(line, "cycle")?,
-                json_int(line, "src")?,
-                json_int(line, "dst")?,
-            )?;
-        }
-        if rec.len() != declared {
-            return Err(SnapError::Format(format!(
-                "header declares {declared} entries, found {}",
-                rec.len()
-            ))
-            .into());
-        }
-        let trace = rec.into_trace(meta);
-        let computed = trace.checksum();
-        if stored != computed {
-            return Err(SnapError::Checksum { stored, computed }.into());
-        }
-        Ok(trace)
-    }
-
     /// Writes the compact binary form to `path`.
     pub fn save(&self, path: &Path) -> Result<(), TraceError> {
         std::fs::write(path, self.to_binary()).map_err(|e| SnapError::Io(e.to_string()).into())
@@ -474,122 +396,6 @@ impl InjectionTrace {
         let bytes = std::fs::read(path).map_err(|e| SnapError::Io(e.to_string()))?;
         Self::from_binary(&bytes)
     }
-
-    /// Writes the JSONL interchange form to `path`.
-    pub fn save_jsonl(&self, path: &Path) -> Result<(), TraceError> {
-        std::fs::write(path, self.to_jsonl()).map_err(|e| SnapError::Io(e.to_string()).into())
-    }
-
-    /// Loads the JSONL interchange form from `path`.
-    pub fn load_jsonl(path: &Path) -> Result<Self, TraceError> {
-        let text = std::fs::read_to_string(path).map_err(|e| SnapError::Io(e.to_string()))?;
-        Self::from_jsonl(&text)
-    }
-}
-
-/// Extracts the raw token after `"key":` in a single-line JSON object.
-fn json_raw<'a>(line: &'a str, key: &str) -> Result<&'a str, SnapError> {
-    let needle = format!("\"{key}\":");
-    let start = line
-        .find(&needle)
-        .ok_or_else(|| SnapError::Format(format!("missing key {key}")))?
-        + needle.len();
-    let rest = &line[start..];
-    let end = if rest.starts_with('"') {
-        // String value: scan to the closing quote, honouring escapes.
-        let bytes = rest.as_bytes();
-        let mut i = 1;
-        loop {
-            match bytes.get(i) {
-                None => {
-                    return Err(SnapError::Format(format!("unterminated string for {key}")));
-                }
-                Some(b'\\') => i += 2,
-                Some(b'"') => break i + 1,
-                Some(_) => i += 1,
-            }
-        }
-    } else {
-        rest.find([',', '}'])
-            .ok_or_else(|| SnapError::Format(format!("unterminated value for {key}")))?
-    };
-    Ok(&rest[..end])
-}
-
-/// An unsigned integer value, checked to fit its field's type.
-fn json_int<T: TryFrom<u64>>(line: &str, key: &str) -> Result<T, SnapError> {
-    let v: u64 = json_raw(line, key)?
-        .parse()
-        .map_err(|_| SnapError::Format(format!("{key} is not an integer")))?;
-    narrow(v, key)
-}
-
-fn json_f64(line: &str, key: &str) -> Result<f64, SnapError> {
-    json_raw(line, key)?
-        .parse()
-        .map_err(|_| SnapError::Format(format!("{key} is not a number")))
-}
-
-fn json_str(line: &str, key: &str) -> Result<String, SnapError> {
-    let raw = json_raw(line, key)?;
-    let inner = raw
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| SnapError::Format(format!("{key} is not a string")))?;
-    json_unescape(inner)
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`json_escape`] (plus the standard JSON escapes).
-fn json_unescape(s: &str) -> Result<String, SnapError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('/') => out.push('/'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16)
-                    .map_err(|_| SnapError::Format(format!("bad \\u escape \\u{hex}")))?;
-                out.push(
-                    char::from_u32(code)
-                        .ok_or_else(|| SnapError::Format(format!("bad code point {code:#x}")))?,
-                );
-            }
-            other => {
-                return Err(SnapError::Format(format!("bad escape \\{other:?}")));
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -700,25 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trip_is_lossless() {
-        let t = sample();
-        let text = t.to_jsonl();
-        assert!(text.lines().count() == t.entries.len() + 1);
-        let back = InjectionTrace::from_jsonl(&text).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn jsonl_escapes_special_characters_in_strings() {
-        let mut t = sample();
-        t.meta.pattern = "hot\"spot\\λ\n".to_string();
-        t.meta.git_sha = "\t\u{1}dirty".to_string();
-        let text = t.to_jsonl();
-        let back = InjectionTrace::from_jsonl(&text).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
     fn corrupted_binary_is_rejected() {
         let t = sample();
         let mut bytes = t.to_binary();
@@ -749,65 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_rejects_tampered_entries() {
-        let t = sample();
-        let text = t.to_jsonl();
-        let tampered = text.replacen("\"src\":1", "\"src\":9", 1);
-        assert!(matches!(
-            InjectionTrace::from_jsonl(&tampered),
-            Err(TraceError::Decode(SnapError::Checksum { .. }))
-        ));
-    }
-
-    /// Widens the sample JSONL's first `"key":from` by `2^bits`. A
-    /// truncating cast reads it back as `from`, so the checksum still
-    /// holds and only a range check can refuse it.
-    fn assert_widened_refused(key: &str, from: u64, bits: u32) {
-        let (old, wide) = (format!("\"{key}\":{from}"), from + (1u64 << bits));
-        let text = sample()
-            .to_jsonl()
-            .replacen(&old, &format!("\"{key}\":{wide}"), 1);
-        let got = InjectionTrace::from_jsonl(&text);
-        let refused = matches!(&got, Err(TraceError::Decode(SnapError::Format(m))) if m.contains("out of range"));
-        assert!(refused, "{key}: {got:?}");
-    }
-
-    #[test]
-    fn jsonl_src_beyond_u32_is_rejected() {
-        assert_widened_refused("src", 1, 32);
-    }
-
-    #[test]
-    fn jsonl_dst_beyond_u32_is_rejected() {
-        assert_widened_refused("dst", 2, 32);
-    }
-
-    #[test]
-    fn jsonl_boards_beyond_u16_is_rejected() {
-        assert_widened_refused("boards", 4, 16);
-    }
-
-    #[test]
-    fn jsonl_nodes_per_board_beyond_u16_is_rejected() {
-        assert_widened_refused("nodes_per_board", 4, 16);
-    }
-
-    #[test]
-    fn jsonl_version_beyond_u16_is_rejected() {
-        assert_widened_refused("erapid_trace", 1, 16);
-    }
-
-    #[test]
-    fn file_round_trip_both_formats() {
+    fn file_round_trip_is_lossless() {
         let dir = std::env::temp_dir().join(format!("ertr-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let t = sample();
         let bin = dir.join("t.ertr");
-        let jl = dir.join("t.jsonl");
         t.save(&bin).unwrap();
-        t.save_jsonl(&jl).unwrap();
         assert_eq!(InjectionTrace::load(&bin).unwrap(), t);
-        assert_eq!(InjectionTrace::load_jsonl(&jl).unwrap(), t);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

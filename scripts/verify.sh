@@ -57,6 +57,13 @@ if grep -rnE "InjectionSourc[e]|scenario_scratc[h]|analytic_plane_stat[e]|window
     echo "verify: a retired injection or snapshot name is back"; exit 1
 fi
 
+echo "== one exact accounting (no power fold or cache, no Welford mean, no JSONL trace twin) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "compute_powe[r]|power_dirt[y]|power_cach[e]|peak_m[w]|running::Runnin[g]|save_jsonl[(]|load_jsonl[(]|fn to_jsonl[(]|fn from_jsonl[(]" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a retired accounting or trace-twin name is back"; exit 1
+fi
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -114,8 +121,8 @@ cargo test -q --release -p router --test router_props
 cargo test -q --release -p erapid-suite --test hostile_inputs
 # The SRS auditor: `Srs::check_invariants` on every cycle of random fault
 # plans (one lit laser per receiver, a lit non-owner only while a grant or
-# failure accounts for it, owned lists == owners, clean power cache ==
-# its recount).
+# failure accounts for it, owned lists == owners, lit-class counters == a
+# recount of the slots).
 cargo test -q --release -p erapid-suite --test props random_fault_plans_conserve_and_drain
 # Likewise a Lock-Step round must reach the direct Reconfigure decision on
 # any single-owner wavelength table (the reference `System` is held to).

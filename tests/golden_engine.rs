@@ -423,8 +423,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1301,
             delivered: 1279,
-            latency_bits: 4635073002747693467,
-            power_bits: 4643323966458576583,
+            latency_bits: 4635073002747693464,
+            power_bits: 4643323966458576565,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -439,8 +439,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 4258,
             delivered: 1858,
-            latency_bits: 4664002586129267384,
-            power_bits: 4640865544100563744,
+            latency_bits: 4664002586129267394,
+            power_bits: 4640865544100563124,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -455,8 +455,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1301,
             delivered: 1279,
-            latency_bits: 4635073002747693467,
-            power_bits: 4643323966458576583,
+            latency_bits: 4635073002747693464,
+            power_bits: 4643323966458576565,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -471,8 +471,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1850,
             delivered: 1774,
-            latency_bits: 4654469047818965676,
-            power_bits: 4645782713562480622,
+            latency_bits: 4654469047818965667,
+            power_bits: 4645782713562480325,
             grants: 8,
             retunes: 0,
             relocks: 0,
@@ -487,8 +487,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1331,
             delivered: 1315,
-            latency_bits: 4637313576712468136,
-            power_bits: 4642095188450500895,
+            latency_bits: 4637313576712468142,
+            power_bits: 4642095188450500801,
             grants: 0,
             retunes: 11,
             relocks: 0,
@@ -503,8 +503,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 4258,
             delivered: 1858,
-            latency_bits: 4664002586129267384,
-            power_bits: 4640544240414648806,
+            latency_bits: 4664002586129267394,
+            power_bits: 4640544240414647910,
             grants: 0,
             retunes: 16,
             relocks: 0,
@@ -519,8 +519,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1399,
             delivered: 1352,
-            latency_bits: 4640305378459036709,
-            power_bits: 4640019754016794152,
+            latency_bits: 4640305378459036705,
+            power_bits: 4640019754016794109,
             grants: 0,
             retunes: 23,
             relocks: 0,
@@ -535,8 +535,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1850,
             delivered: 1774,
-            latency_bits: 4654469047818965676,
-            power_bits: 4645742168382179142,
+            latency_bits: 4654469047818965667,
+            power_bits: 4645742168382178797,
             grants: 8,
             retunes: 8,
             relocks: 0,
@@ -551,8 +551,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 5419,
             delivered: 5354,
-            latency_bits: 4635802705917813276,
-            power_bits: 4653319156670180732,
+            latency_bits: 4635802705917813290,
+            power_bits: 4653319156670180779,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -567,8 +567,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 23726,
             delivered: 4990,
-            latency_bits: 4669807183673108641,
-            power_bits: 4646580330552720620,
+            latency_bits: 4669807183673108629,
+            power_bits: 4646580330552719573,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -583,8 +583,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 5419,
             delivered: 5354,
-            latency_bits: 4635802705917813276,
-            power_bits: 4653319156670180732,
+            latency_bits: 4635802705917813290,
+            power_bits: 4653319156670180779,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -599,8 +599,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 8722,
             delivered: 7506,
-            latency_bits: 4657606531641355882,
-            power_bits: 4654378453097220889,
+            latency_bits: 4657606531641355833,
+            power_bits: 4654378453097220919,
             grants: 48,
             retunes: 0,
             relocks: 0,
@@ -615,8 +615,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 5613,
             delivered: 5533,
-            latency_bits: 4638076705078718370,
-            power_bits: 4652608586228073153,
+            latency_bits: 4638076705078718360,
+            power_bits: 4652608586228073154,
             grants: 0,
             retunes: 65,
             relocks: 0,
@@ -631,8 +631,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 23726,
             delivered: 4990,
-            latency_bits: 4669807183673108641,
-            power_bits: 4645616419494972942,
+            latency_bits: 4669807183673108629,
+            power_bits: 4645616419494973932,
             grants: 0,
             retunes: 96,
             relocks: 0,
@@ -647,8 +647,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 5979,
             delivered: 5797,
-            latency_bits: 4640366734151032961,
-            power_bits: 4650947264030826851,
+            latency_bits: 4640366734151032958,
+            power_bits: 4650947264030826783,
             grants: 0,
             retunes: 91,
             relocks: 0,
@@ -663,8 +663,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 8722,
             delivered: 7506,
-            latency_bits: 4657606531641355882,
-            power_bits: 4654316916298940633,
+            latency_bits: 4657606531641355833,
+            power_bits: 4654316916298940622,
             grants: 48,
             retunes: 48,
             relocks: 0,
@@ -679,8 +679,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1943,
             delivered: 1808,
-            latency_bits: 4655417670812743608,
-            power_bits: 4645248968521722227,
+            latency_bits: 4655417670812743613,
+            power_bits: 4645248968521722666,
             grants: 8,
             retunes: 8,
             relocks: 0,
@@ -695,8 +695,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 8737,
             delivered: 7498,
-            latency_bits: 4657669480696014350,
-            power_bits: 4654270005040872079,
+            latency_bits: 4657669480696014345,
+            power_bits: 4654270005040872272,
             grants: 48,
             retunes: 49,
             relocks: 0,
@@ -711,8 +711,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1071,
             delivered: 1055,
-            latency_bits: 4638437869338929836,
-            power_bits: 4639037897639189707,
+            latency_bits: 4638437869338929835,
+            power_bits: 4639037897639189520,
             grants: 0,
             retunes: 23,
             relocks: 2,
@@ -727,8 +727,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 3235,
             delivered: 3217,
-            latency_bits: 4635549093913791554,
-            power_bits: 4643797062066311184,
+            latency_bits: 4635549093913791559,
+            power_bits: 4643797062066311170,
             grants: 42,
             retunes: 138,
             relocks: 0,
@@ -743,8 +743,8 @@ const GENERATED_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 3235,
             delivered: 3210,
-            latency_bits: 4634889492914150322,
-            power_bits: 4645365609522628087,
+            latency_bits: 4634889492914150323,
+            power_bits: 4645365609522628483,
             grants: 24,
             retunes: 0,
             relocks: 0,
@@ -762,8 +762,8 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 784,
             delivered: 784,
-            latency_bits: 4657523133475979266,
-            power_bits: 4641319739159857936,
+            latency_bits: 4657523133475979264,
+            power_bits: 4641319739159857857,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -778,8 +778,8 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 3111,
             delivered: 1248,
-            latency_bits: 4669588677593186842,
-            power_bits: 4641319739159857936,
+            latency_bits: 4669588677593186848,
+            power_bits: 4641319739159857857,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -794,8 +794,8 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 784,
             delivered: 784,
-            latency_bits: 4648452106712252415,
-            power_bits: 4640313801354814493,
+            latency_bits: 4648452106712252416,
+            power_bits: 4640313801354814523,
             grants: 12,
             retunes: 109,
             relocks: 0,
@@ -810,8 +810,8 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 2031,
             delivered: 1827,
-            latency_bits: 4657123217976035224,
-            power_bits: 4646055558076600480,
+            latency_bits: 4657123217976035235,
+            power_bits: 4646055558076600380,
             grants: 12,
             retunes: 96,
             relocks: 0,
@@ -827,7 +827,7 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
             injected: 2474,
             delivered: 2048,
             latency_bits: 4667313488903838167,
-            power_bits: 4641319739159857936,
+            power_bits: 4641319739159857857,
             grants: 0,
             retunes: 0,
             relocks: 0,
@@ -842,8 +842,8 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1659,
             delivered: 1659,
-            latency_bits: 4653335456943225734,
-            power_bits: 4645488073442557298,
+            latency_bits: 4653335456943225726,
+            power_bits: 4645488073442557004,
             grants: 12,
             retunes: 0,
             relocks: 0,
@@ -859,7 +859,7 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
             injected: 2474,
             delivered: 2048,
             latency_bits: 4667313488903838167,
-            power_bits: 4639150939279930652,
+            power_bits: 4639150939279930163,
             grants: 0,
             retunes: 108,
             relocks: 0,
@@ -874,8 +874,8 @@ const REPLAY_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1659,
             delivered: 1659,
-            latency_bits: 4653335456943225734,
-            power_bits: 4644583114468749574,
+            latency_bits: 4653335456943225726,
+            power_bits: 4644583114468749270,
             grants: 12,
             retunes: 96,
             relocks: 0,
@@ -894,8 +894,8 @@ const CONTROLLER_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1264,
             delivered: 1239,
-            latency_bits: 4641016930414858553,
-            power_bits: 4642433742342091934,
+            latency_bits: 4641016930414858556,
+            power_bits: 4642433742342091851,
             grants: 0,
             retunes: 14,
             relocks: 0,
@@ -911,7 +911,7 @@ const CONTROLLER_PINS: &[(&str, Fingerprint)] = &[
             injected: 4184,
             delivered: 2803,
             latency_bits: 4662619224191110908,
-            power_bits: 4640177234293539168,
+            power_bits: 4640177234293539133,
             grants: 0,
             retunes: 29,
             relocks: 0,
@@ -926,8 +926,8 @@ const CONTROLLER_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 1264,
             delivered: 1236,
-            latency_bits: 4641426172040765963,
-            power_bits: 4641974739194681859,
+            latency_bits: 4641426172040765964,
+            power_bits: 4641974739194681661,
             grants: 0,
             retunes: 15,
             relocks: 0,
@@ -942,8 +942,8 @@ const CONTROLLER_PINS: &[(&str, Fingerprint)] = &[
         Fingerprint {
             injected: 4198,
             delivered: 2825,
-            latency_bits: 4662628974373311458,
-            power_bits: 4639867577854510177,
+            latency_bits: 4662628974373311463,
+            power_bits: 4639867577854510222,
             grants: 0,
             retunes: 18,
             relocks: 0,
@@ -959,8 +959,8 @@ const TRACED_PIN: (Fingerprint, u64, u64) = (
     Fingerprint {
         injected: 1399,
         delivered: 1352,
-        latency_bits: 4640305378459036709,
-        power_bits: 4640019754016794152,
+        latency_bits: 4640305378459036705,
+        power_bits: 4640019754016794109,
         grants: 0,
         retunes: 23,
         relocks: 0,

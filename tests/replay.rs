@@ -285,9 +285,7 @@ fn fixture_replay_parallel_matches_sequential() {
     }
 }
 
-/// The writer reproduces every committed fixture byte for byte, and the
-/// JSONL twin's header carries the checksum the binary file was sealed
-/// with.
+/// The writer reproduces every committed fixture byte for byte.
 #[test]
 fn fixtures_re_encode_byte_identically() {
     for name in [
@@ -299,20 +297,6 @@ fn fixtures_re_encode_byte_identically() {
         let on_disk = std::fs::read(&path).expect("fixture reads");
         let trace = InjectionTrace::load(&path).expect("fixture loads");
         assert_eq!(trace.to_binary(), on_disk, "{name}: writer bytes drifted");
-        let sealed_with = on_disk[on_disk.len() - 8..]
-            .try_into()
-            .map(u64::from_le_bytes)
-            .expect("8-byte trailer");
-        let jsonl = trace.to_jsonl();
-        let header = jsonl.lines().next().expect("JSONL header");
-        assert!(
-            header.contains(&format!("\"checksum\":\"{sealed_with:016x}\"")),
-            "{name}: JSONL header checksum drifted: {header}"
-        );
-        assert_eq!(
-            InjectionTrace::from_jsonl(&jsonl).expect("twin loads"),
-            trace
-        );
     }
 }
 
