@@ -19,7 +19,11 @@
 //! dominated by `Router::step_into`, whose VA/SA arbitration runs on
 //! packed `u64` bitset words over requester ids `in_port · V + in_vc`
 //! (DESIGN.md §16). The board's `D + B` output ports and `D + W` input
-//! ports set those bitset widths.
+//! ports set those bitset widths. Its `(D + W) · V` input-VC FIFOs are
+//! rings in one flit slab, so a board is built from a fixed number of
+//! allocations whatever `V` and the buffer depth are, and the B TX queues
+//! and occupancy counters allocate nothing until traffic arrives
+//! (`tests/alloc_shape.rs`).
 //!
 //! Only *ready* injectors are ticked: one with nothing queued, or whose
 //! last tick was blocked by full input VCs, sleeps until an enqueue or a

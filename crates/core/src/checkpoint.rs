@@ -14,7 +14,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 4 | `ERSP` |
-//! | version | 2 | `SNAP_VERSION` (4) |
+//! | version | 2 | `SNAP_VERSION` (5) |
 //! | fingerprint | 8 | FNV-1a-64 of `format!("{cfg:?}")` |
 //! | cursor | 32 | [`StreamCursor`] (trace/delivery positions) |
 //! | body | … | [`System::save_state`] byte stream |
@@ -50,14 +50,15 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: [u8; 4] = *b"ERSP";
-/// Snapshot format version this build reads and writes. Version 4 stores
-/// the power meter as lit-laser cycles per power class and the latency
+/// Snapshot format version this build reads and writes. Version 5 drops
+/// each router input VC's never-read high-water mark, leaving its FIFO
+/// (count, then flits) and its state; version 4 stores the power meter as lit-laser cycles per power class and the latency
 /// means as integer `(count, sum)` pairs, and drops the SRS power cache;
 /// version 3 stored the injection source as one tagged section and
 /// dropped the retired words version 2 kept frozen; version 2 stored the
 /// SRS as its O(B·W) receiver slots, version 1 as a dense per-laser bank.
 /// Older versions are refused, not converted.
-const SNAP_VERSION: u16 = 4;
+const SNAP_VERSION: u16 = 5;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
 const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 

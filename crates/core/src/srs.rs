@@ -23,6 +23,7 @@ use photonics::rwa::StaticRwa;
 use photonics::serdes::Serdes;
 use photonics::wavelength::{BoardId, Wavelength};
 use reconfig::msg::WavelengthGrant;
+use router::words;
 
 /// A packet arriving at a destination board's receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,12 +243,23 @@ pub struct Srs {
     wavelengths: u16,
     /// Receiver slots indexed by `d·W + w`.
     slots: Vec<Slot>,
-    /// Sorted wavelengths owned per `(s·B + d)` flow — the per-source view
-    /// of the slots' owners that lets `try_transmit` scan only owned
-    /// wavelengths. Maintained through [`Srs::set_owner`], rebuilt from
-    /// the slots at boot and on load; ascending order reproduces the
-    /// legacy full `0..W` scan exactly.
-    owned: Vec<Vec<u16>>,
+    /// Wavelengths owned per `(s·B + d)` flow, as a bitset of
+    /// `flow_words` words per flow (flow `f` at `f·flow_words ..`) — the
+    /// per-source view of the slots' owners that lets `try_transmit` scan
+    /// only owned wavelengths. Maintained through [`Srs::set_owner`],
+    /// rebuilt from the slots at boot and on load; set bits walk ascending,
+    /// which reproduces the legacy full `0..W` scan exactly.
+    owned: Vec<u64>,
+    /// Words per flow in `owned` (`words_for(W)`).
+    flow_words: usize,
+    /// Per `(s·B + d)` flow, a cycle before which `try_transmit` cannot
+    /// succeed: set on a failed try to the earliest cycle any owned lit
+    /// channel could next start a packet, reset to 0 by every event that
+    /// can make one sendable sooner (ownership gain, `light` — which
+    /// grants and both repairs go through — and load). A stale bound
+    /// costs one wasted try, never a skipped send. Derived: not stored in
+    /// snapshots.
+    blocked_until: Vec<Cycle>,
     /// DPM level of every laser, indexed by `(s·B + d)·W + w`: a former
     /// owner granted a receiver back relights at its own last level. The
     /// lit laser's level is written through on every retune.
@@ -308,12 +320,16 @@ impl Srs {
     ) -> Self {
         let w_count = boards;
         let receivers = boards as usize * w_count as usize;
+        let flows = (boards as usize).pow(2);
+        let flow_words = words::words_for(w_count as usize);
         let top = ladder.highest();
         let mut srs = Self {
             boards,
             wavelengths: w_count,
             slots: vec![Slot::dark(top); receivers],
-            owned: vec![Vec::new(); (boards as usize).pow(2)],
+            owned: vec![0; flows * flow_words],
+            flow_words,
+            blocked_until: vec![0; flows],
             levels: vec![top; boards as usize * receivers],
             busy_stash: Vec::new(),
             stuck_lc: Vec::new(),
@@ -350,22 +366,27 @@ impl Srs {
         srs
     }
 
-    /// Rebuilds what is derived from the slots: the per-flow sorted
-    /// `owned` lists (the `d` outer / `w` inner slot order appends each
-    /// flow's wavelengths in ascending order, the [`Srs::set_owner`]
-    /// discipline; an owner ≥ B is skipped) and the lit-class counters.
+    /// Rebuilds what is derived from the slots: the per-flow `owned`
+    /// bitsets (an owner ≥ B is skipped), the lit-class counters, and
+    /// every flow's `blocked_until` (0: awake).
     fn rebuild_derived(&mut self) {
-        for f in &mut self.owned {
-            f.clear();
-        }
-        for k in 0..self.slots.len() {
-            let d = (k / self.wavelengths as usize) as u16;
-            if let Some(s) = self.slots[k].owner.filter(|&s| s < self.boards) {
-                let f = self.flow(s, d);
-                self.owned[f].push((k % self.wavelengths as usize) as u16);
+        self.owned = self.owners_as_words();
+        self.lit = self.recount_lit();
+        self.blocked_until.fill(0);
+    }
+
+    /// The per-flow `owned` bitsets computed afresh from the slots' owners
+    /// (an owner ≥ B is skipped).
+    fn owners_as_words(&self) -> Vec<u64> {
+        let mut owned = vec![0; self.owned.len()];
+        for (k, slot) in self.slots.iter().enumerate() {
+            let (d, w) = (k / self.wavelengths as usize, k % self.wavelengths as usize);
+            if let Some(s) = slot.owner.filter(|&s| s < self.boards) {
+                let base = self.flow(s, d as u16) * self.flow_words;
+                words::set(&mut owned[base..base + self.flow_words], w);
             }
         }
-        self.lit = self.recount_lit();
+        owned
     }
 
     /// Slot index of receiver `(d, w)`.
@@ -382,12 +403,30 @@ impl Srs {
         s as usize * self.boards as usize + d as usize
     }
 
+    /// Flow `(s, d)`'s owned-wavelength words.
+    fn owned_words(&self, s: u16, d: u16) -> &[u64] {
+        let base = self.flow(s, d) * self.flow_words;
+        &self.owned[base..base + self.flow_words]
+    }
+
+    /// Flow `(s, d)`'s owned-wavelength words, mutably.
+    fn owned_words_mut(&mut self, s: u16, d: u16) -> &mut [u64] {
+        let base = self.flow(s, d) * self.flow_words;
+        &mut self.owned[base..base + self.flow_words]
+    }
+
+    /// True while flow `(s, d)` sleeps: a try at `now` would fail.
+    #[inline]
+    pub(crate) fn is_blocked(&self, now: Cycle, s: u16, d: u16) -> bool {
+        self.blocked_until[self.flow(s, d)] > now
+    }
+
     /// The single mutation point for ownership after boot: updates the
-    /// slot's owner and the per-flow sorted `owned` lists, closes the
-    /// retired owner's busy span at `now` (the eager per-cycle sampler
-    /// stopped counting a channel the moment its owner changed) and
-    /// stashes its in-window busy, restores the new owner's stashed busy,
-    /// and moves the slot's power class.
+    /// slot's owner and the per-flow `owned` bits (waking the gaining
+    /// flow), closes the retired owner's busy span at `now` (the eager
+    /// per-cycle sampler stopped counting a channel the moment its owner
+    /// changed) and stashes its in-window busy, restores the new owner's
+    /// stashed busy, and moves the slot's power class.
     fn set_owner(&mut self, now: Cycle, d: u16, w: u16, new: Option<u16>) {
         let k = self.slot(d, w);
         let old = self.slots[k].owner;
@@ -395,10 +434,7 @@ impl Srs {
             return;
         }
         if let Some(s) = old {
-            let f = self.flow(s, d);
-            if let Ok(p) = self.owned[f].binary_search(&w) {
-                self.owned[f].remove(p);
-            }
+            words::clear(self.owned_words_mut(s, d), w as usize);
             let slot = &mut self.slots[k];
             slot.close_busy(now);
             if slot.win_busy > 0 {
@@ -407,10 +443,9 @@ impl Srs {
         }
         let mut win_busy = 0;
         if let Some(s) = new {
+            words::set(self.owned_words_mut(s, d), w as usize);
             let f = self.flow(s, d);
-            if let Err(p) = self.owned[f].binary_search(&w) {
-                self.owned[f].insert(p, w);
-            }
+            self.blocked_until[f] = 0;
             if let Some(p) = self.busy_stash.iter().position(|e| e.0 == (s, d, w)) {
                 win_busy = self.busy_stash.swap_remove(p).1;
             }
@@ -422,8 +457,10 @@ impl Srs {
     }
 
     /// Lights `s`'s laser on the dark receiver `(d, w)` at its own last
-    /// DPM level, through a `lock`-cycle dark window.
+    /// DPM level, through a `lock`-cycle dark window, and wakes the flow.
     fn light(&mut self, now: Cycle, d: u16, w: u16, s: u16, lock: Cycle) {
+        let f = self.flow(s, d);
+        self.blocked_until[f] = 0;
         let level = self.levels[self.laser((s, d, w))];
         let k = self.slot(d, w);
         self.slots[k].edit(&mut self.lit, |slot| {
@@ -580,9 +617,9 @@ impl Srs {
             return;
         }
         self.failed_tx.push((s, d));
-        let f = self.flow(s, d);
-        for j in 0..self.owned[f].len() {
-            let w = self.owned[f][j];
+        let owned = self.owned_words(s, d).to_vec();
+        for w in words::ones(&owned) {
+            let w = w as u16;
             if sink.enabled() {
                 sink.emit(
                     now,
@@ -639,9 +676,9 @@ impl Srs {
                 && !failed.contains(&(d, g.wavelength.0)))
         });
         let lock = self.lock_penalty;
-        let f = self.flow(s, d);
-        for j in 0..self.owned[f].len() {
-            let w = self.owned[f][j];
+        let owned = self.owned_words(s, d).to_vec();
+        for w in words::ones(&owned) {
+            let w = w as u16;
             if !self.is_failed(d, w) && self.slots[self.slot(d, w)].lit_by.is_none() {
                 self.light(now, d, w, s, lock);
             }
@@ -695,6 +732,10 @@ impl Srs {
     /// calls this board-ascending, and each [`BinaryHeapQueue`] breaks time
     /// ties by insertion sequence, so that call order *is* the pop order
     /// the pins were recorded against (DESIGN.md §12).
+    ///
+    /// A failed try writes nothing but the flow's `blocked_until`, which
+    /// the caller reads through [`Srs::is_blocked`] to skip tries that
+    /// would fail the same way (DESIGN.md §12).
     pub(crate) fn try_transmit(
         &mut self,
         now: Cycle,
@@ -702,19 +743,25 @@ impl Srs {
         d: u16,
         packet: ReadyPacket,
     ) -> Option<u16> {
-        if self.is_tx_failed(s, d) {
-            return None;
-        }
         let base = self.slot(d, 0);
         // Scan only owned wavelengths; ascending order matches the legacy
         // full `0..W` scan over the ownership map.
-        let w = self.owned[self.flow(s, d)].iter().copied().find(|&w| {
-            let slot = &self.slots[base + w as usize];
-            // A channel with a pending retune must not start a packet:
-            // the retune would never get a free window under load.
-            slot.lit_by == Some(s) && slot.chan.can_send(now) && slot.retune.is_none()
-        })?;
-        let k = base + w as usize;
+        let free = if self.is_tx_failed(s, d) {
+            None
+        } else {
+            words::ones(self.owned_words(s, d)).find(|&w| {
+                let slot = &self.slots[base + w];
+                // A channel with a pending retune must not start a packet:
+                // the retune would never get a free window under load.
+                slot.lit_by == Some(s) && slot.chan.can_send(now) && slot.retune.is_none()
+            })
+        };
+        let Some(w) = free else {
+            let f = self.flow(s, d);
+            self.blocked_until[f] = self.next_send(now, s, d);
+            return None;
+        };
+        let (k, w) = (base + w, w as u16);
         let slot = &mut self.slots[k];
         // Back-to-back reuse exactly at the previous packet's end: its
         // wake entry has not fired yet, so close its span here first.
@@ -745,6 +792,31 @@ impl Srs {
             },
         );
         Some(w)
+    }
+
+    /// The earliest cycle after a failed try at `now` at which flow
+    /// `(s, d)` could start a packet with no waking event in between: over
+    /// its owned channels lit by `s`, a serializing or transitioning one's
+    /// `until`, or `now + 1` for one held only by its pending retune (a
+    /// stuck LC may drop the retune); `Cycle::MAX` with none lit. The
+    /// bound ignores a transmitter failure, so its repair needs no reset;
+    /// nothing but `light` or an ownership gain makes a channel sendable
+    /// before it, and both reset it.
+    fn next_send(&self, now: Cycle, s: u16, d: u16) -> Cycle {
+        let base = self.slot(d, 0);
+        words::ones(self.owned_words(s, d))
+            .map(|w| &self.slots[base + w])
+            .filter(|slot| slot.lit_by == Some(s))
+            .map(|slot| match slot.chan.state() {
+                ChannelState::Sending { until } | ChannelState::Transitioning { until }
+                    if until > now =>
+                {
+                    until
+                }
+                _ => now + 1,
+            })
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     /// Packets still in flight in the optical domain (serializing or on
@@ -1074,9 +1146,10 @@ impl Srs {
     /// a lit laser has pending work; the lit laser's level is its entry
     /// in the level table; `lit_by ≠ owner` only while a pending grant, a
     /// failed receiver or a failed owner transmitter names the slot; the
-    /// `owned` lists equal the owner fields; and the lit-class counters
-    /// equal a recount of the slots.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// `owned` bitsets equal the owner fields; the lit-class counters
+    /// equal a recount of the slots; and a flow asleep at `now`
+    /// (`blocked_until > now`) has no owned channel it could send on.
+    pub fn check_invariants(&self, now: Cycle) -> Result<(), String> {
         let (b, wn) = (self.boards, self.wavelengths);
         let laser_ok = |&(s, d, w): &Laser| s < b && d < b && w < wn;
         let ascending = |q: &[Laser]| q.windows(2).all(|p| p[0] < p[1]);
@@ -1132,7 +1205,6 @@ impl Srs {
         {
             return Err(format!("laser level {} is off the ladder", l.0));
         }
-        let mut owned = vec![Vec::new(); self.owned.len()];
         for (k, slot) in self.slots.iter().enumerate() {
             let (d, w) = ((k / wn as usize) as u16, (k % wn as usize) as u16);
             if let Some(s) = slot.owner.into_iter().chain(slot.lit_by).find(|&s| s >= b) {
@@ -1167,12 +1239,17 @@ impl Srs {
                     slot.lit_by, slot.owner
                 ));
             }
-            if let Some(s) = slot.owner {
-                owned[self.flow(s, d)].push(w);
+            if let Some(s) = slot.owner.filter(|&s| self.is_blocked(now, s, d)) {
+                if slot.lit_by == Some(s) && slot.chan.can_send(now) && slot.retune.is_none() {
+                    return Err(format!(
+                        "flow {s}→{d} sleeps until {} but λ{w} can send at {now}",
+                        self.blocked_until[self.flow(s, d)]
+                    ));
+                }
             }
         }
-        if owned != self.owned {
-            return Err("owned lists disagree with the slots' owners".into());
+        if self.owners_as_words() != self.owned {
+            return Err("owned bitsets disagree with the slots' owners".into());
         }
         let recount = self.recount_lit();
         if self.lit != recount {
@@ -1184,15 +1261,15 @@ impl Srs {
         Ok(())
     }
 
-    /// Serializes the mutable optical-stage state (`.ersp` v4): every
+    /// Serializes the mutable optical-stage state (`.ersp` v5): every
     /// slot — owner, lit source, the lit laser's state, pending retune
     /// and relock, link/busy accounting with only an *open* span's bounds
     /// — then the lasers whose level is below the ladder top, the busy
     /// stash, the wake/arrival heaps, the pending-work queues, grants,
     /// fault sets and lifetime counters. Geometry (board count, ladder,
-    /// RWA, penalties) is config-derived; the `owned` lists and the
-    /// lit-class counters are rebuilt from the slots on load rather than
-    /// persisted.
+    /// RWA, penalties) is config-derived; the `owned` bitsets, the
+    /// lit-class counters and the flows' `blocked_until` are rebuilt from
+    /// the slots on load rather than persisted.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         w.tag(b"SRSS");
@@ -1258,26 +1335,24 @@ impl Srs {
         self.grants_applied = r.u64()?;
         self.retunes_applied = r.u64()?;
         self.relocks_applied = r.u64()?;
-        // An out-of-range owner is skipped here and refused just below.
+        // An out-of-range owner is skipped here and refused just below;
+        // every flow wakes, so the sleep clause holds at any cycle.
         self.rebuild_derived();
-        self.check_invariants()
+        self.check_invariants(0)
             .map_err(|e| SnapError::Format(format!("SRS snapshot: {e}")))
     }
 
     /// Coarse heap-footprint estimate in bytes: the B·W slots, the one-byte
-    /// per-laser level table, the per-flow owned lists, and every carried
-    /// table, queue and heap at capacity × element size. Analytic, not an
-    /// allocator probe.
+    /// per-laser level table, the per-flow owned bitsets and sleep bounds,
+    /// and every carried table, queue and heap at capacity × element size.
+    /// Analytic, not an allocator probe.
     pub fn approx_memory_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
             + self.slots.capacity() * size_of::<Slot>()
             + self.levels.capacity() * size_of::<RateLevel>()
-            + self
-                .owned
-                .iter()
-                .map(|v| size_of::<Vec<u16>>() + v.capacity() * size_of::<u16>())
-                .sum::<usize>()
+            + self.owned.capacity() * size_of::<u64>()
+            + self.blocked_until.capacity() * size_of::<Cycle>()
             + self.busy_stash.capacity() * size_of::<(Laser, Cycle)>()
             + (self.stuck_lc.capacity()
                 + self.retune_queue.capacity()
@@ -1325,7 +1400,7 @@ mod tests {
         assert_eq!(s.owner(0, 0), None);
         // (B-1) lasers per board on: 4 boards × 3 = 12.
         assert_eq!(s.lasers_on(), 12);
-        assert_eq!(s.owned[s.flow(1, 0)], [1]);
+        assert_eq!(words::ones(s.owned_words(1, 0)).collect::<Vec<_>>(), [1]);
         assert_eq!(s.boards(), 4);
         assert_eq!(s.wavelengths(), 4);
     }
@@ -1376,7 +1451,7 @@ mod tests {
         // Now both of board 1's channels are usable.
         assert!(s.try_transmit(80, 1, 0, pkt(1)).is_some());
         assert!(s.try_transmit(80, 1, 0, pkt(2)).is_some());
-        assert_eq!(s.owned[s.flow(1, 0)], [1, 2]);
+        assert_eq!(words::ones(s.owned_words(1, 0)).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(s.reconfig_counts().0, 1);
     }
 
@@ -1763,7 +1838,7 @@ mod fault_tests {
         assert!(!s.channel(1, 0, 2).is_on());
         assert!(s.channel(3, 0, 2).is_on());
         assert_eq!(s.owner(0, 2), Some(3));
-        s.check_invariants().expect("one laser, owned");
+        s.check_invariants(48).expect("one laser, owned");
     }
 }
 
@@ -2042,15 +2117,97 @@ mod slot_tests {
     #[test]
     fn invariants_hold_through_grants_faults_and_drains() {
         let mut s = busy_stage();
-        s.check_invariants().expect("busy stage");
+        s.check_invariants(50).expect("busy stage");
         for now in 50..400 {
             s.tick(now, &mut NullSink);
-            s.check_invariants()
+            s.check_invariants(now)
                 .unwrap_or_else(|e| panic!("cycle {now}: {e}"));
         }
         s.repair_transmitter(400, 2, 1);
         s.fail_receiver(401, 0, 3, &mut NullSink);
-        s.check_invariants().expect("after faults");
+        s.check_invariants(401).expect("after faults");
+    }
+
+    #[test]
+    fn sleeping_flows_skip_only_tries_that_would_fail() {
+        // Two copies of one stage under the same grants, retunes and
+        // faults, in the cycle's order (faults and decisions, transmits,
+        // tick): `eager` tries every flow that has a packet, `lazy` skips
+        // the flows that sleep. Every skipped try must be one that fails
+        // in `eager`, so both send the same packets on the same channels at
+        // the same cycles and end byte-identical.
+        let (mut eager, mut lazy) = (srs_of(4), srs_of(4));
+        let l2 = |from: u16, to: u16| WavelengthGrant {
+            destination: BoardId(0),
+            wavelength: Wavelength(2),
+            from: BoardId(from),
+            to: BoardId(to),
+        };
+        let events = |s: &mut Srs, now: Cycle| match now {
+            // λ1 is idle (no packets since cycle 80): the pending retune
+            // alone fails the tries at 120, and a penalty-free transition
+            // frees the channel again at 121.
+            120 => s.schedule_retune(1, 0, 1, RateLevel(0), 0),
+            300 => s.schedule_grants(now, &[l2(2, 1)], &mut NullSink),
+            600 => s.fail_transmitter(now, 3, 0, &mut NullSink),
+            900 => s.repair_transmitter(now, 3, 0),
+            1_000 => s.schedule_retune(2, 1, 2, RateLevel(0), 30),
+            1_001 => s.stick_lc(2, 1, 2),
+            1_300 => s.schedule_relock(3, 0, 3, 40),
+            1_600 => s.fail_receiver(now, 0, 2, &mut NullSink),
+            2_000 => s.repair_receiver(now, 0, 2),
+            2_200 => s.schedule_grants(now, &[l2(2, 3)], &mut NullSink),
+            // Board 2 owns nothing toward 0 until λ2 comes back, and
+            // sleeps for good until the laser lights.
+            2_500 => s.schedule_grants(now, &[l2(3, 2)], &mut NullSink),
+            _ => {}
+        };
+        // The cycle after board 3 starts a packet on λ3 toward 0 (past
+        // 2 700), that receiver fails — 3's next try finds nothing owned —
+        // and is repaired one cycle later, before its drain ends: λ3 is
+        // 3's again while still lit, with no `light` to wake the flow.
+        let mut outage = None;
+        let (mut tried, mut skipped, mut sent, mut id) = (0, 0, 0, 0);
+        for now in 0..3_000 {
+            for s in [&mut eager, &mut lazy] {
+                events(s, now);
+                if outage == Some(now) {
+                    s.fail_receiver(now, 0, 3, &mut NullSink);
+                }
+                if outage.is_some_and(|at| at + 1 == now) {
+                    s.repair_receiver(now, 0, 3);
+                }
+            }
+            for (src, dst) in (0..4).flat_map(|a| (0..4).map(move |b| (a, b))) {
+                if src == dst || (now / 40 + u64::from(src + dst)) % 3 == 0 {
+                    continue; // no packet ready on this flow this cycle
+                }
+                id += 1;
+                let want = eager.try_transmit(now, src, dst, pkt(id));
+                sent += u32::from(want.is_some());
+                if outage.is_none() && now >= 2_700 && (src, dst, want) == (3, 0, Some(3)) {
+                    outage = Some(now + 1);
+                }
+                if lazy.is_blocked(now, src, dst) {
+                    assert_eq!(want, None, "cycle {now}: {src}→{dst} skipped a send");
+                    skipped += 1;
+                } else {
+                    tried += 1;
+                    assert_eq!(lazy.try_transmit(now, src, dst, pkt(id)), want);
+                }
+            }
+            for s in [&mut eager, &mut lazy] {
+                s.tick(now, &mut NullSink);
+                while s.pop_arrival_due(now).is_some() {}
+            }
+            lazy.check_invariants(now + 1)
+                .unwrap_or_else(|e| panic!("cycle {now}: {e}"));
+        }
+        assert_eq!(bytes(&eager), bytes(&lazy));
+        assert!(
+            sent > 300 && skipped > 2 * tried,
+            "{sent} sent, {tried} tried, {skipped} skipped"
+        );
     }
 
     #[test]
@@ -2088,7 +2245,7 @@ mod slot_tests {
         for (what, mutate) in cases {
             let mut s = busy_stage();
             mutate(&mut s);
-            assert!(s.check_invariants().is_err(), "{what}: self-check");
+            assert!(s.check_invariants(50).is_err(), "{what}: self-check");
             let mut fresh = srs_of(4);
             assert!(
                 matches!(

@@ -148,6 +148,11 @@ pub struct System {
     ls_retries: u64,
     /// DBR rounds aborted fail-safe after exhausting the retry budget.
     ls_aborted: u64,
+    /// `Srs::try_transmit` calls made, and ready flows skipped because
+    /// they sleep (`Srs::is_blocked`) — the witness that blocked flows
+    /// cost the optical stage nothing. Not snapshotted.
+    tx_tries: u64,
+    tx_skips: u64,
     /// Cycle-level event tracer (null unless `cfg.trace.enabled`).
     tracer: Tracer,
     /// Window-granularity metric registry (None when tracing is off).
@@ -375,6 +380,8 @@ impl System {
             armed_token: Vec::new(),
             ls_retries: 0,
             ls_aborted: 0,
+            tx_tries: 0,
+            tx_skips: 0,
             tracer,
             registry,
             window_index: 0,
@@ -531,15 +538,22 @@ impl System {
     /// Moves board `s`'s ready TX-queue packets onto free owned channels.
     /// Only destinations with a completed packet are visited (the board's
     /// ready-destination set, ascending, snapshotted once because it
-    /// mutates as packets depart); labelled departures push their TX
-    /// stats as they leave.
+    /// mutates as packets depart), and of those only flows awake at `now`
+    /// — a sleeping flow's try would fail with no side effect
+    /// (DESIGN.md §12); labelled departures push their TX stats as they
+    /// leave.
     fn transmit(&mut self, now: Cycle, s: u16) {
         let mut ready = std::mem::take(&mut self.ready);
         ready.clear();
         ready.extend_from_slice(self.boards[s as usize].ready_dests());
         for &d in &ready {
+            if self.srs.is_blocked(now, s, d) {
+                self.tx_skips += 1;
+                continue;
+            }
             let board = &mut self.boards[s as usize];
             while let Some(pkt) = board.tx_queue(d).peek().copied() {
+                self.tx_tries += 1;
                 if self.srs.try_transmit(now, s, d, pkt).is_none() {
                     break;
                 }
@@ -1356,6 +1370,26 @@ mod tests {
         let mut sys = System::new(cfg, pattern, load, plan());
         sys.run();
         sys
+    }
+
+    #[test]
+    fn blocked_flows_sleep_instead_of_retrying() {
+        // B = 8 uniform at 0.6: a ready flow's owned channels are nearly
+        // always all serializing, so most visits of the optical stage
+        // must end in a skip (the flow sleeps), not in a failing try.
+        for mode in [NetworkMode::NpNb, NetworkMode::PB] {
+            let cfg = SystemConfig::paper64(mode);
+            let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.6, plan());
+            for _ in 0..3_000 {
+                sys.step();
+            }
+            let (tries, skips) = (sys.tx_tries, sys.tx_skips);
+            assert!(
+                tries > 0 && tries * 5 <= tries + skips,
+                "{}: {tries} tries, {skips} skips",
+                mode.name()
+            );
+        }
     }
 
     #[test]

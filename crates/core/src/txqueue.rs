@@ -72,11 +72,6 @@ impl TransmitQueue {
         self.flits_held
     }
 
-    /// Occupancy fraction in `[0,1]` — the LC's `Buffer_util` sample.
-    pub fn occupancy(&self) -> f64 {
-        self.flits_held as f64 / self.capacity_flits as f64
-    }
-
     /// Complete packets awaiting transmission.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
@@ -287,7 +282,7 @@ mod tests {
         for f in &a[..4] {
             q.accept(*f, 8, 0, 0);
         }
-        assert!((q.occupancy() - 0.25).abs() < 1e-12);
+        assert_eq!(q.flits_held(), 4);
         assert_eq!(q.ready_len(), 0);
         assert!(q.peek().is_none());
         assert!(q.depart().is_none());

@@ -13,10 +13,10 @@
 //!
 //! Modules:
 //! * [`flit`] / [`packet`] — flits, packets, and the packetizer,
-//! * [`buffer`] — bounded flit FIFOs,
 //! * [`credit`] — credit counters for flow control,
 //! * [`arbiter`] — round-robin and matrix arbiters,
-//! * [`vc`] — per-input virtual-channel state machines,
+//! * [`vc`] — per-input virtual-channel state machines and their flit
+//!   FIFOs (one ring slab per router),
 //! * [`routing`] — output-port lookup functions,
 //! * [`words`] — packed `u64` bitset words for the arbitration hot path,
 //! * [`router`] — the assembled router with its per-cycle `step`.
@@ -43,7 +43,6 @@
 //! ```
 
 pub mod arbiter;
-pub mod buffer;
 pub mod credit;
 pub mod flit;
 pub mod inject;

@@ -225,12 +225,12 @@ impl Router {
 
     /// True when input `(port, vc)` has buffer space.
     pub fn can_accept(&self, port: PortId, vc: u8) -> bool {
-        !self.arena.buffers[self.rid(port, vc)].is_full()
+        self.arena.space(self.rid(port, vc)) > 0
     }
 
     /// Free buffer slots at input `(port, vc)`.
     pub fn input_space(&self, port: PortId, vc: u8) -> usize {
-        self.arena.buffers[self.rid(port, vc)].space()
+        self.arena.space(self.rid(port, vc))
     }
 
     /// Injects a flit into input `(port, vc)`.
@@ -239,8 +239,8 @@ impl Router {
     /// If the buffer is full (callers must check [`Router::can_accept`]).
     pub fn inject(&mut self, port: PortId, vc: u8, flit: Flit) {
         let r = self.rid(port, vc);
-        self.arena.buffers[r].push(flit);
-        if self.arena.buffers[r].len() == 1 {
+        self.arena.push(r, flit);
+        if self.arena.len(r) == 1 {
             match self.arena.tag[r] {
                 // A head landing in an empty idle VC arms RC for the next cycle.
                 VcTag::Idle => words::set(&mut self.rc_pending, r),
@@ -282,7 +282,9 @@ impl Router {
     /// its own injector and by ST, so a pop is the only event that can turn
     /// a blocked [`crate::FlitInjector::tick`] into a productive one.
     pub fn drain_popped_ports(&mut self, mut wake: impl FnMut(PortId)) {
-        words::for_each_set(&self.popped_ports, |p| wake(PortId(p as u16)));
+        for p in words::ones(&self.popped_ports) {
+            wake(PortId(p as u16));
+        }
         self.popped_ports.iter_mut().for_each(|w| *w = 0);
     }
 
@@ -309,7 +311,7 @@ impl Router {
 
     /// Coarse heap-footprint estimate in bytes: the per-(port × VC) state
     /// that dominates the router's memory — the SoA VC arena (tags, routed
-    /// ports, timers, flit buffers), output-VC owner/credit tables,
+    /// ports, timers, the flit slab), output-VC owner/credit tables,
     /// arbiters and the packed bitset words. An analytic capacity ×
     /// element-size sum (not an allocator probe), comparable across
     /// configurations: the scaling bench uses it to track how the
@@ -335,21 +337,21 @@ impl Router {
 
     /// Serializes the router's mutable state for a checkpoint.
     ///
-    /// Only pipeline state is written: input VC buffers and states, output
+    /// Only pipeline state is written: input VC FIFOs and states, output
     /// VC ownership and credits, arbiter rotors, stats and occupancy
     /// counters. The derived bitset words (`va_waiting`, `sa_bidding`, the
     /// port masks and `rc_pending`) are *not* persisted — they are exact
-    /// functions of the VC states, buffers and credits and are rebuilt on
+    /// functions of the VC states, FIFOs and credits and are rebuilt on
     /// restore; a bitset is canonically ordered by construction, so the
-    /// rebuild is behaviourally identical to the live words. The byte
-    /// format is unchanged from the pre-arena router: VC states serialize
-    /// through the [`VcState`] enum bridge.
+    /// rebuild is behaviourally identical to the live words. Each VC is its
+    /// FIFO in the `VecDeque` encoding (flit count, then flits oldest
+    /// first), then its state through the [`VcState`] enum bridge.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         w.tag(b"RTRS");
         w.usize(self.cfg.in_ports as usize);
-        for r in 0..self.arena.len() {
-            self.arena.buffers[r].save_state(w);
+        for r in 0..self.arena.count() {
+            self.arena.save_fifo(r, w);
             self.arena.state(r).save(w);
         }
         w.usize(self.cfg.out_ports as usize);
@@ -382,8 +384,8 @@ impl Router {
         use desim::snap::Snap;
         r.tag(b"RTRS")?;
         r.len_eq(self.cfg.in_ports as usize, "router input ports")?;
-        for i in 0..self.arena.len() {
-            self.arena.buffers[i].load_state(r)?;
+        for i in 0..self.arena.count() {
+            self.arena.load_fifo(i, r)?;
             let s = VcState::load(r)?;
             self.arena.set_state(i, s);
         }
@@ -438,7 +440,7 @@ impl Router {
         let slot =
             self.arena.out_port[r] as usize * self.cfg.vcs as usize + self.arena.out_vc[r] as usize;
         self.arena.tag[r] == VcTag::Active
-            && !self.arena.buffers[r].is_empty()
+            && self.arena.len(r) > 0
             && self.out_credits[slot].can_send()
     }
 
@@ -477,10 +479,10 @@ impl Router {
         self.sa_ports.iter_mut().for_each(|w| *w = 0);
         self.rc_pending.iter_mut().for_each(|w| *w = 0);
         let out_ports = self.cfg.out_ports as usize;
-        for r in 0..self.arena.len() {
+        for r in 0..self.arena.count() {
             match self.arena.tag[r] {
                 VcTag::Idle => {
-                    if !self.arena.buffers[r].is_empty() {
+                    if self.arena.len(r) > 0 {
                         words::set(&mut self.rc_pending, r);
                     }
                 }
@@ -588,7 +590,7 @@ impl Router {
                 bits &= bits - 1;
                 match self.arena.tag[r] {
                     VcTag::Idle => {
-                        if let Some(front) = self.arena.buffers[r].front() {
+                        if let Some(front) = self.arena.front(r) {
                             let (port, vc) = (r / vcs, r % vcs);
                             assert!(
                                 front.kind.is_head(),
@@ -599,7 +601,7 @@ impl Router {
                         }
                     }
                     VcTag::Routing if now >= self.arena.timer[r] => {
-                        let Some(front) = self.arena.buffers[r].front() else {
+                        let Some(front) = self.arena.front(r) else {
                             // A routing VC without a head flit is corrupt
                             // state; recover by resetting it to Idle.
                             debug_assert!(false, "routing VC lost its head flit");
@@ -736,7 +738,7 @@ impl Router {
                     continue;
                 }
                 let out_vc = self.arena.out_vc[winner];
-                let Some(flit) = self.arena.buffers[winner].pop() else {
+                let Some(flit) = self.arena.pop(winner) else {
                     debug_assert!(false, "SA winner had no flit buffered");
                     continue;
                 };
@@ -750,7 +752,7 @@ impl Router {
                     // next cycle.
                     self.out_vc_owner[owner_base + out_vc as usize] = None;
                     self.arena.tag[winner] = VcTag::Idle;
-                    if !self.arena.buffers[winner].is_empty() {
+                    if self.arena.len(winner) > 0 {
                         // The next packet's head is already queued: RC work.
                         words::set(&mut self.rc_pending, winner);
                     }
@@ -988,7 +990,7 @@ mod tests {
         let mut r = small(2, 1);
         let flit = packet(1, 1, 1).remove(0);
         r.inject(PortId(0), 0, flit);
-        assert!((r.arena.buffers[0].occupancy() - 0.5).abs() < 1e-12);
+        assert_eq!(r.arena.len(0), 1);
         assert_eq!(r.input_space(PortId(0), 0), 1);
     }
 

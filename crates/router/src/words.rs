@@ -47,20 +47,20 @@ pub fn count(words: &[u64]) -> u64 {
     words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
-/// Calls `f` for every set bit, ascending. The callback receives the bit
-/// index; mutation of the underlying set during iteration is not visible
-/// (each word is snapshotted), which is exactly the semantics the router's
-/// wavefront passes need: a pass may clear bits it has visited without
-/// perturbing the scan.
+/// The set bits, ascending. Each word is read once, as the iteration
+/// reaches it.
 #[inline]
-pub fn for_each_set(words: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &w) in words.iter().enumerate() {
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
         let mut bits = w;
-        while bits != 0 {
-            f(wi * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
 }
 
 /// Packs a boolean slice into words (test/bridge helper, not a hot path).
@@ -100,9 +100,7 @@ mod tests {
         for &i in &idx {
             set(&mut w, i);
         }
-        let mut seen = Vec::new();
-        for_each_set(&w, |i| seen.push(i));
-        assert_eq!(seen, idx);
+        assert_eq!(ones(&w).collect::<Vec<_>>(), idx);
     }
 
     #[test]

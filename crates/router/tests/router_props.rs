@@ -192,13 +192,13 @@ impl Rig {
     /// drains or makes no progress leaves the set.
     fn tick_ready(&mut self) {
         let snapshot = self.ready.clone();
-        words::for_each_set(&snapshot, |p| {
+        for p in words::ones(&snapshot) {
             self.ticks += 1;
             let inj = &mut self.injectors[p];
             if !inj.tick(&mut self.router) || inj.is_idle() {
                 words::clear(&mut self.ready, p);
             }
-        });
+        }
     }
 
     /// Re-readies the non-idle injectors of every port a flit left.

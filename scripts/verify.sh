@@ -64,6 +64,13 @@ if grep -rnE "compute_powe[r]|power_dirt[y]|power_cach[e]|peak_m[w]|running::Run
     echo "verify: a retired accounting or trace-twin name is back"; exit 1
 fi
 
+echo "== one flit slab per router, flat per-flow SRS state (no per-VC deque, no per-flow list) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "FlitBuffe[r]|VecDeque<Fli[t]>|Vec<Vec<u1[6]>>" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a per-VC flit deque or a per-flow wavelength list is back"; exit 1
+fi
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -418,9 +418,10 @@ fn version_and_config_mismatch_rejected() {
     ));
 
     // Older layouts are refused, not misread: version 1 (the dense
-    // per-laser SRS bank) and version 2 (the frozen retired words and a
-    // presence flag per injection source).
-    for old in [1u16, 2] {
+    // per-laser SRS bank), version 2 (the frozen retired words and a
+    // presence flag per injection source), version 3 (the f64 power fold)
+    // and version 4 (a high-water mark per router input VC).
+    for old in [1u16, 2, 3, 4] {
         let mut b = bytes.clone();
         b[4..6].copy_from_slice(&old.to_le_bytes());
         reseal(&mut b);

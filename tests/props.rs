@@ -355,8 +355,9 @@ fn record_replay_closes_for_random_points() {
 /// duplicates a packet — with the SRS's invariants
 /// (`Srs::check_invariants`: at most one lit laser per
 /// `(destination, wavelength)`, a lit non-owner only while a grant or
-/// failure accounts for it, `owned` == owners, a clean power cache ==
-/// its recount) intact on every cycle. The plans mix receiver/transmitter
+/// failure accounts for it, `owned` == owners, the lit-class counters ==
+/// their recount, no sleeping flow with a sendable channel) intact on
+/// every cycle. The plans mix receiver/transmitter
 /// outages (with repairs), stuck LCs, CDR relocks and LS token faults at
 /// random cycles.
 #[test]
@@ -422,7 +423,7 @@ fn random_fault_plans_conserve_and_drain() {
         );
         let mut sys = System::new(cfg, pattern, load, plan);
         let audit = |sys: &System| {
-            if let Err(e) = sys.srs().check_invariants() {
+            if let Err(e) = sys.srs().check_invariants(sys.now()) {
                 panic!("{what}: SRS invariant broken at cycle {}: {e}", sys.now());
             }
         };
