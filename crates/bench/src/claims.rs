@@ -8,10 +8,10 @@
 //! points the table reads.
 
 use crate::experiments::{
-    analytic_mw, fig3_trace, headline_grid, mesh_label, resilience_label, scaling_label,
-    scenario_label, tune_label, tuned, Tuned,
+    analytic_mw, fig3_trace, headline_grid, idle_price, mesh_label, resilience_label,
+    scaling_label, scenario_label, tune_label, tuned, Tuned,
 };
-use crate::index::{Claim, Metric, Results, LAT, PWR, THR};
+use crate::index::{p64_label, Claim, Metric, Results, LAT, PWR, THR};
 use erapid_core::config::NetworkMode::{self, NpB, NpNb, PNb, PB};
 use erapid_core::config::SystemConfig;
 use erapid_core::experiment::{paper_loads, RunResult};
@@ -397,8 +397,12 @@ fn ab(r: &Results, n: u8, row: &str) -> RunResult {
 const WINDOWS: [&str; 5] = ["500", "1000", "2000", "4000", "8000"];
 
 /// P-NB ÷ NP-NB complement power at idle-laser fraction `frac`.
-fn idle_ratio(r: &Results, frac: &str) -> f64 {
-    ab(r, 6, &format!("{frac}/P-NB")).power_mw / ab(r, 6, &format!("{frac}/NP-NB")).power_mw
+fn idle_ratio(r: &Results, frac: f64) -> f64 {
+    let power = |mode| {
+        r.priced(&p64_label("complement", mode, 0.5), &idle_price(frac))
+            .power_mw
+    };
+    power(PNb) / power(NpNb)
 }
 
 pub const ABLATION: &[Claim] = &[
@@ -455,27 +459,27 @@ pub const ABLATION: &[Claim] = &[
         "ablation6_idle_fraction_0",
         "complement NP-NB ≡ P-NB power — holds with free idle lasers (P-NB ÷ NP-NB, fraction 0)",
         0.999..=1.001,
-        |r| idle_ratio(r, "0.00"),
+        |r| idle_ratio(r, 0.0),
     ),
     Claim::new(
         "ablation6_idle_fraction_005",
         "complement NP-NB ≡ P-NB power (P-NB ÷ NP-NB at our default idle fraction 0.05)",
         0.79..=0.85,
-        |r| idle_ratio(r, "0.05"),
+        |r| idle_ratio(r, 0.05),
     )
     .deviating(),
     Claim::new(
         "ablation6_idle_fraction_015",
         "complement NP-NB ≡ P-NB power (P-NB ÷ NP-NB, fraction 0.15)",
         0.59..=0.65,
-        |r| idle_ratio(r, "0.15"),
+        |r| idle_ratio(r, 0.15),
     )
     .deviating(),
     Claim::new(
         "ablation6_idle_fraction_030",
         "complement NP-NB ≡ P-NB power (P-NB ÷ NP-NB, fraction 0.30)",
         0.46..=0.52,
-        |r| idle_ratio(r, "0.30"),
+        |r| idle_ratio(r, 0.30),
     )
     .deviating(),
     Claim::new(

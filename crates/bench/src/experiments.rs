@@ -33,6 +33,7 @@ fn erapid(bench: &BenchConfig, label: String, cfg: SystemConfig, pat: &str, load
         label,
         network: Network::Erapid,
         run: bench.point(cfg, &pattern(pat), load),
+        price: None,
     }
 }
 
@@ -325,10 +326,10 @@ pub(crate) fn row_points(tables: Vec<RowTable>) -> Vec<Point> {
 
 pub(crate) fn row_tables(tables: &[RowTable], results: &Results) {
     for t in tables {
-        let rows = t
-            .rows
-            .iter()
-            .map(|(cells, point)| (cells.clone(), results.at(&point.label)));
+        let rows = t.rows.iter().map(|(cells, point)| match &point.price {
+            Some(price) => (cells.clone(), results.priced(&point.label, price)),
+            None => (cells.clone(), results.at(&point.label)),
+        });
         println!("{}", result_table(&t.title, &t.keys, rows).render());
     }
 }
@@ -354,6 +355,12 @@ fn ablation(
             })
             .collect(),
     }
+}
+
+/// The paper's Table 1 with an idle laser drawing `frac` of its level's
+/// power: ablation 6's price of Fig. 5's complement 0.5 runs.
+pub(crate) fn idle_price(frac: f64) -> LinkPowerModel {
+    LinkPowerModel::paper_table().with_idle_fraction(frac)
 }
 
 /// The paper's 64-node system with one thing changed.
@@ -399,10 +406,7 @@ pub(crate) fn ablation_tables(bench: &BenchConfig) -> Vec<RowTable> {
             ("uniform", 0.5),
             [2usize, 3, 4, 6]
                 .map(|levels| {
-                    let cfg = edited(PNb, |cfg| {
-                        cfg.ladder = RateLadder::interpolated(levels);
-                        cfg.power_model = LinkPowerModel::analytic(cfg.ladder.clone());
-                    });
+                    let cfg = edited(PNb, |cfg| cfg.ladder = RateLadder::interpolated(levels));
                     (format!("{levels}"), cfg)
                 })
                 .into(),
@@ -455,26 +459,24 @@ pub(crate) fn ablation_tables(bench: &BenchConfig) -> Vec<RowTable> {
         ),
         // The one free parameter of the power accounting (DESIGN.md §5):
         // the paper's complement NP-NB ≡ P-NB power only holds when idle
-        // lasers are nearly free.
-        ablation(
-            bench,
-            6,
-            "idle-laser power fraction",
-            "fraction/mode",
-            ("complement", 0.5),
-            [0.0, 0.05, 0.15, 0.30]
+        // lasers are nearly free. A price, not a simulation: Fig. 5's two
+        // runs, priced once per fraction.
+        RowTable {
+            title: "Ablation 6: idle-laser power fraction (complement, load 0.5)".into(),
+            keys: vec!["fraction/mode"],
+            rows: [0.0, 0.05, 0.15, 0.30]
                 .into_iter()
                 .flat_map(|frac| {
                     [NpNb, PNb].map(|mode| {
-                        let cfg = edited(mode, |cfg| {
-                            cfg.power_model =
-                                LinkPowerModel::paper_table().with_idle_fraction(frac);
-                        });
-                        (format!("{frac:.2}/{}", mode.name()), cfg)
+                        let point = Point {
+                            price: Some(idle_price(frac)),
+                            ..p64(bench, "complement", mode, 0.5)
+                        };
+                        (vec![format!("{frac:.2}/{}", mode.name())], point)
                     })
                 })
                 .collect(),
-        ),
+        },
         // "Setting the B_max to 0.3 is fairly reasonable for most traffic
         // scenarios" (§3.2) — at the onset of congestion on a pattern with
         // partial concentration, where the hot queues are only part-full
@@ -604,6 +606,7 @@ pub fn baseline_points(bench: &BenchConfig) -> Vec<Point> {
                 label: mesh_label(pat, load),
                 network: Network::Mesh,
                 run: erapid.run.clone(),
+                price: None,
             });
             points.push(erapid);
         }
@@ -739,6 +742,7 @@ fn scenario_point(
         label,
         network: Network::Erapid,
         run: RunPoint::generate(cfg, TrafficPattern::Uniform, load, plan),
+        price: None,
     }
 }
 

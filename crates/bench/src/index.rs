@@ -6,26 +6,30 @@
 use crate::{claims, experiments as ex, BenchConfig};
 use emesh::{run_mesh, MeshConfig, MeshRunResult};
 use erapid_core::config::NetworkMode;
-use erapid_core::experiment::RunResult;
+use erapid_core::experiment::{RunOutput, RunResult};
 use erapid_core::runner::{parallel_map, RunPoint};
+use photonics::power::LinkPowerModel;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::RangeInclusive;
 
 /// One simulation an experiment needs, under the label its tables and
-/// claims look the result up by. Experiments that share a point (Fig. 5's
-/// P-B curve is the baseline's E-RAPID column) share its label, so it runs
-/// once.
+/// claims look the result up by. Points that are one simulation (Fig. 5's
+/// P-B curve is the baseline's E-RAPID column) run once, whatever their
+/// labels.
 pub struct Point {
     pub label: String,
     pub network: Network,
     /// The E-RAPID run — or, on [`Network::Mesh`], the E-RAPID run whose
     /// pattern, absolute injection rate and phase plan the mesh is given.
     pub run: RunPoint,
+    /// The price the point's table row reads the run's power at (`None`:
+    /// the run's default). Not part of the simulation.
+    pub price: Option<LinkPowerModel>,
 }
 
 /// Which simulator a [`Point`] goes through.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Network {
     /// [`RunPoint::run`].
     Erapid,
@@ -45,40 +49,58 @@ pub fn p64_label(pattern: &str, mode: NetworkMode, load: f64) -> String {
 /// point its experiment does not produce.
 #[derive(Default)]
 pub struct Results {
-    erapid: HashMap<String, RunResult>,
+    /// Each label's simulation, by [`sim_key`].
+    labels: HashMap<String, String>,
+    /// E-RAPID runs by [`sim_key`], their power counters kept for
+    /// [`Results::priced`].
+    erapid: HashMap<String, RunOutput>,
     mesh: HashMap<String, MeshRunResult>,
     missing: RefCell<BTreeSet<String>>,
 }
 
+/// A point's simulation: its network and everything its run is built
+/// from. Labels with one key name one run.
+fn sim_key(p: &Point) -> String {
+    format!("{:?} {:?}", p.network, p.run)
+}
+
 impl Results {
-    /// Runs every point not already held (first of each label wins): the
-    /// E-RAPID points through [`BenchConfig::run`], the mesh points over
-    /// the same worker budget.
+    /// Runs every simulation not already held, once however many labels
+    /// name it (the first point of each label wins): the E-RAPID points
+    /// through [`BenchConfig::run`], the mesh points over the same worker
+    /// budget.
     pub fn run(&mut self, bench: &BenchConfig, points: Vec<Point>) {
-        let mut seen = BTreeSet::new();
-        let fresh = points.into_iter().filter(|p| {
-            let held = self.erapid.contains_key(&p.label) || self.mesh.contains_key(&p.label);
-            !held && seen.insert(p.label.clone())
-        });
-        let (mesh, erapid): (Vec<_>, Vec<_>) = fresh.partition(|p| p.network == Network::Mesh);
-        if seen.is_empty() {
+        let (mut fresh, mut queued) = (Vec::new(), HashSet::new());
+        for p in points {
+            if self.labels.contains_key(&p.label) {
+                continue;
+            }
+            let key = sim_key(&p);
+            let held = self.erapid.contains_key(&key) || self.mesh.contains_key(&key);
+            if !held && queued.insert(key.clone()) {
+                fresh.push((key.clone(), p.network, p.run));
+            }
+            self.labels.insert(p.label, key);
+        }
+        if fresh.is_empty() {
             return;
         }
         eprintln!(
             "  running {} points ({} threads) ...",
-            seen.len(),
+            fresh.len(),
             bench.threads
         );
-        let (labels, runs): (Vec<_>, Vec<_>) = erapid.into_iter().map(|p| (p.label, p.run)).unzip();
-        let outs = bench.run(runs);
-        self.erapid
-            .extend(labels.into_iter().zip(outs.iter().map(|o| o.result)));
-        let (labels, runs): (Vec<_>, Vec<_>) = mesh.into_iter().map(|p| (p.label, p.run)).unzip();
+        let (mesh, erapid): (Vec<_>, Vec<_>) = fresh
+            .into_iter()
+            .partition(|(_, network, _)| *network == Network::Mesh);
+        let (keys, runs): (Vec<_>, Vec<_>) = erapid.into_iter().map(|(k, _, r)| (k, r)).unzip();
+        self.erapid.extend(keys.into_iter().zip(bench.run(runs)));
+        let (keys, runs): (Vec<_>, Vec<_>) = mesh.into_iter().map(|(k, _, r)| (k, r)).unzip();
         let outs = parallel_map(bench.threads, runs, |p| {
             let rate = p.cfg.capacity().injection_rate(p.load);
             run_mesh(MeshConfig::paper64(), p.pattern, rate, p.plan)
         });
-        self.mesh.extend(labels.into_iter().zip(outs));
+        self.mesh.extend(keys.into_iter().zip(outs));
     }
 
     fn miss<T: Default>(&self, label: &str) -> T {
@@ -86,17 +108,35 @@ impl Results {
         T::default()
     }
 
+    fn erapid_run(&self, label: &str) -> Option<&RunOutput> {
+        self.labels.get(label).and_then(|key| self.erapid.get(key))
+    }
+
     /// The E-RAPID result under `label`.
     pub fn at(&self, label: &str) -> RunResult {
-        match self.erapid.get(label) {
-            Some(r) => *r,
+        match self.erapid_run(label) {
+            Some(out) => out.result,
+            None => self.miss(label),
+        }
+    }
+
+    /// The E-RAPID result under `label` with its power re-priced under
+    /// `price`.
+    pub fn priced(&self, label: &str, price: &LinkPowerModel) -> RunResult {
+        match self.erapid_run(label) {
+            Some(out) => RunResult {
+                power_mw: out
+                    .power_mw(price)
+                    .expect("a price covers the ladder it is applied to"),
+                ..out.result
+            },
             None => self.miss(label),
         }
     }
 
     /// The mesh result under `label`.
     pub fn mesh(&self, label: &str) -> MeshRunResult {
-        match self.mesh.get(label) {
+        match self.labels.get(label).and_then(|key| self.mesh.get(key)) {
             Some(r) => *r,
             None => self.miss(label),
         }
@@ -321,3 +361,35 @@ pub static INDEX: [Experiment; 13] = [
         claims: claims::AUTOTUNE,
     },
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use erapid_core::config::SystemConfig;
+    use traffic::pattern::TrafficPattern;
+
+    #[test]
+    fn labels_of_one_simulation_share_one_run() {
+        let bench = BenchConfig {
+            quick: true,
+            ..BenchConfig::default()
+        };
+        let point = |label: &str| Point {
+            label: label.to_string(),
+            network: Network::Erapid,
+            run: bench.point(
+                SystemConfig::small(NetworkMode::PB),
+                &TrafficPattern::Complement,
+                0.3,
+            ),
+            price: None,
+        };
+        let mut results = Results::default();
+        results.run(&bench, vec![point("a"), point("b")]);
+        results.run(&bench, vec![point("c")]);
+        assert_eq!(results.erapid.len(), 1, "three labels, one simulation");
+        assert_eq!(results.at("a"), results.at("c"));
+        assert!(results.at("b").delivered > 0);
+        assert!(results.missing().is_empty());
+    }
+}

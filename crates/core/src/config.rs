@@ -8,7 +8,6 @@ use erapid_tune::ControllerSpec;
 use erapid_workloads::ScenarioSpec;
 use photonics::bitrate::RateLadder;
 use photonics::fiber::Fiber;
-use photonics::power::LinkPowerModel;
 use photonics::serdes::Serdes;
 use powermgmt::policy::DpmPolicy;
 use powermgmt::transition::TransitionModel;
@@ -121,8 +120,6 @@ pub struct SystemConfig {
     pub schedule: LockStepSchedule,
     /// Bit-rate ladder.
     pub ladder: RateLadder,
-    /// Link power model.
-    pub power_model: LinkPowerModel,
     /// Transition timing.
     pub transition: TransitionModel,
     /// DBR allocation thresholds.
@@ -188,7 +185,6 @@ impl SystemConfig {
             mode,
             schedule: LockStepSchedule::paper(),
             ladder: RateLadder::paper(),
-            power_model: LinkPowerModel::paper_table(),
             transition: TransitionModel::paper(),
             alloc: AllocPolicy::paper(),
             dpm_override: None,
@@ -288,9 +284,6 @@ impl SystemConfig {
         }
         if self.tx_queue_flits < self.packet_flits as u32 {
             return fail("TX queue must hold at least one packet");
-        }
-        if self.ladder.len() != self.power_model.ladder().len() {
-            return fail("power model must cover the ladder");
         }
         if let Some(b) = self.burst {
             if !(b.burstiness >= 1.0 && b.burstiness.is_finite()) {

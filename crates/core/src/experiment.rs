@@ -11,10 +11,13 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::PacketDelivery;
+use crate::srs::class_mw;
 use crate::system::System;
 use desim::phase::PhasePlan;
 use desim::Cycle;
 use erapid_telemetry::{HistogramSummary, TraceRecord, WindowSnapshot};
+use netstats::meter::PowerMeter;
+use photonics::power::LinkPowerModel;
 use std::sync::Arc;
 use traffic::pattern::TrafficPattern;
 use traffic::trace::{InjectionTrace, TraceMeta};
@@ -60,7 +63,8 @@ pub struct RunResult {
 
 impl RunResult {
     /// Whole-run delivered fraction (`delivered / injected`; 1.0 for an
-    /// idle run) — the survival headline the scenario bench ranks by.
+    /// idle run) — the survival headline the scenario and auto-tuning
+    /// claims read.
     pub fn delivered_fraction(&self) -> f64 {
         if self.injected == 0 {
             1.0
@@ -127,14 +131,28 @@ pub struct RunTrace {
 /// `packet_log`, `record_injections` — and none of them perturbs `result`.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
-    /// The headline numbers.
+    /// The headline numbers; `power_mw` at the ladder's default price
+    /// ([`LinkPowerModel::for_ladder`]).
     pub result: RunResult,
+    /// Lit-laser cycles per power class over the measurement interval:
+    /// what [`RunOutput::power_mw`] prices.
+    pub power: PowerMeter,
     /// Event stream, window snapshots and delivery rows; empty but
     /// well-formed when [`SystemConfig::trace`] was off.
     pub trace: RunTrace,
     /// The recorded workload, stamped with [`trace_meta`] (`Some` iff
     /// [`SystemConfig::record_injections`] was on).
     pub injections: Option<InjectionTrace>,
+}
+
+impl RunOutput {
+    /// The run's average optical power (mW) under `model` — the price
+    /// `result.power_mw` applies at the run's default, re-applied to the
+    /// same counters; `None` if `model` has another level count than the
+    /// run's ladder.
+    pub fn power_mw(&self, model: &LinkPowerModel) -> Option<f64> {
+        self.power.priced(&class_mw(model))
+    }
 }
 
 /// Runs one configuration at one load point on the calling thread — the
@@ -195,6 +213,7 @@ pub(crate) fn collect(
     };
     RunOutput {
         result,
+        power: m.power.clone(),
         trace,
         injections,
     }
@@ -223,13 +242,13 @@ pub fn paper_loads() -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::config::NetworkMode;
+    use photonics::bitrate::RateLadder;
 
     #[test]
     fn delivered_fraction_guards_zero_injection() {
         // Regression: an idle run (scenario window with no generators
-        // active, or a zero-load point) must rank as fully delivered, not
-        // NaN — the scenario bench sorts by this value and a NaN would
-        // poison the worst-offender ranking.
+        // active, or a zero-load point) counts as fully delivered, not
+        // NaN — a NaN would sit outside every claim band that reads it.
         let mut r = RunResult::default();
         assert_eq!(r.delivered_fraction(), 1.0);
         r.injected = 4;
@@ -259,6 +278,44 @@ mod tests {
         assert_eq!(r.undrained, 0);
         assert_eq!(r.grants, 0);
         assert!(r.cycles > 0);
+    }
+
+    fn small_runs() -> impl Iterator<Item = RunOutput> {
+        NetworkMode::all().into_iter().map(|mode| {
+            let cfg = SystemConfig::small(mode);
+            let plan = default_plan(cfg.schedule.window);
+            crate::runner::RunPoint::generate(cfg, TrafficPattern::Complement, 0.3, plan).run()
+        })
+    }
+
+    #[test]
+    fn the_default_price_is_the_result_bit_for_bit() {
+        for out in small_runs() {
+            let price = LinkPowerModel::for_ladder(&RateLadder::paper());
+            let repriced = out.power_mw(&price).expect("the paper's level count");
+            assert_eq!(repriced.to_bits(), out.result.power_mw.to_bits());
+            let other = LinkPowerModel::analytic(RateLadder::interpolated(4));
+            assert_eq!(out.power_mw(&other), None, "another level count");
+        }
+    }
+
+    #[test]
+    fn idle_fraction_reprices_the_idle_classes_only() {
+        // Classes: dark, then (idle, active) per level of Table 1.
+        const TABLE1_MW: [f64; 3] = [8.6, 26.0, 43.03];
+        for out in small_runs() {
+            let (n, cycles) = out.power.counts();
+            for f in [0.0, 0.05, 0.15, 0.3] {
+                let model = LinkPowerModel::paper_table().with_idle_fraction(f);
+                let mw_cycles: f64 = std::iter::once(0.0)
+                    .chain(TABLE1_MW.iter().flat_map(|&p| [p * f, p]))
+                    .zip(n)
+                    .map(|(mw, &k)| k as f64 * mw)
+                    .sum();
+                let want = mw_cycles / cycles as f64;
+                assert_eq!(out.power_mw(&model), Some(want), "fraction {f}");
+            }
+        }
     }
 
     #[test]

@@ -220,12 +220,13 @@ impl Slot {
     }
 }
 
-/// A laser's draw (mW) by [`Slot::power_class`]: `0.0`, then idle and
-/// active per level of `ladder`.
-pub(crate) fn class_mw(ladder: &RateLadder, model: &LinkPowerModel) -> Vec<f64> {
+/// A laser's draw (mW) by [`Slot::power_class`] under `model`: `0.0`,
+/// then idle and active per level of the model's ladder.
+pub(crate) fn class_mw(model: &LinkPowerModel) -> Vec<f64> {
     std::iter::once(0.0)
         .chain(
-            ladder
+            model
+                .ladder()
                 .iter()
                 .flat_map(|(l, _)| [model.idle_mw(l), model.active_mw(l)]),
         )
@@ -1034,6 +1035,10 @@ impl Srs {
                 let slot = &mut self.slots[k];
                 if slot.lit_by != Some(from) {
                     self.pending_grants[j].donor_dark = true;
+                } else if from != to && slot.owner == Some(from) {
+                    // Granted back to its still-lit donor: nothing moves.
+                    self.pending_grants.swap_remove(j);
+                    continue;
                 } else {
                     self.pending_grants[j].donor_dark =
                         slot.edit(&mut self.lit, |slot| slot.darken_if_idle(now));
@@ -1367,17 +1372,25 @@ impl Srs {
     }
 }
 
+/// The stage and packet every test module below builds on.
 #[cfg(test)]
-mod tests {
+mod test_util {
     use super::*;
-    use erapid_telemetry::NullSink;
     use router::flit::PacketId;
 
-    fn srs() -> Srs {
-        Srs::new(4, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
+    /// A stage of `boards` boards on the paper's ladder: fiber 4 cycles,
+    /// `R_w` 100, lock-in 65.
+    pub(super) fn srs_of(boards: u16) -> Srs {
+        Srs::new(boards, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
     }
 
-    fn pkt(id: u64) -> ReadyPacket {
+    /// The B = 4 stage of the paper's Fig. 1 example.
+    pub(super) fn srs() -> Srs {
+        srs_of(4)
+    }
+
+    /// An 8-flit packet `id`.
+    pub(super) fn pkt(id: u64) -> ReadyPacket {
         ReadyPacket {
             id: PacketId(id),
             src: 0,
@@ -1389,6 +1402,14 @@ mod tests {
             completed_at: 0,
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_util::{pkt, srs};
+    use super::*;
+    use erapid_telemetry::NullSink;
+    use router::flit::PacketId;
 
     #[test]
     fn static_rwa_ownership_at_boot() {
@@ -1505,7 +1526,7 @@ mod tests {
     #[test]
     fn power_accounting_idle_vs_active() {
         let mut s = srs();
-        let mw = class_mw(&RateLadder::paper(), &LinkPowerModel::paper_table());
+        let mw = class_mw(&LinkPowerModel::paper_table());
         let draw = |s: &Srs| -> f64 {
             (s.lit().iter().zip(&mw))
                 .map(|(&n, &p)| f64::from(n) * p)
@@ -1557,28 +1578,9 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::test_util::{pkt, srs};
     use super::*;
     use erapid_telemetry::NullSink;
-    use photonics::bitrate::RateLadder;
-    use photonics::serdes::Serdes;
-    use router::flit::PacketId;
-
-    fn srs() -> Srs {
-        Srs::new(4, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
-    }
-
-    fn pkt(id: u64) -> ReadyPacket {
-        ReadyPacket {
-            id: PacketId(id),
-            src: 0,
-            dst: 0,
-            injected_at: 0,
-            labelled: false,
-            flits: 8,
-            vc: 0,
-            completed_at: 0,
-        }
-    }
 
     #[test]
     fn failing_an_idle_receiver_darkens_the_owner() {
@@ -1840,6 +1842,27 @@ mod fault_tests {
         assert_eq!(s.owner(0, 2), Some(3));
         s.check_invariants(48).expect("one laser, owned");
     }
+
+    #[test]
+    fn a_grant_back_to_a_draining_donor_keeps_it_lit() {
+        let mut s = srs();
+        // λ2 goes 2 → 1 while 2 is mid-packet, then 1 → 2 before 2 is
+        // dark: board 2 keeps its laser, and the wavelength is never lost.
+        assert_eq!(s.try_transmit(0, 2, 0, pkt(1)), Some(2));
+        for now in 0..=60 {
+            match now {
+                1 => s.schedule_grants(now, &[grant_l2(2, 1)], &mut NullSink),
+                2 => s.schedule_grants(now, &[grant_l2(1, 2)], &mut NullSink),
+                _ => {}
+            }
+            s.tick(now, &mut NullSink);
+            s.check_invariants(now)
+                .unwrap_or_else(|e| panic!("cycle {now}: {e}"));
+        }
+        assert!(s.channel(2, 0, 2).is_on());
+        assert!(!s.channel(1, 0, 2).is_on());
+        assert_eq!(s.owner(0, 2), Some(2));
+    }
 }
 
 /// State a retired owner leaves behind on a `(d, w)` receiver, and the
@@ -1847,26 +1870,9 @@ mod fault_tests {
 /// the storage layout under it can change.
 #[cfg(test)]
 mod carried_state_tests {
+    use super::test_util::{pkt, srs};
     use super::*;
     use erapid_telemetry::NullSink;
-    use router::flit::PacketId;
-
-    fn srs() -> Srs {
-        Srs::new(4, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
-    }
-
-    fn pkt(id: u64) -> ReadyPacket {
-        ReadyPacket {
-            id: PacketId(id),
-            src: 0,
-            dst: 0,
-            injected_at: 0,
-            labelled: false,
-            flits: 8,
-            vc: 0,
-            completed_at: 0,
-        }
-    }
 
     /// `λ1` toward board 0, handed from `from` to `to`.
     fn grant(from: u16, to: u16) -> WavelengthGrant {
@@ -2015,27 +2021,10 @@ mod carried_state_tests {
 /// section.
 #[cfg(test)]
 mod slot_tests {
+    use super::test_util::{pkt, srs_of};
     use super::*;
     use desim::snap::{SnapError, SnapReader, SnapWriter};
     use erapid_telemetry::NullSink;
-    use router::flit::PacketId;
-
-    fn srs_of(boards: u16) -> Srs {
-        Srs::new(boards, &RateLadder::paper(), Serdes::paper(), 4, 100, 65)
-    }
-
-    fn pkt(id: u64) -> ReadyPacket {
-        ReadyPacket {
-            id: PacketId(id),
-            src: 0,
-            dst: 0,
-            injected_at: 0,
-            labelled: false,
-            flits: 8,
-            vc: 0,
-            completed_at: 0,
-        }
-    }
 
     fn bytes(s: &Srs) -> Vec<u8> {
         let mut w = SnapWriter::new();

@@ -27,6 +27,7 @@ use erapid_telemetry::{
 };
 use erapid_tune::{ThresholdController, WindowObservation};
 use erapid_workloads::ScenarioEngine;
+use photonics::power::LinkPowerModel;
 use photonics::wavelength::{BoardId, Wavelength};
 use reconfig::alloc::FlowDemand;
 use reconfig::lc::ThresholdWatch;
@@ -334,11 +335,9 @@ impl System {
             cfg.schedule.window,
             cfg.transition.penalty(),
         );
-        let metrics = RunMetrics::new(
-            cfg.nodes() as usize,
-            plan,
-            class_mw(&cfg.ladder, &cfg.power_model),
-        );
+        // Priced at the ladder's default; `RunOutput::power_mw` re-prices.
+        let price = LinkPowerModel::for_ladder(&cfg.ladder);
+        let metrics = RunMetrics::new(cfg.nodes() as usize, plan, class_mw(&price));
         let tracer = Tracer::from_config(cfg.trace);
         let registry = cfg.trace.enabled.then(build_registry);
         // `validate()` above already vetted any tune spec, so construction

@@ -21,8 +21,13 @@
 //! (paper: 8.6) and 16.4 mW (paper: 26). The paper's 26 mW mid-level total
 //! is *not* reproducible from its own scaling laws and constants; we expose
 //! both the analytic model and a [`LinkPowerModel::paper_table`] preset that
-//! pins the paper's three published totals, and the simulation uses the
-//! paper preset so power ratios match the published figures.
+//! pins the paper's three published totals.
+//!
+//! A model is a price, not a simulation input: a run counts lit-laser
+//! cycles per power class and is priced afterwards, by default at
+//! [`LinkPowerModel::for_ladder`] (the paper preset on the paper's ladder,
+//! so power ratios match the published figures), and can be re-priced
+//! under any other model of the same level count.
 
 use crate::bitrate::{BitRate, RateLadder, RateLevel};
 
@@ -132,6 +137,18 @@ impl LinkPowerModel {
             ladder,
             totals_mw: totals,
             idle_fraction: DEFAULT_IDLE_FRACTION,
+        }
+    }
+
+    /// The default price of a run on `ladder`: the paper's totals on the
+    /// paper's ladder, the analytic totals on any other (an interpolated
+    /// ladder's middle rates are not the paper's, so its table does not
+    /// apply).
+    pub fn for_ladder(ladder: &RateLadder) -> Self {
+        if *ladder == RateLadder::paper() {
+            Self::paper_table()
+        } else {
+            Self::analytic(ladder.clone())
         }
     }
 
@@ -249,6 +266,17 @@ mod tests {
         let m = LinkPowerModel::analytic(RateLadder::interpolated(6));
         for i in 0..5u8 {
             assert!(m.active_mw(RateLevel(i)) < m.active_mw(RateLevel(i + 1)));
+        }
+    }
+
+    #[test]
+    fn default_price_is_the_paper_table_only_on_the_paper_ladder() {
+        let paper = LinkPowerModel::for_ladder(&RateLadder::paper());
+        assert_eq!(paper.totals_mw, PAPER_LADDER_MW);
+        for levels in [2, 3, 6] {
+            let ladder = RateLadder::interpolated(levels);
+            let m = LinkPowerModel::for_ladder(&ladder);
+            assert_eq!(m.totals_mw, LinkPowerModel::analytic(ladder).totals_mw);
         }
     }
 

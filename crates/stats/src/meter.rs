@@ -169,13 +169,29 @@ impl PowerMeter {
         self.cycles += 1;
     }
 
-    /// Average power in mW over the recorded cycles: `Σ_c cycles_c · P_c`
-    /// in class order, over the cycle count.
+    /// Average power in mW over the recorded cycles at the meter's own
+    /// per-class draws.
     pub fn average_mw(&self) -> f64 {
+        self.mean_at(&self.class_mw)
+    }
+
+    /// The average power under another per-class draw table `class_mw`;
+    /// `None` if it prices another number of classes.
+    pub fn priced(&self, class_mw: &[f64]) -> Option<f64> {
+        (class_mw.len() == self.class_cycles.len()).then(|| self.mean_at(class_mw))
+    }
+
+    /// Laser-cycles recorded per class, and the cycles recorded.
+    pub fn counts(&self) -> (&[u64], u64) {
+        (&self.class_cycles, self.cycles)
+    }
+
+    /// `Σ_c cycles_c · P_c` in class order, over the cycle count.
+    fn mean_at(&self, class_mw: &[f64]) -> f64 {
         if self.cycles == 0 {
             return 0.0;
         }
-        let mw_cycles: f64 = (self.class_cycles.iter().zip(&self.class_mw))
+        let mw_cycles: f64 = (self.class_cycles.iter().zip(class_mw))
             .map(|(&n, &mw)| n as f64 * mw)
             .sum();
         mw_cycles / self.cycles as f64
@@ -335,6 +351,17 @@ mod tests {
         assert_eq!(p.class_cycles, [2, 1, 1]);
         assert_eq!(p.cycles, 2);
         assert_eq!(p.average_mw(), 20.0);
+    }
+
+    #[test]
+    fn reprices_under_a_table_of_its_class_count() {
+        let mut p = PowerMeter::new(vec![0.0, 10.0, 30.0]);
+        p.record(&[1, 1, 0]);
+        p.record(&[1, 0, 1]);
+        assert_eq!(p.priced(&[0.0, 2.0, 6.0]), Some(4.0));
+        assert_eq!(p.priced(&[0.0, 10.0, 30.0]), Some(p.average_mw()));
+        assert_eq!(p.priced(&[0.0, 10.0]), None);
+        assert_eq!(p.counts(), (&[2, 1, 1][..], 2));
     }
 
     #[test]

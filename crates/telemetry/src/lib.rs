@@ -36,7 +36,5 @@ pub mod sink;
 pub use event::{FaultLabel, LsStageLabel, TraceEvent, TraceRecord, WindowLabel};
 pub use export::{chrome_trace, jsonl, jsonl_line};
 pub use recorder::{RingRecorder, TraceConfig, Tracer};
-pub use registry::{
-    counter_column, CounterId, GaugeId, HistId, HistogramSummary, MetricRegistry, WindowSnapshot,
-};
+pub use registry::{CounterId, GaugeId, HistId, HistogramSummary, MetricRegistry, WindowSnapshot};
 pub use sink::{NullSink, TraceSink};

@@ -209,20 +209,6 @@ impl MetricRegistry {
     }
 }
 
-/// Extracts one counter's per-window column from exported snapshots by
-/// name — the join reports and benches perform when pairing a metric (e.g.
-/// `dpm_retunes`) with the window axis. `names` is the export's
-/// `counter_names` row (registration order); returns `None` when the
-/// counter was not registered.
-pub fn counter_column(
-    names: &[String],
-    windows: &[WindowSnapshot],
-    name: &str,
-) -> Option<Vec<u64>> {
-    let idx = names.iter().position(|n| n == name)?;
-    Some(windows.iter().map(|w| w.counters[idx]).collect())
-}
-
 impl desim::snap::Snap for WindowSnapshot {
     fn save(&self, w: &mut desim::snap::SnapWriter) {
         w.u64(self.window);
@@ -242,28 +228,6 @@ impl desim::snap::Snap for WindowSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_column_joins_by_name() {
-        let mut reg = MetricRegistry::new();
-        let a = reg.counter("grants");
-        let b = reg.counter("retunes");
-        reg.inc(a, 3);
-        reg.inc(b, 1);
-        reg.roll(1);
-        reg.inc(b, 4);
-        reg.roll(2);
-        let names: Vec<String> = reg.counter_names().iter().map(|s| s.to_string()).collect();
-        assert_eq!(
-            counter_column(&names, reg.windows(), "retunes"),
-            Some(vec![1, 4])
-        );
-        assert_eq!(
-            counter_column(&names, reg.windows(), "grants"),
-            Some(vec![3, 0])
-        );
-        assert_eq!(counter_column(&names, reg.windows(), "nope"), None);
-    }
 
     #[test]
     fn counters_roll_as_deltas() {

@@ -71,6 +71,13 @@ if grep -rnE "FlitBuffe[r]|VecDeque<Fli[t]>|Vec<Vec<u1[6]>>" \
     echo "verify: a per-VC flit deque or a per-flow wavelength list is back"; exit 1
 fi
 
+echo "== power is a price (no power model in the config, no dead counter join) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "power_mode[l]|counter_colum[n]" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a retired power-config or telemetry-join name is back"; exit 1
+fi
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
