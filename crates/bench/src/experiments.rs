@@ -46,6 +46,11 @@ fn p64(bench: &BenchConfig, pat: &str, mode: NetworkMode, load: f64) -> Point {
 // ---- Table 1 ------------------------------------------------------------
 
 pub fn table1(_: &BenchConfig, _: &Results) {
+    let serdes = Serdes::paper();
+    // The engine's own packet size (`router::PACKET_FLITS`, as the capacity
+    // model reads it), so the table cannot drift from what runs.
+    let flits = SystemConfig::paper64(NpNb).capacity().packet_flits;
+    let packet = format!("{} bytes = {flits} flits", flits * serdes.flit_bits / 8);
     let mut router = Table::new(vec!["router parameter", "value"])
         .with_title("Electrical router (SGI-Spider-like)");
     for (name, value) in [
@@ -55,7 +60,7 @@ pub fn table1(_: &BenchConfig, _: &Results) {
         ("per-port bidirectional bandwidth", "12.8 Gbps"),
         ("flow control", "credit-based, 1-cycle credit delay"),
         ("pipeline", "RC / VA / SA / ST, 1 cycle each"),
-        ("packet size", "64 bytes = 8 flits"),
+        ("packet size", packet.as_str()),
     ] {
         router.row(vec![name, value]);
     }
@@ -63,7 +68,6 @@ pub fn table1(_: &BenchConfig, _: &Results) {
 
     let ladder = RateLadder::paper();
     let paper_totals = LinkPowerModel::paper_table();
-    let serdes = Serdes::paper();
     let mut t = Table::new(vec![
         "bit rate",
         "V_DD (V)",

@@ -31,14 +31,14 @@
 //! saturated cycle costs what the flits that moved cost, not `D + W`.
 
 use crate::config::SystemConfig;
-use crate::txqueue::{ReadyPacket, TransmitQueue};
+use crate::txqueue::{ReadyPacket, TransmitQueue, TX_QUEUE_FLITS};
 use desim::Cycle;
 use netstats::occupancy::OccupancyIntegral;
 use router::flit::NodeId;
 use router::inject::FlitInjector;
 use router::packet::Packet;
 use router::routing::{PortId, TableRoute};
-use router::{words, Router, RouterConfig};
+use router::{words, Router, RouterConfig, BUF_DEPTH, PACKET_FLITS, VCS};
 
 /// A packet delivered to its destination node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +57,6 @@ pub struct Delivered {
 pub struct Board {
     id: u16,
     d: u16,
-    packet_flits: u16,
     router: Router,
     /// One injector per router input port: `[0, D)` node NIs, `[D, D + W)`
     /// optical receivers.
@@ -108,8 +107,8 @@ impl Board {
             RouterConfig {
                 in_ports: d + w,
                 out_ports: d + b,
-                vcs: cfg.vcs,
-                buf_depth: cfg.buf_depth,
+                vcs: VCS,
+                buf_depth: BUF_DEPTH,
                 downstream_depth: 1,
             },
             Box::new(TableRoute::new(table)),
@@ -120,22 +119,18 @@ impl Board {
         }
         // TX ports: the queue capacity split across output VCs so the
         // per-VC credit pools can never oversubscribe the queue.
-        let per_vc = (cfg.tx_queue_flits / cfg.vcs as u32).max(cfg.packet_flits as u32);
         for p in d..d + b {
-            router.set_downstream_depth(PortId(p), per_vc);
+            router.set_downstream_depth(PortId(p), TX_QUEUE_FLITS / VCS as u32);
         }
         Self {
             id,
             d,
-            packet_flits: cfg.packet_flits,
             router,
             injectors: (0..d + w).map(|p| FlitInjector::new(PortId(p))).collect(),
             inj_ready: vec![0; words::words_for((d + w) as usize)],
-            tx: (0..b)
-                .map(|_| TransmitQueue::new(per_vc * cfg.vcs as u32))
-                .collect(),
+            tx: (0..b).map(|_| TransmitQueue::new(TX_QUEUE_FLITS)).collect(),
             buffer_util: (0..b)
-                .map(|_| OccupancyIntegral::new(cfg.schedule.window, per_vc * cfg.vcs as u32))
+                .map(|_| OccupancyIntegral::new(cfg.schedule.window, TX_QUEUE_FLITS))
                 .collect(),
             inflight: 0,
             tx_ready: Vec::new(),
@@ -420,8 +415,7 @@ impl Board {
                 let dest = out - self.d;
                 debug_assert_ne!(dest, self.id, "self-directed remote flit");
                 self.buffer_util[dest as usize].enqueue(now, 1);
-                let completed =
-                    self.tx[dest as usize].accept(t.flit, self.packet_flits, t.out_vc, now);
+                let completed = self.tx[dest as usize].accept(t.flit, PACKET_FLITS, t.out_vc, now);
                 if t.flit.kind.is_tail() {
                     self.inflight -= 1;
                 }
@@ -446,12 +440,12 @@ mod tests {
         SystemConfig::small(NetworkMode::NpNb)
     }
 
-    fn packet(cfg: &SystemConfig, id: u64, src: u32, dst: u32) -> Packet {
+    fn packet(id: u64, src: u32, dst: u32) -> Packet {
         Packet {
             id: PacketId(id),
             src: NodeId(src),
             dst: NodeId(dst),
-            flits: cfg.packet_flits,
+            flits: PACKET_FLITS,
             injected_at: 0,
             labelled: true,
         }
@@ -462,7 +456,7 @@ mod tests {
         let cfg = cfg();
         let mut b = Board::new(&cfg, 0);
         // Node 1 → node 2, both on board 0.
-        b.enqueue_node_packet(1, packet(&cfg, 1, 1, 2));
+        b.enqueue_node_packet(1, packet(1, 1, 2));
         let mut delivered = Vec::new();
         for now in 0..100 {
             delivered.extend(b.step(now));
@@ -478,7 +472,7 @@ mod tests {
         let cfg = cfg();
         let mut b = Board::new(&cfg, 0);
         // Node 0 → node 12 (board 3).
-        b.enqueue_node_packet(0, packet(&cfg, 1, 0, 12));
+        b.enqueue_node_packet(0, packet(1, 0, 12));
         for now in 0..100 {
             let d = b.step(now);
             assert!(d.is_empty(), "remote packet must not eject locally");
@@ -488,7 +482,7 @@ mod tests {
         let pkt = b.tx_depart(100, 3).unwrap();
         assert_eq!(pkt.dst, 12);
         assert_eq!(pkt.src, 0);
-        assert_eq!(pkt.flits, cfg.packet_flits);
+        assert_eq!(pkt.flits, PACKET_FLITS);
     }
 
     #[test]
@@ -502,7 +496,7 @@ mod tests {
             dst: 10,
             injected_at: 3,
             labelled: true,
-            flits: cfg.packet_flits,
+            flits: PACKET_FLITS,
             vc: 0,
             completed_at: 0,
         };
@@ -525,7 +519,7 @@ mod tests {
         // Push far more packets toward board 1 than the TX queue holds;
         // departing packets must recycle credits so all eventually pass.
         for i in 0..32 {
-            b.enqueue_node_packet((i % 4) as u16, packet(&cfg, i, 0, 4));
+            b.enqueue_node_packet((i % 4) as u16, packet(i, 0, 4));
         }
         let mut departed = 0;
         for now in 0..4000 {
@@ -542,7 +536,7 @@ mod tests {
     fn buffer_util_tracks_queue_occupancy() {
         let cfg = cfg();
         let mut b = Board::new(&cfg, 0);
-        b.enqueue_node_packet(0, packet(&cfg, 1, 0, 4));
+        b.enqueue_node_packet(0, packet(1, 0, 4));
         for now in 0..cfg.schedule.window {
             b.step(now);
         }

@@ -24,7 +24,7 @@
 //!
 //! Snapshots are written to `ckpt-<cycle>.ersp.tmp` and `rename`d into
 //! place after an fsync, so a reader never observes a half-written file
-//! under its final name. Restore ([`latest_valid`]) walks the directory's
+//! under its final name. Restore ([`resume_latest`]) walks the directory's
 //! snapshots newest-first and takes the first one whose checksum, magic,
 //! version and config fingerprint all verify — a torn, truncated or
 //! bit-flipped newest snapshot falls back to the previous good one
@@ -99,7 +99,9 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<(StreamCursor, 
 
 /// Overlays a decoded snapshot onto a freshly-constructed system built
 /// from the same config (and, under replay, the same trace). Returns the
-/// stream cursor to resume the [`crate::stream::StreamSink`] at.
+/// stream cursor to resume the [`crate::stream::StreamSink`] at. The whole
+/// file (checksum, header, config fingerprint) is verified before `sys` is
+/// touched, so a snapshot refused there leaves `sys` unchanged.
 pub fn restore_system(sys: &mut System, bytes: &[u8]) -> Result<StreamCursor, SnapError> {
     let fp = config_fingerprint(sys.config());
     let (cursor, body) = decode_snapshot(bytes, fp)?;
@@ -200,38 +202,20 @@ impl Checkpointer {
     }
 }
 
-/// Finds the newest snapshot in `dir` that fully verifies against `cfg`:
-/// walks `ckpt-*.ersp` newest-first (the zero-padded cycle number makes
-/// lexicographic = numeric order) and returns the first whose checksum,
-/// version and fingerprint all pass — the fallback chain that makes a
-/// torn newest snapshot recoverable. `None` when no valid snapshot
-/// exists.
-pub fn latest_valid(dir: &Path, cfg: &SystemConfig) -> Option<(PathBuf, Vec<u8>)> {
-    let fp = config_fingerprint(cfg);
-    let names = snapshot_paths(dir)?;
-    for p in names.iter().rev() {
-        if let Ok(bytes) = fs::read(p) {
-            if decode_snapshot(&bytes, fp).is_ok() {
-                return Some((p.clone(), bytes));
-            }
-        }
-    }
-    None
-}
-
 /// Restores `sys` from the newest snapshot in `dir` that both verifies
-/// *and* overlays cleanly, falling back past any that do not. Returns the
-/// snapshot used and the stream cursor to resume at, or `None` when no
-/// snapshot works — in which case `sys` may be partially overlaid and the
-/// caller must rebuild it before a cold start.
+/// *and* overlays cleanly, falling back past any that do not: walks
+/// `ckpt-*.ersp` newest-first (the zero-padded cycle number makes
+/// lexicographic = numeric order), so a torn newest snapshot falls back to
+/// its predecessor. Returns the snapshot used and the stream cursor to
+/// resume at, or `None` when no snapshot works — in which case `sys` may
+/// be partially overlaid and the caller must rebuild it before a cold
+/// start.
 pub fn resume_latest(sys: &mut System, dir: &Path) -> Option<(PathBuf, StreamCursor)> {
-    let fp = config_fingerprint(sys.config());
     let names = snapshot_paths(dir)?;
     for p in names.iter().rev() {
         let Ok(bytes) = fs::read(p) else { continue };
-        if decode_snapshot(&bytes, fp).is_err() {
-            continue;
-        }
+        // `restore_system` verifies the whole file before it touches `sys`,
+        // so a snapshot it refuses there leaves `sys` as built.
         if let Ok(cursor) = restore_system(sys, &bytes) {
             return Some((p.clone(), cursor));
         }

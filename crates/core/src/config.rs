@@ -7,13 +7,11 @@ use erapid_telemetry::TraceConfig;
 use erapid_tune::ControllerSpec;
 use erapid_workloads::ScenarioSpec;
 use photonics::bitrate::RateLadder;
-use photonics::fiber::Fiber;
 use photonics::serdes::Serdes;
 use powermgmt::policy::DpmPolicy;
 use powermgmt::transition::TransitionModel;
 use reconfig::alloc::AllocPolicy;
 use reconfig::lockstep::LockStepSchedule;
-use reconfig::protocol::RetryPolicy;
 use reconfig::stages::ProtocolTiming;
 
 /// The four evaluated network configurations (§3, Fig. 3).
@@ -106,14 +104,6 @@ pub struct SystemConfig {
     pub boards: u16,
     /// Nodes per board (D).
     pub nodes_per_board: u16,
-    /// Flits per packet (paper: 8 flits = 64 bytes).
-    pub packet_flits: u16,
-    /// Virtual channels per router input port.
-    pub vcs: u8,
-    /// Router input buffer depth per VC, in flits.
-    pub buf_depth: usize,
-    /// Transmitter queue capacity per destination board, in flits.
-    pub tx_queue_flits: u32,
     /// Network configuration.
     pub mode: NetworkMode,
     /// The LS window schedule (`R_w`).
@@ -147,16 +137,10 @@ pub struct SystemConfig {
     pub control_plane: ControlPlane,
     /// Control-plane latency model.
     pub timing: ProtocolTiming,
-    /// Board-to-board fiber.
-    pub fiber: Fiber,
-    /// Flit serialization calculator.
-    pub serdes: Serdes,
     /// Master RNG seed.
     pub seed: u64,
     /// Deterministic fault schedule (empty = fault-free, the default).
     pub faults: FaultPlan,
-    /// LS control-plane detection/recovery policy.
-    pub retry: RetryPolicy,
     /// Cycle-level event tracing (off by default — the null sink costs one
     /// never-taken branch per emit point). Plain data, so the config stays
     /// `Clone + Debug`; each `System` builds its own recorder from it.
@@ -178,10 +162,6 @@ impl SystemConfig {
         Self {
             boards,
             nodes_per_board,
-            packet_flits: 8,
-            vcs: 4,
-            buf_depth: 4,
-            tx_queue_flits: 64,
             mode,
             schedule: LockStepSchedule::paper(),
             ladder: RateLadder::paper(),
@@ -197,11 +177,8 @@ impl SystemConfig {
                 lcs_per_board: nodes_per_board,
                 ..ProtocolTiming::paper64()
             },
-            fiber: Fiber::rack_scale(),
-            serdes: Serdes::paper(),
             seed: 0xE4A9_1D07,
             faults: FaultPlan::new(),
-            retry: RetryPolicy::default(),
             trace: TraceConfig::off(),
             record_injections: false,
             packet_log: false,
@@ -248,13 +225,11 @@ impl SystemConfig {
 
     /// The capacity model for normalising injected load.
     pub fn capacity(&self) -> traffic::capacity::CapacityModel {
-        let flit_cycles = self
-            .serdes
-            .flit_cycles(self.ladder.rate(self.ladder.highest()));
+        let flit_cycles = Serdes::paper().flit_cycles(self.ladder.rate(self.ladder.highest()));
         traffic::capacity::CapacityModel {
             boards: self.boards as u32,
             nodes_per_board: self.nodes_per_board as u32,
-            packet_flits: self.packet_flits as u32,
+            packet_flits: router::PACKET_FLITS as u32,
             flit_cycles: flit_cycles as u32,
         }
     }
@@ -272,18 +247,6 @@ impl SystemConfig {
         }
         if self.timing.boards != self.boards {
             return fail("timing.boards must equal boards (build with SystemConfig::geometry)");
-        }
-        if self.packet_flits < 1 {
-            return fail("packets must carry at least one flit");
-        }
-        if self.vcs < 1 {
-            return fail("need at least one VC");
-        }
-        if self.buf_depth < 1 {
-            return fail("need at least one buffer slot");
-        }
-        if self.tx_queue_flits < self.packet_flits as u32 {
-            return fail("TX queue must hold at least one packet");
         }
         if let Some(b) = self.burst {
             if !(b.burstiness >= 1.0 && b.burstiness.is_finite()) {
@@ -406,15 +369,24 @@ mod tests {
     fn capacity_matches_paper_model() {
         let c = SystemConfig::paper64(NetworkMode::NpNb);
         let cap = c.capacity();
-        let paper = traffic::capacity::CapacityModel::paper64();
-        assert!((cap.uniform_capacity() - paper.uniform_capacity()).abs() < 1e-12);
+        // B = 8, D = 8, 8-flit packets, 6 cycles/flit at 5 Gbps.
+        assert_eq!(
+            (
+                cap.boards,
+                cap.nodes_per_board,
+                cap.packet_flits,
+                cap.flit_cycles
+            ),
+            (8, 8, 8, 6)
+        );
+        assert!((cap.uniform_capacity() - 63.0 / (64.0 * 48.0)).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "at least one packet")]
-    fn tiny_tx_queue_rejected() {
+    #[should_panic(expected = "at least two boards")]
+    fn one_board_rejected() {
         let mut c = SystemConfig::paper64(NetworkMode::NpNb);
-        c.tx_queue_flits = 4;
+        c.boards = 1;
         c.validate();
     }
 
@@ -486,7 +458,7 @@ mod tests {
     fn try_validate_reports_typed_errors() {
         let mut c = SystemConfig::paper64(NetworkMode::PB);
         assert!(c.try_validate().is_ok());
-        c.tx_queue_flits = 4;
+        c.boards = 1;
         assert!(matches!(c.try_validate(), Err(ErapidError::Config(_))));
         // Fault plans are validated against the geometry too.
         let mut c = SystemConfig::small(NetworkMode::PB);

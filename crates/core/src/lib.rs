@@ -101,7 +101,7 @@ pub mod stream;
 pub mod system;
 pub mod txqueue;
 
-pub use checkpoint::{latest_valid, restore_system, Checkpointer};
+pub use checkpoint::{restore_system, Checkpointer};
 pub use config::{NetworkMode, SystemConfig};
 pub use error::ErapidError;
 pub use experiment::{run_once, trace_meta, RunOutput, RunResult, RunTrace, TraceSource};

@@ -27,7 +27,9 @@ use erapid_telemetry::{
 };
 use erapid_tune::{ThresholdController, WindowObservation};
 use erapid_workloads::ScenarioEngine;
+use photonics::fiber::Fiber;
 use photonics::power::LinkPowerModel;
+use photonics::serdes::Serdes;
 use photonics::wavelength::{BoardId, Wavelength};
 use reconfig::alloc::FlowDemand;
 use reconfig::lc::ThresholdWatch;
@@ -37,6 +39,7 @@ use reconfig::protocol::{DbrRound, TokenFault};
 use reconfig::stages::Stage;
 use router::flit::{NodeId, PacketId};
 use router::packet::Packet;
+use router::PACKET_FLITS;
 use traffic::generator::{NodeGenerator, PacketRequest};
 use traffic::pattern::TrafficPattern;
 use traffic::trace::{TraceRecorder, TraceReplayer};
@@ -330,8 +333,8 @@ impl System {
         let srs = Srs::new(
             cfg.boards,
             &cfg.ladder,
-            cfg.serdes,
-            cfg.fiber.delay_cycles(),
+            Serdes::paper(),
+            Fiber::rack_scale().delay_cycles(),
             cfg.schedule.window,
             cfg.transition.penalty(),
         );
@@ -512,9 +515,7 @@ impl System {
     fn record_delivery(&mut self, now: Cycle, d: Delivered) {
         self.metrics.delivered_total += 1;
         if self.metrics.measuring(now) {
-            self.metrics
-                .throughput
-                .deliver(now, self.cfg.packet_flits as u32);
+            self.metrics.throughput.deliver(now, PACKET_FLITS as u32);
         }
         if d.labelled {
             self.metrics.tracker.deliver_labelled();
@@ -803,8 +804,7 @@ impl System {
             reg.inc(ids.rounds, 1);
         }
         let (outgoing, demands) = self.round_inputs();
-        let mut round = DbrRound::new(self.cfg.timing, self.cfg.alloc, now, outgoing, demands)
-            .with_retry(self.cfg.retry);
+        let mut round = DbrRound::new(self.cfg.timing, self.cfg.alloc, now, outgoing, demands);
         for f in self.armed_token.drain(..) {
             round.inject_fault(f);
         }
@@ -930,7 +930,7 @@ impl System {
             id,
             src: NodeId(src),
             dst: NodeId(dst),
-            flits: self.cfg.packet_flits,
+            flits: PACKET_FLITS,
             injected_at: now,
             labelled,
         };
@@ -1331,7 +1331,7 @@ impl System {
             packets.len()
                 <= (self.cfg.boards as usize * self.cfg.nodes_per_board as usize)
                     * (self.cfg.schedule.window as usize)
-                    / (self.cfg.packet_flits as usize).max(1),
+                    / PACKET_FLITS as usize,
             "packet log exceeded one window of deliveries"
         );
         WindowFlush {
@@ -1535,7 +1535,8 @@ mod tests {
         live.run();
         let mut replayed = System::with_trace(
             SystemConfig::small(NetworkMode::PB),
-            rec.into_replay(),
+            rec.into_trace(traffic::trace::TraceMeta::default())
+                .replayer(),
             plan(),
         );
         replayed.run();

@@ -9,7 +9,17 @@
 //! report.
 
 use router::flit::{Flit, PacketId};
+use router::{PACKET_FLITS, VCS};
 use std::collections::VecDeque;
+
+/// Transmitter queue capacity per destination board, in flits. The board
+/// splits it evenly across the router's output VCs as credits.
+pub const TX_QUEUE_FLITS: u32 = 64;
+
+// Each output VC's share of a queue holds at least one whole packet.
+const _: () = assert!(
+    TX_QUEUE_FLITS.is_multiple_of(VCS as u32) && TX_QUEUE_FLITS / VCS as u32 >= PACKET_FLITS as u32
+);
 
 /// A packet fully reassembled and ready for optical transmission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,11 +70,6 @@ impl TransmitQueue {
             packets_completed: 0,
             packets_departed: 0,
         }
-    }
-
-    /// Capacity in flits (= the credit pool the router sees).
-    pub fn capacity_flits(&self) -> u32 {
-        self.capacity_flits
     }
 
     /// Flits currently held (assembling + ready).
@@ -228,15 +233,15 @@ mod tests {
     use router::packet::Packet;
 
     fn flits(id: u64, n: u16) -> Vec<Flit> {
-        Packet {
+        let pkt = Packet {
             id: PacketId(id),
             src: NodeId(0),
             dst: NodeId(9),
             flits: n,
             injected_at: 5,
             labelled: true,
-        }
-        .flitize()
+        };
+        (0..n).map(|i| pkt.flit_at(i)).collect()
     }
 
     #[test]
@@ -296,11 +301,5 @@ mod tests {
         for f in a {
             q.accept(f, 3, 0, 0);
         }
-    }
-
-    #[test]
-    fn capacity_accessor() {
-        let q = TransmitQueue::new(64);
-        assert_eq!(q.capacity_flits(), 64);
     }
 }

@@ -14,6 +14,9 @@ use router::packet::Packet;
 use router::routing::PortId;
 use router::{Router, RouterConfig};
 
+/// Inter-router channel delay, cycles.
+const LINK_DELAY: Cycle = 1;
+
 /// A delivered packet (tail ejected at its destination).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct MeshDelivered {
@@ -46,16 +49,13 @@ pub struct MeshNetwork {
     in_flight: Vec<InFlight>,
     /// Ejection-port credits owed next cycle: (router, vc).
     eject_credits: Vec<(u32, u8)>,
-    /// Channel (link) delay in cycles.
-    link_delay: Cycle,
     /// Activity of the last `step`: (router traversals, link launches).
     last_activity: (u64, u64),
 }
 
 impl MeshNetwork {
     /// Builds the mesh with the given per-VC buffer depth and VC count.
-    pub fn new(mesh: Mesh2D, vcs: u8, buf_depth: usize, link_delay: Cycle) -> Self {
-        assert!(link_delay >= 1);
+    pub fn new(mesh: Mesh2D, vcs: u8, buf_depth: usize) -> Self {
         let routers = (0..mesh.nodes())
             .map(|id| {
                 let mut r = Router::new(
@@ -81,7 +81,6 @@ impl MeshNetwork {
                 .collect(),
             in_flight: Vec::new(),
             eject_credits: Vec::new(),
-            link_delay,
             last_activity: (0, 0),
         }
     }
@@ -164,7 +163,7 @@ impl MeshNetwork {
                     let Some(next) = next else { continue };
                     links += 1;
                     self.in_flight.push(InFlight {
-                        arrive_at: now + self.link_delay,
+                        arrive_at: now + LINK_DELAY,
                         dst_router: next,
                         in_port: Mesh2D::reverse(t.out_port),
                         in_vc: t.out_vc,
@@ -209,7 +208,7 @@ mod tests {
 
     #[test]
     fn single_packet_crosses_the_mesh() {
-        let mut net = MeshNetwork::new(Mesh2D::new(4, 4), 2, 4, 1);
+        let mut net = MeshNetwork::new(Mesh2D::new(4, 4), 2, 4);
         net.enqueue(0, pkt(1, 0, 15, 0));
         let log = drive(&mut net, 200);
         assert_eq!(log.len(), 1);
@@ -225,7 +224,7 @@ mod tests {
 
     #[test]
     fn local_delivery_never_leaves_the_router() {
-        let mut net = MeshNetwork::new(Mesh2D::new(2, 2), 2, 4, 1);
+        let mut net = MeshNetwork::new(Mesh2D::new(2, 2), 2, 4);
         net.enqueue(3, pkt(1, 3, 3, 0));
         let log = drive(&mut net, 50);
         assert_eq!(log.len(), 1);
@@ -236,7 +235,7 @@ mod tests {
     #[test]
     fn all_pairs_eventually_deliver() {
         let mesh = Mesh2D::new(3, 3);
-        let mut net = MeshNetwork::new(mesh, 2, 4, 1);
+        let mut net = MeshNetwork::new(mesh, 2, 4);
         let mut id = 0;
         for src in 0..9 {
             for dst in 0..9 {
@@ -255,7 +254,7 @@ mod tests {
     fn heavy_single_destination_congests_but_delivers() {
         // Many-to-one: classic congestion; credits must prevent loss.
         let mesh = Mesh2D::new(4, 4);
-        let mut net = MeshNetwork::new(mesh, 2, 2, 1);
+        let mut net = MeshNetwork::new(mesh, 2, 2);
         let mut id = 0;
         for round in 0..4 {
             for src in 1..16 {
@@ -270,7 +269,7 @@ mod tests {
 
     #[test]
     fn flit_order_preserved_per_packet() {
-        let mut net = MeshNetwork::new(Mesh2D::new(4, 1), 2, 2, 1);
+        let mut net = MeshNetwork::new(Mesh2D::new(4, 1), 2, 2);
         for i in 0..8 {
             net.enqueue(0, pkt(i, 0, 3, 0));
         }
@@ -281,7 +280,7 @@ mod tests {
     #[test]
     fn deeper_buffers_do_not_reduce_throughput() {
         let run = |depth: usize| {
-            let mut net = MeshNetwork::new(Mesh2D::new(4, 4), 2, depth, 1);
+            let mut net = MeshNetwork::new(Mesh2D::new(4, 4), 2, depth);
             let mut id = 0;
             for round in 0..8 {
                 for src in 0..16u32 {

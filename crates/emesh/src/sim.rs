@@ -9,43 +9,33 @@ use desim::Cycle;
 use netstats::meter::{LatencyMeter, ThroughputMeter};
 use router::flit::{NodeId, PacketId};
 use router::packet::Packet;
+use router::{BUF_DEPTH, PACKET_FLITS, VCS};
 use traffic::generator::build_generators;
 use traffic::pattern::TrafficPattern;
 
-/// Mesh baseline configuration.
+/// Mesh baseline configuration. The packet size and the per-VC router
+/// geometry are E-RAPID's own ([`router::PACKET_FLITS`], [`router::VCS`],
+/// [`router::BUF_DEPTH`]), so the two networks differ only in topology.
 #[derive(Debug, Clone)]
 pub struct MeshConfig {
     /// Topology.
     pub mesh: Mesh2D,
-    /// Virtual channels per port.
-    pub vcs: u8,
-    /// Buffer depth per VC, flits.
-    pub buf_depth: usize,
-    /// Inter-router link delay, cycles.
-    pub link_delay: Cycle,
-    /// Flits per packet.
-    pub packet_flits: u16,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl MeshConfig {
-    /// An 8×8 mesh comparable to the paper's 64-node E-RAPID: same packet
-    /// size, same per-VC geometry as the IBI routers.
+    /// An 8×8 mesh comparable to the paper's 64-node E-RAPID.
     pub fn paper64() -> Self {
         Self {
             mesh: Mesh2D::square(64),
-            vcs: 4,
-            buf_depth: 4,
-            link_delay: 1,
-            packet_flits: 8,
             seed: 0xE4A9_1D07,
         }
     }
 
     /// Injection capacity bound of the mesh NI (packets/node/cycle).
     pub fn electrical_bound(&self) -> f64 {
-        1.0 / self.packet_flits as f64
+        1.0 / PACKET_FLITS as f64
     }
 }
 
@@ -76,7 +66,7 @@ pub fn run_mesh(
     plan: PhasePlan,
 ) -> MeshRunResult {
     let nodes = cfg.mesh.nodes();
-    let mut net = MeshNetwork::new(cfg.mesh, cfg.vcs, cfg.buf_depth, cfg.link_delay);
+    let mut net = MeshNetwork::new(cfg.mesh, VCS, BUF_DEPTH);
     let mut gens = build_generators(nodes, &pattern, rate, cfg.seed);
     let mut tracker = PhaseTracker::new();
     let mut throughput = ThroughputMeter::new(nodes as usize);
@@ -93,7 +83,7 @@ pub fn run_mesh(
                     id: PacketId(next_id),
                     src: NodeId(req.src),
                     dst: NodeId(req.dst),
-                    flits: cfg.packet_flits,
+                    flits: PACKET_FLITS,
                     injected_at: now,
                     labelled,
                 };
@@ -106,7 +96,7 @@ pub fn run_mesh(
         }
         for d in net.step(now) {
             if now >= plan.measure_start() && now < plan.measure_end() {
-                throughput.deliver(now, cfg.packet_flits as u32);
+                throughput.deliver(now, PACKET_FLITS as u32);
             }
             if d.labelled {
                 tracker.deliver_labelled();

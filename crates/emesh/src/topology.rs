@@ -49,7 +49,7 @@ impl Mesh2D {
     }
 
     /// `(x, y)` of a node id.
-    pub fn coords(&self, id: u32) -> (u16, u16) {
+    fn coords(&self, id: u32) -> (u16, u16) {
         debug_assert!(id < self.nodes());
         (
             (id % self.cols as u32) as u16,

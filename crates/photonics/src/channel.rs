@@ -329,10 +329,9 @@ mod tests {
         assert_eq!(t.levels(), ladder.len());
         assert_eq!(t.fiber_delay(), 4);
         for (level, rate) in ladder.iter() {
-            assert_eq!(t.flit_cycles(level), serdes.flit_cycles(rate));
             assert_eq!(
-                t.flit_cycles(level) * 8,
-                serdes.packet_cycles(rate, 8),
+                t.flit_cycles(level),
+                serdes.flit_cycles(rate),
                 "level {level:?}"
             );
         }

@@ -18,7 +18,7 @@ pub struct Fiber {
 
 impl Fiber {
     /// Creates a fiber of `length_m` metres with the given group index.
-    pub fn new(length_m: f64, group_index: f64) -> Self {
+    fn new(length_m: f64, group_index: f64) -> Self {
         assert!(length_m >= 0.0);
         assert!(group_index >= 1.0);
         Self {

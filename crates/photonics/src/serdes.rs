@@ -18,7 +18,7 @@ pub struct Serdes {
 
 impl Serdes {
     /// Creates a calculator for `flit_bits`-bit flits at `clock_hz`.
-    pub fn new(flit_bits: u32, clock_hz: f64) -> Self {
+    fn new(flit_bits: u32, clock_hz: f64) -> Self {
         assert!(flit_bits > 0);
         assert!(clock_hz > 0.0);
         Self {
@@ -42,11 +42,6 @@ impl Serdes {
     pub fn flit_cycles(&self, rate: BitRate) -> u64 {
         let bits_per_cycle = rate.bits_per_cycle(self.clock_hz());
         (self.flit_bits as f64 / bits_per_cycle).ceil() as u64
-    }
-
-    /// Cycles a whole packet of `flits` flits occupies the wavelength.
-    pub fn packet_cycles(&self, rate: BitRate, flits: u32) -> u64 {
-        self.flit_cycles(rate) * flits as u64
     }
 }
 
@@ -72,7 +67,7 @@ mod tests {
         let s = Serdes::paper();
         let high = RateLadder::paper().rate(RateLevel(2));
         // 8-flit (64-byte) packet at 5 Gbps: 48 cycles of occupancy.
-        assert_eq!(s.packet_cycles(high, 8), 48);
+        assert_eq!(s.flit_cycles(high) * 8, 48);
     }
 
     #[test]

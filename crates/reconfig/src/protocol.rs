@@ -237,8 +237,10 @@ impl DbrRound {
     }
 
     /// Overrides the watchdog policy (builder style; call before the first
-    /// tick).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+    /// tick). The engine always runs [`RetryPolicy::default`]; tests
+    /// tighten it to reach the abort path quickly.
+    #[cfg(test)]
+    fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
     }

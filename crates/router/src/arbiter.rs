@@ -1,22 +1,19 @@
-//! Arbiters: round-robin and matrix (least-recently-served).
+//! The round-robin arbiter.
 //!
 //! Switch allocation and VC allocation both need fair single-winner
-//! arbitration among requesters. Round-robin is the classic cheap choice;
-//! the matrix arbiter provides strict least-recently-served fairness
-//! (Dally & Towles §18).
+//! arbitration among requesters; round-robin is the classic cheap choice.
 //!
-//! Each arbiter exists in two forms sharing one priority state:
+//! The arbiter exists in two forms sharing one rotor:
 //!
-//! * a **word-parallel** path ([`RoundRobinArbiter::arbitrate_words`],
-//!   [`MatrixArbiter::arbitrate_words`]) over packed `u64` request words
-//!   (see [`crate::words`]) — the router's hot path, scanning 64
-//!   requesters per machine word with mask-rotate + `trailing_zeros`;
-//! * a **slice oracle** ([`Arbiter::arbitrate`] on [`RoundRobinArbiter`],
-//!   and [`SliceMatrixArbiter`]) — the original scan-from-pointer
-//!   implementations, kept verbatim as executable specifications. The
-//!   property suite (`tests/arbiter_props.rs`) drives both forms through
-//!   randomized request sets and grant histories and asserts
-//!   position-identical winners at every step.
+//! * a **word-parallel** path ([`RoundRobinArbiter::arbitrate_words`]) over
+//!   packed `u64` request words (see [`crate::words`]) — the router's hot
+//!   path, scanning 64 requesters per machine word with mask-rotate +
+//!   `trailing_zeros`;
+//! * a **slice oracle** ([`RoundRobinArbiter::arbitrate`]) — the original
+//!   scan-from-pointer implementation, kept verbatim as the executable
+//!   specification. The property suite (`tests/arbiter_props.rs`) drives
+//!   both forms through randomized request sets and grant histories and
+//!   asserts position-identical winners at every step.
 //!
 //! **Why masked `trailing_zeros` == scan-from-pointer.** The oracle visits
 //! positions `next, next+1, …, n-1, 0, …, next-1` and grants the first
@@ -29,19 +26,6 @@
 //! provided no bit `>= n` is ever set (the callers' invariant).
 
 use crate::words;
-
-/// A single-winner arbiter over `n` requesters.
-pub trait Arbiter {
-    /// Number of requesters.
-    fn len(&self) -> usize;
-    /// True if `len() == 0`.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Picks a winner among `requests` (true = requesting) and updates
-    /// internal priority state. Returns `None` when nobody requests.
-    fn arbitrate(&mut self, requests: &[bool]) -> Option<usize>;
-}
 
 /// Rotating-priority round-robin arbiter.
 #[derive(Debug, Clone)]
@@ -58,10 +42,26 @@ impl RoundRobinArbiter {
         Self { n, next: 0 }
     }
 
+    /// The slice oracle: linear scan from the rotor over `requests` (true =
+    /// requesting). Retained as the executable specification for
+    /// [`RoundRobinArbiter::arbitrate_words`].
+    pub fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
+        assert_eq!(requests.len(), self.n);
+        for i in 0..self.n {
+            let idx = (self.next + i) % self.n;
+            if requests[idx] {
+                self.next = (idx + 1) % self.n;
+                return Some(idx);
+            }
+        }
+        None
+    }
+
     /// Word-parallel arbitration over packed request words
     /// (`words.len() == ceil(n / 64)`, no bit `>= n` set). Winner and
-    /// rotor update are position-identical to [`Arbiter::arbitrate`] on
-    /// the unpacked slice — see the module docs for the argument.
+    /// rotor update are position-identical to
+    /// [`RoundRobinArbiter::arbitrate`] on the unpacked slice — see the
+    /// module docs for the argument.
     #[inline]
     pub fn arbitrate_words(&mut self, reqs: &[u64]) -> Option<usize> {
         debug_assert_eq!(reqs.len(), words::words_for(self.n));
@@ -112,148 +112,6 @@ impl RoundRobinArbiter {
     }
 }
 
-impl Arbiter for RoundRobinArbiter {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    /// The slice oracle: linear scan from the rotor. Retained as the
-    /// executable specification for [`RoundRobinArbiter::arbitrate_words`].
-    fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n);
-        for i in 0..self.n {
-            let idx = (self.next + i) % self.n;
-            if requests[idx] {
-                self.next = (idx + 1) % self.n;
-                return Some(idx);
-            }
-        }
-        None
-    }
-}
-
-/// Matrix arbiter: grants the requester that least recently won.
-///
-/// The priority matrix is packed row-major into `u64` words: bit `j` of
-/// row `i` set means `i` beats `j`. A requester wins when no other
-/// requester beats it, checked one word (64 opponents) at a time.
-#[derive(Debug, Clone)]
-pub struct MatrixArbiter {
-    n: usize,
-    /// Words per row (= `ceil(n / 64)`).
-    row_words: usize,
-    /// `prio[i · row_words + w]` — opponents `i` beats, row-major packed.
-    prio: Vec<u64>,
-}
-
-impl MatrixArbiter {
-    /// Creates an arbiter over `n` requesters; initial priority is by index.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        let row_words = words::words_for(n);
-        let mut prio = vec![0u64; n * row_words];
-        for i in 0..n {
-            let row = &mut prio[i * row_words..(i + 1) * row_words];
-            for j in i + 1..n {
-                words::set(row, j);
-            }
-        }
-        Self { n, row_words, prio }
-    }
-
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never true after construction.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Word-parallel arbitration over packed request words
-    /// (`reqs.len() == ceil(n / 64)`, no bit `>= n` set). Winner and
-    /// priority update are identical to [`SliceMatrixArbiter`]: requester
-    /// `i` wins iff it requests and every other requester `j` has
-    /// `prio[i][j]` — i.e. `reqs & !row_i ⊆ {i}`, one word at a time.
-    pub fn arbitrate_words(&mut self, reqs: &[u64]) -> Option<usize> {
-        debug_assert_eq!(reqs.len(), self.row_words);
-        let mut winner = None;
-        'candidates: for (wi, &w) in reqs.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let i = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                debug_assert!(i < self.n, "request bit {i} beyond arbiter width");
-                let row = &self.prio[i * self.row_words..(i + 1) * self.row_words];
-                let unbeaten = (0..self.row_words).all(|rw| {
-                    let mut conflict = reqs[rw] & !row[rw];
-                    if rw == wi {
-                        conflict &= !(1u64 << (i % 64));
-                    }
-                    conflict == 0
-                });
-                if unbeaten {
-                    winner = Some(i);
-                    break 'candidates;
-                }
-            }
-        }
-        let i = winner?;
-        // Winner drops below everyone else: its row clears, and every
-        // other row gains the winner's column bit.
-        for w in &mut self.prio[i * self.row_words..(i + 1) * self.row_words] {
-            *w = 0;
-        }
-        let (col_word, col_bit) = (i / 64, 1u64 << (i % 64));
-        for j in 0..self.n {
-            if j != i {
-                self.prio[j * self.row_words + col_word] |= col_bit;
-            }
-        }
-        Some(i)
-    }
-}
-
-/// The original boolean-matrix arbiter, retained verbatim as the test
-/// oracle for [`MatrixArbiter`].
-#[derive(Debug, Clone)]
-pub struct SliceMatrixArbiter {
-    n: usize,
-    /// `prio[i][j]` — true if `i` beats `j`.
-    prio: Vec<Vec<bool>>,
-}
-
-impl SliceMatrixArbiter {
-    /// Creates an arbiter over `n` requesters; initial priority is by index.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        let prio = (0..n).map(|i| (0..n).map(|j| i < j).collect()).collect();
-        Self { n, prio }
-    }
-}
-
-impl Arbiter for SliceMatrixArbiter {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n);
-        let winner = (0..self.n).find(|&i| {
-            requests[i] && (0..self.n).all(|j| j == i || !requests[j] || self.prio[i][j])
-        })?;
-        // Winner drops below everyone else.
-        for j in 0..self.n {
-            if j != winner {
-                self.prio[winner][j] = false;
-                self.prio[j][winner] = true;
-            }
-        }
-        Some(winner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,8 +125,6 @@ mod tests {
         assert_eq!(a.arbitrate(&all), Some(1));
         assert_eq!(a.arbitrate(&all), Some(2));
         assert_eq!(a.arbitrate(&all), Some(0));
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
     }
 
     #[test]
@@ -315,52 +171,17 @@ mod tests {
         let mut a = RoundRobinArbiter::new(2);
         assert_eq!(a.arbitrate(&[false, false]), None);
         assert_eq!(a.arbitrate_words(&[0]), None);
-        let mut m = MatrixArbiter::new(2);
-        assert_eq!(m.arbitrate_words(&[0]), None);
-        let mut s = SliceMatrixArbiter::new(2);
-        assert_eq!(s.arbitrate(&[false, false]), None);
-    }
-
-    #[test]
-    fn matrix_is_least_recently_served() {
-        let mut a = MatrixArbiter::new(3);
-        let all = pack(&[true, true, true]);
-        let w1 = a.arbitrate_words(&all).unwrap();
-        let w2 = a.arbitrate_words(&all).unwrap();
-        let w3 = a.arbitrate_words(&all).unwrap();
-        // All three get served once before anyone repeats.
-        let mut ws = vec![w1, w2, w3];
-        ws.sort_unstable();
-        assert_eq!(ws, vec![0, 1, 2]);
-        // The first winner is now the least recent again after the others.
-        assert_eq!(a.arbitrate_words(&all), Some(w1));
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn matrix_sole_requester_wins() {
-        let mut a = MatrixArbiter::new(4);
-        a.arbitrate_words(&pack(&[true, true, true, true]));
-        assert_eq!(
-            a.arbitrate_words(&pack(&[false, false, false, true])),
-            Some(3)
-        );
     }
 
     #[test]
     fn fairness_under_persistent_load() {
-        // Both arbiters must serve every requester equally often.
+        // The arbiter must serve every requester equally often.
         let mut rr = RoundRobinArbiter::new(4);
-        let mut mx = MatrixArbiter::new(4);
         let mut rr_counts = [0u32; 4];
-        let mut mx_counts = [0u32; 4];
         let all = pack(&[true; 4]);
         for _ in 0..400 {
             rr_counts[rr.arbitrate_words(&all).unwrap()] += 1;
-            mx_counts[mx.arbitrate_words(&all).unwrap()] += 1;
         }
         assert!(rr_counts.iter().all(|&c| c == 100), "{rr_counts:?}");
-        assert!(mx_counts.iter().all(|&c| c == 100), "{mx_counts:?}");
     }
 }

@@ -14,7 +14,7 @@
 //! Modules:
 //! * [`flit`] / [`packet`] — flits, packets, and the packetizer,
 //! * [`credit`] — credit counters for flow control,
-//! * [`arbiter`] — round-robin and matrix arbiters,
+//! * [`arbiter`] — the round-robin arbiter,
 //! * [`vc`] — per-input virtual-channel state machines and their flit
 //!   FIFOs (one ring slab per router),
 //! * [`routing`] — output-port lookup functions,
@@ -36,7 +36,7 @@
 //! );
 //! let pkt = Packet { id: PacketId(0), src: NodeId(0), dst: NodeId(1),
 //!                    flits: 2, injected_at: 0, labelled: false };
-//! for f in pkt.flitize() { r.inject(PortId(0), 0, f); }
+//! for i in 0..pkt.flits { r.inject(PortId(0), 0, pkt.flit_at(i)); }
 //! let mut out = 0;
 //! for now in 0..10 { out += r.step(now).len(); }
 //! assert_eq!(out, 2); // head + tail traversed toward port 1
@@ -57,3 +57,17 @@ pub use inject::FlitInjector;
 pub use packet::Packet;
 pub use router::{Router, RouterConfig, RouterStats, Traversal};
 pub use routing::PortId;
+
+/// Flits per packet: Table 1's 64-byte packets of 8-byte flits. E-RAPID
+/// (`erapid_core`) and the mesh baseline (`emesh`) both read it here, so the
+/// two networks always carry the same packets.
+pub const PACKET_FLITS: u16 = 8;
+
+/// Virtual channels per router input port (Table 1), for both networks.
+pub const VCS: u8 = 4;
+
+/// Flit buffer depth per input VC, for both networks. Table 1's Spider
+/// router has single-flit buffers; the engine has always run 4-flit ones,
+/// and every pinned number is measured at 4. [`RouterConfig`] keeps the
+/// depth a parameter for routers built outside the two networks.
+pub const BUF_DEPTH: usize = 4;

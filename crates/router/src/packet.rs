@@ -46,8 +46,10 @@ impl Packet {
         }
     }
 
-    /// Splits the packet into its flit sequence.
-    pub fn flitize(&self) -> Vec<Flit> {
+    /// Splits the packet into its flit sequence (a test helper: the
+    /// engine emits one flit at a time through [`Packet::flit_at`]).
+    #[cfg(test)]
+    pub(crate) fn flitize(&self) -> Vec<Flit> {
         assert!(self.flits >= 1);
         (0..self.flits).map(|i| self.flit_at(i)).collect()
     }

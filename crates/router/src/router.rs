@@ -54,23 +54,10 @@ pub struct RouterConfig {
     pub out_ports: u16,
     /// Virtual channels per input port.
     pub vcs: u8,
-    /// Flit buffer depth per input VC (paper: 1).
+    /// Flit buffer depth per input VC.
     pub buf_depth: usize,
     /// Downstream buffer depth per (output, VC) — initial credit count.
     pub downstream_depth: u32,
-}
-
-impl RouterConfig {
-    /// The paper's Spider-like parameters: single-flit buffers, 4 VCs.
-    pub fn paper(in_ports: u16, out_ports: u16) -> Self {
-        Self {
-            in_ports,
-            out_ports,
-            vcs: 4,
-            buf_depth: 1,
-            downstream_depth: 1,
-        }
-    }
 }
 
 /// A flit that traversed the switch this cycle.

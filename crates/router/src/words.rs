@@ -63,8 +63,9 @@ pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Packs a boolean slice into words (test/bridge helper, not a hot path).
-pub fn pack(bools: &[bool]) -> Vec<u64> {
+/// Packs a boolean slice into words (a test helper, not a hot path).
+#[cfg(test)]
+pub(crate) fn pack(bools: &[bool]) -> Vec<u64> {
     let mut words = vec![0u64; words_for(bools.len())];
     for (i, &b) in bools.iter().enumerate() {
         if b {

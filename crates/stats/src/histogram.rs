@@ -63,7 +63,7 @@ impl Histogram {
 
     /// Approximate quantile `q` in `[0, 1]`, resolved to bin upper edges.
     /// Returns `None` when empty. Overflowed mass resolves to `+inf`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    fn quantile(&self, q: f64) -> Option<f64> {
         if self.total == 0 {
             return None;
         }

@@ -21,15 +21,15 @@
 //!
 //! Determinism contract: events are emitted in simulation order by a single
 //! thread per `System`, stamped with the simulation cycle (never wall
-//! clock), and the exporters ([`export`]) format them with Rust's built-in
+//! clock), and the exporters ([`jsonl`], [`chrome_trace`]) format them with Rust's built-in
 //! float formatting. The same seed therefore yields byte-identical trace
 //! files, including across the sequential and parallel experiment runners
 //! (each point records into its own recorder; the runner merges in input
 //! order).
 
 pub mod event;
-pub mod export;
-pub mod recorder;
+mod export;
+mod recorder;
 pub mod registry;
 pub mod sink;
 

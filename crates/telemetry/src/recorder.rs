@@ -42,14 +42,6 @@ impl TraceConfig {
             capacity: DEFAULT_CAPACITY,
         }
     }
-
-    /// Tracing with an explicit ring capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity,
-        }
-    }
 }
 
 impl Default for TraceConfig {
@@ -338,7 +330,10 @@ mod tests {
         t.emit(0, window(0));
         assert!(t.take_records().is_empty());
 
-        let mut t = Tracer::from_config(TraceConfig::with_capacity(16));
+        let mut t = Tracer::from_config(TraceConfig {
+            enabled: true,
+            capacity: 16,
+        });
         assert!(t.enabled());
         t.emit(7, window(1));
         let recs = t.take_records();

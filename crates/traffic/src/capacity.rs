@@ -34,8 +34,10 @@ pub struct CapacityModel {
 
 impl CapacityModel {
     /// The paper's 64-node configuration: B=8, D=8, 8-flit packets,
-    /// 6 cycles/flit at 5 Gbps.
-    pub fn paper64() -> Self {
+    /// 6 cycles/flit at 5 Gbps (`SystemConfig::capacity` derives it from
+    /// the configuration; this literal is the tests' reference).
+    #[cfg(test)]
+    fn paper64() -> Self {
         Self {
             boards: 8,
             nodes_per_board: 8,

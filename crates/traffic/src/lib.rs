@@ -28,7 +28,8 @@
 //! use traffic::pattern::TrafficPattern;
 //!
 //! // 64-node capacity and a node injecting complement traffic at half load.
-//! let nc = CapacityModel::paper64().uniform_capacity();
+//! let paper64 = CapacityModel { boards: 8, nodes_per_board: 8, packet_flits: 8, flit_cycles: 6 };
+//! let nc = paper64.uniform_capacity();
 //! assert!((nc - 0.02051).abs() < 1e-4);
 //! let mut gen = NodeGenerator::new(3, 64, TrafficPattern::Complement, 1.0, 42);
 //! let req = gen.poll(0).unwrap();

@@ -148,14 +148,6 @@ impl TraceRecorder {
         &self.entries
     }
 
-    /// Converts into a replayer.
-    pub fn into_replay(self) -> TraceReplayer {
-        TraceReplayer {
-            entries: self.entries,
-            pos: 0,
-        }
-    }
-
     /// Attaches provenance, producing a persistable [`InjectionTrace`].
     pub fn into_trace(self, meta: TraceMeta) -> InjectionTrace {
         InjectionTrace {
@@ -426,7 +418,7 @@ mod tests {
         rec.record(5, 1, 6).unwrap();
         assert_eq!(rec.len(), 3);
         assert!(!rec.is_empty());
-        let mut rep = rec.into_replay();
+        let mut rep = rec.into_trace(TraceMeta::default()).replayer();
         let at0 = rep.due(0);
         assert_eq!(at0.len(), 2);
         assert_eq!(at0[0].src, 1);
@@ -443,7 +435,7 @@ mod tests {
         let mut rec = TraceRecorder::new();
         rec.record(2, 0, 1).unwrap();
         rec.record(7, 0, 2).unwrap();
-        let mut rep = rec.into_replay();
+        let mut rep = rec.into_trace(TraceMeta::default()).replayer();
         // Jumping straight to cycle 10 yields both entries.
         assert_eq!(rep.due(10).len(), 2);
     }

@@ -8,9 +8,8 @@
 //! layers:
 //!
 //! * **Offline** ([`sweep`]): enumerate an operating-point grid, join each
-//!   point's run result (delivery, power, p95 latency), compute the
-//!   power/latency Pareto front per workload and choose the point
-//!   minimising the power × p95-latency objective. The bench index's
+//!   point's run result (delivery, power, p95 latency) and choose the
+//!   point minimising the power × p95-latency objective. The bench index's
 //!   `autotune` experiment drives this and states what it chose as
 //!   checked claims (EXPERIMENTS.md).
 //! * **Online** ([`controller`]): a deterministic windowed controller that
@@ -32,4 +31,4 @@ pub mod sweep;
 
 pub use controller::{ControllerSpec, Regime, ThresholdController, WindowObservation};
 pub use error::TuneError;
-pub use sweep::{choose, improves, pareto_front, OperatingPoint, SweepOutcome, TuneGrid};
+pub use sweep::{choose, improves, OperatingPoint, SweepOutcome, TuneGrid};

@@ -1,10 +1,9 @@
-//! Offline operating-point sweeps: grid enumeration, run-result joins,
-//! Pareto fronts and the power × p95-latency choice rule.
+//! Offline operating-point sweeps: grid enumeration, run-result joins and
+//! the power × p95-latency choice rule.
 //!
 //! The bench index's `autotune` experiment runs every [`OperatingPoint`]
 //! of a [`TuneGrid`], joins each run's delivery, power and latency digest
-//! into a [`SweepOutcome`], and per workload computes the power/latency
-//! [`pareto_front`] and [`choose`]s the point minimising
+//! into a [`SweepOutcome`], and per workload [`choose`]s the point minimising
 //! `power_mw × latency_p95` among outcomes that kept delivery intact.
 //! Everything is deterministic: grids enumerate in fixed nested order,
 //! sorts use `f64::total_cmp`, and ties resolve to the earlier grid point.
@@ -204,33 +203,6 @@ impl SweepOutcome {
     }
 }
 
-/// The non-dominated subset under (power, p95 latency) minimisation,
-/// sorted by ascending power (ties by ascending p95, then grid order).
-/// NaN measurements order after every finite value (`total_cmp`), so they
-/// never shadow a real point.
-pub fn pareto_front(outcomes: &[SweepOutcome]) -> Vec<SweepOutcome> {
-    let mut sorted: Vec<&SweepOutcome> = outcomes.iter().collect();
-    sorted.sort_by(|a, b| {
-        a.power_mw
-            .total_cmp(&b.power_mw)
-            .then(a.latency_p95.total_cmp(&b.latency_p95))
-    });
-    let mut front: Vec<SweepOutcome> = Vec::new();
-    for o in sorted {
-        let dominated = front.last().is_some_and(|f| {
-            f.latency_p95.total_cmp(&o.latency_p95).is_le()
-                // Equal power + equal p95 is a duplicate point, not a
-                // front member twice.
-                || (f.power_mw.total_cmp(&o.power_mw).is_eq()
-                    && f.latency_p95.total_cmp(&o.latency_p95).is_eq())
-        });
-        if !dominated {
-            front.push(o.clone());
-        }
-    }
-    front
-}
-
 /// Fraction of the best delivered fraction an outcome must retain to stay
 /// eligible for [`choose`]: a point that starves delivery cannot win on a
 /// latency statistic computed over the few packets that survived.
@@ -388,29 +360,8 @@ mod tests {
     }
 
     #[test]
-    fn pareto_front_is_sorted_and_non_dominated() {
-        let outcomes = vec![
-            outcome(3.0, 100.0, 1000), // dominated by (2.0, 90)
-            outcome(2.0, 90.0, 1000),
-            outcome(1.0, 200.0, 1000),
-            outcome(4.0, 50.0, 1000),
-            outcome(2.0, 90.0, 1000), // exact duplicate
-        ];
-        let front = pareto_front(&outcomes);
-        let coords: Vec<(f64, f64)> = front.iter().map(|o| (o.power_mw, o.latency_p95)).collect();
-        assert_eq!(coords, vec![(1.0, 200.0), (2.0, 90.0), (4.0, 50.0)]);
-        // Sorted ascending power, strictly descending p95 (non-dominated).
-        for pair in front.windows(2) {
-            assert!(pair[0].power_mw < pair[1].power_mw);
-            assert!(pair[0].latency_p95 > pair[1].latency_p95);
-        }
-    }
-
-    #[test]
     fn nan_outcomes_never_shadow_real_points() {
         let outcomes = vec![outcome(f64::NAN, f64::NAN, 1000), outcome(2.0, 90.0, 1000)];
-        let front = pareto_front(&outcomes);
-        assert_eq!(front[0].power_mw, 2.0);
         let chosen = choose(&outcomes).unwrap();
         assert_eq!(chosen.power_mw, 2.0);
     }

@@ -71,6 +71,13 @@ if grep -rnE "FlitBuffe[r]|VecDeque<Fli[t]>|Vec<Vec<u1[6]>>" \
     echo "verify: a per-VC flit deque or a per-flow wavelength list is back"; exit 1
 fi
 
+echo "== one arbiter, no test-only front or fallback scan, Table-1 geometry as constants =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "MatrixArbite[r]|latest_vali[d]|pareto_fron[t]|cfg\.(packet_flit[s]|tx_queue_flit[s]|fibe[r]|serde[s]|retr[y])" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a retired arbiter, checkpoint or tuning name, or a retired config field, is back"; exit 1
+fi
+
 echo "== power is a price (no power model in the config, no dead counter join) =="
 # (each name ends in a bracket class so the gate does not match itself)
 if grep -rnE "power_mode[l]|counter_colum[n]" \
@@ -82,31 +89,51 @@ fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== reachability (every pub item under crates/*/src is named outside its own file) =="
-# Committed survivors may carry a trailing ` # <reason>`; anything the scan
-# finds beyond them fails.
+echo "== reachability (every pub item under crates/*/src is reached from product code outside its own file) =="
+# The committed list is the scan's exact output (its fixpoint), each line
+# with a trailing ` # oracle: <caller>` or ` # <reason>`; a new unreached
+# item, a line without a reason and a stale line all fail.
 scripts/reach.sh . "$tmp/UNREACHED.txt"
+if grep -v ' # ' results/UNREACHED.txt; then
+    echo "verify: results/UNREACHED.txt lines above carry no ' # <reason>'"; exit 1
+fi
 sed 's/ # .*$//' results/UNREACHED.txt > "$tmp/UNREACHED.committed"
-if grep -vxFf "$tmp/UNREACHED.committed" "$tmp/UNREACHED.txt"; then
-    echo "verify: pub items above are named nowhere outside their own file (scripts/reach.sh);"
-    echo "        delete them, drop the pub, or move them under #[cfg(test)]"
+if ! diff "$tmp/UNREACHED.committed" "$tmp/UNREACHED.txt"; then
+    echo "verify: scripts/reach.sh disagrees with results/UNREACHED.txt ('>' lines are new);"
+    echo "        delete a new item, drop its pub, move it under #[cfg(test)], or commit it"
+    echo "        with a reason; drop '<' lines the scan no longer reports"
     exit 1
 fi
-# Gate self-test: a planted item that only a comment elsewhere mentions
-# must be flagged, and so must a planted fn that only a `pub use` names.
+# Gate self-test: each planted item below must be flagged. Only a comment
+# elsewhere names the first, only a `pub use` the second, only a `tests/`
+# file the third, only a `#[cfg(test)]` module of another file the fourth;
+# the fifth is a self-less associated fn whose bare name a live item shares.
 probe="$tmp/reach-probe"
 mkdir -p "$probe/benchmark"
 cp -r crates tests examples src "$probe"
-cp -r benchmark/src benchmark/tests "$probe/benchmark"
+cp -r benchmark/src "$probe/benchmark"
 echo "pub fn reach_probe_unnamed() {}" >> "$probe/crates/desim/src/lib.rs"
 echo "// reach_probe_unnamed is only mentioned here" >> "$probe/crates/router/src/lib.rs"
 echo "pub fn reach_probe_reexported() {}" >> "$probe/crates/desim/src/snap.rs"
 echo "pub use snap::reach_probe_reexported;" >> "$probe/crates/desim/src/lib.rs"
+echo "pub fn reach_probe_test_only() {}" >> "$probe/crates/desim/src/queue.rs"
+echo "fn probe_caller() { erapid_suite::desim::queue::reach_probe_test_only(); }" >> "$probe/tests/props.rs"
+echo "pub fn reach_probe_unit_test_only() {}" >> "$probe/crates/desim/src/phase.rs"
+printf '#[cfg(test)]\nmod probe_tests {\n    fn call() {\n        desim::phase::reach_probe_unit_test_only();\n    }\n}\n' \
+    >> "$probe/crates/router/src/words.rs"
+printf 'pub struct ReachProbe;\nimpl ReachProbe {\n    pub fn paper() -> Self {\n        ReachProbe\n    }\n}\n' \
+    >> "$probe/crates/desim/src/rng.rs"
+echo "fn probe_type() -> Option<desim::rng::ReachProbe> { None }" >> "$probe/crates/router/src/vc.rs"
 scripts/reach.sh "$probe" "$tmp/reach-probe.txt"
-for planted in "lib.rs: pub fn reach_probe_unnamed" "snap.rs: pub fn reach_probe_reexported"; do
+for planted in "lib.rs: pub fn reach_probe_unnamed" "snap.rs: pub fn reach_probe_reexported" \
+    "queue.rs: pub fn reach_probe_test_only" "phase.rs: pub fn reach_probe_unit_test_only" \
+    "rng.rs: pub fn paper"; do
     grep -qx "crates/desim/src/$planted" "$tmp/reach-probe.txt" \
         || { echo "verify: scripts/reach.sh missed the planted item $planted"; exit 1; }
 done
+if grep -q "pub struct ReachProbe" "$tmp/reach-probe.txt"; then
+    echo "verify: scripts/reach.sh flagged the probe type another file names"; exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
@@ -121,9 +148,9 @@ echo "== cargo test -q =="
 cargo test -q --workspace
 
 echo "== arbiter + candidate-set equivalence smokes, hostile-input sweep, SRS auditor (word-parallel vs slice oracles, sleeping vs full-scan rigs, mutated .ersp/.ertr/.erpd/dumpi/OTF2 inputs, per-cycle SRS invariants under fault plans; release) =="
-# The router's u64 word-scan arbiters (DESIGN.md §16) must stay
-# position-identical to the retained slice-based oracle implementations;
-# the property suite drives both through randomized grant histories.
+# The router's u64 word-scan arbiter (DESIGN.md §16) must stay
+# position-identical to the retained slice-based oracle; the property
+# suite drives both through randomized grant histories.
 cargo test -q --release -p router --test arbiter_props
 # Candidate-set equivalence smoke: the event-maintained injector ready set
 # and SA bidding set (DESIGN.md §16) against a rig that ticks every

@@ -11,10 +11,9 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::desim::rng::Pcg32;
-use erapid_suite::desim::snap::SnapError;
+use erapid_suite::desim::snap::{SnapError, SnapWriter};
 use erapid_suite::erapid_core::checkpoint::{
-    self, config_fingerprint, decode_snapshot, encode_snapshot, latest_valid, resume_latest,
-    Checkpointer,
+    self, config_fingerprint, decode_snapshot, encode_snapshot, resume_latest, Checkpointer,
 };
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::stream::{
@@ -248,9 +247,19 @@ fn kill_at_random_window_all_modes() {
     }
 }
 
+/// `System::save_state`'s bytes: everything a snapshot restores.
+fn state_bytes(sys: &System) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    sys.save_state(&mut w).expect("save state");
+    w.into_bytes()
+}
+
 /// Snapshot corruption property: truncating or bit-flipping the newest
 /// snapshot at a random offset is always detected, and the fallback chain
-/// serves the previous good checkpoint instead.
+/// serves the previous good checkpoint instead. A snapshot refused on its
+/// checksum or config fingerprint leaves the system it was offered to
+/// exactly as built, which is what lets `resume_latest` try the next one
+/// without rebuilding.
 #[test]
 fn corrupt_snapshot_always_detected_with_fallback() {
     let dir = tdir("corrupt");
@@ -268,6 +277,7 @@ fn corrupt_snapshot_always_detected_with_fallback() {
     let newest = snaps.last().expect("newest").clone();
     let older = snaps[snaps.len() - 2].clone();
     let pristine = std::fs::read(&newest).expect("read newest");
+    let as_built = state_bytes(&build(full_plan()));
 
     let mut rng = Pcg32::new(0xBADC_0DE5, 3);
     for trial in 0..40 {
@@ -284,13 +294,36 @@ fn corrupt_snapshot_always_detected_with_fallback() {
             decode_snapshot(&bytes, fp).is_err(),
             "trial {trial}: corruption not detected"
         );
-        let (valid, _) = latest_valid(&ckpt_dir, &config)
+        let mut offered = build(full_plan());
+        assert!(checkpoint::restore_system(&mut offered, &bytes).is_err());
+        assert_eq!(
+            state_bytes(&offered),
+            as_built,
+            "trial {trial}: a refused snapshot changed the system"
+        );
+        let (valid, _) = resume_latest(&mut build(full_plan()), &ckpt_dir)
             .unwrap_or_else(|| panic!("trial {trial}: fallback chain came up empty"));
         assert_eq!(
             valid, older,
             "trial {trial}: fallback picked wrong snapshot"
         );
     }
+    // A good snapshot offered to another config's system: refused on the
+    // fingerprint, and that system too stays as built.
+    let other = || {
+        System::new(
+            cfg(NetworkMode::NpNb),
+            TrafficPattern::Complement,
+            0.5,
+            full_plan(),
+        )
+    };
+    let mut offered = other();
+    assert!(matches!(
+        checkpoint::restore_system(&mut offered, &std::fs::read(&older).expect("read older")),
+        Err(SnapError::Mismatch(_))
+    ));
+    assert_eq!(state_bytes(&offered), state_bytes(&other()));
 
     // End-to-end through the fallback: with the newest snapshot corrupt,
     // the resume (from the *older* checkpoint) still reproduces the
@@ -308,7 +341,7 @@ fn corrupt_snapshot_always_detected_with_fallback() {
             std::fs::write(p, b"ERSPgarbage").expect("trash snapshot");
         }
     }
-    assert!(latest_valid(&ckpt_dir, &config).is_none());
+    assert!(resume_latest(&mut build(full_plan()), &ckpt_dir).is_none());
     let _ = std::fs::remove_dir_all(dir);
     let _ = std::fs::remove_dir_all(full_dir);
 }

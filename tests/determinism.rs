@@ -8,7 +8,7 @@ use erapid_suite::erapid_core::experiment::RunResult;
 use erapid_suite::erapid_core::runner::{run_points, RunPoint};
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::traffic::pattern::TrafficPattern;
-use erapid_suite::traffic::trace::TraceRecorder;
+use erapid_suite::traffic::trace::{TraceMeta, TraceRecorder};
 
 fn plan() -> PhasePlan {
     PhasePlan::new(2000, 4000).with_max_cycles(30_000)
@@ -101,7 +101,7 @@ fn trace_record_replay_round_trip() {
     let total = rec.len();
     assert!(total > 1000, "enough traffic to be meaningful: {total}");
     let entries: Vec<_> = rec.entries().to_vec();
-    let mut replay = rec.into_replay();
+    let mut replay = rec.into_trace(TraceMeta::default()).replayer();
     let mut replayed = Vec::new();
     for now in 0..5000u64 {
         replayed.extend(replay.due(now));
@@ -244,7 +244,7 @@ fn board_step_buffer_reuse_conserves_deliveries() {
                 id: PacketId(next_id),
                 src: NodeId(src),
                 dst: NodeId(dst),
-                flits: cfg.packet_flits,
+                flits: erapid_suite::router::PACKET_FLITS,
                 injected_at: now,
                 labelled: true,
             };

@@ -154,7 +154,7 @@ fn patterns_bijective() {
     }
 }
 
-/// Histogram quantiles are monotone in q and bracket the recorded data.
+/// Histogram percentiles are monotone and bracket the recorded data.
 #[test]
 fn histogram_quantiles_monotone() {
     let mut rng = Pcg32::stream(0xBEEF, 3);
@@ -165,18 +165,23 @@ fn histogram_quantiles_monotone() {
         for &s in &samples {
             h.record(s);
         }
-        let qs: Vec<f64> = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
-            .iter()
-            .map(|&q| h.quantile(q).unwrap())
-            .collect();
+        let qs: Vec<f64> = [h.p50(), h.p95(), h.p99()]
+            .map(|q| q.expect("non-empty histogram"))
+            .to_vec();
         for w in qs.windows(2) {
-            assert!(w[0] <= w[1], "quantiles must be monotone: {qs:?}");
+            assert!(w[0] <= w[1], "percentiles must be monotone: {qs:?}");
         }
-        // q = 1.0 resolves to a bin upper edge at or above the maximum
-        // sample (or +inf when it overflowed the last bin).
+        // Each percentile resolves to a bin upper edge: above the minimum
+        // sample, and at most one bin above the maximum (or +inf when the
+        // maximum overflowed the last bin).
+        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = samples.iter().cloned().fold(0.0f64, f64::max);
-        let q100 = h.quantile(1.0).unwrap();
-        assert!(q100 >= max || q100.is_infinite(), "q100 {q100} < max {max}");
+        assert!(qs[0] > min, "p50 {} <= min {min}", qs[0]);
+        assert!(
+            qs[2] <= max + 10.0 || qs[2].is_infinite(),
+            "p99 {} > max {max} + a bin",
+            qs[2]
+        );
     }
 }
 
@@ -305,7 +310,7 @@ fn replayer_is_monotone_and_lossless() {
             cycle += rng.below(4) as u64; // bursts: several entries per cycle
         }
         let entries = recorder.entries().to_vec();
-        let mut replayer = recorder.into_replay();
+        let mut replayer = recorder.into_trace(TraceMeta::default()).replayer();
         let mut popped = Vec::new();
         let mut now = 0u64;
         while !replayer.is_done() {
@@ -619,8 +624,10 @@ fn controller_is_pure_in_spec_and_observations() {
 #[test]
 fn buffer_util_counters_match_recomputed_under_faults() {
     use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
+    use erapid_suite::erapid_core::txqueue::TX_QUEUE_FLITS;
     use erapid_suite::erapid_core::System;
     use erapid_suite::netstats::occupancy::OccupancyIntegral;
+    use erapid_suite::router::PACKET_FLITS;
 
     let mut rng = Pcg32::stream(0xB0FF, 7);
     for case in 0..3u32 {
@@ -664,12 +671,9 @@ fn buffer_util_counters_match_recomputed_under_faults() {
 
         let b = cfg.boards as usize;
         let window = cfg.schedule.window;
-        let flits = cfg.packet_flits as u64;
+        let flits = PACKET_FLITS as u64;
         let mut shadows: Vec<OccupancyIntegral> = (0..b * b)
-            .map(|i| {
-                let (s, d) = ((i / b) as u16, (i % b) as u16);
-                OccupancyIntegral::new(window, sys.board(s).tx_queue(d).capacity_flits())
-            })
+            .map(|_| OccupancyIntegral::new(window, TX_QUEUE_FLITS))
             .collect();
         // Run the plan, then keep stepping with injection silenced so the
         // property also covers the drain phase.
