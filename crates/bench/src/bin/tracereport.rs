@@ -28,7 +28,7 @@ use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::experiment::RunTrace;
 use erapid_core::faults::{FaultKind, FaultPlan};
 use erapid_core::runner::RunPoint;
-use erapid_telemetry::{jsonl, TraceConfig, TraceEvent};
+use erapid_telemetry::{jsonl, TraceConfig, TraceEvent, TraceRecord};
 use netstats::table::Table;
 use std::path::{Path, PathBuf};
 use traffic::pattern::TrafficPattern;
@@ -87,6 +87,52 @@ fn batch_jsonl(loads: &[f64], traces: &[RunTrace]) -> String {
     out
 }
 
+/// One row of the per-window table: the events after one window boundary
+/// and up to the next, with the gauges that next boundary sampled.
+#[derive(Debug, Default, PartialEq)]
+struct WindowRow {
+    /// The closing boundary's `(index, router_peak_flits, lasers_on)`;
+    /// `None` for the tail after the last boundary.
+    boundary: Option<(u64, u32, u32)>,
+    dpm_retunes: u64,
+    dbr_grants: u64,
+    dbr_rounds: u64,
+    faults: u64,
+    buffer_crossings: u64,
+}
+
+/// Folds a run's records into window rows: row k holds the events after
+/// boundary k−1 and before boundary k, so what a boundary itself emits
+/// (DPM retunes, `B_max` crossings) lands in the next row. Events after
+/// the last boundary make a trailing row.
+fn window_rows(records: &[TraceRecord]) -> Vec<WindowRow> {
+    let is_boundary = |r: &TraceRecord| matches!(r.event, TraceEvent::WindowBoundary { .. });
+    (records.split_inclusive(is_boundary))
+        .map(|chunk| {
+            let mut row = WindowRow::default();
+            for rec in chunk {
+                match rec.event {
+                    TraceEvent::WindowBoundary {
+                        index,
+                        router_peak_flits,
+                        lasers_on,
+                        ..
+                    } => row.boundary = Some((index, router_peak_flits, lasers_on)),
+                    TraceEvent::DpmRetune { .. } => row.dpm_retunes += 1,
+                    TraceEvent::DbrOutcome { grants, .. } => {
+                        row.dbr_grants += u64::from(grants);
+                        row.dbr_rounds += 1;
+                    }
+                    TraceEvent::Fault { .. } => row.faults += 1,
+                    TraceEvent::BufferThreshold { .. } => row.buffer_crossings += 1,
+                    _ => {}
+                }
+            }
+            row
+        })
+        .collect()
+}
+
 fn chrome_path(jsonl_path: &Path) -> PathBuf {
     let stem = jsonl_path
         .file_stem()
@@ -132,20 +178,39 @@ fn main() {
     let hi = loads.len() / 2;
     let (head_load, head_trace, head_result) = (loads[hi], &traces[hi], &results[hi]);
 
-    // Per-window timeline from the metric registry.
-    let mut cols = vec!["window".to_string()];
-    cols.extend(head_trace.counter_names.iter().cloned());
-    cols.extend(head_trace.gauge_names.iter().cloned());
-    let mut t = Table::new(cols).with_title(format!(
+    // Per-window timeline, folded from the event stream.
+    let mut t = Table::new(vec![
+        "window",
+        "dpm_retunes",
+        "dbr_grants",
+        "dbr_rounds",
+        "faults",
+        "buffer_crossings",
+        "router_peak_flits",
+        "lasers_on",
+    ])
+    .with_title(format!(
         "[P-B complement load {head_load}] per-window telemetry ({} events, {} dropped)",
         head_trace.records.len(),
         head_trace.dropped
     ));
-    for w in &head_trace.windows {
-        let mut row = vec![format!("{}", w.window)];
-        row.extend(w.counters.iter().map(|c| format!("{c}")));
-        row.extend(w.gauges.iter().map(|g| format!("{g:.1}")));
-        t.row(row);
+    for w in window_rows(&head_trace.records) {
+        let (window, peak, lasers) = match w.boundary {
+            Some((index, peak, lasers)) => {
+                (index.to_string(), peak.to_string(), lasers.to_string())
+            }
+            None => ("tail".to_string(), "-".to_string(), "-".to_string()),
+        };
+        t.row(vec![
+            window,
+            w.dpm_retunes.to_string(),
+            w.dbr_grants.to_string(),
+            w.dbr_rounds.to_string(),
+            w.faults.to_string(),
+            w.buffer_crossings.to_string(),
+            peak,
+            lasers,
+        ]);
     }
     println!("{}", t.render());
 
@@ -220,10 +285,126 @@ fn main() {
                 );
             }
         }
-        eprintln!(
-            "ERROR: {dropped} events dropped total — raise TraceConfig capacity or stream the trace (see marathon)"
-        );
+        eprintln!("ERROR: {dropped} events dropped total — stream the trace (see marathon)");
         std::process::exit(1);
     }
     println!("dropped events: 0 across all points");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use desim::phase::PhasePlan;
+    use erapid_telemetry::{FaultLabel, WindowLabel};
+
+    fn rec(at: u64, event: TraceEvent) -> TraceRecord {
+        TraceRecord { at, event }
+    }
+
+    fn boundary(index: u64, peak: u32, lasers: u32) -> TraceEvent {
+        TraceEvent::WindowBoundary {
+            index,
+            kind: WindowLabel::Power,
+            router_peak_flits: peak,
+            lasers_on: lasers,
+        }
+    }
+
+    #[test]
+    fn rows_split_at_each_boundary_with_a_tail() {
+        let retune = TraceEvent::DpmRetune {
+            src: 0,
+            dest: 1,
+            wavelength: 1,
+            from_level: 0,
+            to_level: 1,
+            penalty: 77,
+        };
+        let outcome = |grants| TraceEvent::DbrOutcome {
+            round: 1,
+            grants,
+            retries: 0,
+            aborted: false,
+        };
+        let fault = TraceEvent::Fault {
+            label: FaultLabel::TokenLoss,
+            board: 2,
+            dest: 2,
+            wavelength: 0,
+        };
+        let crossing = TraceEvent::BufferThreshold {
+            board: 0,
+            dest: 1,
+            above: true,
+            util_milli: 900,
+        };
+        let records = [
+            rec(10, fault),
+            rec(2000, boundary(1, 5, 12)),
+            // Emitted by boundary 1, so counted in row 2.
+            rec(2000, retune),
+            rec(2000, retune),
+            rec(2000, crossing),
+            rec(4000, boundary(2, 7, 11)),
+            rec(4200, outcome(3)),
+            rec(4300, outcome(2)),
+            rec(6000, boundary(3, 9, 12)),
+            rec(6100, fault),
+            rec(6200, crossing),
+        ];
+        let row = |boundary, counts: [u64; 5]| WindowRow {
+            boundary,
+            dpm_retunes: counts[0],
+            dbr_grants: counts[1],
+            dbr_rounds: counts[2],
+            faults: counts[3],
+            buffer_crossings: counts[4],
+        };
+        assert_eq!(
+            window_rows(&records),
+            [
+                row(Some((1, 5, 12)), [0, 0, 0, 1, 0]),
+                row(Some((2, 7, 11)), [2, 0, 0, 0, 1]),
+                row(Some((3, 9, 12)), [0, 5, 2, 0, 0]),
+                row(None, [0, 0, 0, 1, 1]),
+            ]
+        );
+        assert!(window_rows(&records[..9])
+            .last()
+            .is_some_and(|r| r.boundary.is_some()));
+    }
+
+    #[test]
+    fn rows_account_for_every_event_of_a_faulted_run() {
+        let mut cfg = SystemConfig::small(NetworkMode::PB);
+        cfg.trace = TraceConfig::on();
+        cfg.faults = FaultPlan::new()
+            .receiver_outage(3, 1, 3000, 7000)
+            .at(4010, FaultKind::TokenLoss { victim: 2 });
+        let plan = PhasePlan::new(2000, 4000).with_max_cycles(30_000);
+        let records = RunPoint::generate(cfg, TrafficPattern::Complement, 0.5, plan)
+            .run()
+            .trace
+            .records;
+        let count = |tag: &str| records.iter().filter(|r| r.event.tag() == tag).count() as u64;
+        let grants: u64 = (records.iter())
+            .map(|r| match r.event {
+                TraceEvent::DbrOutcome { grants, .. } => u64::from(grants),
+                _ => 0,
+            })
+            .sum();
+        let rows = window_rows(&records);
+        let sum = |col: fn(&WindowRow) -> u64| rows.iter().map(col).sum::<u64>();
+        assert!(count("dpm_retune") > 0 && grants > 0 && count("fault") > 0);
+        assert_eq!(sum(|r| r.dpm_retunes), count("dpm_retune"));
+        assert_eq!(sum(|r| r.dbr_grants), grants);
+        assert_eq!(sum(|r| r.dbr_rounds), count("dbr_outcome"));
+        assert_eq!(sum(|r| r.faults), count("fault"));
+        assert_eq!(sum(|r| r.buffer_crossings), count("buffer_threshold"));
+        let tail = records
+            .last()
+            .is_some_and(|r| !matches!(r.event, TraceEvent::WindowBoundary { .. }));
+        assert_eq!(rows.len() as u64, count("window") + u64::from(tail));
+        assert_eq!(rows.last().map(|r| r.boundary.is_none()), Some(tail));
+    }
 }

@@ -4,17 +4,19 @@
 //! boards, router VA/SA lists, the SRS receiver slots and its wake/retune/
 //! relock queues, occupancy integrals, fault-plan cursor, the injection
 //! source (generator RNG streams, scenario RNG streams or a replay cursor,
-//! as one tagged section) and the telemetry registry — plus the
-//! [`StreamCursor`] of the streaming export, so a killed run resumes
-//! byte-identical to an uninterrupted one. Only live state is stored: a
-//! word that nothing reads is not kept frozen in the body.
+//! as one tagged section) and the telemetry state that decides future
+//! events — plus the [`StreamCursor`] of the streaming export, so a killed
+//! run resumes byte-identical to an uninterrupted one. Only live state is
+//! stored: a word that nothing reads is not kept frozen in the body, and
+//! nothing the streaming sink already wrote (trace records, delivery rows)
+//! is stored twice — a system holding either refuses to checkpoint.
 //!
 //! ## Snapshot layout
 //!
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 4 | `ERSP` |
-//! | version | 2 | `SNAP_VERSION` (5) |
+//! | version | 2 | `SNAP_VERSION` (6) |
 //! | fingerprint | 8 | FNV-1a-64 of `format!("{cfg:?}")` |
 //! | cursor | 32 | [`StreamCursor`] (trace/delivery positions) |
 //! | body | … | [`System::save_state`] byte stream |
@@ -50,15 +52,17 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: [u8; 4] = *b"ERSP";
-/// Snapshot format version this build reads and writes. Version 5 drops
-/// each router input VC's never-read high-water mark, leaving its FIFO
-/// (count, then flits) and its state; version 4 stores the power meter as lit-laser cycles per power class and the latency
-/// means as integer `(count, sum)` pairs, and drops the SRS power cache;
-/// version 3 stored the injection source as one tagged section and
-/// dropped the retired words version 2 kept frozen; version 2 stored the
-/// SRS as its O(B·W) receiver slots, version 1 as a dense per-laser bank.
-/// Older versions are refused, not converted.
-const SNAP_VERSION: u16 = 5;
+/// Snapshot format version this build reads and writes. Version 6 holds
+/// no observations: no trace records (only the tracer's dropped count), no
+/// delivery rows and no metric-registry section, so a checkpoint follows a
+/// `drain_window`. Version 5 dropped each router input VC's never-read
+/// high-water mark; version 4 stored the power meter as lit-laser cycles
+/// per power class and the latency means as integer `(count, sum)` pairs,
+/// and dropped the SRS power cache; version 3 stored the injection source
+/// as one tagged section and dropped the retired words version 2 kept
+/// frozen; version 2 stored the SRS as its O(B·W) receiver slots, version
+/// 1 as a dense per-laser bank. Older versions are refused, not converted.
+const SNAP_VERSION: u16 = 6;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
 const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 

@@ -15,7 +15,7 @@ use crate::srs::class_mw;
 use crate::system::System;
 use desim::phase::PhasePlan;
 use desim::Cycle;
-use erapid_telemetry::{HistogramSummary, TraceRecord, WindowSnapshot};
+use erapid_telemetry::TraceRecord;
 use netstats::meter::PowerMeter;
 use photonics::power::LinkPowerModel;
 use std::sync::Arc;
@@ -102,8 +102,8 @@ pub enum TraceSource {
 }
 
 /// Everything a traced run recorded beyond its [`RunResult`]: the
-/// cycle-stamped event stream plus the per-window metric snapshots
-/// (column names in registration order). Empty (but well-formed) when the
+/// cycle-stamped event stream (each window event carries its boundary's
+/// gauges) and the delivery rows. Empty (but well-formed) when the
 /// point's [`SystemConfig::trace`] was off.
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
@@ -111,15 +111,6 @@ pub struct RunTrace {
     pub records: Vec<TraceRecord>,
     /// Events lost to ring-buffer overwrite (0 = complete trace).
     pub dropped: u64,
-    /// Counter column names for [`WindowSnapshot::counters`].
-    pub counter_names: Vec<String>,
-    /// Gauge column names for [`WindowSnapshot::gauges`].
-    pub gauge_names: Vec<String>,
-    /// One snapshot per completed lock-step window.
-    pub windows: Vec<WindowSnapshot>,
-    /// Run-cumulative histogram digests (latency, TX wait), in
-    /// registration order.
-    pub hist_summaries: Vec<HistogramSummary>,
     /// Per-packet delivery rows (empty unless the point's
     /// [`SystemConfig::packet_log`] was on).
     pub packets: Vec<PacketDelivery>,
@@ -137,7 +128,7 @@ pub struct RunOutput {
     /// Lit-laser cycles per power class over the measurement interval:
     /// what [`RunOutput::power_mw`] prices.
     pub power: PowerMeter,
-    /// Event stream, window snapshots and delivery rows; empty but
+    /// Event stream and delivery rows; empty but
     /// well-formed when [`SystemConfig::trace`] was off.
     pub trace: RunTrace,
     /// The recorded workload, stamped with [`trace_meta`] (`Some` iff
@@ -182,12 +173,8 @@ pub(crate) fn collect(
     let log = sys.take_injection_log();
     let injections = log.zip(meta).map(|(rec, meta)| rec.into_trace(meta));
     let trace = RunTrace {
-        counter_names: sys.metric_counter_names(),
-        gauge_names: sys.metric_gauge_names(),
-        hist_summaries: sys.metric_hist_summaries(),
         dropped: sys.trace_dropped(),
         records: sys.take_trace_records(),
-        windows: sys.take_metric_windows(),
         packets: sys.take_packet_log(),
     };
     let m = sys.metrics();

@@ -1,14 +1,14 @@
 //! Streaming export for long-horizon runs.
 //!
-//! A million-window run cannot hold its trace, metric rows or packet log
-//! in memory. [`StreamSink`] flushes all three to disk at every `R_w`
-//! boundary, so the in-memory buffers ([`crate::system::System`]'s ring
-//! recorder, registry window list and packet log) hold at most one window
-//! of data. Two files are produced:
+//! A million-window run cannot hold its trace or packet log in memory.
+//! [`StreamSink`] flushes both to disk at every `R_w` boundary, so the
+//! in-memory buffers ([`crate::system::System`]'s ring recorder and packet
+//! log) hold at most one window of data, and a checkpoint taken after the
+//! flush holds neither. Two files are produced:
 //!
-//! - a **JSONL trace** (`.jsonl`): one line per trace event, then one line
-//!   per metric window — the same line formats `tracereport` emits, so
-//!   existing tooling reads a streamed trace unchanged;
+//! - a **JSONL trace** (`.jsonl`): one line per trace event — the same
+//!   line format `tracereport` emits, so existing tooling reads a streamed
+//!   trace unchanged; each window event carries its boundary's gauges;
 //! - a **binary delivery log** (`.erpd`): a [`desim::snap`] header, then
 //!   29-byte [`PacketDelivery`] records in their [`Snap`] encoding (`id
 //!   u64, dst u32, injected u64, delivered u64, labelled bool`), closed by
@@ -27,7 +27,6 @@ use crate::metrics::PacketDelivery;
 use crate::system::WindowFlush;
 use desim::snap::{fnv1a, fnv1a_update, Snap, SnapError, SnapReader, SnapWriter, FNV_OFFSET};
 use erapid_telemetry::jsonl_line;
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -94,7 +93,7 @@ impl Snap for StreamCursor {
 /// deliveries.
 #[derive(Debug, Clone, Default)]
 pub struct StreamPaths {
-    /// JSONL trace + metric-window output path.
+    /// JSONL trace output path.
     pub trace: Option<PathBuf>,
     /// Binary packet-delivery log path.
     pub deliveries: Option<PathBuf>,
@@ -173,32 +172,21 @@ impl StreamSink {
         self.cursor
     }
 
-    /// Streams one window's drain: trace events as JSONL, metric windows
-    /// as JSONL rows (named by `counter_names`/`gauge_names`, the
-    /// [`crate::system::System::metric_counter_names`] order), deliveries
-    /// as binary records. Flushes to the OS so the advanced cursor is
-    /// durable before any checkpoint embeds it.
+    /// Streams one window's drain: trace events as JSONL, deliveries as
+    /// binary records. Flushes to the OS so the advanced cursor is durable
+    /// before any checkpoint embeds it. The two name slices are the retired
+    /// window-row columns, accepted and ignored.
     pub fn flush_window(
         &mut self,
         flush: &WindowFlush,
-        counter_names: &[String],
-        gauge_names: &[String],
+        _counter_names: &[String],
+        _gauge_names: &[String],
     ) -> io::Result<()> {
         if let Some(out) = &mut self.trace {
             self.line.clear();
             for rec in &flush.records {
                 self.line.push_str(&jsonl_line(rec));
                 self.line.push('\n');
-            }
-            for win in &flush.windows {
-                let _ = write!(self.line, "{{\"window\":{}", win.window);
-                for (name, v) in counter_names.iter().zip(&win.counters) {
-                    let _ = write!(self.line, ",\"{name}\":{v}");
-                }
-                for (name, v) in gauge_names.iter().zip(&win.gauges) {
-                    let _ = write!(self.line, ",\"{name}\":{v}");
-                }
-                self.line.push_str("}\n");
             }
             out.write_all(self.line.as_bytes())?;
             out.flush()?;
@@ -255,8 +243,6 @@ pub fn run_streaming(
     mut ckpt: Option<&mut crate::checkpoint::Checkpointer>,
 ) -> io::Result<desim::Cycle> {
     let window = sys.config().schedule.window;
-    let counters = sys.metric_counter_names();
-    let gauges = sys.metric_gauge_names();
     let mut failed: Option<io::Error> = None;
     let end = sys.run_with(point_threads, &mut |s| {
         let now = s.now();
@@ -264,7 +250,7 @@ pub fn run_streaming(
             return;
         }
         let flush = s.drain_window();
-        if let Err(e) = sink.flush_window(&flush, &counters, &gauges) {
+        if let Err(e) = sink.flush_window(&flush, &[], &[]) {
             failed = Some(e);
             return;
         }
@@ -278,7 +264,7 @@ pub fn run_streaming(
         return Err(e);
     }
     let tail = sys.drain_window();
-    sink.flush_window(&tail, &counters, &gauges)?;
+    sink.flush_window(&tail, &[], &[])?;
     Ok(end)
 }
 
@@ -352,7 +338,6 @@ mod tests {
         let mut sink = StreamSink::create(&paths).unwrap();
         let flush = WindowFlush {
             records: Vec::new(),
-            windows: Vec::new(),
             packets: deliveries(5, 0),
         };
         sink.flush_window(&flush, &[], &[]).unwrap();
@@ -375,14 +360,12 @@ mod tests {
         let mut sink = StreamSink::create(&paths).unwrap();
         let w1 = WindowFlush {
             records: Vec::new(),
-            windows: Vec::new(),
             packets: deliveries(3, 0),
         };
         sink.flush_window(&w1, &[], &[]).unwrap();
         let ckpt = sink.cursor();
         let w2_lost = WindowFlush {
             records: Vec::new(),
-            windows: Vec::new(),
             packets: deliveries(4, 100),
         };
         sink.flush_window(&w2_lost, &[], &[]).unwrap();
@@ -393,7 +376,6 @@ mod tests {
         assert_eq!(sink.cursor(), ckpt);
         let w2 = WindowFlush {
             records: Vec::new(),
-            windows: Vec::new(),
             packets: deliveries(2, 200),
         };
         sink.flush_window(&w2, &[], &[]).unwrap();
@@ -406,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn window_rows_name_their_columns() {
+    fn window_events_stream_with_their_gauges() {
         let dir = tmpdir("rows");
         let paths = StreamPaths {
             trace: Some(dir.join("t.jsonl")),
@@ -414,19 +396,26 @@ mod tests {
         };
         let mut sink = StreamSink::create(&paths).unwrap();
         let flush = WindowFlush {
-            records: Vec::new(),
-            windows: vec![erapid_telemetry::WindowSnapshot {
-                window: 1,
-                counters: vec![4],
-                gauges: vec![0.5],
+            records: vec![erapid_telemetry::TraceRecord {
+                at: 2000,
+                event: erapid_telemetry::TraceEvent::WindowBoundary {
+                    index: 1,
+                    kind: erapid_telemetry::WindowLabel::Power,
+                    router_peak_flits: 12,
+                    lasers_on: 40,
+                },
             }],
             packets: Vec::new(),
         };
+        // The retired column names change nothing: the trace is events only.
         let (counters, gauges) = (["grants".to_string()], ["util".to_string()]);
         sink.flush_window(&flush, &counters, &gauges).unwrap();
         sink.finalize().unwrap();
         let text = std::fs::read_to_string(paths.trace.as_deref().unwrap()).unwrap();
-        assert_eq!(text, "{\"window\":1,\"grants\":4,\"util\":0.5}\n");
+        assert_eq!(
+            text,
+            "{\"at\":2000,\"type\":\"window\",\"index\":1,\"kind\":\"power\",\"router_peak_flits\":12,\"lasers_on\":40}\n"
+        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -440,7 +429,6 @@ mod tests {
         let mut sink = StreamSink::create(&paths).unwrap();
         let flush = WindowFlush {
             records: Vec::new(),
-            windows: Vec::new(),
             packets: deliveries(8, 0),
         };
         sink.flush_window(&flush, &[], &[]).unwrap();

@@ -22,8 +22,7 @@ use crate::srs::{class_mw, Srs};
 use desim::phase::{Phase, PhasePlan};
 use desim::Cycle;
 use erapid_telemetry::{
-    CounterId, FaultLabel, GaugeId, HistId, HistogramSummary, LsStageLabel, MetricRegistry,
-    TraceEvent, TraceRecord, TraceSink, Tracer, WindowLabel, WindowSnapshot,
+    FaultLabel, LsStageLabel, TraceEvent, TraceRecord, TraceSink, Tracer, WindowLabel,
 };
 use erapid_tune::{ThresholdController, WindowObservation};
 use erapid_workloads::ScenarioEngine;
@@ -157,11 +156,10 @@ pub struct System {
     /// cost the optical stage nothing. Not snapshotted.
     tx_tries: u64,
     tx_skips: u64,
-    /// Cycle-level event tracer (null unless `cfg.trace.enabled`).
+    /// Cycle-level event tracer (null unless `cfg.trace.enabled`): the
+    /// one record a traced run keeps.
     tracer: Tracer,
-    /// Window-granularity metric registry (None when tracing is off).
-    registry: Option<(MetricRegistry, TelemetryIds)>,
-    /// `R_w` boundaries seen (tags window-boundary events and metric rows).
+    /// `R_w` boundaries seen (tags window-boundary events).
     window_index: u64,
     /// DBR rounds triggered (tags LS stage and outcome events).
     dbr_rounds: u64,
@@ -242,44 +240,6 @@ impl PhaseProbe for TimerProbe<'_> {
     }
 }
 
-/// Handles of the metrics a traced run registers (fixed registration order
-/// keeps exports byte-identical across runs).
-struct TelemetryIds {
-    retunes: CounterId,
-    grants: CounterId,
-    rounds: CounterId,
-    faults: CounterId,
-    buffer_crossings: CounterId,
-    router_peak: GaugeId,
-    lasers_on: GaugeId,
-    latency_hist: HistId,
-    tx_wait_hist: HistId,
-}
-
-/// Histogram geometry for labelled-packet latency: 256 × 16-cycle bins
-/// cover 4096 cycles (two R_w windows) before overflow.
-const LATENCY_HIST_BINS: usize = 256;
-const LATENCY_HIST_WIDTH: f64 = 16.0;
-/// TX-queue waits are much shorter; 256 × 4-cycle bins.
-const TX_WAIT_HIST_BINS: usize = 256;
-const TX_WAIT_HIST_WIDTH: f64 = 4.0;
-
-fn build_registry() -> (MetricRegistry, TelemetryIds) {
-    let mut reg = MetricRegistry::new();
-    let ids = TelemetryIds {
-        retunes: reg.counter("dpm_retunes"),
-        grants: reg.counter("dbr_grants"),
-        rounds: reg.counter("dbr_rounds"),
-        faults: reg.counter("faults"),
-        buffer_crossings: reg.counter("buffer_crossings"),
-        router_peak: reg.gauge("router_peak_flits"),
-        lasers_on: reg.gauge("lasers_on"),
-        latency_hist: reg.histogram("latency_cycles", LATENCY_HIST_BINS, LATENCY_HIST_WIDTH),
-        tx_wait_hist: reg.histogram("tx_wait_cycles", TX_WAIT_HIST_BINS, TX_WAIT_HIST_WIDTH),
-    };
-    (reg, ids)
-}
-
 fn stage_label(stage: Stage) -> LsStageLabel {
     match stage {
         Stage::LinkRequest => LsStageLabel::LinkRequest,
@@ -342,7 +302,6 @@ impl System {
         let price = LinkPowerModel::for_ladder(&cfg.ladder);
         let metrics = RunMetrics::new(cfg.nodes() as usize, plan, class_mw(&price));
         let tracer = Tracer::from_config(cfg.trace);
-        let registry = cfg.trace.enabled.then(build_registry);
         // `validate()` above already vetted any tune spec, so construction
         // cannot fail here; a controller only exists where DPM runs.
         let controller = match (&cfg.tune, cfg.mode.power_aware()) {
@@ -385,7 +344,6 @@ impl System {
             tx_tries: 0,
             tx_skips: 0,
             tracer,
-            registry,
             window_index: 0,
             dbr_rounds: 0,
             watch_pending,
@@ -520,9 +478,6 @@ impl System {
         if d.labelled {
             self.metrics.tracker.deliver_labelled();
             self.metrics.latency.record(d.injected_at, now);
-            if let Some((reg, ids)) = &mut self.registry {
-                reg.observe(ids.latency_hist, (now - d.injected_at) as f64);
-            }
         }
         if let Some(log) = &mut self.packet_log {
             log.push(PacketDelivery {
@@ -562,14 +517,10 @@ impl System {
                 };
                 debug_assert_eq!(departed.id, pkt.id);
                 if pkt.labelled {
-                    let tx_wait = now - pkt.completed_at;
                     self.metrics
                         .src_path
                         .push(pkt.completed_at - pkt.injected_at);
-                    self.metrics.tx_wait.push(tx_wait);
-                    if let Some((reg, ids)) = &mut self.registry {
-                        reg.observe(ids.tx_wait_hist, tx_wait as f64);
-                    }
+                    self.metrics.tx_wait.push(now - pkt.completed_at);
                 }
             }
         }
@@ -630,8 +581,8 @@ impl System {
     /// retarget the telemetry edge detectors (un-parking every flow, since
     /// a parked flow's steady value may sit on the other side of the new
     /// threshold). No-op unless the config enabled tuning. Deliberately
-    /// independent of the metric registry: the controller must drive
-    /// untraced runs (golden, marathon, streaming) identically.
+    /// independent of the tracer: the controller must drive untraced runs
+    /// (golden, marathon, streaming) identically.
     fn controller_cycle(&mut self) {
         let Some(ctrl) = &self.controller else {
             return;
@@ -686,13 +637,17 @@ impl System {
         self.controller.as_ref()
     }
 
-    /// Traced-run bookkeeping at an `R_w` boundary: stamp the boundary,
-    /// detect `B_max` crossings on the just-closed window's buffer
-    /// occupancies, sample the congestion gauges, and finalize the metric
-    /// window. Runs only when tracing is enabled; it observes the
-    /// simulation without mutating any of its state.
+    /// Traced-run bookkeeping at an `R_w` boundary: stamp the boundary
+    /// with the congestion gauges of the just-closed window, then detect
+    /// `B_max` crossings on its buffer occupancies. Runs only when tracing
+    /// is enabled; it observes the simulation without mutating any of its
+    /// state.
     fn boundary_telemetry(&mut self, now: Cycle) {
         self.window_index += 1;
+        let router_peak = (self.boards.iter_mut())
+            .map(|b| b.take_router_peak())
+            .max()
+            .unwrap_or(0);
         if let Some(kind) = self.cfg.schedule.kind_at(now) {
             let kind = match kind {
                 WindowKind::Power => WindowLabel::Power,
@@ -703,6 +658,8 @@ impl System {
                 TraceEvent::WindowBoundary {
                     index: self.window_index,
                     kind,
+                    router_peak_flits: router_peak as u32,
+                    lasers_on: self.srs.lasers_on() as u32,
                 },
             );
         }
@@ -735,22 +692,8 @@ impl System {
                             util_milli: (util * 1000.0).round() as u32,
                         },
                     );
-                    if let Some((reg, ids)) = &mut self.registry {
-                        reg.inc(ids.buffer_crossings, 1);
-                    }
                 }
             }
-        }
-        if let Some((reg, ids)) = &mut self.registry {
-            let peak = self
-                .boards
-                .iter_mut()
-                .map(|b| b.take_router_peak())
-                .max()
-                .unwrap_or(0);
-            reg.set(ids.router_peak, peak as f64);
-            reg.set(ids.lasers_on, self.srs.lasers_on() as f64);
-            reg.roll(self.window_index);
         }
     }
 
@@ -785,9 +728,6 @@ impl System {
                     if self.tracer.enabled() {
                         let ev = self.cfg.transition.retune_event(s, d, w, level, target);
                         self.tracer.emit(now, ev);
-                        if let Some((reg, ids)) = &mut self.registry {
-                            reg.inc(ids.retunes, 1);
-                        }
                     }
                     self.srs.schedule_retune(s, d, w, target, penalty);
                 }
@@ -800,9 +740,6 @@ impl System {
     /// Link Response stage completes ([`Self::tick_active_round`]).
     fn bandwidth_cycle(&mut self, now: Cycle) {
         self.dbr_rounds += 1;
-        if let Some((reg, ids)) = &mut self.registry {
-            reg.inc(ids.rounds, 1);
-        }
         let (outgoing, demands) = self.round_inputs();
         let mut round = DbrRound::new(self.cfg.timing, self.cfg.alloc, now, outgoing, demands);
         for f in self.armed_token.drain(..) {
@@ -888,9 +825,6 @@ impl System {
                         aborted: outcome.error.is_some(),
                     },
                 );
-            }
-            if let Some((reg, ids)) = &mut self.registry {
-                reg.inc(ids.grants, outcome.grants.len() as u64);
             }
             self.srs
                 .schedule_grants(now, &outcome.grants, &mut self.tracer);
@@ -1009,9 +943,6 @@ impl System {
                     wavelength,
                 },
             );
-            if let Some((reg, ids)) = &mut self.registry {
-                reg.inc(ids.faults, 1);
-            }
         }
         match kind {
             FaultKind::ReceiverDown { board, wavelength } => {
@@ -1090,37 +1021,16 @@ impl System {
         self.tracer.dropped()
     }
 
-    /// Drains the per-window metric snapshots (empty when tracing is off).
-    pub fn take_metric_windows(&mut self) -> Vec<WindowSnapshot> {
-        match &mut self.registry {
-            Some((reg, _)) => reg.take_windows(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Counter column names for [`Self::take_metric_windows`] rows, in
-    /// registration (= snapshot) order.
+    /// Kept for callers that still pass the retired window-row columns to
+    /// [`crate::stream::StreamSink::flush_window`]: always empty, since a
+    /// window's numbers now ride its window event.
     pub fn metric_counter_names(&self) -> Vec<String> {
-        match &self.registry {
-            Some((reg, _)) => reg.counter_names().iter().map(|s| s.to_string()).collect(),
-            None => Vec::new(),
-        }
+        Vec::new()
     }
 
-    /// Gauge column names for [`Self::take_metric_windows`] rows.
+    /// As [`Self::metric_counter_names`]: always empty.
     pub fn metric_gauge_names(&self) -> Vec<String> {
-        match &self.registry {
-            Some((reg, _)) => reg.gauge_names().iter().map(|s| s.to_string()).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Run-cumulative histogram digests (empty when tracing is off).
-    pub fn metric_hist_summaries(&self) -> Vec<HistogramSummary> {
-        match &self.registry {
-            Some((reg, _)) => reg.hist_summaries(),
-            None => Vec::new(),
-        }
+        Vec::new()
     }
 
     /// Drains the injection log recorded by this run (None unless
@@ -1158,12 +1068,16 @@ impl System {
     }
 
     /// Serializes the full mutable simulation state (boards, SRS,
-    /// injection source, logs, metrics, control plane, telemetry). Config-derived
-    /// geometry is *not* written — restore overlays a freshly-constructed
-    /// identical system. Fails if a DBR round is in flight
-    /// (see [`Self::can_checkpoint`]); in-flight rounds borrow stage state
-    /// that is not worth freezing when the next boundary is at most one
-    /// window away.
+    /// injection source and log, metrics, control plane, and the telemetry
+    /// state that decides future events: the dropped count, the window and
+    /// round counters, the `B_max` watches). Observations are not state: the
+    /// trace records and delivery rows are written by the streaming sink,
+    /// so a checkpoint holds none and is refused until [`Self::drain_window`]
+    /// emptied them. Config-derived geometry is *not* written — restore
+    /// overlays a freshly-constructed identical system. Fails if a DBR
+    /// round is in flight (see [`Self::can_checkpoint`]); in-flight rounds
+    /// borrow stage state that is not worth freezing when the next boundary
+    /// is at most one window away.
     pub fn save_state(
         &self,
         w: &mut desim::snap::SnapWriter,
@@ -1172,6 +1086,13 @@ impl System {
         if self.active_round.is_some() {
             return Err(SnapError::Mismatch(
                 "checkpoint requested mid-DBR-round; wait for quiescence".into(),
+            ));
+        }
+        if !self.tracer.is_empty() || self.packet_log.as_ref().is_some_and(|l| !l.is_empty()) {
+            return Err(SnapError::Mismatch(
+                "checkpoint requested with undrained trace records or delivery rows; \
+                 call drain_window first"
+                    .into(),
             ));
         }
         w.tag(b"SYSS");
@@ -1192,17 +1113,9 @@ impl System {
         if let Some(log) = &self.injection_log {
             log.save_state(w);
         }
-        w.bool(self.packet_log.is_some());
-        if let Some(log) = &self.packet_log {
-            log.save(w);
-        }
         self.metrics.save_state(w);
         self.armed_token.save(w);
         self.tracer.save_state(w);
-        w.bool(self.registry.is_some());
-        if let Some((reg, _)) = &self.registry {
-            reg.save_state(w);
-        }
         w.usize(self.buffer_watch.len());
         for watch in &self.buffer_watch {
             watch.save_state(w);
@@ -1258,17 +1171,9 @@ impl System {
         if let Some(log) = &mut self.injection_log {
             log.load_state(r)?;
         }
-        presence(r.bool()?, self.packet_log.is_some(), "a packet log")?;
-        if self.packet_log.is_some() {
-            self.packet_log = Some(Snap::load(r)?);
-        }
         self.metrics.load_state(r)?;
         self.armed_token = Snap::load(r)?;
         self.tracer.load_state(r)?;
-        presence(r.bool()?, self.registry.is_some(), "a metric registry")?;
-        if let Some((reg, _)) = &mut self.registry {
-            reg.load_state(r)?;
-        }
         r.len_eq(self.buffer_watch.len(), "buffer watches")?;
         for watch in &mut self.buffer_watch {
             watch.load_state(r)?;
@@ -1297,6 +1202,9 @@ impl System {
         self.fault_cursor = fault_cursor;
         self.watch_pending = watch_pending;
         self.active_round = None;
+        if let Some(log) = &mut self.packet_log {
+            log.clear();
+        }
         Ok(())
     }
 
@@ -1316,9 +1224,10 @@ impl System {
     }
 
     /// Drains one window's worth of streamable output: recorded trace
-    /// events, per-window metric rows, and the packet-delivery log. With a
-    /// boundary-cadence caller this bounds all three in-memory buffers to
-    /// one window of data — the core of the long-horizon streaming mode.
+    /// events and the packet-delivery log. With a boundary-cadence caller
+    /// this bounds both in-memory buffers to one window of data — the core
+    /// of the long-horizon streaming mode — and leaves the system ready to
+    /// checkpoint ([`Self::save_state`]).
     pub fn drain_window(&mut self) -> WindowFlush {
         let packets = match &mut self.packet_log {
             Some(log) => std::mem::take(log),
@@ -1336,7 +1245,6 @@ impl System {
         );
         WindowFlush {
             records: self.tracer.take_records(),
-            windows: self.take_metric_windows(),
             packets,
         }
     }
@@ -1349,8 +1257,6 @@ pub struct WindowFlush {
     /// Trace events recorded since the previous drain (empty when tracing
     /// is off).
     pub records: Vec<TraceRecord>,
-    /// Per-window metric rows rolled since the previous drain.
-    pub windows: Vec<WindowSnapshot>,
     /// Packet deliveries logged since the previous drain.
     pub packets: Vec<PacketDelivery>,
 }
@@ -1589,16 +1495,27 @@ mod tests {
         ] {
             assert!(tags.contains(expected), "missing {expected} in {tags:?}");
         }
-        let windows = sys.take_metric_windows();
-        assert!(!windows.is_empty(), "window boundaries must roll snapshots");
-        let names = sys.metric_counter_names();
-        assert_eq!(windows[0].counters.len(), names.len());
-        let retune_col = names
-            .iter()
-            .position(|n| n == "dpm_retunes")
-            .expect("dpm_retunes registered");
-        let total: u64 = windows.iter().map(|w| w.counters[retune_col]).sum();
-        assert!(total > 0, "P-B at load 0.5 must retune at least once");
+        // One window event per boundary, indexed 1, 2, …, each carrying
+        // the lasers lit when it was sampled.
+        let windows: Vec<_> = (records.iter())
+            .filter_map(|r| match r.event {
+                TraceEvent::WindowBoundary {
+                    index, lasers_on, ..
+                } => Some((index, lasers_on)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(windows.len() as u64, sys.window_index);
+        assert!(windows.iter().zip(1..).all(|(w, i)| w.0 == i));
+        assert!(
+            windows.iter().all(|w| w.1 > 0),
+            "a run always has lit lasers"
+        );
+        let retunes = records.iter().filter(|r| r.event.tag() == "dpm_retune");
+        assert!(
+            retunes.count() > 0,
+            "P-B at load 0.5 must retune at least once"
+        );
     }
 
     #[test]

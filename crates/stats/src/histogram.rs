@@ -1,8 +1,8 @@
 //! Fixed-width-bin histograms with percentile queries.
 //!
 //! Latency distributions in the reproduction are heavy-tailed near
-//! saturation, so mean latency alone hides congestion; the figure binaries
-//! also report p50/p95/p99 from these histograms.
+//! saturation, so mean latency alone hides congestion; the run results
+//! also report the p95 latency from one of these histograms.
 
 /// Histogram over `[0, bin_width * bins)` with an explicit overflow bucket.
 #[derive(Debug, Clone)]
@@ -63,7 +63,7 @@ impl Histogram {
 
     /// Approximate quantile `q` in `[0, 1]`, resolved to bin upper edges.
     /// Returns `None` when empty. Overflowed mass resolves to `+inf`.
-    fn quantile(&self, q: f64) -> Option<f64> {
+    pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.total == 0 {
             return None;
         }
@@ -77,21 +77,6 @@ impl Histogram {
             }
         }
         Some(f64::INFINITY)
-    }
-
-    /// Median (p50).
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
     }
 
     /// Iterates `(bin_lower_edge, count)` for the non-overflow bins.
@@ -172,9 +157,9 @@ mod tests {
         for i in 0..100 {
             h.record(i as f64 + 0.5);
         }
-        assert!((h.p50().unwrap() - 50.0).abs() <= 1.0);
-        assert!((h.p95().unwrap() - 95.0).abs() <= 1.0);
-        assert!((h.p99().unwrap() - 99.0).abs() <= 1.0);
+        assert!((h.quantile(0.50).unwrap() - 50.0).abs() <= 1.0);
+        assert!((h.quantile(0.95).unwrap() - 95.0).abs() <= 1.0);
+        assert!((h.quantile(0.99).unwrap() - 99.0).abs() <= 1.0);
         assert_eq!(h.quantile(0.0).unwrap(), 1.0);
         assert_eq!(h.quantile(1.0).unwrap(), 100.0);
     }
@@ -182,14 +167,14 @@ mod tests {
     #[test]
     fn quantile_of_empty_is_none() {
         let h = Histogram::new(4, 1.0);
-        assert!(h.p50().is_none());
+        assert!(h.quantile(0.5).is_none());
     }
 
     #[test]
     fn overflow_quantile_is_infinite() {
         let mut h = Histogram::new(2, 1.0);
         h.record(100.0);
-        assert_eq!(h.p50(), Some(f64::INFINITY));
+        assert_eq!(h.quantile(0.5), Some(f64::INFINITY));
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl LatencyMeter {
 
     /// 95th-percentile latency, if any packets were measured.
     pub fn p95(&self) -> Option<f64> {
-        self.hist.p95()
+        self.hist.quantile(0.95)
     }
 }
 

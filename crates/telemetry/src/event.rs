@@ -94,8 +94,16 @@ impl FaultLabel {
 /// are board indices, `wavelength` indexes the home-channel group of `dest`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
-    /// An R_w window boundary. `index` counts boundaries from 1.
-    WindowBoundary { index: u64, kind: WindowLabel },
+    /// An R_w window boundary. `index` counts boundaries from 1. The two
+    /// congestion gauges are sampled at the boundary: the highest router
+    /// buffer occupancy (flits) any board reached in the closing window,
+    /// and the lasers lit.
+    WindowBoundary {
+        index: u64,
+        kind: WindowLabel,
+        router_peak_flits: u32,
+        lasers_on: u32,
+    },
     /// DPM decided to move a link to a new rate level (odd window).
     /// The transition occupies `penalty` dark cycles once applied.
     DpmRetune {
@@ -171,15 +179,6 @@ pub enum TraceEvent {
         above: bool,
         util_milli: u32,
     },
-    /// A link-shutdown decision changed a link's supply state. Reserved:
-    /// nothing emits it (the paper's power management is DPM only), but the
-    /// tag keeps its number so the event codec and exporters stay stable.
-    DlsPower {
-        src: u16,
-        dest: u16,
-        wavelength: u16,
-        off: bool,
-    },
 }
 
 impl TraceEvent {
@@ -197,7 +196,6 @@ impl TraceEvent {
             TraceEvent::Revoke { .. } => "revoke",
             TraceEvent::Fault { .. } => "fault",
             TraceEvent::BufferThreshold { .. } => "buffer_threshold",
-            TraceEvent::DlsPower { .. } => "dls_power",
         }
     }
 }
@@ -209,321 +207,9 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-use desim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-impl Snap for LsStageLabel {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            LsStageLabel::LinkRequest => 0,
-            LsStageLabel::BoardRequest => 1,
-            LsStageLabel::Reconfigure => 2,
-            LsStageLabel::BoardResponse => 3,
-            LsStageLabel::LinkResponse => 4,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => LsStageLabel::LinkRequest,
-            1 => LsStageLabel::BoardRequest,
-            2 => LsStageLabel::Reconfigure,
-            3 => LsStageLabel::BoardResponse,
-            4 => LsStageLabel::LinkResponse,
-            b => return Err(SnapError::Format(format!("bad LS stage tag {b:#x}"))),
-        })
-    }
-}
-
-impl Snap for WindowLabel {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            WindowLabel::Power => 0,
-            WindowLabel::Bandwidth => 1,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => WindowLabel::Power,
-            1 => WindowLabel::Bandwidth,
-            b => return Err(SnapError::Format(format!("bad window label {b:#x}"))),
-        })
-    }
-}
-
-impl Snap for FaultLabel {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            FaultLabel::ReceiverDrop => 0,
-            FaultLabel::ReceiverRepair => 1,
-            FaultLabel::TransmitterDrop => 2,
-            FaultLabel::TransmitterRepair => 3,
-            FaultLabel::LcStuck => 4,
-            FaultLabel::LcUnstuck => 5,
-            FaultLabel::CdrRelock => 6,
-            FaultLabel::TokenLoss => 7,
-            FaultLabel::TokenCorrupt => 8,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => FaultLabel::ReceiverDrop,
-            1 => FaultLabel::ReceiverRepair,
-            2 => FaultLabel::TransmitterDrop,
-            3 => FaultLabel::TransmitterRepair,
-            4 => FaultLabel::LcStuck,
-            5 => FaultLabel::LcUnstuck,
-            6 => FaultLabel::CdrRelock,
-            7 => FaultLabel::TokenLoss,
-            8 => FaultLabel::TokenCorrupt,
-            b => return Err(SnapError::Format(format!("bad fault label {b:#x}"))),
-        })
-    }
-}
-
-impl Snap for TraceEvent {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            TraceEvent::WindowBoundary { index, kind } => {
-                w.u8(0);
-                w.u64(index);
-                kind.save(w);
-            }
-            TraceEvent::DpmRetune {
-                src,
-                dest,
-                wavelength,
-                from_level,
-                to_level,
-                penalty,
-            } => {
-                w.u8(1);
-                w.u16(src);
-                w.u16(dest);
-                w.u16(wavelength);
-                w.u8(from_level);
-                w.u8(to_level);
-                w.u64(penalty);
-            }
-            TraceEvent::DpmApplied {
-                src,
-                dest,
-                wavelength,
-                level,
-            } => {
-                w.u8(2);
-                w.u16(src);
-                w.u16(dest);
-                w.u16(wavelength);
-                w.u8(level);
-            }
-            TraceEvent::RelockStart {
-                src,
-                dest,
-                wavelength,
-                penalty,
-            } => {
-                w.u8(3);
-                w.u16(src);
-                w.u16(dest);
-                w.u16(wavelength);
-                w.u64(penalty);
-            }
-            TraceEvent::RelockEnd {
-                src,
-                dest,
-                wavelength,
-            } => {
-                w.u8(4);
-                w.u16(src);
-                w.u16(dest);
-                w.u16(wavelength);
-            }
-            TraceEvent::LsStage { round, stage, end } => {
-                w.u8(5);
-                w.u64(round);
-                stage.save(w);
-                w.u64(end);
-            }
-            TraceEvent::DbrOutcome {
-                round,
-                grants,
-                retries,
-                aborted,
-            } => {
-                w.u8(6);
-                w.u64(round);
-                w.u32(grants);
-                w.u32(retries);
-                w.bool(aborted);
-            }
-            TraceEvent::Grant {
-                dest,
-                wavelength,
-                from,
-                to,
-            } => {
-                w.u8(7);
-                w.u16(dest);
-                w.u16(wavelength);
-                w.u16(from);
-                w.u16(to);
-            }
-            TraceEvent::Revoke {
-                dest,
-                wavelength,
-                owner,
-            } => {
-                w.u8(8);
-                w.u16(dest);
-                w.u16(wavelength);
-                w.u16(owner);
-            }
-            TraceEvent::Fault {
-                label,
-                board,
-                dest,
-                wavelength,
-            } => {
-                w.u8(9);
-                label.save(w);
-                w.u16(board);
-                w.u16(dest);
-                w.u16(wavelength);
-            }
-            TraceEvent::BufferThreshold {
-                board,
-                dest,
-                above,
-                util_milli,
-            } => {
-                w.u8(10);
-                w.u16(board);
-                w.u16(dest);
-                w.bool(above);
-                w.u32(util_milli);
-            }
-            TraceEvent::DlsPower {
-                src,
-                dest,
-                wavelength,
-                off,
-            } => {
-                w.u8(11);
-                w.u16(src);
-                w.u16(dest);
-                w.u16(wavelength);
-                w.bool(off);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => TraceEvent::WindowBoundary {
-                index: r.u64()?,
-                kind: WindowLabel::load(r)?,
-            },
-            1 => TraceEvent::DpmRetune {
-                src: r.u16()?,
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-                from_level: r.u8()?,
-                to_level: r.u8()?,
-                penalty: r.u64()?,
-            },
-            2 => TraceEvent::DpmApplied {
-                src: r.u16()?,
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-                level: r.u8()?,
-            },
-            3 => TraceEvent::RelockStart {
-                src: r.u16()?,
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-                penalty: r.u64()?,
-            },
-            4 => TraceEvent::RelockEnd {
-                src: r.u16()?,
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-            },
-            5 => TraceEvent::LsStage {
-                round: r.u64()?,
-                stage: LsStageLabel::load(r)?,
-                end: r.u64()?,
-            },
-            6 => TraceEvent::DbrOutcome {
-                round: r.u64()?,
-                grants: r.u32()?,
-                retries: r.u32()?,
-                aborted: r.bool()?,
-            },
-            7 => TraceEvent::Grant {
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-                from: r.u16()?,
-                to: r.u16()?,
-            },
-            8 => TraceEvent::Revoke {
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-                owner: r.u16()?,
-            },
-            9 => TraceEvent::Fault {
-                label: FaultLabel::load(r)?,
-                board: r.u16()?,
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-            },
-            10 => TraceEvent::BufferThreshold {
-                board: r.u16()?,
-                dest: r.u16()?,
-                above: r.bool()?,
-                util_milli: r.u32()?,
-            },
-            11 => TraceEvent::DlsPower {
-                src: r.u16()?,
-                dest: r.u16()?,
-                wavelength: r.u16()?,
-                off: r.bool()?,
-            },
-            b => return Err(SnapError::Format(format!("bad event tag {b:#x}"))),
-        })
-    }
-}
-
-impl Snap for TraceRecord {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.at);
-        self.event.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            at: r.u64()?,
-            event: TraceEvent::load(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_labels_round_trip() {
-        for stage in [
-            LsStageLabel::LinkRequest,
-            LsStageLabel::BoardRequest,
-            LsStageLabel::Reconfigure,
-            LsStageLabel::BoardResponse,
-            LsStageLabel::LinkResponse,
-        ] {
-            let mut w = SnapWriter::new();
-            stage.save(&mut w);
-            let bytes = w.into_bytes();
-            assert_eq!(LsStageLabel::load(&mut SnapReader::new(&bytes)), Ok(stage));
-        }
-        assert!(LsStageLabel::load(&mut SnapReader::new(&[5])).is_err());
-    }
 
     #[test]
     fn repair_labels_are_classified() {
@@ -535,5 +221,8 @@ mod tests {
     fn records_are_plain_data() {
         fn assert_copy<T: Copy>() {}
         assert_copy::<TraceRecord>();
+        // The window event's two gauges fit in its padding.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 24);
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 32);
     }
 }

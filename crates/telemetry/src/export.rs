@@ -21,8 +21,17 @@ pub fn jsonl_line(rec: &TraceRecord) -> String {
     let mut s = String::with_capacity(96);
     let _ = write!(s, "{{\"at\":{},\"type\":\"{}\"", rec.at, rec.event.tag());
     match rec.event {
-        TraceEvent::WindowBoundary { index, kind } => {
-            let _ = write!(s, ",\"index\":{},\"kind\":\"{}\"", index, kind.name());
+        TraceEvent::WindowBoundary {
+            index,
+            kind,
+            router_peak_flits,
+            lasers_on,
+        } => {
+            let _ = write!(
+                s,
+                ",\"index\":{index},\"kind\":\"{}\",\"router_peak_flits\":{router_peak_flits},\"lasers_on\":{lasers_on}",
+                kind.name()
+            );
         }
         TraceEvent::DpmRetune {
             src,
@@ -132,17 +141,6 @@ pub fn jsonl_line(rec: &TraceRecord) -> String {
                 ",\"board\":{board},\"dest\":{dest},\"above\":{above},\"util_milli\":{util_milli}"
             );
         }
-        TraceEvent::DlsPower {
-            src,
-            dest,
-            wavelength,
-            off,
-        } => {
-            let _ = write!(
-                s,
-                ",\"src\":{src},\"dest\":{dest},\"wavelength\":{wavelength},\"off\":{off}"
-            );
-        }
     }
     s.push('}');
     s
@@ -185,9 +183,6 @@ fn track(event: &TraceEvent) -> (u32, u32) {
         }
         | TraceEvent::Fault {
             dest, wavelength, ..
-        }
-        | TraceEvent::DlsPower {
-            dest, wavelength, ..
         } => (u32::from(dest) + 1, u32::from(wavelength) + 1),
         TraceEvent::BufferThreshold { board, dest, .. } => {
             (u32::from(board) + 1, u32::from(dest) + 1)
@@ -201,7 +196,9 @@ fn track(event: &TraceEvent) -> (u32, u32) {
 /// Human-readable slice name for the Perfetto track.
 fn slice_name(event: &TraceEvent) -> String {
     match *event {
-        TraceEvent::WindowBoundary { index, kind } => format!("window {index} ({})", kind.name()),
+        TraceEvent::WindowBoundary { index, kind, .. } => {
+            format!("window {index} ({})", kind.name())
+        }
         TraceEvent::DpmRetune {
             from_level,
             to_level,
@@ -231,13 +228,6 @@ fn slice_name(event: &TraceEvent) -> String {
                 "buffer>Bmax".to_string()
             } else {
                 "buffer<Bmax".to_string()
-            }
-        }
-        TraceEvent::DlsPower { off, .. } => {
-            if off {
-                "dls off".to_string()
-            } else {
-                "dls wake".to_string()
             }
         }
     }
@@ -294,6 +284,17 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
                     rec.at
                 );
             }
+            TraceEvent::WindowBoundary {
+                router_peak_flits,
+                lasers_on,
+                ..
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"router_peak_flits\":{router_peak_flits},\"lasers_on\":{lasers_on}}}}}",
+                    rec.at
+                );
+            }
             _ => {
                 let _ = write!(
                     out,
@@ -319,6 +320,8 @@ mod tests {
                 event: TraceEvent::WindowBoundary {
                     index: 1,
                     kind: WindowLabel::Power,
+                    router_peak_flits: 9,
+                    lasers_on: 48,
                 },
             },
             TraceRecord {
@@ -363,6 +366,7 @@ mod tests {
                 "bad line: {line}"
             );
         }
+        assert!(lines[0].ends_with("\"router_peak_flits\":9,\"lasers_on\":48}"));
         assert!(lines[1].contains("\"type\":\"dpm_retune\""));
         assert!(lines[1].contains("\"penalty\":77"));
         assert!(lines[3].contains("\"label\":\"receiver_drop\""));
@@ -379,6 +383,8 @@ mod tests {
         // The retune and LS stage become spans with durations.
         assert!(text.contains("\"ph\":\"X\",\"ts\":2000,\"dur\":77"));
         assert!(text.contains("\"ph\":\"X\",\"ts\":4000,\"dur\":16"));
+        // The window instant carries its gauges as args.
+        assert!(text.contains("\"args\":{\"router_peak_flits\":9,\"lasers_on\":48}"));
         // The fault is an instant.
         assert!(text.contains("\"name\":\"receiver_drop\",\"ph\":\"i\""));
     }

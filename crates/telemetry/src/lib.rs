@@ -16,8 +16,10 @@
 //!   allocates after construction, so tracing perturbs
 //!   neither the simulation (events are observations, not inputs) nor the
 //!   allocator behaviour of the hot path.
-//! - [`MetricRegistry`] aggregates counters/gauges/histograms (reusing
-//!   `netstats`) at R_w window granularity.
+//!
+//! The event stream is the only record a traced run keeps: the window
+//! event carries the congestion gauges sampled at its boundary, and any
+//! per-window table is a fold over the records.
 //!
 //! Determinism contract: events are emitted in simulation order by a single
 //! thread per `System`, stamped with the simulation cycle (never wall
@@ -30,11 +32,9 @@
 pub mod event;
 mod export;
 mod recorder;
-pub mod registry;
 pub mod sink;
 
 pub use event::{FaultLabel, LsStageLabel, TraceEvent, TraceRecord, WindowLabel};
 pub use export::{chrome_trace, jsonl, jsonl_line};
 pub use recorder::{RingRecorder, TraceConfig, Tracer};
-pub use registry::{CounterId, GaugeId, HistId, HistogramSummary, MetricRegistry, WindowSnapshot};
 pub use sink::{NullSink, TraceSink};

@@ -5,12 +5,13 @@ use crate::event::{TraceEvent, TraceRecord};
 use crate::sink::TraceSink;
 use desim::Cycle;
 
-/// Default ring capacity: generous for a paper-scale run (a 40-window
-/// paper64 run emits a few thousand events) while staying a bounded,
-/// one-time allocation.
-const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Ring capacity of every traced system: generous for a paper-scale run
+/// (a 40-window paper64 run emits a few thousand events) while staying a
+/// bounded, one-time allocation. A longer run streams its trace at every
+/// window boundary instead (`erapid_core::stream`).
+const CAPACITY: usize = 1 << 16;
 
-/// Plain-data tracing knobs.
+/// The plain-data tracing switch.
 ///
 /// This is what `SystemConfig` carries (it stays `Copy + Debug`, so the
 /// config keeps deriving `Clone`/`Debug`); each `System` builds its own
@@ -21,26 +22,17 @@ pub struct TraceConfig {
     /// Master switch. Off means the system uses a null tracer: no
     /// allocation, no per-event work.
     pub enabled: bool,
-    /// Ring capacity in events; once full the oldest events are overwritten
-    /// (and counted in [`RingRecorder::dropped`]).
-    pub capacity: usize,
 }
 
 impl TraceConfig {
     /// Tracing disabled (the default for every stock config).
     pub fn off() -> Self {
-        TraceConfig {
-            enabled: false,
-            capacity: 0,
-        }
+        TraceConfig { enabled: false }
     }
 
-    /// Full-fidelity tracing into a default-capacity ring.
+    /// Full-fidelity tracing into a 2^16-event ring.
     pub fn on() -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: DEFAULT_CAPACITY,
-        }
+        TraceConfig { enabled: true }
     }
 }
 
@@ -105,47 +97,6 @@ impl RingRecorder {
         self.head = 0;
         out
     }
-
-    /// Serializes the ring contents and wrap cursor (capacity is
-    /// config-derived).
-    pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
-        use desim::snap::Snap;
-        self.buf.save(w);
-        w.usize(self.head);
-        w.u64(self.dropped);
-    }
-
-    /// Overlays checkpointed ring contents; the ring geometry must match.
-    pub fn load_state(
-        &mut self,
-        r: &mut desim::snap::SnapReader<'_>,
-    ) -> Result<(), desim::snap::SnapError> {
-        use desim::snap::{Snap, SnapError};
-        let buf: Vec<TraceRecord> = Snap::load(r)?;
-        if buf.len() > self.capacity {
-            return Err(SnapError::Mismatch(format!(
-                "ring snapshot holds {} records but capacity is {}",
-                buf.len(),
-                self.capacity
-            )));
-        }
-        // `emit` moves the head only once the ring is full, and
-        // `take_records` resets it to 0: any other head would replay the
-        // records out of emission order.
-        let head = r.usize()?;
-        if head != 0 && (buf.len() < self.capacity || head >= self.capacity) {
-            return Err(SnapError::Format(format!(
-                "ring head {head} with {} of {} records held",
-                buf.len(),
-                self.capacity
-            )));
-        }
-        let dropped = r.u64()?;
-        self.buf = buf;
-        self.head = head;
-        self.dropped = dropped;
-        Ok(())
-    }
 }
 
 impl TraceSink for RingRecorder {
@@ -173,15 +124,19 @@ pub enum Tracer {
 
 impl Tracer {
     pub fn from_config(cfg: TraceConfig) -> Self {
-        if !cfg.enabled {
-            return Tracer::Null;
-        }
-        let capacity = if cfg.capacity == 0 {
-            DEFAULT_CAPACITY
+        if cfg.enabled {
+            Tracer::Ring(RingRecorder::new(CAPACITY))
         } else {
-            cfg.capacity
-        };
-        Tracer::Ring(RingRecorder::new(capacity))
+            Tracer::Null
+        }
+    }
+
+    /// True when no record is held (always, for the null tracer).
+    pub fn is_empty(&self) -> bool {
+        match self {
+            Tracer::Null => true,
+            Tracer::Ring(r) => r.is_empty(),
+        }
     }
 
     /// Drains any recorded events (empty for the null tracer).
@@ -200,20 +155,21 @@ impl Tracer {
         }
     }
 
-    /// Serializes the tracer state (null tracers carry no state beyond
-    /// their variant tag).
+    /// Serializes the tracer's variant tag and, for a ring, its dropped
+    /// count. The records are not state: a checkpoint is taken only after
+    /// they were drained, so the ring is empty here.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         match self {
             Tracer::Null => w.u8(0),
             Tracer::Ring(r) => {
                 w.u8(1);
-                r.save_state(w);
+                w.u64(r.dropped);
             }
         }
     }
 
-    /// Overlays checkpointed tracer state; the stored variant must match
-    /// the one this system was configured with.
+    /// Overlays a checkpointed dropped count onto an emptied ring; the
+    /// stored variant must match the one this system was configured with.
     pub fn load_state(
         &mut self,
         r: &mut desim::snap::SnapReader<'_>,
@@ -222,7 +178,12 @@ impl Tracer {
         let tag = r.u8()?;
         match (&mut *self, tag) {
             (Tracer::Null, 0) => Ok(()),
-            (Tracer::Ring(ring), 1) => ring.load_state(r),
+            (Tracer::Ring(ring), 1) => {
+                ring.dropped = r.u64()?;
+                ring.buf.clear();
+                ring.head = 0;
+                Ok(())
+            }
             (_, 0 | 1) => Err(SnapError::Mismatch(
                 "tracer kind differs from snapshot".to_string(),
             )),
@@ -254,6 +215,8 @@ mod tests {
         TraceEvent::WindowBoundary {
             index: i,
             kind: WindowLabel::Power,
+            router_peak_flits: 0,
+            lasers_on: 0,
         }
     }
 
@@ -287,34 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_ring_with_a_nonzero_head_is_refused() {
-        use desim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-        // Five records, head `head`, nothing dropped.
-        let state = |head: usize| {
-            let mut w = SnapWriter::new();
-            (0..5)
-                .map(|i| TraceRecord {
-                    at: i,
-                    event: window(i),
-                })
-                .collect::<Vec<_>>()
-                .save(&mut w);
-            w.usize(head);
-            w.u64(0);
-            w.into_bytes()
-        };
-        let load = |capacity: usize, head: usize| {
-            RingRecorder::new(capacity).load_state(&mut SnapReader::new(&state(head)))
-        };
-        // A ring that never filled never moved its head.
-        assert!(load(8, 0).is_ok());
-        assert!(matches!(load(8, 3), Err(SnapError::Format(_))));
-        // A full ring may start anywhere below its capacity.
-        assert!(load(5, 3).is_ok());
-        assert!(matches!(load(5, 5), Err(SnapError::Format(_))));
-    }
-
-    #[test]
     fn take_records_drains() {
         let mut r = RingRecorder::new(4);
         r.emit(1, window(1));
@@ -330,23 +265,11 @@ mod tests {
         t.emit(0, window(0));
         assert!(t.take_records().is_empty());
 
-        let mut t = Tracer::from_config(TraceConfig {
-            enabled: true,
-            capacity: 16,
-        });
+        let mut t = Tracer::from_config(TraceConfig::on());
         assert!(t.enabled());
         t.emit(7, window(1));
         let recs = t.take_records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].at, 7);
-    }
-
-    #[test]
-    fn zero_capacity_config_falls_back_to_default() {
-        let t = Tracer::from_config(TraceConfig {
-            enabled: true,
-            capacity: 0,
-        });
-        assert!(t.enabled());
     }
 }

@@ -56,6 +56,8 @@ mod tests {
             TraceEvent::WindowBoundary {
                 index: 1,
                 kind: crate::event::WindowLabel::Power,
+                router_peak_flits: 0,
+                lasers_on: 0,
             },
         );
     }

@@ -4,7 +4,7 @@
 //! The paper fixes the DPM operating point (`L_min`/`L_max`/`B_max`, window
 //! `R_w`) as constants; the PR-8 scenario matrix shows hostile workloads
 //! (incast, Zipf hotspot, collective phases) punishing exactly those
-//! constants. This crate closes the loop the metric registry opened, in two
+//! constants. This crate closes the loop the telemetry opened, in two
 //! layers:
 //!
 //! * **Offline** ([`sweep`]): enumerate an operating-point grid, join each

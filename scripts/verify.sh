@@ -85,6 +85,13 @@ if grep -rnE "power_mode[l]|counter_colum[n]" \
     echo "verify: a retired power-config or telemetry-join name is back"; exit 1
 fi
 
+echo "== one record of a traced run (no metric registry beside the events, no reserved link-shutdown event) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "MetricRegistr[y]|HistogramSummar[y]|WindowSnapsho[t]|hist_summarie[s]|take_metric_window[s]|DlsPowe[r]" \
+    crates tests examples src scripts README.md DESIGN.md .claude; then
+    echo "verify: a retired telemetry name is back"; exit 1
+fi
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

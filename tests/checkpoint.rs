@@ -452,9 +452,10 @@ fn version_and_config_mismatch_rejected() {
 
     // Older layouts are refused, not misread: version 1 (the dense
     // per-laser SRS bank), version 2 (the frozen retired words and a
-    // presence flag per injection source), version 3 (the f64 power fold)
-    // and version 4 (a high-water mark per router input VC).
-    for old in [1u16, 2, 3, 4] {
+    // presence flag per injection source), version 3 (the f64 power fold),
+    // version 4 (a high-water mark per router input VC) and version 5 (the
+    // trace ring, delivery rows and metric registry).
+    for old in [1u16, 2, 3, 4, 5] {
         let mut b = bytes.clone();
         b[4..6].copy_from_slice(&old.to_le_bytes());
         reseal(&mut b);
@@ -493,6 +494,29 @@ fn version_and_config_mismatch_rejected() {
         decode_snapshot(&bytes[..bytes.len() - 1], fp),
         Err(SnapError::Checksum { .. })
     ));
+}
+
+/// A snapshot holds no observations: a traced system with a packet log
+/// that still holds trace records or delivery rows refuses to checkpoint,
+/// naming the drain it needs; once drained it checkpoints, and a restore
+/// reproduces its state to the byte.
+#[test]
+fn undrained_observations_refuse_to_checkpoint() {
+    let mut sys = build(NetworkMode::PB, full_plan());
+    while sys.now() < 3 * WINDOW + WINDOW / 2 {
+        sys.step();
+    }
+    assert!(sys.can_checkpoint(), "mid-window, no DBR round in flight");
+    match encode_snapshot(&sys, StreamCursor::start()) {
+        Err(SnapError::Mismatch(why)) => assert!(why.contains("drain_window"), "{why}"),
+        other => panic!("undrained system checkpointed: {other:?}"),
+    }
+    let flush = sys.drain_window();
+    assert!(!flush.records.is_empty() && !flush.packets.is_empty());
+    let bytes = encode_snapshot(&sys, StreamCursor::start()).expect("drained system encodes");
+    let mut restored = build(NetworkMode::PB, full_plan());
+    checkpoint::restore_system(&mut restored, &bytes).expect("restore");
+    assert_eq!(state_bytes(&restored), state_bytes(&sys));
 }
 
 /// A restored system overlaid onto a *differently-shaped* fresh system is

@@ -279,7 +279,7 @@ fn observers_never_perturb_and_compose() {
     // the same RunResult.
     use erapid_suite::erapid_core::experiment::TraceSource;
     use erapid_suite::erapid_core::faults::FaultPlan;
-    use erapid_suite::erapid_telemetry::TraceConfig;
+    use erapid_suite::erapid_telemetry::{TraceConfig, TraceEvent};
     use std::sync::Arc;
     fn bits(r: &RunResult) -> ([u64; 8], [u64; 8]) {
         let floats = [
@@ -330,7 +330,13 @@ fn observers_never_perturb_and_compose() {
         );
         assert_eq!(out.injections.is_some(), record);
         assert_eq!(out.trace.records.is_empty(), !trace_on);
-        assert_eq!(out.trace.windows.is_empty(), !trace_on);
+        // A traced run stamps every R_w boundary it crossed, once.
+        let window = SystemConfig::small(NetworkMode::PB).schedule.window;
+        let stamped = (out.trace.records.iter())
+            .filter(|r| matches!(r.event, TraceEvent::WindowBoundary { .. }))
+            .count() as u64;
+        let crossed = (out.result.cycles - 1) / window;
+        assert_eq!(stamped, if trace_on { crossed } else { 0 });
         assert_eq!(out.trace.packets.is_empty(), !packet_log);
     }
     let recording = Arc::new(all_on.injections.expect("recording was on"));
@@ -343,7 +349,13 @@ fn observers_never_perturb_and_compose() {
     // the same event stream whether generated or replayed.
     assert!(!replayed.trace.records.is_empty());
     assert_eq!(replayed.trace.records, all_on.trace.records);
-    assert_eq!(replayed.trace.windows, all_on.trace.windows);
+    // The records compared include each window's gauges, and they are not
+    // vacuous: some window saw flits buffered in a router.
+    assert!(all_on.trace.records.iter().any(|r| matches!(
+        r.event,
+        TraceEvent::WindowBoundary { router_peak_flits, lasers_on, .. }
+            if router_peak_flits > 0 && lasers_on > 0
+    )));
 }
 
 #[test]

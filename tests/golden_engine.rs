@@ -349,10 +349,7 @@ fn run_replay(mode: NetworkMode, fixture: &str) -> Fingerprint {
 /// exact sequence the full scans did.
 fn traced_fingerprint() -> (Fingerprint, u64, u64) {
     let mut cfg = SystemConfig::small(NetworkMode::PB);
-    cfg.trace = TraceConfig {
-        enabled: true,
-        capacity: 1 << 20,
-    };
+    cfg.trace = TraceConfig::on();
     let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
     sys.run();
     let records = sys.take_trace_records();

@@ -286,7 +286,6 @@ fn delivery_logs_survive_mutation() {
         .collect();
     let flush = WindowFlush {
         records: Vec::new(),
-        windows: Vec::new(),
         packets,
     };
     let paths = StreamPaths {

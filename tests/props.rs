@@ -165,8 +165,8 @@ fn histogram_quantiles_monotone() {
         for &s in &samples {
             h.record(s);
         }
-        let qs: Vec<f64> = [h.p50(), h.p95(), h.p99()]
-            .map(|q| q.expect("non-empty histogram"))
+        let qs: Vec<f64> = [0.50, 0.95, 0.99]
+            .map(|q| h.quantile(q).expect("non-empty histogram"))
             .to_vec();
         for w in qs.windows(2) {
             assert!(w[0] <= w[1], "percentiles must be monotone: {qs:?}");
