@@ -76,12 +76,12 @@ impl NetworkMode {
     }
 }
 
-/// How DBR decisions travel from statistics to laser commands. There is
-/// one way; the type survives only for [`SystemConfig::control_plane`].
+/// How DBR decisions travel from statistics to the lasers. There is one
+/// way; the type survives only for [`SystemConfig::control_plane`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControlPlane {
-    /// The five stages executed as real control packets on the RC ring,
-    /// cycle by cycle ([`reconfig::protocol::DbrRound`]).
+    /// The five stages clocked cycle by cycle on the LC chains and the RC
+    /// ring, token faults included ([`reconfig::protocol::DbrRound`]).
     #[default]
     MessageLevel,
 }

@@ -30,10 +30,9 @@ use photonics::fiber::Fiber;
 use photonics::power::LinkPowerModel;
 use photonics::serdes::Serdes;
 use photonics::wavelength::{BoardId, Wavelength};
-use reconfig::alloc::FlowDemand;
+use reconfig::alloc::{FlowDemand, IncomingLink};
 use reconfig::lc::ThresholdWatch;
 use reconfig::lockstep::WindowKind;
-use reconfig::msg::LinkReading;
 use reconfig::protocol::{DbrRound, TokenFault};
 use reconfig::stages::Stage;
 use router::flit::{NodeId, PacketId};
@@ -740,8 +739,8 @@ impl System {
     /// Link Response stage completes ([`Self::tick_active_round`]).
     fn bandwidth_cycle(&mut self, now: Cycle) {
         self.dbr_rounds += 1;
-        let (outgoing, demands) = self.round_inputs();
-        let mut round = DbrRound::new(self.cfg.timing, self.cfg.alloc, now, outgoing, demands);
+        let (incoming, demands) = self.round_inputs();
+        let mut round = DbrRound::new(self.cfg.timing, self.cfg.alloc, now, incoming, demands);
         for f in self.armed_token.drain(..) {
             round.inject_fault(f);
         }
@@ -751,26 +750,26 @@ impl System {
         self.active_round = Some(round);
     }
 
-    /// Builds the Link-Request readings and flow demands a round starts from (the LC hardware-counter state of the previous
-    /// window).
-    fn round_inputs(&self) -> (Vec<Vec<LinkReading>>, Vec<Vec<FlowDemand>>) {
+    /// Builds a round's inputs from the LC hardware-counter state of the
+    /// previous window: each destination's owned incoming channels in
+    /// ascending wavelength with the owner's TX-queue occupancy, and every
+    /// flow's demand toward it.
+    fn round_inputs(&self) -> (Vec<Vec<IncomingLink>>, Vec<Vec<FlowDemand>>) {
         let boards = self.cfg.boards;
-        let wavelengths = self.cfg.wavelengths();
-        let mut outgoing = vec![Vec::new(); boards as usize];
-        for d in 0..boards {
-            for w in 1..wavelengths {
-                if let Some(s) = self.srs.owner(d, w) {
-                    let ch = self.srs.channel(s, d, w);
-                    outgoing[s as usize].push(LinkReading {
-                        wavelength: Wavelength(w),
-                        destination: Some(BoardId(d)),
-                        link_util: self.srs.link_util(s, d, w),
-                        buffer_util: self.boards[s as usize].buffer_util(d),
-                        level: ch.level(),
-                    });
-                }
-            }
-        }
+        let incoming = (0..boards)
+            .map(|d| {
+                (1..self.cfg.wavelengths())
+                    .filter_map(|w| {
+                        let s = self.srs.owner(d, w)?;
+                        Some(IncomingLink {
+                            wavelength: Wavelength(w),
+                            owner: BoardId(s),
+                            buffer_util: self.boards[s as usize].buffer_util(d),
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
         let demands = (0..boards)
             .map(|d| {
                 (0..boards)
@@ -782,7 +781,7 @@ impl System {
                     .collect()
             })
             .collect();
-        (outgoing, demands)
+        (incoming, demands)
     }
 
     /// Advances the in-flight round; applies its outcome on the cycle the

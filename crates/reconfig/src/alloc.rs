@@ -35,9 +35,6 @@ pub struct IncomingLink {
     pub buffer_util: f64,
 }
 
-/// A re-assignment decision (alias of the wire-format grant).
-pub type Reassignment = WavelengthGrant;
-
 /// One flow's bandwidth demand at a destination: the transmitter-queue
 /// occupancy of source board `source` toward the destination, reported by
 /// the source's LC even when the flow currently owns no wavelength (its
@@ -105,7 +102,7 @@ impl AllocPolicy {
         destination: BoardId,
         incoming: &[IncomingLink],
         demands: &[FlowDemand],
-    ) -> Vec<Reassignment> {
+    ) -> Vec<WavelengthGrant> {
         let mut over: Vec<&FlowDemand> = demands
             .iter()
             .filter(|d| self.classify(d.buffer_util) == Classification::Over)
@@ -194,7 +191,7 @@ mod tests {
             &self,
             destination: BoardId,
             incoming: &[IncomingLink],
-        ) -> Vec<Reassignment> {
+        ) -> Vec<WavelengthGrant> {
             self.reconfigure_with_demands(destination, incoming, &demands_from_channels(incoming))
         }
     }

@@ -8,19 +8,17 @@
 //! and re-synchronizes the system periodically with minimal control
 //! overhead."
 //!
-//! * [`msg`] — the control packets (`Power_Request`, `Link_Request`,
-//!   `Link_Response`, `Board_Request`, `Board_Response`),
+//! * [`msg`] — the [`WavelengthGrant`](msg::WavelengthGrant) a
+//!   Reconfigure decision hands to the SRS,
 //! * [`lc`] — Link Controllers: the `B_max` threshold comparator
 //!   ([`ThresholdWatch`]),
-//! * [`rc`] — board Reconfiguration Controllers with their outgoing /
-//!   incoming link statistic tables,
 //! * [`alloc`] — the Reconfigure stage: classify incoming links as under- /
 //!   normal- / over-utilized by `B_min`/`B_max` and re-assign wavelengths,
-//! * [`ring`] — the unidirectional electrical control ring connecting RCs,
 //! * [`stages`] — protocol stage timing (how many cycles each of the five
-//!   stages costs on the ring),
-//! * [`protocol`] — one DBR round run as control packets over the above,
-//!   cycle by cycle, with the token-loss watchdog,
+//!   stages costs on the LC chains and the RC ring),
+//! * [`protocol`] — one DBR round clocked through the five stages: one
+//!   [`AllocPolicy`] call per destination at Reconfigure, ring tokens that
+//!   carry no payload, and the token-loss watchdog,
 //! * [`lockstep`] — the odd–even window scheduler (odd windows run the
 //!   power cycle, even windows the bandwidth cycle).
 
@@ -53,12 +51,9 @@ pub mod lc;
 pub mod lockstep;
 pub mod msg;
 pub mod protocol;
-pub mod rc;
-pub mod ring;
 pub mod stages;
 
-pub use alloc::{AllocPolicy, Classification, FlowDemand, Reassignment};
+pub use alloc::{AllocPolicy, Classification, FlowDemand};
 pub use lc::ThresholdWatch;
 pub use lockstep::{LockStepSchedule, WindowKind};
 pub use protocol::{ProtocolError, RetryPolicy, RoundOutcome, TokenFault};
-pub use rc::ReconfigController;

@@ -1,36 +1,12 @@
-//! Control packets of the LS protocol.
+//! The decision the LS protocol delivers.
 //!
-//! Two packet families (§3.2, Fig. 4): RC↔LC packets circulate through the
-//! board's LCs in sequence; RC↔RC packets circulate on the electrical ring.
+//! The Reconfigure stage decides [`WavelengthGrant`]s, Board Response
+//! carries them around the RC ring and Link Response turns each into a
+//! laser OFF at `from` and a laser ON at `to` (§3.2, Fig. 4). The simulated
+//! tokens carry no payload (`protocol`), so the grant is the one message
+//! type.
 
-use photonics::bitrate::RateLevel;
 use photonics::wavelength::{BoardId, Wavelength};
-
-/// One link's statistics as read from an LC's hardware counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkReading {
-    /// Wavelength (= transmitter index) the reading belongs to.
-    pub wavelength: Wavelength,
-    /// Destination board the laser currently points at (None = laser off).
-    pub destination: Option<BoardId>,
-    /// `Link_util` of the previous window.
-    pub link_util: f64,
-    /// `Buffer_util` of the previous window.
-    pub buffer_util: f64,
-    /// Current rate level of the transmitter.
-    pub level: RateLevel,
-}
-
-/// A laser on/off command delivered in the Link Response stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaserCommand {
-    /// Which transmitter (wavelength).
-    pub wavelength: Wavelength,
-    /// Which output port (destination board).
-    pub destination: BoardId,
-    /// Desired state.
-    pub on: bool,
-}
 
 /// A wavelength ownership change decided in the Reconfigure stage: at
 /// destination `destination`, wavelength `wavelength` is taken from
@@ -64,92 +40,9 @@ impl desim::snap::Snap for WavelengthGrant {
     }
 }
 
-/// The LS control packets.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControlPacket {
-    /// RC→LC…→RC: collects link/buffer utilizations in the power cycle.
-    PowerRequest {
-        /// Issuing board.
-        origin: BoardId,
-        /// Readings appended by each LC as the packet passes.
-        readings: Vec<LinkReading>,
-    },
-    /// RC→LC…→RC: collects outgoing link statistics in the bandwidth cycle.
-    LinkRequest {
-        /// Issuing board.
-        origin: BoardId,
-        /// Readings appended by each LC as the packet passes.
-        readings: Vec<LinkReading>,
-    },
-    /// RC→RC ring: asks every other board for statistics of this board's
-    /// *incoming* links.
-    BoardRequest {
-        /// Issuing board (the destination whose incoming links are queried).
-        origin: BoardId,
-        /// Per-hop appended readings: (reporting source board, its reading
-        /// for the wavelength it uses toward `origin`).
-        reports: Vec<(BoardId, LinkReading)>,
-    },
-    /// RC→RC ring: disseminates the reconfiguration decisions.
-    BoardResponse {
-        /// Issuing board (the destination that re-allocated its incoming
-        /// wavelengths).
-        origin: BoardId,
-        /// Ownership changes other boards must apply to their transmitters.
-        grants: Vec<WavelengthGrant>,
-    },
-    /// RC→LC…→RC: delivers laser on/off commands.
-    LinkResponse {
-        /// Issuing board.
-        origin: BoardId,
-        /// Commands for this board's transmitters.
-        commands: Vec<LaserCommand>,
-    },
-}
-
-impl ControlPacket {
-    /// The board that issued the packet.
-    pub fn origin(&self) -> BoardId {
-        match self {
-            ControlPacket::PowerRequest { origin, .. }
-            | ControlPacket::LinkRequest { origin, .. }
-            | ControlPacket::BoardRequest { origin, .. }
-            | ControlPacket::BoardResponse { origin, .. }
-            | ControlPacket::LinkResponse { origin, .. } => *origin,
-        }
-    }
-
-    /// Short tag for traces.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ControlPacket::PowerRequest { .. } => "power_req",
-            ControlPacket::LinkRequest { .. } => "link_req",
-            ControlPacket::BoardRequest { .. } => "board_req",
-            ControlPacket::BoardResponse { .. } => "board_rsp",
-            ControlPacket::LinkResponse { .. } => "link_rsp",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn origin_and_tag() {
-        let p = ControlPacket::PowerRequest {
-            origin: BoardId(3),
-            readings: vec![],
-        };
-        assert_eq!(p.origin(), BoardId(3));
-        assert_eq!(p.tag(), "power_req");
-        let p = ControlPacket::BoardResponse {
-            origin: BoardId(1),
-            grants: vec![],
-        };
-        assert_eq!(p.origin(), BoardId(1));
-        assert_eq!(p.tag(), "board_rsp");
-    }
 
     #[test]
     fn grant_fields() {

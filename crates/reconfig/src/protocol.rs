@@ -1,35 +1,48 @@
-//! Clocked, message-level execution of one full DBR round.
+//! One DBR round, clocked cycle by cycle.
 //!
-//! This is the DBR control plane of the system model in `erapid-core`: it
-//! runs the round as actual control packets — Link Request through the LC
-//! chain, Board Request circulating the [`crate::ring::ControlRing`],
-//! Reconfigure at each RC, Board Response around the ring again, Link
-//! Response back through the LCs — one cycle at a time, and reports both
-//! the decisions and the cycle the round completed.
+//! This is the DBR control plane of the system model in `erapid-core`. A
+//! round walks the five Lock-Step stages of Fig. 4 on the clock of
+//! [`ProtocolTiming`]: Link Request and Link Response cost one LC-chain
+//! loop each, Board Request and Board Response one ring loop each, and
+//! Reconfigure its compute time. The tokens carry no payload: each
+//! destination decides with one [`AllocPolicy::reconfigure_with_demands`]
+//! call over its incoming channels and flow demands when Reconfigure ends,
+//! and the grants take effect when Link Response ends. The ring decides
+//! only *when*: each origin's token is one return cycle, and a token sent
+//! at `t` is home at `t + boards · ring_hop`.
 //!
-//! The ring stages are additionally guarded against control-plane faults:
-//! each origin tracks whether its token has returned home, and a per-stage
-//! watchdog (the LS heartbeat) relaunches missing tokens after the
-//! expected round trip plus a grace window, doubling the grace on every
-//! attempt (bounded retry with exponential backoff, [`RetryPolicy`]). A
+//! The ring stages are guarded against control-plane faults: each origin
+//! tracks whether its token has returned home, and a per-stage watchdog
+//! (the LS heartbeat) relaunches missing tokens after the expected round
+//! trip plus a grace window, doubling the grace on every attempt (bounded
+//! retry with exponential backoff, [`RetryPolicy`]). A
 //! token whose checksum fails on return is discarded and resent
 //! immediately. A stage that exhausts its retry budget aborts the round
 //! fail-safe: the outcome carries a [`ProtocolError`] and no grants, so
 //! the system keeps its current allocation rather than acting on partial
 //! state.
 //!
-//! Invariants checked by the tests (and usable by callers):
-//! * decisions equal a direct [`crate::alloc::AllocPolicy`] evaluation of
-//!   the same window statistics, for any single-owner ownership table,
+//! The per-origin token model rests on two facts, both `debug_assert`ed:
+//! * [`DbrRound::tick`] is called on consecutive cycles (`System` and
+//!   every test do), so each token is seen on the cycle it comes home;
+//! * no origin is sent a token while one of its own is in flight: every
+//!   send leaves `deadline ≥ send + round trip + grace`, so a token still
+//!   away when the watchdog fires has been lost, and a corrupted one is
+//!   resent only once it is home.
+//!
+//! Together they make the ring's lock-step property (one token per board
+//! per hop slot) hold by construction.
+//!
+//! Invariants checked by the tests:
+//! * the grants are the per-destination [`AllocPolicy`] decisions, in
+//!   destination order, for any single-owner ownership table,
 //! * fault-free completion time equals `ProtocolTiming::dbr_latency()`
 //!   exactly (the watchdog never fires on a lossless ring),
-//! * the ring never holds more than one packet per board per hop slot
-//!   (the lock-step property).
+//! * under every schedule of up to two token faults a round ends within
+//!   the retry bound and decides what the fault-free round decides, later.
 
-use crate::alloc::{AllocPolicy, FlowDemand};
-use crate::msg::{ControlPacket, LaserCommand, LinkReading, WavelengthGrant};
-use crate::rc::ReconfigController;
-use crate::ring::ControlRing;
+use crate::alloc::{AllocPolicy, FlowDemand, IncomingLink};
+use crate::msg::WavelengthGrant;
 use crate::stages::{ProtocolTiming, Stage};
 use desim::Cycle;
 use photonics::wavelength::BoardId;
@@ -110,10 +123,8 @@ pub struct RoundOutcome {
     /// Every ownership transfer decided this round (all destinations).
     /// Empty when the round aborted (`error` is set).
     pub grants: Vec<WavelengthGrant>,
-    /// Per-board laser commands derived from the grants.
-    pub commands: Vec<Vec<LaserCommand>>,
     /// Cycle (relative to the round start) at which the Link Response
-    /// stage finished and the commands took effect.
+    /// stage finished and the grants took effect.
     pub completed_at: Cycle,
     /// Token resends performed (loss relaunches + corruption resends).
     pub retries: u32,
@@ -129,14 +140,14 @@ enum RoundPhase {
         /// Completion cycle of the stage.
         until: Cycle,
     },
-    /// Board Request packets circulating the ring.
+    /// Board Request tokens circulating the ring.
     BoardRequest,
     /// Reconfigure computation at every RC.
     Reconfigure {
         /// Completion cycle of the stage.
         until: Cycle,
     },
-    /// Board Response packets circulating the ring.
+    /// Board Response tokens circulating the ring.
     BoardResponse,
     /// Link Response circulating the LC chains (fixed duration).
     LinkResponse {
@@ -149,21 +160,23 @@ enum RoundPhase {
 
 /// Drives one DBR round to completion, cycle by cycle.
 pub struct DbrRound {
-    boards: u16,
     timing: ProtocolTiming,
-    ring: ControlRing,
-    rcs: Vec<ReconfigController>,
-    /// Flow demands per destination (indexed `[d][..]`), carried alongside
-    /// the per-channel readings as described in `alloc`.
+    policy: AllocPolicy,
+    /// Incoming channels per destination (indexed `[d][..]`, ascending
+    /// wavelength).
+    incoming: Vec<Vec<IncomingLink>>,
+    /// Flow demands per destination (indexed `[d][..]`), as described in
+    /// `alloc`.
     demands: Vec<Vec<FlowDemand>>,
     phase: RoundPhase,
     start: Cycle,
+    /// The cycle the next [`Self::tick`] must be for.
+    next_tick: Cycle,
     grants: Vec<WavelengthGrant>,
-    /// Per-destination grant payloads decided at Reconfigure — kept so a
-    /// lost Board Response token can be resent with its original payload.
-    response_grants: Vec<Vec<WavelengthGrant>>,
-    outcome: Option<RoundOutcome>,
     retry: RetryPolicy,
+    /// Per-origin return cycle of the token in flight; `None` once it is
+    /// home or lost.
+    returns_at: Vec<Option<Cycle>>,
     /// Per-origin "my token is home" flags for the current ring stage.
     home: Vec<bool>,
     /// Per-origin corrupted-token flags (checksum fails on return).
@@ -186,47 +199,37 @@ pub struct DbrRound {
 }
 
 impl DbrRound {
-    /// Starts a round at cycle `start`.
+    /// Starts a round at cycle `start`; its first tick is for `start`.
     ///
-    /// `outgoing[b]` is board `b`'s Link-Request readings (one per
-    /// transmitter); `demands[d]` is the per-flow queue telemetry toward
-    /// destination `d` (what the static LCs keep reporting even for flows
-    /// whose lasers are dark).
+    /// `incoming[d]` is destination `d`'s incoming channels, each with its
+    /// owner and the owner's `Buffer_util`; `demands[d]` is the per-flow
+    /// queue telemetry toward `d` (what the static LCs keep reporting even
+    /// for flows whose lasers are dark).
     pub fn new(
         timing: ProtocolTiming,
         policy: AllocPolicy,
         start: Cycle,
-        outgoing: Vec<Vec<LinkReading>>,
+        incoming: Vec<Vec<IncomingLink>>,
         demands: Vec<Vec<FlowDemand>>,
     ) -> Self {
-        let boards = timing.boards;
-        assert_eq!(outgoing.len(), boards as usize);
-        assert_eq!(demands.len(), boards as usize);
-        let mut rcs: Vec<ReconfigController> = (0..boards)
-            .map(|b| ReconfigController::new(BoardId(b), boards, policy))
-            .collect();
-        // Stage 1 payload is known at construction; the stage still costs
-        // its chain time before the ring stage may begin.
-        for (b, readings) in outgoing.iter().enumerate() {
-            rcs[b].update_outgoing(readings);
-        }
-        let link_req = timing.stage_cycles(Stage::LinkRequest);
+        let boards = timing.boards as usize;
+        assert_eq!(incoming.len(), boards);
+        assert_eq!(demands.len(), boards);
         Self {
-            boards,
             timing,
-            ring: ControlRing::new(boards, timing.ring_hop),
-            rcs,
+            policy,
+            incoming,
             demands,
             phase: RoundPhase::LinkRequest {
-                until: start + link_req,
+                until: start + timing.stage_cycles(Stage::LinkRequest),
             },
             start,
+            next_tick: start,
             grants: Vec::new(),
-            response_grants: vec![Vec::new(); boards as usize],
-            outcome: None,
             retry: RetryPolicy::default(),
-            home: vec![false; boards as usize],
-            corrupted: vec![false; boards as usize],
+            returns_at: vec![None; boards],
+            home: vec![false; boards],
+            corrupted: vec![false; boards],
             deadline: Cycle::MAX,
             attempts: 0,
             retries: 0,
@@ -300,98 +303,76 @@ impl DbrRound {
         if self.is_done() {
             return;
         }
-        let v = fault.victim;
-        let in_ring_stage = matches!(
-            self.phase,
-            RoundPhase::BoardRequest | RoundPhase::BoardResponse
-        );
-        if in_ring_stage && !self.home[v.index()] && self.ring.has_packet_from(v) {
+        let v = fault.victim.index();
+        if self.returns_at[v].is_some() {
             if fault.corrupt {
-                self.corrupted[v.index()] = true;
+                self.corrupted[v] = true;
             } else {
-                self.ring.drop_packet_from(v);
+                self.returns_at[v] = None;
             }
-            return;
-        }
-        if !self.armed.iter().any(|f| f.victim == v) {
+        } else if !self.armed.iter().any(|f| f.victim == fault.victim) {
             self.armed.push(fault);
         }
     }
 
-    /// A fresh copy of `origin`'s token for `stage` (used at launch and
-    /// for every resend — re-collection is safe because RC table reads
-    /// are idempotent).
-    fn fresh_token(&self, origin: BoardId, stage: Stage) -> ControlPacket {
-        if stage == Stage::BoardRequest {
-            ControlPacket::BoardRequest {
-                origin,
-                reports: vec![],
-            }
-        } else {
-            ControlPacket::BoardResponse {
-                origin,
-                grants: self.response_grants[origin.index()].clone(),
-            }
-        }
+    /// Cycles for a token to loop the ring back to its origin.
+    fn round_trip(&self) -> Cycle {
+        self.timing.stage_cycles(Stage::BoardRequest)
+    }
+
+    /// Sends origin `b`'s token at `now`; it is home one ring loop later.
+    fn send(&mut self, now: Cycle, b: usize) {
+        debug_assert!(
+            self.returns_at[b].is_none(),
+            "board {b} sent a token with one in flight"
+        );
+        self.returns_at[b] = Some(now + self.round_trip());
     }
 
     /// Lock-step launch of a ring stage: every board sends its token
     /// simultaneously (Fig. 4(b)), armed faults strike at the launch, and
     /// the stage watchdog is primed.
-    fn launch_ring_stage(&mut self, now: Cycle, stage: Stage) {
-        self.home.iter_mut().for_each(|h| *h = false);
-        self.corrupted.iter_mut().for_each(|c| *c = false);
+    fn launch_ring_stage(&mut self, now: Cycle) {
+        self.home.fill(false);
+        self.corrupted.fill(false);
         self.attempts = 0;
-        for b in 0..self.boards {
+        for b in 0..self.home.len() {
             let mut lost = false;
-            if let Some(pos) = self.armed.iter().position(|f| f.victim == BoardId(b)) {
+            if let Some(pos) = self.armed.iter().position(|f| f.victim.index() == b) {
                 let f = self.armed.remove(pos);
                 if f.corrupt {
-                    self.corrupted[b as usize] = true;
+                    self.corrupted[b] = true;
                 } else {
                     lost = true;
                 }
             }
             if !lost {
-                let token = self.fresh_token(BoardId(b), stage);
-                self.ring.send(now, BoardId(b), token);
+                self.send(now, b);
             }
         }
-        self.deadline = now + self.ring.round_trip() + self.retry.grace;
+        self.deadline = now + self.round_trip() + self.retry.grace;
     }
 
     /// One cycle of a ring stage. Returns `true` when every token is home
     /// (stage complete). May set `self.error` when the retry budget runs
     /// out.
     fn tick_ring_stage(&mut self, now: Cycle, stage: Stage) -> bool {
-        self.ring.advance(now);
-        for b in 0..self.boards {
-            while let Some((_, mut packet)) = self.ring.receive(BoardId(b)) {
-                let origin = packet.origin();
-                if origin == BoardId(b) {
-                    if self.corrupted[b as usize] {
-                        // Checksum failure at the origin: discard the
-                        // mangled token and resend; the fresh copy must
-                        // make a full loop.
-                        self.corrupted[b as usize] = false;
-                        self.retries += 1;
-                        let token = self.fresh_token(origin, stage);
-                        self.ring.send(now, BoardId(b), token);
-                        self.deadline = self
-                            .deadline
-                            .max(now + self.ring.round_trip() + self.retry.grace);
-                    } else {
-                        if let ControlPacket::BoardRequest { reports, .. } = &packet {
-                            self.rcs[b as usize].update_incoming(reports);
-                        }
-                        self.home[b as usize] = true;
-                    }
-                } else {
-                    if let ControlPacket::BoardRequest { reports, .. } = &mut packet {
-                        reports.extend(self.rcs[b as usize].reports_toward(origin));
-                    }
-                    self.ring.send(now, BoardId(b), packet);
-                }
+        for b in 0..self.home.len() {
+            if self.returns_at[b] != Some(now) {
+                continue;
+            }
+            self.returns_at[b] = None;
+            if self.corrupted[b] {
+                // Checksum failure at the origin: discard the mangled
+                // token and resend; the fresh copy must make a full loop.
+                self.corrupted[b] = false;
+                self.retries += 1;
+                self.send(now, b);
+                self.deadline = self
+                    .deadline
+                    .max(now + self.round_trip() + self.retry.grace);
+            } else {
+                self.home[b] = true;
             }
         }
         if self.home.iter().all(|&h| h) {
@@ -415,38 +396,36 @@ impl DbrRound {
             return;
         }
         self.attempts += 1;
-        for b in 0..self.boards {
-            if !self.home[b as usize] {
+        for b in 0..self.home.len() {
+            if !self.home[b] {
                 self.retries += 1;
-                let token = self.fresh_token(BoardId(b), stage);
-                self.ring.send(now, BoardId(b), token);
+                self.send(now, b);
             }
         }
         let backoff = self.retry.grace << self.attempts.min(16);
-        self.deadline = now + self.ring.round_trip() + backoff;
+        self.deadline = now + self.round_trip() + backoff;
     }
 
-    /// Fail-safe abort: no grants, the error attached.
-    fn fail_outcome(&mut self, now: Cycle) -> RoundOutcome {
-        let outcome = RoundOutcome {
-            grants: Vec::new(),
-            commands: vec![Vec::new(); self.boards as usize],
+    /// Resolves the round at `now` with `grants` (empty on abort).
+    fn finish(&mut self, now: Cycle, grants: Vec<WavelengthGrant>) -> RoundOutcome {
+        self.set_phase(now, RoundPhase::Done);
+        RoundOutcome {
+            grants,
             completed_at: now - self.start,
             retries: self.retries,
             error: self.error,
-        };
-        self.outcome = Some(outcome.clone());
-        self.set_phase(now, RoundPhase::Done);
-        outcome
+        }
     }
 
-    /// Advances to cycle `now`; returns the outcome exactly once, on the
-    /// cycle the round completes (or aborts).
+    /// Advances to cycle `now` (one more than the last tick); returns the
+    /// outcome exactly once, on the cycle the round completes (or aborts).
     pub fn tick(&mut self, now: Cycle) -> Option<RoundOutcome> {
+        debug_assert_eq!(now, self.next_tick, "DbrRound::tick skipped a cycle");
+        self.next_tick = now + 1;
         match self.phase {
             RoundPhase::LinkRequest { until } => {
                 if now >= until {
-                    self.launch_ring_stage(now, Stage::BoardRequest);
+                    self.launch_ring_stage(now);
                     self.set_phase(now, RoundPhase::BoardRequest);
                 }
                 None
@@ -461,30 +440,23 @@ impl DbrRound {
                         },
                     );
                 } else if self.error.is_some() {
-                    return Some(self.fail_outcome(now));
+                    // Fail-safe abort: no grants, the error attached.
+                    return Some(self.finish(now, Vec::new()));
                 }
                 None
             }
             RoundPhase::Reconfigure { until } => {
                 if now >= until {
-                    // Each destination RC folds in the flow demands and
-                    // decides; grants launch on the ring as Board Responses.
-                    for d in 0..self.boards {
-                        let rc = &mut self.rcs[d as usize];
-                        let channels: Vec<_> = (1..self.boards)
-                            .filter_map(|w| {
-                                rc.incoming(photonics::wavelength::Wavelength(w)).copied()
-                            })
-                            .collect();
-                        let grants = rc.policy().reconfigure_with_demands(
-                            BoardId(d),
-                            &channels,
-                            &self.demands[d as usize],
-                        );
-                        self.grants.extend(grants.iter().copied());
-                        self.response_grants[d as usize] = grants;
+                    // Each destination's RC decides; the grants go out on
+                    // the ring as Board Responses.
+                    for (d, incoming) in self.incoming.iter().enumerate() {
+                        self.grants.extend(self.policy.reconfigure_with_demands(
+                            BoardId(d as u16),
+                            incoming,
+                            &self.demands[d],
+                        ));
                     }
-                    self.launch_ring_stage(now, Stage::BoardResponse);
+                    self.launch_ring_stage(now);
                     self.set_phase(now, RoundPhase::BoardResponse);
                 }
                 None
@@ -498,25 +470,14 @@ impl DbrRound {
                         },
                     );
                 } else if self.error.is_some() {
-                    return Some(self.fail_outcome(now));
+                    return Some(self.finish(now, Vec::new()));
                 }
                 None
             }
             RoundPhase::LinkResponse { until } => {
                 if now >= until {
-                    let commands: Vec<Vec<LaserCommand>> = (0..self.boards)
-                        .map(|b| self.rcs[b as usize].commands_from_grants(&self.grants))
-                        .collect();
-                    let outcome = RoundOutcome {
-                        grants: self.grants.clone(),
-                        commands,
-                        completed_at: now - self.start,
-                        retries: self.retries,
-                        error: None,
-                    };
-                    self.outcome = Some(outcome.clone());
-                    self.set_phase(now, RoundPhase::Done);
-                    return Some(outcome);
+                    let grants = std::mem::take(&mut self.grants);
+                    return Some(self.finish(now, grants));
                 }
                 None
             }
@@ -544,9 +505,7 @@ impl DbrRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::IncomingLink;
     use desim::rng::Pcg32;
-    use photonics::bitrate::RateLevel;
     use photonics::rwa::StaticRwa;
     use photonics::wavelength::Wavelength;
 
@@ -560,41 +519,43 @@ mod tests {
         }
     }
 
-    /// Outgoing readings for the complement-like scenario: board 0 hot
-    /// toward board 3, all other flows idle.
-    fn scenario() -> (Vec<Vec<LinkReading>>, Vec<Vec<FlowDemand>>) {
-        let rwa = StaticRwa::new(BOARDS);
-        let mut outgoing = vec![Vec::new(); BOARDS as usize];
-        for s in 0..BOARDS {
-            for d in 0..BOARDS {
-                if s == d {
-                    continue;
-                }
-                let w = rwa.wavelength(BoardId(s), BoardId(d));
-                let hot = s == 0 && d == 3;
-                outgoing[s as usize].push(LinkReading {
-                    wavelength: w,
-                    destination: Some(BoardId(d)),
-                    link_util: if hot { 1.0 } else { 0.0 },
-                    buffer_util: if hot { 0.9 } else { 0.0 },
-                    level: RateLevel(2),
-                });
-            }
-        }
-        let mut demands = vec![Vec::new(); BOARDS as usize];
-        for d in 0..BOARDS {
-            for s in 0..BOARDS {
-                if s == d {
-                    continue;
-                }
-                let hot = s == 0 && d == 3;
-                demands[d as usize].push(FlowDemand {
-                    source: BoardId(s),
-                    buffer_util: if hot { 0.9 } else { 0.0 },
-                });
-            }
-        }
-        (outgoing, demands)
+    /// The complement-like scenario: the static ownership table of a
+    /// `boards`-board system with board 0's flow toward the last board hot
+    /// and every other flow idle.
+    fn hot_flow(boards: u16) -> (Vec<Vec<IncomingLink>>, Vec<Vec<FlowDemand>>) {
+        let util = |s: u16, d: u16| if (s, d) == (0, boards - 1) { 0.9 } else { 0.0 };
+        let rwa = StaticRwa::new(boards);
+        let incoming = (0..boards)
+            .map(|d| {
+                let mut links: Vec<_> = rwa
+                    .incoming(BoardId(d))
+                    .into_iter()
+                    .map(|(owner, wavelength)| IncomingLink {
+                        wavelength,
+                        owner,
+                        buffer_util: util(owner.0, d),
+                    })
+                    .collect();
+                links.sort_by_key(|l| l.wavelength);
+                links
+            })
+            .collect();
+        (incoming, demands_of(boards, util))
+    }
+
+    /// Every flow's demand toward every destination, from `util(s, d)`.
+    fn demands_of(boards: u16, util: impl Fn(u16, u16) -> f64) -> Vec<Vec<FlowDemand>> {
+        (0..boards)
+            .map(|d| {
+                (0..boards)
+                    .filter(|&s| s != d)
+                    .map(|s| FlowDemand {
+                        source: BoardId(s),
+                        buffer_util: util(s, d),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// The extra latency one token fault costs a round when recovery
@@ -633,21 +594,17 @@ mod tests {
 
     #[test]
     fn round_reaches_the_direct_decision() {
-        let (outgoing, demands) = scenario();
-        let mut round = DbrRound::new(timing(), AllocPolicy::paper(), 0, outgoing, demands);
+        let (incoming, demands) = hot_flow(BOARDS);
+        let mut round = DbrRound::new(timing(), AllocPolicy::paper(), 0, incoming, demands);
         let outcome = round.run_to_completion();
         // Direct evaluation: two idle wavelengths toward board 3 go to 0.
         assert_eq!(outcome.grants.len(), 2, "{:?}", outcome.grants);
         assert!(outcome.grants.iter().all(|g| g.destination == BoardId(3)));
         assert!(outcome.grants.iter().all(|g| g.to == BoardId(0)));
-        // Commands: board 0 lights two lasers, donors darken one each.
-        assert_eq!(outcome.commands[0].len(), 2);
-        assert!(outcome.commands[0].iter().all(|c| c.on));
-        let offs: usize = outcome.commands[1..3]
-            .iter()
-            .map(|c| c.iter().filter(|c| !c.on).count())
-            .sum();
-        assert_eq!(offs, 2);
+        // The donors are the two idle flows toward board 3.
+        let mut donors: Vec<_> = outcome.grants.iter().map(|g| g.from).collect();
+        donors.sort();
+        assert_eq!(donors, [BoardId(1), BoardId(2)]);
         assert!(round.is_done());
         assert_eq!(outcome.retries, 0);
         assert!(outcome.error.is_none());
@@ -705,53 +662,34 @@ mod tests {
                 })
                 .collect();
 
-            let mut outgoing = vec![Vec::new(); b];
-            let mut demands = vec![Vec::new(); b];
-            let mut direct = Vec::new();
-            for d in 0..boards {
-                let mut channels = Vec::new();
-                for w in 1..boards {
-                    let Some(s) = owner[d as usize][w as usize] else {
-                        continue;
-                    };
-                    let buffer_util = util[s.index()][d as usize];
-                    channels.push(IncomingLink {
-                        wavelength: Wavelength(w),
-                        owner: s,
-                        buffer_util,
-                    });
-                    outgoing[s.index()].push(LinkReading {
-                        wavelength: Wavelength(w),
-                        destination: Some(BoardId(d)),
-                        link_util: rng.next_f64(),
-                        buffer_util,
-                        level: RateLevel(2),
-                    });
-                }
-                demands[d as usize] = (0..boards)
-                    .filter(|&s| s != d)
-                    .map(|s| FlowDemand {
-                        source: BoardId(s),
-                        buffer_util: util[s as usize][d as usize],
-                    })
-                    .collect();
-                direct.extend(policy.reconfigure_with_demands(
-                    BoardId(d),
-                    &channels,
-                    &demands[d as usize],
-                ));
-            }
-            // The LC chain order a reading arrives in must not matter.
-            for readings in &mut outgoing {
-                rng.shuffle(readings);
-            }
+            let incoming: Vec<Vec<IncomingLink>> = (0..b)
+                .map(|d| {
+                    (1..boards)
+                        .filter_map(|w| {
+                            let s = owner[d][w as usize]?;
+                            Some(IncomingLink {
+                                wavelength: Wavelength(w),
+                                owner: s,
+                                buffer_util: util[s.index()][d],
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+            let demands = demands_of(boards, |s, d| util[s as usize][d as usize]);
+            let direct: Vec<_> = (0..boards)
+                .flat_map(|d| {
+                    let (i, dm) = (&incoming[d as usize], &demands[d as usize]);
+                    policy.reconfigure_with_demands(BoardId(d), i, dm)
+                })
+                .collect();
 
             let timing = ProtocolTiming {
                 boards,
                 lcs_per_board: boards,
                 ..ProtocolTiming::paper64()
             };
-            let outcome = DbrRound::new(timing, policy, 0, outgoing, demands).run_to_completion();
+            let outcome = DbrRound::new(timing, policy, 0, incoming, demands).run_to_completion();
             assert_eq!(outcome.grants, direct, "trial {trial} (B = {boards})");
             let mut moved: Vec<_> = (outcome.grants.iter())
                 .map(|g| (g.destination, g.wavelength))
@@ -764,9 +702,9 @@ mod tests {
 
     #[test]
     fn completion_time_matches_the_analytic_latency() {
-        let (outgoing, demands) = scenario();
+        let (incoming, demands) = hot_flow(BOARDS);
         let t = timing();
-        let mut round = DbrRound::new(t, AllocPolicy::paper(), 100, outgoing, demands);
+        let mut round = DbrRound::new(t, AllocPolicy::paper(), 100, incoming, demands);
         let outcome = round.run_to_completion();
         assert_eq!(
             outcome.completed_at,
@@ -777,45 +715,22 @@ mod tests {
 
     #[test]
     fn balanced_round_produces_no_grants_but_still_costs_latency() {
-        let rwa = StaticRwa::new(BOARDS);
-        let mut outgoing = vec![Vec::new(); BOARDS as usize];
-        for s in 0..BOARDS {
-            for d in 0..BOARDS {
-                if s == d {
-                    continue;
-                }
-                outgoing[s as usize].push(LinkReading {
-                    wavelength: rwa.wavelength(BoardId(s), BoardId(d)),
-                    destination: Some(BoardId(d)),
-                    link_util: 0.5,
-                    buffer_util: 0.2,
-                    level: RateLevel(2),
-                });
-            }
+        let (mut incoming, _) = hot_flow(BOARDS);
+        for link in incoming.iter_mut().flatten() {
+            link.buffer_util = 0.2;
         }
-        let demands = (0..BOARDS)
-            .map(|d| {
-                (0..BOARDS)
-                    .filter(|&s| s != d)
-                    .map(|s| FlowDemand {
-                        source: BoardId(s),
-                        buffer_util: 0.2,
-                    })
-                    .collect()
-            })
-            .collect();
+        let demands = demands_of(BOARDS, |_, _| 0.2);
         let t = timing();
-        let mut round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
+        let mut round = DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands);
         let outcome = round.run_to_completion();
         assert!(outcome.grants.is_empty());
-        assert!(outcome.commands.iter().all(|c| c.is_empty()));
         assert_eq!(outcome.completed_at, t.dbr_latency());
     }
 
     #[test]
     fn stage_labels_progress_in_order() {
-        let (outgoing, demands) = scenario();
-        let mut round = DbrRound::new(timing(), AllocPolicy::paper(), 0, outgoing, demands);
+        let (incoming, demands) = hot_flow(BOARDS);
+        let mut round = DbrRound::new(timing(), AllocPolicy::paper(), 0, incoming, demands);
         let mut seen = vec![round.stage()];
         let mut now = 0;
         while !round.is_done() {
@@ -832,9 +747,9 @@ mod tests {
 
     #[test]
     fn stage_log_records_all_transitions_with_cycles() {
-        let (outgoing, demands) = scenario();
+        let (incoming, demands) = hot_flow(BOARDS);
         let t = timing();
-        let mut round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
+        let mut round = DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands);
         let outcome = round.run_to_completion();
         let log = round.stage_log();
         let stages: Vec<Option<Stage>> = log.iter().map(|&(_, s)| s).collect();
@@ -854,18 +769,18 @@ mod tests {
 
     #[test]
     fn token_loss_mid_ring_recovers_with_one_retry() {
-        let (outgoing, demands) = scenario();
+        let (incoming, demands) = hot_flow(BOARDS);
         let t = timing();
         let baseline = DbrRound::new(
             t,
             AllocPolicy::paper(),
             0,
-            outgoing.clone(),
+            incoming.clone(),
             demands.clone(),
         )
         .run_to_completion();
         // Board Request launches at link_req = 5; drop board 1's token at 6.
-        let round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
+        let round = DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands);
         let outcome = run_with_fault(
             round,
             0,
@@ -889,9 +804,9 @@ mod tests {
 
     #[test]
     fn token_loss_before_launch_strikes_at_launch() {
-        let (outgoing, demands) = scenario();
+        let (incoming, demands) = hot_flow(BOARDS);
         let t = timing();
-        let round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
+        let round = DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands);
         // Injected during Link Request (no token in flight yet): the fault
         // arms and the victim's token never enters the ring at launch.
         let outcome = run_with_fault(
@@ -913,17 +828,17 @@ mod tests {
 
     #[test]
     fn corrupted_token_is_detected_on_return_and_resent() {
-        let (outgoing, demands) = scenario();
+        let (incoming, demands) = hot_flow(BOARDS);
         let t = timing();
         let baseline = DbrRound::new(
             t,
             AllocPolicy::paper(),
             0,
-            outgoing.clone(),
+            incoming.clone(),
             demands.clone(),
         )
         .run_to_completion();
-        let round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
+        let round = DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands);
         let outcome = run_with_fault(
             round,
             0,
@@ -946,19 +861,19 @@ mod tests {
 
     #[test]
     fn board_response_token_loss_preserves_the_decisions() {
-        let (outgoing, demands) = scenario();
+        let (incoming, demands) = hot_flow(BOARDS);
         let t = timing();
         let baseline = DbrRound::new(
             t,
             AllocPolicy::paper(),
             0,
-            outgoing.clone(),
+            incoming.clone(),
             demands.clone(),
         )
         .run_to_completion();
         // Reconfigure ends (and Board Response launches) at 5 + 8 + 4 = 17;
         // hit board 3's response token right after.
-        let round = DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands);
+        let round = DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands);
         let outcome = run_with_fault(
             round,
             0,
@@ -979,10 +894,10 @@ mod tests {
 
     #[test]
     fn persistent_loss_aborts_fail_safe_after_max_retries() {
-        let (outgoing, demands) = scenario();
+        let (incoming, demands) = hot_flow(BOARDS);
         let t = timing();
         let mut round =
-            DbrRound::new(t, AllocPolicy::paper(), 0, outgoing, demands).with_retry(RetryPolicy {
+            DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands).with_retry(RetryPolicy {
                 grace: 4,
                 max_retries: 2,
             });
@@ -1011,14 +926,13 @@ mod tests {
             outcome.grants.is_empty(),
             "fail-safe abort must not act on partial state"
         );
-        assert!(outcome.commands.iter().all(|c| c.is_empty()));
         assert!(outcome.retries >= 2);
     }
 
     #[test]
     fn fault_after_completion_is_inert() {
-        let (outgoing, demands) = scenario();
-        let mut round = DbrRound::new(timing(), AllocPolicy::paper(), 0, outgoing, demands);
+        let (incoming, demands) = hot_flow(BOARDS);
+        let mut round = DbrRound::new(timing(), AllocPolicy::paper(), 0, incoming, demands);
         round.run_to_completion();
         round.inject_fault(TokenFault {
             victim: BoardId(0),
@@ -1026,5 +940,106 @@ mod tests {
         });
         assert!(round.is_done());
         assert_eq!(round.retries(), 0);
+    }
+
+    /// Every schedule of at most two token faults — each victim, loss or
+    /// corruption, on every cycle from the round's start to its fault-free
+    /// completion, injected before that cycle's tick as `System` does — on
+    /// the hot-flow table: pairs at B = 2, 3, 4, single faults at B = 8.
+    /// Every round ends within the retry bound (or stalls), grants each
+    /// `(d, w)` at most once and only from an under-utilised flow, and one
+    /// that completes decides what the fault-free round decides, later.
+    /// The digest over every outcome pins the exact timing and retries; it
+    /// was recorded on the message-level ring (tokens forwarded hop by hop
+    /// with their payloads) that the per-origin return cycles replaced.
+    #[test]
+    fn every_schedule_of_up_to_two_token_faults() {
+        let policy = AllocPolicy::paper();
+        let retry = RetryPolicy::default();
+        let mut digest = desim::snap::FNV_OFFSET;
+        let mut rounds = 0u32;
+        for boards in [2u16, 3, 4, 8] {
+            let t = ProtocolTiming {
+                boards,
+                lcs_per_board: boards,
+                ..ProtocolTiming::paper64()
+            };
+            let (inputs, demands) = hot_flow(boards);
+            let fresh = || DbrRound::new(t, policy, 0, inputs.clone(), demands.clone());
+            let clean = fresh().run_to_completion();
+            assert_eq!(clean.completed_at, t.dbr_latency());
+            let faults: Vec<(Cycle, TokenFault)> = (0..=clean.completed_at)
+                .flat_map(|at| {
+                    (0..boards).flat_map(move |v| {
+                        [false, true].map(|corrupt| {
+                            let victim = BoardId(v);
+                            (at, TokenFault { victim, corrupt })
+                        })
+                    })
+                })
+                .collect();
+            let mut schedules: Vec<Vec<(Cycle, TokenFault)>> = vec![Vec::new()];
+            for &a in &faults {
+                schedules.push(vec![a]);
+                if boards <= 4 {
+                    // Later faults after earlier ones; same-cycle pairs in
+                    // both orders (and a fault twice).
+                    let pairs = faults.iter().filter(|b| b.0 >= a.0);
+                    schedules.extend(pairs.map(|&b| vec![a, b]));
+                }
+            }
+            let rt = boards as Cycle * t.ring_hop;
+            for schedule in &schedules {
+                let mut round = fresh();
+                let mut now = 0;
+                let outcome = loop {
+                    for &(_, f) in schedule.iter().filter(|(at, _)| *at == now) {
+                        round.inject_fault(f);
+                    }
+                    if let Some(outcome) = round.tick(now) {
+                        break outcome;
+                    }
+                    now += 1;
+                    assert!(now < 10_000, "{schedule:?} did not converge");
+                };
+                rounds += 1;
+                let bound: Cycle = (1..=schedule.len() as u32)
+                    .map(|k| rt + (retry.grace << k))
+                    .sum::<Cycle>()
+                    + t.dbr_latency();
+                let stalled = matches!(outcome.error, Some(ProtocolError::RingStalled { .. }));
+                assert!(
+                    outcome.completed_at <= bound || stalled,
+                    "{schedule:?}: {} > {bound}",
+                    outcome.completed_at
+                );
+                let mut moved: Vec<_> = (outcome.grants.iter())
+                    .map(|g| (g.destination, g.wavelength))
+                    .collect();
+                moved.sort();
+                moved.dedup();
+                assert_eq!(moved.len(), outcome.grants.len(), "{schedule:?}");
+                for g in &outcome.grants {
+                    let from = demands[g.destination.index()]
+                        .iter()
+                        .find(|f| f.source == g.from)
+                        .expect("a demand per source");
+                    assert!(from.buffer_util <= policy.b_min, "{schedule:?}: {g:?}");
+                }
+                if outcome.error.is_none() {
+                    assert_eq!(outcome.grants, clean.grants, "{schedule:?}");
+                }
+                let record = format!(
+                    "{}|{}|{:?}|{:?}|{:?}",
+                    outcome.completed_at,
+                    outcome.retries,
+                    outcome.error,
+                    outcome.grants,
+                    round.stage_log()
+                );
+                digest = desim::snap::fnv1a_update(digest, record.as_bytes());
+            }
+        }
+        assert_eq!((rounds, digest), (47_842, 0xc36d7f4cb29df7ee));
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Each stage's duration follows from the ring/LC-chain geometry: the two
 //! LC-chain stages are charged as fixed delays, the two ring stages are what
-//! a fault-free token loop of [`crate::ring::ControlRing`] takes. "The key
+//! a fault-free token loop of the RC ring takes (one hop per board, see
+//! [`crate::protocol::DbrRound`]). "The key
 //! requirement of LS is to minimize the impact of reconfiguration latency on
 //! the on-going communication" (§3) — decisions take effect only after the
 //! full five-stage pipeline completes.
@@ -20,7 +21,7 @@ pub enum Stage {
     Reconfigure,
     /// RC→RC ring dissemination of grants.
     BoardResponse,
-    /// RC→LC…→RC delivery of laser commands.
+    /// RC→LC…→RC delivery of the laser on/off changes the grants imply.
     LinkResponse,
 }
 

@@ -1,16 +1,14 @@
-//! Lock-Step protocol trace: watch one DBR round execute stage by stage as
-//! real control packets on the electrical RC ring (Fig. 4 of the paper),
-//! under the complement hot-flow scenario.
+//! Lock-Step protocol trace: watch one DBR round execute stage by stage on
+//! the LC chains and the electrical RC ring (Fig. 4 of the paper), under
+//! the complement hot-flow scenario, and the laser changes its grants make.
 //!
 //! ```text
 //! cargo run --release --example lockstep_trace
 //! ```
 
-use erapid_suite::photonics::bitrate::RateLevel;
 use erapid_suite::photonics::rwa::StaticRwa;
 use erapid_suite::photonics::wavelength::BoardId;
-use erapid_suite::reconfig::alloc::{AllocPolicy, FlowDemand};
-use erapid_suite::reconfig::msg::LinkReading;
+use erapid_suite::reconfig::alloc::{AllocPolicy, FlowDemand, IncomingLink};
 use erapid_suite::reconfig::protocol::DbrRound;
 use erapid_suite::reconfig::stages::ProtocolTiming;
 
@@ -18,7 +16,7 @@ const BOARDS: u16 = 8;
 
 fn main() {
     let timing = ProtocolTiming::paper64();
-    println!("=== one Lock-Step DBR round, 8 boards, message-level ===\n");
+    println!("=== one Lock-Step DBR round, 8 boards ===\n");
     println!("stage latencies:");
     println!(
         "  Link Request  : {:>3} cycles (RC → {} LCs → RC)",
@@ -48,36 +46,36 @@ fn main() {
 
     // The complement hot spot: board 0's flow to board 7 is congested,
     // all other flows toward board 7 are idle.
+    let util = |s: u16, d: u16| if s == 0 && d == 7 { 0.85 } else { 0.0 };
     let rwa = StaticRwa::new(BOARDS);
-    let mut outgoing = vec![Vec::new(); BOARDS as usize];
-    for s in 0..BOARDS {
-        for d in 0..BOARDS {
-            if s == d {
-                continue;
-            }
-            let hot = s == 0 && d == 7;
-            outgoing[s as usize].push(LinkReading {
-                wavelength: rwa.wavelength(BoardId(s), BoardId(d)),
-                destination: Some(BoardId(d)),
-                link_util: if hot { 1.0 } else { 0.05 },
-                buffer_util: if hot { 0.85 } else { 0.0 },
-                level: RateLevel(2),
-            });
-        }
-    }
+    let incoming: Vec<Vec<IncomingLink>> = (0..BOARDS)
+        .map(|d| {
+            let mut links: Vec<IncomingLink> = rwa
+                .incoming(BoardId(d))
+                .into_iter()
+                .map(|(owner, wavelength)| IncomingLink {
+                    wavelength,
+                    owner,
+                    buffer_util: util(owner.0, d),
+                })
+                .collect();
+            links.sort_by_key(|l| l.wavelength);
+            links
+        })
+        .collect();
     let demands: Vec<Vec<FlowDemand>> = (0..BOARDS)
         .map(|d| {
             (0..BOARDS)
                 .filter(|&s| s != d)
                 .map(|s| FlowDemand {
                     source: BoardId(s),
-                    buffer_util: if s == 0 && d == 7 { 0.85 } else { 0.0 },
+                    buffer_util: util(s, d),
                 })
                 .collect()
         })
         .collect();
 
-    let mut round = DbrRound::new(timing, AllocPolicy::paper(), 0, outgoing, demands);
+    let mut round = DbrRound::new(timing, AllocPolicy::paper(), 0, incoming, demands);
     println!("timeline:");
     let mut now = 0;
     let outcome = loop {
@@ -100,23 +98,21 @@ fn main() {
             g.destination, g.wavelength, g.from, g.to
         );
     }
-    println!("\nlaser commands:");
-    for (b, cmds) in outcome.commands.iter().enumerate() {
-        if cmds.is_empty() {
-            continue;
-        }
-        let rendered: Vec<String> = cmds
-            .iter()
-            .map(|c| {
-                format!(
-                    "{} {} toward {}",
-                    if c.on { "ON " } else { "OFF" },
-                    c.wavelength,
-                    c.destination
-                )
+    // Link Response: each grant darkens the donor's laser and lights the
+    // recipient's, on the granted wavelength toward the destination.
+    println!("\nlaser changes at Link Response:");
+    for b in 0..BOARDS {
+        let board = BoardId(b);
+        let rendered: Vec<String> = (outcome.grants.iter())
+            .filter(|g| g.from == board || g.to == board)
+            .map(|g| {
+                let state = if g.from == board { "OFF" } else { "ON " };
+                format!("{state} {} toward {}", g.wavelength, g.destination)
             })
             .collect();
-        println!("  board {b}: {}", rendered.join(", "));
+        if !rendered.is_empty() {
+            println!("  board {b}: {}", rendered.join(", "));
+        }
     }
     println!(
         "\nround completed in {} cycles — exactly the analytic dbr_latency ({}).",

@@ -92,6 +92,13 @@ if grep -rnE "MetricRegistr[y]|HistogramSummar[y]|WindowSnapsho[t]|hist_summarie
     echo "verify: a retired telemetry name is back"; exit 1
 fi
 
+echo "== the DBR round is a clock (no RC tables, control packets, laser commands or ring mailbox) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "ReconfigControlle[r]|ControlRin[g]|ControlPacke[t]|LaserComman[d]|LinkReadin[g]|commands_from_grant[s]" \
+    crates tests examples src README.md DESIGN.md; then
+    echo "verify: a retired control-plane payload name is back"; exit 1
+fi
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
