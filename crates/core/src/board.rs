@@ -222,18 +222,6 @@ impl Board {
         self.buffer_util[dest as usize].previous()
     }
 
-    /// Whether the last completed `Buffer_util` window toward `dest` saw
-    /// any queue activity (threshold-watch dirty bit).
-    pub fn buffer_util_touched(&self, dest: u16) -> bool {
-        self.buffer_util[dest as usize].last_touched()
-    }
-
-    /// Whether the last completed `Buffer_util` window toward `dest` sat
-    /// at one flat level (threshold-watch park condition).
-    pub fn buffer_util_steady(&self, dest: u16) -> bool {
-        self.buffer_util[dest as usize].last_steady()
-    }
-
     /// Rolls the board's `Buffer_util` windows at the boundary `now`.
     pub fn roll_windows(&mut self, now: Cycle) {
         for u in &mut self.buffer_util {

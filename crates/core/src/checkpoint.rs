@@ -16,7 +16,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 4 | `ERSP` |
-//! | version | 2 | `SNAP_VERSION` (6) |
+//! | version | 2 | `SNAP_VERSION` (7) |
 //! | fingerprint | 8 | FNV-1a-64 of `format!("{cfg:?}")` |
 //! | cursor | 32 | [`StreamCursor`] (trace/delivery positions) |
 //! | body | … | [`System::save_state`] byte stream |
@@ -52,17 +52,20 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: [u8; 4] = *b"ERSP";
-/// Snapshot format version this build reads and writes. Version 6 holds
-/// no observations: no trace records (only the tracer's dropped count), no
-/// delivery rows and no metric-registry section, so a checkpoint follows a
-/// `drain_window`. Version 5 dropped each router input VC's never-read
-/// high-water mark; version 4 stored the power meter as lit-laser cycles
-/// per power class and the latency means as integer `(count, sum)` pairs,
-/// and dropped the SRS power cache; version 3 stored the injection source
-/// as one tagged section and dropped the retired words version 2 kept
-/// frozen; version 2 stored the SRS as its O(B·W) receiver slots, version
-/// 1 as a dense per-laser bank. Older versions are refused, not converted.
-const SNAP_VERSION: u16 = 6;
+/// Snapshot format version this build reads and writes. Version 7 stores
+/// the SRS's settle queue in place of its pending grants, and drops the
+/// threshold-watch dirty set (the per-flow pending flags and the occupancy
+/// integrals' touched/steady latches). Version 6 holds no observations: no
+/// trace records (only the tracer's dropped count), no delivery rows and
+/// no metric-registry section, so a checkpoint follows a `drain_window`.
+/// Version 5 dropped each router input VC's never-read high-water mark;
+/// version 4 stored the power meter as lit-laser cycles per power class
+/// and the latency means as integer `(count, sum)` pairs, and dropped the
+/// SRS power cache; version 3 stored the injection source as one tagged
+/// section and dropped the retired words version 2 kept frozen; version 2
+/// stored the SRS as its O(B·W) receiver slots, version 1 as a dense
+/// per-laser bank. Older versions are refused, not converted.
+const SNAP_VERSION: u16 = 7;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
 const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 

@@ -4,10 +4,12 @@
 //! source board may light wavelength `w` toward destination board `d` (the
 //! owner), whose laser is lit on it, that laser's state machine, the
 //! owner's link-utilization span and the lit laser's pending DPM retune
-//! and CDR relock — plus in-flight packet arrivals and pending grants. The
-//! WDM invariant — at most one lit laser per (destination, wavelength) — is
-//! the layout itself: a slot names one lit source, and a granted laser only
-//! lights once the slot is dark. What a retired owner leaves behind (its
+//! and CDR relock — plus in-flight packet arrivals. Lasers follow
+//! `wanted`: each slot is lit by the laser its owner and the fault sets
+//! name, or is queued to settle, and a queued slot lights its wanted laser
+//! only once the unwanted one is dark — so the WDM invariant, at most one
+//! lit laser per (destination, wavelength), is the layout itself: a slot
+//! names one lit source. What a retired owner leaves behind (its
 //! DPM level, a stuck LC, its in-window busy) is carried explicitly in side
 //! tables keyed by `(s, d, w)`, so state is O(B·W) in what is lit plus one
 //! byte per laser.
@@ -38,13 +40,6 @@ pub(crate) struct Arrival {
     pub packet: ReadyPacket,
 }
 
-/// One in-flight ownership transfer.
-#[derive(Debug, Clone, Copy)]
-struct PendingGrant {
-    grant: WavelengthGrant,
-    donor_dark: bool,
-}
-
 impl desim::snap::Snap for Arrival {
     fn save(&self, w: &mut desim::snap::SnapWriter) {
         w.u16(self.dst_board);
@@ -58,19 +53,6 @@ impl desim::snap::Snap for Arrival {
             wavelength: r.u16()?,
             src_board: r.u16()?,
             packet: ReadyPacket::load(r)?,
-        })
-    }
-}
-
-impl desim::snap::Snap for PendingGrant {
-    fn save(&self, w: &mut desim::snap::SnapWriter) {
-        self.grant.save(w);
-        w.bool(self.donor_dark);
-    }
-    fn load(r: &mut desim::snap::SnapReader<'_>) -> Result<Self, desim::snap::SnapError> {
-        Ok(Self {
-            grant: WavelengthGrant::load(r)?,
-            donor_dark: r.bool()?,
         })
     }
 }
@@ -93,8 +75,9 @@ struct Slot {
     /// receiver).
     owner: Option<u16>,
     /// Board whose laser is lit — `Some` exactly while `chan` is on. It
-    /// differs from `owner` only while a donor drains after a grant, a
-    /// failed receiver drains, or the owner's transmitters are down.
+    /// differs from [`Srs::wanted`] only while the slot is queued to
+    /// settle: a donor drains after a grant, or a laser drains through a
+    /// fault.
     lit_by: Option<u16>,
     /// The lit laser's state machine (`Off` while the slot is dark).
     chan: OpticalChannel,
@@ -290,7 +273,12 @@ pub struct Srs {
     /// every class change; sums to B·W. Derived: recounted on load.
     lit: Vec<u32>,
     arrivals: BinaryHeapQueue<Arrival>,
-    pending_grants: Vec<PendingGrant>,
+    /// Slots queued to settle, sorted by slot index: each one's lit laser
+    /// is not the one [`Srs::wanted`] names, or owes a drain (the `bool`:
+    /// it stayed lit through a receiver failure, so it must go dark and
+    /// relock even if it is wanted again). Every other slot is lit by
+    /// exactly its wanted laser.
+    unsettled: Vec<(usize, bool)>,
     /// Receiver lock-in penalty charged when a granted channel lights.
     lock_penalty: Cycle,
     /// Failed (destination, wavelength) pairs: the demux/receiver is dead,
@@ -343,7 +331,7 @@ impl Srs {
             // At most one packet is in flight per (source, wavelength), so
             // this pre-sizing makes arrival pushes allocation-free.
             arrivals: BinaryHeapQueue::with_capacity(receivers),
-            pending_grants: Vec::new(),
+            unsettled: Vec::new(),
             lock_penalty,
             failed: Vec::new(),
             failed_tx: Vec::new(),
@@ -543,36 +531,13 @@ impl Srs {
             self.set_owner(now, d, w, None);
             let slot = &mut self.slots[k];
             if slot.lit_by == Some(s) {
-                let darkened = slot.edit(&mut self.lit, |slot| {
-                    slot.retune = None;
-                    slot.darken_if_idle(now)
-                });
-                if !darkened {
-                    // Mid-packet: schedule the shutdown through the grant
-                    // machinery's donor path.
-                    self.pending_grants.push(PendingGrant {
-                        grant: WavelengthGrant {
-                            destination: BoardId(d),
-                            wavelength: Wavelength(w),
-                            from: BoardId(s),
-                            // A failed wavelength has no recipient: `to` is
-                            // the donor itself, and the relight is
-                            // suppressed by the failure check in `tick`.
-                            to: BoardId(s),
-                        },
-                        donor_dark: false,
-                    });
-                }
+                slot.retune = None;
             }
         }
-        // Any in-flight ownership transfer on the dead wavelength becomes a
-        // donor-only shutdown: the donor still darkens, but the recipient's
-        // relight is suppressed (tick skips failed pairs).
-        for pg in &mut self.pending_grants {
-            if pg.grant.destination.0 == d && pg.grant.wavelength.0 == w {
-                pg.grant.to = pg.grant.from;
-            }
-        }
+        // Whatever laser is lit goes dark; one still mid-packet owes a
+        // drain, so a repair before it clears relocks it.
+        let lit = self.slots[k].lit_by.is_some();
+        self.settle_now(now, d, w, lit);
     }
 
     /// Fault repair: the receiver/demux for wavelength `w` at board `d`
@@ -586,26 +551,64 @@ impl Srs {
         self.failed.swap_remove(pos);
         let s = self.rwa.static_owner(BoardId(d), Wavelength(w)).0;
         self.set_owner(now, d, w, Some(s));
-        // A shutdown still draining from the failure becomes a re-light:
-        // once the old laser darkens, the static owner comes back up (with
-        // its lock-in penalty) instead of staying dark.
-        let mut handover = false;
-        for pg in &mut self.pending_grants {
-            if pg.grant.destination.0 == d && pg.grant.wavelength.0 == w {
-                pg.grant.to = BoardId(s);
-                handover = true;
-            }
-        }
-        let dark = self.slots[self.slot(d, w)].lit_by.is_none();
-        if !handover && dark && !self.is_tx_failed(s, d) {
-            let lock = self.lock_penalty;
-            self.light(now, d, w, s, lock);
-        }
+        self.settle_now(now, d, w, false);
     }
 
     /// True when board `s`'s transmitters toward `d` have failed.
     fn is_tx_failed(&self, s: u16, d: u16) -> bool {
         self.failed_tx.contains(&(s, d))
+    }
+
+    /// The laser receiver `(d, w)` should have lit: its owner's, unless the
+    /// receiver has failed or the owner's transmitters toward `d` have.
+    fn wanted(&self, d: u16, w: u16) -> Option<u16> {
+        self.slots[self.slot(d, w)]
+            .owner
+            .filter(|&s| !self.is_failed(d, w) && !self.is_tx_failed(s, d))
+    }
+
+    /// Moves receiver `(d, w)` toward [`Srs::wanted`]: a lit laser that is
+    /// not the wanted one, or that owes a `drain`, goes dark once it is
+    /// between packets; the dark slot then lights the wanted laser through
+    /// a lock-in window. False while the laser to darken still serializes.
+    fn settle(&mut self, now: Cycle, d: u16, w: u16, drain: bool) -> bool {
+        let want = self.wanted(d, w);
+        let k = self.slot(d, w);
+        let slot = &mut self.slots[k];
+        if slot.lit_by.is_some_and(|s| drain || Some(s) != want)
+            && !slot.edit(&mut self.lit, |slot| slot.darken_if_idle(now))
+        {
+            return false;
+        }
+        if let (None, Some(s)) = (self.slots[k].lit_by, want) {
+            let lock = self.lock_penalty;
+            self.light(now, d, w, s, lock);
+        }
+        true
+    }
+
+    /// Queues slot `k` to settle (an entry already queued keeps any drain
+    /// it owes) and returns its queue position.
+    fn queue_settle(&mut self, k: usize, drain: bool) -> usize {
+        match self.unsettled.binary_search_by_key(&k, |e| e.0) {
+            Ok(p) => {
+                self.unsettled[p].1 |= drain;
+                p
+            }
+            Err(p) => {
+                self.unsettled.insert(p, (k, drain));
+                p
+            }
+        }
+    }
+
+    /// Settles receiver `(d, w)` at once, or leaves it queued for
+    /// [`Srs::tick`] while its laser to darken still serializes.
+    fn settle_now(&mut self, now: Cycle, d: u16, w: u16, drain: bool) {
+        let p = self.queue_settle(self.slot(d, w), drain);
+        if self.settle(now, d, w, self.unsettled[p].1) {
+            self.unsettled.remove(p);
+        }
     }
 
     /// Fault injection: board `s`'s transmitters toward `d` die. Owned
@@ -633,56 +636,26 @@ impl Srs {
             }
             let k = self.slot(d, w);
             let slot = &mut self.slots[k];
-            if slot.lit_by != Some(s) {
-                continue; // not lit yet: a pending grant's relight is suppressed
-            }
-            let darkened = slot.edit(&mut self.lit, |slot| {
+            if slot.lit_by == Some(s) {
                 slot.retune = None;
                 slot.relock = None;
-                slot.darken_if_idle(now)
-            });
-            if !darkened {
-                // Mid-packet: darken through the grant machinery once the
-                // wavelength clears (relight suppressed by `is_tx_failed`).
-                self.pending_grants.push(PendingGrant {
-                    grant: WavelengthGrant {
-                        destination: BoardId(d),
-                        wavelength: Wavelength(w),
-                        from: BoardId(s),
-                        to: BoardId(s),
-                    },
-                    donor_dark: false,
-                });
             }
+            self.settle_now(now, d, w, false);
         }
     }
 
     /// Fault repair: board `s`'s transmitters toward `d` recover; every
-    /// owned wavelength whose receiver is alive re-lights through a lock-in
-    /// window (once a donor still draining onto it is dark — the pending
-    /// grant lights it then).
+    /// owned wavelength re-lights through a lock-in window (once a donor
+    /// still draining onto it is dark — [`Srs::tick`] settles it then),
+    /// and a laser still draining from the outage simply keeps running.
     pub fn repair_transmitter(&mut self, now: Cycle, s: u16, d: u16) {
         let Some(pos) = self.failed_tx.iter().position(|&p| p == (s, d)) else {
             return;
         };
         self.failed_tx.swap_remove(pos);
-        // Cancel the shutdowns this outage scheduled: those lasers are lit
-        // and may simply keep running. A dead receiver's drain stays.
-        let failed = &self.failed;
-        self.pending_grants.retain(|pg| {
-            let g = pg.grant;
-            !(g.destination.0 == d
-                && g.from == g.to
-                && g.from.0 == s
-                && !failed.contains(&(d, g.wavelength.0)))
-        });
-        let lock = self.lock_penalty;
         let owned = self.owned_words(s, d).to_vec();
         for w in words::ones(&owned) {
-            let w = w as u16;
-            if !self.is_failed(d, w) && self.slots[self.slot(d, w)].lit_by.is_none() {
-                self.light(now, d, w, s, lock);
-            }
+            self.settle_now(now, d, w as u16, false);
         }
     }
 
@@ -906,16 +879,13 @@ impl Srs {
             if self.slots[k].lit_by == Some(grant.from.0) {
                 self.slots[k].retune = None;
             }
-            self.pending_grants.push(PendingGrant {
-                grant,
-                donor_dark: false,
-            });
+            self.queue_settle(k, false);
             self.grants_applied += 1;
         }
     }
 
-    /// Per-cycle housekeeping: settle channels, complete retunes and
-    /// ownership transfers.
+    /// Per-cycle housekeeping: settle channels, apply pending relocks and
+    /// retunes, then settle every queued slot toward its wanted laser.
     ///
     /// Emits [`TraceEvent::RelockStart`]/
     /// [`TraceEvent::RelockEnd`] when a CDR relock engages (the end event
@@ -1023,51 +993,12 @@ impl Srs {
                 self.retune_queue.remove(q);
             }
         }
-        // Progress ownership transfers: donor darkens, then recipient lights.
-        let lock = self.lock_penalty;
-        let mut j = 0;
-        while j < self.pending_grants.len() {
-            let pg = self.pending_grants[j];
-            let (d, w) = (pg.grant.destination.0, pg.grant.wavelength.0);
-            let (from, to) = (pg.grant.from.0, pg.grant.to.0);
-            let k = self.slot(d, w);
-            if !pg.donor_dark {
-                let slot = &mut self.slots[k];
-                if slot.lit_by != Some(from) {
-                    self.pending_grants[j].donor_dark = true;
-                } else if from != to && slot.owner == Some(from) {
-                    // Granted back to its still-lit donor: nothing moves.
-                    self.pending_grants.swap_remove(j);
-                    continue;
-                } else {
-                    self.pending_grants[j].donor_dark =
-                        slot.edit(&mut self.lit, |slot| slot.darken_if_idle(now));
-                }
-            }
-            if !self.pending_grants[j].donor_dark {
-                j += 1;
-                continue;
-            }
-            // A failed wavelength (dead receiver or dead transmitter
-            // group) never relights; a repaired one relights its
-            // retargeted recipient even when that is the donor itself. A
-            // recipient lights only while it still owns the receiver (a
-            // later grant may have moved it on).
-            if !self.is_failed(d, w) && !self.is_tx_failed(to, d) && self.slots[k].owner == Some(to)
-            {
-                match self.slots[k].lit_by {
-                    None => self.light(now, d, w, to, lock),
-                    Some(x) if x == to => {}
-                    Some(_) => {
-                        // An earlier transfer's donor still drains (its
-                        // own pending grant darkens it): wait for it.
-                        j += 1;
-                        continue;
-                    }
-                }
-            }
-            self.pending_grants.swap_remove(j);
-        }
+        // Settle the queued slots: each unwanted (or drain-owing) laser
+        // goes dark once idle, then the wanted one lights.
+        let mut queue = std::mem::take(&mut self.unsettled);
+        let wn = self.wavelengths as usize;
+        queue.retain(|&(k, drain)| !self.settle(now, (k / wn) as u16, (k % wn) as u16, drain));
+        self.unsettled = queue;
     }
 
     /// Lasers in each power class (dark first, then idle and active per
@@ -1131,28 +1062,18 @@ impl Srs {
         self.wavelengths
     }
 
-    /// True when `lit_by ≠ owner` on slot `(d, w)` is accounted for: a
-    /// pending grant or a failed receiver names the slot, or the slot is
-    /// dark because its owner's transmitters toward `d` are down.
-    fn mismatch_explained(&self, d: u16, w: u16, slot: &Slot) -> bool {
-        self.pending_grants
-            .iter()
-            .any(|pg| pg.grant.destination.0 == d && pg.grant.wavelength.0 == w)
-            || self.is_failed(d, w)
-            || (slot.lit_by.is_none() && slot.owner.is_some_and(|o| self.is_tx_failed(o, d)))
-    }
-
     /// Test-support self-check of the slot bank (ROADMAP item 3a's SRS
     /// clause), run every cycle by the fault-plan property and on every
     /// snapshot load. Names the first violation of: every board, laser and
     /// slot index in range (queues, stash, stuck list, wakes, arrivals,
-    /// grants, faults); a slot's `lit_by` is `Some` exactly while its
-    /// laser is on — so at most one source is lit per `(d, w)` — and only
-    /// a lit laser has pending work; the lit laser's level is its entry
-    /// in the level table; `lit_by ≠ owner` only while a pending grant, a
-    /// failed receiver or a failed owner transmitter names the slot; the
-    /// `owned` bitsets equal the owner fields; the lit-class counters
-    /// equal a recount of the slots; and a flow asleep at `now`
+    /// faults); the settle queue strictly ascending; a slot's `lit_by` is
+    /// `Some` exactly while its laser is on — so at most one source is lit
+    /// per `(d, w)` — and only a lit laser has pending work; the lit
+    /// laser's level is its entry in the level table; every slot not
+    /// queued to settle is lit by exactly [`Srs::wanted`] (so, once the
+    /// queue drains, every owned slot that nothing failed is lit by its
+    /// owner); the `owned` bitsets equal the owner fields; the lit-class
+    /// counters equal a recount of the slots; and a flow asleep at `now`
     /// (`blocked_until > now`) has no owned channel it could send on.
     pub fn check_invariants(&self, now: Cycle) -> Result<(), String> {
         let (b, wn) = (self.boards, self.wavelengths);
@@ -1185,12 +1106,13 @@ impl Srs {
                 "an arrival names a board or wavelength outside B = {b}"
             ));
         }
-        if self.pending_grants.iter().any(|pg| {
-            let g = pg.grant;
-            g.destination.0 >= b || g.from.0 >= b || g.to.0 >= b || g.wavelength.0 >= wn
-        }) {
+        if !self.unsettled.windows(2).all(|p| p[0].0 < p[1].0) {
+            return Err("settle queue is not strictly ascending".into());
+        }
+        if let Some(&(k, _)) = self.unsettled.last().filter(|e| e.0 >= self.slots.len()) {
             return Err(format!(
-                "a pending grant names a board or wavelength outside B = {b}"
+                "settle queue names slot {k} of {}",
+                self.slots.len()
             ));
         }
         if self
@@ -1237,11 +1159,11 @@ impl Srs {
                 }
                 _ => {}
             }
-            if slot.lit_by != slot.owner && !self.mismatch_explained(d, w, slot) {
+            let want = self.wanted(d, w);
+            if slot.lit_by != want && self.unsettled.binary_search_by_key(&k, |e| e.0).is_err() {
                 return Err(format!(
-                    "slot ({d}, λ{w}) lit by {:?} but owned by {:?}, and no pending grant or \
-                     failure names it",
-                    slot.lit_by, slot.owner
+                    "slot ({d}, λ{w}) lit by {:?} but wants {want:?}, and is not queued to settle",
+                    slot.lit_by
                 ));
             }
             if let Some(s) = slot.owner.filter(|&s| self.is_blocked(now, s, d)) {
@@ -1266,12 +1188,12 @@ impl Srs {
         Ok(())
     }
 
-    /// Serializes the mutable optical-stage state (`.ersp` v5): every
+    /// Serializes the mutable optical-stage state (`.ersp` v7): every
     /// slot — owner, lit source, the lit laser's state, pending retune
     /// and relock, link/busy accounting with only an *open* span's bounds
     /// — then the lasers whose level is below the ladder top, the busy
-    /// stash, the wake/arrival heaps, the pending-work queues, grants,
-    /// fault sets and lifetime counters. Geometry (board count, ladder,
+    /// stash, the wake/arrival heaps, the pending-work queues, the settle
+    /// queue, fault sets and lifetime counters. Geometry (board count, ladder,
     /// RWA, penalties) is config-derived; the `owned` bitsets, the
     /// lit-class counters and the flows' `blocked_until` are rebuilt from
     /// the slots on load rather than persisted.
@@ -1294,7 +1216,7 @@ impl Srs {
         self.retune_queue.save(w);
         self.relock_queue.save(w);
         self.arrivals.save_state(w);
-        self.pending_grants.save(w);
+        self.unsettled.save(w);
         self.failed.save(w);
         self.failed_tx.save(w);
         w.u64(self.grants_applied);
@@ -1304,8 +1226,8 @@ impl Srs {
 
     /// Overlays checkpointed optical-stage state onto a freshly built SRS
     /// with identical geometry. Anything [`Srs::check_invariants`] would
-    /// refuse — a board or laser out of range, a slot lit by a source
-    /// with no grant or failure to account for it — is a typed error.
+    /// refuse — a board or laser out of range, a slot lit by other than its
+    /// wanted laser and not queued to settle — is a typed error.
     pub fn load_state(
         &mut self,
         r: &mut desim::snap::SnapReader<'_>,
@@ -1334,7 +1256,7 @@ impl Srs {
         self.retune_queue = Snap::load(r)?;
         self.relock_queue = Snap::load(r)?;
         self.arrivals.load_state(r)?;
-        self.pending_grants = Snap::load(r)?;
+        self.unsettled = Snap::load(r)?;
         self.failed = Snap::load(r)?;
         self.failed_tx = Snap::load(r)?;
         self.grants_applied = r.u64()?;
@@ -1365,7 +1287,7 @@ impl Srs {
                 * size_of::<Laser>()
             + self.wake.approx_memory_bytes()
             + self.arrivals.approx_memory_bytes()
-            + self.pending_grants.capacity() * size_of::<PendingGrant>()
+            + self.unsettled.capacity() * size_of::<(usize, bool)>()
             + (self.failed.capacity() + self.failed_tx.capacity()) * size_of::<(u16, u16)>()
             + self.timing.levels() * size_of::<Cycle>()
             + self.lit.capacity() * size_of::<u32>()
@@ -1697,6 +1619,26 @@ mod fault_tests {
         assert!(s.channel(1, 0, 1).is_on());
         s.tick(120, &mut NullSink);
         assert!(s.try_transmit(120, 1, 0, pkt(8)).is_some());
+    }
+
+    #[test]
+    fn a_laser_lit_through_a_receiver_failure_relocks_before_it_sends() {
+        let mut s = srs();
+        // Board 1 is mid-packet on λ1 toward 0 (until 48) when the receiver
+        // fails at 5 and is repaired at 10. Board 1 is wanted again, but
+        // its laser stayed lit through the failure: once the packet clears
+        // it goes dark and relocks for 65 cycles before it may send.
+        assert_eq!(s.try_transmit(0, 1, 0, pkt(7)), Some(1));
+        s.fail_receiver(5, 0, 1, &mut NullSink);
+        s.repair_receiver(10, 0, 1);
+        s.tick(48, &mut NullSink);
+        assert!(s.channel(1, 0, 1).is_on());
+        assert_eq!(s.try_transmit(49, 1, 0, pkt(8)), None, "relocking");
+        s.tick(112, &mut NullSink);
+        assert_eq!(s.try_transmit(112, 1, 0, pkt(8)), None, "still relocking");
+        s.tick(113, &mut NullSink);
+        assert_eq!(s.try_transmit(113, 1, 0, pkt(8)), Some(1));
+        s.check_invariants(113).expect("settled");
     }
 
     #[test]
@@ -2214,11 +2156,14 @@ mod slot_tests {
     #[test]
     fn snapshot_refuses_what_the_invariants_refuse() {
         type Mutation = (&'static str, fn(&mut Srs));
-        let cases: [Mutation; 6] = [
+        let cases: [Mutation; 7] = [
             // Receiver (2, λ1): owned and lit by board 3, nothing pending.
             ("lit source ≥ B", |s| s.slots[9].lit_by = Some(4)),
             ("lit_by ≠ owner, no grant", |s| {
                 s.slots[9].lit_by = Some(0)
+            }),
+            ("owned and unfailed, dark, not queued", |s| {
+                s.slots[9].edit(&mut s.lit, |slot| slot.darken(50))
             }),
             ("stuck key out of range", |s| s.stuck_lc.push((3, 9, 1))),
             ("retune key out of range", |s| {

@@ -164,13 +164,6 @@ pub struct System {
     dbr_rounds: u64,
     /// Per `(board, dest)` B_max edge detectors (empty when tracing is off).
     buffer_watch: Vec<ThresholdWatch>,
-    /// Dirty-set companion to `buffer_watch`: `true` when the watch may
-    /// not yet have observed the flow's current window value. A flow is
-    /// parked (`false`) only after its watch observed a window that was
-    /// both fed and *steady* — an untouched steady window reproduces the
-    /// previous value bit-for-bit and `ThresholdWatch::observe` of an
-    /// equal value is a state-free no-op, so skipping it is identical.
-    watch_pending: Vec<bool>,
     /// Online threshold auto-tuner (None unless `cfg.tune` is set in a
     /// power-aware mode). Stepped at Power-kind `R_w` boundaries inside
     /// the cycle's prologue (DESIGN.md §15).
@@ -321,7 +314,6 @@ impl System {
         };
         let injection_log = cfg.record_injections.then(TraceRecorder::new);
         let packet_log = cfg.packet_log.then(Vec::new);
-        let watch_pending = vec![true; buffer_watch.len()];
         Self {
             cfg,
             boards,
@@ -345,7 +337,6 @@ impl System {
             tracer,
             window_index: 0,
             dbr_rounds: 0,
-            watch_pending,
             buffer_watch,
             controller,
         }
@@ -577,9 +568,8 @@ impl System {
     /// lit channels in canonical ascending `(dest, wavelength)` order —
     /// the exact order [`Self::power_cycle`] visits them — into integer
     /// milli counts, feed them to the controller, and when `B_max` moved,
-    /// retarget the telemetry edge detectors (un-parking every flow, since
-    /// a parked flow's steady value may sit on the other side of the new
-    /// threshold). No-op unless the config enabled tuning. Deliberately
+    /// retarget the telemetry edge detectors. No-op unless the config
+    /// enabled tuning. Deliberately
     /// independent of the tracer: the controller must drive untraced runs
     /// (golden, marathon, streaming) identically.
     fn controller_cycle(&mut self) {
@@ -616,7 +606,6 @@ impl System {
             for watch in &mut self.buffer_watch {
                 watch.retarget(target);
             }
-            self.watch_pending.fill(true);
         }
     }
 
@@ -668,19 +657,8 @@ impl System {
                 if s == d {
                     continue;
                 }
-                // Dirty-set scan: park flows whose watch already saw this
-                // exact window value (see `watch_pending`). Feeding the
-                // watch the identical bits again is a no-op, so the skip
-                // cannot change any crossing event.
-                let f = s as usize * boards as usize + d as usize;
-                let board = &self.boards[s as usize];
-                self.watch_pending[f] |= board.buffer_util_touched(d);
-                if !self.watch_pending[f] {
-                    continue;
-                }
-                self.watch_pending[f] = !board.buffer_util_steady(d);
                 let util = self.boards[s as usize].buffer_util(d);
-                let watch = &mut self.buffer_watch[f];
+                let watch = &mut self.buffer_watch[s as usize * boards as usize + d as usize];
                 if let Some(above) = watch.observe(util) {
                     self.tracer.emit(
                         now,
@@ -1119,7 +1097,6 @@ impl System {
         for watch in &self.buffer_watch {
             watch.save_state(w);
         }
-        self.watch_pending.save(w);
         w.bool(self.controller.is_some());
         if let Some(c) = &self.controller {
             c.save_state(w);
@@ -1177,16 +1154,13 @@ impl System {
         for watch in &mut self.buffer_watch {
             watch.load_state(r)?;
         }
-        let watch_pending: Vec<bool> =
-            desim::snap::load_vec_exact(r, self.watch_pending.len(), "watch-pending flags")?;
         presence(r.bool()?, self.controller.is_some(), "a tuning controller")?;
         if let Some(c) = &mut self.controller {
             c.load_state(r)?;
             // The freshly-built watches carry the config's `B_max`; the
             // killed run's watches had been retargeted to the controller's
-            // live value. Reproduce that (the snapshot's hysteresis sides
-            // and park flags — loaded above/below — already correspond to
-            // it, so no un-parking here).
+            // live value. Reproduce that (the snapshot's hysteresis sides,
+            // loaded above, already correspond to it).
             let target = c.thresholds_milli().2 as f64 / 1000.0;
             for watch in &mut self.buffer_watch {
                 watch.retarget(target);
@@ -1199,7 +1173,6 @@ impl System {
         self.ls_retries = ls_retries;
         self.ls_aborted = ls_aborted;
         self.fault_cursor = fault_cursor;
-        self.watch_pending = watch_pending;
         self.active_round = None;
         if let Some(log) = &mut self.packet_log {
             log.clear();
@@ -1293,6 +1266,51 @@ mod tests {
                 "{}: {tries} tries, {skips} skips",
                 mode.name()
             );
+        }
+    }
+
+    /// A probe that records which [`PhaseTimers`] bucket each lap lands in.
+    #[derive(Default)]
+    struct LapLog(Vec<&'static str>);
+
+    impl PhaseProbe for LapLog {
+        fn start(&mut self) {
+            self.0.push("start");
+        }
+        fn lap(&mut self, bucket: fn(&mut PhaseTimers) -> &mut std::time::Duration) {
+            let mut t = PhaseTimers::default();
+            *bucket(&mut t) = std::time::Duration::from_nanos(1);
+            let hit: Vec<&'static str> = [
+                ("reconfig", t.reconfig),
+                ("inject", t.inject),
+                ("route", t.route),
+                ("optical", t.optical),
+                ("stats", t.stats),
+            ]
+            .into_iter()
+            .filter(|(_, d)| !d.is_zero())
+            .map(|(name, _)| name)
+            .collect();
+            assert_eq!(hit.len(), 1, "a lap writes one bucket");
+            self.0.push(hit[0]);
+        }
+    }
+
+    #[test]
+    fn every_cycle_laps_each_phase_once_in_order() {
+        // The profiled run's attribution: every cycle of the run loop
+        // starts the probe once and then laps reconfig → inject → route →
+        // optical → stats exactly once each, in that order.
+        let cfg = SystemConfig::small(NetworkMode::PB);
+        let plan = PhasePlan::new(200, 400).with_max_cycles(4_000);
+        let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.3, plan);
+        let mut log = LapLog::default();
+        let end = sys.drive(&mut log, &mut |_| {});
+        let cycle = ["start", "reconfig", "inject", "route", "optical", "stats"];
+        assert!(end > 0);
+        assert_eq!(log.0.len(), cycle.len() * end as usize);
+        for (now, laps) in log.0.chunks(cycle.len()).enumerate() {
+            assert_eq!(laps, cycle, "cycle {now}");
         }
     }
 

@@ -34,10 +34,8 @@ impl ThresholdWatch {
     /// crossing (`true` = now above `B_max`), `None` while the side holds.
     ///
     /// Contract: re-observing the previous value never signals and never
-    /// changes state. The engine's window-boundary scan relies on this to
-    /// *skip* flows whose occupancy provably repeated the last window
-    /// (see the dirty-set in `erapid-core`'s `System`) — weakening it to
-    /// anything stateful would silently desynchronize those watches.
+    /// changes state — a watch reports edges, not levels, so a flow whose
+    /// occupancy repeats the last window adds nothing to the trace.
     pub fn observe(&mut self, occupancy: f64) -> Option<bool> {
         let above = occupancy > self.b_max;
         if above != self.above {
@@ -53,10 +51,7 @@ impl ThresholdWatch {
     ///
     /// Contract: retargeting to the current threshold is a no-op, and a
     /// retarget never signals by itself — the hysteresis side is only
-    /// re-evaluated at the next [`ThresholdWatch::observe`]. Callers that
-    /// park flows on the repeat-observation contract must therefore
-    /// un-park every flow when this returns `true` (a parked flow's
-    /// steady value may sit on the other side of the new threshold).
+    /// re-evaluated at the next [`ThresholdWatch::observe`].
     pub fn retarget(&mut self, b_max: f64) -> bool {
         if self.b_max == b_max {
             return false;
@@ -117,10 +112,8 @@ mod tests {
 
     #[test]
     fn threshold_watch_repeat_observation_is_a_no_op() {
-        // The dirty-set skip contract: from any reachable state, feeding
-        // the previous value again neither signals nor changes state, so
-        // an engine that elides repeat observations is indistinguishable
-        // from one that performs them.
+        // The edge contract: from any reachable state, feeding the
+        // previous value again neither signals nor changes state.
         let mut watch = ThresholdWatch::new(0.3);
         for v in [0.0, 0.29, 0.9, 0.3, 0.31, 0.1] {
             let first = watch.observe(v);

@@ -41,7 +41,7 @@ use crate::arbiter::RoundRobinArbiter;
 use crate::credit::CreditCounter;
 use crate::flit::Flit;
 use crate::routing::{PortId, RouteFunction};
-use crate::vc::{VcArena, VcState, VcTag};
+use crate::vc::{VcArena, VcTag};
 use crate::words;
 use desim::Cycle;
 
@@ -332,14 +332,15 @@ impl Router {
     /// restore; a bitset is canonically ordered by construction, so the
     /// rebuild is behaviourally identical to the live words. Each VC is its
     /// FIFO in the `VecDeque` encoding (flit count, then flits oldest
-    /// first), then its state through the [`VcState`] enum bridge.
+    /// first), then its state ([`VcArena::save_state`]: the tag, then that
+    /// tag's fields).
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         w.tag(b"RTRS");
         w.usize(self.cfg.in_ports as usize);
         for r in 0..self.arena.count() {
             self.arena.save_fifo(r, w);
-            self.arena.state(r).save(w);
+            self.arena.save_state(r, w);
         }
         w.usize(self.cfg.out_ports as usize);
         for owner in &self.out_vc_owner {
@@ -373,8 +374,7 @@ impl Router {
         r.len_eq(self.cfg.in_ports as usize, "router input ports")?;
         for i in 0..self.arena.count() {
             self.arena.load_fifo(i, r)?;
-            let s = VcState::load(r)?;
-            self.arena.set_state(i, s);
+            self.arena.load_state(i, r)?;
         }
         r.len_eq(self.cfg.out_ports as usize, "router output ports")?;
         for owner in &mut self.out_vc_owner {
@@ -1013,5 +1013,42 @@ mod tests {
         assert_eq!(s.injected, 8);
         assert_eq!(s.traversed, 8);
         assert!(s.sa_stalls > 0, "two flows into one port must conflict");
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned_for_every_vc_state() {
+        // Two inputs x three VCs, one downstream slot per output VC and no
+        // credit ever returned: three packets hold output 1's three VCs
+        // (Active), a fourth waits for one (WaitingVc), a fifth has just
+        // started route computation (Routing) and one VC stays Idle. The
+        // digest of `save_state` pins the router's snapshot bytes.
+        let mut r = Router::new(
+            RouterConfig {
+                in_ports: 2,
+                out_ports: 2,
+                vcs: 3,
+                buf_depth: 4,
+                downstream_depth: 1,
+            },
+            Box::new(TableRoute::new(vec![PortId(0), PortId(1)])),
+        );
+        for (port, vc, id) in [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)] {
+            for f in packet(id, 1, 4) {
+                r.inject(PortId(port), vc, f);
+            }
+        }
+        for now in 0..6 {
+            r.step(now);
+        }
+        for f in packet(5, 0, 2) {
+            r.inject(PortId(1), 2, f);
+        }
+        r.step(6);
+        for tag in [VcTag::Idle, VcTag::Routing, VcTag::Waiting, VcTag::Active] {
+            assert!(r.arena.tag.contains(&tag), "no VC is {tag:?}");
+        }
+        let mut w = desim::snap::SnapWriter::new();
+        r.save_state(&mut w);
+        assert_eq!(desim::snap::fnv1a(&w.into_bytes()), 0x977d_5b8e_ee31_9fbf);
     }
 }

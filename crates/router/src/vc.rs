@@ -5,15 +5,10 @@
 //! per-packet pipeline: Idle → Routing (RC) → WaitingVc (VA) → Active
 //! (SA/ST per flit) → Idle on tail traversal.
 //!
-//! Two representations coexist:
-//!
-//! * [`VcState`] — the enum form, which defines the snapshot byte format
-//!   (tags 0–3) and is what checkpoints serialize;
-//! * [`VcArena`] — a struct-of-arrays arena holding the same state as
-//!   parallel flat vectors indexed by requester id `r = in_port · V + in_vc`,
-//!   which is what the router's VA/SA/ST passes actually walk. The arena's
-//!   [`VcArena::state`]/[`VcArena::set_state`] bridge to the enum form so
-//!   snapshots stay byte-identical to the pre-arena layout.
+//! [`VcArena`] holds every input VC's state as parallel flat vectors
+//! indexed by requester id `r = in_port · V + in_vc`, which is what the
+//! router's VA/SA/ST passes walk. A VC's snapshot bytes are its tag (0–3)
+//! followed by that tag's fields ([`VcArena::save_state`]).
 //!
 //! ## One flit slab per router (DESIGN.md §16)
 //!
@@ -26,38 +21,10 @@
 //! `≥ 1` works (the paper's is 1, the default config's 4).
 
 use crate::flit::{Flit, FlitKind, NodeId, PacketId};
-use crate::routing::PortId;
 use desim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use desim::Cycle;
 
-/// Pipeline state of one input VC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VcState {
-    /// No packet in flight.
-    Idle,
-    /// Route computation in progress; completes at the stored cycle.
-    Routing {
-        /// Cycle at which RC completes.
-        done_at: Cycle,
-    },
-    /// Route known; requesting an output VC each cycle.
-    WaitingVc {
-        /// Output port the packet will use.
-        out_port: PortId,
-    },
-    /// Output VC held; flits bid for the switch. Bidding allowed from
-    /// `active_at` (VA took one cycle).
-    Active {
-        /// Output port the packet uses.
-        out_port: PortId,
-        /// Output VC index held.
-        out_vc: u8,
-        /// First cycle the VC may bid in SA.
-        active_at: Cycle,
-    },
-}
-
-/// Discriminant of [`VcState`], stored one byte per VC in the arena.
+/// Pipeline state of one input VC, stored one byte per VC in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum VcTag {
@@ -219,47 +186,46 @@ impl VcArena {
         Ok(())
     }
 
-    /// Reassembles the enum view of VC `r` (snapshot bridge).
-    pub fn state(&self, r: usize) -> VcState {
+    /// Serializes VC `r`'s pipeline state: its tag (0–3), then the
+    /// fields that tag makes valid — `Routing` its RC completion cycle,
+    /// `Waiting` its routed port, `Active` its port, held output VC and
+    /// first SA cycle.
+    pub fn save_state(&self, r: usize, w: &mut SnapWriter) {
+        w.u8(self.tag[r] as u8);
         match self.tag[r] {
-            VcTag::Idle => VcState::Idle,
-            VcTag::Routing => VcState::Routing {
-                done_at: self.timer[r],
-            },
-            VcTag::Waiting => VcState::WaitingVc {
-                out_port: PortId(self.out_port[r]),
-            },
-            VcTag::Active => VcState::Active {
-                out_port: PortId(self.out_port[r]),
-                out_vc: self.out_vc[r],
-                active_at: self.timer[r],
-            },
+            VcTag::Idle => {}
+            VcTag::Routing => w.u64(self.timer[r]),
+            VcTag::Waiting => w.u16(self.out_port[r]),
+            VcTag::Active => {
+                w.u16(self.out_port[r]);
+                w.u8(self.out_vc[r]);
+                w.u64(self.timer[r]);
+            }
         }
     }
 
-    /// Scatters an enum state into the arrays for VC `r` (snapshot bridge).
-    pub fn set_state(&mut self, r: usize, s: VcState) {
-        match s {
-            VcState::Idle => self.tag[r] = VcTag::Idle,
-            VcState::Routing { done_at } => {
-                self.tag[r] = VcTag::Routing;
-                self.timer[r] = done_at;
+    /// Replaces VC `r`'s pipeline state with one written by
+    /// [`VcArena::save_state`]; an unknown tag is a typed `Format` error.
+    pub fn load_state(&mut self, r: usize, rd: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.tag[r] = match rd.u8()? {
+            0 => VcTag::Idle,
+            1 => {
+                self.timer[r] = rd.u64()?;
+                VcTag::Routing
             }
-            VcState::WaitingVc { out_port } => {
-                self.tag[r] = VcTag::Waiting;
-                self.out_port[r] = out_port.0;
+            2 => {
+                self.out_port[r] = rd.u16()?;
+                VcTag::Waiting
             }
-            VcState::Active {
-                out_port,
-                out_vc,
-                active_at,
-            } => {
-                self.tag[r] = VcTag::Active;
-                self.out_port[r] = out_port.0;
-                self.out_vc[r] = out_vc;
-                self.timer[r] = active_at;
+            3 => {
+                self.out_port[r] = rd.u16()?;
+                self.out_vc[r] = rd.u8()?;
+                self.timer[r] = rd.u64()?;
+                VcTag::Active
             }
-        }
+            b => return Err(SnapError::Format(format!("bad VC state tag {b:#x}"))),
+        };
+        Ok(())
     }
 
     /// Heap bytes held by the arena (for `approx_memory_bytes`).
@@ -271,47 +237,6 @@ impl VcArena {
             + self.timer.capacity() * size_of::<Cycle>()
             + self.flits.capacity() * size_of::<Flit>()
             + (self.head.capacity() + self.len.capacity()) * size_of::<usize>()
-    }
-}
-
-impl Snap for VcState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            VcState::Idle => w.u8(0),
-            VcState::Routing { done_at } => {
-                w.u8(1);
-                w.u64(*done_at);
-            }
-            VcState::WaitingVc { out_port } => {
-                w.u8(2);
-                w.u16(out_port.0);
-            }
-            VcState::Active {
-                out_port,
-                out_vc,
-                active_at,
-            } => {
-                w.u8(3);
-                w.u16(out_port.0);
-                w.u8(*out_vc);
-                w.u64(*active_at);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => VcState::Idle,
-            1 => VcState::Routing { done_at: r.u64()? },
-            2 => VcState::WaitingVc {
-                out_port: PortId(r.u16()?),
-            },
-            3 => VcState::Active {
-                out_port: PortId(r.u16()?),
-                out_vc: r.u8()?,
-                active_at: r.u64()?,
-            },
-            b => return Err(SnapError::Format(format!("bad VC state tag {b:#x}"))),
-        })
     }
 }
 
@@ -336,35 +261,39 @@ mod tests {
     fn starts_idle_with_space() {
         let a = VcArena::new(2, 2);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.state(1), VcState::Idle);
+        assert_eq!(a.tag[1], VcTag::Idle);
         assert_eq!((a.len(1), a.space(1)), (0, 2));
         assert!(a.front(1).is_none());
     }
 
     #[test]
     fn routed_port_by_state() {
-        // The snapshot bridge: every enum state scatters into the arrays
-        // and reassembles unchanged; a routed state carries its port.
+        // Every state round-trips through its snapshot bytes — the tag,
+        // then that tag's fields — and a routed state carries its port.
         let mut a = VcArena::new(1, 2);
         a.push(0, head());
-        for s in [
-            VcState::WaitingVc {
-                out_port: PortId(3),
-            },
-            VcState::Active {
-                out_port: PortId(3),
-                out_vc: 1,
-                active_at: 5,
-            },
-            VcState::Routing { done_at: 2 },
-            VcState::Idle,
+        for (tag, out_port, out_vc, timer) in [
+            (VcTag::Waiting, 3, 0, 0),
+            (VcTag::Active, 3, 1, 5),
+            (VcTag::Routing, 0, 0, 2),
+            (VcTag::Idle, 0, 0, 0),
         ] {
-            a.set_state(0, s);
-            assert_eq!(a.state(0), s);
-            if matches!(s, VcState::WaitingVc { .. } | VcState::Active { .. }) {
-                assert_eq!(a.out_port[0], 3);
-            }
+            (a.tag[0], a.out_port[0], a.out_vc[0], a.timer[0]) = (tag, out_port, out_vc, timer);
+            let mut w = SnapWriter::new();
+            a.save_state(0, &mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes[0], tag as u8);
+            let mut b = VcArena::new(1, 2);
+            b.load_state(0, &mut SnapReader::new(&bytes))
+                .expect("valid tag");
+            assert_eq!(b.tag[0], tag);
+            assert_eq!(
+                (b.out_port[0], b.out_vc[0], b.timer[0]),
+                (out_port, out_vc, timer)
+            );
         }
+        let err = a.load_state(0, &mut SnapReader::new(&[4]));
+        assert!(matches!(err, Err(SnapError::Format(_))), "{err:?}");
     }
 
     #[test]

@@ -49,13 +49,6 @@ pub struct OccupancyIntegral {
     previous: f64,
     /// Completed windows.
     completed: u64,
-    /// Any enqueue/dequeue since the last roll.
-    touched: bool,
-    /// Latched at roll: `touched` during that window.
-    last_touched: bool,
-    /// Latched at roll: the window was one flat level, so an untouched
-    /// next window is guaranteed to reproduce `previous` bit-for-bit.
-    last_steady: bool,
 }
 
 impl OccupancyIntegral {
@@ -78,9 +71,6 @@ impl OccupancyIntegral {
             cursor: 0,
             previous: 0.0,
             completed: 0,
-            touched: false,
-            last_touched: false,
-            last_steady: true,
         }
     }
 
@@ -97,7 +87,6 @@ impl OccupancyIntegral {
     pub fn enqueue(&mut self, now: Cycle, n: u32) {
         self.settle_to(now);
         self.flits += n;
-        self.touched = true;
     }
 
     /// `n` flits dequeued at cycle `now`; still visible to the sample at
@@ -106,17 +95,12 @@ impl OccupancyIntegral {
         self.settle_to(now + 1);
         debug_assert!(self.flits >= n, "dequeue below empty");
         self.flits -= n;
-        self.touched = true;
     }
 
     /// Closes the window ending at `now` (exclusive): computes the
-    /// eager-identical average, resets the integral, latches the
-    /// touched/steady flags the dirty-set scan reads.
+    /// eager-identical average and resets the integral.
     pub fn roll(&mut self, now: Cycle) -> f64 {
         self.settle_to(now);
-        self.last_steady = self.acc == self.flits as u64 * self.window;
-        self.last_touched = self.touched;
-        self.touched = false;
         // `acc/capacity` and the eager f64 sum are the same exact value;
         // see the module docs for why the division order cannot differ.
         let avg = (self.acc as f64 / self.capacity as f64) / self.window as f64;
@@ -140,21 +124,6 @@ impl OccupancyIntegral {
     pub fn completed(&self) -> u64 {
         self.completed
     }
-
-    /// Whether any enqueue/dequeue landed in the last completed window.
-    pub fn last_touched(&self) -> bool {
-        self.last_touched
-    }
-
-    /// Whether the last completed window sat at one flat level, i.e. the
-    /// next roll is guaranteed to reproduce [`previous`](Self::previous)
-    /// bit-for-bit if nothing touches the queue. The threshold-watch
-    /// dirty-set uses this to park flows: a parked flow's watch would be
-    /// fed the identical value again, which `ThresholdWatch::observe`
-    /// treats as a no-op, so skipping the feed is state-identical.
-    pub fn last_steady(&self) -> bool {
-        self.last_steady
-    }
 }
 
 impl desim::snap::Snap for OccupancyIntegral {
@@ -166,9 +135,6 @@ impl desim::snap::Snap for OccupancyIntegral {
         w.u64(self.cursor);
         w.f64(self.previous);
         w.u64(self.completed);
-        w.bool(self.touched);
-        w.bool(self.last_touched);
-        w.bool(self.last_steady);
     }
     fn load(r: &mut desim::snap::SnapReader<'_>) -> Result<Self, desim::snap::SnapError> {
         let window = r.u64()?;
@@ -186,9 +152,6 @@ impl desim::snap::Snap for OccupancyIntegral {
             cursor: r.u64()?,
             previous: r.f64()?,
             completed: r.u64()?,
-            touched: r.bool()?,
-            last_touched: r.bool()?,
-            last_steady: r.bool()?,
         })
     }
 }
@@ -239,19 +202,16 @@ mod tests {
     fn idle_queue_is_steady_and_free() {
         let mut c = OccupancyIntegral::new(100, 64);
         assert_eq!(c.roll(100), 0.0);
-        assert!(c.last_steady());
-        assert!(!c.last_touched());
         c.enqueue(150, 8);
         assert_eq!(c.flits(), 8);
         let v = c.roll(200);
-        assert!(c.last_touched());
-        assert!(!c.last_steady(), "level changed mid-window");
-        assert!((v - 8.0 / 64.0 * 0.5).abs() < 1e-12);
-        // Untouched full window at a flat level: steady again.
+        assert!(
+            (v - 8.0 / 64.0 * 0.5).abs() < 1e-12,
+            "level changed mid-window"
+        );
+        // Untouched full window at a flat level: the level itself.
         let v2 = c.roll(300);
         assert_eq!(v2, 8.0 / 64.0);
-        assert!(c.last_steady());
-        assert!(!c.last_touched());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Reachability scan: every `pub` item under crates/*/src that no product
 # code outside its own file names.
 #
-#   scripts/reach.sh [root] [out]     (defaults: the repo root, <root>/results/UNREACHED.txt)
+#   scripts/reach.sh [root] [out]     (defaults: the repo root, stdout)
 #
 # Product code is crates/*/src, examples/, src/ and benchmark/src, with every
 # `#[cfg(test)]` item skipped (a `#[cfg(test)] mod name;` skips the module's
@@ -33,7 +33,9 @@
 # with a trailing ` # oracle: <caller>` or ` # <reason>`.
 set -euo pipefail
 root="$(cd "${1:-$(dirname "$0")/..}" && pwd)"
-out="${2:-$root/results/UNREACHED.txt}"
+if [ $# -ge 2 ]; then
+    exec >"$2"
+fi
 
 cd "$root"
 dirs=()
@@ -176,4 +178,4 @@ find "${dirs[@]}" -name '*.rs' \
             if (reached < 2) print items[i]
         }
     }
-' | LC_ALL=C sort -u > "$out"
+' | LC_ALL=C sort -u

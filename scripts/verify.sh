@@ -99,6 +99,13 @@ if grep -rnE "ReconfigControlle[r]|ControlRin[g]|ControlPacke[t]|LaserComman[d]|
     echo "verify: a retired control-plane payload name is back"; exit 1
 fi
 
+echo "== lasers follow the ownership map (no pending-grant queue, no watch dirty set, no VC-state bridge) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "PendingGran[t]|pending_grant[s]|donor_dar[k]|mismatch_explaine[d]|watch_pendin[g]|last_stead[y]|VcStat[e]" \
+    crates tests examples src DESIGN.md README.md; then
+    echo "verify: a retired SRS, telemetry or router-snapshot name is back"; exit 1
+fi
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -453,9 +453,10 @@ fn version_and_config_mismatch_rejected() {
     // Older layouts are refused, not misread: version 1 (the dense
     // per-laser SRS bank), version 2 (the frozen retired words and a
     // presence flag per injection source), version 3 (the f64 power fold),
-    // version 4 (a high-water mark per router input VC) and version 5 (the
-    // trace ring, delivery rows and metric registry).
-    for old in [1u16, 2, 3, 4, 5] {
+    // version 4 (a high-water mark per router input VC), version 5 (the
+    // trace ring, delivery rows and metric registry) and version 6 (the
+    // SRS's pending grants and the threshold-watch dirty set).
+    for old in [1u16, 2, 3, 4, 5, 6] {
         let mut b = bytes.clone();
         b[4..6].copy_from_slice(&old.to_le_bytes());
         reseal(&mut b);
@@ -467,8 +468,9 @@ fn version_and_config_mismatch_rejected() {
 
     // A mutated slot. The SRS section opens with its tag and slot count;
     // receiver (0, λ0) is dark and unowned (21 bytes), then (0, λ1) is
-    // owned and lit by board 1. Claiming it lit by board 2 (no grant or
-    // failure accounts for that) or by a board past B is a typed error.
+    // owned and lit by board 1. Claiming it lit by board 2 (not the laser
+    // it wants, and not queued to settle) or by a board past B is a typed
+    // error.
     let srs_at = (bytes.windows(4))
         .position(|t| t == b"SRSS")
         .expect("SRS section");
