@@ -36,7 +36,7 @@ use desim::Cycle;
 use netstats::occupancy::OccupancyIntegral;
 use router::flit::NodeId;
 use router::inject::FlitInjector;
-use router::packet::Packet;
+use router::packet::QueuedPacket;
 use router::routing::{PortId, TableRoute};
 use router::{words, Router, RouterConfig, BUF_DEPTH, PACKET_FLITS, VCS};
 
@@ -158,7 +158,7 @@ impl Board {
     /// Queues a packet at input port `port`'s injector. Only the enqueue
     /// that ends idleness readies it: behind a blocked packet, a longer
     /// backlog changes nothing about the next tick.
-    fn enqueue(&mut self, port: usize, packet: Packet) {
+    fn enqueue(&mut self, port: usize, packet: QueuedPacket) {
         self.inflight += 1;
         if self.injectors[port].is_idle() {
             words::set(&mut self.inj_ready, port);
@@ -167,16 +167,15 @@ impl Board {
     }
 
     /// Queues a freshly generated packet at a node NI.
-    pub fn enqueue_node_packet(&mut self, local_node: u16, packet: Packet) {
+    pub fn enqueue_node_packet(&mut self, local_node: u16, packet: QueuedPacket) {
         self.enqueue(local_node as usize, packet);
     }
 
     /// Queues an optically arrived packet at the receiver for `wavelength`
     /// for IBI injection toward the destination node.
     pub fn enqueue_rx_packet(&mut self, wavelength: u16, pkt: ReadyPacket) {
-        let packet = Packet {
+        let packet = QueuedPacket {
             id: pkt.id,
-            src: NodeId(pkt.src),
             dst: NodeId(pkt.dst),
             flits: pkt.flits,
             injected_at: pkt.injected_at,
@@ -428,10 +427,9 @@ mod tests {
         SystemConfig::small(NetworkMode::NpNb)
     }
 
-    fn packet(id: u64, src: u32, dst: u32) -> Packet {
-        Packet {
+    fn packet(id: u64, dst: u32) -> QueuedPacket {
+        QueuedPacket {
             id: PacketId(id),
-            src: NodeId(src),
             dst: NodeId(dst),
             flits: PACKET_FLITS,
             injected_at: 0,
@@ -444,7 +442,7 @@ mod tests {
         let cfg = cfg();
         let mut b = Board::new(&cfg, 0);
         // Node 1 → node 2, both on board 0.
-        b.enqueue_node_packet(1, packet(1, 1, 2));
+        b.enqueue_node_packet(1, packet(1, 2));
         let mut delivered = Vec::new();
         for now in 0..100 {
             delivered.extend(b.step(now));
@@ -460,7 +458,7 @@ mod tests {
         let cfg = cfg();
         let mut b = Board::new(&cfg, 0);
         // Node 0 → node 12 (board 3).
-        b.enqueue_node_packet(0, packet(1, 0, 12));
+        b.enqueue_node_packet(0, packet(1, 12));
         for now in 0..100 {
             let d = b.step(now);
             assert!(d.is_empty(), "remote packet must not eject locally");
@@ -469,7 +467,6 @@ mod tests {
         assert_eq!(b.tx_queue(1).ready_len(), 0);
         let pkt = b.tx_depart(100, 3).unwrap();
         assert_eq!(pkt.dst, 12);
-        assert_eq!(pkt.src, 0);
         assert_eq!(pkt.flits, PACKET_FLITS);
     }
 
@@ -480,7 +477,6 @@ mod tests {
         // A packet arrived optically on λ1 destined for node 10 (board 2).
         let rp = ReadyPacket {
             id: PacketId(9),
-            src: 1,
             dst: 10,
             injected_at: 3,
             labelled: true,
@@ -507,7 +503,7 @@ mod tests {
         // Push far more packets toward board 1 than the TX queue holds;
         // departing packets must recycle credits so all eventually pass.
         for i in 0..32 {
-            b.enqueue_node_packet((i % 4) as u16, packet(i, 0, 4));
+            b.enqueue_node_packet((i % 4) as u16, packet(i, 4));
         }
         let mut departed = 0;
         for now in 0..4000 {
@@ -524,7 +520,7 @@ mod tests {
     fn buffer_util_tracks_queue_occupancy() {
         let cfg = cfg();
         let mut b = Board::new(&cfg, 0);
-        b.enqueue_node_packet(0, packet(1, 0, 4));
+        b.enqueue_node_packet(0, packet(1, 4));
         for now in 0..cfg.schedule.window {
             b.step(now);
         }

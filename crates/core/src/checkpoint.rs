@@ -16,7 +16,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 4 | `ERSP` |
-//! | version | 2 | `SNAP_VERSION` (7) |
+//! | version | 2 | `SNAP_VERSION` (8) |
 //! | fingerprint | 8 | FNV-1a-64 of `format!("{cfg:?}")` |
 //! | cursor | 32 | [`StreamCursor`] (trace/delivery positions) |
 //! | body | … | [`System::save_state`] byte stream |
@@ -52,7 +52,10 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: [u8; 4] = *b"ERSP";
-/// Snapshot format version this build reads and writes. Version 7 stores
+/// Snapshot format version this build reads and writes. Version 8 drops
+/// the packet source from every in-flight record (router flits, TX-queue
+/// and arrival packets, injector backlogs) and the occupancy integrals'
+/// unread completed-window count. Version 7 stores
 /// the SRS's settle queue in place of its pending grants, and drops the
 /// threshold-watch dirty set (the per-flow pending flags and the occupancy
 /// integrals' touched/steady latches). Version 6 holds no observations: no
@@ -65,7 +68,7 @@ const SNAP_MAGIC: [u8; 4] = *b"ERSP";
 /// section and dropped the retired words version 2 kept frozen; version 2
 /// stored the SRS as its O(B·W) receiver slots, version 1 as a dense
 /// per-laser bank. Older versions are refused, not converted.
-const SNAP_VERSION: u16 = 7;
+const SNAP_VERSION: u16 = 8;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
 const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 

@@ -1188,7 +1188,7 @@ impl Srs {
         Ok(())
     }
 
-    /// Serializes the mutable optical-stage state (`.ersp` v7): every
+    /// Serializes the mutable optical-stage state (`.ersp` v8): every
     /// slot — owner, lit source, the lit laser's state, pending retune
     /// and relock, link/busy accounting with only an *open* span's bounds
     /// — then the lasers whose level is below the ladder top, the busy
@@ -1315,7 +1315,6 @@ mod test_util {
     pub(super) fn pkt(id: u64) -> ReadyPacket {
         ReadyPacket {
             id: PacketId(id),
-            src: 0,
             dst: 0,
             injected_at: 0,
             labelled: false,

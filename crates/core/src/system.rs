@@ -36,7 +36,7 @@ use reconfig::lockstep::WindowKind;
 use reconfig::protocol::{DbrRound, TokenFault};
 use reconfig::stages::Stage;
 use router::flit::{NodeId, PacketId};
-use router::packet::Packet;
+use router::packet::QueuedPacket;
 use router::PACKET_FLITS;
 use traffic::generator::{NodeGenerator, PacketRequest};
 use traffic::pattern::TrafficPattern;
@@ -837,9 +837,8 @@ impl System {
         }
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
-        let packet = Packet {
+        let packet = QueuedPacket {
             id,
-            src: NodeId(src),
             dst: NodeId(dst),
             flits: PACKET_FLITS,
             injected_at: now,

@@ -26,8 +26,6 @@ const _: () = assert!(
 pub struct ReadyPacket {
     /// Packet id.
     pub id: PacketId,
-    /// Global source node.
-    pub src: u32,
     /// Global destination node.
     pub dst: u32,
     /// Injection cycle (for latency accounting).
@@ -43,6 +41,10 @@ pub struct ReadyPacket {
     /// latency decomposition: source path vs queue wait vs optical).
     pub completed_at: desim::Cycle,
 }
+
+// A ready packet is 32 bytes; a field added later cannot silently regrow
+// every TX queue and optical arrival.
+const _: () = assert!(std::mem::size_of::<ReadyPacket>() == 32);
 
 /// One (source board → destination board) transmitter queue.
 #[derive(Debug, Clone)]
@@ -116,7 +118,6 @@ impl TransmitQueue {
                     0,
                     ReadyPacket {
                         id: flit.packet,
-                        src: flit.src.0,
                         dst: flit.dst.0,
                         injected_at: flit.injected_at,
                         labelled: flit.labelled,
@@ -204,7 +205,6 @@ impl TransmitQueue {
 impl desim::snap::Snap for ReadyPacket {
     fn save(&self, w: &mut desim::snap::SnapWriter) {
         w.u64(self.id.0);
-        w.u32(self.src);
         w.u32(self.dst);
         w.u64(self.injected_at);
         w.bool(self.labelled);
@@ -215,7 +215,6 @@ impl desim::snap::Snap for ReadyPacket {
     fn load(r: &mut desim::snap::SnapReader<'_>) -> Result<Self, desim::snap::SnapError> {
         Ok(Self {
             id: PacketId(r.u64()?),
-            src: r.u32()?,
             dst: r.u32()?,
             injected_at: r.u64()?,
             labelled: r.bool()?,
@@ -230,12 +229,11 @@ impl desim::snap::Snap for ReadyPacket {
 mod tests {
     use super::*;
     use router::flit::NodeId;
-    use router::packet::Packet;
+    use router::packet::QueuedPacket;
 
     fn flits(id: u64, n: u16) -> Vec<Flit> {
-        let pkt = Packet {
+        let pkt = QueuedPacket {
             id: PacketId(id),
-            src: NodeId(0),
             dst: NodeId(9),
             flits: n,
             injected_at: 5,
@@ -255,7 +253,6 @@ mod tests {
         let p = q.depart().unwrap();
         assert_eq!(p.id, PacketId(1));
         assert_eq!(p.dst, 9);
-        assert_eq!(p.src, 0);
         assert_eq!(p.vc, 0);
         assert_eq!(p.flits, 8);
         assert!(p.labelled);

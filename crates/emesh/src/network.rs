@@ -10,7 +10,7 @@ use crate::topology::{port, Mesh2D, XyRoute};
 use desim::Cycle;
 use router::flit::PacketId;
 use router::inject::FlitInjector;
-use router::packet::Packet;
+use router::packet::QueuedPacket;
 use router::routing::PortId;
 use router::{Router, RouterConfig};
 
@@ -91,7 +91,7 @@ impl MeshNetwork {
     }
 
     /// Queues a packet at a node's NI.
-    pub fn enqueue(&mut self, node: u32, packet: Packet) {
+    pub fn enqueue(&mut self, node: u32, packet: QueuedPacket) {
         self.injectors[node as usize].enqueue(packet);
     }
 
@@ -185,10 +185,9 @@ mod tests {
     use super::*;
     use router::flit::NodeId;
 
-    fn pkt(id: u64, src: u32, dst: u32, now: Cycle) -> Packet {
-        Packet {
+    fn pkt(id: u64, dst: u32, now: Cycle) -> QueuedPacket {
+        QueuedPacket {
             id: PacketId(id),
-            src: NodeId(src),
             dst: NodeId(dst),
             flits: 4,
             injected_at: now,
@@ -209,7 +208,7 @@ mod tests {
     #[test]
     fn single_packet_crosses_the_mesh() {
         let mut net = MeshNetwork::new(Mesh2D::new(4, 4), 2, 4);
-        net.enqueue(0, pkt(1, 0, 15, 0));
+        net.enqueue(0, pkt(1, 15, 0));
         let log = drive(&mut net, 200);
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].1.dst, 15);
@@ -225,7 +224,7 @@ mod tests {
     #[test]
     fn local_delivery_never_leaves_the_router() {
         let mut net = MeshNetwork::new(Mesh2D::new(2, 2), 2, 4);
-        net.enqueue(3, pkt(1, 3, 3, 0));
+        net.enqueue(3, pkt(1, 3, 0));
         let log = drive(&mut net, 50);
         assert_eq!(log.len(), 1);
         // Other routers untouched.
@@ -240,7 +239,7 @@ mod tests {
         for src in 0..9 {
             for dst in 0..9 {
                 if src != dst {
-                    net.enqueue(src, pkt(id, src, dst, 0));
+                    net.enqueue(src, pkt(id, dst, 0));
                     id += 1;
                 }
             }
@@ -258,7 +257,7 @@ mod tests {
         let mut id = 0;
         for round in 0..4 {
             for src in 1..16 {
-                net.enqueue(src, pkt(id, src, 0, round));
+                net.enqueue(src, pkt(id, 0, round));
                 id += 1;
             }
         }
@@ -271,7 +270,7 @@ mod tests {
     fn flit_order_preserved_per_packet() {
         let mut net = MeshNetwork::new(Mesh2D::new(4, 1), 2, 2);
         for i in 0..8 {
-            net.enqueue(0, pkt(i, 0, 3, 0));
+            net.enqueue(0, pkt(i, 3, 0));
         }
         let log = drive(&mut net, 2000);
         assert_eq!(log.len(), 8);
@@ -284,7 +283,7 @@ mod tests {
             let mut id = 0;
             for round in 0..8 {
                 for src in 0..16u32 {
-                    net.enqueue(src, pkt(id, src, (src + 5) % 16, round));
+                    net.enqueue(src, pkt(id, (src + 5) % 16, round));
                     id += 1;
                 }
             }

@@ -8,7 +8,7 @@ use desim::phase::{Phase, PhasePlan, PhaseTracker};
 use desim::Cycle;
 use netstats::meter::{LatencyMeter, ThroughputMeter};
 use router::flit::{NodeId, PacketId};
-use router::packet::Packet;
+use router::packet::QueuedPacket;
 use router::{BUF_DEPTH, PACKET_FLITS, VCS};
 use traffic::generator::build_generators;
 use traffic::pattern::TrafficPattern;
@@ -79,9 +79,8 @@ pub fn run_mesh(
         let labelled = plan.phase_at(now) == Phase::Measure;
         for g in &mut gens {
             if let Some(req) = g.poll(now) {
-                let packet = Packet {
+                let packet = QueuedPacket {
                     id: PacketId(next_id),
-                    src: NodeId(req.src),
                     dst: NodeId(req.dst),
                     flits: PACKET_FLITS,
                     injected_at: now,

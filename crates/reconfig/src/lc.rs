@@ -47,17 +47,11 @@ impl ThresholdWatch {
     }
 
     /// Moves the watched threshold (the auto-tuning controller's
-    /// application seam): returns whether it actually changed.
-    ///
-    /// Contract: retargeting to the current threshold is a no-op, and a
-    /// retarget never signals by itself — the hysteresis side is only
-    /// re-evaluated at the next [`ThresholdWatch::observe`].
-    pub fn retarget(&mut self, b_max: f64) -> bool {
-        if self.b_max == b_max {
-            return false;
-        }
+    /// application seam). A retarget never signals by itself: the
+    /// hysteresis side is only re-evaluated at the next
+    /// [`ThresholdWatch::observe`].
+    pub fn retarget(&mut self, b_max: f64) {
         self.b_max = b_max;
-        true
     }
 
     /// Serializes the hysteresis side (`b_max` is config-derived).
@@ -100,10 +94,12 @@ mod tests {
         let mut watch = ThresholdWatch::new(0.3);
         assert_eq!(watch.observe(0.5), Some(true));
         // Same threshold: no-op.
-        assert!(!watch.retarget(0.3));
+        watch.retarget(0.3);
+        assert_eq!((watch.b_max, watch.above), (0.3, true));
         // New threshold: no signal until the next observation, which then
         // re-evaluates the side against the new value.
-        assert!(watch.retarget(0.6));
+        watch.retarget(0.6);
+        assert_eq!(watch.b_max, 0.6);
         assert!(watch.above, "retarget must not flip the side itself");
         assert_eq!(watch.observe(0.5), Some(false));
         // And crossing the new threshold fires as usual.

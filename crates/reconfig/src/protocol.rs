@@ -942,6 +942,42 @@ mod tests {
         assert_eq!(round.retries(), 0);
     }
 
+    /// Loss, corruption of the relaunched token, then loss of its resend,
+    /// at B = 2 (round trip 4, grace 16). Board 0's Board Request token,
+    /// launched at 3, is lost; the watchdog relaunches it at 23 with a
+    /// doubled window (deadline 23 + 4 + 32 = 59). It comes home corrupted
+    /// at 27 and is resent: that resend's own window ends at 27 + 4 + 16 =
+    /// 47, but the relaunch's backoff still holds, so when the resend is
+    /// lost the watchdog waits until 59, not 47, before relaunching again.
+    #[test]
+    fn a_corruption_resend_keeps_the_relaunch_backoff() {
+        let t = ProtocolTiming {
+            boards: 2,
+            lcs_per_board: 2,
+            ..ProtocolTiming::paper64()
+        };
+        let (incoming, demands) = hot_flow(2);
+        let mut round = DbrRound::new(t, AllocPolicy::paper(), 0, incoming, demands);
+        let schedule = [(0, false), (24, true), (28, false)];
+        let mut now = 0;
+        let outcome = loop {
+            for &(_, corrupt) in schedule.iter().filter(|(at, _)| *at == now) {
+                round.inject_fault(TokenFault {
+                    victim: BoardId(0),
+                    corrupt,
+                });
+            }
+            if let Some(outcome) = round.tick(now) {
+                break outcome;
+            }
+            now += 1;
+            assert!(now < 1_000, "faulted round failed to converge");
+        };
+        assert!(outcome.error.is_none());
+        assert_eq!((outcome.completed_at, outcome.retries), (74, 3));
+        assert_eq!(round.stage_log()[2], (63, Some(Stage::Reconfigure)));
+    }
+
     /// Every schedule of at most two token faults — each victim, loss or
     /// corruption, on every cycle from the round's start to its fault-free
     /// completion, injected before that cycle's tick as `System` does — on

@@ -59,8 +59,6 @@ pub struct Flit {
     pub packet: PacketId,
     /// Position within the packet.
     pub kind: FlitKind,
-    /// Source node of the packet.
-    pub src: NodeId,
     /// Destination node of the packet.
     pub dst: NodeId,
     /// Cycle the packet was injected at the source NI.
@@ -70,6 +68,10 @@ pub struct Flit {
     /// Flit sequence number within the packet (head = 0).
     pub seq: u16,
 }
+
+// A flit is 24 bytes; a field added later cannot silently regrow every
+// router slab slot.
+const _: () = assert!(std::mem::size_of::<Flit>() == 24);
 
 use desim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -97,7 +99,6 @@ impl Snap for Flit {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.packet.0);
         self.kind.save(w);
-        w.u32(self.src.0);
         w.u32(self.dst.0);
         w.u64(self.injected_at);
         w.bool(self.labelled);
@@ -107,7 +108,6 @@ impl Snap for Flit {
         Ok(Self {
             packet: PacketId(r.u64()?),
             kind: FlitKind::load(r)?,
-            src: NodeId(r.u32()?),
             dst: NodeId(r.u32()?),
             injected_at: r.u64()?,
             labelled: r.bool()?,

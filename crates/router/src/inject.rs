@@ -7,7 +7,7 @@
 //! packets, not within one). [`FlitInjector`] owns that state machine for
 //! one input port.
 
-use crate::packet::Packet;
+use crate::packet::QueuedPacket;
 use crate::routing::PortId;
 use crate::Router;
 use std::collections::VecDeque;
@@ -17,10 +17,10 @@ use std::collections::VecDeque;
 pub struct FlitInjector {
     port: PortId,
     /// Packets awaiting injection (head of queue is in progress).
-    backlog: VecDeque<Packet>,
+    backlog: VecDeque<QueuedPacket>,
     /// The in-progress packet; its flits are computed on demand with
-    /// [`Packet::flit_at`], so starting a packet allocates nothing.
-    current: Option<Packet>,
+    /// [`QueuedPacket::flit_at`], so starting a packet allocates nothing.
+    current: Option<QueuedPacket>,
     /// Next flit index within the in-progress packet.
     next: u16,
     /// The VC the in-progress packet was assigned.
@@ -50,9 +50,10 @@ impl FlitInjector {
         self.port
     }
 
-    /// Queues a packet for injection.
-    pub fn enqueue(&mut self, packet: Packet) {
-        self.backlog.push_back(packet);
+    /// Queues a packet for injection: a [`QueuedPacket`], or a
+    /// [`crate::Packet`], whose `src` it drops.
+    pub fn enqueue(&mut self, packet: impl Into<QueuedPacket>) {
+        self.backlog.push_back(packet.into());
     }
 
     /// Packets waiting (including the one in progress).
@@ -143,8 +144,8 @@ impl FlitInjector {
         r: &mut desim::snap::SnapReader<'_>,
     ) -> Result<(), desim::snap::SnapError> {
         use desim::snap::Snap;
-        self.backlog = VecDeque::<Packet>::load(r)?;
-        self.current = Option::<Packet>::load(r)?;
+        self.backlog = VecDeque::<QueuedPacket>::load(r)?;
+        self.current = Option::<QueuedPacket>::load(r)?;
         self.next = r.u16()?;
         self.vc = r.u8()?;
         self.vc_cursor = r.u8()?;
@@ -157,6 +158,7 @@ impl FlitInjector {
 mod tests {
     use super::*;
     use crate::flit::{NodeId, PacketId};
+    use crate::packet::Packet;
     use crate::routing::TableRoute;
     use crate::RouterConfig;
 

@@ -12,7 +12,8 @@
 //! (ST) per flit (§2.1, following Dally & Towles).
 //!
 //! Modules:
-//! * [`flit`] / [`packet`] — flits, packets, and the packetizer,
+//! * [`flit`] / [`packet`] — flits, packets, the injectors' packet
+//!   record and the packetizer,
 //! * [`credit`] — credit counters for flow control,
 //! * [`arbiter`] — the round-robin arbiter,
 //! * [`vc`] — per-input virtual-channel state machines and their flit
@@ -27,15 +28,15 @@
 //! ```
 //! use router::{Router, RouterConfig, PortId};
 //! use router::routing::TableRoute;
-//! use router::packet::Packet;
+//! use router::packet::QueuedPacket;
 //! use router::flit::{NodeId, PacketId};
 //!
 //! let mut r = Router::new(
 //!     RouterConfig { in_ports: 2, out_ports: 2, vcs: 2, buf_depth: 4, downstream_depth: 16 },
 //!     Box::new(TableRoute::new(vec![PortId(0), PortId(1)])),
 //! );
-//! let pkt = Packet { id: PacketId(0), src: NodeId(0), dst: NodeId(1),
-//!                    flits: 2, injected_at: 0, labelled: false };
+//! let pkt = QueuedPacket { id: PacketId(0), dst: NodeId(1),
+//!                          flits: 2, injected_at: 0, labelled: false };
 //! for i in 0..pkt.flits { r.inject(PortId(0), 0, pkt.flit_at(i)); }
 //! let mut out = 0;
 //! for now in 0..10 { out += r.step(now).len(); }

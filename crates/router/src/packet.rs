@@ -3,7 +3,9 @@
 use crate::flit::{Flit, FlitKind, NodeId, PacketId};
 use desim::Cycle;
 
-/// A packet descriptor: the unit traffic generators emit.
+/// A packet descriptor: the literal a caller hands
+/// [`crate::FlitInjector::enqueue`]. The injector keeps it as a
+/// [`QueuedPacket`], which drops `src`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Unique id.
@@ -20,7 +22,39 @@ pub struct Packet {
     pub labelled: bool,
 }
 
-impl Packet {
+/// A packet waiting at an injector: everything its flits carry, and no
+/// source, which nothing past the NI reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueuedPacket {
+    /// Unique id.
+    pub id: PacketId,
+    /// Injection cycle at the source NI.
+    pub injected_at: Cycle,
+    /// Destination node.
+    pub dst: NodeId,
+    /// Number of flits (paper default: 8 flits = 64 bytes).
+    pub flits: u16,
+    /// Labelled for measurement.
+    pub labelled: bool,
+}
+
+// An injector backlog slot is 24 bytes; a field added later cannot
+// silently regrow a saturated run's queues.
+const _: () = assert!(std::mem::size_of::<QueuedPacket>() == 24);
+
+impl From<Packet> for QueuedPacket {
+    fn from(p: Packet) -> Self {
+        Self {
+            id: p.id,
+            injected_at: p.injected_at,
+            dst: p.dst,
+            flits: p.flits,
+            labelled: p.labelled,
+        }
+    }
+}
+
+impl QueuedPacket {
     /// The `i`-th flit of the packet, computed on demand (the injectors
     /// stream flits without materialising the whole sequence).
     ///
@@ -38,7 +72,6 @@ impl Packet {
         Flit {
             packet: self.id,
             kind,
-            src: self.src,
             dst: self.dst,
             injected_at: self.injected_at,
             labelled: self.labelled,
@@ -47,7 +80,7 @@ impl Packet {
     }
 
     /// Splits the packet into its flit sequence (a test helper: the
-    /// engine emits one flit at a time through [`Packet::flit_at`]).
+    /// engine emits one flit at a time through [`QueuedPacket::flit_at`]).
     #[cfg(test)]
     pub(crate) fn flitize(&self) -> Vec<Flit> {
         assert!(self.flits >= 1);
@@ -55,10 +88,9 @@ impl Packet {
     }
 }
 
-impl desim::snap::Snap for Packet {
+impl desim::snap::Snap for QueuedPacket {
     fn save(&self, w: &mut desim::snap::SnapWriter) {
         w.u64(self.id.0);
-        w.u32(self.src.0);
         w.u32(self.dst.0);
         w.u16(self.flits);
         w.u64(self.injected_at);
@@ -67,7 +99,6 @@ impl desim::snap::Snap for Packet {
     fn load(r: &mut desim::snap::SnapReader<'_>) -> Result<Self, desim::snap::SnapError> {
         Ok(Self {
             id: PacketId(r.u64()?),
-            src: NodeId(r.u32()?),
             dst: NodeId(r.u32()?),
             flits: r.u16()?,
             injected_at: r.u64()?,
@@ -80,15 +111,15 @@ impl desim::snap::Snap for Packet {
 mod tests {
     use super::*;
 
-    fn pkt(flits: u16) -> Packet {
-        Packet {
+    fn pkt(flits: u16) -> QueuedPacket {
+        QueuedPacket::from(Packet {
             id: PacketId(7),
             src: NodeId(1),
             dst: NodeId(2),
             flits,
             injected_at: 100,
             labelled: true,
-        }
+        })
     }
 
     #[test]
@@ -99,7 +130,9 @@ mod tests {
         assert!(flits[1..7].iter().all(|f| f.kind == FlitKind::Body));
         assert_eq!(flits[7].kind, FlitKind::Tail);
         assert!(flits.iter().all(|f| f.packet == PacketId(7)));
-        assert!(flits.iter().all(|f| f.labelled));
+        assert!(flits
+            .iter()
+            .all(|f| f.labelled && f.dst == NodeId(2) && f.injected_at == 100));
         assert_eq!(
             flits.iter().map(|f| f.seq).collect::<Vec<_>>(),
             (0..8).collect::<Vec<_>>()

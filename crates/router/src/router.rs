@@ -763,7 +763,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::{NodeId, PacketId};
-    use crate::packet::Packet;
+    use crate::packet::QueuedPacket;
     use crate::routing::TableRoute;
 
     /// 2-in, 2-out router: node 0 → port 0, node 1 → port 1.
@@ -781,9 +781,8 @@ mod tests {
     }
 
     fn packet(id: u64, dst: u32, flits: u16) -> Vec<crate::flit::Flit> {
-        Packet {
+        QueuedPacket {
             id: PacketId(id),
-            src: NodeId(0),
             dst: NodeId(dst),
             flits,
             injected_at: 0,
@@ -1049,6 +1048,6 @@ mod tests {
         }
         let mut w = desim::snap::SnapWriter::new();
         r.save_state(&mut w);
-        assert_eq!(desim::snap::fnv1a(&w.into_bytes()), 0x977d_5b8e_ee31_9fbf);
+        assert_eq!(desim::snap::fnv1a(&w.into_bytes()), 0xc9a2_6c4e_b1e7_a0ff);
     }
 }

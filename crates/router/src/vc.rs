@@ -42,7 +42,6 @@ pub enum VcTag {
 const EMPTY: Flit = Flit {
     packet: PacketId(0),
     kind: FlitKind::Body,
-    src: NodeId(0),
     dst: NodeId(0),
     injected_at: 0,
     labelled: false,
@@ -343,7 +342,7 @@ mod tests {
                         a.push(
                             r,
                             Flit {
-                                src: NodeId(r as u32),
+                                packet: PacketId(r as u64),
                                 ..flit(pushed[r])
                             },
                         );
@@ -352,7 +351,7 @@ mod tests {
                     let drain = 1 + (round * 7 + r) % depth;
                     for _ in 0..drain.min(a.len(r)) {
                         let f = a.pop(r).expect("counted");
-                        assert_eq!((f.src, f.seq), (NodeId(r as u32), popped[r]));
+                        assert_eq!((f.packet, f.seq), (PacketId(r as u64), popped[r]));
                         popped[r] += 1;
                     }
                     assert_eq!(a.len(r), (pushed[r] - popped[r]) as usize);

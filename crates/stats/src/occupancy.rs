@@ -47,8 +47,6 @@ pub struct OccupancyIntegral {
     cursor: Cycle,
     /// Average of the last completed window, eager-identical.
     previous: f64,
-    /// Completed windows.
-    completed: u64,
 }
 
 impl OccupancyIntegral {
@@ -70,7 +68,6 @@ impl OccupancyIntegral {
             acc: 0,
             cursor: 0,
             previous: 0.0,
-            completed: 0,
         }
     }
 
@@ -106,7 +103,6 @@ impl OccupancyIntegral {
         let avg = (self.acc as f64 / self.capacity as f64) / self.window as f64;
         self.previous = avg.clamp(0.0, 1.0);
         self.acc = 0;
-        self.completed += 1;
         self.previous
     }
 
@@ -119,11 +115,6 @@ impl OccupancyIntegral {
     pub fn flits(&self) -> u32 {
         self.flits
     }
-
-    /// Completed windows.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
 }
 
 impl desim::snap::Snap for OccupancyIntegral {
@@ -134,7 +125,6 @@ impl desim::snap::Snap for OccupancyIntegral {
         w.u64(self.acc);
         w.u64(self.cursor);
         w.f64(self.previous);
-        w.u64(self.completed);
     }
     fn load(r: &mut desim::snap::SnapReader<'_>) -> Result<Self, desim::snap::SnapError> {
         let window = r.u64()?;
@@ -151,7 +141,6 @@ impl desim::snap::Snap for OccupancyIntegral {
             acc: r.u64()?,
             cursor: r.u64()?,
             previous: r.f64()?,
-            completed: r.u64()?,
         })
     }
 }

@@ -454,9 +454,10 @@ fn version_and_config_mismatch_rejected() {
     // per-laser SRS bank), version 2 (the frozen retired words and a
     // presence flag per injection source), version 3 (the f64 power fold),
     // version 4 (a high-water mark per router input VC), version 5 (the
-    // trace ring, delivery rows and metric registry) and version 6 (the
-    // SRS's pending grants and the threshold-watch dirty set).
-    for old in [1u16, 2, 3, 4, 5, 6] {
+    // trace ring, delivery rows and metric registry), version 6 (the
+    // SRS's pending grants and the threshold-watch dirty set) and version 7
+    // (a source node in every flit and queued packet).
+    for old in [1u16, 2, 3, 4, 5, 6, 7] {
         let mut b = bytes.clone();
         b[4..6].copy_from_slice(&old.to_le_bytes());
         reseal(&mut b);

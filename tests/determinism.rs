@@ -223,7 +223,7 @@ fn board_step_buffer_reuse_conserves_deliveries() {
     use erapid_suite::desim::rng::Pcg32;
     use erapid_suite::erapid_core::board::Board;
     use erapid_suite::router::flit::{NodeId, PacketId};
-    use erapid_suite::router::packet::Packet;
+    use erapid_suite::router::packet::QueuedPacket;
 
     let cfg = SystemConfig::small(NetworkMode::NpNb);
     let d = cfg.nodes_per_board as u32;
@@ -240,9 +240,8 @@ fn board_step_buffer_reuse_conserves_deliveries() {
         if now < 3000 && rng.bernoulli(0.4) {
             let src = rng.below(d);
             let dst = rng.below(d);
-            let pkt = Packet {
+            let pkt = QueuedPacket {
                 id: PacketId(next_id),
-                src: NodeId(src),
                 dst: NodeId(dst),
                 flits: erapid_suite::router::PACKET_FLITS,
                 injected_at: now,
