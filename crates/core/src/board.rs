@@ -228,14 +228,20 @@ impl Board {
         }
     }
 
-    /// Coarse heap-footprint estimate in bytes: the router plus the
-    /// per-destination TX/occupancy state (analytic capacity ×
-    /// element-size sums — see [`router::Router::approx_memory_bytes`]).
+    /// Coarse heap-footprint estimate in bytes: the router, the
+    /// injectors' coded backlogs and the per-destination TX/occupancy
+    /// state (analytic capacity × element-size sums — see
+    /// [`router::Router::approx_memory_bytes`]).
     pub fn approx_memory_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
             + self.router.approx_memory_bytes()
             + std::mem::size_of_val(self.injectors.as_slice())
+            + self
+                .injectors
+                .iter()
+                .map(FlitInjector::approx_memory_bytes)
+                .sum::<usize>()
             + std::mem::size_of_val(self.inj_ready.as_slice())
             + std::mem::size_of_val(self.tx.as_slice())
             + std::mem::size_of_val(self.buffer_util.as_slice())

@@ -518,11 +518,11 @@ impl System {
     }
 
     /// Coarse heap-footprint estimate in bytes of the live simulation
-    /// state: boards (routers, TX queues), the optical stage's receiver
-    /// slots and carried tables, and the per-node generators when they are
-    /// the source. Analytic capacity × element-size sums —
-    /// comparable across board counts (`benchmark/` reports it as
-    /// `core.system.approx_memory_bytes`).
+    /// state: boards (routers, injector backlogs, TX queues), the optical
+    /// stage's receiver slots and carried tables, and the per-node
+    /// generators when they are the source. Analytic capacity ×
+    /// element-size sums — comparable across board counts (`benchmark/`
+    /// reports it as `core.system.approx_memory_bytes`).
     pub fn approx_memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self

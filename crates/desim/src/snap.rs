@@ -17,6 +17,8 @@
 //! * [`SnapWriter`] / [`SnapReader`] — little-endian primitives, LEB128
 //!   varints and the [`SnapReader::header`] magic/version check, with
 //!   typed truncation errors (no panics on corrupt input);
+//! * [`varint_push_back`] / [`varint_next`] — the same varints on an
+//!   in-memory byte queue the caller owns (unchecked: not for input);
 //! * [`seal`] / [`unseal`] — append and verify the trailing checksum;
 //! * [`Snap`] — the round-trip trait for value types (flits, packets, RNG
 //!   streams); container structs instead expose `load_state(&mut self)`
@@ -373,6 +375,37 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// Appends `v` to an in-memory byte queue as a LEB128 varint, the bytes
+/// [`SnapWriter::varint`] writes: the coding of `router`'s injector
+/// backlogs, which pop packets off the front as they push them on the back.
+#[inline]
+pub fn varint_push_back(q: &mut std::collections::VecDeque<u8>, mut v: u64) {
+    while v >= 0x80 {
+        q.push_back(v as u8 | 0x80);
+        v >>= 7;
+    }
+    q.push_back(v as u8);
+}
+
+/// Reads one varint pushed by [`varint_push_back`] from `bytes`. The bytes
+/// are the caller's own, not input, so nothing is checked: a sequence
+/// that ends inside a varint reads as if a zero byte followed, and groups
+/// past the tenth are ignored.
+#[inline]
+pub fn varint_next(bytes: &mut impl Iterator<Item = u8>) -> u64 {
+    let mut v = 0;
+    let mut shift = 0;
+    while shift < 64 {
+        let byte = bytes.next().unwrap_or(0);
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+        shift += 7;
+    }
+    v
+}
+
 /// Round-trip serialization for value types. Container structs whose
 /// geometry comes from the configuration implement `load_state(&mut
 /// self)` overlays instead (see the module docs).
@@ -676,6 +709,15 @@ mod tests {
             assert_eq!(r.varint().unwrap(), v);
         }
         r.expect_end().unwrap();
+        // The in-memory pair writes the same bytes and reads them back.
+        let mut q = std::collections::VecDeque::new();
+        values.iter().for_each(|&v| varint_push_back(&mut q, v));
+        assert!(q.iter().eq(bytes.iter()));
+        let mut it = q.into_iter();
+        for v in values {
+            assert_eq!(varint_next(&mut it), v);
+        }
+        assert_eq!(it.next(), None);
         // u64::MAX is nine 0xff bytes and a final 0x01: a larger tenth
         // group, an eleventh byte or a cut-off varint is malformed.
         let over = [&[0xff; 9][..], &[0x02]].concat();

@@ -4,8 +4,8 @@ use crate::flit::{Flit, FlitKind, NodeId, PacketId};
 use desim::Cycle;
 
 /// A packet descriptor: the literal a caller hands
-/// [`crate::FlitInjector::enqueue`]. The injector keeps it as a
-/// [`QueuedPacket`], which drops `src`.
+/// [`crate::FlitInjector::enqueue`]. The injector converts it to a
+/// [`QueuedPacket`], which drops `src`, and queues that coded.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Unique id.
@@ -38,8 +38,8 @@ pub struct QueuedPacket {
     pub labelled: bool,
 }
 
-// An injector backlog slot is 24 bytes; a field added later cannot
-// silently regrow a saturated run's queues.
+// Every injector holds one as its in-progress packet, and its flits copy
+// these fields: a field added later cannot silently regrow either.
 const _: () = assert!(std::mem::size_of::<QueuedPacket>() == 24);
 
 impl From<Packet> for QueuedPacket {

@@ -71,6 +71,13 @@ if grep -rnE "FlitBuffe[r]|VecDeque<Fli[t]>|Vec<Vec<u1[6]>>" \
     echo "verify: a per-VC flit deque or a per-flow wavelength list is back"; exit 1
 fi
 
+echo "== one injector backlog, delta-coded (no uncoded packet queue beside it) =="
+# The snapshot load may read the uncoded sequence into a Vec; nothing
+# under crates/*/src holds one as a queue.
+if grep -rn "VecDeque<QueuedPacket>" crates/*/src; then
+    echo "verify: an uncoded injector backlog is back; queue packets through FlitInjector::enqueue"; exit 1
+fi
+
 echo "== one arbiter, no test-only front or fallback scan, Table-1 geometry as constants =="
 # (each name ends in a bracket class so the gate does not match itself)
 if grep -rnE "MatrixArbite[r]|latest_vali[d]|pareto_fron[t]|cfg\.(packet_flit[s]|tx_queue_flit[s]|fibe[r]|serde[s]|retr[y])" \

@@ -10,6 +10,7 @@ use erapid_suite::erapid_core::experiment::RunOutput;
 use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
 use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::photonics::power::LinkPowerModel;
+use erapid_suite::powermgmt::policy::DpmPolicy;
 use erapid_suite::traffic::pattern::TrafficPattern;
 
 const WARMUP: u64 = 6_000;
@@ -59,4 +60,52 @@ fn an_unused_transmitter_outage_changes_only_power() {
             "load {load}: power fell by {delta} mW, one idle laser over the outage is {want} mW"
         );
     }
+}
+
+/// Asserts that `relaxed` reports exactly what NP-NB does — every
+/// headline value, every lit-laser count and every delivery row — under
+/// uniform and complement traffic at loads 0.3 and 0.7 (B = 4).
+fn assert_reduces_to_np_nb(mut relaxed: SystemConfig, what: &str) {
+    let mut base = SystemConfig::small(NetworkMode::NpNb);
+    base.packet_log = true;
+    relaxed.packet_log = true;
+    let plan = PhasePlan::new(WARMUP, MEASURE);
+    for pattern in [TrafficPattern::Uniform, TrafficPattern::Complement] {
+        for load in [0.3, 0.7] {
+            let want = RunPoint::generate(base.clone(), pattern.clone(), load, plan).run();
+            let got = RunPoint::generate(relaxed.clone(), pattern.clone(), load, plan).run();
+            let at = format!("{what}, {pattern:?} at load {load}");
+            assert!(!want.trace.packets.is_empty(), "{at}: nothing delivered");
+            assert_eq!(got.result, want.result, "{at}");
+            assert_eq!(
+                format!("{:?}", got.power),
+                format!("{:?}", want.power),
+                "{at}"
+            );
+            assert!(
+                got.trace.packets == want.trace.packets,
+                "{at}: a delivery moved"
+            );
+        }
+    }
+}
+
+/// *DBR that never finds a flow over-utilized.* With `B_max = 1` no
+/// `Buffer_util` exceeds the threshold, so every DBR round grants nothing
+/// and NP-B is NP-NB.
+#[test]
+fn np_b_with_b_max_one_is_np_nb() {
+    let mut cfg = SystemConfig::small(NetworkMode::NpB);
+    cfg.alloc.b_max = 1.0;
+    assert_reduces_to_np_nb(cfg, "NP-B with B_max = 1");
+}
+
+/// *DPM that never acts.* No link utilization is below `L_min = 0` or
+/// above `L_max = 1`, so every link stays at the top rate and P-NB is
+/// NP-NB.
+#[test]
+fn p_nb_with_a_dpm_policy_that_never_acts_is_np_nb() {
+    let mut cfg = SystemConfig::small(NetworkMode::PNb);
+    cfg.dpm_override = Some(DpmPolicy::new(0.0, 1.0, 1.0));
+    assert_reduces_to_np_nb(cfg, "P-NB with L_min = 0, L_max = 1, B_max = 1");
 }
