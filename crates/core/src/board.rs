@@ -270,7 +270,7 @@ impl Board {
         }
         w.usize(self.buffer_util.len());
         for u in &self.buffer_util {
-            u.save(w);
+            u.save_state(w);
         }
         w.u32(self.inflight);
         self.tx_ready.save(w);
@@ -284,12 +284,15 @@ impl Board {
     /// Overlays checkpointed board state onto a freshly built board with
     /// identical geometry. The ready set is not persisted: every non-idle
     /// injector restarts ready, and one that was asleep spends a single
-    /// state-free blocked tick going back to sleep.
+    /// state-free blocked tick going back to sleep. Each occupancy
+    /// integral takes its level from its restored TX queue. A TX-queue
+    /// packet, a ready destination or a pending node credit that indexes
+    /// past this board's geometry is a format error.
     pub fn load_state(
         &mut self,
         r: &mut desim::snap::SnapReader<'_>,
     ) -> Result<(), desim::snap::SnapError> {
-        use desim::snap::Snap;
+        use desim::snap::{Snap, SnapError};
         r.tag(b"BRDS")?;
         self.router.load_state(r)?;
         let (node_inj, rx_inj) = self.injectors.split_at_mut(self.d as usize);
@@ -307,21 +310,35 @@ impl Board {
                 words::set(&mut self.inj_ready, p);
             }
         }
+        let nodes = u32::from(self.d) * self.tx.len() as u32;
         r.len_eq(self.tx.len(), "board TX queues")?;
         for q in &mut self.tx {
-            q.load_state(r)?;
+            q.load_state(r, nodes)?;
         }
         r.len_eq(self.buffer_util.len(), "board occupancy integrals")?;
-        for u in &mut self.buffer_util {
-            *u = OccupancyIntegral::load(r)?;
+        for (u, q) in self.buffer_util.iter_mut().zip(&self.tx) {
+            u.load_state(r, q.flits_held())?;
         }
         self.inflight = r.u32()?;
-        self.tx_ready = Snap::load(r)?;
+        let tx_ready: Vec<u16> = Snap::load(r)?;
+        if let Some(d) = tx_ready.iter().find(|&&d| usize::from(d) >= self.tx.len()) {
+            return Err(SnapError::Format(format!(
+                "ready destination {d} of {} boards",
+                self.tx.len()
+            )));
+        }
+        self.tx_ready = tx_ready;
         let n = r.len_at_most(1 << 20, "board pending node credits")?;
-        let mut credits = Vec::with_capacity(n);
+        let mut credits = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             let port = PortId(r.u16()?);
             let vc = r.u8()?;
+            if port.0 >= self.d || vc >= VCS {
+                return Err(SnapError::Format(format!(
+                    "pending node credit to port {port} VC {vc} ({} node ports, {VCS} VCs)",
+                    self.d
+                )));
+            }
             credits.push((port, vc));
         }
         self.node_credits = credits;

@@ -16,7 +16,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 4 | `ERSP` |
-//! | version | 2 | `SNAP_VERSION` (8) |
+//! | version | 2 | `SNAP_VERSION` (9) |
 //! | fingerprint | 8 | FNV-1a-64 of `format!("{cfg:?}")` |
 //! | cursor | 32 | [`StreamCursor`] (trace/delivery positions) |
 //! | body | … | [`System::save_state`] byte stream |
@@ -52,7 +52,17 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: [u8; 4] = *b"ERSP";
-/// Snapshot format version this build reads and writes. Version 8 drops
+/// Snapshot format version this build reads and writes. Version 9 keeps
+/// only state something reads and nothing rebuilds: it drops the router's
+/// injected and stall counters, the TX queues' lifetime counts, the
+/// throughput meter's flit count and last delivery, and the latency
+/// histogram's own count, sum and overflow; it stops writing what the
+/// config fixes (meter and integral geometry), what a recount of the
+/// restored contents gives (router and TX-queue occupancy, each integral's
+/// level, the heaps' tie-break numbers) and what only the boundary that
+/// rolled it reads (the closed window's `Link_util` and `Buffer_util`);
+/// and it writes the latency histogram as varint `(gap, count)` pairs over
+/// its non-zero bins. Version 8 dropped
 /// the packet source from every in-flight record (router flits, TX-queue
 /// and arrival packets, injector backlogs) and the occupancy integrals'
 /// unread completed-window count. Version 7 stores
@@ -68,7 +78,7 @@ const SNAP_MAGIC: [u8; 4] = *b"ERSP";
 /// section and dropped the retired words version 2 kept frozen; version 2
 /// stored the SRS as its O(B·W) receiver slots, version 1 as a dense
 /// per-laser bank. Older versions are refused, not converted.
-const SNAP_VERSION: u16 = 8;
+const SNAP_VERSION: u16 = 9;
 /// Env var setting the checkpoint cadence in `R_w` windows (0 disables).
 const CHECKPOINT_EVERY_ENV: &str = "ERAPID_CHECKPOINT_EVERY";
 

@@ -68,12 +68,13 @@ impl desim::snap::Snap for PacketDelivery {
 }
 
 impl RunMetrics {
-    /// Serializes all accumulators and counters (the phase plan is
-    /// config-derived and not persisted).
+    /// Serializes all accumulators and counters (the phase plan, the
+    /// meters' geometry and the per-class draws are config-derived and not
+    /// persisted).
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
-        self.throughput.save(w);
-        self.latency.save(w);
+        self.throughput.save_state(w);
+        self.latency.save_state(w);
         self.power.save_state(w);
         self.tracker.save(w);
         w.u64(self.injected_total);
@@ -88,8 +89,8 @@ impl RunMetrics {
         r: &mut desim::snap::SnapReader<'_>,
     ) -> Result<(), desim::snap::SnapError> {
         use desim::snap::Snap;
-        self.throughput = ThroughputMeter::load(r)?;
-        self.latency = LatencyMeter::load(r)?;
+        self.throughput.load_state(r)?;
+        self.latency.load_state(r)?;
         self.power.load_state(r)?;
         self.tracker = PhaseTracker::load(r)?;
         self.injected_total = r.u64()?;
@@ -156,8 +157,8 @@ mod tests {
     #[test]
     fn throughput_starts_at_measure_start() {
         let mut m = RunMetrics::new(2, PhasePlan::new(100, 100), vec![0.0]);
-        m.throughput.deliver(150, 8);
-        m.throughput.deliver(180, 8);
+        m.throughput.deliver();
+        m.throughput.deliver();
         // 2 packets / (2 nodes × 100 cycles).
         assert!((m.throughput_ppc() - 0.01).abs() < 1e-12);
     }

@@ -86,12 +86,14 @@ struct Slot {
     /// The lit laser's pending CDR relock penalty, applied once it is
     /// between packets.
     relock: Option<Cycle>,
-    /// `Link_util` of the last completed window, for the owner at that
-    /// roll (what the LS protocol reads). Busy time is integrated from
-    /// serialization spans instead of per-cycle sampling; the division at
-    /// the roll reproduces the eager `Σ 1.0 / window` bits exactly
-    /// (integer-valued f64 sum).
-    link_prev: f64,
+    /// `Link_util` of the window the current `R_w` boundary just closed,
+    /// for the owner at that roll (what DPM and the controller read).
+    /// Busy time is integrated from serialization spans instead of
+    /// per-cycle sampling; the division at the roll reproduces the eager
+    /// `Σ 1.0 / window` bits exactly (integer-valued f64 sum). Written by
+    /// [`Srs::roll_windows`] and read only later in the same boundary, so
+    /// a checkpoint does not carry it.
+    link_util: f64,
     /// The owner's busy cycles in the running window (closed spans).
     win_busy: Cycle,
     /// The owner's open serialization span.
@@ -106,7 +108,7 @@ impl Slot {
             chan: OpticalChannel::new(level),
             retune: None,
             relock: None,
-            link_prev: 0.0,
+            link_util: 0.0,
             win_busy: 0,
             busy: None,
         }
@@ -174,7 +176,6 @@ impl Slot {
         }
         self.retune.save(w);
         self.relock.save(w);
-        w.f64(self.link_prev);
         w.u64(self.win_busy);
         self.busy.map(|s| (s.start, s.cap)).save(w);
     }
@@ -196,7 +197,7 @@ impl Slot {
             chan,
             retune: Snap::load(r)?,
             relock: Snap::load(r)?,
-            link_prev: r.f64()?,
+            link_util: 0.0,
             win_busy: r.u64()?,
             busy: Option::<(Cycle, Cycle)>::load(r)?.map(|(start, cap)| Span { start, cap }),
         })
@@ -1034,7 +1035,7 @@ impl Srs {
                     cap: span.cap,
                 });
             }
-            slot.link_prev = (slot.win_busy as f64 / self.window as f64).clamp(0.0, 1.0);
+            slot.link_util = (slot.win_busy as f64 / self.window as f64).clamp(0.0, 1.0);
             slot.win_busy = 0;
         }
         self.busy_stash.clear();
@@ -1046,7 +1047,7 @@ impl Srs {
     pub fn link_util(&self, s: u16, d: u16, w: u16) -> f64 {
         let slot = &self.slots[self.slot(d, w)];
         if slot.owner == Some(s) {
-            slot.link_prev
+            slot.link_util
         } else {
             0.0
         }
@@ -1188,15 +1189,17 @@ impl Srs {
         Ok(())
     }
 
-    /// Serializes the mutable optical-stage state (`.ersp` v8): every
+    /// Serializes the mutable optical-stage state (`.ersp` v9): every
     /// slot — owner, lit source, the lit laser's state, pending retune
-    /// and relock, link/busy accounting with only an *open* span's bounds
-    /// — then the lasers whose level is below the ladder top, the busy
-    /// stash, the wake/arrival heaps, the pending-work queues, the settle
-    /// queue, fault sets and lifetime counters. Geometry (board count, ladder,
-    /// RWA, penalties) is config-derived; the `owned` bitsets, the
-    /// lit-class counters and the flows' `blocked_until` are rebuilt from
-    /// the slots on load rather than persisted.
+    /// and relock, the running window's busy cycles and only an *open*
+    /// span's bounds (not the closed window's `Link_util`, which only the
+    /// boundary that rolled it reads) — then the lasers whose level is
+    /// below the ladder top, the busy stash, the wake/arrival heaps (in pop
+    /// order, without their tie-break numbers), the pending-work queues,
+    /// the settle queue, fault sets and lifetime counters. Geometry (board
+    /// count, ladder, RWA, penalties) is config-derived; the `owned`
+    /// bitsets, the lit-class counters and the flows' `blocked_until` are
+    /// rebuilt from the slots on load rather than persisted.
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
         w.tag(b"SRSS");

@@ -463,7 +463,7 @@ impl System {
     fn record_delivery(&mut self, now: Cycle, d: Delivered) {
         self.metrics.delivered_total += 1;
         if self.metrics.measuring(now) {
-            self.metrics.throughput.deliver(now, PACKET_FLITS as u32);
+            self.metrics.throughput.deliver();
         }
         if d.labelled {
             self.metrics.tracker.deliver_labelled();

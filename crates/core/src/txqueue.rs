@@ -50,14 +50,13 @@ const _: () = assert!(std::mem::size_of::<ReadyPacket>() == 32);
 #[derive(Debug, Clone)]
 pub struct TransmitQueue {
     capacity_flits: u32,
+    /// Flits held, assembling and ready: a running count of what
+    /// `assembling` and `ready` hold, recounted on load.
     flits_held: u32,
-    /// Per-packet reassembly: flits received so far.
-    assembling: Vec<(PacketId, u16, ReadyPacket)>,
+    /// Per-packet reassembly: flits received so far, and the packet.
+    assembling: Vec<(u16, ReadyPacket)>,
     /// Completed packets in completion order.
     ready: VecDeque<ReadyPacket>,
-    /// Lifetime counters.
-    packets_completed: u64,
-    packets_departed: u64,
 }
 
 impl TransmitQueue {
@@ -69,8 +68,6 @@ impl TransmitQueue {
             flits_held: 0,
             assembling: Vec::new(),
             ready: VecDeque::new(),
-            packets_completed: 0,
-            packets_departed: 0,
         }
     }
 
@@ -82,11 +79,6 @@ impl TransmitQueue {
     /// Complete packets awaiting transmission.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
-    }
-
-    /// Lifetime `(completed, departed)` packet counts.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.packets_completed, self.packets_departed)
     }
 
     /// Accepts one flit from the router. Returns `true` when this flit
@@ -109,12 +101,11 @@ impl TransmitQueue {
         let idx = self
             .assembling
             .iter()
-            .position(|(id, _, _)| *id == flit.packet);
+            .position(|(_, pkt)| pkt.id == flit.packet);
         let idx = match idx {
             Some(i) => i,
             None => {
                 self.assembling.push((
-                    flit.packet,
                     0,
                     ReadyPacket {
                         id: flit.packet,
@@ -129,12 +120,11 @@ impl TransmitQueue {
                 self.assembling.len() - 1
             }
         };
-        self.assembling[idx].1 += 1;
-        if self.assembling[idx].1 == total_flits {
-            let (_, _, mut pkt) = self.assembling.swap_remove(idx);
+        self.assembling[idx].0 += 1;
+        if self.assembling[idx].0 == total_flits {
+            let (_, mut pkt) = self.assembling.swap_remove(idx);
             pkt.completed_at = now;
             self.ready.push_back(pkt);
-            self.packets_completed += 1;
             return true;
         }
         false
@@ -152,52 +142,58 @@ impl TransmitQueue {
         let pkt = self.ready.pop_front()?;
         debug_assert!(self.flits_held >= pkt.flits as u32);
         self.flits_held -= pkt.flits as u32;
-        self.packets_departed += 1;
         Some(pkt)
     }
 
-    /// Serializes occupancy, in-flight reassembly, the ready queue and
-    /// lifetime counters (capacity is config-derived).
+    /// Serializes in-flight reassembly and the ready queue (capacity is
+    /// config-derived; occupancy is their recount).
     pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         use desim::snap::Snap;
-        w.u32(self.flits_held);
         w.usize(self.assembling.len());
-        for (id, got, pkt) in &self.assembling {
-            w.u64(id.0);
+        for (got, pkt) in &self.assembling {
             w.u16(*got);
             pkt.save(w);
         }
         self.ready.save(w);
-        w.u64(self.packets_completed);
-        w.u64(self.packets_departed);
     }
 
-    /// Overlays checkpointed queue state; occupancy must fit capacity.
+    /// Overlays checkpointed queue state, recounting the occupancy. A
+    /// packet toward a node at or past `nodes` or on a VC at or past
+    /// [`VCS`] is a format error; an occupancy past capacity is a
+    /// mismatch.
     pub fn load_state(
         &mut self,
         r: &mut desim::snap::SnapReader<'_>,
+        nodes: u32,
     ) -> Result<(), desim::snap::SnapError> {
         use desim::snap::{Snap, SnapError};
-        let flits_held = r.u32()?;
-        if flits_held > self.capacity_flits {
+        let n = r.len_at_most(1 << 20, "TX assembling entries")?;
+        let mut assembling = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            assembling.push((r.u16()?, ReadyPacket::load(r)?));
+        }
+        let ready: VecDeque<ReadyPacket> = Snap::load(r)?;
+        let mut held = 0u64;
+        for (got, pkt) in (assembling.iter().map(|(got, pkt)| (*got, pkt)))
+            .chain(ready.iter().map(|pkt| (pkt.flits, pkt)))
+        {
+            if pkt.dst >= nodes || pkt.vc >= VCS {
+                return Err(SnapError::Format(format!(
+                    "TX queue packet {} toward node {} on VC {} (nodes {nodes}, VCs {VCS})",
+                    pkt.id.0, pkt.dst, pkt.vc
+                )));
+            }
+            held += u64::from(got);
+        }
+        if held > u64::from(self.capacity_flits) {
             return Err(SnapError::Mismatch(format!(
-                "TX queue snapshot holds {flits_held} flits but capacity is {}",
+                "TX queue snapshot holds {held} flits but capacity is {}",
                 self.capacity_flits
             )));
         }
-        let n = r.len_at_most(1 << 20, "TX assembling entries")?;
-        let mut assembling = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = PacketId(r.u64()?);
-            let got = r.u16()?;
-            let pkt = ReadyPacket::load(r)?;
-            assembling.push((id, got, pkt));
-        }
-        self.flits_held = flits_held;
+        self.flits_held = held as u32;
         self.assembling = assembling;
-        self.ready = Snap::load(r)?;
-        self.packets_completed = r.u64()?;
-        self.packets_departed = r.u64()?;
+        self.ready = ready;
         Ok(())
     }
 }
@@ -259,7 +255,6 @@ mod tests {
         assert_eq!(p.injected_at, 5);
         assert_eq!(p.completed_at, 7);
         assert_eq!(q.flits_held(), 0);
-        assert_eq!(q.totals(), (1, 1));
     }
 
     #[test]

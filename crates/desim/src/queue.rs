@@ -107,37 +107,35 @@ impl<E> BinaryHeapQueue<E> {
 }
 
 impl<E: crate::snap::Snap> BinaryHeapQueue<E> {
-    /// Serializes the pending set for a checkpoint.
-    ///
-    /// Entries are written sorted by `(time, seq)` with their original
-    /// sequence numbers, so a restored heap pops in exactly the same order
-    /// and later inserts continue the same FIFO tie-break sequence.
+    /// Serializes the pending set for a checkpoint: the entries sorted by
+    /// `(time, seq)`, without their sequence numbers — the order carries
+    /// all the tie-break information [`Self::load_state`] needs.
     pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
         let mut entries: Vec<&HeapEntry<E>> = self.heap.iter().collect();
         entries.sort_by_key(|e| (e.time, e.seq));
         w.usize(entries.len());
         for e in entries {
             w.u64(e.time);
-            w.u64(e.seq);
             e.event.save(w);
         }
-        w.u64(self.next_seq);
     }
 
     /// Rebuilds the pending set from a checkpoint, replacing any contents.
+    /// Entries are renumbered `0..n` in file order and later inserts
+    /// continue from `n`, so every pop and every later tie-break is the
+    /// saved queue's.
     pub fn load_state(
         &mut self,
         r: &mut crate::snap::SnapReader<'_>,
     ) -> Result<(), crate::snap::SnapError> {
         let n = r.len_at_most(1 << 30, "BinaryHeapQueue")?;
         let mut heap = BinaryHeap::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
+        for seq in 0..n as u64 {
             let time = r.u64()?;
-            let seq = r.u64()?;
             let event = E::load(r)?;
             heap.push(HeapEntry { time, seq, event });
         }
-        self.next_seq = r.u64()?;
+        self.next_seq = n as u64;
         self.heap = heap;
         Ok(())
     }
@@ -170,5 +168,48 @@ mod tests {
         let mut q: BinaryHeapQueue<u8> = BinaryHeapQueue::with_capacity(16);
         q.insert(1, 7);
         assert_eq!(q.pop(), Some((1, 7)));
+    }
+
+    #[test]
+    fn a_restored_queue_pops_what_an_unsaved_twin_pops() {
+        // Equal-time ties on both sides of the save, popped part-way: the
+        // renumbered entries must keep their FIFO order among themselves
+        // and ahead of every later insert at the same time.
+        let mut live = BinaryHeapQueue::new();
+        for (i, t) in [7, 3, 7, 3, 9, 7, 3].into_iter().enumerate() {
+            live.insert(t, i as u32);
+        }
+        assert_eq!(live.pop(), Some((3, 1)));
+        let mut w = crate::snap::SnapWriter::new();
+        live.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = BinaryHeapQueue::new();
+        back.insert(0, 99); // replaced by the load
+        back.load_state(&mut crate::snap::SnapReader::new(&bytes))
+            .unwrap();
+        for q in [&mut live, &mut back] {
+            for (i, t) in [3, 7, 9, 3].into_iter().enumerate() {
+                q.insert(t, 100 + i as u32);
+            }
+        }
+        let drain =
+            |q: &mut BinaryHeapQueue<u32>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        let want = drain(&mut live);
+        assert_eq!(drain(&mut back), want);
+        assert_eq!(
+            want,
+            [
+                (3, 3),
+                (3, 6),
+                (3, 100),
+                (3, 103),
+                (7, 0),
+                (7, 2),
+                (7, 5),
+                (7, 101),
+                (9, 4),
+                (9, 102)
+            ]
+        );
     }
 }

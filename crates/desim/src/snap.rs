@@ -21,9 +21,11 @@
 //!   in-memory byte queue the caller owns (unchecked: not for input);
 //! * [`seal`] / [`unseal`] — append and verify the trailing checksum;
 //! * [`Snap`] — the round-trip trait for value types (flits, packets, RNG
-//!   streams); container structs instead expose `load_state(&mut self)`
-//!   overlay restores so config-derived geometry (capacities, route
-//!   tables) is rebuilt from the config rather than persisted;
+//!   streams); every container struct instead pairs `save_state` with a
+//!   `load_state(&mut self)` overlay onto a freshly built twin, so nothing
+//!   the config fixes (capacities, route tables, meter and histogram
+//!   geometry, windows) and nothing a recount of the restored contents
+//!   gives (occupancies, heap tie-break numbers) is persisted;
 //! * [`fnv1a`] / [`fnv1a_update`] — the FNV-1a-64 checksum itself.
 //!
 //! Decoding is *strict*: every length read from the stream must match the

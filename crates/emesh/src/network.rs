@@ -228,7 +228,7 @@ mod tests {
         let log = drive(&mut net, 50);
         assert_eq!(log.len(), 1);
         // Other routers untouched.
-        assert_eq!(net.routers[0].stats().injected, 0);
+        assert_eq!(net.routers[0].stats().traversed, 0);
     }
 
     #[test]

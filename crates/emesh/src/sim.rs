@@ -95,7 +95,7 @@ pub fn run_mesh(
         }
         for d in net.step(now) {
             if now >= plan.measure_start() && now < plan.measure_end() {
-                throughput.deliver(now, PACKET_FLITS as u32);
+                throughput.deliver();
             }
             if d.labelled {
                 tracker.deliver_labelled();

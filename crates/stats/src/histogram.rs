@@ -4,14 +4,16 @@
 //! saturation, so mean latency alone hides congestion; the run results
 //! also report the p95 latency from one of these histograms.
 
-/// Histogram over `[0, bin_width * bins)` with an explicit overflow bucket.
+use desim::snap::{SnapError, SnapReader, SnapWriter};
+
+/// Histogram over `[0, bin_width * bins)`. It keeps no sample count of its
+/// own: the caller counts every sample (its exact mean needs the count
+/// anyway) and passes that total to [`Histogram::quantile`], so the
+/// samples past the last bin are the total minus the binned ones.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     bin_width: f64,
     counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-    sum: f64,
 }
 
 impl Histogram {
@@ -24,51 +26,27 @@ impl Histogram {
         Self {
             bin_width,
             counts: vec![0; bins],
-            overflow: 0,
-            total: 0,
-            sum: 0.0,
         }
     }
 
-    /// Records a sample (negative samples clamp into the first bin).
+    /// Records a sample (negative samples clamp into the first bin; a
+    /// sample past the last bin is counted only by the caller's total).
     pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        self.sum += x;
         let idx = (x.max(0.0) / self.bin_width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
+        if let Some(c) = self.counts.get_mut(idx) {
+            *c += 1;
         }
     }
 
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Samples that fell past the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Mean of the recorded samples (exact, not binned).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Approximate quantile `q` in `[0, 1]`, resolved to bin upper edges.
-    /// Returns `None` when empty. Overflowed mass resolves to `+inf`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
+    /// Approximate quantile `q` in `[0, 1]` of `total` recorded samples,
+    /// resolved to bin upper edges. Returns `None` when `total` is zero.
+    /// Mass past the last bin resolves to `+inf`.
+    pub fn quantile(&self, q: f64, total: u64) -> Option<f64> {
+        if total == 0 {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
+        let target = (q * total as f64).ceil().max(1.0) as u64;
         let mut acc = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             acc += c;
@@ -79,48 +57,46 @@ impl Histogram {
         Some(f64::INFINITY)
     }
 
-    /// Iterates `(bin_lower_edge, count)` for the non-overflow bins.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (i as f64 * self.bin_width, c))
-    }
-
-    /// Resets all counts.
-    pub fn clear(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.overflow = 0;
-        self.total = 0;
-        self.sum = 0.0;
-    }
-}
-
-use desim::snap::Snap;
-
-impl Snap for Histogram {
-    fn save(&self, w: &mut desim::snap::SnapWriter) {
-        w.f64(self.bin_width);
-        self.counts.save(w);
-        w.u64(self.overflow);
-        w.u64(self.total);
-        w.f64(self.sum);
-    }
-    fn load(r: &mut desim::snap::SnapReader<'_>) -> Result<Self, desim::snap::SnapError> {
-        let bin_width = r.f64()?;
-        let counts = Vec::<u64>::load(r)?;
-        if bin_width.is_nan() || bin_width <= 0.0 || counts.is_empty() {
-            return Err(desim::snap::SnapError::Format(
-                "histogram geometry invalid".to_string(),
-            ));
+    /// Serializes the non-zero bins as varint `(gap, count)` pairs, each
+    /// gap the number of empty bins skipped since the previous pair (the
+    /// geometry is the caller's config).
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        let filled = self.counts.iter().filter(|&&c| c > 0).count();
+        w.varint(filled as u64);
+        let mut next = 0;
+        for (i, &c) in self.counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            w.varint((i - next) as u64);
+            w.varint(c);
+            next = i + 1;
         }
-        Ok(Self {
-            bin_width,
-            counts,
-            overflow: r.u64()?,
-            total: r.u64()?,
-            sum: r.f64()?,
-        })
+    }
+
+    /// Overlays checkpointed bins onto this histogram's geometry. A bin
+    /// past the last, an empty pair, or more binned samples than the
+    /// caller's `total` is a format error.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>, total: u64) -> Result<(), SnapError> {
+        let bad = |what: &str| SnapError::Format(format!("histogram: {what}"));
+        let filled = r.varint()?;
+        self.counts.fill(0);
+        let (mut next, mut binned) = (0u64, 0u64);
+        for _ in 0..filled {
+            let i = next.saturating_add(r.varint()?);
+            let c = r.varint()?;
+            let slot = usize::try_from(i).ok().and_then(|i| self.counts.get_mut(i));
+            let Some(slot) = slot else {
+                return Err(bad(&format!("bin {i} of {}", self.counts.len())));
+            };
+            if c == 0 {
+                return Err(bad(&format!("empty bin {i} written")));
+            }
+            binned = binned.saturating_add(c);
+            *slot = c;
+            next = i + 1;
+        }
+        if binned > total {
+            return Err(bad(&format!("{binned} binned samples of {total}")));
+        }
+        Ok(())
     }
 }
 
@@ -135,20 +111,10 @@ mod tests {
         h.record(9.9);
         h.record(10.0);
         h.record(35.0);
-        h.record(40.0); // overflow
-        let bins: Vec<u64> = h.bins().map(|(_, c)| c).collect();
-        assert_eq!(bins, vec![2, 1, 0, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn mean_is_exact() {
-        let mut h = Histogram::new(10, 1.0);
-        for x in [1.0, 2.0, 3.0] {
-            h.record(x);
-        }
-        assert!((h.mean() - 2.0).abs() < 1e-12);
+        h.record(40.0); // past the last bin
+        assert_eq!(h.counts, vec![2, 1, 0, 1]);
+        assert_eq!(h.quantile(0.8, 5), Some(40.0));
+        assert_eq!(h.quantile(1.0, 5), Some(f64::INFINITY));
     }
 
     #[test]
@@ -157,42 +123,59 @@ mod tests {
         for i in 0..100 {
             h.record(i as f64 + 0.5);
         }
-        assert!((h.quantile(0.50).unwrap() - 50.0).abs() <= 1.0);
-        assert!((h.quantile(0.95).unwrap() - 95.0).abs() <= 1.0);
-        assert!((h.quantile(0.99).unwrap() - 99.0).abs() <= 1.0);
-        assert_eq!(h.quantile(0.0).unwrap(), 1.0);
-        assert_eq!(h.quantile(1.0).unwrap(), 100.0);
+        let q = |q| h.quantile(q, 100).unwrap();
+        assert!((q(0.50) - 50.0).abs() <= 1.0);
+        assert!((q(0.95) - 95.0).abs() <= 1.0);
+        assert!((q(0.99) - 99.0).abs() <= 1.0);
+        assert_eq!(q(0.0), 1.0);
+        assert_eq!(q(1.0), 100.0);
     }
 
     #[test]
     fn quantile_of_empty_is_none() {
         let h = Histogram::new(4, 1.0);
-        assert!(h.quantile(0.5).is_none());
+        assert!(h.quantile(0.5, 0).is_none());
     }
 
     #[test]
     fn overflow_quantile_is_infinite() {
         let mut h = Histogram::new(2, 1.0);
         h.record(100.0);
-        assert_eq!(h.quantile(0.5), Some(f64::INFINITY));
+        assert_eq!(h.quantile(0.5, 1), Some(f64::INFINITY));
     }
 
     #[test]
     fn negative_samples_clamp() {
         let mut h = Histogram::new(2, 1.0);
         h.record(-5.0);
-        let bins: Vec<u64> = h.bins().map(|(_, c)| c).collect();
-        assert_eq!(bins[0], 1);
+        assert_eq!(h.counts[0], 1);
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let mut h = Histogram::new(4, 1.0);
-        h.record(1.0);
-        h.record(100.0);
-        h.clear();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.mean(), 0.0);
+    fn sparse_snapshot_round_trips_and_refuses_a_bin_past_the_end() {
+        let mut h = Histogram::new(2048, 8.0);
+        for x in [0.0, 3.0, 80.0, 80.0, 16_376.0, 99_999.0] {
+            h.record(x);
+        }
+        let mut w = SnapWriter::new();
+        h.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // The pair count, then (gap, count): bin 0 ×2, bin 10 ×2 (gap 9),
+        // bin 2047 ×1 (gap 2036); the sample past the end is not written.
+        assert_eq!(bytes, [3, 0, 2, 9, 2, 0xf4, 0x0f, 1]);
+        let mut back = Histogram::new(2048, 8.0);
+        back.load_state(&mut SnapReader::new(&bytes), 6).unwrap();
+        assert_eq!(back.counts, h.counts);
+        // The same bins in a smaller geometry: bin 2047 is past the end.
+        let mut small = Histogram::new(1024, 8.0);
+        assert!(matches!(
+            small.load_state(&mut SnapReader::new(&bytes), 6),
+            Err(SnapError::Format(_))
+        ));
+        // More binned samples than the caller counted.
+        assert!(matches!(
+            back.load_state(&mut SnapReader::new(&bytes), 4),
+            Err(SnapError::Format(_))
+        ));
     }
 }

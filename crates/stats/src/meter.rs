@@ -13,9 +13,7 @@ use desim::Cycle;
 pub struct ThroughputMeter {
     nodes: usize,
     delivered: u64,
-    delivered_flits: u64,
     start: Option<Cycle>,
-    end: Cycle,
 }
 
 impl ThroughputMeter {
@@ -25,33 +23,18 @@ impl ThroughputMeter {
         Self {
             nodes,
             delivered: 0,
-            delivered_flits: 0,
             start: None,
-            end: 0,
         }
     }
 
     /// Marks the beginning of the measurement interval.
     pub fn start(&mut self, now: Cycle) {
         self.start = Some(now);
-        self.end = now;
     }
 
-    /// Records the delivery of one measured packet of `flits` flits.
-    pub fn deliver(&mut self, now: Cycle, flits: u32) {
+    /// Records the delivery of one measured packet.
+    pub fn deliver(&mut self) {
         self.delivered += 1;
-        self.delivered_flits += flits as u64;
-        self.end = self.end.max(now);
-    }
-
-    /// Total measured packets delivered.
-    pub fn packets(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Total measured flits delivered.
-    pub fn flits(&self) -> u64 {
-        self.delivered_flits
     }
 
     /// Accepted throughput in packets/node/cycle over `[start, horizon]`.
@@ -68,6 +51,18 @@ impl ThroughputMeter {
             return 0.0;
         }
         self.delivered as f64 / (self.nodes as f64 * span as f64)
+    }
+
+    /// Serializes the delivery count (the node count and the interval
+    /// start are the caller's config).
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.u64(self.delivered);
+    }
+
+    /// Overlays a checkpointed delivery count.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.delivered = r.u64()?;
+        Ok(())
     }
 }
 
@@ -96,7 +91,9 @@ impl IntMean {
     }
 }
 
-/// Measures end-to-end packet latency (injection to delivery, in cycles).
+/// Measures end-to-end packet latency (injection to delivery, in cycles):
+/// one sample count and exact sum for the mean, and a histogram for the
+/// percentiles that takes its sample count from the mean.
 #[derive(Debug, Clone)]
 pub struct LatencyMeter {
     mean: IntMean,
@@ -132,7 +129,21 @@ impl LatencyMeter {
 
     /// 95th-percentile latency, if any packets were measured.
     pub fn p95(&self) -> Option<f64> {
-        self.hist.quantile(0.95)
+        self.hist.quantile(0.95, self.mean.count)
+    }
+
+    /// Serializes the count, the sum and the non-zero bins (the bin
+    /// geometry is the caller's config).
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        self.mean.save(w);
+        self.hist.save_state(w);
+    }
+
+    /// Overlays checkpointed samples onto this meter's bin geometry; a bin
+    /// past the last is a format error.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.mean = IntMean::load(r)?;
+        self.hist.load_state(r, self.mean.count)
     }
 }
 
@@ -221,31 +232,6 @@ impl PowerMeter {
     }
 }
 
-impl Snap for ThroughputMeter {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.nodes);
-        w.u64(self.delivered);
-        w.u64(self.delivered_flits);
-        self.start.save(w);
-        w.u64(self.end);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let nodes = r.usize()?;
-        if nodes == 0 {
-            return Err(SnapError::Format(
-                "throughput meter with 0 nodes".to_string(),
-            ));
-        }
-        Ok(Self {
-            nodes,
-            delivered: r.u64()?,
-            delivered_flits: r.u64()?,
-            start: Option::<Cycle>::load(r)?,
-            end: r.u64()?,
-        })
-    }
-}
-
 impl Snap for IntMean {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.count);
@@ -262,19 +248,6 @@ impl Snap for IntMean {
     }
 }
 
-impl Snap for LatencyMeter {
-    fn save(&self, w: &mut SnapWriter) {
-        self.mean.save(w);
-        self.hist.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            mean: IntMean::load(r)?,
-            hist: Histogram::load(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,13 +256,12 @@ mod tests {
     fn throughput_normalises_per_node_per_cycle() {
         let mut m = ThroughputMeter::new(4);
         m.start(100);
-        for t in 101..=140 {
-            m.deliver(t, 8);
+        for _ in 101..=140 {
+            m.deliver();
         }
         // 40 packets over 100 cycles and 4 nodes = 0.1 pkt/node/cycle.
         assert!((m.throughput(200) - 0.1).abs() < 1e-12);
-        assert_eq!(m.packets(), 40);
-        assert_eq!(m.flits(), 320);
+        assert_eq!(m.delivered, 40);
     }
 
     #[test]
@@ -336,10 +308,10 @@ mod tests {
         // throughput, no division by zero.
         let mut m = ThroughputMeter::new(8);
         m.start(500);
-        m.deliver(500, 4);
+        m.deliver();
         assert_eq!(m.throughput(500), 0.0);
         assert_eq!(m.throughput(400), 0.0, "horizon before start saturates");
-        assert_eq!(m.packets(), 1);
+        assert_eq!(m.delivered, 1);
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub struct OccupancyIntegral {
     acc: u64,
     /// Samples up to (excluding) this cycle are folded into `acc`.
     cursor: Cycle,
-    /// Average of the last completed window, eager-identical.
+    /// Average of the last completed window, eager-identical. Read only
+    /// at the boundary that rolled it, so a checkpoint does not carry it.
     previous: f64,
 }
 
@@ -110,38 +111,30 @@ impl OccupancyIntegral {
     pub fn previous(&self) -> f64 {
         self.previous
     }
-
-    /// Current queue level, flits.
-    pub fn flits(&self) -> u32 {
-        self.flits
-    }
 }
 
-impl desim::snap::Snap for OccupancyIntegral {
-    fn save(&self, w: &mut desim::snap::SnapWriter) {
-        w.u64(self.window);
-        w.u32(self.capacity);
-        w.u32(self.flits);
+impl OccupancyIntegral {
+    /// Serializes the running window's integral (the window and the
+    /// capacity are config-derived, the level is the queue's own recount,
+    /// and the previous window's average is read only at the boundary
+    /// that rolled it).
+    pub fn save_state(&self, w: &mut desim::snap::SnapWriter) {
         w.u64(self.acc);
         w.u64(self.cursor);
-        w.f64(self.previous);
     }
-    fn load(r: &mut desim::snap::SnapReader<'_>) -> Result<Self, desim::snap::SnapError> {
-        let window = r.u64()?;
-        let capacity = r.u32()?;
-        if window == 0 || !capacity.is_power_of_two() {
-            return Err(desim::snap::SnapError::Format(
-                "occupancy integral geometry invalid".to_string(),
-            ));
-        }
-        Ok(Self {
-            window,
-            capacity,
-            flits: r.u32()?,
-            acc: r.u64()?,
-            cursor: r.u64()?,
-            previous: r.f64()?,
-        })
+
+    /// Overlays a checkpointed integral at the queue level `flits`, which
+    /// the caller recounted from the restored queue.
+    pub fn load_state(
+        &mut self,
+        r: &mut desim::snap::SnapReader<'_>,
+        flits: u32,
+    ) -> Result<(), desim::snap::SnapError> {
+        self.acc = r.u64()?;
+        self.cursor = r.u64()?;
+        self.flits = flits;
+        self.previous = 0.0;
+        Ok(())
     }
 }
 
@@ -192,7 +185,7 @@ mod tests {
         let mut c = OccupancyIntegral::new(100, 64);
         assert_eq!(c.roll(100), 0.0);
         c.enqueue(150, 8);
-        assert_eq!(c.flits(), 8);
+        assert_eq!(c.flits, 8);
         let v = c.roll(200);
         assert!(
             (v - 8.0 / 64.0 * 0.5).abs() < 1e-12,

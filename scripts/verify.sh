@@ -113,6 +113,37 @@ if grep -rnE "PendingGran[t]|pending_grant[s]|donor_dar[k]|mismatch_explaine[d]|
     echo "verify: a retired SRS, telemetry or router-snapshot name is back"; exit 1
 fi
 
+echo "== every saved byte is read (no unread counter, no saved geometry or window transient) =="
+# (each name ends in a bracket class so the gate does not match itself)
+if grep -rnE "sa_stall[s]|va_stall[s]|packets_complete[d]|packets_departe[d]|link_pre[v]|delivered_flit[s]|fn overflo[w][(]|fn total[s][(]" \
+    crates tests examples src DESIGN.md README.md; then
+    echo "verify: a retired snapshot counter or transient name is back"; exit 1
+fi
+
+echo "== state liveness (every line of results/STATE_LIVENESS.txt names a field a save body writes) =="
+# Each line is `<file>: <Type>::<field> # <reason>`; the file must define
+# the type, and some `fn save(` / `fn save_state(` body in it must write
+# `.<field>`. A line whose field left the snapshot fails.
+grep -v '^#' results/STATE_LIVENESS.txt | while IFS= read -r line; do
+    case "$line" in
+        *' # '*) ;;
+        *) echo "verify: STATE_LIVENESS line carries no ' # <reason>': $line"; exit 1 ;;
+    esac
+    entry="${line%% # *}"
+    file="${entry%%: *}"
+    item="${entry#*: }"
+    ty="${item%%::*}"
+    field="${item#*::}"
+    grep -qE "struct $ty\b" "$file" \
+        || { echo "verify: STATE_LIVENESS names $ty, which $file does not define"; exit 1; }
+    awk -v f="$field" '
+        /fn save(_state)?\(/ { match($0, /^ */); close_at = sprintf("%*s}", RLENGTH, ""); inside = 1; next }
+        inside && $0 == close_at { inside = 0 }
+        inside && $0 ~ ("\\." f "([^A-Za-z0-9_]|$)") { found = 1 }
+        END { exit !found }
+    ' "$file" || { echo "verify: STATE_LIVENESS names $item, which no save body in $file writes"; exit 1; }
+done
+
 # One temp root for every check below, removed on any exit.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

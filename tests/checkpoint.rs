@@ -159,10 +159,22 @@ fn kill_resume_equals_full(build: Build, kill_at: u64, tag: &str) -> Artifacts {
 
 /// The golden pin of the tentpole contract: kill mid-window at 60 % of
 /// the horizon, resume, byte-identical.
+///
+/// Then the window-transient claim: a snapshot holds neither the closed
+/// window's `Link_util` nor its `Buffer_util`, because only the boundary
+/// that rolled them reads them. Both DPM modes resume from the checkpoint
+/// at a Power boundary (7 `R_w`) and at a Bandwidth boundary (8 `R_w`), at
+/// a uniform load where DPM's decisions turn on `Link_util`.
 #[test]
 fn golden_kill_resume_byte_identical_sequential() {
     let build = |plan| build(NetworkMode::PB, plan);
     kill_resume_equals_full(&build, 8 * WINDOW + 777, "gold-seq");
+    for mode in [NetworkMode::PB, NetworkMode::PNb] {
+        let build = |plan| System::new(cfg(mode), TrafficPattern::Uniform, 0.3, plan);
+        for (kill_at, kind) in [(7 * WINDOW + 777, "power"), (8 * WINDOW + 777, "bandwidth")] {
+            kill_resume_equals_full(&build, kill_at, &format!("transient-{mode:?}-{kind}"));
+        }
+    }
 }
 
 /// The kill/resume contract holds with the scenario engine driving
@@ -455,9 +467,10 @@ fn version_and_config_mismatch_rejected() {
     // presence flag per injection source), version 3 (the f64 power fold),
     // version 4 (a high-water mark per router input VC), version 5 (the
     // trace ring, delivery rows and metric registry), version 6 (the
-    // SRS's pending grants and the threshold-watch dirty set) and version 7
-    // (a source node in every flit and queued packet).
-    for old in [1u16, 2, 3, 4, 5, 6, 7] {
+    // SRS's pending grants and the threshold-watch dirty set), version 7
+    // (a source node in every flit and queued packet) and version 8 (the
+    // unread counters, config geometry and dense latency histogram).
+    for old in [1u16, 2, 3, 4, 5, 6, 7, 8] {
         let mut b = bytes.clone();
         b[4..6].copy_from_slice(&old.to_le_bytes());
         reseal(&mut b);
@@ -468,14 +481,14 @@ fn version_and_config_mismatch_rejected() {
     }
 
     // A mutated slot. The SRS section opens with its tag and slot count;
-    // receiver (0, λ0) is dark and unowned (21 bytes), then (0, λ1) is
+    // receiver (0, λ0) is dark and unowned (13 bytes), then (0, λ1) is
     // owned and lit by board 1. Claiming it lit by board 2 (not the laser
     // it wants, and not queued to settle) or by a board past B is a typed
     // error.
     let srs_at = (bytes.windows(4))
         .position(|t| t == b"SRSS")
         .expect("SRS section");
-    let lit_at = srs_at + 4 + 8 + 21 + 3;
+    let lit_at = srs_at + 4 + 8 + 13 + 3;
     assert_eq!(bytes[lit_at - 3..lit_at + 3], [1, 1, 0, 1, 1, 0]);
     for lit_by in [2u16, 9] {
         let mut bad = bytes.clone();

@@ -17,11 +17,12 @@
 //! checksum, has to object. Every mutant must come back `Ok` or as a typed
 //! error — never a panic, an unbounded allocation or a hang; a re-sealed
 //! inflated length must be refused. The located cases (which error, at
-//! which byte) stay in each format's own tests.
+//! which byte) stay in each format's own tests, except the `.ersp` board
+//! indices below, which a restore must refuse because the run would panic.
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::desim::rng::Pcg32;
-use erapid_suite::desim::snap::{fnv1a, seal, unseal, SnapWriter};
+use erapid_suite::desim::snap::{fnv1a, seal, unseal, Snap, SnapError, SnapWriter};
 use erapid_suite::erapid_core::checkpoint::{encode_snapshot, restore_system};
 use erapid_suite::erapid_core::config::{BurstSpec, NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::metrics::PacketDelivery;
@@ -217,6 +218,101 @@ fn snapshots_survive_mutation() {
     }
     .sweep(&mut Pcg32::new(0x05EE_DE55, 1));
     assert_bounded_allocation();
+}
+
+/// Re-sealed `.ersp` bodies whose board state indexes past the geometry
+/// are refused by the restore with a typed error. Restored, each would
+/// panic the run with an index out of bounds: a TX-queue packet's VC
+/// (`Board::tx_depart`'s credit return) or destination node (the route
+/// table at the far board), a ready-destination entry (the SRS flow
+/// lookup), and a pending node credit's port or VC (`Router::credit`).
+#[test]
+fn board_indices_past_the_geometry_are_refused() {
+    let cfg = SystemConfig::small(NetworkMode::NpNb);
+    let plan = || PhasePlan::new(1000, 2000);
+    let fresh = || System::new(cfg.clone(), TrafficPattern::Complement, 0.6, plan());
+    let mut sys = fresh();
+    // A cycle where some TX queue holds a ready packet.
+    let (s, d) = loop {
+        sys.step();
+        let ready = (0..cfg.boards).find_map(|s| {
+            let dests = sys.board(s).ready_dests();
+            dests.first().map(|&d| (s, d))
+        });
+        if let Some(at) = ready {
+            break at;
+        }
+        assert!(sys.now() < 4000, "no TX queue ever held a ready packet");
+    };
+    let file = encode_snapshot(&sys, StreamCursor::start()).expect("NP-NB is always quiescent");
+    let body = &file[..file.len() - 8];
+    let refused = |case: &str, mutant: Vec<u8>| {
+        let got = restore_system(&mut fresh(), &seal(mutant));
+        assert!(matches!(got, Err(SnapError::Format(_))), "{case}: {got:?}");
+    };
+
+    // The ready packet, found by its bytes: dst at +8, vc at +23.
+    let pkt = *sys.board(s).tx_queue(d).peek().expect("ready packet");
+    let mut w = SnapWriter::new();
+    pkt.save(&mut w);
+    let pkt_bytes = w.into_bytes();
+    let at: Vec<usize> = (body.windows(pkt_bytes.len()))
+        .enumerate()
+        .filter(|(_, win)| *win == pkt_bytes.as_slice())
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 1, "the ready packet's bytes occur once");
+    let mut bad = body.to_vec();
+    bad[at[0] + 23] = u8::MAX;
+    refused("ready packet on VC 255", bad);
+    let mut bad = body.to_vec();
+    bad[at[0] + 8..at[0] + 12].copy_from_slice(&cfg.nodes().to_le_bytes());
+    refused("ready packet toward a node past the last", bad);
+
+    // Board `s`'s section ends `[ready dests: n, u16 × n][node credits:
+    // m, (u16, u8) × m]` right before the next section's tag; `m` is the
+    // count whose position puts the known ready list just before it.
+    let tags: Vec<usize> = (body.windows(4))
+        .enumerate()
+        .filter(|(_, t)| *t == b"BRDS" || *t == b"SRSS")
+        .map(|(i, _)| i)
+        .collect();
+    let end = tags[s as usize + 1];
+    let dests = sys.board(s).ready_dests();
+    let word = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().expect("8 bytes"));
+    let mut ready_list = (dests.len() as u64).to_le_bytes().to_vec();
+    ready_list.extend(dests.iter().flat_map(|d| d.to_le_bytes()));
+    let m = (0..64)
+        .find(|&m| {
+            let credits = end - 8 - 3 * m;
+            word(credits) == m as u64 && body[credits - ready_list.len()..credits] == ready_list[..]
+        })
+        .expect("board tail located");
+    let credits = end - 8 - 3 * m;
+    let splice = |at: usize, old: usize, new: &[u8]| {
+        let mut bad = body[..at].to_vec();
+        bad.extend_from_slice(new);
+        bad.extend_from_slice(&body[at + old..]);
+        bad
+    };
+    let ready_at = credits - ready_list.len();
+    let past_b = [1, 0, 0, 0, 0, 0, 0, 0, cfg.boards as u8, 0];
+    refused(
+        "ready destination past the last board",
+        splice(ready_at, ready_list.len(), &past_b),
+    );
+    let past_ports = (cfg.nodes_per_board + cfg.boards) as u8;
+    for (case, credit) in [
+        (
+            "node credit to a port past the router's",
+            [past_ports, 0, 0],
+        ),
+        ("node credit on VC 255", [0, 0, u8::MAX]),
+    ] {
+        let mut new = 1u64.to_le_bytes().to_vec();
+        new.extend_from_slice(&credit);
+        refused(case, splice(credits, 8 + 3 * m, &new));
+    }
 }
 
 #[test]

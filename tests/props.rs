@@ -166,7 +166,7 @@ fn histogram_quantiles_monotone() {
             h.record(s);
         }
         let qs: Vec<f64> = [0.50, 0.95, 0.99]
-            .map(|q| h.quantile(q).expect("non-empty histogram"))
+            .map(|q| h.quantile(q, count as u64).expect("non-empty histogram"))
             .to_vec();
         for w in qs.windows(2) {
             assert!(w[0] <= w[1], "percentiles must be monotone: {qs:?}");
@@ -671,7 +671,7 @@ fn buffer_util_counters_match_recomputed_under_faults() {
 
         let b = cfg.boards as usize;
         let window = cfg.schedule.window;
-        let flits = PACKET_FLITS as u64;
+        let flits = i64::from(PACKET_FLITS);
         let mut shadows: Vec<OccupancyIntegral> = (0..b * b)
             .map(|_| OccupancyIntegral::new(window, TX_QUEUE_FLITS))
             .collect();
@@ -687,10 +687,11 @@ fn buffer_util_counters_match_recomputed_under_faults() {
                     sh.roll(t);
                 }
             }
-            let before: Vec<(u32, u64)> = (0..b * b)
+            let before: Vec<u32> = (0..b * b)
                 .map(|i| {
-                    let q = sys.board((i / b) as u16).tx_queue((i % b) as u16);
-                    (q.flits_held(), q.totals().1)
+                    sys.board((i / b) as u16)
+                        .tx_queue((i % b) as u16)
+                        .flits_held()
                 })
                 .collect();
             if t < plan.max_cycles {
@@ -698,11 +699,19 @@ fn buffer_util_counters_match_recomputed_under_faults() {
             } else {
                 sys.step_without_injection();
             }
+            // A router output port passes at most one flit a cycle and
+            // packets leave whole, so a queue's net change `enq − dep` has
+            // `enq ∈ {0, 1}` and `dep` a multiple of the packet size: the
+            // two are the change's residue and the rest.
             for i in 0..b * b {
-                let q = sys.board((i / b) as u16).tx_queue((i % b) as u16);
-                let (held_before, departed_before) = before[i];
-                let dep_flits = (q.totals().1 - departed_before) * flits;
-                let enq_flits = (q.flits_held() as u64 + dep_flits) - held_before as u64;
+                let held = sys
+                    .board((i / b) as u16)
+                    .tx_queue((i % b) as u16)
+                    .flits_held();
+                let delta = i64::from(held) - i64::from(before[i]);
+                let enq_flits = delta.rem_euclid(flits);
+                let dep_flits = enq_flits - delta;
+                assert!(enq_flits <= 1, "t={t} queue {i}: {delta} flits in a cycle");
                 if enq_flits > 0 {
                     shadows[i].enqueue(t, enq_flits as u32);
                 }
